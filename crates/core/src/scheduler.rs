@@ -21,8 +21,8 @@ use crate::policy::{BandwidthAwarePacking, EsgCrossQueuePacking};
 use crate::search::{astar_search_with, stagewise_search, SearchScratch};
 use esg_model::{Config, FnId, NodeId};
 use esg_sim::{
-    place_locality_first, Capabilities, Outcome, PolicySpec, PolicyStack, SchedCtx, Scheduler,
-    SchedulerEvent, SchedulerStats, SloAdmission,
+    place_locality_first, BatchHold, Capabilities, Outcome, PolicySpec, PolicyStack, SchedCtx,
+    Scheduler, SchedulerEvent, SchedulerStats, SloAdmission,
 };
 
 /// Which published ESG_1Q formulation to run.
@@ -42,10 +42,6 @@ pub struct EsgScheduler {
     k: usize,
     variant: SearchVariant,
     plans: Option<AppPlans>,
-    /// Queues currently holding for batch formation:
-    /// `(app, stage) → (hold until ms, target batch)`. Re-checks while
-    /// holding are cheap (no full search).
-    waiting: std::collections::HashMap<(u32, usize), (f64, u32)>,
     /// Memoised searches (None = caching disabled; the search budget is
     /// quantized either way, so disabling the cache cannot change
     /// decisions — see `crate::cache`).
@@ -74,7 +70,6 @@ impl EsgScheduler {
             k: 5,
             variant: SearchVariant::AStar,
             plans: None,
-            waiting: std::collections::HashMap::new(),
             cache: Some(PlanCache::new()),
             scratch: SearchScratch::new(),
             searches: 0,
@@ -277,20 +272,6 @@ impl Scheduler for EsgScheduler {
         let mut gslo_eff = gslo / (p95 * speed);
 
         let qlen = ctx.jobs.len() as u32;
-        let key = (ctx.key.app.0, ctx.key.stage);
-
-        // Cheap path while holding this queue for batch formation.
-        if let Some(&(until, target)) = self.waiting.get(&key) {
-            if qlen < target && ctx.now_ms < until {
-                return Outcome {
-                    candidates: Vec::new(),
-                    expansions: 16, // timer re-check, not a search
-                    planned_batch: None,
-                    ..Outcome::default()
-                };
-            }
-            self.waiting.remove(&key);
-        }
 
         // First search without a batch cap: ESG_1Q explores the full
         // (batch, vCPUs, vGPUs) space (§3.1 — "ESG_1Q does not consider
@@ -415,11 +396,14 @@ impl Scheduler for EsgScheduler {
                     }
                     let wait = (actual - qlen) as f64 * interval;
                     if r.paths[0].time_ms * p95 * speed + wait <= gslo {
-                        self.waiting.insert(key, (ctx.now_ms + wait, actual));
+                        // The platform re-decides the queue once the
+                        // batch has formed or the wait has run out.
                         return Outcome {
-                            candidates: Vec::new(),
                             expansions,
-                            planned_batch: None,
+                            hold: Some(BatchHold {
+                                until_ms: ctx.now_ms + wait,
+                                min_jobs: actual,
+                            }),
                             ..Outcome::default()
                         };
                     }
@@ -463,24 +447,15 @@ impl Scheduler for EsgScheduler {
     }
 
     fn on_event(&mut self, event: &SchedulerEvent<'_>) {
-        match event {
-            // Membership changed: recent keys were shaped by a speed
-            // landscape that no longer exists. Entries are never *wrong*
-            // (keys capture every search input), but letting a dead
-            // regime squat in the LRU wastes the bound, so drop
-            // everything and repopulate.
-            SchedulerEvent::Churn { .. } => {
-                if let Some(cache) = &mut self.cache {
-                    cache.invalidate();
-                }
+        // Membership changed: recent keys were shaped by a speed
+        // landscape that no longer exists. Entries are never *wrong*
+        // (keys capture every search input), but letting a dead regime
+        // squat in the LRU wastes the bound, so drop everything and
+        // repopulate.
+        if let SchedulerEvent::Churn { .. } = event {
+            if let Some(cache) = &mut self.cache {
+                cache.invalidate();
             }
-            // A shed emptied the queue (directly or via sibling purge):
-            // any batch-formation hold was computed for the killed jobs,
-            // and fresh arrivals must not wait out a dead timer.
-            SchedulerEvent::QueueShed { key, .. } => {
-                self.waiting.remove(&(key.app.0, key.stage));
-            }
-            _ => {}
         }
     }
 

@@ -22,6 +22,19 @@ impl SimTime {
         SimTime((ms.max(0.0) * 1000.0).round() as u64)
     }
 
+    /// Builds a time from fractional milliseconds, rounded *up* to the
+    /// microsecond grid, so `SimTime::from_ms_ceil(ms).as_ms() >= ms`:
+    /// a wake-up scheduled on a deadline never fires before it.
+    #[inline]
+    pub fn from_ms_ceil(ms: f64) -> Self {
+        let t = SimTime((ms.max(0.0) * 1000.0).ceil() as u64);
+        if t.as_ms() < ms {
+            SimTime(t.0.saturating_add(1))
+        } else {
+            t
+        }
+    }
+
     /// Builds a time from whole microseconds.
     #[inline]
     pub const fn from_us(us: u64) -> Self {
@@ -98,6 +111,18 @@ mod tests {
     #[test]
     fn negative_ms_clamps() {
         assert_eq!(SimTime::from_ms(-5.0), SimTime::ZERO);
+        assert_eq!(SimTime::from_ms_ceil(-5.0), SimTime::ZERO);
+    }
+
+    #[test]
+    fn ceil_conversion_never_lands_before_the_deadline() {
+        assert_eq!(SimTime::from_ms(1.0004).0, 1_000);
+        assert_eq!(SimTime::from_ms_ceil(1.0004).0, 1_001);
+        assert_eq!(SimTime::from_ms_ceil(12.345).0, 12_345);
+        for i in 0..10_000u32 {
+            let ms = f64::from(i) * 0.1 + 0.2;
+            assert!(SimTime::from_ms_ceil(ms).as_ms() >= ms, "{ms}");
+        }
     }
 
     #[test]

@@ -82,9 +82,9 @@ pub use policy::{
     SloAdmissionConfig,
 };
 pub use sched::{
-    fill_job_views, home_node, place_locality_first, place_min_fragmentation, Capabilities,
-    JobView, Outcome, OverheadModel, QueueKey, QueueView, RoundCtx, SchedCtx, Scheduler,
-    SchedulerEvent, SchedulerStats,
+    fill_job_views, home_node, place_locality_first, place_min_fragmentation, BatchHold,
+    Capabilities, JobView, Outcome, OverheadModel, QueueKey, QueueView, RoundCtx, SchedCtx,
+    Scheduler, SchedulerEvent, SchedulerStats,
 };
 pub use shard::{QueuePartitioner, ShardStats, ShardedController};
 pub use state::{ClusterState, NodeView};

@@ -372,6 +372,10 @@ pub struct Simulation<'a> {
     /// controller schedules queues concurrently; search time delays only
     /// the affected queue's jobs).
     queue_busy_until: Vec<SimTime>,
+    /// Per-queue batch-formation hold ([`BatchHold`](crate::BatchHold)):
+    /// the job count that ends it early, and the earliest instant the
+    /// queue may then be re-decided (holding decision + charged overhead).
+    queue_hold: Vec<Option<(u32, SimTime)>>,
     recheck: Vec<RecheckEntry>,
     /// Tasks whose init finished but whose node lacked capacity, FIFO per
     /// node; drained on every resource release.
@@ -544,6 +548,7 @@ impl<'a> Simulation<'a> {
             next_invocation: 0,
             tasks: Arena::new(),
             queue_busy_until: vec![SimTime::ZERO; nq],
+            queue_hold: vec![None; nq],
             recheck: Vec::new(),
             waiting_exec: vec![std::collections::VecDeque::new(); initial_nodes],
             job_views: vec![Vec::new(); nq],
@@ -769,6 +774,11 @@ impl<'a> Simulation<'a> {
             self.queue_intervals[qi].update(self.now.saturating_since(prev).as_ms());
         }
         self.queue_last_arrival[qi] = Some(self.now);
+        if self.queue_hold[qi]
+            .is_some_and(|(min_jobs, _)| self.queues[qi].len() >= min_jobs as usize)
+        {
+            self.release_hold(qi);
+        }
         if self.cfg.prewarm {
             self.predictors[qi].observe(self.now.as_ms());
             let f = self.queue_fn[qi];
@@ -777,6 +787,18 @@ impl<'a> Simulation<'a> {
                 let node = self.last_node[qi].unwrap_or_else(|| home_node(key, self.cluster.len()));
                 self.events
                     .push(SimTime::from_ms(at), Event::Prewarm(node.0, f.0));
+            }
+        }
+    }
+
+    /// Ends queue `qi`'s batch-formation hold early: the queue becomes
+    /// decidable again as soon as the holding decision's charged overhead
+    /// has elapsed. Callers wake the controller at `now` themselves.
+    fn release_hold(&mut self, qi: usize) {
+        if let Some((_, earliest)) = self.queue_hold[qi].take() {
+            self.queue_busy_until[qi] = earliest.max(self.now);
+            if earliest > self.now {
+                self.events.push(earliest, Event::ControllerStep);
             }
         }
     }
@@ -1134,6 +1156,7 @@ impl<'a> Simulation<'a> {
         wall_ms: f64,
         conflict_on_failure: bool,
     ) -> DecisionCommit {
+        self.queue_hold[qi] = None;
         if let Some(reason) = outcome.shed {
             // Admission verdict, not a search: no overhead is charged and
             // no wall sample recorded (the overhead series keeps its
@@ -1161,14 +1184,19 @@ impl<'a> Simulation<'a> {
         };
 
         if outcome.candidates.is_empty() {
-            // Skip (e.g. holding for batch formation): re-check after the
-            // decision time, the idle back-off, or an admission defer
-            // horizon, whichever is furthest.
-            let mut back = charged.max(SimTime::from_ms(self.cfg.idle_backoff_ms));
+            // Skip: re-check after the decision time, the idle back-off,
+            // or an admission defer / batch-formation hold deadline
+            // (rounded up, so the queue never wakes just before it),
+            // whichever is furthest. A hold may also end early.
+            let mut busy = self.now + charged.max(SimTime::from_ms(self.cfg.idle_backoff_ms));
             if let Some(until) = outcome.defer_until_ms {
-                back = back.max(SimTime::from_ms((until - self.now.as_ms()).max(0.0)));
+                busy = busy.max(SimTime::from_ms_ceil(until));
             }
-            self.queue_busy_until[qi] = self.now + back;
+            if let Some(hold) = outcome.hold {
+                busy = busy.max(SimTime::from_ms_ceil(hold.until_ms));
+                self.queue_hold[qi] = Some((hold.min_jobs, self.now + charged));
+            }
+            self.queue_busy_until[qi] = busy;
             self.events
                 .push(self.queue_busy_until[qi], Event::ControllerStep);
             return DecisionCommit::Settled {
@@ -1280,6 +1308,9 @@ impl<'a> Simulation<'a> {
             });
             if !gone.is_empty() {
                 self.metrics.shed_jobs += gone.len() as u64;
+                // The hold was computed for killed jobs: fresh arrivals
+                // must not wait out its deadline.
+                self.release_hold(oq);
                 purged.push((oq, gone));
             }
         }
@@ -2279,5 +2310,54 @@ mod tests {
         assert_eq!(r.total_completed(), 40);
         assert_eq!(r.warm_starts + r.cold_starts, r.dispatches);
         assert_eq!(r.overhead_ms.len() as u64, r.dispatches + r.rechecks);
+    }
+
+    /// Defers each queue once to an off-grid deadline (1.0004 ms out),
+    /// then dispatches; panics if a queue is re-decided before its
+    /// deadline.
+    #[derive(Default)]
+    struct OffGridDefer {
+        due: HashMap<QueueKey, f64>,
+        redecided: usize,
+    }
+
+    impl Scheduler for OffGridDefer {
+        fn name(&self) -> &'static str {
+            "off-grid-defer"
+        }
+
+        fn capabilities(&self) -> crate::sched::Capabilities {
+            MinScheduler.capabilities()
+        }
+
+        fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
+            if let Some(due) = self.due.remove(&ctx.key) {
+                assert!(
+                    ctx.now_ms >= due,
+                    "{:?} re-decided at {} ms, before its {due} ms deadline",
+                    ctx.key,
+                    ctx.now_ms
+                );
+                self.redecided += 1;
+                return Outcome::single(Config::MIN, 1);
+            }
+            let due = ctx.now_ms + 1.0004;
+            self.due.insert(ctx.key, due);
+            Outcome::defer(due)
+        }
+
+        fn place(&mut self, ctx: &SchedCtx<'_>, config: Config) -> Option<NodeId> {
+            ctx.cluster.most_free(config.resources())
+        }
+    }
+
+    #[test]
+    fn defer_deadlines_round_up_to_the_microsecond_grid() {
+        let env = SimEnv::standard(SloClass::Relaxed);
+        let w = small_workload(20);
+        let mut s = OffGridDefer::default();
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "defer");
+        assert_eq!(r.total_completed(), 20);
+        assert!(s.redecided >= 20, "every entry queue defers at least once");
     }
 }

@@ -346,6 +346,22 @@ impl SchedulerEvent<'_> {
     }
 }
 
+/// A batch-formation hold (§3.1: an AFW queue waits for a cost-optimal
+/// batch). The held queue is re-decided exactly once, at the first of:
+///
+/// * `until_ms` (rounded up to the µs grid, and never before the idle
+///   back-off or the holding decision's charged overhead has elapsed);
+/// * the enqueue that brings the queue to `min_jobs` jobs (but never
+///   before the holding decision's instant plus its charged overhead);
+/// * a shed that kills any of the queue's jobs (same lower bound).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct BatchHold {
+    /// Re-decide the queue at this instant at the latest, ms.
+    pub until_ms: f64,
+    /// Re-decide the queue as soon as it holds this many jobs.
+    pub min_jobs: u32,
+}
+
 /// The outcome of a scheduling decision.
 #[derive(Clone, Debug, Default)]
 pub struct Outcome {
@@ -363,6 +379,10 @@ pub struct Outcome {
     /// before this instant, ms. `None` keeps the platform's idle
     /// back-off. Produced by `AdmissionDecision::Defer`.
     pub defer_until_ms: Option<f64>,
+    /// For skip outcomes: hold the queue for batch formation. Unlike a
+    /// plain skip, which is re-polled every idle back-off, a held queue
+    /// is re-decided once, when the hold ends (see [`BatchHold`]).
+    pub hold: Option<BatchHold>,
     /// Admission verdict: drop the queue's jobs (their invocations are
     /// killed; see `SchedulerEvent::QueueShed`). Candidates are ignored.
     pub shed: Option<ShedReason>,

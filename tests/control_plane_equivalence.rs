@@ -21,6 +21,17 @@
 //! test --test control_plane_equivalence` — only ever from a commit
 //! whose platform behaviour is the agreed baseline, noting the new
 //! baseline's provenance here.
+//!
+//! Re-base: the five `ESG|` lines paper/bursty, mixed-mig/bursty and
+//! skewed+churn/{steady,bursty,diurnal} were re-blessed when ESG's
+//! batch-formation hold moved into the `Outcome` contract
+//! (`Outcome::hold`). The platform now re-decides a held queue once —
+//! at the hold's deadline, at the arrival that completes the batch, or
+//! after a shed — instead of re-polling it every `idle_backoff_ms`, so
+//! ESG dispatches a formed batch up to one back-off earlier and records
+//! no 16-expansion re-check decisions. Every other line — the four
+//! baselines, and the ESG cells in which ESG never held a queue — is
+//! byte-identical to the pre-redesign blessing.
 
 mod support;
 
