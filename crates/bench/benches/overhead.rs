@@ -129,9 +129,6 @@ impl RoundPolicy for PassThrough {
     fn name(&self) -> &'static str {
         "pass-through"
     }
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(PassThrough)
-    }
 }
 
 fn main() {

@@ -1,15 +1,14 @@
 //! Trace-replay sweep: record one reference run's event-sourced trace,
-//! then re-drive the recorded arrival stream across schedulers × shard
-//! counts and compare dispatch-trace digests.
+//! then re-drive the recorded arrival stream across schedulers and
+//! compare dispatch-trace digests.
 //!
 //! The reference run is ESG on `strict-light` at the shared seed with
 //! [`SimConfig::record_trace`](esg_sim::SimConfig) pointed at a scratch
 //! file; the sweep replays that exact offered load under three
-//! schedulers and three shard counts. Two invariants are asserted every
-//! run:
+//! schedulers. Two invariants are asserted every run:
 //!
-//! * replaying the recorded scheduler at the recorded shard count
-//!   reproduces the recorded dispatch digest bit for bit (the
+//! * replaying the recorded scheduler reproduces the recorded
+//!   dispatch digest bit for bit (the
 //!   round-trip fidelity the trace format exists for), and
 //! * every replay sees exactly the recorded arrival count (the offered
 //!   load is scheduler-independent).
@@ -30,9 +29,9 @@ fn main() {
     let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let run_seconds = if smoke { 40.0 } else { esg_bench::RUN_SECONDS };
     section(if smoke {
-        "Trace replay: recorded sweep × schedulers × shards (smoke mode)"
+        "Trace replay: recorded sweep × schedulers (smoke mode)"
     } else {
-        "Trace replay: recorded sweep × schedulers × shards"
+        "Trace replay: recorded sweep × schedulers"
     });
 
     let scenario = Scenario::STRICT_LIGHT;
@@ -49,18 +48,16 @@ fn main() {
     );
 
     let kinds = [SchedKind::Esg, SchedKind::Orion, SchedKind::FastGShare];
-    let shard_counts = [1usize, 2, 4];
-    let rows = replay_matrix(&replay, &kinds, &shard_counts);
+    let rows = replay_matrix(&replay, &kinds);
 
     println!(
-        "\n{:<12} {:>6}  {:>16}  {:>9}  {:>9}  {:>7}  {:>10}",
-        "scheduler", "shards", "digest", "=recorded", "hit %", "shed %", "dispatches"
+        "\n{:<12}  {:>16}  {:>9}  {:>9}  {:>7}  {:>10}",
+        "scheduler", "digest", "=recorded", "hit %", "shed %", "dispatches"
     );
     for r in &rows {
         println!(
-            "{:<12} {:>6}  {:>16}  {:>9}  {:>8.1}%  {:>6.1}%  {:>10}",
+            "{:<12}  {:>16}  {:>9}  {:>8.1}%  {:>6.1}%  {:>10}",
             r.scheduler,
-            r.shards,
             format!("{:016x}", r.digest),
             if r.matches_recording { "yes" } else { "no" },
             r.result.avg_hit_rate() * 100.0,
@@ -69,18 +66,16 @@ fn main() {
         );
     }
 
-    // Round-trip fidelity: the recorded scheduler at the recorded shard
-    // count must reproduce the recording exactly.
+    // Round-trip fidelity: the recorded scheduler must reproduce the
+    // recording exactly.
     let same = rows
         .iter()
-        .find(|r| r.scheduler == SchedKind::Esg.name() && r.shards == trace.config.shards)
-        .expect("the recorded cell is in the grid");
+        .find(|r| r.scheduler == SchedKind::Esg.name())
+        .expect("the recorded scheduler is replayed");
     assert!(
         same.matches_recording,
-        "replaying {} at {} shard(s) did not reproduce the recorded digest \
-({:016x} vs {:016x})",
+        "replaying {} did not reproduce the recorded digest ({:016x} vs {:016x})",
         same.scheduler,
-        same.shards,
         same.digest,
         trace.dispatch_digest(),
     );
@@ -88,8 +83,8 @@ fn main() {
     for r in &rows {
         assert_eq!(
             r.result.arrivals, recorded.arrivals,
-            "{} s{} saw a different offered load",
-            r.scheduler, r.shards
+            "{} saw a different offered load",
+            r.scheduler
         );
     }
 
@@ -99,9 +94,8 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "{},{},{:016x},{},{:.4},{:.4},{:.4},{},{},{}",
+                "{},{:016x},{},{:.4},{:.4},{:.4},{},{}",
                 r.scheduler,
-                r.shards,
                 r.digest,
                 r.matches_recording,
                 r.result.avg_hit_rate(),
@@ -109,14 +103,13 @@ fn main() {
                 r.result.cost_per_invocation_cents(),
                 r.result.dispatches,
                 r.result.shed_jobs,
-                r.shard_stats.conflicts,
             )
         })
         .collect();
     write_csv(
         "BENCH_replay",
-        "scheduler,shards,digest,matches_recording,avg_hit_rate,shed_rate,\
-cost_per_invocation_cents,dispatches,shed_jobs,conflicts",
+        "scheduler,digest,matches_recording,avg_hit_rate,shed_rate,\
+cost_per_invocation_cents,dispatches,shed_jobs",
         &csv_rows,
     );
     if smoke {

@@ -14,21 +14,17 @@ use esg_sim::HealthSnapshot;
 use std::fmt::Write as _;
 
 /// Renders one snapshot as a fixed-width text block: a headline with
-/// the sampling instant, backlog total, and cumulative shard-commit
+/// the sampling instant, backlog total, and cumulative transfer
 /// counters, then one row per queue.
 pub fn render_snapshot_text(snap: &HealthSnapshot) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "t={:>9.0} ms  queues {:>3}  backlog {:>5}  |  shard rounds {} commits {} \
-conflicts {} retries {}  |  transfers {} done {} q {} inflight {} ({:.0} MB)",
+        "t={:>9.0} ms  queues {:>3}  backlog {:>5}  |  \
+transfers {} done {} q {} inflight {} ({:.0} MB)",
         snap.at_ms,
         snap.queues.len(),
         snap.total_backlog,
-        snap.shard.rounds,
-        snap.shard.commits,
-        snap.shard.conflicts,
-        snap.shard.retries,
         snap.transfers.started,
         snap.transfers.completed,
         snap.transfers.queued,
@@ -36,15 +32,12 @@ conflicts {} retries {}  |  transfers {} done {} q {} inflight {} ({:.0} MB)",
         snap.transfers.total_mb,
     )
     .expect("writing to String cannot fail");
-    out.push_str(
-        "  queue  shard  backlog  arrivals  dispatched  done   shed  mean-wait  max-wait\n",
-    );
+    out.push_str("  queue  backlog  arrivals  dispatched  done   shed  mean-wait  max-wait\n");
     for q in &snap.queues {
         writeln!(
             out,
-            "  {:<6} {:>5} {:>8} {:>9} {:>11} {:>5} {:>6} {:>8.1}ms {:>7.1}ms",
+            "  {:<6} {:>8} {:>9} {:>11} {:>5} {:>6} {:>8.1}ms {:>7.1}ms",
             format!("{}.{}", q.key.app.0, q.key.stage),
-            q.shard,
             q.backlog,
             q.counters.arrivals,
             q.counters.dispatched_jobs,
@@ -74,24 +67,22 @@ pub fn render_dashboard_text(snapshots: &[HealthSnapshot]) -> String {
 /// Header line for [`dashboard_csv_rows`], matching `write_csv`'s
 /// `header` parameter.
 pub fn dashboard_csv_header() -> &'static str {
-    "at_ms,app,stage,shard,backlog,arrivals,dispatches,dispatched_jobs,completions,\
-shed_jobs,mean_wait_ms,max_wait_ms,shard_commits,shard_conflicts,shard_retries,\
-transfers_started,transfers_queued,transfers_completed,transfers_inflight,transfer_mb"
+    "at_ms,app,stage,backlog,arrivals,dispatches,dispatched_jobs,completions,\
+shed_jobs,mean_wait_ms,max_wait_ms,transfers_started,transfers_queued,transfers_completed,transfers_inflight,transfer_mb"
 }
 
 /// Flattens a snapshot series into one CSV row per `(snapshot, queue)`.
-/// The snapshot-level shard counters repeat on every row of their
+/// The snapshot-level transfer counters repeat on every row of their
 /// snapshot so any row slice stays self-describing.
 pub fn dashboard_csv_rows(snapshots: &[HealthSnapshot]) -> Vec<String> {
     let mut rows = Vec::new();
     for snap in snapshots {
         for q in &snap.queues {
             rows.push(format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 snap.at_ms,
                 q.key.app.0,
                 q.key.stage,
-                q.shard,
                 q.backlog,
                 q.counters.arrivals,
                 q.counters.dispatches,
@@ -100,9 +91,6 @@ pub fn dashboard_csv_rows(snapshots: &[HealthSnapshot]) -> Vec<String> {
                 q.counters.shed_jobs,
                 q.mean_wait_ms(),
                 q.max_wait_ms(),
-                snap.shard.commits,
-                snap.shard.conflicts,
-                snap.shard.retries,
                 snap.transfers.started,
                 snap.transfers.queued,
                 snap.transfers.completed,
@@ -121,7 +109,7 @@ mod tests {
     use esg_sim::{QueueHealthMonitor, QueueKey, SchedulerEvent};
 
     fn monitored_snapshots() -> Vec<HealthSnapshot> {
-        let mut mon = QueueHealthMonitor::new(100.0, 2);
+        let mut mon = QueueHealthMonitor::new(100.0);
         let k = QueueKey {
             app: AppId(3),
             stage: 1,
@@ -141,13 +129,6 @@ mod tests {
             node: NodeId(0),
             now_ms: 40.0,
         });
-        mon.observe(&SchedulerEvent::ShardCommit {
-            shard: 0,
-            commits: 1,
-            conflicts: 1,
-            retries: 1,
-            now_ms: 40.0,
-        });
         mon.finish(150.0)
     }
 
@@ -158,7 +139,6 @@ mod tests {
         // One block per snapshot (100 ms boundary + the 150 ms close).
         assert_eq!(text.matches("queues").count(), 2, "{text}");
         assert!(text.contains("backlog     1"), "{text}");
-        assert!(text.contains("conflicts 1"), "{text}");
         // The queue row carries the 30 ms dispatch wait.
         assert!(text.contains("3.1"), "{text}");
         assert!(text.contains("30.0ms"), "{text}");
@@ -174,17 +154,16 @@ mod tests {
             rows[0].split(',').count(),
             "header and rows must agree on the column count"
         );
-        // at_ms, app, stage, shard, backlog, arrivals, dispatches …
+        // at_ms, app, stage, backlog, arrivals, dispatches, dispatched
+        // jobs, completions, sheds, mean/max wait, then the (here idle)
+        // transfer rollup.
         assert!(rows[0].starts_with("100,3,1,"), "{}", rows[0]);
-        assert!(rows[1].starts_with("150,3,1,"), "{}", rows[1]);
-        // Shard counters land on every row of their snapshot, followed
-        // by the (here idle) transfer rollup.
-        assert!(rows[1].ends_with("1,1,1,0,0,0,0,0"), "{}", rows[1]);
+        assert_eq!(rows[1], "150,3,1,1,2,1,1,0,0,30,30,0,0,0,0,0");
     }
 
     #[test]
     fn transfer_counters_surface_in_text_and_csv() {
-        let mut mon = QueueHealthMonitor::new(100.0, 2);
+        let mut mon = QueueHealthMonitor::new(100.0);
         let k = QueueKey {
             app: AppId(1),
             stage: 0,

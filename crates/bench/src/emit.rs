@@ -363,99 +363,42 @@ empty-stack overhead (%) |\n\
 }
 
 /// Renders a `BENCH_scale.json` document (written by `cargo bench
-/// --bench scale`) into the "Control-plane scale" Markdown tables: one
-/// table per queue population, dispatch throughput / p99 decision
-/// latency / conflict rate per shard count, with the speedup column
-/// anchored to the single-shard driver.
+/// --bench scale`) into the "Control-plane scale" Markdown table: the
+/// end-to-end streaming replay cases (`kind == "replay"`), with
+/// per-invocation medians and the constant-memory high-water marks.
 pub fn render_scale_markdown(doc: &Value) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    let samples = doc.get("samples").and_then(Value::as_u64).unwrap_or(0);
-    let cases = doc
-        .get("cases")
-        .and_then(Value::as_array)
-        .unwrap_or_default();
-    writeln!(
-        out,
-        "Suite `scale` — sharded round-driver throughput vs queue count, \
-{samples} samples per case (regenerate: `cargo bench --bench scale`). \
-Each decision pays the eligible scan over its shard's queues \
-(`O(Q/N)`), stages against a generation-stamped snapshot, and commits \
-with optimistic re-validation; conflicts retry and are counted. \
-Medians, wall clock; p99 is per-decision (stage + commit)."
-    )
-    .expect("writing to String cannot fail");
-
-    let num = |c: &Value, k: &str| c.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-    let mut queue_counts: Vec<u64> = cases
-        .iter()
-        .filter_map(|c| c.get("queues").and_then(Value::as_u64))
-        .collect();
-    queue_counts.dedup();
-    for q in queue_counts {
-        let row: Vec<&Value> = cases
-            .iter()
-            .filter(|c| c.get("queues").and_then(Value::as_u64) == Some(q))
-            .collect();
-        let base = row
-            .iter()
-            .find(|c| c.get("shards").and_then(Value::as_u64) == Some(1))
-            .map(|c| num(c, "dispatches_per_sec"))
-            .unwrap_or(0.0);
-        writeln!(
-            out,
-            "\n**{q} queues**\n\n\
-| shards | dispatches/sec | speedup (×) | p99 decision (µs) | conflict rate (%) |\n\
-|---:|---:|---:|---:|---:|"
-        )
-        .expect("writing to String cannot fail");
-        for c in row {
-            let shards = c.get("shards").and_then(Value::as_u64).unwrap_or(0);
-            let tput = num(c, "dispatches_per_sec");
-            let speedup = if base > 0.0 { tput / base } else { 0.0 };
-            writeln!(
-                out,
-                "| {shards} | {tput:.0} | {speedup:.2} | {:.1} | {:.2} |",
-                num(c, "p99_decision_ns") / 1_000.0,
-                num(c, "conflict_rate") * 100.0
-            )
-            .expect("writing to String cannot fail");
-        }
-    }
-
-    // End-to-end streaming replay cases (kind == "replay"): the whole
-    // platform fed by a lazy Azure-shaped arrival stream, per-invocation
-    // medians plus the constant-memory high-water marks.
-    let replays: Vec<&Value> = cases
-        .iter()
-        .filter(|c| c.get("kind").and_then(Value::as_str) == Some("replay"))
-        .collect();
-    if !replays.is_empty() {
-        out.push_str(
-            "\n**End-to-end streaming replay** — Azure-shaped arrivals pulled \
-lazily through the full platform (ESG scheduler, round/shard drivers, \
-arena state) on the selected event-queue backend; medians are per \
-invocation, and the arena/event-queue high-water marks pin the \
-constant-memory property.\n\n\
+    let mut out = String::from(
+        "Suite `scale` — end-to-end streaming replay (regenerate: `cargo bench \
+--bench scale`): Azure-shaped arrivals pulled lazily through the full \
+platform (ESG scheduler, round driver, arena state, binary-heap event \
+queue); medians are per invocation, and the arena/event-queue \
+high-water marks pin the constant-memory property.\n\n\
 | case | invocations | ns/invocation | invocations/sec | \
 peak live invocations | peak pending events |\n\
 |---|---:|---:|---:|---:|---:|\n",
-        );
-        for c in replays {
-            let s = |k: &str| c.get(k).and_then(Value::as_str).unwrap_or("?");
-            let u = |k: &str| c.get(k).and_then(Value::as_u64).unwrap_or(0);
-            writeln!(
-                out,
-                "| {} | {} | {:.0} | {:.0} | {} | {} |",
-                s("case"),
-                u("invocations"),
-                num(c, "median_ns"),
-                num(c, "invocations_per_sec"),
-                u("peak_live_invocations"),
-                u("peak_pending_events"),
-            )
-            .expect("writing to String cannot fail");
-        }
+    );
+    let replays = doc
+        .get("cases")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter(|c| c.get("kind").and_then(Value::as_str) == Some("replay"));
+    for c in replays {
+        let s = |k: &str| c.get(k).and_then(Value::as_str).unwrap_or("?");
+        let u = |k: &str| c.get(k).and_then(Value::as_u64).unwrap_or(0);
+        let f = |k: &str| c.get(k).and_then(Value::as_f64).unwrap_or(0.0);
+        writeln!(
+            out,
+            "| {} | {} | {:.0} | {:.0} | {} | {} |",
+            s("case"),
+            u("invocations"),
+            f("median_ns"),
+            f("invocations_per_sec"),
+            u("peak_live_invocations"),
+            u("peak_pending_events"),
+        )
+        .expect("writing to String cannot fail");
     }
     out
 }
@@ -770,39 +713,25 @@ mod tests {
     }
 
     #[test]
-    fn scale_markdown_renders_replay_cases_alongside_driver_tables() {
+    fn scale_markdown_renders_the_replay_table() {
         let doc = json!({
-            "suite": "scale", "samples": 40,
+            "suite": "scale",
             "cases": [
-                {"case": "scale/driver/q10000/s1", "kind": "driver", "queues": 10_000,
-                 "shards": 1, "median_ns": 100_000.0, "dispatches_per_sec": 640_000.0,
-                 "p99_decision_ns": 2_000.0, "conflict_rate": 0.0},
-                {"case": "scale/driver/q10000/s2", "kind": "driver", "queues": 10_000,
-                 "shards": 2, "median_ns": 50_000.0, "dispatches_per_sec": 1_280_000.0,
-                 "p99_decision_ns": 1_500.0, "conflict_rate": 0.01},
-                {"case": "scale/replay/wheel", "kind": "replay", "event_queue": "wheel",
-                 "shards": 1, "invocations": 1_048_576, "median_ns": 34_000.0,
-                 "invocations_per_sec": 29_412.0, "peak_live_invocations": 642,
-                 "invocation_slots": 642, "task_slots": 631, "peak_pending_events": 636}
+                {"case": "scale/replay/heap", "kind": "replay", "invocations": 1_048_576,
+                 "median_ns": 34_000.0, "invocations_per_sec": 29_412.0,
+                 "peak_live_invocations": 642, "invocation_slots": 642,
+                 "task_slots": 631, "peak_pending_events": 636},
+                {"case": "scale/other", "kind": "other", "median_ns": 1.0}
             ]
         });
         let md = render_scale_markdown(&doc);
-        // Driver tables keyed on queue count are untouched…
-        assert!(md.contains("**10000 queues**"), "{md}");
-        assert!(md.contains("| 2 | 1280000 | 2.00 | 1.5 | 1.00 |"), "{md}");
-        // …and replay cases get their own per-invocation table.
-        assert!(md.contains("**End-to-end streaming replay**"), "{md}");
+        assert!(md.contains("end-to-end streaming replay"), "{md}");
         assert!(
-            md.contains("| scale/replay/wheel | 1048576 | 34000 | 29412 | 642 | 636 |"),
+            md.contains("| scale/replay/heap | 1048576 | 34000 | 29412 | 642 | 636 |"),
             "{md}"
         );
-        // A replay-free document renders no replay section.
-        let driver_only = json!({"suite": "scale", "samples": 40, "cases": [
-            {"case": "scale/driver/q10000/s1", "kind": "driver", "queues": 10_000,
-             "shards": 1, "median_ns": 100_000.0, "dispatches_per_sec": 640_000.0,
-             "p99_decision_ns": 2_000.0, "conflict_rate": 0.0}
-        ]});
-        assert!(!render_scale_markdown(&driver_only).contains("streaming replay"));
+        // Only replay cases render.
+        assert!(!md.contains("scale/other"), "{md}");
     }
 
     #[test]

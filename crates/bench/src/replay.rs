@@ -1,37 +1,32 @@
 //! The replay scenario axis: record one reference run's event-sourced
-//! trace, then re-drive the recorded arrival stream across schedulers ×
-//! shard counts and compare dispatch-trace digests.
+//! trace, then re-drive the recorded arrival stream across schedulers
+//! and compare dispatch-trace digests.
 //!
 //! Built on `esg-sim`'s trace subsystem: [`record_reference`] runs a
 //! `(scheduler, scenario)` cell with
 //! [`SimConfig::record_trace`](esg_sim::SimConfig) set and loads the
 //! written document back as a [`TraceReplay`]; [`replay_matrix`] fans
-//! the recorded load out over a scheduler × shard grid, tapping each
+//! the recorded load out over a list of schedulers, tapping each
 //! replay through [`Traced`](esg_sim::Traced) so every row carries the
 //! canonical dispatch-trace digest. A replay under the recorded
-//! scheduler at the recorded shard count must reproduce the recorded
+//! scheduler must reproduce the recorded
 //! digest bit for bit (`matches_recording`) — the `replay` bench target
 //! asserts it, and `tests/trace_roundtrip.rs` pins it per commit.
 
 use crate::{standard_config, workload_for, SchedKind};
 use esg_model::Scenario;
-use esg_sim::{ExperimentResult, ShardStats, SimEnv, TraceError, TraceReplay, Traced};
+use esg_sim::{ExperimentResult, SimEnv, TraceError, TraceReplay, Traced};
 use serde_json::{json, Value};
 use std::path::Path;
 
-/// One replayed cell of the scheduler × shard grid.
+/// One replayed scheduler.
 pub struct ReplayRun {
     /// Display name of the replayed scheduler.
     pub scheduler: &'static str,
-    /// Controller shard count the replay ran under.
-    pub shards: usize,
     /// FNV digest of the replay's dispatch/churn/shed trace.
     pub digest: u64,
     /// Whether `digest` equals the recorded run's digest.
     pub matches_recording: bool,
-    /// Shard-commit counters tapped from the replay's event stream
-    /// (all zero on single-shard replays).
-    pub shard_stats: ShardStats,
     /// The replay's full metrics.
     pub result: ExperimentResult,
 }
@@ -62,36 +57,25 @@ pub fn record_reference(
     Ok((result, replay))
 }
 
-/// Re-drives the recorded load across `kinds` × `shard_counts`, one
-/// [`ReplayRun`] per cell in `(kind-major, shard-minor)` order. Every
-/// replay is tapped through [`Traced`], so rows carry the dispatch
-/// digest and the shard-commit counters of their own run.
-pub fn replay_matrix(
-    replay: &TraceReplay,
-    kinds: &[SchedKind],
-    shard_counts: &[usize],
-) -> Vec<ReplayRun> {
+/// Re-drives the recorded load under each of `kinds`, one
+/// [`ReplayRun`] per scheduler in order. Every replay is tapped through
+/// [`Traced`], so rows carry the dispatch digest of their own run.
+pub fn replay_matrix(replay: &TraceReplay, kinds: &[SchedKind]) -> Vec<ReplayRun> {
     let recorded = replay.trace().dispatch_digest();
-    let mut rows = Vec::with_capacity(kinds.len() * shard_counts.len());
-    for &kind in kinds {
-        for &n in shard_counts {
+    kinds
+        .iter()
+        .map(|&kind| {
             let mut traced = Traced::new(kind.build());
-            let result = replay
-                .clone()
-                .shards(n)
-                .run(&mut traced, &format!("replay/{}/s{n}", kind.name()));
+            let result = replay.run(&mut traced, &format!("replay/{}", kind.name()));
             let digest = traced.trace_digest();
-            rows.push(ReplayRun {
+            ReplayRun {
                 scheduler: kind.name(),
-                shards: n,
                 digest,
                 matches_recording: digest == recorded,
-                shard_stats: traced.log.shard_stats(),
                 result,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// Assembles the `BENCH_replay.json` document from a recorded reference
@@ -109,7 +93,6 @@ pub fn replay_doc(
         .map(|r| {
             json!({
                 "scheduler": (r.scheduler),
-                "shards": (r.shards),
                 "digest": (format!("{:016x}", r.digest)),
                 "matches_recording": (r.matches_recording),
                 "avg_hit_rate": (r.result.avg_hit_rate()),
@@ -117,9 +100,6 @@ pub fn replay_doc(
                 "cost_per_invocation_cents": (r.result.cost_per_invocation_cents()),
                 "dispatches": (r.result.dispatches),
                 "shed_jobs": (r.result.shed_jobs),
-                "commits": (r.shard_stats.commits),
-                "conflicts": (r.shard_stats.conflicts),
-                "retries": (r.shard_stats.retries),
             })
         })
         .collect();
@@ -141,7 +121,7 @@ pub fn replay_doc(
 
 /// Renders a `BENCH_replay.json` document into the "Trace replay"
 /// Markdown table: the recorded reference in the preamble, one row per
-/// replayed `(scheduler, shards)` cell with its digest and headline
+/// replayed scheduler with its digest and headline
 /// metrics.
 pub fn render_replay_markdown(doc: &Value) -> String {
     use std::fmt::Write as _;
@@ -162,7 +142,7 @@ pub fn render_replay_markdown(doc: &Value) -> String {
         out,
         "Suite `replay` — a recorded `{scenario}` run under `{}` (seed {}, \
 {} arrivals, {} control-plane events, dispatch digest `{}`) re-driven from \
-its event-sourced trace across schedulers × shard counts (regenerate: \
+its event-sourced trace across schedulers (regenerate: \
 `cargo bench --bench replay`). *= recorded* marks a replay whose \
 dispatch-trace digest reproduces the recording bit for bit.",
         rec_str("scheduler"),
@@ -173,9 +153,9 @@ dispatch-trace digest reproduces the recording bit for bit.",
     )
     .expect("writing to String cannot fail");
     out.push_str(
-        "\n| scheduler | shards | digest | = recorded | SLO hit % | shed % | \
-cost/inv (¢) | dispatches | conflicts |\n\
-|---|---:|---|:---:|---:|---:|---:|---:|---:|\n",
+        "\n| scheduler | digest | = recorded | SLO hit % | shed % | \
+cost/inv (¢) | dispatches |\n\
+|---|---|:---:|---:|---:|---:|---:|\n",
     );
     for r in doc
         .get("runs")
@@ -194,16 +174,14 @@ cost/inv (¢) | dispatches | conflicts |\n\
             .unwrap_or(false);
         writeln!(
             out,
-            "| {} | {} | `{}` | {} | {:.1} | {:.1} | {:.3} | {} | {} |",
+            "| {} | `{}` | {} | {:.1} | {:.1} | {:.3} | {} |",
             s("scheduler"),
-            u("shards"),
             s("digest"),
             if matches { "yes" } else { "no" },
             100.0 * f("avg_hit_rate"),
             100.0 * f("shed_rate"),
             f("cost_per_invocation_cents"),
             u("dispatches"),
-            u("conflicts"),
         )
         .expect("writing to String cannot fail");
     }
@@ -222,7 +200,7 @@ mod tests {
         let (recorded, replay) =
             record_reference(SchedKind::Infless, Scenario::MODERATE_NORMAL, 8.0, &path)
                 .expect("reference records");
-        let rows = replay_matrix(&replay, &[SchedKind::Infless, SchedKind::Orion], &[1]);
+        let rows = replay_matrix(&replay, &[SchedKind::Infless, SchedKind::Orion]);
         assert_eq!(rows.len(), 2);
         let same = &rows[0];
         assert!(same.matches_recording, "same scheduler must reproduce");
@@ -243,26 +221,24 @@ mod tests {
                          "events": 900, "digest": "00deadbeef00cafe",
                          "avg_hit_rate": 0.9},
             "runs": [
-                {"scheduler": "ESG", "shards": 1, "digest": "00deadbeef00cafe",
+                {"scheduler": "ESG", "digest": "00deadbeef00cafe",
                  "matches_recording": true, "avg_hit_rate": 0.9,
                  "shed_rate": 0.0, "cost_per_invocation_cents": 0.4,
-                 "dispatches": 200, "shed_jobs": 0, "commits": 0,
-                 "conflicts": 0, "retries": 0},
-                {"scheduler": "Orion", "shards": 2, "digest": "0123456789abcdef",
+                 "dispatches": 200, "shed_jobs": 0},
+                {"scheduler": "Orion", "digest": "0123456789abcdef",
                  "matches_recording": false, "avg_hit_rate": 0.7,
                  "shed_rate": 0.1, "cost_per_invocation_cents": 0.6,
-                 "dispatches": 180, "shed_jobs": 5, "commits": 40,
-                 "conflicts": 3, "retries": 3}
+                 "dispatches": 180, "shed_jobs": 5}
             ]
         });
         let md = render_replay_markdown(&doc);
         assert!(md.contains("dispatch digest `00deadbeef00cafe`"), "{md}");
         assert!(
-            md.contains("| ESG | 1 | `00deadbeef00cafe` | yes | 90.0 | 0.0 | 0.400 | 200 | 0 |"),
+            md.contains("| ESG | `00deadbeef00cafe` | yes | 90.0 | 0.0 | 0.400 | 200 |"),
             "{md}"
         );
         assert!(
-            md.contains("| Orion | 2 | `0123456789abcdef` | no | 70.0 | 10.0 | 0.600 | 180 | 3 |"),
+            md.contains("| Orion | `0123456789abcdef` | no | 70.0 | 10.0 | 0.600 | 180 |"),
             "{md}"
         );
     }

@@ -135,10 +135,6 @@ impl RoundPolicy for EsgCrossQueuePacking {
         self.roll_window(ctx.now_ms);
         self.spent += decisions.iter().map(|(_, o)| o.expansions).sum::<u64>();
     }
-
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(self.clone())
-    }
 }
 
 /// Bandwidth-aware cross-queue packing: [`EsgCrossQueuePacking`]'s
@@ -268,10 +264,6 @@ impl RoundPolicy for BandwidthAwarePacking {
 
     fn observe(&mut self, ctx: &RoundCtx<'_>, decisions: &[(QueueKey, Outcome)]) {
         self.inner.observe(ctx, decisions);
-    }
-
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(self.clone())
     }
 }
 

@@ -59,15 +59,14 @@ pub mod prelude {
     pub use esg_sim::{
         dispatch_trace, fnv64, run_simulation, run_streamed, AdmissionDecision, AdmissionPlan,
         BandwidthPackingConfig, Capabilities, ClusterState, DataPlane, DataPlaneConfig,
-        DataPlaneView, EventKind, EventLog, EventQueueKind, EventRecord, ExperimentResult,
-        HealthSnapshot, MemoryFootprint, MinScheduler, Monitored, NodeLoad, NodeSummary,
-        NodeTransferStats, NodeView, OverheadModel, PackingConfig, Pin, PinPlan, PinnedStats,
-        PinningConfig, PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth,
-        QueueHealthMonitor, QueuePartitioner, QueueView, RankedQueues, RoundCtx, RoundPolicy,
-        SchedCtx, Scheduler, SchedulerEvent, SchedulerStats, ServerMap, ShardStats,
-        ShardedController, ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError, Simulation,
-        SloAdmission, SloAdmissionConfig, TraceError, TraceFile, TraceRecorder, TraceReplay,
-        Traced, TransferCounters, TransferSummary,
+        DataPlaneView, EventKind, EventLog, EventRecord, ExperimentResult, HealthSnapshot,
+        MemoryFootprint, MinScheduler, Monitored, NodeLoad, NodeSummary, NodeTransferStats,
+        NodeView, OverheadModel, PackingConfig, Pin, PinPlan, PinnedStats, PinningConfig,
+        PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor,
+        QueueView, RankedQueues, RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent,
+        SchedulerStats, ServerMap, ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError,
+        Simulation, SloAdmission, SloAdmissionConfig, TraceError, TraceFile, TraceRecorder,
+        TraceReplay, Traced, TransferCounters, TransferSummary,
     };
     pub use esg_workload::{
         shaped_stream, shaped_stream_with, shaped_workload, shaped_workload_with, ArrivalPredictor,

@@ -31,7 +31,6 @@
 //! ```
 
 use crate::dataplane::DataPlaneConfig;
-use crate::event::EventQueueKind;
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, run_streamed, SimConfig, SimEnv};
 use crate::policy::{PackingConfig, PolicySpec, SloAdmissionConfig};
@@ -276,35 +275,8 @@ impl SimBuilder {
         self
     }
 
-    /// Controller shards: partitions the queues across `n` round
-    /// drivers staging against the shared generation-stamped state,
-    /// with ordered optimistic commits (conflicts retry). `1` keeps the
-    /// classic single driver; must be at least 1.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shards = n;
-        self
-    }
-
-    /// Routes even a one-shard run through the sharded staging/commit
-    /// driver (equivalence tests and benches; the classic driver is the
-    /// default at `shards == 1`).
-    pub fn force_sharded(mut self, on: bool) -> Self {
-        self.cfg.force_sharded = on;
-        self
-    }
-
-    /// Event-queue backend: the default binary [`EventQueueKind::Heap`]
-    /// or the O(1) hierarchical timer [`EventQueueKind::Wheel`]. Both
-    /// produce bit-identical dispatch traces (pinned by the replay
-    /// equivalence battery); the wheel wins on deep pending-event
-    /// populations.
-    pub fn event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.cfg.event_queue = kind;
-        self
-    }
-
     /// Records every run's full control-plane event stream (arrivals,
-    /// dispatches, completions, churn, sheds, shard commits) to `path`,
+    /// dispatches, completions, churn, sheds) to `path`,
     /// replayable via [`TraceReplay`](crate::TraceReplay). The write
     /// happens at the end of each run and is best-effort (a failure is
     /// reported on stderr); loading is fully typed through
@@ -500,13 +472,6 @@ impl SimBuilder {
                 knob: "recheck_limit",
                 value: 0.0,
                 requirement: "at least 1 round before the forced minimum",
-            });
-        }
-        if cfg.shards == 0 {
-            return Err(SimError::InvalidKnob {
-                knob: "shards",
-                value: 0.0,
-                requirement: "at least 1 controller shard",
             });
         }
 
@@ -828,26 +793,13 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_knob_and_streamed_run_match_the_materialised_path() {
+    fn streamed_run_matches_the_materialised_path() {
         let canon = |mut r: ExperimentResult| {
             r.wall_overhead_ms.clear();
             format!("{r:?}")
         };
         let apps = esg_model::standard_app_ids();
         let gen = WorkloadGen::new(WorkloadClass::Normal, apps, 21);
-        let w = gen.generate(200);
-        let heap = SimBuilder::new(SloClass::Moderate)
-            .seed(21)
-            .build()
-            .expect("valid");
-        let wheel = SimBuilder::new(SloClass::Moderate)
-            .seed(21)
-            .event_queue(EventQueueKind::Wheel)
-            .build()
-            .expect("valid");
-        let r_heap = heap.run(&mut MinScheduler, &w, "eq");
-        let r_wheel = wheel.run(&mut MinScheduler, &w, "eq");
-        assert_eq!(canon(r_heap), canon(r_wheel));
         // Streamed vs materialised over a shared horizon: cap both runs at
         // `H` and materialise past `H` so both paths always hold a pending
         // arrival and stop at the first event beyond the cap — the traces

@@ -9,13 +9,7 @@
 //! order, is what lets the platform push arrivals one at a time from a
 //! lazy [`ArrivalStream`](esg_workload::ArrivalStream) and still
 //! replay the materialised runs bit for bit.
-//!
-//! Two interchangeable backends implement the contract: a binary heap
-//! (O(log n), the default) and the hierarchical
-//! [`TimerWheel`] (O(1) amortised), selected
-//! via [`EventQueueKind`].
 
-use crate::wheel::TimerWheel;
 use esg_model::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -44,25 +38,12 @@ pub enum Event {
     Churn(usize),
 }
 
-/// Which backing store an [`EventQueue`] uses. Both deliver identical
-/// event orderings (pinned by `tests/replay_equivalence.rs`); they
-/// differ only in asymptotics and cache behaviour.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EventQueueKind {
-    /// Binary min-heap: O(log n) push/pop, the classic default.
-    #[default]
-    Heap,
-    /// Hierarchical timer wheel: O(1) amortised schedule/advance with a
-    /// far-future overflow level, built for million-event replays.
-    Wheel,
-}
-
-/// A time-ordered event queue with deterministic tie-breaking.
-#[derive(Debug)]
+/// A time-ordered event queue with deterministic tie-breaking: a binary
+/// min-heap, O(log n) push/pop.
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    backend: Backend,
+    heap: BinaryHeap<HeapEntry>,
     next_seq: u64,
-    len: usize,
     peak_len: usize,
 }
 
@@ -70,44 +51,10 @@ pub struct EventQueue {
 /// [`Reverse`] so the `BinaryHeap` pops the earliest rank first.
 type HeapEntry = Reverse<(SimTime, (u8, u64), Event)>;
 
-#[derive(Debug)]
-enum Backend {
-    Heap(BinaryHeap<HeapEntry>),
-    Wheel(TimerWheel),
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
 impl EventQueue {
-    /// Creates an empty heap-backed queue.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue::with_kind(EventQueueKind::Heap)
-    }
-
-    /// Creates an empty queue on the chosen backend.
-    pub fn with_kind(kind: EventQueueKind) -> Self {
-        let backend = match kind {
-            EventQueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-            EventQueueKind::Wheel => Backend::Wheel(TimerWheel::new()),
-        };
-        EventQueue {
-            backend,
-            next_seq: 0,
-            len: 0,
-            peak_len: 0,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn kind(&self) -> EventQueueKind {
-        match self.backend {
-            Backend::Heap(_) => EventQueueKind::Heap,
-            Backend::Wheel(_) => EventQueueKind::Wheel,
-        }
+        EventQueue::default()
     }
 
     /// The deterministic tie-break rank of `event` at equal timestamps:
@@ -125,35 +72,22 @@ impl EventQueue {
         }
     }
 
-    /// Schedules `event` at `at`. The wheel backend requires `at` to be
-    /// no earlier than the last popped time (the simulation loop only
-    /// ever schedules at or after *now*).
+    /// Schedules `event` at `at`.
     pub fn push(&mut self, at: SimTime, event: Event) {
         let rank = self.rank(&event);
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Reverse((at, rank, event))),
-            Backend::Wheel(w) => w.insert(at.0, rank, event),
-        }
-        self.len += 1;
-        self.peak_len = self.peak_len.max(self.len);
+        self.heap.push(Reverse((at, rank, event)));
+        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Pops the earliest event, ties broken by `(class, sequence)`.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|Reverse((at, _, ev))| (at, ev)),
-            Backend::Wheel(w) => w.pop(),
-        };
-        if popped.is_some() {
-            self.len -= 1;
-        }
-        popped
+        self.heap.pop().map(|Reverse((at, _, ev))| (at, ev))
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// High-water mark of pending events over the queue's lifetime.
@@ -165,16 +99,12 @@ impl EventQueue {
     /// True when no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// The time of the earliest pending event (`&mut` because the wheel
-    /// advances its cursor lazily).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.peek().map(|Reverse((t, _, _))| *t),
-            Backend::Wheel(w) => w.peek_time(),
-        }
+    /// The time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
 }
 
@@ -182,33 +112,25 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    fn both_kinds() -> [EventQueue; 2] {
-        [
-            EventQueue::with_kind(EventQueueKind::Heap),
-            EventQueue::with_kind(EventQueueKind::Wheel),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both_kinds() {
-            q.push(SimTime::from_ms(5.0), Event::ControllerStep);
-            q.push(SimTime::from_ms(1.0), Event::Arrival(0));
-            q.push(SimTime::from_ms(3.0), Event::TaskComplete(7));
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ms(1.0)));
-            let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(
-                order,
-                vec![
-                    Event::Arrival(0),
-                    Event::TaskComplete(7),
-                    Event::ControllerStep
-                ]
-            );
-            assert!(q.is_empty());
-            assert_eq!(q.peak_len(), 3);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ms(5.0), Event::ControllerStep);
+        q.push(SimTime::from_ms(1.0), Event::Arrival(0));
+        q.push(SimTime::from_ms(3.0), Event::TaskComplete(7));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ms(1.0)));
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec![
+                Event::Arrival(0),
+                Event::TaskComplete(7),
+                Event::ControllerStep
+            ]
+        );
+        assert!(q.is_empty());
+        assert_eq!(q.peak_len(), 3);
     }
 
     #[test]
@@ -216,92 +138,44 @@ mod tests {
         // At equal times: arrivals pop by arrival index (the order the
         // historical preloaded heap gave them), churn next, dynamic
         // events last in insertion order — regardless of push order.
-        for mut q in both_kinds() {
-            let t = SimTime::from_ms(2.0);
-            q.push(t, Event::ControllerStep);
-            q.push(t, Event::Arrival(3));
-            q.push(t, Event::Churn(0));
-            q.push(t, Event::Arrival(1));
-            q.push(t, Event::Arrival(2));
-            q.push(t, Event::Prewarm(9, 9));
-            let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(
-                order,
-                vec![
-                    Event::Arrival(1),
-                    Event::Arrival(2),
-                    Event::Arrival(3),
-                    Event::Churn(0),
-                    Event::ControllerStep,
-                    Event::Prewarm(9, 9),
-                ]
-            );
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ms(2.0);
+        q.push(t, Event::ControllerStep);
+        q.push(t, Event::Arrival(3));
+        q.push(t, Event::Churn(0));
+        q.push(t, Event::Arrival(1));
+        q.push(t, Event::Arrival(2));
+        q.push(t, Event::Prewarm(9, 9));
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec![
+                Event::Arrival(1),
+                Event::Arrival(2),
+                Event::Arrival(3),
+                Event::Churn(0),
+                Event::ControllerStep,
+                Event::Prewarm(9, 9),
+            ]
+        );
     }
 
     #[test]
     fn empty_queue() {
-        for mut q in both_kinds() {
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.peek_time(), None);
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn interleaved_push_pop() {
-        for mut q in both_kinds() {
-            q.push(SimTime::from_ms(10.0), Event::ControllerStep);
-            q.push(SimTime::from_ms(1.0), Event::Arrival(0));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(Event::Arrival(0)));
-            q.push(SimTime::from_ms(4.0), Event::Prewarm(1, 2));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(Event::Prewarm(1, 2)));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(Event::ControllerStep));
-            assert!(q.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn backends_agree_on_a_random_schedule() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut plan: Vec<(u64, Event)> = Vec::new();
-        for i in 0..5_000u64 {
-            let at = rng.random_range(0..5_000_000u64);
-            let ev = match i % 4 {
-                0 => Event::ExecReady(i),
-                1 => Event::TaskComplete(i),
-                2 => Event::Prewarm(i as u32, 0),
-                _ => Event::ControllerStep,
-            };
-            plan.push((at, ev));
-        }
-        let run = |kind: EventQueueKind| {
-            let mut q = EventQueue::with_kind(kind);
-            let mut out = Vec::new();
-            // Interleave: push in batches, pop a few, repeat — pops only
-            // ever push-after-pop at times >= the popped time, so feed
-            // the wheel sorted batches.
-            let mut sorted = plan.clone();
-            sorted.sort_by_key(|&(t, _)| t);
-            let mut fed = 0usize;
-            while fed < sorted.len() || out.len() < sorted.len() {
-                let batch = (sorted.len() - fed).min(37);
-                for &(t, ev) in &sorted[fed..fed + batch] {
-                    q.push(SimTime::from_us(t), ev);
-                }
-                fed += batch;
-                for _ in 0..11 {
-                    if let Some(x) = q.pop() {
-                        out.push(x);
-                    }
-                }
-            }
-            while let Some(x) = q.pop() {
-                out.push(x);
-            }
-            out
-        };
-        assert_eq!(run(EventQueueKind::Heap), run(EventQueueKind::Wheel));
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ms(10.0), Event::ControllerStep);
+        q.push(SimTime::from_ms(1.0), Event::Arrival(0));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(Event::Arrival(0)));
+        q.push(SimTime::from_ms(4.0), Event::Prewarm(1, 2));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(Event::Prewarm(1, 2)));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(Event::ControllerStep));
+        assert!(q.pop().is_none());
     }
 }

@@ -30,7 +30,6 @@
 
 use crate::policy::ShedReason;
 use crate::sched::{QueueKey, SchedulerEvent};
-use crate::shard::ShardStats;
 use esg_model::{Config, InvocationId, NodeId};
 use std::collections::{HashMap, VecDeque};
 
@@ -112,21 +111,6 @@ impl EventRecord {
             SchedulerEvent::TransferCompleted { node, mb, now_ms } => {
                 (now_ms, EventKind::TransferCompleted { node, mb })
             }
-            SchedulerEvent::ShardCommit {
-                shard,
-                commits,
-                conflicts,
-                retries,
-                now_ms,
-            } => (
-                now_ms,
-                EventKind::ShardCommit {
-                    shard,
-                    commits,
-                    conflicts,
-                    retries,
-                },
-            ),
         };
         EventRecord { now_ms, kind }
     }
@@ -202,17 +186,6 @@ pub enum EventKind {
         /// Aggregate payload, MB.
         mb: f64,
     },
-    /// One shard committed a staged round (sharded control plane only).
-    ShardCommit {
-        /// The committing shard's index.
-        shard: usize,
-        /// Decisions that landed.
-        commits: u64,
-        /// Staged placements invalidated by cross-shard movement.
-        conflicts: u64,
-        /// Conflicted decisions handed back for a retry.
-        retries: u64,
-    },
 }
 
 /// Per-queue counters accumulated from the event stream.
@@ -277,11 +250,6 @@ pub struct EventLog {
     /// Queue-entry instant of each live job, keyed `(queue, invocation)`
     /// — bounded by the number of queued jobs, drained at dispatch/shed.
     pending: HashMap<(QueueKey, InvocationId), f64>,
-    /// Totals accumulated from [`SchedulerEvent::ShardCommit`] events
-    /// (`rounds` counts the commit events themselves; `commit_wall_us`
-    /// is host wall time the event stream deliberately omits, so it
-    /// stays 0 here).
-    shard: ShardStats,
     /// Totals accumulated from the transfer event family (data plane
     /// enabled only; all zero otherwise).
     transfers: TransferCounters,
@@ -305,7 +273,6 @@ impl EventLog {
             dropped: 0,
             counters: HashMap::new(),
             pending: HashMap::new(),
-            shard: ShardStats::default(),
             transfers: TransferCounters::default(),
         }
     }
@@ -373,17 +340,6 @@ impl EventLog {
                 c.shed_jobs += invocations.len() as u64;
                 c.backlog = c.backlog.saturating_sub(invocations.len() as u64);
             }
-            SchedulerEvent::ShardCommit {
-                commits,
-                conflicts,
-                retries,
-                ..
-            } => {
-                self.shard.rounds += 1;
-                self.shard.commits += commits;
-                self.shard.conflicts += conflicts;
-                self.shard.retries += retries;
-            }
         }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
@@ -427,14 +383,6 @@ impl EventLog {
         self.counters.values().map(|c| c.backlog).sum()
     }
 
-    /// Shard-commit totals seen so far (all zero on the single-threaded
-    /// control plane, which never emits [`SchedulerEvent::ShardCommit`]).
-    /// `commit_wall_us` is always 0 — the event stream carries no host
-    /// wall time.
-    pub fn shard_stats(&self) -> ShardStats {
-        self.shard
-    }
-
     /// Data-plane transfer totals seen so far (all zero on scalar runs,
     /// which emit no transfer events).
     pub fn transfer_stats(&self) -> TransferCounters {
@@ -447,7 +395,6 @@ impl EventLog {
         self.dropped = 0;
         self.counters.clear();
         self.pending.clear();
-        self.shard = ShardStats::default();
         self.transfers = TransferCounters::default();
     }
 }
@@ -550,37 +497,6 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);
         assert_eq!(log.queue(k), QueueCounters::default());
-    }
-
-    #[test]
-    fn shard_commits_accumulate_into_shard_stats() {
-        let mut log = EventLog::new();
-        for (shard, commits, conflicts, retries) in [(0usize, 5u64, 1u64, 1u64), (1, 3, 0, 0)] {
-            log.observe(&SchedulerEvent::ShardCommit {
-                shard,
-                commits,
-                conflicts,
-                retries,
-                now_ms: 100.0,
-            });
-        }
-        let s = log.shard_stats();
-        assert_eq!(s.rounds, 2);
-        assert_eq!(s.commits, 8);
-        assert_eq!(s.conflicts, 1);
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.commit_wall_us, 0, "event stream carries no wall time");
-        assert_eq!(log.queues().count(), 0, "no queue counters touched");
-        assert!(matches!(
-            log.records().next().expect("recorded").kind,
-            EventKind::ShardCommit {
-                shard: 0,
-                commits: 5,
-                ..
-            }
-        ));
-        log.clear();
-        assert_eq!(log.shard_stats(), ShardStats::default());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Live queue-health dashboard: periodic per-queue
-//! latency/backlog/shed snapshots — plus cross-shard conflict counters —
-//! rolled up from the [`EventLog`] tap while a run executes.
+//! latency/backlog/shed snapshots rolled up from the [`EventLog`] tap
+//! while a run executes.
 //!
 //! [`QueueHealthMonitor`] consumes the same [`SchedulerEvent`] stream as
 //! every other observability sink and cuts a [`HealthSnapshot`] each
@@ -13,7 +13,7 @@
 //! use esg_model::{AppId, InvocationId};
 //! use esg_sim::{QueueHealthMonitor, QueueKey, SchedulerEvent};
 //!
-//! let mut mon = QueueHealthMonitor::new(1_000.0, 1);
+//! let mut mon = QueueHealthMonitor::new(1_000.0);
 //! let key = QueueKey { app: AppId(0), stage: 0 };
 //! mon.observe(&SchedulerEvent::JobArrived {
 //!     key,
@@ -33,7 +33,6 @@ use crate::eventlog::{EventLog, QueueCounters, TransferCounters};
 use crate::sched::{
     Capabilities, Outcome, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
 };
-use crate::shard::{QueuePartitioner, ShardStats};
 use esg_model::{Config, NodeId};
 
 /// One queue's health at a snapshot instant. Counters are cumulative
@@ -43,9 +42,6 @@ use esg_model::{Config, NodeId};
 pub struct QueueHealth {
     /// The queue.
     pub key: QueueKey,
-    /// The shard that owns the queue under the run's partitioning
-    /// (always 0 on the classic single driver).
-    pub shard: usize,
     /// Jobs currently queued.
     pub backlog: u64,
     /// Cumulative counters behind the rollup (arrivals, dispatches,
@@ -77,10 +73,6 @@ pub struct HealthSnapshot {
     pub queues: Vec<QueueHealth>,
     /// Live backlog summed across queues.
     pub total_backlog: u64,
-    /// Cumulative shard-commit counters (all zero on the classic single
-    /// driver; a climbing `conflicts`-to-`commits` ratio between
-    /// consecutive snapshots is a cross-shard conflict storm).
-    pub shard: ShardStats,
     /// Cumulative data-plane transfer counters (all zero on scalar runs,
     /// which emit no transfer events; `inflight` is the live count at
     /// the boundary).
@@ -110,20 +102,17 @@ impl HealthSnapshot {
 pub struct QueueHealthMonitor {
     interval_ms: f64,
     next_at_ms: f64,
-    partitioner: QueuePartitioner,
     log: EventLog,
     pinned: crate::pinning::PinnedStats,
     snapshots: Vec<HealthSnapshot>,
 }
 
 impl QueueHealthMonitor {
-    /// A monitor sampling every `interval_ms` of simulated time, mapping
-    /// queues to `shards` shards (pass the run's `SimConfig::shards`;
-    /// the partitioning is the same stable hash the control plane uses).
+    /// A monitor sampling every `interval_ms` of simulated time.
     ///
     /// # Panics
-    /// When `interval_ms` is not finite and positive, or `shards == 0`.
-    pub fn new(interval_ms: f64, shards: usize) -> QueueHealthMonitor {
+    /// When `interval_ms` is not finite and positive.
+    pub fn new(interval_ms: f64) -> QueueHealthMonitor {
         assert!(
             interval_ms.is_finite() && interval_ms > 0.0,
             "sampling interval must be finite and > 0, got {interval_ms}"
@@ -131,7 +120,6 @@ impl QueueHealthMonitor {
         QueueHealthMonitor {
             interval_ms,
             next_at_ms: interval_ms,
-            partitioner: QueuePartitioner::new(shards),
             // Counters are exact at any ring capacity and the monitor
             // only reads counters, so keep the replay ring minimal.
             log: EventLog::with_capacity(1),
@@ -191,7 +179,6 @@ impl QueueHealthMonitor {
             .queues()
             .map(|(&key, &counters)| QueueHealth {
                 key,
-                shard: self.partitioner.shard_of(key),
                 backlog: counters.backlog,
                 counters,
             })
@@ -201,7 +188,6 @@ impl QueueHealthMonitor {
             at_ms,
             total_backlog: queues.iter().map(|q| q.backlog).sum(),
             queues,
-            shard: self.log.shard_stats(),
             transfers: self.log.transfer_stats(),
             pinned: self.pinned,
         }
@@ -220,11 +206,11 @@ pub struct Monitored {
 }
 
 impl Monitored {
-    /// Wraps `inner`, sampling every `interval_ms` over `shards` shards.
-    pub fn new(inner: Box<dyn Scheduler>, interval_ms: f64, shards: usize) -> Monitored {
+    /// Wraps `inner`, sampling every `interval_ms`.
+    pub fn new(inner: Box<dyn Scheduler>, interval_ms: f64) -> Monitored {
         Monitored {
             inner,
-            monitor: QueueHealthMonitor::new(interval_ms, shards),
+            monitor: QueueHealthMonitor::new(interval_ms),
         }
     }
 }
@@ -281,7 +267,7 @@ mod tests {
 
     #[test]
     fn boundaries_cut_one_snapshot_per_interval() {
-        let mut mon = QueueHealthMonitor::new(100.0, 2);
+        let mut mon = QueueHealthMonitor::new(100.0);
         mon.observe(&SchedulerEvent::JobArrived {
             key: key(0, 0),
             invocation: InvocationId(0),
@@ -298,12 +284,11 @@ mod tests {
         assert!(snaps.iter().all(|s| s.total_backlog == 1));
         let q = snaps[0].queue(key(0, 0)).expect("tracked");
         assert_eq!(q.counters.arrivals, 1);
-        assert_eq!(q.shard, QueuePartitioner::new(2).shard_of(key(0, 0)));
     }
 
     #[test]
-    fn snapshots_track_drains_and_shard_counters() {
-        let mut mon = QueueHealthMonitor::new(50.0, 4);
+    fn snapshots_track_drains() {
+        let mut mon = QueueHealthMonitor::new(50.0);
         let k = key(1, 0);
         for i in 0..3u64 {
             mon.observe(&SchedulerEvent::JobArrived {
@@ -320,13 +305,6 @@ mod tests {
             node: NodeId(0),
             now_ms: 20.0,
         });
-        mon.observe(&SchedulerEvent::ShardCommit {
-            shard: 1,
-            commits: 1,
-            conflicts: 2,
-            retries: 1,
-            now_ms: 20.0,
-        });
         let snaps = mon.finish(60.0);
         assert_eq!(snaps.len(), 2, "one boundary + the closing snapshot");
         let last = snaps.last().expect("closing snapshot");
@@ -335,14 +313,11 @@ mod tests {
         let q = last.queue(k).expect("tracked");
         assert_eq!(q.counters.dispatched_jobs, 2);
         assert!((q.mean_wait_ms() - 15.0).abs() < 1e-12);
-        assert_eq!(last.shard.commits, 1);
-        assert_eq!(last.shard.conflicts, 2);
-        assert_eq!(last.shard.retries, 1);
     }
 
     #[test]
     fn snapshots_carry_transfer_counters() {
-        let mut mon = QueueHealthMonitor::new(100.0, 1);
+        let mut mon = QueueHealthMonitor::new(100.0);
         mon.observe(&SchedulerEvent::TransferStarted {
             node: NodeId(1),
             mb: 32.0,
@@ -371,7 +346,7 @@ mod tests {
     #[test]
     fn snapshots_carry_pinned_counters() {
         use crate::pinning::PinnedStats;
-        let mut mon = QueueHealthMonitor::new(100.0, 1);
+        let mut mon = QueueHealthMonitor::new(100.0);
         mon.observe(&SchedulerEvent::JobArrived {
             key: key(0, 0),
             invocation: InvocationId(0),
@@ -392,6 +367,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "sampling interval")]
     fn zero_interval_is_rejected() {
-        QueueHealthMonitor::new(0.0, 1);
+        QueueHealthMonitor::new(0.0);
     }
 }

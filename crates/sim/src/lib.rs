@@ -55,10 +55,8 @@ pub mod pinning;
 pub mod platform;
 pub mod policy;
 pub mod sched;
-pub mod shard;
 pub mod state;
 pub mod trace;
-pub mod wheel;
 pub mod workflow;
 
 pub use arena::Arena;
@@ -68,7 +66,7 @@ pub use dataplane::{
     BandwidthPool, DataPlane, DataPlaneConfig, DataPlaneView, NodeLoad, NodeTransferStats,
     TransferSummary,
 };
-pub use event::{Event, EventQueue, EventQueueKind};
+pub use event::{Event, EventQueue};
 pub use eventlog::{EventKind, EventLog, EventRecord, QueueCounters, TransferCounters};
 pub use health::{HealthSnapshot, Monitored, QueueHealth, QueueHealthMonitor};
 pub use metrics::{AppMetrics, ExperimentResult, NodeSummary};
@@ -86,11 +84,9 @@ pub use sched::{
     Capabilities, JobView, Outcome, OverheadModel, QueueKey, QueueView, RoundCtx, SchedCtx,
     Scheduler, SchedulerEvent, SchedulerStats,
 };
-pub use shard::{QueuePartitioner, ShardStats, ShardedController};
 pub use state::{ClusterState, NodeView};
 pub use trace::{
     dispatch_trace, fnv64, TraceError, TraceFile, TraceRecorder, TraceReplay, Traced, TRACE_FORMAT,
     TRACE_VERSION, TRACE_VERSION_MINOR,
 };
-pub use wheel::TimerWheel;
 pub use workflow::{AfwQueue, Job, WorkflowInstance};

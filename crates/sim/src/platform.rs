@@ -26,14 +26,13 @@
 use crate::arena::Arena;
 use crate::cluster::Cluster;
 use crate::dataplane::{Admission, DataPlane, DataPlaneConfig, TransferReq};
-use crate::event::{Event, EventQueue, EventQueueKind};
+use crate::event::{Event, EventQueue};
 use crate::metrics::{AppMetrics, ExperimentResult, NodeSummary};
 use crate::policy::ShedReason;
 use crate::sched::{
     fill_job_views, home_node, JobView, Outcome, OverheadModel, QueueKey, QueueView, RoundCtx,
     SchedCtx, Scheduler, SchedulerEvent,
 };
-use crate::shard::ShardedController;
 use crate::state::ClusterState;
 use crate::trace::TraceRecorder;
 use crate::workflow::{AfwQueue, Job, WorkflowInstance};
@@ -160,24 +159,6 @@ pub struct SimConfig {
     /// snapshot of the cluster (the pre-redesign per-decision rebuild).
     /// Costs a full rebuild per refresh — test runs only.
     pub validate_cluster_state: bool,
-    /// Controller shards. Queues are partitioned across this many round
-    /// drivers (FNV over the queue key); each shard stages decisions for
-    /// its own queues against a generation-stamped snapshot of the
-    /// shared [`ClusterState`], and staged rounds commit in shard order
-    /// with optimistic re-validation — a commit that finds the state
-    /// moved underneath it retries the losing decision. `1` (the
-    /// default) keeps the classic single driver.
-    pub shards: usize,
-    /// Test/bench knob: route `shards == 1` through the sharded
-    /// staging/commit driver anyway. Pins the equivalence property (a
-    /// one-shard sharded run must be dispatch-trace-identical to the
-    /// classic driver) without forking the workload setup.
-    pub force_sharded: bool,
-    /// Event-queue backend. The heap is the classic default; the timer
-    /// wheel is O(1) amortised and built for million-event replays. Both
-    /// produce bit-identical runs (pinned by
-    /// `tests/replay_equivalence.rs`).
-    pub event_queue: EventQueueKind,
     /// When set, the run records its full control-plane event stream
     /// (plus environment header and arrivals) to this path at the end of
     /// the run, replayable via [`TraceReplay`](crate::TraceReplay).
@@ -222,9 +203,6 @@ impl Default for SimConfig {
             idle_backoff_ms: 1.0,
             max_sim_ms: 0.0,
             validate_cluster_state: false,
-            shards: 1,
-            force_sharded: false,
-            event_queue: EventQueueKind::Heap,
             record_trace: None,
             data_plane: None,
             pinning: None,
@@ -258,40 +236,6 @@ struct RecheckEntry {
     /// Last retry time: rounds are paced, not per-event, so a burst of
     /// completions does not race a queue to the forced minimum.
     last_retry: SimTime,
-}
-
-/// Conflict retries a decision gets within one controller step before it
-/// falls back to the classic recheck park. Bounds the staging loop: a
-/// persistently losing shard cannot spin the step forever.
-const SHARD_RETRY_LIMIT: u32 = 3;
-
-/// One shard's staged round: decisions made against a generation-stamped
-/// snapshot of the shared state, awaiting ordered commit.
-struct StagedRound {
-    /// Index of the shard that staged the round (telemetry: carried into
-    /// the per-round [`SchedulerEvent::ShardCommit`] emission).
-    shard: usize,
-    /// [`ClusterState::generation`] at staging time.
-    staged_gen: u64,
-    /// The shard-local eligible set the decisions were drawn from.
-    eligible: Vec<usize>,
-    decisions: Vec<(QueueKey, Outcome)>,
-    /// Host wall-clock time the staging call took, ms (charged to the
-    /// first decision that records an overhead sample, as in the classic
-    /// driver).
-    wall_ms: f64,
-}
-
-/// Commit verdict for one staged decision.
-enum DecisionCommit {
-    /// The decision landed (dispatch, back-off, recheck park, or shed).
-    /// `consumed_wall` mirrors the classic driver's bool: whether the
-    /// round's wall-clock sample was recorded by this decision.
-    Settled { consumed_wall: bool },
-    /// Every candidate's placement failed while another shard had moved
-    /// the state since staging — the optimistic-concurrency loser. The
-    /// outcome is handed back for a bounded retry.
-    Conflicted { outcome: Outcome },
 }
 
 /// Where a run's arrivals come from: a materialised workload slice or a
@@ -401,16 +345,6 @@ pub struct Simulation<'a> {
     /// default replay runs one round per decision.
     views_stamp: Vec<u64>,
     round_seq: u64,
-    /// The sharded control plane (`cfg.shards > 1` or `force_sharded`);
-    /// `None` runs the classic single round driver untouched.
-    shard_ctl: Option<ShardedController>,
-    /// `shard_retry_stamp[qi] == round_seq` marks a queue whose conflict
-    /// retry counter is current for this controller step.
-    shard_retry_stamp: Vec<u64>,
-    /// Conflict retries consumed by queue `qi` within the stamped step;
-    /// past [`SHARD_RETRY_LIMIT`] the decision falls back to the classic
-    /// recheck park instead of re-staging.
-    shard_retry_count: Vec<u32>,
     noise: NoiseModel,
     rng: StdRng,
     metrics: ExperimentResult,
@@ -507,15 +441,6 @@ impl<'a> Simulation<'a> {
         let initial_nodes = cluster.len();
         let prewarm_alpha = cfg.prewarm_alpha;
         let seed = cfg.seed;
-        let shard_ctl = (cfg.shards > 1 || cfg.force_sharded).then(|| {
-            // Each shard drives its own clone of the scheduler's policy
-            // stack (taken after `adopt_policy`, so it reflects the
-            // builder's spec); stackless schedulers run their own
-            // `schedule_round` per shard unswapped.
-            let proto = sched.round_policy().map(|p| p.clone());
-            ShardedController::new(cfg.shards.max(1), &queue_keys, proto.as_ref())
-        });
-        let event_queue = cfg.event_queue;
         let recorder = cfg
             .record_trace
             .clone()
@@ -533,7 +458,7 @@ impl<'a> Simulation<'a> {
             pending_arrival: None,
             next_arrival_idx: 0,
             now: SimTime::ZERO,
-            events: EventQueue::with_kind(event_queue),
+            events: EventQueue::new(),
             cluster,
             state,
             queues: vec![AfwQueue::new(); nq],
@@ -556,9 +481,6 @@ impl<'a> Simulation<'a> {
             decided_stamp: vec![0; nq],
             views_stamp: vec![0; nq],
             round_seq: 0,
-            shard_ctl,
-            shard_retry_stamp: vec![0; nq],
-            shard_retry_count: vec![0; nq],
             noise: env.noise.clone(),
             rng: StdRng::seed_from_u64(seed),
             metrics,
@@ -656,13 +578,7 @@ impl<'a> Simulation<'a> {
                     self.pump_arrival();
                     self.wake_controller();
                 }
-                Event::ControllerStep => {
-                    if self.shard_ctl.is_some() {
-                        self.controller_step_sharded();
-                    } else {
-                        self.controller_step();
-                    }
-                }
+                Event::ControllerStep => self.controller_step(),
                 Event::ExecReady(id) => self.exec_ready(id),
                 Event::TransferDue(id, gen) => self.transfer_due(id, gen),
                 Event::TaskComplete(id) => {
@@ -942,237 +858,25 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// One controller step under the sharded control plane: retry the
-    /// recheck list, then alternate *staging* and *commit* phases until
-    /// every eligible queue has been decided once. Each shard stages
-    /// decisions for its own queue partition against the shared state,
-    /// stamped with the state's [generation](ClusterState::generation)
-    /// at staging time; staged rounds then commit in shard-index order.
-    /// A commit that finds the generation moved past its stamp
-    /// re-validates optimistically — placements usually still fit, but a
-    /// decision whose every candidate now fails is a cross-shard
-    /// *conflict* and is retried (bounded by [`SHARD_RETRY_LIMIT`], then
-    /// parked on the recheck list like any placement failure).
-    ///
-    /// With one shard the partition is total and a staged round commits
-    /// before anything else can move the state, so the driver replays
-    /// the classic [`controller_step`](Self::controller_step) decision
-    /// for decision (pinned by the shard-equivalence suite).
-    fn controller_step_sharded(&mut self) {
-        self.process_recheck();
-        self.round_seq += 1;
-        let nshards = self.shard_ctl.as_ref().expect("sharded driver").shards();
-        loop {
-            // Staging phase: every shard scans its own partition and
-            // stages decisions against a generation-stamped snapshot.
-            let mut staged: Vec<StagedRound> = Vec::new();
-            for s in 0..nshards {
-                self.refresh_state();
-                let staged_gen = self.state.generation();
-                let mut eligible: Vec<usize> = Vec::new();
-                for &qi in self.shard_ctl.as_ref().expect("sharded driver").members(s) {
-                    if self.decided_stamp[qi] == self.round_seq
-                        || self.queues[qi].is_empty()
-                        || self.queue_busy_until[qi] > self.now
-                        || self.recheck.iter().any(|e| e.key == self.queue_keys[qi])
-                    {
-                        continue;
-                    }
-                    eligible.push(qi);
-                }
-                if eligible.is_empty() {
-                    continue;
-                }
-                for &qi in &eligible {
-                    if self.views_stamp[qi] != self.round_seq {
-                        self.refill_queue_views(qi);
-                        self.views_stamp[qi] = self.round_seq;
-                    }
-                }
-                let (decisions, wall_ms) = {
-                    let mut queues: Vec<QueueView<'_>> = Vec::with_capacity(eligible.len());
-                    for &qi in &eligible {
-                        let key = self.queue_keys[qi];
-                        queues.push(QueueView {
-                            key,
-                            jobs: &self.job_views[qi],
-                            function: self.queue_fn[qi],
-                            slo_ms: self.slo_ms[key.app.index()],
-                            base_latency_ms: self.base_ms[key.app.index()],
-                            queue_interval_ms: self.queue_intervals[qi].value(),
-                        });
-                    }
-                    let ctx = RoundCtx {
-                        now_ms: self.now.as_ms(),
-                        queues: &queues,
-                        cluster: &self.state,
-                        profiles: &self.env.profiles,
-                        apps: &self.env.apps,
-                        catalog: &self.env.catalog,
-                        price: &self.env.price,
-                        transfer: &self.env.transfer,
-                        noise: &self.env.noise,
-                        dataplane: self.dataplane.as_ref().map(|dp| dp.view()),
-                        servers: self.servers.as_ref(),
-                    };
-                    let t0 = Instant::now();
-                    let decisions = self.shard_ctl.as_mut().expect("sharded driver").stage(
-                        s,
-                        &mut *self.sched,
-                        &ctx,
-                    );
-                    (decisions, t0.elapsed().as_secs_f64() * 1000.0)
-                };
-                staged.push(StagedRound {
-                    shard: s,
-                    staged_gen,
-                    eligible,
-                    decisions,
-                    wall_ms,
-                });
-            }
-            if staged.is_empty() {
-                return;
-            }
-            // Commit phase, in shard-index order. Conflict detection is
-            // per staged round: did the generation move past its stamp?
-            let mut applied = 0usize;
-            let mut commits = 0u64;
-            let mut conflicts = 0u64;
-            let mut retries = 0u64;
-            let mut commit_wall_us = 0u64;
-            for round in staged {
-                let StagedRound {
-                    shard,
-                    staged_gen,
-                    eligible,
-                    decisions,
-                    mut wall_ms,
-                } = round;
-                self.refresh_state();
-                let cross_moved = self.state.moved_since(staged_gen);
-                // Per-round deltas, emitted as one ShardCommit telemetry
-                // event after the round's decisions settle.
-                let (commits_before, conflicts_before, retries_before) =
-                    (commits, conflicts, retries);
-                let t0 = Instant::now();
-                for (key, outcome) in decisions {
-                    let Some(&qi) = self.queue_index.get(&key) else {
-                        continue; // unknown queue: ignore
-                    };
-                    if self.decided_stamp[qi] == self.round_seq || !eligible.contains(&qi) {
-                        continue;
-                    }
-                    match self.apply_decision_validated(qi, key, outcome, wall_ms, cross_moved) {
-                        DecisionCommit::Settled { consumed_wall } => {
-                            self.decided_stamp[qi] = self.round_seq;
-                            applied += 1;
-                            commits += 1;
-                            if consumed_wall {
-                                wall_ms = 0.0;
-                            }
-                        }
-                        DecisionCommit::Conflicted { outcome } => {
-                            conflicts += 1;
-                            if self.shard_retry_stamp[qi] != self.round_seq {
-                                self.shard_retry_stamp[qi] = self.round_seq;
-                                self.shard_retry_count[qi] = 0;
-                            }
-                            self.shard_retry_count[qi] += 1;
-                            if self.shard_retry_count[qi] > SHARD_RETRY_LIMIT {
-                                // Retry budget exhausted: settle through
-                                // the classic recheck park.
-                                self.metrics.rechecks += 1;
-                                self.recheck.push(RecheckEntry {
-                                    key,
-                                    candidates: outcome.candidates,
-                                    planned_batch: outcome.planned_batch,
-                                    rounds: 0,
-                                    last_retry: self.now,
-                                });
-                                self.events.push(
-                                    self.now + SimTime::from_ms(self.cfg.idle_backoff_ms),
-                                    Event::ControllerStep,
-                                );
-                                self.decided_stamp[qi] = self.round_seq;
-                                applied += 1;
-                                commits += 1;
-                            } else {
-                                // Left undecided: the next staging pass
-                                // re-presents the queue against fresh
-                                // state.
-                                retries += 1;
-                            }
-                        }
-                    }
-                }
-                commit_wall_us += t0.elapsed().as_micros() as u64;
-                self.notify(&SchedulerEvent::ShardCommit {
-                    shard,
-                    commits: commits - commits_before,
-                    conflicts: conflicts - conflicts_before,
-                    retries: retries - retries_before,
-                    now_ms: self.now.as_ms(),
-                });
-            }
-            let stats = self.shard_ctl.as_mut().expect("sharded driver").stats_mut();
-            stats.commits += commits;
-            stats.conflicts += conflicts;
-            stats.retries += retries;
-            stats.commit_wall_us += commit_wall_us;
-            // A conflicted, still-retryable queue keeps the loop going
-            // even when nothing landed; the retry cap bounds this.
-            if applied == 0 && retries == 0 {
-                return;
-            }
-        }
-    }
-
     /// Applies one round decision: shed (admission verdict), charge
     /// simulated overhead, then dispatch (placing candidates in rank
     /// order against the live state), skip with back-off, or park on the
     /// recheck list. Returns whether the decision consumed the round's
     /// wall-clock sample (sheds and purged-empty no-ops do not).
     fn apply_decision(&mut self, qi: usize, key: QueueKey, outcome: Outcome, wall_ms: f64) -> bool {
-        match self.apply_decision_validated(qi, key, outcome, wall_ms, false) {
-            DecisionCommit::Settled { consumed_wall } => consumed_wall,
-            DecisionCommit::Conflicted { .. } => {
-                unreachable!("conflicts require conflict_on_failure")
-            }
-        }
-    }
-
-    /// [`apply_decision`](Self::apply_decision) with optimistic-commit
-    /// validation: when `conflict_on_failure` is set (the committing
-    /// shard observed the state generation move past its staging stamp)
-    /// a total placement failure returns [`DecisionCommit::Conflicted`]
-    /// — with the overhead samples undone, so the retried round's fresh
-    /// search re-charges — instead of parking on the recheck list.
-    fn apply_decision_validated(
-        &mut self,
-        qi: usize,
-        key: QueueKey,
-        outcome: Outcome,
-        wall_ms: f64,
-        conflict_on_failure: bool,
-    ) -> DecisionCommit {
         self.queue_hold[qi] = None;
         if let Some(reason) = outcome.shed {
             // Admission verdict, not a search: no overhead is charged and
             // no wall sample recorded (the overhead series keeps its
             // one-entry-per-dispatch-or-recheck shape).
             self.shed_queue(qi, key, reason);
-            return DecisionCommit::Settled {
-                consumed_wall: false,
-            };
+            return false;
         }
         // A shed applied earlier in this round may have purged this
         // queue's jobs (parallel DAG branches share invocations); the
         // decision is moot then.
         if self.queues[qi].is_empty() {
-            return DecisionCommit::Settled {
-                consumed_wall: false,
-            };
+            return false;
         }
         let overhead = self.cfg.overhead.decision_time(outcome.expansions);
         self.metrics.overhead_ms.push(overhead.as_ms());
@@ -1199,9 +903,7 @@ impl<'a> Simulation<'a> {
             self.queue_busy_until[qi] = busy;
             self.events
                 .push(self.queue_busy_until[qi], Event::ControllerStep);
-            return DecisionCommit::Settled {
-                consumed_wall: true,
-            };
+            return true;
         }
 
         // Placement sees the state left by any earlier decision applied
@@ -1233,13 +935,6 @@ impl<'a> Simulation<'a> {
             self.queue_busy_until[qi] = self.now + charged;
             self.events
                 .push(self.queue_busy_until[qi], Event::ControllerStep);
-        } else if conflict_on_failure {
-            // Optimistic-concurrency loser: staged against state another
-            // shard has since mutated. Undo the overhead samples — the
-            // retried round re-stages a fresh search, which re-charges.
-            self.metrics.overhead_ms.pop();
-            self.metrics.wall_overhead_ms.pop();
-            return DecisionCommit::Conflicted { outcome };
         } else {
             self.metrics.rechecks += 1;
             self.recheck.push(RecheckEntry {
@@ -1256,9 +951,7 @@ impl<'a> Simulation<'a> {
                 Event::ControllerStep,
             );
         }
-        DecisionCommit::Settled {
-            consumed_wall: true,
-        }
+        true
     }
 
     /// Applies a shed verdict: drops every job of queue `qi`, kills the
@@ -1815,19 +1508,7 @@ impl<'a> Simulation<'a> {
         if let Some(dp) = &self.dataplane {
             self.metrics.transfers = dp.summary();
         }
-        self.metrics.scheduler_stats = match &self.shard_ctl {
-            Some(ctl) => {
-                let mut stats = self.sched.stats();
-                // Policy work ran on the per-shard stack clones, not the
-                // scheduler's own (swapped-out) stack; merge their
-                // counters in. Stackless schedulers keep their own.
-                if let Some(p) = ctl.merged_policy_stats() {
-                    stats = stats.with_policy(p);
-                }
-                stats.with_shards(ctl.stats())
-            }
-            None => self.sched.stats(),
-        };
+        self.metrics.scheduler_stats = self.sched.stats();
         // Best-effort trace write: a full ExperimentResult is still the
         // run's product; a broken disk degrades to a stderr report, not
         // a panic after minutes of simulation.

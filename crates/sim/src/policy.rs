@@ -254,14 +254,6 @@ pub trait RoundPolicy {
     fn stats(&self) -> PolicyStats {
         PolicyStats::default()
     }
-
-    /// A boxed deep copy of this stage, including its current mutable
-    /// state. Required (no neutral default exists for an arbitrary
-    /// stage) so every stack is clonable: the sharded controller
-    /// ([`SimConfig::shards`](crate::SimConfig::shards)) gives each
-    /// shard its own clone of the scheduler's stack, making per-shard
-    /// policy state shard-local by construction.
-    fn clone_box(&self) -> Box<dyn RoundPolicy>;
 }
 
 /// An ordered stack of [`RoundPolicy`] stages, itself a `RoundPolicy`.
@@ -345,15 +337,6 @@ impl PolicyStack {
     }
 }
 
-impl Clone for PolicyStack {
-    fn clone(&self) -> PolicyStack {
-        PolicyStack {
-            stages: self.stages.iter().map(|s| s.clone_box()).collect(),
-            deferred: self.deferred,
-        }
-    }
-}
-
 impl fmt::Debug for PolicyStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PolicyStack")
@@ -419,10 +402,6 @@ impl RoundPolicy for PolicyStack {
 
     fn stats(&self) -> PolicyStats {
         self.policy_stats()
-    }
-
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -560,10 +539,6 @@ impl RoundPolicy for SloAdmission {
 
     fn stats(&self) -> PolicyStats {
         self.stats
-    }
-
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -822,9 +797,6 @@ mod tests {
             let mut o = admitted.to_vec();
             o.reverse();
             RankedQueues::from_order(o)
-        }
-        fn clone_box(&self) -> Box<dyn RoundPolicy> {
-            Box::new(Reverse)
         }
     }
 

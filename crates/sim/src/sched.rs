@@ -31,7 +31,6 @@
 
 use crate::policy::{AdmissionDecision, AdmissionPlan, PolicySpec, PolicyStack, RankedQueues};
 use crate::policy::{PolicyStats, RoundPolicy, ShedReason};
-use crate::shard::ShardStats;
 use crate::state::ClusterState;
 use crate::workflow::Job;
 use esg_model::{
@@ -301,26 +300,6 @@ pub enum SchedulerEvent<'a> {
         /// Simulated time, ms.
         now_ms: f64,
     },
-    /// One shard of the sharded control plane finished committing a
-    /// staged round: `commits` decisions landed, `conflicts` staged
-    /// placements were invalidated by another shard's commit, and
-    /// `retries` of those were sent back for re-staging (the rest fell
-    /// back to the classic recheck park). Only emitted by the sharded
-    /// driver (`SimConfig::shards > 1` or `force_sharded`); dashboards
-    /// use it to spot cross-shard conflict storms without polling
-    /// [`SchedulerStats`].
-    ShardCommit {
-        /// The committing shard's index.
-        shard: usize,
-        /// Decisions that landed in this commit phase.
-        commits: u64,
-        /// Staged placements invalidated by cross-shard movement.
-        conflicts: u64,
-        /// Conflicted decisions handed back for a bounded retry.
-        retries: u64,
-        /// Simulated time, ms.
-        now_ms: f64,
-    },
 }
 
 impl SchedulerEvent<'_> {
@@ -340,8 +319,7 @@ impl SchedulerEvent<'_> {
             | SchedulerEvent::RecheckTick { now_ms }
             | SchedulerEvent::TransferStarted { now_ms, .. }
             | SchedulerEvent::TransferQueued { now_ms, .. }
-            | SchedulerEvent::TransferCompleted { now_ms, .. }
-            | SchedulerEvent::ShardCommit { now_ms, .. } => now_ms,
+            | SchedulerEvent::TransferCompleted { now_ms, .. } => now_ms,
         }
     }
 }
@@ -449,9 +427,6 @@ pub struct SchedulerStats {
     /// on the way into `ExperimentResult` (the PR-5 fields were copied
     /// one by one, which is exactly how a new field gets forgotten).
     pub policy: PolicyStats,
-    /// Sharded control-plane counters (staging rounds, commits,
-    /// conflicts, retries); all zero under the classic single driver.
-    pub shards: ShardStats,
     /// Static-pinning-tier counters (hits, misses, re-pins); all zero
     /// for purely dynamic schedulers.
     pub pinned: crate::pinning::PinnedStats,
@@ -476,13 +451,6 @@ impl SchedulerStats {
         self
     }
 
-    /// Installs the sharded control plane's counters wholesale (the
-    /// platform calls this when collecting end-of-run stats).
-    pub fn with_shards(mut self, s: ShardStats) -> SchedulerStats {
-        self.shards = s;
-        self
-    }
-
     /// Installs the static pinning tier's counters wholesale (hybrid
     /// schedulers call this from `Scheduler::stats`).
     pub fn with_pinned(mut self, p: crate::pinning::PinnedStats) -> SchedulerStats {
@@ -492,12 +460,10 @@ impl SchedulerStats {
 }
 
 /// Hand-rolled `Debug` that matches the pre-policy derive output
-/// byte-for-byte whenever the policy and shard counters are zero: the
+/// byte-for-byte whenever the policy and pinning counters are zero: the
 /// golden control-plane digests hash `ExperimentResult`'s Debug dump
-/// (which embeds this struct), and the classic stack under the classic
-/// single-shard driver must stay bit-identical to the pinned
-/// pre-redesign baseline. `shards.commit_wall_us` is host wall time and
-/// never printed, so multi-shard runs stay digest-deterministic too.
+/// (which embeds this struct), and the classic stack must stay
+/// bit-identical to the pinned pre-redesign baseline.
 impl std::fmt::Debug for SchedulerStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("SchedulerStats");
@@ -510,12 +476,6 @@ impl std::fmt::Debug for SchedulerStats {
             d.field("queues_shed", &self.policy.queues_shed)
                 .field("jobs_shed", &self.policy.jobs_shed)
                 .field("queues_deferred", &self.policy.queues_deferred);
-        }
-        if self.shards.rounds != 0 {
-            d.field("shard_rounds", &self.shards.rounds)
-                .field("shard_commits", &self.shards.commits)
-                .field("shard_conflicts", &self.shards.conflicts)
-                .field("shard_retries", &self.shards.retries);
         }
         if self.pinned != crate::pinning::PinnedStats::default() {
             d.field("pinned_hits", &self.pinned.hits)

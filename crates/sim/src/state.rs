@@ -256,35 +256,6 @@ impl ClusterState {
         self.generation += 1;
     }
 
-    /// True when the observable state has moved past the `generation`
-    /// snapshot `gen`. The sharded controller's commit step validates
-    /// each shard's staged round with this: a decision staged at `gen`
-    /// may have been invalidated by another shard's commit when the
-    /// state moved underneath it.
-    #[inline]
-    pub fn moved_since(&self, gen: u64) -> bool {
-        self.generation != gen
-    }
-
-    /// Optimistic commit of a placement staged against an earlier
-    /// snapshot: re-validates that `node` is still online with `demand`
-    /// free, debits the view in place, and bumps the generation.
-    /// Returns `false` — leaving the state untouched — when the
-    /// placement no longer fits (the caller's round conflicted and must
-    /// retry). Drives the scale bench's synthetic commit loop; the full
-    /// platform commits through the cluster and [`touch`](Self::touch).
-    pub fn try_commit(&mut self, node: NodeId, demand: Resources) -> bool {
-        let Some(v) = self.nodes.get_mut(node.index()) else {
-            return false;
-        };
-        if !(v.online && v.free.contains(demand)) {
-            return false;
-        }
-        v.free -= demand;
-        self.generation += 1;
-        true
-    }
-
     /// Nodes able to host `demand`.
     pub fn feasible(&self, demand: Resources) -> impl Iterator<Item = &NodeView> {
         self.nodes.iter().filter(move |n| n.fits(demand))
@@ -505,26 +476,6 @@ mod tests {
         state.touch(NodeId(2));
         state.refresh(&cluster, late);
         assert_eq!(state.node(NodeId(2)).free, Resources::new(12, 5));
-    }
-
-    #[test]
-    fn try_commit_validates_and_stamps() {
-        let n0 = NodeView::idle(NodeId(0), Resources::new(16, 7));
-        let mut state = ClusterState::from_views(vec![n0]);
-        let g0 = state.generation();
-        assert!(!state.moved_since(g0));
-        assert!(state.try_commit(NodeId(0), Resources::new(10, 4)));
-        assert_eq!(state.node(NodeId(0)).free, Resources::new(6, 3));
-        assert!(state.moved_since(g0), "a commit moves the generation");
-        // No longer fits: the commit fails and leaves everything alone.
-        let g1 = state.generation();
-        assert!(!state.try_commit(NodeId(0), Resources::new(10, 4)));
-        assert_eq!(state.node(NodeId(0)).free, Resources::new(6, 3));
-        assert!(!state.moved_since(g1));
-        // Offline and out-of-range nodes never accept.
-        state.node_mut(NodeId(0)).online = false;
-        assert!(!state.try_commit(NodeId(0), Resources::new(1, 1)));
-        assert!(!state.try_commit(NodeId(9), Resources::new(1, 1)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * [`TraceRecorder`] — the recording sink. Selected through
 //!   [`SimBuilder::record_trace`](crate::SimBuilder::record_trace), it
 //!   captures every control-plane event (arrivals, dispatches,
-//!   completions, churn, sheds, shard commits) plus the run's
+//!   completions, churn, sheds) plus the run's
 //!   environment header (SLO class, configuration grid, full
 //!   [`SimConfig`]) and writes one compact JSON document at the end of
 //!   the run via the vendored `serde_json`.
@@ -16,8 +16,7 @@
 //!   supported-version trace (truncated file, corrupt JSON, unknown
 //!   version, schema drift).
 //! * [`TraceReplay`] — re-drives a scheduler against the recorded
-//!   arrivals and churn under the recorded configuration (optionally
-//!   overriding the shard count or event-queue backend), producing an
+//!   arrivals and churn under the recorded configuration, producing an
 //!   [`ExperimentResult`] and a dispatch-trace digest comparable with
 //!   the recorded stream's own [`TraceFile::dispatch_digest`].
 //!
@@ -45,7 +44,6 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 
-use crate::event::EventQueueKind;
 use crate::eventlog::{EventKind, EventLog, EventRecord};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
@@ -76,8 +74,11 @@ pub const TRACE_VERSION: u32 = 1;
 /// minor 0. Minor 1 added the data-plane family: per-class bandwidth
 /// fields, the `data_plane` config knob, and the transfer event tags.
 /// Minor 2 added the server-topology family: the optional
-/// `cluster.topology` object and the `pinning` config knob.
-pub const TRACE_VERSION_MINOR: u32 = 2;
+/// `cluster.topology` object and the `pinning` config knob. Minor 3
+/// removed the `shards`, `force_sharded` and `event_queue` config keys
+/// and the `X` (shard-commit) event tag; the loader still accepts them
+/// in older documents (see `config_from_json` and `decode_event`).
+pub const TRACE_VERSION_MINOR: u32 = 3;
 
 /// A typed failure while writing or loading a trace. Corrupt or
 /// truncated files surface here — never as a panic.
@@ -156,8 +157,8 @@ pub fn fnv64(s: &str) -> u64 {
 /// Renders the canonical dispatch/churn/shed trace the golden digests
 /// hash: `D {app}.{stage} {config} n{node} x{jobs};` per dispatch,
 /// `C n{node} join|drain;` per churn event, `S {app}.{stage} x{jobs}
-/// {reason};` per shed. Arrivals, completions, recheck ticks, and shard
-/// commits are deliberately not rendered, so new telemetry event kinds
+/// {reason};` per shed. Arrivals, completions, recheck ticks, and
+/// transfer events are deliberately not rendered, so new telemetry kinds
 /// cannot move existing digests.
 pub fn dispatch_trace<'a, I>(records: I) -> String
 where
@@ -456,7 +457,7 @@ impl TraceFile {
             .ok_or_else(|| schema("events is not an array"))?
             .iter()
             .enumerate()
-            .map(|(i, v)| decode_event(v, i))
+            .filter_map(|(i, v)| decode_event(v, i).transpose())
             .collect::<Result<Vec<_>, TraceError>>()?;
         Ok(TraceFile {
             version: found as u32,
@@ -489,12 +490,10 @@ impl TraceFile {
 }
 
 /// Re-drives schedulers against a recorded run: same arrivals, same
-/// churn, same platform configuration (unless overridden), any policy.
+/// churn, same platform configuration, any policy.
 #[derive(Clone, Debug)]
 pub struct TraceReplay {
     trace: TraceFile,
-    shards: Option<usize>,
-    event_queue: Option<EventQueueKind>,
 }
 
 impl TraceReplay {
@@ -505,11 +504,7 @@ impl TraceReplay {
 
     /// Wraps an already-loaded trace.
     pub fn new(trace: TraceFile) -> TraceReplay {
-        TraceReplay {
-            trace,
-            shards: None,
-            event_queue: None,
-        }
+        TraceReplay { trace }
     }
 
     /// The underlying trace document.
@@ -517,30 +512,11 @@ impl TraceReplay {
         &self.trace
     }
 
-    /// Overrides the controller shard count for replays (the recorded
-    /// value is the default) — the axis the replay bench sweeps.
-    pub fn shards(mut self, n: usize) -> TraceReplay {
-        self.shards = Some(n);
-        self
-    }
-
-    /// Overrides the event-queue backend for replays.
-    pub fn event_queue(mut self, kind: EventQueueKind) -> TraceReplay {
-        self.event_queue = Some(kind);
-        self
-    }
-
     /// The effective replay configuration: the recorded one with
-    /// `record_trace` cleared and any overrides applied.
+    /// `record_trace` cleared.
     pub fn config(&self) -> SimConfig {
         let mut cfg = self.trace.config.clone();
         cfg.record_trace = None;
-        if let Some(n) = self.shards {
-            cfg.shards = n;
-        }
-        if let Some(k) = self.event_queue {
-            cfg.event_queue = k;
-        }
         cfg
     }
 
@@ -682,14 +658,6 @@ fn flavor_from_str(s: &str) -> Result<GpuFlavor, TraceError> {
         "v100" => Ok(GpuFlavor::V100),
         "t4" => Ok(GpuFlavor::T4),
         other => Err(schema(&format!("unknown GPU flavor {other:?}"))),
-    }
-}
-
-fn queue_kind_from_str(s: &str) -> Result<EventQueueKind, TraceError> {
-    match s {
-        "heap" => Ok(EventQueueKind::Heap),
-        "wheel" => Ok(EventQueueKind::Wheel),
-        other => Err(schema(&format!("unknown event-queue backend {other:?}"))),
     }
 }
 
@@ -875,15 +843,6 @@ fn config_to_json(cfg: &SimConfig) -> Value {
     m.insert("idle_backoff_ms", cfg.idle_backoff_ms);
     m.insert("max_sim_ms", cfg.max_sim_ms);
     m.insert("validate_cluster_state", cfg.validate_cluster_state);
-    m.insert("shards", cfg.shards);
-    m.insert("force_sharded", cfg.force_sharded);
-    m.insert(
-        "event_queue",
-        match cfg.event_queue {
-            EventQueueKind::Heap => "heap",
-            EventQueueKind::Wheel => "wheel",
-        },
-    );
     m.insert(
         "data_plane",
         match &cfg.data_plane {
@@ -913,7 +872,32 @@ fn config_to_json(cfg: &SimConfig) -> Value {
     Value::Object(m)
 }
 
+/// Validates the control-plane keys minor 3 removed. Documents up to
+/// minor 2 carry them; they load as long as the single round driver
+/// reproduces the recorded decisions. Both event-queue backends were
+/// dispatch-trace identical and a one-shard run replayed the classic
+/// driver, so `event_queue` and `force_sharded` are ignored, but a
+/// multi-shard recording is [`TraceError::Unsupported`].
+fn check_legacy_control_plane(doc: &Value) -> Result<(), TraceError> {
+    if doc.get("shards").is_some() {
+        let shards = usize_field(doc, "shards")?;
+        if shards > 1 {
+            return Err(TraceError::Unsupported {
+                what: format!("a {shards}-shard control-plane recording (replays run one driver)"),
+            });
+        }
+    }
+    if doc.get("event_queue").is_some() {
+        match str_field(doc, "event_queue")? {
+            "heap" | "wheel" => {}
+            other => return Err(schema(&format!("unknown event-queue backend {other:?}"))),
+        }
+    }
+    Ok(())
+}
+
 fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
+    check_legacy_control_plane(doc)?;
     let res = field(doc, "node_resources")?
         .as_array()
         .filter(|a| a.len() == 2)
@@ -965,9 +949,6 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
         idle_backoff_ms: f64_field(doc, "idle_backoff_ms")?,
         max_sim_ms: f64_field(doc, "max_sim_ms")?,
         validate_cluster_state: bool_field(doc, "validate_cluster_state")?,
-        shards: usize_field(doc, "shards")?,
-        force_sharded: bool_field(doc, "force_sharded")?,
-        event_queue: queue_kind_from_str(str_field(doc, "event_queue")?)?,
         // Arrived in v1.1; absent (v1.0 documents) means the classic
         // scalar transfer model.
         data_plane: match doc.get("data_plane") {
@@ -1046,23 +1027,12 @@ fn encode_event(r: &EventRecord) -> Value {
         EventKind::TransferCompleted { node, mb } => {
             vec!["TC".into(), t, node.0.into(), mb.into()]
         }
-        EventKind::ShardCommit {
-            shard,
-            commits,
-            conflicts,
-            retries,
-        } => vec![
-            "X".into(),
-            t,
-            shard.into(),
-            commits.into(),
-            conflicts.into(),
-            retries.into(),
-        ],
     })
 }
 
-fn decode_event(v: &Value, idx: usize) -> Result<EventRecord, TraceError> {
+/// Decodes one event; `None` for a legacy `X` (shard-commit) record,
+/// which documents before minor 3 may carry and which is dropped.
+fn decode_event(v: &Value, idx: usize) -> Result<Option<EventRecord>, TraceError> {
     let a = v
         .as_array()
         .ok_or_else(|| schema(&format!("event #{idx} is not an array")))?;
@@ -1163,18 +1133,10 @@ fn decode_event(v: &Value, idx: usize) -> Result<EventRecord, TraceError> {
                 mb: f64_at(a, 3, &ctx)?,
             }
         }
-        "X" => {
-            expect_len(6)?;
-            EventKind::ShardCommit {
-                shard: usize_at(a, 2, &ctx)?,
-                commits: u64_at(a, 3, &ctx)?,
-                conflicts: u64_at(a, 4, &ctx)?,
-                retries: u64_at(a, 5, &ctx)?,
-            }
-        }
+        "X" => return Ok(None),
         other => return Err(schema(&format!("{ctx}: unknown event tag {other:?}"))),
     };
-    Ok(EventRecord { now_ms, kind })
+    Ok(Some(EventRecord { now_ms, kind }))
 }
 
 #[cfg(test)]
@@ -1232,15 +1194,6 @@ mod tests {
                 kind: EventKind::RecheckTick,
             },
             EventRecord {
-                now_ms: 13.0,
-                kind: EventKind::ShardCommit {
-                    shard: 1,
-                    commits: 4,
-                    conflicts: 1,
-                    retries: 1,
-                },
-            },
-            EventRecord {
                 now_ms: 14.0,
                 kind: EventKind::TransferStarted {
                     node: NodeId(4),
@@ -1269,7 +1222,11 @@ mod tests {
         for r in sample_records() {
             let text = serde_json::to_string(&encode_event(&r));
             let parsed = serde_json::from_str(&text).expect("own encoding parses");
-            assert_eq!(decode_event(&parsed, 0).expect("decodes"), r, "{text}");
+            assert_eq!(
+                decode_event(&parsed, 0).expect("decodes"),
+                Some(r),
+                "{text}"
+            );
         }
     }
 
@@ -1281,9 +1238,6 @@ mod tests {
                 .drain(1_000.0, NodeId(3))
                 .join(2_000.0, NodeClass::t4()),
             seed: u64::MAX,
-            shards: 4,
-            force_sharded: true,
-            event_queue: EventQueueKind::Wheel,
             warmup_exclude_ms: 123.5,
             data_plane: Some(crate::dataplane::DataPlaneConfig {
                 bandwidth_scale: 0.5,
@@ -1345,6 +1299,84 @@ mod tests {
         assert_eq!(loaded.pcie_in_gbps, stock.pcie_in_gbps);
         assert_eq!(loaded.nvlink_gbps, stock.nvlink_gbps);
         assert_eq!(loaded.staging_mb, stock.staging_mb);
+    }
+
+    /// A minimal v1.2 document whose config ends with the legacy
+    /// control-plane keys `control` (`"key": value` pairs).
+    fn legacy_document(control: &str) -> String {
+        format!(
+            "{{\"format\": \"esg-trace\", \"version\": 1, \"version_minor\": 2, \
+\"scheduler\": \"min\", \"slo\": \"moderate\", \"apps\": \"standard\", \
+\"grid\": {{\"batches\": [1], \"vcpus\": [1], \"vgpus\": [1]}}, \
+\"config\": {{\"nodes\": 2, \"node_resources\": [16, 7], \"cluster\": null, \
+\"churn\": [], \"keep_alive_ms\": 1.0, \"overhead\": [0.0, 0.43], \
+\"charge_overhead\": true, \"prewarm\": false, \"prewarm_alpha\": 0.5, \
+\"initial_warm_per_node\": 0, \"prewarm_pool_cap\": 4, \"warmup_exclude_ms\": 0.0, \
+\"seed\": 42, \"recheck_limit\": 3, \"idle_backoff_ms\": 5.0, \"max_sim_ms\": 100.0, \
+\"validate_cluster_state\": false, {control}}}, \"arrivals\": [], \"events\": []}}"
+        )
+    }
+
+    #[test]
+    fn legacy_control_plane_keys_load_with_typed_errors() {
+        let ok = TraceFile::from_json(&legacy_document(
+            "\"shards\": 1, \"force_sharded\": true, \"event_queue\": \"wheel\"",
+        ))
+        .expect("a one-shard wheel recording loads");
+        assert_eq!(ok.version_minor, 2);
+        assert!(matches!(
+            TraceFile::from_json(&legacy_document("\"shards\": 4, \"event_queue\": \"heap\"")),
+            Err(TraceError::Unsupported { .. })
+        ));
+        assert!(matches!(
+            TraceFile::from_json(&legacy_document(
+                "\"shards\": 1, \"event_queue\": \"btree\""
+            )),
+            Err(TraceError::Schema { .. })
+        ));
+    }
+
+    #[test]
+    fn v1_2_wheel_recording_with_shard_events_replays_its_digest() {
+        use crate::{MinScheduler, SimBuilder};
+        use esg_model::WorkloadClass;
+        use esg_workload::WorkloadGen;
+
+        let path =
+            std::env::temp_dir().join(format!("esg-trace-legacy-{}.json", std::process::id()));
+        let w =
+            WorkloadGen::new(WorkloadClass::Normal, esg_model::standard_app_ids(), 5).generate(40);
+        SimBuilder::new(SloClass::Moderate)
+            .record_trace(&path)
+            .build()
+            .expect("valid")
+            .run(&mut MinScheduler, &w, "record");
+        let current = std::fs::read_to_string(&path).expect("recorded");
+        std::fs::remove_file(&path).ok();
+        // Rewrite the recording as a minor-2 document: the removed
+        // control-plane keys in its config and a shard-commit record in
+        // its event stream.
+        let mut legacy = current.clone();
+        for (from, to) in [
+            ("\"version_minor\":3", "\"version_minor\":2"),
+            (
+                "\"validate_cluster_state\":false",
+                "\"validate_cluster_state\":false,\"shards\":1,\"force_sharded\":false,\
+\"event_queue\":\"wheel\"",
+            ),
+            ("\"events\":[", "\"events\":[[\"X\",0,0,1,0,0],"),
+        ] {
+            assert!(legacy.contains(from), "recording lacks {from}");
+            legacy = legacy.replacen(from, to, 1);
+        }
+        let old = TraceFile::from_json(&legacy).expect("a v1.2 document loads");
+        let new = TraceFile::from_json(&current).expect("own recording loads");
+        assert_eq!(old.version_minor, 2);
+        assert_eq!(old.events, new.events, "the shard record is dropped");
+        assert!(old.dispatch_trace().contains("D "), "the run dispatched");
+        let (_, digest) =
+            TraceReplay::new(old.clone()).run_digest(Box::new(MinScheduler), "replay");
+        assert_eq!(digest, old.dispatch_digest());
     }
 
     #[test]

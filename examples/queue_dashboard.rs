@@ -1,7 +1,7 @@
 //! Live queue dashboard: periodic per-queue latency/backlog/shed
-//! snapshots (plus cross-shard conflict counters) collected from a run
-//! by wrapping the scheduler in `Monitored`, rendered as a text
-//! dashboard and a CSV under `bench_results/`.
+//! snapshots collected from a run by wrapping the scheduler in
+//! `Monitored`, rendered as a text dashboard and a CSV under
+//! `bench_results/`.
 //!
 //! Run with: `cargo run --release --example queue_dashboard [seconds]`
 //! (`ESG_SMOKE=1` defaults to a 20-second run for CI.)
@@ -23,17 +23,16 @@ fn main() {
         workload.len()
     );
 
-    // Two controller shards so the dashboard's shard column and the
-    // conflict counters show live values, not a single-driver's zeros.
-    let cfg = SimConfig {
-        shards: 2,
-        ..SimConfig::default()
-    };
     let env = SimEnv::standard(scenario.slo);
-    // Snapshot every 10 simulated seconds; the monitor maps queues to
-    // shards with the same stable hash the control plane uses.
-    let mut monitored = Monitored::new(Box::new(EsgScheduler::new()), 10_000.0, cfg.shards);
-    let result = run_simulation(&env, cfg, &mut monitored, &workload, "dashboard");
+    // Snapshot every 10 simulated seconds.
+    let mut monitored = Monitored::new(Box::new(EsgScheduler::new()), 10_000.0);
+    let result = run_simulation(
+        &env,
+        SimConfig::default(),
+        &mut monitored,
+        &workload,
+        "dashboard",
+    );
     let snapshots = monitored.monitor.finish(result.makespan_ms);
 
     // Terminal view: the full series in smoke mode is noisy, so print

@@ -209,10 +209,6 @@ impl RoundPolicy for ShedOnce {
         }
         plan
     }
-
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(self.clone())
-    }
 }
 
 /// Defers stage 0 to `defer_ms` and holds stage 1 for a long time on

@@ -8,11 +8,8 @@
 //! deterministic `(time, sequence)` ordering must make membership changes
 //! reproducible regardless of rayon's thread schedule.
 
-use esg_bench::{
-    standard_config, ClusterCase, ExperimentSuite, ScenarioMatrix, SchedKind, SweepResult,
-};
+use esg_bench::{ClusterCase, ExperimentSuite, ScenarioMatrix, SchedKind, SweepResult};
 use esg_model::{ChurnPlan, ClusterSpec, NodeClass, NodeId, Scenario, TrafficShape};
-use esg_sim::{EventQueueKind, SimConfig};
 
 fn churny_matrix() -> ScenarioMatrix {
     ScenarioMatrix::new()
@@ -117,31 +114,4 @@ fn repeated_parallel_churn_sweeps_are_reproducible() {
     let a = suite().run();
     let b = suite().run();
     assert_eq!(a.canonical_digest(), b.canonical_digest());
-}
-
-#[test]
-fn wheel_backend_replays_the_heap_churn_sweep_bit_for_bit() {
-    // Churn goes through the event queue, so the timer wheel must feed
-    // the platform the exact same drain/join interleaving as the heap
-    // across the whole churning sweep — same canonical digest, cell for
-    // cell.
-    let heap = suite().run();
-    let wheel = suite()
-        .with_sim_config(SimConfig {
-            event_queue: EventQueueKind::Wheel,
-            ..standard_config()
-        })
-        .run();
-    for (h, w) in heap.results.iter().zip(&wheel.results) {
-        assert_eq!(
-            format!("{:?}", h.canonical_result()),
-            format!("{:?}", w.canonical_result()),
-            "cell ({}, {}, {}, seed {}) diverged between heap and wheel",
-            h.scheduler,
-            h.cluster,
-            h.traffic,
-            h.seed
-        );
-    }
-    assert_eq!(heap.canonical_digest(), wheel.canonical_digest());
 }

@@ -4,8 +4,7 @@
 //! demand, so progress is never throttled, nothing queues for staging,
 //! and no finish is ever re-planned — the run must be dispatch-trace
 //! **bit-identical** to the classic scalar transfer model across the
-//! hetero grid (cluster specs × traffic shapes × heap/wheel event
-//! queues × seeds).
+//! hetero grid (cluster specs × traffic shapes × seeds).
 //!
 //! Only the dispatch trace and the completion/SLO counters are
 //! compared, not the full `ExperimentResult` debug dump: the data
@@ -16,8 +15,7 @@
 //!
 //! The companion integration tests pin the *contended* regime: finite
 //! bandwidth moves real bytes, queued transfers are delayed but never
-//! dropped, both event-queue backends agree bit-for-bit under
-//! contention, and a starved plane genuinely changes the outcome
+//! dropped, and a starved plane genuinely changes the outcome
 //! (proving the equivalence above is not vacuous).
 
 mod support;
@@ -37,7 +35,7 @@ fn infinite_plane() -> DataPlaneConfig {
     }
 }
 
-/// One run: ESG on the given cluster/shape/backend, with or without
+/// One run: ESG on the given cluster/shape, with or without
 /// the data plane. Returns the dispatch trace plus the counters the
 /// equivalence compares.
 fn run_cell(
@@ -45,7 +43,6 @@ fn run_cell(
     spec: &ClusterSpec,
     churn: &ChurnPlan,
     shape: TrafficShape,
-    queue: EventQueueKind,
     plane: Option<DataPlaneConfig>,
 ) -> (String, u64, u64, TransferSummary) {
     let env = SimEnv::standard(SloClass::Moderate);
@@ -61,7 +58,6 @@ fn run_cell(
         churn: churn.clone(),
         warmup_exclude_ms: RUN_MS * 0.25,
         seed,
-        event_queue: queue,
         data_plane: plane,
         ..SimConfig::default()
     };
@@ -90,7 +86,6 @@ proptest::proptest! {
         seed in 0u64..1_000,
         spec_idx in 0usize..3,
         shape_idx in 0usize..3,
-        queue_idx in 0usize..2,
     ) {
         let specs = [
             ClusterSpec::paper(),
@@ -104,18 +99,17 @@ proptest::proptest! {
         } else {
             ChurnPlan::none()
         };
-        let queue = if queue_idx == 1 { EventQueueKind::Wheel } else { EventQueueKind::Heap };
 
         let (scalar_trace, scalar_done, scalar_hits, _) =
-            run_cell(seed, &spec, &churn, shape, queue, None);
+            run_cell(seed, &spec, &churn, shape, None);
         let (plane_trace, plane_done, plane_hits, transfers) =
-            run_cell(seed, &spec, &churn, shape, queue, Some(infinite_plane()));
+            run_cell(seed, &spec, &churn, shape, Some(infinite_plane()));
 
         proptest::prop_assert_eq!(
             fnv64(&scalar_trace),
             fnv64(&plane_trace),
-            "dispatch trace diverged (spec={}, shape={:?}, queue={:?}, seed={})",
-            spec_idx, shape, queue, seed
+            "dispatch trace diverged (spec={}, shape={:?}, seed={})",
+            spec_idx, shape, seed
         );
         proptest::prop_assert_eq!(scalar_done, plane_done);
         proptest::prop_assert_eq!(scalar_hits, plane_hits);
@@ -137,16 +131,12 @@ fn slow_cluster() -> ClusterSpec {
     )
 }
 
-fn contended_run(
-    queue: EventQueueKind,
-    plane: Option<DataPlaneConfig>,
-) -> (String, u64, TransferSummary) {
+fn contended_run(plane: Option<DataPlaneConfig>) -> (String, u64, TransferSummary) {
     let (trace, done, _, transfers) = run_cell(
         7,
         &slow_cluster(),
         &ChurnPlan::none(),
         TrafficShape::Bursty,
-        queue,
         plane,
     );
     (trace, done, transfers)
@@ -154,7 +144,7 @@ fn contended_run(
 
 #[test]
 fn contended_plane_moves_bytes_and_never_drops() {
-    let (_, done, t) = contended_run(EventQueueKind::Heap, Some(DataPlaneConfig::default()));
+    let (_, done, t) = contended_run(Some(DataPlaneConfig::default()));
     assert!(done > 0, "workload must complete under contention");
     assert!(t.started > 0, "transfer-bound cluster must start flows");
     assert!(t.total_mb > 0.0);
@@ -171,23 +161,13 @@ fn queued_transfers_are_delayed_never_dropped() {
         staging_scale: 1e-3,
         ..DataPlaneConfig::default()
     };
-    let (_, done, t) = contended_run(EventQueueKind::Heap, Some(plane));
+    let (_, done, t) = contended_run(Some(plane));
     assert!(done > 0);
     assert!(t.queued > 0, "tiny staging buffers must force queueing");
     assert_eq!(
         t.started, t.completed,
         "queued flows activate FIFO and still complete"
     );
-}
-
-#[test]
-fn heap_and_wheel_agree_under_contention() {
-    let plane = DataPlaneConfig::default();
-    let (heap_trace, heap_done, heap_t) = contended_run(EventQueueKind::Heap, Some(plane));
-    let (wheel_trace, wheel_done, wheel_t) = contended_run(EventQueueKind::Wheel, Some(plane));
-    assert_eq!(fnv64(&heap_trace), fnv64(&wheel_trace));
-    assert_eq!(heap_done, wheel_done);
-    assert_eq!(heap_t, wheel_t);
 }
 
 #[test]
@@ -198,8 +178,8 @@ fn starved_bandwidth_changes_the_outcome() {
         bandwidth_scale: 1e-3,
         ..DataPlaneConfig::default()
     };
-    let (scalar_trace, _, _) = contended_run(EventQueueKind::Heap, None);
-    let (plane_trace, _, t) = contended_run(EventQueueKind::Heap, Some(plane));
+    let (scalar_trace, _, _) = contended_run(None);
+    let (plane_trace, _, t) = contended_run(Some(plane));
     assert!(
         t.replans > 0 || t.queued > 0,
         "a starved plane must contend"

@@ -32,9 +32,6 @@ impl RoundPolicy for AdmitEverything {
     fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
         AdmissionPlan::admit_all(ctx.queues.len())
     }
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(AdmitEverything)
-    }
 }
 
 /// A rank stage that replays classic scan order explicitly.
@@ -46,9 +43,6 @@ impl RoundPolicy for ClassicOrder {
     }
     fn rank(&mut self, _ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
         RankedQueues::scan_order(admitted)
-    }
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(ClassicOrder)
     }
 }
 
@@ -184,11 +178,6 @@ invocation {:?} (slack {slack} ms)",
             }
             fn stats(&self) -> esg::sim::PolicyStats {
                 self.inner.stats()
-            }
-            fn clone_box(&self) -> Box<dyn RoundPolicy> {
-                Box::new(OracleChecked {
-                    inner: self.inner.clone(),
-                })
             }
         }
 

@@ -1,22 +1,18 @@
 //! The streaming replay engine's equivalence battery.
 //!
-//! The million-invocation replay path (PR 7) rests on three pinned
-//! invariants, each checked here at test scale:
+//! The million-invocation replay path rests on two pinned invariants,
+//! each checked here at test scale:
 //!
-//! 1. **Heap == wheel** — the hierarchical timer wheel behind
-//!    [`EventQueueKind::Wheel`] must be *dispatch-trace identical* (FNV
-//!    digests over the shared `EventLog` tap) and canonical-result
-//!    identical to the default binary heap, across the heterogeneous
-//!    cluster grid and every traffic shape.
-//! 2. **Streamed == materialised** — pulling arrivals lazily from an
+//! 1. **Streamed == materialised** — pulling arrivals lazily from an
 //!    [`ArrivalStream`] as simulated time advances must replay a
-//!    pre-materialised `Workload` bit for bit, for every
+//!    pre-materialised `Workload` bit for bit (FNV digests over the
+//!    shared `EventLog` tap and canonical results), for every
 //!    `WorkloadClass` and every `TrafficShape` (including the
 //!    Azure-like replay). The trick that makes the comparison exact:
 //!    cap both runs at the same `max_sim_ms` horizon and materialise
 //!    *past* the horizon, so both paths always hold a pending arrival
 //!    and stop at the first event beyond the cap.
-//! 3. **Constant-memory generation** — the streamed run's arena and
+//! 2. **Constant-memory generation** — the streamed run's arena and
 //!    event-queue high-water marks ([`MemoryFootprint`]) scale with
 //!    *live* work, not with the number of arrivals replayed.
 
@@ -38,44 +34,9 @@ const CLASSES: [WorkloadClass; 3] = [
     WorkloadClass::Light,
 ];
 
-fn specs() -> [ClusterSpec; 3] {
-    [
-        ClusterSpec::paper(),
-        ClusterSpec::mixed_mig(),
-        ClusterSpec::skewed(),
-    ]
-}
-
 fn canonical(mut r: ExperimentResult) -> String {
     r.wall_overhead_ms.clear();
     format!("{r:?}")
-}
-
-/// Runs ESG over a materialised shaped workload on `spec` with the given
-/// event-queue backend, returning the canonical result and trace digest.
-fn run_kind(
-    spec: &ClusterSpec,
-    shape: TrafficShape,
-    seed: u64,
-    kind: EventQueueKind,
-) -> (String, u64) {
-    let env = SimEnv::standard(SloClass::Moderate);
-    let workload = shaped_workload(
-        WorkloadClass::Light,
-        shape,
-        &esg::model::standard_app_ids(),
-        seed,
-        2_000.0,
-    );
-    let cfg = SimConfig {
-        cluster: Some(spec.clone()),
-        seed,
-        event_queue: kind,
-        ..SimConfig::default()
-    };
-    let mut traced = Traced::new(Box::new(EsgScheduler::new()));
-    let r = run_simulation(&env, cfg, &mut traced, &workload, "replay-equivalence");
-    (canonical(r), traced.trace_digest())
 }
 
 /// Runs ESG capped at `horizon_ms`, either streaming `class`/`shape`
@@ -85,7 +46,6 @@ fn run_horizon(
     class: WorkloadClass,
     shape: TrafficShape,
     seed: u64,
-    kind: EventQueueKind,
     horizon_ms: f64,
     streamed: bool,
 ) -> (String, u64) {
@@ -93,7 +53,6 @@ fn run_horizon(
     let apps = esg::model::standard_app_ids();
     let cfg = SimConfig {
         seed,
-        event_queue: kind,
         max_sim_ms: horizon_ms,
         ..SimConfig::default()
     };
@@ -118,76 +77,43 @@ fn run_horizon(
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
-    /// Invariant 1: the timer wheel replays the binary heap bit for bit
-    /// across the hetero grid and every traffic shape.
-    #[test]
-    fn wheel_replays_the_heap_across_the_hetero_grid(
-        seed in 0u64..1_000,
-        spec_idx in 0usize..3,
-        shape_idx in 0usize..4,
-    ) {
-        let spec = specs()[spec_idx].clone();
-        let shape = SHAPES[shape_idx];
-        let (res_h, trace_h) = run_kind(&spec, shape, seed, EventQueueKind::Heap);
-        let (res_w, trace_w) = run_kind(&spec, shape, seed, EventQueueKind::Wheel);
-        proptest::prop_assert_eq!(trace_h, trace_w, "dispatch traces diverged");
-        proptest::prop_assert_eq!(res_h, res_w);
-    }
-
-    /// Invariant 2: a streamed run is bit-identical to the same stream
-    /// materialised, for every workload class and traffic shape, on
-    /// both event-queue backends.
+    /// Invariant 1: a streamed run is bit-identical to the same stream
+    /// materialised, for every workload class and traffic shape.
     #[test]
     fn streamed_replay_matches_materialised(
         seed in 0u64..1_000,
         class_idx in 0usize..3,
         shape_idx in 0usize..4,
-        wheel in proptest::prelude::any::<bool>(),
     ) {
         let class = CLASSES[class_idx];
         let shape = SHAPES[shape_idx];
-        let kind = if wheel { EventQueueKind::Wheel } else { EventQueueKind::Heap };
-        let (res_m, trace_m) = run_horizon(class, shape, seed, kind, 2_000.0, false);
-        let (res_s, trace_s) = run_horizon(class, shape, seed, kind, 2_000.0, true);
+        let (res_m, trace_m) = run_horizon(class, shape, seed, 2_000.0, false);
+        let (res_s, trace_s) = run_horizon(class, shape, seed, 2_000.0, true);
         proptest::prop_assert_eq!(trace_m, trace_s, "dispatch traces diverged");
         proptest::prop_assert_eq!(res_m, res_s);
     }
 }
 
-/// All four backend × source combinations agree on one fixed scenario
-/// (a cheap smoke check that fails with a readable diff before the
-/// proptests shrink anything).
+/// Both arrival sources agree on one fixed scenario (a cheap smoke
+/// check that fails with a readable diff before the proptests shrink
+/// anything).
 #[test]
-fn four_way_backend_source_agreement() {
-    let combos = [
-        (EventQueueKind::Heap, false),
-        (EventQueueKind::Heap, true),
-        (EventQueueKind::Wheel, false),
-        (EventQueueKind::Wheel, true),
-    ];
-    let runs: Vec<(String, u64)> = combos
-        .iter()
-        .map(|&(kind, streamed)| {
-            run_horizon(
-                WorkloadClass::Normal,
-                TrafficShape::AzureReplay,
-                42,
-                kind,
-                2_500.0,
-                streamed,
-            )
-        })
-        .collect();
-    for (i, run) in runs.iter().enumerate().skip(1) {
-        assert_eq!(runs[0].1, run.1, "trace diverged for combo {combos:?}[{i}]");
-        assert_eq!(
-            runs[0].0, run.0,
-            "result diverged for combo {combos:?}[{i}]"
-        );
-    }
+fn streamed_and_materialised_sources_agree() {
+    let run = |streamed| {
+        run_horizon(
+            WorkloadClass::Normal,
+            TrafficShape::AzureReplay,
+            42,
+            2_500.0,
+            streamed,
+        )
+    };
+    let (materialised, streamed) = (run(false), run(true));
+    assert_eq!(materialised.1, streamed.1, "trace diverged");
+    assert_eq!(materialised.0, streamed.0, "result diverged");
 }
 
-/// Invariant 3: the streamed replay's memory proxy plateaus at the
+/// Invariant 2: the streamed replay's memory proxy plateaus at the
 /// steady-state backlog — doubling the replay length must not grow the
 /// arena or event-queue high-water marks, and they stay far below the
 /// number of arrivals replayed.
@@ -197,7 +123,6 @@ fn streamed_replay_memory_scales_with_live_work_not_replay_length() {
         let env = SimEnv::standard(SloClass::Moderate);
         let cfg = SimConfig {
             seed: 7,
-            event_queue: EventQueueKind::Wheel,
             max_sim_ms,
             ..SimConfig::default()
         };
