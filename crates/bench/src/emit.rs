@@ -220,9 +220,9 @@ pub fn render_overhead_markdown(doc: &Value) -> String {
     writeln!(
         out,
         "Suite `overhead` — per-dispatch planning latency, {samples} samples per case \
-(regenerate: `cargo bench --bench overhead`). *Cold* runs the full miss \
-path (stage-table build + A\\* search); *warm* answers from the plan \
-cache. Medians, wall clock."
+(regenerate: `cargo bench --bench overhead`). *Cold* runs the miss path \
+as the scheduler runs it (memoised stage table + A\\* search); *warm* \
+shares the plan from the plan cache. Medians, wall clock."
     )
     .expect("writing to String cannot fail");
 

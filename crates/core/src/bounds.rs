@@ -13,34 +13,128 @@
 //!
 //! The table pre-computes suffix sums of the three per-stage aggregates so
 //! each bound is O(1) during the search.
+//!
+//! A table is a pure function of `(window functions, first-stage batch
+//! cap)` over an immutable profile table, and a cap only matters through
+//! the largest grid batch it admits. [`StageTableMemo`] exploits both: it
+//! builds each `(window, effective cap)` table once, and the tables share
+//! their per-stage entry lists (one `StageEntries` per function and
+//! effective cap), so the memo is bounded by functions × grid batches.
 
 use esg_model::{Config, FnId};
 use esg_profile::{ProfileEntry, ProfileTable};
+use std::rc::Rc;
+
+/// Entries per cost-minimum block: the A* child scan skips a whole block
+/// when its cheapest entry already fails the cost blade.
+pub(crate) const BLOCK: usize = 8;
+
+/// One configuration as the search sees it: the three [`ProfileEntry`]
+/// fields the search reads (32 bytes instead of 48).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SearchEntry {
+    /// Mean task latency in ms (the whole batch).
+    pub latency_ms: f64,
+    /// Resource cost attributed to each job in cents.
+    pub per_job_cost_cents: f64,
+    /// The configuration.
+    pub config: Config,
+}
+
+impl From<&ProfileEntry> for SearchEntry {
+    fn from(e: &ProfileEntry) -> SearchEntry {
+        SearchEntry {
+            latency_ms: e.latency_ms,
+            per_job_cost_cents: e.per_job_cost_cents,
+            config: e.config,
+        }
+    }
+}
+
+/// One stage's searchable configurations, ascending by latency, with the
+/// minimum per-job cost of every aligned [`BLOCK`] of entries.
+#[derive(Debug)]
+pub(crate) struct StageEntries {
+    entries: Box<[SearchEntry]>,
+    block_min_cost: Box<[f64]>,
+}
+
+impl StageEntries {
+    /// The entries of `profile` (ascending by latency) whose batch is at
+    /// most `max_batch`. A grid without a small-enough batch keeps its
+    /// smallest batch instead; the dispatcher clamps it to the live queue
+    /// length anyway.
+    pub(crate) fn build(profile: &[ProfileEntry], max_batch: u32) -> StageEntries {
+        let mut entries: Vec<SearchEntry> = profile
+            .iter()
+            .filter(|e| e.config.batch <= max_batch)
+            .map(SearchEntry::from)
+            .collect();
+        if entries.is_empty() {
+            let min_batch = profile
+                .iter()
+                .map(|e| e.config.batch)
+                .min()
+                .expect("non-empty profile");
+            entries.extend(
+                profile
+                    .iter()
+                    .filter(|e| e.config.batch == min_batch)
+                    .map(SearchEntry::from),
+            );
+        }
+        debug_assert!(
+            entries
+                .windows(2)
+                .all(|w| w[0].latency_ms <= w[1].latency_ms),
+            "profiles must arrive sorted ascending by latency"
+        );
+        let block_min_cost = entries
+            .chunks(BLOCK)
+            .map(|b| {
+                b.iter()
+                    .map(|e| e.per_job_cost_cents)
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        StageEntries {
+            entries: entries.into_boxed_slice(),
+            block_min_cost,
+        }
+    }
+
+    /// The entries, ascending by latency.
+    #[inline]
+    pub(crate) fn entries(&self) -> &[SearchEntry] {
+        &self.entries
+    }
+
+    /// Minimum per-job cost of each block `entries[BLOCK*i..BLOCK*(i+1)]`.
+    #[inline]
+    pub(crate) fn block_min_cost(&self) -> &[f64] {
+        &self.block_min_cost
+    }
+}
+
+/// Suffix sums over stages `s..` of the three per-stage aggregates.
+#[derive(Clone, Copy, Debug, Default)]
+struct Suffix {
+    min_lat: f64,
+    min_cost: f64,
+    fastest_cost: f64,
+}
 
 /// Pre-processed stage data for one ESG_1Q invocation.
 ///
-/// Entries are *interned* at build time into one flat arena (`entries` +
-/// `offsets`) instead of a `Vec<Vec<_>>`: a dispatch-path build performs
-/// exactly two allocations for the entry storage regardless of stage
-/// count, and the per-stage slices stay contiguous for the search's
-/// sequential scans. Profiles arrive pre-sorted ascending by latency
-/// (`FunctionProfile::entries`), so build never re-sorts — sortedness is
-/// asserted in debug builds only.
+/// Each stage is a shared `StageEntries` list (profiles arrive sorted
+/// ascending by latency, so nothing is re-sorted); the first stage's batch
+/// is capped at the queue length. Tables built by [`StageTableMemo`]
+/// share their lists; [`StageTable::build`] builds private ones.
 #[derive(Clone, Debug)]
 pub struct StageTable {
-    /// All stages' profile entries, concatenated; each stage's slice is
-    /// ascending by latency, with the first stage's batch capped at the
-    /// queue length.
-    entries: Vec<ProfileEntry>,
-    /// Stage boundaries into `entries`: stage `s` is
-    /// `entries[offsets[s]..offsets[s+1]]`.
-    offsets: Vec<u32>,
-    /// Suffix sums over stages `s..` of the minimum latency.
-    min_lat_suffix: Vec<f64>,
-    /// Suffix sums over stages `s..` of the minimum per-job cost.
-    min_cost_suffix: Vec<f64>,
-    /// Suffix sums over stages `s..` of the fastest-config per-job cost.
-    fastest_cost_suffix: Vec<f64>,
+    stages: Vec<Rc<StageEntries>>,
+    /// `suffix[s]` aggregates stages `s..`; `suffix[n]` is zero.
+    suffix: Vec<Suffix>,
 }
 
 impl StageTable {
@@ -53,101 +147,77 @@ impl StageTable {
         first_stage_max_batch: u32,
     ) -> StageTable {
         assert!(!stages.is_empty(), "need at least one stage");
-        let n = stages.len();
-        let total: usize = stages
-            .iter()
-            .map(|&f| profiles.profile(f).entries().len())
-            .sum();
-        let mut entries: Vec<ProfileEntry> = Vec::with_capacity(total);
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for (i, &f) in stages.iter().enumerate() {
-            let all = profiles.profile(f).entries();
-            if i == 0 {
-                let start = entries.len();
-                entries.extend(
-                    all.iter()
-                        .filter(|e| e.config.batch <= first_stage_max_batch),
-                );
-                if entries.len() == start {
-                    // Grid without a small-enough batch: keep the smallest
-                    // batch available; the dispatcher clamps it to the live
-                    // queue length anyway.
-                    let min_batch = all
-                        .iter()
-                        .map(|e| e.config.batch)
-                        .min()
-                        .expect("non-empty profile");
-                    entries.extend(all.iter().filter(|e| e.config.batch == min_batch));
-                }
-            } else {
-                entries.extend_from_slice(all);
-            }
-            offsets.push(entries.len() as u32);
-        }
-        debug_assert!(offsets.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(
-            (0..n).all(|s| {
-                entries[offsets[s] as usize..offsets[s + 1] as usize]
-                    .windows(2)
-                    .all(|w| w[0].latency_ms <= w[1].latency_ms)
-            }),
-            "profiles must arrive sorted ascending by latency"
-        );
+        StageTable::from_stages(
+            stages
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| {
+                    let cap = if i == 0 {
+                        first_stage_max_batch
+                    } else {
+                        u32::MAX
+                    };
+                    Rc::new(StageEntries::build(profiles.profile(f).entries(), cap))
+                })
+                .collect(),
+        )
+    }
 
-        let mut min_lat_suffix = vec![0.0; n + 1];
-        let mut min_cost_suffix = vec![0.0; n + 1];
-        let mut fastest_cost_suffix = vec![0.0; n + 1];
+    /// Assembles a table from per-stage entry lists.
+    fn from_stages(stages: Vec<Rc<StageEntries>>) -> StageTable {
+        let n = stages.len();
+        let mut suffix = vec![Suffix::default(); n + 1];
         for s in (0..n).rev() {
-            let stage = &entries[offsets[s] as usize..offsets[s + 1] as usize];
-            let min_lat = stage.first().expect("non-empty").latency_ms;
+            let stage = stages[s].entries();
+            let fastest = stage.first().expect("non-empty");
             let min_cost = stage
                 .iter()
                 .map(|e| e.per_job_cost_cents)
                 .fold(f64::INFINITY, f64::min);
-            let fastest_cost = stage.first().expect("non-empty").per_job_cost_cents;
-            min_lat_suffix[s] = min_lat_suffix[s + 1] + min_lat;
-            min_cost_suffix[s] = min_cost_suffix[s + 1] + min_cost;
-            fastest_cost_suffix[s] = fastest_cost_suffix[s + 1] + fastest_cost;
+            suffix[s] = Suffix {
+                min_lat: suffix[s + 1].min_lat + fastest.latency_ms,
+                min_cost: suffix[s + 1].min_cost + min_cost,
+                fastest_cost: suffix[s + 1].fastest_cost + fastest.per_job_cost_cents,
+            };
         }
-        StageTable {
-            entries,
-            offsets,
-            min_lat_suffix,
-            min_cost_suffix,
-            fastest_cost_suffix,
-        }
+        StageTable { stages, suffix }
     }
 
     /// Number of stages.
     #[inline]
     pub fn num_stages(&self) -> usize {
-        self.offsets.len() - 1
+        self.stages.len()
     }
 
     /// Entries of stage `s`, ascending latency.
     #[inline]
-    pub fn entries(&self, s: usize) -> &[ProfileEntry] {
-        &self.entries[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    pub fn entries(&self, s: usize) -> &[SearchEntry] {
+        self.stages[s].entries()
+    }
+
+    /// Stage `s` with its block cost minima.
+    #[inline]
+    pub(crate) fn stage(&self, s: usize) -> &StageEntries {
+        &self.stages[s]
     }
 
     /// `tLow`: `time_so_far` plus the minimal remaining latency from stage
     /// `next` on.
     #[inline]
     pub fn t_low(&self, time_so_far: f64, next: usize) -> f64 {
-        time_so_far + self.min_lat_suffix[next]
+        time_so_far + self.suffix[next].min_lat
     }
 
     /// `rscLow`: `cost_so_far` plus the minimal remaining cost.
     #[inline]
     pub fn rsc_low(&self, cost_so_far: f64, next: usize) -> f64 {
-        cost_so_far + self.min_cost_suffix[next]
+        cost_so_far + self.suffix[next].min_cost
     }
 
     /// `rscFastest`: `cost_so_far` plus the cost of finishing fastest.
     #[inline]
     pub fn rsc_fastest(&self, cost_so_far: f64, next: usize) -> f64 {
-        cost_so_far + self.fastest_cost_suffix[next]
+        cost_so_far + self.suffix[next].fastest_cost
     }
 
     /// The fastest full path (each stage at its minimum-latency config):
@@ -169,7 +239,82 @@ impl StageTable {
     /// targets up front.
     #[inline]
     pub fn min_total_time(&self) -> f64 {
-        self.min_lat_suffix[0]
+        self.suffix[0].min_lat
+    }
+}
+
+/// Stage tables built once per `(search window, effective batch cap)`.
+///
+/// The effective cap of `cap` is the largest grid batch `<= cap` (the
+/// smallest grid batch when none is): the first stage's filter admits
+/// exactly the same entries under both, so the tables are identical.
+/// Entry lists are shared per `(function, effective cap)` — later stages
+/// always use the uncapped list — so memory is bounded by functions ×
+/// grid batches plus one small table header per `(window, cap)`,
+/// independent of run length.
+#[derive(Debug)]
+pub struct StageTableMemo {
+    /// Grid batches, ascending and deduplicated.
+    batches: Vec<u32>,
+    /// `lists[f * batches.len() + c]`: function `f`'s entries under the
+    /// `c`-th effective cap.
+    lists: Vec<Option<Rc<StageEntries>>>,
+    /// `tables[w * batches.len() + c]`: window `w` under the `c`-th cap.
+    tables: Vec<Option<StageTable>>,
+}
+
+impl StageTableMemo {
+    /// An empty memo over `profiles`' grid for `windows` search windows.
+    pub fn new(profiles: &ProfileTable, windows: usize) -> StageTableMemo {
+        let mut batches = profiles.grid().batches.clone();
+        batches.sort_unstable();
+        batches.dedup();
+        let caps = batches.len();
+        StageTableMemo {
+            batches,
+            lists: vec![None; profiles.len() * caps],
+            tables: vec![None; windows * caps],
+        }
+    }
+
+    /// Index of `cap`'s effective cap in the grid's batch list.
+    #[inline]
+    pub fn cap_index(&self, cap: u32) -> usize {
+        self.batches
+            .partition_point(|&b| b <= cap)
+            .saturating_sub(1)
+    }
+
+    /// The table of window `window` (functions `fns`) with the first
+    /// stage capped at `cap`, built on first use.
+    pub fn table(
+        &mut self,
+        window: usize,
+        fns: &[FnId],
+        cap: u32,
+        profiles: &ProfileTable,
+    ) -> &StageTable {
+        assert!(!fns.is_empty(), "need at least one stage");
+        let caps = self.batches.len();
+        let first_cap = self.cap_index(cap);
+        let slot = window * caps + first_cap;
+        if self.tables[slot].is_none() {
+            let stages = fns
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| {
+                    let c = if i == 0 { first_cap } else { caps - 1 };
+                    let batch = self.batches[c];
+                    self.lists[f.index() * caps + c]
+                        .get_or_insert_with(|| {
+                            Rc::new(StageEntries::build(profiles.profile(f).entries(), batch))
+                        })
+                        .clone()
+                })
+                .collect();
+            self.tables[slot] = Some(StageTable::from_stages(stages));
+        }
+        self.tables[slot].as_ref().expect("just built")
     }
 }
 
@@ -284,6 +429,84 @@ mod tests {
         let t = table(&[FnId(4)], 4);
         for w in t.entries(0).windows(2) {
             assert!(w[0].latency_ms <= w[1].latency_ms);
+        }
+    }
+
+    fn assert_same_table(a: &StageTable, b: &StageTable) {
+        assert_eq!(a.num_stages(), b.num_stages());
+        for s in 0..a.num_stages() {
+            assert_eq!(a.entries(s), b.entries(s), "stage {s}");
+            assert_eq!(a.stage(s).block_min_cost(), b.stage(s).block_min_cost());
+        }
+        for s in 0..=a.num_stages() {
+            assert_eq!(a.t_low(0.0, s).to_bits(), b.t_low(0.0, s).to_bits());
+            assert_eq!(a.rsc_low(0.0, s).to_bits(), b.rsc_low(0.0, s).to_bits());
+            assert_eq!(
+                a.rsc_fastest(0.0, s).to_bits(),
+                b.rsc_fastest(0.0, s).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn memo_effective_cap_reproduces_build() {
+        // Batches 2/4/8: caps 0 and 1 fall below the smallest batch and
+        // must get build's smallest-batch fallback; caps between grid
+        // batches must get the largest batch below them.
+        let grid = ConfigGrid::new(vec![8, 2, 4], vec![1, 2, 4], vec![1, 3]);
+        let profiles = ProfileTable::build(&standard_catalog(), &grid, &PriceModel::default());
+        let windows: [&[FnId]; 3] = [
+            &[FnId(0), FnId(1), FnId(3)],
+            &[FnId(4)],
+            &[FnId(2), FnId(0)],
+        ];
+        let mut memo = StageTableMemo::new(&profiles, windows.len());
+        for round in 0..2 {
+            for (w, fns) in windows.iter().enumerate() {
+                for cap in 0..=11 {
+                    let built = StageTable::build(fns, &profiles, cap);
+                    let memoised = memo.table(w, fns, cap, &profiles);
+                    assert_same_table(&built, memoised);
+                    assert!(
+                        built
+                            .entries(0)
+                            .iter()
+                            .all(|e| e.config.batch <= cap.max(2)),
+                        "round {round} cap {cap}"
+                    );
+                }
+            }
+        }
+        assert_eq!(memo.cap_index(0), 0);
+        assert_eq!(memo.cap_index(3), 0);
+        assert_eq!(memo.cap_index(4), 1);
+        assert_eq!(memo.cap_index(u32::MAX), 2);
+    }
+
+    #[test]
+    fn memo_tables_share_entry_lists() {
+        let profiles = ProfileTable::build(
+            &standard_catalog(),
+            &ConfigGrid::default(),
+            &PriceModel::default(),
+        );
+        let mut memo = StageTableMemo::new(&profiles, 2);
+        let max = profiles.grid().max_batch();
+        let a = memo.table(0, &[FnId(0), FnId(1)], 2, &profiles).stages[1].clone();
+        let b = memo.table(1, &[FnId(1)], max, &profiles).stages[0].clone();
+        assert!(Rc::ptr_eq(&a, &b), "later stages reuse the uncapped list");
+    }
+
+    #[test]
+    fn block_minima_cover_every_entry() {
+        let t = table(&[FnId(0)], 8);
+        let stage = t.stage(0);
+        assert_eq!(
+            stage.block_min_cost().len(),
+            stage.entries().len().div_ceil(BLOCK)
+        );
+        for (i, e) in stage.entries().iter().enumerate() {
+            assert!(stage.block_min_cost()[i / BLOCK] <= e.per_job_cost_cents);
         }
     }
 

@@ -30,7 +30,7 @@
 
 use crate::search::SearchResult;
 use esg_model::FnId;
-use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Explicit mantissa bits kept by [`quantize_gslo`]: buckets are ~0.8%
 /// wide (2^-7), tight enough that the tightened budget is within profile
@@ -84,13 +84,26 @@ impl PlanKey {
     /// `window_fp` component) — the same `esg_dag::Fnv` the DAG
     /// fingerprints use.
     pub fn window_fingerprint(fns: &[FnId], batch_cap: u32) -> u64 {
+        Self::window_fingerprint_from(Self::window_prefix(fns), batch_cap)
+    }
+
+    /// The cap-independent part of [`window_fingerprint`](Self::window_fingerprint):
+    /// the hash state after the window's function ids. A caller that
+    /// fingerprints the same window under many caps keeps this and
+    /// finishes it with [`window_fingerprint_from`](Self::window_fingerprint_from).
+    pub fn window_prefix(fns: &[FnId]) -> esg_dag::Fnv {
         let mut h = esg_dag::Fnv::new();
         h.write_u64(fns.len() as u64);
         for f in fns {
             h.write_u64(f.0 as u64);
         }
-        h.write_u64(batch_cap as u64);
-        h.finish()
+        h
+    }
+
+    /// Finishes a [`window_prefix`](Self::window_prefix) with the batch cap.
+    pub fn window_fingerprint_from(mut prefix: esg_dag::Fnv, batch_cap: u32) -> u64 {
+        prefix.write_u64(batch_cap as u64);
+        prefix.finish()
     }
 }
 
@@ -116,24 +129,139 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries dropped by the LRU bound.
     pub evictions: u64,
-    /// Wholesale invalidations (churn notifications).
+    /// Wholesale invalidations (churn notifications, and a scheduler
+    /// meeting a different profile table).
     pub invalidations: u64,
 }
 
+/// Slot number terminating the recency list and marking an empty index
+/// bucket.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: the memoised plan plus its links in the recency list.
 struct Slot {
-    plan: CachedPlan,
-    last_used: u64,
+    key: PlanKey,
+    plan: Rc<CachedPlan>,
+    /// Next more-recently-used slot (`NIL` at the head).
+    newer: u32,
+    /// Next less-recently-used slot (`NIL` at the tail).
+    older: u32,
+}
+
+/// Maps keys to slab slots: linear probing over a power-of-two table of
+/// slot numbers, kept at most half full. A bucket is 4 bytes where a
+/// `HashMap<PlanKey, u32>` entry is 56; the keys live in the slots.
+#[derive(Default)]
+struct SlotIndex {
+    buckets: Vec<u32>,
+}
+
+impl SlotIndex {
+    /// The home bucket hash of `key`: one multiply-rotate step per field.
+    /// Key fields are already fingerprints and bit patterns, so SipHash's
+    /// flooding resistance buys nothing; nothing iterates the index, so
+    /// the hash cannot influence any decision.
+    fn hash(key: &PlanKey) -> usize {
+        let fields = [
+            key.dag_fp,
+            key.window_fp,
+            key.gslo_bits,
+            key.speed_bits,
+            key.k as u64,
+            key.premium_bits,
+            key.variant as u64,
+        ];
+        let h = fields.iter().fold(0u64, |h, &v| {
+            (h.rotate_left(5) ^ v).wrapping_mul(0xf135_7aea_2e62_a9c5)
+        });
+        // The multiply mixes into the high bits; buckets take the low ones.
+        (h ^ (h >> 32)) as usize
+    }
+
+    /// `Ok(bucket)` holding `key`'s slot, or `Err(bucket)`: the empty
+    /// bucket that ends its probe sequence. The table must be non-empty.
+    fn find(&self, key: &PlanKey, slots: &[Slot]) -> Result<usize, usize> {
+        let mask = self.buckets.len() - 1;
+        let mut b = Self::hash(key) & mask;
+        loop {
+            match self.buckets[b] {
+                NIL => return Err(b),
+                i if slots[i as usize].key == *key => return Ok(b),
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot holding `key`.
+    fn get(&self, key: &PlanKey, slots: &[Slot]) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        self.find(key, slots).ok().map(|b| self.buckets[b])
+    }
+
+    /// Indexes slot `i` under its key, which must not be indexed yet.
+    /// Every slot in `slots` other than `i` must already be indexed.
+    fn insert(&mut self, i: u32, slots: &[Slot]) {
+        if 2 * slots.len() > self.buckets.len() {
+            // Rebuild at twice the size from the slots themselves.
+            self.buckets = vec![NIL; (2 * slots.len()).next_power_of_two()];
+            for j in 0..slots.len() as u32 {
+                if j != i {
+                    self.place(j, slots);
+                }
+            }
+        }
+        self.place(i, slots);
+    }
+
+    fn place(&mut self, i: u32, slots: &[Slot]) {
+        match self.find(&slots[i as usize].key, slots) {
+            Err(b) => self.buckets[b] = i,
+            Ok(_) => unreachable!("key indexed twice"),
+        }
+    }
+
+    /// Removes `key`, which must be indexed, shifting later entries of
+    /// its probe run back so no lookup crosses a hole.
+    fn remove(&mut self, key: &PlanKey, slots: &[Slot]) {
+        let mask = self.buckets.len() - 1;
+        let mut hole = self.find(key, slots).expect("removed key is indexed");
+        let mut b = (hole + 1) & mask;
+        while self.buckets[b] != NIL {
+            let home = Self::hash(&slots[self.buckets[b] as usize].key) & mask;
+            // The entry may fill the hole when the hole lies on its probe
+            // path from `home` to `b`.
+            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
+                self.buckets[hole] = self.buckets[b];
+                hole = b;
+            }
+            b = (b + 1) & mask;
+        }
+        self.buckets[hole] = NIL;
+    }
+
+    fn clear(&mut self) {
+        self.buckets.fill(NIL);
+    }
 }
 
 /// A bounded LRU memo of [`CachedPlan`]s keyed by [`PlanKey`].
 ///
-/// Recency is tracked with a monotone tick (unique per operation), so the
-/// eviction victim is deterministic regardless of `HashMap` iteration
-/// order — sweep determinism depends on this.
+/// Entries live in a slab threaded by an intrusive recency list: a hit or
+/// an insert moves its entry to the head, and eviction takes the tail, so
+/// every operation is O(1). The victim is the entry whose last hit or
+/// insert is the oldest — the same entry a scan for the minimum
+/// last-used tick would pick — and it never depends on hash order,
+/// which sweep determinism relies on.
 pub struct PlanCache {
-    map: HashMap<PlanKey, Slot>,
+    index: SlotIndex,
+    slots: Vec<Slot>,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the next victim.
+    tail: u32,
     capacity: usize,
-    tick: u64,
     stats: CacheStats,
 }
 
@@ -146,9 +274,11 @@ impl PlanCache {
     /// An empty cache bounded to `capacity` entries (min 1).
     pub fn with_capacity(capacity: usize) -> PlanCache {
         PlanCache {
-            map: HashMap::new(),
+            index: SlotIndex::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
             capacity: capacity.max(1),
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
@@ -158,15 +288,15 @@ impl PlanCache {
         PlanCache::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. Counts a miss on
-    /// `None` (the caller is expected to search and [`insert`](Self::insert)).
-    pub fn get(&mut self, key: &PlanKey) -> Option<CachedPlan> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = self.tick;
+    /// Looks up `key`, refreshing its recency on a hit; the hit shares the
+    /// memoised plan instead of copying it. Counts a miss on `None` (the
+    /// caller is expected to search and [`insert`](Self::insert)).
+    pub fn get(&mut self, key: &PlanKey) -> Option<Rc<CachedPlan>> {
+        match self.index.get(key, &self.slots) {
+            Some(i) => {
                 self.stats.hits += 1;
-                Some(slot.plan.clone())
+                self.touch(i);
+                Some(Rc::clone(&self.slots[i as usize].plan))
             }
             None => {
                 self.stats.misses += 1;
@@ -177,46 +307,88 @@ impl PlanCache {
 
     /// Memoises `plan` under `key`, evicting the least-recently-used
     /// entry when the bound is reached.
-    pub fn insert(&mut self, key: PlanKey, plan: CachedPlan) {
-        self.tick += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            // Unique ticks make the minimum unique, so HashMap iteration
-            // order cannot influence which entry goes.
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| *k)
-            {
-                self.map.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
+    pub fn insert(&mut self, key: PlanKey, plan: Rc<CachedPlan>) {
         self.stats.insertions += 1;
-        self.map.insert(
-            key,
-            Slot {
+        if let Some(i) = self.index.get(&key, &self.slots) {
+            self.slots[i as usize].plan = plan;
+            self.touch(i);
+            return;
+        }
+        let i = if self.slots.len() >= self.capacity {
+            // Reuse the victim's slot for the new entry.
+            let victim = self.tail;
+            self.unlink(victim);
+            let old = self.slots[victim as usize].key;
+            self.index.remove(&old, &self.slots);
+            let slot = &mut self.slots[victim as usize];
+            slot.key = key;
+            slot.plan = plan;
+            self.stats.evictions += 1;
+            victim
+        } else {
+            self.slots.push(Slot {
+                key,
                 plan,
-                last_used: self.tick,
-            },
-        );
+                newer: NIL,
+                older: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        };
+        self.index.insert(i, &self.slots);
+        self.push_head(i);
+    }
+
+    /// Moves slot `i` to the head of the recency list.
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_head(i);
+        }
+    }
+
+    /// Detaches slot `i` from the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Slot { newer, older, .. } = self.slots[i as usize];
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Links the detached slot `i` in as the most recently used.
+    fn push_head(&mut self, i: u32) {
+        let slot = &mut self.slots[i as usize];
+        slot.newer = NIL;
+        slot.older = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h as usize].newer = i,
+        }
+        self.head = i;
     }
 
     /// Drops every entry (cluster-membership churn: the speed landscape
     /// that shaped recent keys is gone, so let the new regime repopulate).
     pub fn invalidate(&mut self) {
-        self.map.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.stats.invalidations += 1;
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// True when the memo holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// The configured entry bound.
@@ -239,7 +411,7 @@ impl Default for PlanCache {
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
-            .field("len", &self.map.len())
+            .field("len", &self.slots.len())
             .field("capacity", &self.capacity)
             .field("stats", &self.stats)
             .finish()
@@ -251,6 +423,7 @@ mod tests {
     use super::*;
     use crate::search::PathCandidate;
     use esg_model::Config;
+    use std::collections::HashMap;
 
     fn key(i: u64) -> PlanKey {
         PlanKey {
@@ -264,8 +437,8 @@ mod tests {
         }
     }
 
-    fn plan(cost: f64) -> CachedPlan {
-        CachedPlan {
+    fn plan(cost: f64) -> Rc<CachedPlan> {
+        Rc::new(CachedPlan {
             result: SearchResult {
                 paths: vec![PathCandidate {
                     configs: vec![Config::MIN],
@@ -276,7 +449,7 @@ mod tests {
                 feasible: true,
             },
             min_total_ms: 1.0,
-        }
+        })
     }
 
     #[test]
@@ -375,6 +548,9 @@ mod tests {
         assert_ne!(a, b, "stage order is part of the table identity");
         assert_ne!(a, c, "batch cap is part of the table identity");
         assert_eq!(a, PlanKey::window_fingerprint(&[FnId(0), FnId(1)], 8));
+        let prefix = PlanKey::window_prefix(&[FnId(0), FnId(1)]);
+        assert_eq!(a, PlanKey::window_fingerprint_from(prefix.clone(), 8));
+        assert_eq!(c, PlanKey::window_fingerprint_from(prefix, 4));
     }
 
     #[test]
@@ -384,5 +560,134 @@ mod tests {
         c.insert(key(1), plan(1.0));
         c.insert(key(2), plan(2.0));
         assert_eq!(c.len(), 1);
+    }
+
+    /// The pre-slab cache: a map of last-used ticks whose eviction victim
+    /// is the minimum tick, found by a full scan.
+    struct MinTickModel {
+        map: HashMap<PlanKey, (f64, u64)>,
+        capacity: usize,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl MinTickModel {
+        fn new(capacity: usize) -> MinTickModel {
+            MinTickModel {
+                map: HashMap::new(),
+                capacity: capacity.max(1),
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn get(&mut self, key: &PlanKey) -> Option<f64> {
+            self.tick += 1;
+            match self.map.get_mut(key) {
+                Some(slot) => {
+                    slot.1 = self.tick;
+                    self.stats.hits += 1;
+                    Some(slot.0)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: PlanKey, cost: f64) {
+            self.tick += 1;
+            if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
+                let victim = *self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, s)| s.1)
+                    .map(|(k, _)| k)
+                    .expect("full map");
+                self.map.remove(&victim);
+                self.stats.evictions += 1;
+            }
+            self.stats.insertions += 1;
+            self.map.insert(key, (cost, self.tick));
+        }
+
+        fn invalidate(&mut self) {
+            self.map.clear();
+            self.stats.invalidations += 1;
+        }
+    }
+
+    /// The keys held, checking that the index finds each at its slot.
+    fn held_keys(c: &PlanCache) -> Vec<u64> {
+        for (i, s) in c.slots.iter().enumerate() {
+            assert_eq!(c.index.get(&s.key, &c.slots), Some(i as u32));
+        }
+        let mut keys: Vec<u64> = c.slots.iter().map(|s| s.key.dag_fp).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lru_matches_the_min_tick_model(
+            capacity in 1usize..9,
+            ops in proptest::collection::vec((0u8..10, 0u64..12), 1..200),
+        ) {
+            let mut cache = PlanCache::with_capacity(capacity);
+            let mut model = MinTickModel::new(capacity);
+            for (step, (op, k)) in ops.into_iter().enumerate() {
+                match op {
+                    0..=4 => {
+                        let got = cache.get(&key(k)).map(|p| p.result.paths[0].cost_cents);
+                        assert_eq!(got, model.get(&key(k)), "get at step {step}");
+                    }
+                    5..=8 => {
+                        let cost = step as f64;
+                        cache.insert(key(k), plan(cost));
+                        model.insert(key(k), cost);
+                    }
+                    _ => {
+                        cache.invalidate();
+                        model.invalidate();
+                    }
+                }
+                let mut expected: Vec<u64> = model.map.keys().map(|k| k.dag_fp).collect();
+                expected.sort_unstable();
+                assert_eq!(held_keys(&cache), expected, "held keys at step {step}");
+                assert_eq!(cache.stats(), model.stats, "counters at step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn index_survives_growth_and_eviction_churn() {
+        // Far more keys than capacity, in a scrambled order, so the index
+        // grows, probe runs collide, and evictions punch holes mid-run.
+        let capacity = 300;
+        let mut cache = PlanCache::with_capacity(capacity);
+        let mut model = MinTickModel::new(capacity);
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for step in 0..5_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = key(x % 700);
+            if (x >> 32) % 2 == 0 {
+                cache.insert(k, plan(step as f64));
+                model.insert(k, step as f64);
+            } else {
+                let got = cache.get(&k).map(|p| p.result.paths[0].cost_cents);
+                assert_eq!(got, model.get(&k), "get at step {step}");
+            }
+        }
+        let mut expected: Vec<u64> = model.map.keys().map(|k| k.dag_fp).collect();
+        expected.sort_unstable();
+        assert_eq!(held_keys(&cache), expected);
+        assert_eq!(cache.stats(), model.stats);
+        let stats = cache.stats();
+        assert!(stats.hits > 500 && stats.evictions > 1_000, "{stats:?}");
     }
 }

@@ -7,7 +7,8 @@
 //! * [`bounds`] — the per-stage aggregates behind *dual-blade pruning*:
 //!   `tLow` (time lower bound), `rscLow` (cost lower bound) and
 //!   `rscFastest` (an achievable cost upper bound used to tighten the
-//!   cost blade);
+//!   cost blade), and the [`StageTableMemo`] that builds each search
+//!   window's table once;
 //! * [`search`] — ESG_1Q in both published forms: the stage-wise
 //!   Algorithm-1 variant and the A* best-first variant (allocation-free
 //!   inner loop over a reusable [`SearchScratch`] arena), each returning
@@ -15,7 +16,8 @@
 //!   paths;
 //! * [`cache`] — the [`PlanCache`]: memoised search results keyed on the
 //!   reduced-DAG fingerprint, the quantized effective GSLO, and the
-//!   node-class speed factor, LRU-bounded and churn-invalidated;
+//!   node-class speed factor, LRU-bounded (O(1) per operation), shared
+//!   on hits and churn-invalidated;
 //! * [`brute`] — exhaustive search, the §5.3 baseline and the oracle for
 //!   optimality tests;
 //! * [`plan`] — per-application dominator-based SLO distribution
@@ -44,7 +46,7 @@ pub mod policy;
 pub mod scheduler;
 pub mod search;
 
-pub use bounds::StageTable;
+pub use bounds::{SearchEntry, StageTable, StageTableMemo};
 pub use brute::brute_force;
 pub use cache::{quantize_gslo, CacheStats, CachedPlan, PlanCache, PlanKey};
 pub use hybrid::{HybridScheduler, PinPlanner};

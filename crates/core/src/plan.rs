@@ -7,7 +7,7 @@
 //! quantity ESG_1Q receives as `GSLO` (§3.3, Algorithm 1).
 
 use esg_dag::{average_normalized_length, Dag, Hierarchy, SloPlan};
-use esg_model::AppSpec;
+use esg_model::{AppSpec, FnId};
 use esg_profile::ProfileTable;
 
 /// The cached plan of one application.
@@ -25,10 +25,22 @@ pub struct AppPlan {
     /// For each stage, the summed share of the stage and all its DAG
     /// descendants — the denominator when re-distributing remaining slack.
     pub remaining_fraction: Vec<f64>,
+    /// Each stage's search window as functions, in execution order.
+    window_fns: Vec<Box<[FnId]>>,
+    /// Each stage's [`window_share`](Self::window_share).
+    window_share: Vec<f64>,
+    /// Id of stage 0's search window among all apps' windows (stage `s`
+    /// is `first_window + s`).
+    first_window: usize,
 }
 
 impl AppPlan {
-    fn build(app: &AppSpec, profiles: &ProfileTable, group_size: usize) -> AppPlan {
+    fn build(
+        app: &AppSpec,
+        profiles: &ProfileTable,
+        group_size: usize,
+        first_window: usize,
+    ) -> AppPlan {
         let dag = Dag::from_app(app).expect("app specs are validated DAGs");
         let fingerprint = Hierarchy::build(&dag)
             .map(|h| h.fingerprint())
@@ -66,11 +78,33 @@ impl AppPlan {
             })
             .collect();
 
+        let window_fns = (0..n)
+            .map(|s| {
+                plan.remaining_in_group(s)
+                    .iter()
+                    .map(|&v| app.nodes[v])
+                    .collect()
+            })
+            .collect();
+        let window_share = (0..n)
+            .map(|s| {
+                let window: f64 = plan
+                    .remaining_in_group(s)
+                    .iter()
+                    .map(|&v| stage_fraction[v])
+                    .sum();
+                (window / remaining_fraction[s]).clamp(0.0, 1.0)
+            })
+            .collect();
+
         AppPlan {
             plan,
             fingerprint,
             stage_fraction,
             remaining_fraction,
+            window_fns,
+            window_share,
+            first_window,
         }
     }
 
@@ -80,15 +114,24 @@ impl AppPlan {
         self.plan.remaining_in_group(stage)
     }
 
+    /// [`search_window`](Self::search_window) as the stages' functions.
+    #[inline]
+    pub fn window_fns(&self, stage: usize) -> &[FnId] {
+        &self.window_fns[stage]
+    }
+
+    /// The id of `stage`'s search window, dense over all apps' stages
+    /// (see [`AppPlans::num_windows`]).
+    #[inline]
+    pub fn window_id(&self, stage: usize) -> usize {
+        self.first_window + stage
+    }
+
     /// The share of remaining slack owned by the search window of `stage`:
     /// `Σ stage_fraction(window) / Σ stage_fraction(descendants)`.
+    #[inline]
     pub fn window_share(&self, stage: usize) -> f64 {
-        let window: f64 = self
-            .search_window(stage)
-            .iter()
-            .map(|&v| self.stage_fraction[v])
-            .sum();
-        (window / self.remaining_fraction[stage]).clamp(0.0, 1.0)
+        self.window_share[stage]
     }
 }
 
@@ -97,18 +140,32 @@ impl AppPlan {
 pub struct AppPlans {
     plans: Vec<AppPlan>,
     group_size: usize,
+    windows: usize,
 }
 
 impl AppPlans {
     /// Builds plans for all `apps` with group size `g` (ESG default 3).
     pub fn build(apps: &[AppSpec], profiles: &ProfileTable, group_size: usize) -> AppPlans {
+        let mut windows = 0;
+        let plans = apps
+            .iter()
+            .map(|a| {
+                let plan = AppPlan::build(a, profiles, group_size, windows);
+                windows += a.num_stages();
+                plan
+            })
+            .collect();
         AppPlans {
-            plans: apps
-                .iter()
-                .map(|a| AppPlan::build(a, profiles, group_size))
-                .collect(),
+            plans,
             group_size,
+            windows,
         }
+    }
+
+    /// Number of search windows over all apps (one per stage).
+    #[inline]
+    pub fn num_windows(&self) -> usize {
+        self.windows
     }
 
     /// The plan of one app.
@@ -127,7 +184,7 @@ impl AppPlans {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esg_model::{standard_apps, standard_catalog, ConfigGrid, FnId, PriceModel};
+    use esg_model::{standard_apps, standard_catalog, ConfigGrid, PriceModel};
 
     fn plans(g: usize) -> AppPlans {
         let profiles = ProfileTable::build(
@@ -201,6 +258,27 @@ mod tests {
         }
         // The 3-stage and 5-stage chains must not collide.
         assert_ne!(a.plan(0).fingerprint, a.plan(3).fingerprint);
+    }
+
+    #[test]
+    fn window_functions_and_ids_follow_the_search_windows() {
+        let p = plans(3);
+        let apps = standard_apps();
+        let mut next_id = 0;
+        for (i, app) in apps.iter().enumerate() {
+            let plan = p.plan(i);
+            for s in 0..app.num_stages() {
+                let fns: Vec<FnId> = plan
+                    .search_window(s)
+                    .iter()
+                    .map(|&v| app.nodes[v])
+                    .collect();
+                assert_eq!(plan.window_fns(s), &fns[..]);
+                assert_eq!(plan.window_id(s), next_id);
+                next_id += 1;
+            }
+        }
+        assert_eq!(p.num_windows(), next_id);
     }
 
     #[test]

@@ -14,16 +14,17 @@
 //! 5. place with locality first (§3.4): predecessor invoker, home invoker,
 //!    warm invokers, freest cold invoker.
 
-use crate::bounds::StageTable;
+use crate::bounds::StageTableMemo;
 use crate::cache::{quantize_gslo, CachedPlan, PlanCache, PlanKey};
 use crate::plan::AppPlans;
 use crate::policy::{BandwidthAwarePacking, EsgCrossQueuePacking};
 use crate::search::{astar_search_with, stagewise_search, SearchScratch};
-use esg_model::{Config, FnId, NodeId};
+use esg_model::{Config, ConfigGrid, NodeId, PriceModel};
 use esg_sim::{
     place_locality_first, BatchHold, Capabilities, Outcome, PolicySpec, PolicyStack, SchedCtx,
     Scheduler, SchedulerEvent, SchedulerStats, SloAdmission,
 };
+use std::rc::Rc;
 
 /// Which published ESG_1Q formulation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -35,13 +36,62 @@ pub enum SearchVariant {
     StageWise,
 }
 
+/// State derived from a context's apps and profile table: the SLO plans
+/// and the memoised stage tables.
+#[derive(Debug)]
+struct EnvState {
+    /// The grid, prices, function count and app count the state was
+    /// built from; a context that differs in any of them gets new state.
+    grid: ConfigGrid,
+    price: PriceModel,
+    functions: usize,
+    apps: usize,
+    plans: AppPlans,
+    tables: StageTableMemo,
+    /// [`PlanKey::window_prefix`] of every search window, by window id.
+    window_prefix: Vec<esg_dag::Fnv>,
+}
+
+impl EnvState {
+    fn build(ctx: &SchedCtx<'_>, group_size: usize) -> EnvState {
+        let plans = AppPlans::build(ctx.apps, ctx.profiles, group_size);
+        let mut window_prefix = Vec::with_capacity(plans.num_windows());
+        for (a, app) in ctx.apps.iter().enumerate() {
+            let plan = plans.plan(a);
+            for s in 0..app.num_stages() {
+                debug_assert_eq!(plan.window_id(s), window_prefix.len());
+                window_prefix.push(PlanKey::window_prefix(plan.window_fns(s)));
+            }
+        }
+        EnvState {
+            grid: ctx.profiles.grid().clone(),
+            price: *ctx.profiles.price(),
+            functions: ctx.profiles.len(),
+            apps: ctx.apps.len(),
+            tables: StageTableMemo::new(ctx.profiles, plans.num_windows()),
+            plans,
+            window_prefix,
+        }
+    }
+
+    fn matches(&self, ctx: &SchedCtx<'_>) -> bool {
+        self.functions == ctx.profiles.len()
+            && self.apps == ctx.apps.len()
+            && self.grid == *ctx.profiles.grid()
+            && self.price == *ctx.profiles.price()
+    }
+}
+
 /// The ESG scheduling algorithm.
 #[derive(Debug)]
 pub struct EsgScheduler {
     group_size: usize,
     k: usize,
     variant: SearchVariant,
-    plans: Option<AppPlans>,
+    /// Built from the first context; rebuilt (and the plan cache dropped)
+    /// when a context brings a different profile table, whose searches
+    /// the cache keys would otherwise conflate.
+    env: Option<EnvState>,
     /// Memoised searches (None = caching disabled; the search budget is
     /// quantized either way, so disabling the cache cannot change
     /// decisions — see `crate::cache`).
@@ -69,7 +119,7 @@ impl EsgScheduler {
             group_size: 3,
             k: 5,
             variant: SearchVariant::AStar,
-            plans: None,
+            env: None,
             cache: Some(PlanCache::new()),
             scratch: SearchScratch::new(),
             searches: 0,
@@ -128,31 +178,39 @@ impl EsgScheduler {
         self.group_size
     }
 
-    /// One memoised ESG_1Q invocation over the window `(fns, cap)`.
+    /// One memoised ESG_1Q invocation over the search window of `app`'s
+    /// `stage`, with the first stage's batch capped at `cap`.
     ///
     /// The effective budget is quantized onto the cache's bucket grid
     /// first (cache on or off — quantization is what makes the memo
     /// semantically invisible), then the cache is consulted before a real
-    /// search runs. `probe` selects the cheap K=1 exact form used for
-    /// wait-target evaluation; dispatch-quality searches use K with a 50%
-    /// premium band (alternates far above the optimum never beat
-    /// re-running the search).
-    #[allow(clippy::too_many_arguments)] // the seven are the key's coordinates
+    /// search runs; a hit shares the memoised plan. A miss searches the
+    /// window's memoised stage table. `probe` selects the cheap K=1 exact
+    /// form used for wait-target evaluation; dispatch-quality searches use
+    /// K with a 50% premium band (alternates far above the optimum never
+    /// beat re-running the search).
+    #[allow(clippy::too_many_arguments)] // the key's coordinates
     fn plan_window(
         &mut self,
         ctx: &SchedCtx<'_>,
-        dag_fp: u64,
-        fns: &[FnId],
+        app: usize,
+        stage: usize,
         cap: u32,
         gslo_eff: f64,
         speed: f64,
         probe: bool,
-    ) -> CachedPlan {
+    ) -> Rc<CachedPlan> {
         let gslo_q = quantize_gslo(gslo_eff);
         let (k, premium): (usize, f64) = if probe { (1, 0.0) } else { (self.k, 0.5) };
+        let env = self
+            .env
+            .as_mut()
+            .expect("env state is built before planning");
+        let plan = env.plans.plan(app);
+        let window = plan.window_id(stage);
         let key = PlanKey {
-            dag_fp,
-            window_fp: PlanKey::window_fingerprint(fns, cap),
+            dag_fp: plan.fingerprint,
+            window_fp: PlanKey::window_fingerprint_from(env.window_prefix[window].clone(), cap),
             gslo_bits: gslo_q.to_bits(),
             speed_bits: speed.to_bits(),
             k: k as u32,
@@ -167,20 +225,20 @@ impl EsgScheduler {
                 return hit;
             }
         }
-        let table = StageTable::build(fns, ctx.profiles, cap);
+        let table = env
+            .tables
+            .table(window, plan.window_fns(stage), cap, ctx.profiles);
         self.searches += 1;
         let result = match self.variant {
-            SearchVariant::AStar => {
-                astar_search_with(&table, gslo_q, k, premium, &mut self.scratch)
-            }
-            SearchVariant::StageWise => stagewise_search(&table, gslo_q, k),
+            SearchVariant::AStar => astar_search_with(table, gslo_q, k, premium, &mut self.scratch),
+            SearchVariant::StageWise => stagewise_search(table, gslo_q, k),
         };
-        let plan = CachedPlan {
+        let plan = Rc::new(CachedPlan {
             result,
             min_total_ms: table.min_total_time(),
-        };
+        });
         if let Some(cache) = &mut self.cache {
-            cache.insert(key, plan.clone());
+            cache.insert(key, Rc::clone(&plan));
         }
         plan
     }
@@ -205,18 +263,21 @@ impl Scheduler for EsgScheduler {
         if ctx.jobs.is_empty() {
             return Outcome::skip();
         }
-        let group_size = self.group_size;
-        let plans = self
-            .plans
-            .get_or_insert_with(|| AppPlans::build(ctx.apps, ctx.profiles, group_size));
-        let plan = plans.plan(ctx.key.app.index());
-        let dag_fp = plan.fingerprint;
+        if !self.env.as_ref().is_some_and(|e| e.matches(ctx)) {
+            if self.env.is_some() {
+                if let Some(cache) = &mut self.cache {
+                    cache.invalidate();
+                }
+            }
+            self.env = Some(EnvState::build(ctx, self.group_size));
+        }
+        let app_idx = ctx.key.app.index();
         let stage = ctx.key.stage;
+        let plan = self.env.as_ref().expect("just built").plans.plan(app_idx);
 
-        // Remaining stages of this stage's group, as functions.
+        // Remaining stages of this stage's group.
         let app = ctx.app_spec();
         let window = plan.search_window(stage);
-        let fns: Vec<FnId> = window.iter().map(|&v| app.nodes[v]).collect();
 
         // GSLO from live slack: the oldest invocation's remaining time,
         // scaled by the window's share of all remaining work, minus the
@@ -280,7 +341,7 @@ impl Scheduler for EsgScheduler {
         // the memoised result (same expansions, so the simulated overhead
         // accounting is cache-oblivious).
         let max_batch = ctx.profiles.grid().max_batch();
-        let mut planned = self.plan_window(ctx, dag_fp, &fns, max_batch, gslo_eff, speed, false);
+        let mut planned = self.plan_window(ctx, app_idx, stage, max_batch, gslo_eff, speed, false);
         let mut expansions = planned.result.expansions;
 
         // Refine the class probe: the MIN-demand probe can land on a fast
@@ -295,14 +356,14 @@ impl Scheduler for EsgScheduler {
             if refined > speed + 1e-9 {
                 speed = refined;
                 gslo_eff = gslo / (p95 * speed);
-                let p2 = self.plan_window(ctx, dag_fp, &fns, max_batch, gslo_eff, speed, false);
+                let p2 = self.plan_window(ctx, app_idx, stage, max_batch, gslo_eff, speed, false);
                 expansions += p2.result.expansions;
                 planned = p2;
             }
         }
 
         let min_total_ms = planned.min_total_ms;
-        let result = planned.result;
+        let result = &planned.result;
 
         if !result.feasible {
             // No path fits the conservative (tail- and margin-adjusted)
@@ -370,17 +431,15 @@ impl Scheduler for EsgScheduler {
                     .filter(|&b| b > qlen && b <= best_batch)
                     .collect();
                 batches.sort_unstable_by(|a, b| b.cmp(a));
-                let mut cached = Some(result);
                 for b in batches {
-                    let r = if b == best_batch {
-                        cached.take().expect("first iteration only")
+                    let p = if b == best_batch {
+                        Rc::clone(&planned)
                     } else {
-                        let r = self
-                            .plan_window(ctx, dag_fp, &fns, b, gslo_eff, speed, true)
-                            .result;
-                        expansions += r.expansions;
-                        r
+                        let p = self.plan_window(ctx, app_idx, stage, b, gslo_eff, speed, true);
+                        expansions += p.result.expansions;
+                        p
                     };
+                    let r = &p.result;
                     if !r.feasible {
                         continue;
                     }
@@ -409,9 +468,8 @@ impl Scheduler for EsgScheduler {
                     }
                 }
             }
-            let capped_result = self
-                .plan_window(ctx, dag_fp, &fns, qlen, gslo_eff, speed, false)
-                .result;
+            let capped = self.plan_window(ctx, app_idx, stage, qlen, gslo_eff, speed, false);
+            let capped_result = &capped.result;
             expansions += capped_result.expansions;
             return Outcome {
                 candidates: capped_result.first_stage_candidates(),
@@ -687,6 +745,44 @@ mod tests {
             lat(out_slow.candidates[0]) <= lat(out_fast.candidates[0]),
             "slow cluster chose a slower config"
         );
+    }
+
+    #[test]
+    fn a_new_profile_table_rebuilds_the_env_state() {
+        use esg_model::{standard_app_ids, ConfigGrid, TrafficShape, WorkloadClass};
+        use esg_sim::{run_simulation, ExperimentResult, SimConfig};
+        // Wall-clock samples vary run to run, and the reused scheduler's
+        // counters accumulate across both runs.
+        fn canonical(mut r: ExperimentResult) -> String {
+            r.wall_overhead_ms.clear();
+            r.scheduler_stats = SchedulerStats::default();
+            format!("{r:?}")
+        }
+        let workload = esg_workload::shaped_workload(
+            WorkloadClass::Normal,
+            TrafficShape::Bursty,
+            &standard_app_ids(),
+            7,
+            2_000.0,
+        );
+        let envs = [
+            SimEnv::with_grid(SloClass::Moderate, ConfigGrid::minimal()),
+            SimEnv::standard(SloClass::Moderate),
+        ];
+        let mut reused = EsgScheduler::new();
+        for env in &envs {
+            let run = |s: &mut EsgScheduler| {
+                canonical(run_simulation(
+                    env,
+                    SimConfig::default(),
+                    s,
+                    &workload,
+                    "env",
+                ))
+            };
+            assert_eq!(run(&mut reused), run(&mut EsgScheduler::new()));
+        }
+        assert_eq!(reused.stats().plan_cache_invalidations, 1);
     }
 
     #[test]

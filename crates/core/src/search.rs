@@ -16,7 +16,7 @@
 //! paths meeting the target latency, cheapest first, falling back to the
 //! fastest path when the target is unreachable (`setDefaultPaths`).
 
-use crate::bounds::{MinRsc, StageTable};
+use crate::bounds::{MinRsc, SearchEntry, StageTable, BLOCK};
 use esg_model::Config;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -235,16 +235,18 @@ struct ArenaStep {
 }
 
 /// Reusable allocations for [`astar_search_with`]: the parent-pointer
-/// arena of expanded prefixes, the open list, and the per-stage Pareto
-/// fronts. A long-lived searcher (the scheduler) keeps one scratch and
-/// passes it to every search; `reset` clears lengths but keeps capacity,
-/// so steady-state dispatch runs the A* inner loop without heap
-/// allocation (goal paths are the only per-call allocation, K small).
+/// arena of expanded prefixes, the open list, the per-stage Pareto
+/// fronts and the goal list. A long-lived searcher (the scheduler) keeps
+/// one scratch and passes it to every search; `reset` clears lengths but
+/// keeps capacity, so steady-state dispatch runs the A* inner loop
+/// without heap allocation. The result's paths are the only per-call
+/// allocation, sized exactly: a memoised result holds no spare capacity.
 #[derive(Default)]
 pub struct SearchScratch {
     arena: Vec<ArenaStep>,
     heap: BinaryHeap<Reverse<AstarNode>>,
     fronts: Vec<ParetoFront>,
+    goals: Vec<PathCandidate>,
 }
 
 impl SearchScratch {
@@ -258,6 +260,7 @@ impl SearchScratch {
     fn reset(&mut self, n: usize, k: usize) {
         self.arena.clear();
         self.heap.clear();
+        self.goals.clear();
         for f in &mut self.fronts {
             f.reset(k);
         }
@@ -324,12 +327,24 @@ pub fn astar_search_with(
     premium: f64,
     scratch: &mut SearchScratch,
 ) -> SearchResult {
+    astar_drive(table, gslo_ms, k, premium, scratch, expand_blocked)
+}
+
+/// The A* driver, generic over the child scan so tests can run it with
+/// the plain linear scan as a reference.
+fn astar_drive(
+    table: &StageTable,
+    gslo_ms: f64,
+    k: usize,
+    premium: f64,
+    scratch: &mut SearchScratch,
+    expand: impl Fn(&StageTable, f64, &AstarNode, &mut MinRsc, &mut SearchScratch) -> u64,
+) -> SearchResult {
     assert!(k >= 1, "K must be at least 1");
     let n = table.num_stages();
     let mut expansions: u64 = 0;
     scratch.reset(n, k);
     let mut min_rsc = MinRsc::new(k);
-    let mut goals: Vec<PathCandidate> = Vec::with_capacity(k);
     // Third blade: per-stage Pareto dominance. A prefix that is no faster
     // *and* no cheaper than an existing prefix at the same stage cannot
     // complete into a better path (completions are identical sets). Up to
@@ -346,7 +361,7 @@ pub fn astar_search_with(
     }));
 
     while let Some(Reverse(node)) = scratch.heap.pop() {
-        if let Some(first) = goals.first() {
+        if let Some(first) = scratch.goals.first() {
             // f is non-decreasing along pops (consistent heuristic): once
             // the frontier exceeds the premium band, no acceptable
             // alternate remains.
@@ -355,57 +370,109 @@ pub fn astar_search_with(
             }
         }
         if node.next_stage as usize == n {
-            goals.push(PathCandidate {
-                configs: scratch.path(node.arena, n),
+            let configs = scratch.path(node.arena, n);
+            scratch.goals.push(PathCandidate {
+                configs,
                 time_ms: node.time_ms,
                 cost_cents: node.cost_cents,
             });
-            if goals.len() >= k {
+            if scratch.goals.len() >= k {
                 break;
             }
             continue;
         }
-        let s = node.next_stage as usize;
-        for e in table.entries(s) {
-            expansions += 1;
-            let time = node.time_ms + e.latency_ms;
-            if table.t_low(time, s + 1) > gslo_ms {
-                break; // ascending latency
-            }
-            let cost = node.cost_cents + e.per_job_cost_cents;
-            let f = table.rsc_low(cost, s + 1);
-            // Strict comparison: a child whose lower bound ties the K-th
-            // distinct upper bound may still *be* that K-th path.
-            if f > min_rsc.kth() {
-                continue;
-            }
-            if !scratch.fronts[s + 1].admit(time, cost) {
-                continue;
-            }
-            min_rsc.insert_distinct(table.rsc_fastest(cost, s + 1));
-            let idx = scratch.arena.len() as u32;
-            scratch.arena.push(ArenaStep {
-                config: e.config,
-                parent: node.arena,
-            });
-            scratch.heap.push(Reverse(AstarNode {
-                f,
-                time_ms: time,
-                cost_cents: cost,
-                arena: idx,
-                next_stage: node.next_stage + 1,
-            }));
-        }
+        expansions += expand(table, gslo_ms, &node, &mut min_rsc, scratch);
     }
 
-    if goals.is_empty() {
+    if scratch.goals.is_empty() {
         return fallback(table, expansions);
     }
     SearchResult {
-        paths: goals,
+        paths: scratch.goals.drain(..).collect(),
         expansions,
         feasible: true,
     }
+}
+
+/// Expands `node` by the entries of its next stage, returning the number
+/// of entries the linear scan would examine.
+///
+/// Equivalent to scanning the stage in ascending latency, breaking at the
+/// first time-blade violation, and offering every earlier entry to
+/// [`offer_child`]:
+///
+/// * the time blade is monotone in latency, so its cut is a binary search,
+///   and the linear scan examines `min(cut + 1, len)` entries;
+/// * an aligned block whose cheapest entry fails the cost blade is skipped
+///   whole. Float addition is monotone, so every entry of the block would
+///   have failed, and a failed entry changes no state (neither the
+///   fronts nor `minRSC`), so the surviving children, their order and the
+///   evolution of `minRSC` are exactly the linear scan's.
+fn expand_blocked(
+    table: &StageTable,
+    gslo_ms: f64,
+    node: &AstarNode,
+    min_rsc: &mut MinRsc,
+    scratch: &mut SearchScratch,
+) -> u64 {
+    let s = node.next_stage as usize;
+    let stage = table.stage(s);
+    let entries = stage.entries();
+    // Negated rather than `<=` so a NaN budget never cuts, like the
+    // linear scan's `>` break.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    let cut =
+        entries.partition_point(|e| !(table.t_low(node.time_ms + e.latency_ms, s + 1) > gslo_ms));
+    for (b, &block_min) in stage.block_min_cost().iter().enumerate() {
+        let lo = b * BLOCK;
+        if lo >= cut {
+            break;
+        }
+        if table.rsc_low(node.cost_cents + block_min, s + 1) > min_rsc.kth() {
+            continue;
+        }
+        for e in &entries[lo..cut.min(lo + BLOCK)] {
+            offer_child(table, node, e, min_rsc, scratch);
+        }
+    }
+    (cut + 1).min(entries.len()) as u64
+}
+
+/// The cost blade, the Pareto blade and the push for one child of `node`
+/// that passed the time blade.
+#[inline]
+fn offer_child(
+    table: &StageTable,
+    node: &AstarNode,
+    e: &SearchEntry,
+    min_rsc: &mut MinRsc,
+    scratch: &mut SearchScratch,
+) {
+    let s = node.next_stage as usize;
+    let time = node.time_ms + e.latency_ms;
+    let cost = node.cost_cents + e.per_job_cost_cents;
+    let f = table.rsc_low(cost, s + 1);
+    // Strict comparison: a child whose lower bound ties the K-th
+    // distinct upper bound may still *be* that K-th path.
+    if f > min_rsc.kth() {
+        return;
+    }
+    if !scratch.fronts[s + 1].admit(time, cost) {
+        return;
+    }
+    min_rsc.insert_distinct(table.rsc_fastest(cost, s + 1));
+    let idx = scratch.arena.len() as u32;
+    scratch.arena.push(ArenaStep {
+        config: e.config,
+        parent: node.arena,
+    });
+    scratch.heap.push(Reverse(AstarNode {
+        f,
+        time_ms: time,
+        cost_cents: cost,
+        arena: idx,
+        next_stage: node.next_stage + 1,
+    }));
 }
 
 #[cfg(test)]
@@ -421,6 +488,75 @@ mod tests {
 
     fn small_grid() -> ConfigGrid {
         ConfigGrid::new(vec![1, 2, 4], vec![1, 2, 4], vec![1, 2])
+    }
+
+    /// The plain linear child scan: every entry in ascending latency until
+    /// the first time-blade violation. The reference `expand_blocked` must
+    /// reproduce exactly.
+    fn expand_linear(
+        table: &StageTable,
+        gslo_ms: f64,
+        node: &AstarNode,
+        min_rsc: &mut MinRsc,
+        scratch: &mut SearchScratch,
+    ) -> u64 {
+        let s = node.next_stage as usize;
+        let mut expansions = 0;
+        for e in table.entries(s) {
+            expansions += 1;
+            if table.t_low(node.time_ms + e.latency_ms, s + 1) > gslo_ms {
+                break; // ascending latency
+            }
+            offer_child(table, node, e, min_rsc, scratch);
+        }
+        expansions
+    }
+
+    fn assert_bit_identical(a: &SearchResult, b: &SearchResult) {
+        assert_eq!(a.feasible, b.feasible);
+        assert_eq!(a.expansions, b.expansions);
+        assert_eq!(a.paths.len(), b.paths.len());
+        for (x, y) in a.paths.iter().zip(&b.paths) {
+            assert_eq!(x.configs, y.configs);
+            assert_eq!(x.time_ms.to_bits(), y.time_ms.to_bits());
+            assert_eq!(x.cost_cents.to_bits(), y.cost_cents.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn block_skipping_scan_matches_linear_scan(
+            fns in proptest::collection::vec(0u32..6, 1..5),
+            default_grid in proptest::strategy::any::<bool>(),
+            cap in 1u32..11,
+            mult in 0.8f64..4.0,
+            k_idx in 0usize..3,
+            premium_idx in 0usize..3,
+        ) {
+            let grid = if default_grid { ConfigGrid::default() } else { small_grid() };
+            let p = profiles(grid);
+            let stages: Vec<FnId> = fns.into_iter().map(FnId).collect();
+            let table = StageTable::build(&stages, &p, cap);
+            let gslo = table.min_total_time() * mult;
+            let k = [1, 5, 8][k_idx];
+            let premium = [0.0, 0.5, f64::INFINITY][premium_idx];
+            let mut scratch = SearchScratch::new();
+            let linear = astar_drive(&table, gslo, k, premium, &mut scratch, expand_linear);
+            let blocked = astar_search_with(&table, gslo, k, premium, &mut scratch);
+            assert_bit_identical(&linear, &blocked);
+        }
+    }
+
+    #[test]
+    fn nan_budget_scans_like_the_linear_scan() {
+        let p = profiles(small_grid());
+        let table = StageTable::build(&[FnId(0), FnId(1)], &p, 4);
+        let mut scratch = SearchScratch::new();
+        let linear = astar_drive(&table, f64::NAN, 5, 0.5, &mut scratch, expand_linear);
+        let blocked = astar_search_with(&table, f64::NAN, 5, 0.5, &mut scratch);
+        assert_bit_identical(&linear, &blocked);
     }
 
     #[test]
