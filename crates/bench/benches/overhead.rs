@@ -349,7 +349,6 @@ capacity-stable across 10k dispatch-shaped refreshes"
                 transfer: &env.transfer,
                 noise: &env.noise,
                 dataplane: None,
-                servers: None,
             };
             let variants: [(&'static str, Option<PolicyStack>); 3] = [
                 ("round-classic", None),

@@ -1,5 +1,6 @@
 //! Round-policy sweep: classic ESG vs the composable policy stacks —
-//! cross-queue packing (`EsgCrossQueuePacking`), SLO-aware admission
+//! cross-queue packing (`BandwidthAwarePacking`; no data plane here, so
+//! it ranks on GSLO tightness and warm affinity), SLO-aware admission
 //! (`SloAdmission`), and their combination — across the hetero cluster
 //! grid under steady, bursty, and Azure-replay traffic.
 //!
@@ -22,7 +23,7 @@ use esg_bench::{
     section, standard_config, ClusterCase, ExperimentSuite, ScenarioMatrix, SchedSpec, RUN_SECONDS,
     WARMUP_SECONDS,
 };
-use esg_core::{EsgCrossQueuePacking, EsgScheduler};
+use esg_core::{BandwidthAwarePacking, EsgScheduler};
 use esg_model::{ChurnPlan, ClusterSpec, NodeClass, NodeId, Scenario, TrafficShape};
 use esg_sim::{PolicyStack, SimConfig, SloAdmission};
 
@@ -48,7 +49,7 @@ fn variants() -> [SchedSpec; 4] {
         SchedSpec::new("ESG+pack", || {
             Box::new(
                 EsgScheduler::new()
-                    .with_policy(PolicyStack::new().with(EsgCrossQueuePacking::default())),
+                    .with_policy(PolicyStack::new().with(BandwidthAwarePacking::default())),
             )
         }),
         SchedSpec::new("ESG+admit", || {
@@ -61,7 +62,7 @@ fn variants() -> [SchedSpec; 4] {
                 EsgScheduler::new().with_policy(
                     PolicyStack::new()
                         .with(SloAdmission::default())
-                        .with(EsgCrossQueuePacking::default()),
+                        .with(BandwidthAwarePacking::default()),
                 ),
             )
         }),

@@ -1,19 +1,25 @@
 //! Transfer-bound sweep: warm-affinity packing vs bandwidth-aware
-//! packing on a cluster whose data fabric — not its compute — is the
+//! packing on clusters whose data fabric — not their compute — is the
 //! bottleneck.
 //!
 //! The contended GPU data plane (`esg_sim::dataplane`) is enabled on
 //! clusters whose PCIe pools are an order of magnitude narrower than
 //! the paper's testbed, so inter-stage tensor movement — not the GPUs —
-//! decides end-to-end latency. In this regime plain
-//! `EsgCrossQueuePacking` is provably wrong: its warm-affinity bias
-//! keeps piling work onto the nodes that already hold warm containers,
-//! which are exactly the nodes whose ingress pools are saturated — every
-//! extra co-located dispatch dilutes the fair share of every in-flight
-//! transfer on that node. `BandwidthAwarePacking` folds live pool
-//! occupancy into the same score (and defers queues whose predecessor
-//! staging buffers are backed up), trading a warm start for an
-//! uncontended pool when the transfer cost outweighs the init saving.
+//! decides end-to-end latency. In this regime warm affinity alone is
+//! provably wrong: it keeps piling work onto the nodes that already
+//! hold warm containers, which are exactly the nodes whose ingress
+//! pools are saturated — every extra co-located dispatch dilutes the
+//! fair share of every in-flight transfer on that node. Both stacks run
+//! `BandwidthAwarePacking`: the warm-affinity row zeroes its contention
+//! knobs, the bandwidth-aware row folds live pool occupancy into the
+//! same score (and defers queues whose predecessor staging buffers are
+//! backed up), trading a warm start for an uncontended pool when the
+//! transfer cost outweighs the init saving.
+//!
+//! Two more cluster cases group the paper's 16 A100s into servers of 4
+//! and 8 GPUs behind 0.05 MB/ms top-of-rack uplinks: intra-server
+//! hand-offs ride the endpoint pools, cross-server ones additionally
+//! squeeze through the ToR pools (`transfer_cross_server_mb`).
 //!
 //! Artifacts: `BENCH_transfer.{json,csv}` under `bench_results/`, plus
 //! the Markdown tables spliced into `EXPERIMENTS.md` between the
@@ -25,7 +31,7 @@ use esg_bench::{
     section, standard_config, ClusterCase, ExperimentSuite, ScenarioMatrix, SchedSpec, RUN_SECONDS,
     WARMUP_SECONDS,
 };
-use esg_core::{BandwidthAwarePacking, EsgCrossQueuePacking, EsgScheduler};
+use esg_core::{BandwidthAwarePacking, EsgScheduler};
 use esg_model::{ClusterSpec, NodeClass, Scenario, TrafficShape};
 use esg_profile::TransferModel;
 use esg_sim::{BandwidthPackingConfig, DataPlaneConfig, PolicyStack, SimConfig};
@@ -44,10 +50,13 @@ fn transfer_bound_tariffs() -> TransferModel {
 }
 
 /// The transfer-bound cluster axis: a uniformly narrow fabric (every
-/// ingress pool saturates under co-located dispatch) and a skewed one
+/// ingress pool saturates under co-located dispatch), a skewed one
 /// (half the nodes have paper-grade links, half are starved — the warm
-/// set and the well-connected set diverge quickly).
-fn cluster_cases() -> [ClusterCase; 2] {
+/// set and the well-connected set diverge quickly), and the paper
+/// testbed grouped 4 or 8 GPUs per server behind a 0.05 MB/ms ToR
+/// uplink — two orders of magnitude narrower than the endpoint pools,
+/// so crossing a server boundary is what a transfer pays for.
+fn cluster_cases() -> [ClusterCase; 4] {
     // 0.2 MB/ms ingress/egress sits just above the sweep's steady-state
     // per-node transfer demand: a solo flow runs at full rate, but a
     // handful of co-located dispatches drags every flow on the pool
@@ -66,17 +75,22 @@ fn cluster_cases() -> [ClusterCase; 2] {
                 .with(narrow, 4)
                 .with(wide, 4),
         ),
+        ClusterCase::new(ClusterSpec::paper().with_topology(4, 0.05)),
+        ClusterCase::new(ClusterSpec::paper().with_topology(8, 0.05)),
     ]
 }
 
 /// Warm-affinity-only packing vs the bandwidth-aware stage.
 fn variants() -> [SchedSpec; 2] {
     [
-        SchedSpec::new("ESG+pack", || {
-            Box::new(
-                EsgScheduler::new()
-                    .with_policy(PolicyStack::new().with(EsgCrossQueuePacking::default())),
-            )
+        SchedSpec::new("ESG+warm-pack", || {
+            Box::new(EsgScheduler::new().with_policy(PolicyStack::new().with(
+                BandwidthAwarePacking::new(BandwidthPackingConfig {
+                    contention_bias: 0.0,
+                    defer_queue_depth: 0,
+                    ..BandwidthPackingConfig::default()
+                }),
+            )))
         }),
         SchedSpec::new("ESG+bw-pack", || {
             // A heavier contention bias than the library default (0.6 vs
@@ -109,7 +123,7 @@ fn main() {
         .scenarios([Scenario::MODERATE_NORMAL])
         .clusters(cluster_cases())
         .traffic([TrafficShape::Steady, TrafficShape::Bursty]);
-    assert_eq!(matrix.len(), 2 * 2 * 2, "2 stacks × 2 clusters × 2 shapes");
+    assert_eq!(matrix.len(), 2 * 4 * 2, "2 stacks × 4 clusters × 2 shapes");
 
     let warmup_seconds = WARMUP_SECONDS * run_seconds / RUN_SECONDS;
     let sweep = ExperimentSuite::new("transfer", matrix)
@@ -131,13 +145,20 @@ fn main() {
     for case in cluster_cases() {
         println!("\n--- cluster {} ---", case.name);
         println!(
-            "{:<12} {:>8} {:>10} {:>10} {:>8} {:>9} {:>11}",
-            "stack", "traffic", "SLO hit %", "transfers", "queued", "replans", "moved (MB)"
+            "{:<14} {:>8} {:>10} {:>10} {:>8} {:>9} {:>11} {:>11}",
+            "stack",
+            "traffic",
+            "SLO hit %",
+            "transfers",
+            "queued",
+            "replans",
+            "moved (MB)",
+            "cross (MB)"
         );
         for cell in sweep.results.iter().filter(|c| c.cluster == case.name) {
             let r = &cell.result;
             println!(
-                "{:<12} {:>8} {:>9.1}% {:>10} {:>8} {:>9} {:>11.0}",
+                "{:<14} {:>8} {:>9.1}% {:>10} {:>8} {:>9} {:>11.0} {:>11.0}",
                 cell.scheduler,
                 cell.traffic.to_string(),
                 r.avg_hit_rate() * 100.0,
@@ -145,12 +166,28 @@ fn main() {
                 r.transfers.queued,
                 r.transfers.replans,
                 r.transfers.total_mb,
+                r.transfers.cross_server_mb,
             );
         }
     }
 
     // Every cell must actually exercise the data plane — a transfer
-    // bench whose flows never contend would gate nothing.
+    // bench whose flows never contend would gate nothing — and every
+    // topology cluster must route bytes through its ToR pools (summed
+    // over its cells: a 3 s smoke cell on 8-GPU servers may stay local).
+    for case in cluster_cases().iter().filter(|c| c.spec.topology.is_some()) {
+        let cross: f64 = sweep
+            .results
+            .iter()
+            .filter(|c| c.cluster == case.name)
+            .map(|c| c.result.transfers.cross_server_mb)
+            .sum();
+        assert!(
+            cross > 0.0,
+            "cluster {} moved nothing across servers",
+            case.name
+        );
+    }
     for cell in &sweep.results {
         assert!(
             cell.result.transfers.started > 0,
@@ -183,7 +220,9 @@ fn main() {
             .results
             .iter()
             .find(|c| {
-                c.scheduler == "ESG+pack" && c.cluster == cell.cluster && c.traffic == cell.traffic
+                c.scheduler == "ESG+warm-pack"
+                    && c.cluster == cell.cluster
+                    && c.traffic == cell.traffic
             })
             .expect("paired warm-affinity row exists for every cell");
         let gain = cell.result.avg_hit_rate() - plain.result.avg_hit_rate();

@@ -80,24 +80,15 @@ pub fn render_bench_markdown(doc: &Value) -> String {
     )
     .expect("writing to String cannot fail");
 
-    // Group runs by (scenario, cluster, traffic, popularity), preserving
-    // cell order. Keys stay a tuple of fields — labels are user-settable,
-    // so joining them on a delimiter would corrupt grouping for names
-    // containing it. The popularity key is absent from documents
-    // predating the skew axis (and from uniform cells); it defaults to
-    // "uniform" so those group exactly as before.
-    fn key_of(r: &Value) -> (&str, &str, &str, &str) {
+    // Group runs by (scenario, cluster, traffic), preserving cell
+    // order. Keys stay a tuple of fields — labels are user-settable, so
+    // joining them on a delimiter would corrupt grouping for names
+    // containing it.
+    fn key_of(r: &Value) -> (&str, &str, &str) {
         let s = |k: &str| r.get(k).and_then(Value::as_str).unwrap_or("?");
-        (
-            s("scenario"),
-            s("cluster"),
-            s("traffic"),
-            r.get("popularity")
-                .and_then(Value::as_str)
-                .unwrap_or("uniform"),
-        )
+        (s("scenario"), s("cluster"), s("traffic"))
     }
-    let mut group_order: Vec<(&str, &str, &str, &str)> = Vec::new();
+    let mut group_order: Vec<(&str, &str, &str)> = Vec::new();
     for r in runs {
         let k = key_of(r);
         if !group_order.contains(&k) {
@@ -116,18 +107,11 @@ pub fn render_bench_markdown(doc: &Value) -> String {
     let with_cross = runs
         .iter()
         .any(|r| r.get("transfer_cross_server_mb").is_some());
-    // Popularity headers appear only in documents that swept the axis.
-    let with_popularity = runs.iter().any(|r| r.get("popularity").is_some());
     for key in &group_order {
-        let (scenario, cluster, traffic, popularity) = *key;
-        let pop_clause = if with_popularity {
-            format!(" · popularity `{popularity}`")
-        } else {
-            String::new()
-        };
+        let (scenario, cluster, traffic) = *key;
         writeln!(
             out,
-            "\n**Scenario `{scenario}` · cluster `{cluster}` · traffic `{traffic}`{pop_clause}**\n"
+            "\n**Scenario `{scenario}` · cluster `{cluster}` · traffic `{traffic}`**\n"
         )
         .expect("writing to String cannot fail");
         if with_shed {

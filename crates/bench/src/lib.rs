@@ -31,15 +31,14 @@ pub use emit::{
 };
 pub use replay::{record_reference, render_replay_markdown, replay_doc, replay_matrix, ReplayRun};
 pub use suite::{
-    ClusterCase, ExperimentSuite, RunSpec, ScenarioMatrix, SchedContext, SchedSpec, Sweep,
-    SweepResult,
+    ClusterCase, ExperimentSuite, RunSpec, ScenarioMatrix, SchedSpec, Sweep, SweepResult,
 };
 
 use esg_baselines::{AquatopeScheduler, FastGShareScheduler, InflessScheduler, OrionScheduler};
 use esg_core::EsgScheduler;
 use esg_model::{standard_app_ids, Scenario, SloClass, TrafficShape};
 use esg_sim::{ExperimentResult, Scheduler, SimConfig};
-use esg_workload::{shaped_workload_with, Popularity, Workload, WorkloadGen};
+use esg_workload::{shaped_workload, Workload, WorkloadGen};
 
 /// Simulated seconds of arrivals per experiment run.
 pub const RUN_SECONDS: f64 = 120.0;
@@ -119,25 +118,11 @@ pub fn workload_for_shape(
     seed: u64,
     run_seconds: f64,
 ) -> Workload {
-    workload_for_shape_with(scenario, shape, seed, Popularity::Uniform, run_seconds)
-}
-
-/// [`workload_for_shape`] with an explicit application-popularity skew
-/// (the sweep engine's per-cell generator; `Popularity::Uniform` is
-/// bit-identical to the unskewed form).
-pub fn workload_for_shape_with(
-    scenario: Scenario,
-    shape: TrafficShape,
-    seed: u64,
-    popularity: Popularity,
-    run_seconds: f64,
-) -> Workload {
-    shaped_workload_with(
+    shaped_workload(
         scenario.workload,
         shape,
         &standard_app_ids(),
         seed,
-        popularity,
         run_seconds * 1000.0,
     )
 }

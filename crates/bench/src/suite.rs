@@ -8,40 +8,17 @@
 //! configuration's cluster and steady arrivals — so paper-style sweeps
 //! stay two-axis declarations.
 
-use crate::{standard_config, workload_for_shape_with, SchedKind, RUN_SECONDS, SEED};
+use crate::{standard_config, workload_for_shape, SchedKind, RUN_SECONDS, SEED};
 use esg_model::{
     ChurnPlan, ClusterSpec, ConfigGrid, Scenario, SloClass, TrafficShape, WorkloadClass,
 };
 use esg_profile::TransferModel;
 use esg_sim::{run_simulation, ExperimentResult, Scheduler, SimConfig, SimEnv, TransferSummary};
-use esg_workload::{Popularity, Workload};
+use esg_workload::Workload;
 use rayon::prelude::*;
 use serde_json::{Map, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Everything a context-aware scheduler factory may inspect when
-/// instantiating for one cell: the environment, the cell's cluster and
-/// the exact workload the run will replay. Analysis-driven schedulers
-/// (the hybrid static-pinning tier runs its [`esg_core::PinPlanner`]
-/// pattern pass here) plan against precisely the inputs the cell sees.
-pub struct SchedContext<'a> {
-    /// The cell's environment (profiles, SLOs, transfer tariffs).
-    pub env: &'a SimEnv,
-    /// The cluster the cell runs on (`None` = the suite's platform
-    /// configuration cluster).
-    pub cluster: Option<&'a ClusterSpec>,
-    /// The cell's full arrival workload.
-    pub workload: &'a Workload,
-}
-
-type ContextualFn = dyn Fn(&SchedContext<'_>) -> Box<dyn Scheduler> + Send + Sync;
-
-#[derive(Clone)]
-enum Factory {
-    Plain(Arc<dyn Fn() -> Box<dyn Scheduler> + Send + Sync>),
-    Contextual(Arc<ContextualFn>),
-}
 
 /// A named scheduler factory: one point on the scheduler axis of a
 /// [`ScenarioMatrix`]. Factories (not instances) are swept because every
@@ -49,7 +26,7 @@ enum Factory {
 #[derive(Clone)]
 pub struct SchedSpec {
     name: String,
-    factory: Factory,
+    factory: Arc<dyn Fn() -> Box<dyn Scheduler> + Send + Sync>,
 }
 
 impl SchedSpec {
@@ -61,20 +38,7 @@ impl SchedSpec {
     ) -> Self {
         SchedSpec {
             name: name.into(),
-            factory: Factory::Plain(Arc::new(factory)),
-        }
-    }
-
-    /// A scheduler axis point whose factory sees the cell's environment,
-    /// cluster and workload ([`SchedContext`]) — for schedulers that run
-    /// an offline analysis pass before the sweep cell starts.
-    pub fn contextual(
-        name: impl Into<String>,
-        factory: impl Fn(&SchedContext<'_>) -> Box<dyn Scheduler> + Send + Sync + 'static,
-    ) -> Self {
-        SchedSpec {
-            name: name.into(),
-            factory: Factory::Contextual(Arc::new(factory)),
+            factory: Arc::new(factory),
         }
     }
 
@@ -84,28 +48,8 @@ impl SchedSpec {
     }
 
     /// Instantiates a fresh scheduler for one run.
-    ///
-    /// # Panics
-    ///
-    /// On a [`contextual`](Self::contextual) spec — those need the cell
-    /// inputs; use [`build_for`](Self::build_for) (the sweep engine
-    /// always does).
     pub fn build(&self) -> Box<dyn Scheduler> {
-        match &self.factory {
-            Factory::Plain(f) => f(),
-            Factory::Contextual(_) => {
-                panic!("contextual scheduler spec {:?} needs build_for", self.name)
-            }
-        }
-    }
-
-    /// Instantiates a fresh scheduler for one cell, handing contextual
-    /// factories the cell's inputs.
-    pub fn build_for(&self, ctx: &SchedContext<'_>) -> Box<dyn Scheduler> {
-        match &self.factory {
-            Factory::Plain(f) => f(),
-            Factory::Contextual(f) => f(ctx),
-        }
+        (self.factory)()
     }
 }
 
@@ -179,7 +123,6 @@ pub struct ScenarioMatrix {
     scenarios: Vec<Scenario>,
     clusters: Vec<ClusterCase>,
     traffic: Vec<TrafficShape>,
-    popularity: Vec<Popularity>,
     seeds: Vec<u64>,
 }
 
@@ -247,14 +190,6 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Sets the application-popularity axis (uniform vs Zipf-skewed
-    /// draws over the app list). Unset = uniform popularity only, which
-    /// keeps every existing sweep bit-identical.
-    pub fn popularity(mut self, skews: impl IntoIterator<Item = Popularity>) -> Self {
-        self.popularity = skews.into_iter().collect();
-        self
-    }
-
     /// Sets the seed axis.
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         self.seeds = seeds.into_iter().collect();
@@ -285,21 +220,12 @@ impl ScenarioMatrix {
         }
     }
 
-    fn popularity_axis(&self) -> Vec<Popularity> {
-        if self.popularity.is_empty() {
-            vec![Popularity::Uniform]
-        } else {
-            self.popularity.clone()
-        }
-    }
-
     /// Number of cells in the expanded matrix.
     pub fn len(&self) -> usize {
         self.schedulers.len()
             * self.scenarios.len()
             * self.cluster_axis().len()
             * self.traffic_axis().len()
-            * self.popularity_axis().len()
             * self.seed_axis().len()
     }
 
@@ -309,31 +235,27 @@ impl ScenarioMatrix {
     }
 
     /// Expands the grid into concrete run specifications: scenario-major,
-    /// then cluster case, traffic shape, popularity skew, scheduler,
-    /// seed-innermost. The order is part of the API: sweep results always
-    /// come back in cell order.
+    /// then cluster case, traffic shape, scheduler, seed-innermost. The
+    /// order is part of the API: sweep results always come back in cell
+    /// order.
     pub fn cells(&self) -> Vec<RunSpec> {
         let seeds = self.seed_axis();
         let clusters = self.cluster_axis();
         let traffic = self.traffic_axis();
-        let popularity = self.popularity_axis();
         let mut cells = Vec::with_capacity(self.len());
         for &scenario in &self.scenarios {
             for cluster in &clusters {
                 for &shape in &traffic {
-                    for &pop in &popularity {
-                        for sched in &self.schedulers {
-                            for &seed in &seeds {
-                                cells.push(RunSpec {
-                                    index: cells.len(),
-                                    scheduler: sched.clone(),
-                                    scenario,
-                                    cluster: cluster.clone(),
-                                    traffic: shape,
-                                    popularity: pop,
-                                    seed,
-                                });
-                            }
+                    for sched in &self.schedulers {
+                        for &seed in &seeds {
+                            cells.push(RunSpec {
+                                index: cells.len(),
+                                scheduler: sched.clone(),
+                                scenario,
+                                cluster: cluster.clone(),
+                                traffic: shape,
+                                seed,
+                            });
                         }
                     }
                 }
@@ -356,11 +278,9 @@ pub struct RunSpec {
     pub cluster: Option<ClusterCase>,
     /// Traffic shape of this cell's arrival stream.
     pub traffic: TrafficShape,
-    /// Application-popularity skew of this cell's arrival stream.
-    pub popularity: Popularity,
     /// Seed for this run's workload stream and platform noise. Cells
-    /// sharing `(scenario, traffic, popularity, seed)` see bit-identical
-    /// arrivals, so scheduler and cluster comparisons are paired.
+    /// sharing `(scenario, traffic, seed)` see bit-identical arrivals,
+    /// so scheduler and cluster comparisons are paired.
     pub seed: u64,
 }
 
@@ -369,11 +289,6 @@ impl RunSpec {
     /// configuration's cluster).
     pub fn cluster_label(&self) -> &str {
         self.cluster.as_ref().map_or("default", |c| c.name.as_str())
-    }
-
-    /// The popularity-axis label ("uniform", "zipf-1.5", …).
-    pub fn popularity_label(&self) -> String {
-        self.popularity.to_string()
     }
 }
 
@@ -447,17 +362,14 @@ impl ExperimentSuite {
     /// Executes every cell and collects the records in cell order.
     ///
     /// Environments (one per distinct SLO class) and workloads (one per
-    /// distinct scenario × traffic × popularity × seed) are materialised
-    /// once and shared by all runs — both for speed and so that paired
-    /// cells provably consume identical inputs.
+    /// distinct scenario × traffic × seed) are materialised once and
+    /// shared by all runs — both for speed and so that paired cells
+    /// provably consume identical inputs.
     pub fn run(&self) -> Sweep {
         let cells = self.matrix.cells();
 
         let mut envs: HashMap<SloClass, SimEnv> = HashMap::new();
-        // Popularity carries an f64 Zipf exponent, so the workload table
-        // keys on its display label instead of the value itself.
-        let mut workloads: HashMap<(Scenario, TrafficShape, String, u64), Workload> =
-            HashMap::new();
+        let mut workloads: HashMap<(Scenario, TrafficShape, u64), Workload> = HashMap::new();
         for cell in &cells {
             envs.entry(cell.scenario.slo).or_insert_with(|| {
                 let mut env = SimEnv::with_grid(cell.scenario.slo, self.grid.clone());
@@ -467,31 +379,15 @@ impl ExperimentSuite {
                 env
             });
             workloads
-                .entry((
-                    cell.scenario,
-                    cell.traffic,
-                    cell.popularity_label(),
-                    cell.seed,
-                ))
+                .entry((cell.scenario, cell.traffic, cell.seed))
                 .or_insert_with(|| {
-                    workload_for_shape_with(
-                        cell.scenario,
-                        cell.traffic,
-                        cell.seed,
-                        cell.popularity,
-                        self.run_seconds,
-                    )
+                    workload_for_shape(cell.scenario, cell.traffic, cell.seed, self.run_seconds)
                 });
         }
 
         let run_one = |spec: RunSpec| -> SweepResult {
             let env = &envs[&spec.scenario.slo];
-            let workload = &workloads[&(
-                spec.scenario,
-                spec.traffic,
-                spec.popularity_label(),
-                spec.seed,
-            )];
+            let workload = &workloads[&(spec.scenario, spec.traffic, spec.seed)];
             let mut cfg = SimConfig {
                 seed: spec.seed,
                 ..self.config.clone()
@@ -504,11 +400,7 @@ impl ExperimentSuite {
                     cfg.churn = case.churn.clone();
                 }
             }
-            let mut sched = spec.scheduler.build_for(&SchedContext {
-                env,
-                cluster: cfg.cluster.as_ref(),
-                workload,
-            });
+            let mut sched = spec.scheduler.build();
             let result = run_simulation(
                 env,
                 cfg,
@@ -522,7 +414,6 @@ impl ExperimentSuite {
                 scenario: spec.scenario,
                 cluster: spec.cluster_label().to_string(),
                 traffic: spec.traffic,
-                popularity: spec.popularity_label(),
                 seed: spec.seed,
                 result,
             }
@@ -556,9 +447,6 @@ pub struct SweepResult {
     pub cluster: String,
     /// Traffic shape of the cell's arrival stream.
     pub traffic: TrafficShape,
-    /// Popularity-skew label of the cell's arrival stream ("uniform"
-    /// when the matrix never set the axis).
-    pub popularity: String,
     /// The cell's seed.
     pub seed: u64,
     /// Full simulation metrics.
@@ -579,11 +467,6 @@ impl SweepResult {
         o.insert("scenario", self.scenario.to_string());
         o.insert("cluster", self.cluster.as_str());
         o.insert("traffic", self.traffic.to_string());
-        // Presence-gated: uniform-popularity documents (every artifact
-        // committed before the skew axis existed) stay byte-stable.
-        if self.popularity != "uniform" {
-            o.insert("popularity", self.popularity.as_str());
-        }
         o.insert("seed", self.seed);
         o.insert("arrivals", r.arrivals);
         o.insert("completed", r.total_completed());
@@ -605,15 +488,6 @@ impl SweepResult {
             "plan_cache_hit_rate",
             r.scheduler_stats.plan_cache_hit_rate(),
         );
-        // Pinned-tier counters appear only when a hybrid scheduler's
-        // static tier actually fired (pure ESG and empty-plan hybrid
-        // documents stay byte-stable).
-        if r.scheduler_stats.pinned != esg_sim::PinnedStats::default() {
-            let p = &r.scheduler_stats.pinned;
-            o.insert("pinned_hits", p.hits);
-            o.insert("pinned_misses", p.misses);
-            o.insert("pinned_repins", p.repins);
-        }
         o.insert("vcpu_utilisation", r.vcpu_utilisation);
         o.insert("vgpu_utilisation", r.vgpu_utilisation);
         o.insert("makespan_ms", r.makespan_ms);
@@ -661,7 +535,7 @@ impl SweepResult {
     pub fn csv_row(&self) -> String {
         let r = &self.result;
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.3}",
+            "{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.3}",
             self.suite,
             self.scheduler,
             self.scenario.slo,
@@ -669,7 +543,6 @@ impl SweepResult {
             self.scenario,
             self.cluster,
             self.traffic,
-            self.popularity,
             self.seed,
             r.arrivals,
             r.total_completed(),
@@ -712,7 +585,7 @@ pub struct Sweep {
 impl Sweep {
     /// Header line for [`SweepResult::csv_row`].
     pub const CSV_HEADER: &'static str = "suite,scheduler,slo,workload,scenario,cluster,traffic,\
-popularity,seed,arrivals,completed,avg_hit_rate,overall_hit_rate,total_cost_cents,\
+seed,arrivals,completed,avg_hit_rate,overall_hit_rate,total_cost_cents,\
 cost_per_invocation_cents,config_miss_rate,cold_start_rate,locality_rate,\
 shed_rate,mean_overhead_ms,vcpu_utilisation,vgpu_utilisation,makespan_ms";
 
@@ -768,12 +641,11 @@ shed_rate,mean_overhead_ms,vcpu_utilisation,vgpu_utilisation,makespan_ms";
         for c in &self.results {
             writeln!(
                 out,
-                "{}|{}|{}|{}|{}|{}|{:?}",
+                "{}|{}|{}|{}|{}|{:?}",
                 c.scheduler,
                 c.scenario,
                 c.cluster,
                 c.traffic,
-                c.popularity,
                 c.seed,
                 c.canonical_result()
             )
@@ -840,7 +712,6 @@ mod tests {
             scenario: Scenario::STRICT_LIGHT,
             cluster: "default".into(),
             traffic: TrafficShape::Steady,
-            popularity: "uniform".into(),
             seed: 1,
             result: ExperimentResult::default(),
         }
@@ -887,49 +758,6 @@ mod tests {
         let sweep = suite.run();
         let nodes = &sweep.results[0].result.nodes;
         assert_eq!(nodes.iter().filter(|n| !n.online).count(), 1);
-    }
-
-    #[test]
-    fn popularity_axis_multiplies_and_labels() {
-        let m = ScenarioMatrix::new()
-            .schedulers([SchedKind::Esg])
-            .scenarios([Scenario::MODERATE_NORMAL])
-            .popularity([Popularity::Uniform, Popularity::Zipf { s: 1.5 }]);
-        assert_eq!(m.len(), 2);
-        let cells = m.cells();
-        assert_eq!(cells[0].popularity_label(), "uniform");
-        assert_eq!(cells[1].popularity_label(), "zipf-1.5");
-    }
-
-    #[test]
-    fn contextual_spec_sees_the_cell_inputs() {
-        // The factory must receive exactly the cluster and workload the
-        // cell runs; a context-free build() on it is a programming error.
-        let spec = SchedSpec::contextual("ctx", |ctx| {
-            assert_eq!(
-                ctx.cluster.map(|c| c.name.as_str()),
-                Some("paper-16xa100"),
-                "factory saw the wrong cluster"
-            );
-            assert!(!ctx.workload.is_empty());
-            Box::new(esg_core::EsgScheduler::new())
-        });
-        let sweep = ExperimentSuite::new(
-            "ctx_probe",
-            ScenarioMatrix::new()
-                .schedulers([spec])
-                .scenarios([Scenario::MODERATE_NORMAL])
-                .clusters([ClusterCase::new(ClusterSpec::paper())]),
-        )
-        .with_run_seconds(2.0)
-        .run();
-        assert_eq!(sweep.results[0].scheduler, "ctx");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs build_for")]
-    fn contextless_build_of_a_contextual_spec_panics() {
-        SchedSpec::contextual("ctx", |_| Box::new(esg_core::EsgScheduler::new())).build();
     }
 
     #[test]

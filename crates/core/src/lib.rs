@@ -26,21 +26,17 @@
 //!   `esg-sim` platform: optimality-guided *adaptive* scheduling (the
 //!   search re-runs before every stage dispatch) plus the locality-first
 //!   ESG_Dispatch placement (§3.4);
-//! * [`policy`] — ESG's stages for the composable round-policy pipeline:
-//!   [`EsgCrossQueuePacking`] ranks a whole round's queues by GSLO
+//! * [`policy`] — ESG's stage for the composable round-policy pipeline:
+//!   [`BandwidthAwarePacking`] ranks a whole round's queues by GSLO
 //!   tightness under one shared search budget, preferring warm
-//!   co-location (stacks with `esg_sim::SloAdmission`);
-//! * [`hybrid`] — the static-pinning tier: [`PinPlanner`] packs the
-//!   popularity head of a workload onto whole servers, and
-//!   [`HybridScheduler`] routes pinned queues to their slice with zero
-//!   search while the tail falls through to the full ESG search.
+//!   co-location unless the data plane shows the link is contended
+//!   (stacks with `esg_sim::SloAdmission`).
 
 #![warn(missing_docs)]
 
 pub mod bounds;
 pub mod brute;
 pub mod cache;
-pub mod hybrid;
 pub mod plan;
 pub mod policy;
 pub mod scheduler;
@@ -49,9 +45,8 @@ pub mod search;
 pub use bounds::{SearchEntry, StageTable, StageTableMemo};
 pub use brute::brute_force;
 pub use cache::{quantize_gslo, CacheStats, CachedPlan, PlanCache, PlanKey};
-pub use hybrid::{HybridScheduler, PinPlanner};
 pub use plan::AppPlans;
-pub use policy::{BandwidthAwarePacking, EsgCrossQueuePacking};
+pub use policy::BandwidthAwarePacking;
 pub use scheduler::{EsgScheduler, SearchVariant};
 pub use search::{
     astar_search, astar_search_bounded, astar_search_with, stagewise_search, PathCandidate,

@@ -1,4 +1,4 @@
-//! [`EsgCrossQueuePacking`]: ESG's cross-queue ranking stage for the
+//! [`BandwidthAwarePacking`]: ESG's cross-queue packing stage for the
 //! round-policy pipeline.
 //!
 //! The classic contract decides queues in controller scan order — an
@@ -12,51 +12,73 @@
 //!   the freshest view of the cluster.
 //! * **Warm co-location bias** — a queue whose predecessor node still
 //!   holds a warm container for the queue's function is boosted by
-//!   [`PackingConfig::warm_bias`]: dispatching it *now* lets
+//!   [`BandwidthPackingConfig::warm_bias`]: dispatching it *now* lets
 //!   ESG_Dispatch's locality-first placement land the batch next to its
 //!   input while the warm slot is free, co-locating sibling stages
 //!   instead of racing other queues onto the node.
 //! * **Shared search budget** — all decisions at one controller instant
-//!   share [`PackingConfig::round_budget`] expanded configurations,
-//!   metered through [`RoundPolicy::observe`]. Once a round's decisions
-//!   have spent it, the stage defers the remaining queues by
-//!   [`PackingConfig::defer_ms`] instead of admitting further searches —
-//!   bounding worst-case controller occupancy under a queue storm (the
-//!   pipeline analogue of Orion's cut-off time, but round-global rather
-//!   than per-decision).
+//!   share [`BandwidthPackingConfig::round_budget`] expanded
+//!   configurations, metered through [`RoundPolicy::observe`]. Once a
+//!   round's decisions have spent it, the stage defers the remaining
+//!   queues by [`BandwidthPackingConfig::defer_ms`] instead of admitting
+//!   further searches — bounding worst-case controller occupancy under a
+//!   queue storm (the pipeline analogue of Orion's cut-off time, but
+//!   round-global rather than per-decision).
+//!
+//! Warm affinity alone is wrong in transfer-bound regimes: co-locating a
+//! stage next to its input is a *loss* when the predecessor node's PCIe
+//! ingress pool is already saturated — the batch's own input tensors
+//! then crawl in at a fraction of the link while an idle node would have
+//! taken them at full rate. With a data plane on (`RoundCtx::dataplane`)
+//! the stage makes two corrections:
+//!
+//! * **Estimated contention** — every job whose predecessor node has
+//!   flows active or queued on its ingress path drags the owning
+//!   queue's rank down by [`BandwidthPackingConfig::contention_bias`]
+//!   per contending flow (the worst predecessor decides), opposing the
+//!   warm bias once a link is busy.
+//! * **Staging backpressure defer** — a queue whose predecessor node
+//!   has at least [`BandwidthPackingConfig::defer_queue_depth`]
+//!   transfers queued for staging is deferred outright: its input
+//!   cannot even start moving, so spending search budget on it now buys
+//!   nothing.
+//!
+//! Without a data plane, or with `contention_bias: 0.0` and
+//! `defer_queue_depth: 0`, both corrections vanish and the stage ranks
+//! and admits on warm affinity and the budget alone.
 //!
 //! The stage is pure ranking/admission: dispatch still runs
 //! `EsgScheduler::schedule` per queue, so plan-cache equivalence and the
 //! §3.1 semantics are untouched.
 
 use esg_sim::{
-    AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, Outcome, PackingConfig, QueueKey,
+    AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, DataPlaneView, Outcome, QueueKey,
     RankedQueues, RoundCtx, RoundPolicy,
 };
 
 /// Cross-queue packing for [`EsgScheduler`](crate::EsgScheduler); see
 /// the module docs. Install it with
-/// `EsgScheduler::new().with_policy(PolicyStack::new().with(EsgCrossQueuePacking::default()))`
+/// `EsgScheduler::new().with_policy(PolicyStack::new().with(BandwidthAwarePacking::default()))`
 /// or declaratively via `SimBuilder::policy(PolicySpec::packing())`.
 #[derive(Clone, Debug)]
-pub struct EsgCrossQueuePacking {
-    cfg: PackingConfig,
+pub struct BandwidthAwarePacking {
+    cfg: BandwidthPackingConfig,
     /// The controller instant the current budget window belongs to.
     round_now: f64,
     /// Expansions spent by decisions at `round_now`.
     spent: u64,
 }
 
-impl Default for EsgCrossQueuePacking {
+impl Default for BandwidthAwarePacking {
     fn default() -> Self {
-        EsgCrossQueuePacking::new(PackingConfig::default())
+        BandwidthAwarePacking::new(BandwidthPackingConfig::default())
     }
 }
 
-impl EsgCrossQueuePacking {
+impl BandwidthAwarePacking {
     /// A packing stage with explicit knobs.
-    pub fn new(cfg: PackingConfig) -> EsgCrossQueuePacking {
-        EsgCrossQueuePacking {
+    pub fn new(cfg: BandwidthPackingConfig) -> BandwidthAwarePacking {
+        BandwidthAwarePacking {
             cfg,
             round_now: f64::NEG_INFINITY,
             spent: 0,
@@ -64,7 +86,7 @@ impl EsgCrossQueuePacking {
     }
 
     /// The configured knobs.
-    pub fn config(&self) -> PackingConfig {
+    pub fn config(&self) -> BandwidthPackingConfig {
         self.cfg
     }
 
@@ -81,7 +103,10 @@ impl EsgCrossQueuePacking {
     }
 
     /// The ranking score of queue `i`: normalised slack, minus the warm
-    /// co-location bias. Lower is more urgent.
+    /// co-location bias, plus the contention penalty. Lower is more
+    /// urgent. Without contention the penalty term is skipped, not
+    /// added as zero, so the score is the warm-affinity score bit for
+    /// bit.
     fn score(&self, ctx: &RoundCtx<'_>, i: usize) -> f64 {
         let q = &ctx.queues[i];
         let slack = q
@@ -96,30 +121,64 @@ impl EsgCrossQueuePacking {
                 view.online && view.has_warm(q.function)
             }
         });
-        if warm {
+        let base = if warm {
             tightness - self.cfg.warm_bias
         } else {
             tightness
+        };
+        match self.worst_pred(ctx, i, DataPlaneView::contending_flows) {
+            0 => base,
+            flows => base + self.cfg.contention_bias * f64::from(flows),
         }
+    }
+
+    /// The worst (largest) `load` among the queue's predecessor nodes;
+    /// 0 without a data plane.
+    fn worst_pred(
+        &self,
+        ctx: &RoundCtx<'_>,
+        i: usize,
+        load: impl Fn(&DataPlaneView, usize) -> u32,
+    ) -> u32 {
+        let Some(dp) = ctx.dataplane else { return 0 };
+        ctx.queues[i]
+            .jobs
+            .iter()
+            .filter_map(|j| j.pred_node)
+            .filter(|n| n.index() < dp.len())
+            .map(|n| load(dp, n.index()))
+            .max()
+            .unwrap_or(0)
     }
 }
 
-impl RoundPolicy for EsgCrossQueuePacking {
+impl RoundPolicy for BandwidthAwarePacking {
     fn name(&self) -> &'static str {
         "esg-packing"
     }
 
     fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
         self.roll_window(ctx.now_ms);
+        let until_ms = ctx.now_ms + self.cfg.defer_ms;
         if self.spent >= self.cfg.round_budget {
             // Budget exhausted at this instant: defer the whole round
             // (deferred queues re-enter with a fresh budget window; the
             // owning PolicyStack tallies the FINAL deferred decisions,
             // since a verdict here may be out-severitied by a shed).
-            AdmissionPlan::defer_all(ctx.queues.len(), ctx.now_ms + self.cfg.defer_ms)
-        } else {
-            AdmissionPlan::admit_all(ctx.queues.len())
+            return AdmissionPlan::defer_all(ctx.queues.len(), until_ms);
         }
+        let mut plan = AdmissionPlan::admit_all(ctx.queues.len());
+        // Defer queues whose input is stuck behind a full staging
+        // buffer.
+        if self.cfg.defer_queue_depth > 0 {
+            for i in 0..ctx.queues.len() {
+                let queued = self.worst_pred(ctx, i, |dp, n| dp.node(n).queued);
+                if queued >= self.cfg.defer_queue_depth {
+                    plan.set(i, AdmissionDecision::Defer { until_ms });
+                }
+            }
+        }
+        plan
     }
 
     fn rank(&mut self, ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
@@ -137,141 +196,11 @@ impl RoundPolicy for EsgCrossQueuePacking {
     }
 }
 
-/// Bandwidth-aware cross-queue packing: [`EsgCrossQueuePacking`]'s
-/// ranking, corrected by the live data-plane occupancy in
-/// `RoundCtx::dataplane`.
-///
-/// Warm-affinity bias alone is provably wrong in transfer-bound
-/// regimes: co-locating a stage next to its input is a *loss* when the
-/// predecessor node's PCIe ingress pool is already saturated — the
-/// batch's own input tensors then crawl in at a fraction of the link
-/// while an idle node would have taken them at full rate. Two
-/// corrections:
-///
-/// * **Estimated contention** — every job whose predecessor node has
-///   flows active or queued on its ingress path drags the owning
-///   queue's rank down by
-///   [`BandwidthPackingConfig::contention_bias`] per contending flow
-///   (the worst predecessor decides), opposing the warm bias once a
-///   link is busy.
-/// * **Staging backpressure defer** — a queue whose predecessor node
-///   has at least [`BandwidthPackingConfig::defer_queue_depth`]
-///   transfers queued for staging is deferred outright: its input
-///   cannot even start moving, so spending search budget on it now buys
-///   nothing.
-///
-/// Without a data plane (`ctx.dataplane == None`) both corrections
-/// vanish and the stage behaves exactly like plain cross-queue packing.
-#[derive(Clone, Debug)]
-pub struct BandwidthAwarePacking {
-    cfg: BandwidthPackingConfig,
-    inner: EsgCrossQueuePacking,
-}
-
-impl Default for BandwidthAwarePacking {
-    fn default() -> Self {
-        BandwidthAwarePacking::new(BandwidthPackingConfig::default())
-    }
-}
-
-impl BandwidthAwarePacking {
-    /// A bandwidth-aware packing stage with explicit knobs.
-    pub fn new(cfg: BandwidthPackingConfig) -> BandwidthAwarePacking {
-        BandwidthAwarePacking {
-            cfg,
-            inner: EsgCrossQueuePacking::new(cfg.packing),
-        }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> BandwidthPackingConfig {
-        self.cfg
-    }
-
-    /// Expansions spent in the current budget window.
-    pub fn spent(&self) -> u64 {
-        self.inner.spent()
-    }
-
-    /// The worst (largest) ingress contention among the queue's
-    /// predecessor nodes, in flows; 0 without a data plane.
-    fn pred_contention(&self, ctx: &RoundCtx<'_>, i: usize) -> u32 {
-        let Some(dp) = ctx.dataplane else { return 0 };
-        ctx.queues[i]
-            .jobs
-            .iter()
-            .filter_map(|j| j.pred_node)
-            .filter(|n| n.index() < dp.len())
-            .map(|n| dp.contending_flows(n.index()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The worst staging queue depth among the queue's predecessor
-    /// nodes; 0 without a data plane.
-    fn pred_staging_queue(&self, ctx: &RoundCtx<'_>, i: usize) -> u32 {
-        let Some(dp) = ctx.dataplane else { return 0 };
-        ctx.queues[i]
-            .jobs
-            .iter()
-            .filter_map(|j| j.pred_node)
-            .filter(|n| n.index() < dp.len())
-            .map(|n| dp.node(n.index()).queued)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-impl RoundPolicy for BandwidthAwarePacking {
-    fn name(&self) -> &'static str {
-        "esg-bw-packing"
-    }
-
-    fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
-        let mut plan = self.inner.admit(ctx);
-        // On top of the budget gate: defer queues whose input is stuck
-        // behind a full staging buffer.
-        if self.cfg.defer_queue_depth > 0 {
-            for i in 0..ctx.queues.len() {
-                if matches!(plan.decisions()[i], AdmissionDecision::Admit)
-                    && self.pred_staging_queue(ctx, i) >= self.cfg.defer_queue_depth
-                {
-                    plan.set(
-                        i,
-                        AdmissionDecision::Defer {
-                            until_ms: ctx.now_ms + self.cfg.packing.defer_ms,
-                        },
-                    );
-                }
-            }
-        }
-        plan
-    }
-
-    fn rank(&mut self, ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
-        let mut scored: Vec<(f64, usize)> = admitted
-            .iter()
-            .map(|&i| {
-                let base = self.inner.score(ctx, i);
-                let contention = self.pred_contention(ctx, i) as f64;
-                (base + self.cfg.contention_bias * contention, i)
-            })
-            .collect();
-        // Deterministic: same total order contract as the inner stage.
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        RankedQueues::from_order(scored.into_iter().map(|(_, i)| i).collect())
-    }
-
-    fn observe(&mut self, ctx: &RoundCtx<'_>, decisions: &[(QueueKey, Outcome)]) {
-        self.inner.observe(ctx, decisions);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use esg_model::{AppId, InvocationId, NodeId, Resources, SloClass};
-    use esg_sim::{AdmissionDecision, ClusterState, JobView, NodeView, QueueView, SimEnv};
+    use esg_sim::{ClusterState, JobView, NodeLoad, NodeView, QueueView, SimEnv};
 
     fn job(slack: f64, pred: Option<NodeId>) -> JobView {
         JobView {
@@ -319,7 +248,6 @@ mod tests {
             transfer: &env.transfer,
             noise: &env.noise,
             dataplane: None,
-            servers: None,
         }
     }
 
@@ -329,6 +257,16 @@ mod tests {
                 .map(|i| NodeView::idle(NodeId(i), Resources::new(16, 7)))
                 .collect(),
         )
+    }
+
+    /// The warm-affinity-only knobs: no contention penalty, no staging
+    /// defer.
+    fn warm_only() -> BandwidthPackingConfig {
+        BandwidthPackingConfig {
+            contention_bias: 0.0,
+            defer_queue_depth: 0,
+            ..BandwidthPackingConfig::default()
+        }
     }
 
     #[test]
@@ -344,7 +282,7 @@ mod tests {
             queue_view(&env, &medium, 2, 0),
         ];
         let ctx = round_ctx(&env, &cluster, &queues, 100.0);
-        let mut pack = EsgCrossQueuePacking::default();
+        let mut pack = BandwidthAwarePacking::default();
         let order = pack.rank(&ctx, &[0, 1, 2]).into_order();
         assert_eq!(order[0], 1, "tightest slack first, got {order:?}");
         // Normalisation: relative tightness, not raw slack, decides. The
@@ -366,13 +304,13 @@ mod tests {
             queue_view(&env, &warm_jobs, 0, 1),
         ];
         let ctx = round_ctx(&env, &cluster, &queues, 100.0);
-        let mut pack = EsgCrossQueuePacking::default();
+        let mut pack = BandwidthAwarePacking::default();
         let order = pack.rank(&ctx, &[0, 1]).into_order();
         assert_eq!(order[0], 1, "warm co-location must win the tie");
         // Without the bias the tie breaks on queue index.
-        let mut flat = EsgCrossQueuePacking::new(PackingConfig {
+        let mut flat = BandwidthAwarePacking::new(BandwidthPackingConfig {
             warm_bias: 0.0,
-            ..PackingConfig::default()
+            ..BandwidthPackingConfig::default()
         });
         assert_eq!(flat.rank(&ctx, &[0, 1]).into_order()[0], 0);
     }
@@ -384,10 +322,11 @@ mod tests {
         let jobs = [job(500.0, None)];
         let queues = [queue_view(&env, &jobs, 0, 0)];
         let ctx = round_ctx(&env, &cluster, &queues, 100.0);
-        let mut pack = EsgCrossQueuePacking::new(PackingConfig {
+        let mut pack = BandwidthAwarePacking::new(BandwidthPackingConfig {
             round_budget: 10,
             defer_ms: 3.0,
             warm_bias: 0.25,
+            ..BandwidthPackingConfig::default()
         });
         // Fresh window: admitted.
         assert!(matches!(
@@ -426,7 +365,6 @@ mod tests {
 
     #[test]
     fn contention_on_the_pred_node_cancels_the_warm_bias() {
-        use esg_sim::{DataPlaneView, NodeLoad};
         let env = SimEnv::standard(SloClass::Moderate);
         let mut cluster = idle_cluster(4);
         let f1 = env.apps[0].nodes[1];
@@ -440,58 +378,108 @@ mod tests {
         // Node 2's ingress pool carries 4 contending flows: at the
         // default contention_bias (0.1/flow) the 0.25 warm bonus flips
         // into a net penalty, so the cold queue must now rank first —
-        // while plain packing (blind to the link) still boosts queue 1.
+        // while warm-only packing (blind to the link) still boosts
+        // queue 1.
         let mut loads = vec![NodeLoad::default(); 4];
         loads[2].active_in = 3;
         loads[2].queued = 1;
         let view = DataPlaneView::from_loads(loads);
         let ctx = RoundCtx {
             dataplane: Some(&view),
-            servers: None,
             ..round_ctx(&env, &cluster, &queues, 100.0)
         };
         let mut bw = BandwidthAwarePacking::default();
         assert_eq!(bw.rank(&ctx, &[0, 1]).into_order()[0], 0);
-        let mut blind = EsgCrossQueuePacking::default();
+        let mut blind = BandwidthAwarePacking::new(warm_only());
         assert_eq!(blind.rank(&ctx, &[0, 1]).into_order()[0], 1);
-        // Idle link: the warm bonus stands and both stages agree.
+        // Idle link: the warm bonus stands and both knob sets agree.
         let idle = DataPlaneView::from_loads(vec![NodeLoad::default(); 4]);
         let idle_ctx = RoundCtx {
             dataplane: Some(&idle),
-            servers: None,
             ..round_ctx(&env, &cluster, &queues, 100.0)
         };
         assert_eq!(bw.rank(&idle_ctx, &[0, 1]).into_order()[0], 1);
     }
 
     #[test]
-    fn without_a_data_plane_bandwidth_packing_degrades_to_plain_packing() {
+    fn without_a_data_plane_default_knobs_match_zero_contention_knobs() {
         let env = SimEnv::standard(SloClass::Moderate);
         let mut cluster = idle_cluster(4);
         let f1 = env.apps[0].nodes[1];
         cluster.node_mut(NodeId(2)).warm = vec![f1];
         let cold_jobs = [job(500.0, None)];
         let warm_jobs = [job(500.0, Some(NodeId(2)))];
+        let stuck_jobs = [job(300.0, Some(NodeId(1)))];
         let queues = [
             queue_view(&env, &cold_jobs, 0, 0),
             queue_view(&env, &warm_jobs, 0, 1),
+            queue_view(&env, &stuck_jobs, 1, 1),
         ];
         let ctx = round_ctx(&env, &cluster, &queues, 100.0);
-        let mut bw = BandwidthAwarePacking::default();
-        let mut plain = EsgCrossQueuePacking::default();
+        let mut default = BandwidthAwarePacking::default();
+        let mut zero = BandwidthAwarePacking::new(warm_only());
         assert_eq!(
-            bw.rank(&ctx, &[0, 1]).into_order(),
-            plain.rank(&ctx, &[0, 1]).into_order()
+            default.admit(&ctx).decisions(),
+            zero.admit(&ctx).decisions()
         );
-        assert!(matches!(
-            bw.admit(&ctx).decisions()[0],
-            AdmissionDecision::Admit
-        ));
+        assert_eq!(
+            default.rank(&ctx, &[0, 1, 2]).into_order(),
+            zero.rank(&ctx, &[0, 1, 2]).into_order()
+        );
+        for i in 0..queues.len() {
+            assert_eq!(
+                default.score(&ctx, i).to_bits(),
+                zero.score(&ctx, i).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn zero_contention_knobs_ignore_a_contended_data_plane() {
+        let env = SimEnv::standard(SloClass::Moderate);
+        let mut cluster = idle_cluster(4);
+        let f1 = env.apps[0].nodes[1];
+        cluster.node_mut(NodeId(2)).warm = vec![f1];
+        let cold_jobs = [job(500.0, None)];
+        let warm_jobs = [job(500.0, Some(NodeId(2)))];
+        let stuck_jobs = [job(300.0, Some(NodeId(1)))];
+        let queues = [
+            queue_view(&env, &cold_jobs, 0, 0),
+            queue_view(&env, &warm_jobs, 0, 1),
+            queue_view(&env, &stuck_jobs, 1, 1),
+        ];
+        // Node 2's ingress is busy and node 1's staging buffer is backed
+        // up: default knobs would re-rank queue 1 and defer queue 2.
+        let mut loads = vec![NodeLoad::default(); 4];
+        loads[2].active_in = 5;
+        loads[1].queued = 8;
+        let view = DataPlaneView::from_loads(loads);
+        let blind_ctx = round_ctx(&env, &cluster, &queues, 100.0);
+        let contended = RoundCtx {
+            dataplane: Some(&view),
+            ..round_ctx(&env, &cluster, &queues, 100.0)
+        };
+        let mut pack = BandwidthAwarePacking::new(warm_only());
+        let admitted = pack.admit(&contended);
+        assert_eq!(admitted.decisions(), pack.admit(&blind_ctx).decisions());
+        assert!(admitted
+            .decisions()
+            .iter()
+            .all(|d| matches!(d, AdmissionDecision::Admit)));
+        assert_eq!(
+            pack.rank(&contended, &[0, 1, 2]).into_order(),
+            pack.rank(&blind_ctx, &[0, 1, 2]).into_order()
+        );
+        let mut bw = BandwidthAwarePacking::default();
+        assert_ne!(
+            bw.admit(&contended).decisions(),
+            admitted.decisions(),
+            "the default knobs react to the same view"
+        );
     }
 
     #[test]
     fn staging_backpressure_defers_the_starved_queue() {
-        use esg_sim::{BandwidthPackingConfig, DataPlaneView, NodeLoad};
         let env = SimEnv::standard(SloClass::Moderate);
         let cluster = idle_cluster(4);
         let free_jobs = [job(500.0, None)];
@@ -505,7 +493,6 @@ mod tests {
         let view = DataPlaneView::from_loads(loads);
         let ctx = RoundCtx {
             dataplane: Some(&view),
-            servers: None,
             ..round_ctx(&env, &cluster, &queues, 100.0)
         };
         let mut bw = BandwidthAwarePacking::new(BandwidthPackingConfig::default());
@@ -514,7 +501,7 @@ mod tests {
         assert_eq!(
             plan.decisions()[1],
             AdmissionDecision::Defer {
-                until_ms: 100.0 + BandwidthPackingConfig::default().packing.defer_ms
+                until_ms: 100.0 + BandwidthPackingConfig::default().defer_ms
             }
         );
     }
@@ -533,7 +520,7 @@ mod tests {
             queue_view(&env, &foreign_pred, 0, 0),
         ];
         let ctx = round_ctx(&env, &cluster, &queues, 0.0);
-        let pack = EsgCrossQueuePacking::default();
+        let pack = BandwidthAwarePacking::default();
         assert_eq!(pack.score(&ctx, 0), pack.score(&ctx, 1));
     }
 }

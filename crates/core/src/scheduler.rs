@@ -17,7 +17,7 @@
 use crate::bounds::StageTableMemo;
 use crate::cache::{quantize_gslo, CachedPlan, PlanCache, PlanKey};
 use crate::plan::AppPlans;
-use crate::policy::{BandwidthAwarePacking, EsgCrossQueuePacking};
+use crate::policy::BandwidthAwarePacking;
 use crate::search::{astar_search_with, stagewise_search, SearchScratch};
 use esg_model::{Config, ConfigGrid, NodeId, PriceModel};
 use esg_sim::{
@@ -128,7 +128,7 @@ impl EsgScheduler {
     }
 
     /// Replaces the round-policy stack (e.g. `PolicyStack::new()
-    /// .with(SloAdmission::default()).with(EsgCrossQueuePacking::default())`).
+    /// .with(SloAdmission::default()).with(BandwidthAwarePacking::default())`).
     pub fn with_policy(mut self, policy: PolicyStack) -> Self {
         self.policy = policy;
         self
@@ -525,15 +525,10 @@ impl Scheduler for EsgScheduler {
         self.policy = match *spec {
             PolicySpec::Classic => PolicyStack::classic(),
             PolicySpec::SloAdmission(cfg) => PolicyStack::new().with(SloAdmission::new(cfg)),
-            PolicySpec::CrossQueuePacking(cfg) => {
-                PolicyStack::new().with(EsgCrossQueuePacking::new(cfg))
-            }
+            PolicySpec::Packing(cfg) => PolicyStack::new().with(BandwidthAwarePacking::new(cfg)),
             PolicySpec::PackingWithAdmission(adm, pack) => PolicyStack::new()
                 .with(SloAdmission::new(adm))
-                .with(EsgCrossQueuePacking::new(pack)),
-            PolicySpec::BandwidthPacking(cfg) => {
-                PolicyStack::new().with(BandwidthAwarePacking::new(cfg))
-            }
+                .with(BandwidthAwarePacking::new(pack)),
         };
         true
     }

@@ -46,8 +46,7 @@ pub mod prelude {
         AquatopeScheduler, FastGShareScheduler, InflessScheduler, OrionScheduler,
     };
     pub use esg_core::{
-        BandwidthAwarePacking, EsgCrossQueuePacking, EsgScheduler, HybridScheduler, PinPlanner,
-        PlanCache, SearchScratch, SearchVariant,
+        BandwidthAwarePacking, EsgScheduler, PlanCache, SearchScratch, SearchVariant,
     };
     pub use esg_dag::{Dag, DominatorTree, SloPlan};
     pub use esg_model::{
@@ -61,16 +60,14 @@ pub mod prelude {
         BandwidthPackingConfig, Capabilities, ClusterState, DataPlane, DataPlaneConfig,
         DataPlaneView, EventKind, EventLog, EventRecord, ExperimentResult, HealthSnapshot,
         MemoryFootprint, MinScheduler, Monitored, NodeLoad, NodeSummary, NodeTransferStats,
-        NodeView, OverheadModel, PackingConfig, Pin, PinPlan, PinnedStats, PinningConfig,
-        PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor,
-        QueueView, RankedQueues, RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent,
-        SchedulerStats, ServerMap, ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError,
+        NodeView, OverheadModel, PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth,
+        QueueHealthMonitor, QueueView, RankedQueues, RoundCtx, RoundPolicy, SchedCtx, Scheduler,
+        SchedulerEvent, SchedulerStats, ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError,
         Simulation, SloAdmission, SloAdmissionConfig, TraceError, TraceFile, TraceRecorder,
         TraceReplay, Traced, TransferCounters, TransferSummary,
     };
     pub use esg_workload::{
-        shaped_stream, shaped_stream_with, shaped_workload, shaped_workload_with, ArrivalPredictor,
-        ArrivalStream, AzureLikeTrace, Popularity, PopularityProfile, RateFn, Workload,
-        WorkloadGen,
+        shaped_stream, shaped_workload, ArrivalPredictor, ArrivalStream, AzureLikeTrace, RateFn,
+        Workload, WorkloadGen,
     };
 }

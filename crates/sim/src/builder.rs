@@ -33,7 +33,7 @@
 use crate::dataplane::DataPlaneConfig;
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, run_streamed, SimConfig, SimEnv};
-use crate::policy::{PackingConfig, PolicySpec, SloAdmissionConfig};
+use crate::policy::{BandwidthPackingConfig, PolicySpec, SloAdmissionConfig};
 use crate::sched::{OverheadModel, Scheduler};
 use esg_model::{
     AppSpec, ChurnEvent, ChurnPlan, ClusterSpec, ConfigGrid, NodeClass, Resources, SloClass,
@@ -195,16 +195,6 @@ impl SimBuilder {
     /// (pinned by `tests/dataplane_equivalence.rs`).
     pub fn data_plane(mut self, dp: DataPlaneConfig) -> Self {
         self.cfg.data_plane = Some(dp);
-        self
-    }
-
-    /// Enables the static-pinning tier's knobs (consumed by the hybrid
-    /// scheduler in `esg-core` through [`Sim::config`]). The pin budget
-    /// is checked against the cluster's total vGPU capacity at
-    /// [`build`](Self::build); an over-committed budget is an
-    /// [`SimError::InvalidKnob`], not a stranded plan at runtime.
-    pub fn pinning(mut self, p: crate::pinning::PinningConfig) -> Self {
-        self.cfg.pinning = Some(p);
         self
     }
 
@@ -397,41 +387,6 @@ impl SimBuilder {
             }
         }
 
-        // Static-pinning knobs: the tier must have real capacity behind
-        // it (the empty-cluster case already failed above, so a vGPU
-        // budget within capacity is dispatchable by construction).
-        if let Some(p) = &cfg.pinning {
-            if !(p.min_share_factor > 0.0 && p.min_share_factor.is_finite()) {
-                return Err(SimError::InvalidKnob {
-                    knob: "pinning.min_share_factor",
-                    value: p.min_share_factor,
-                    requirement: "finite and > 0",
-                });
-            }
-            if p.max_pinned_apps == 0 {
-                return Err(SimError::InvalidKnob {
-                    knob: "pinning.max_pinned_apps",
-                    value: 0.0,
-                    requirement: "at least 1 pinnable application",
-                });
-            }
-            let capacity: u64 = match &cfg.cluster {
-                Some(spec) => spec
-                    .nodes
-                    .iter()
-                    .map(|c| u64::from(c.resources().vgpus))
-                    .sum(),
-                None => cfg.nodes as u64 * u64::from(cfg.node_resources.vgpus),
-            };
-            if p.budget_vgpus > capacity {
-                return Err(SimError::InvalidKnob {
-                    knob: "pinning.budget_vgpus",
-                    value: p.budget_vgpus as f64,
-                    requirement: "within the cluster's total vGPU capacity",
-                });
-            }
-        }
-
         // Scalar knobs.
         let positive: [(&str, f64); 3] = [
             ("keep_alive_ms", cfg.keep_alive_ms),
@@ -519,7 +474,7 @@ fn validate_policy(policy: &PolicySpec) -> Result<(), SimError> {
         }
         Ok(())
     }
-    fn packing(cfg: &PackingConfig) -> Result<(), SimError> {
+    fn packing(cfg: &BandwidthPackingConfig) -> Result<(), SimError> {
         if cfg.round_budget == 0 {
             return Err(SimError::InvalidKnob {
                 knob: "policy.round_budget",
@@ -534,33 +489,28 @@ fn validate_policy(policy: &PolicySpec) -> Result<(), SimError> {
                 requirement: "finite and > 0",
             });
         }
-        if !(cfg.warm_bias >= 0.0 && cfg.warm_bias.is_finite()) {
-            return Err(SimError::InvalidKnob {
-                knob: "policy.warm_bias",
-                value: cfg.warm_bias,
-                requirement: "finite and >= 0",
-            });
+        let biases = [
+            ("policy.warm_bias", cfg.warm_bias),
+            ("policy.contention_bias", cfg.contention_bias),
+        ];
+        for (knob, value) in biases {
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err(SimError::InvalidKnob {
+                    knob,
+                    value,
+                    requirement: "finite and >= 0",
+                });
+            }
         }
         Ok(())
     }
     match policy {
         PolicySpec::Classic => Ok(()),
         PolicySpec::SloAdmission(a) => admission(a),
-        PolicySpec::CrossQueuePacking(p) => packing(p),
+        PolicySpec::Packing(p) => packing(p),
         PolicySpec::PackingWithAdmission(a, p) => {
             admission(a)?;
             packing(p)
-        }
-        PolicySpec::BandwidthPacking(b) => {
-            packing(&b.packing)?;
-            if !(b.contention_bias >= 0.0 && b.contention_bias.is_finite()) {
-                return Err(SimError::InvalidKnob {
-                    knob: "policy.contention_bias",
-                    value: b.contention_bias,
-                    requirement: "finite and >= 0",
-                });
-            }
-            Ok(())
         }
     }
 }
@@ -915,7 +865,7 @@ mod tests {
 
     #[test]
     fn policy_knob_scalars_are_validated() {
-        use crate::policy::{PackingConfig, SloAdmissionConfig};
+        use crate::policy::SloAdmissionConfig;
         // Defaults pass.
         assert!(SimBuilder::new(SloClass::Moderate)
             .policy(PolicySpec::packing_with_admission())
@@ -938,9 +888,9 @@ mod tests {
         ));
         // Zero search budget.
         let err = SimBuilder::new(SloClass::Moderate)
-            .policy(PolicySpec::CrossQueuePacking(PackingConfig {
+            .policy(PolicySpec::Packing(BandwidthPackingConfig {
                 round_budget: 0,
-                ..PackingConfig::default()
+                ..BandwidthPackingConfig::default()
             }))
             .build()
             .expect_err("rejected");
@@ -953,12 +903,39 @@ mod tests {
         ));
         // Non-finite warm bias.
         assert!(SimBuilder::new(SloClass::Moderate)
-            .policy(PolicySpec::CrossQueuePacking(PackingConfig {
+            .policy(PolicySpec::Packing(BandwidthPackingConfig {
                 warm_bias: f64::NAN,
-                ..PackingConfig::default()
+                ..BandwidthPackingConfig::default()
             }))
             .build()
             .is_err());
+        // Negative contention bias, also under admission.
+        let err = SimBuilder::new(SloClass::Moderate)
+            .policy(PolicySpec::PackingWithAdmission(
+                SloAdmissionConfig::default(),
+                BandwidthPackingConfig {
+                    contention_bias: -0.1,
+                    ..BandwidthPackingConfig::default()
+                },
+            ))
+            .build()
+            .expect_err("rejected");
+        assert!(matches!(
+            err,
+            SimError::InvalidKnob {
+                knob: "policy.contention_bias",
+                ..
+            }
+        ));
+        // The warm-only knobs (no contention terms) are valid.
+        assert!(SimBuilder::new(SloClass::Moderate)
+            .policy(PolicySpec::Packing(BandwidthPackingConfig {
+                contention_bias: 0.0,
+                defer_queue_depth: 0,
+                ..BandwidthPackingConfig::default()
+            }))
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -1035,13 +1012,11 @@ mod tests {
     }
 
     #[test]
-    fn topology_and_pinning_knobs_are_validated() {
-        use crate::pinning::PinningConfig;
+    fn topology_knobs_are_validated() {
         use esg_model::ServerTopology;
-        // A sane topology + pinning bundle builds.
+        // A sane topology builds.
         assert!(SimBuilder::new(SloClass::Moderate)
             .cluster(ClusterSpec::paper().with_topology(4, 10.0))
-            .pinning(PinningConfig::default())
             .build()
             .is_ok());
         // Zero-width servers are a typed error, not a division hazard.
@@ -1067,68 +1042,6 @@ mod tests {
             err,
             SimError::InvalidKnob {
                 knob: "topology.tor_gbps",
-                ..
-            }
-        ));
-        // A pin budget beyond the cluster's total vGPU capacity (paper
-        // cluster: 16 nodes x 7 slices = 112) can never be dispatched.
-        let err = SimBuilder::new(SloClass::Moderate)
-            .cluster(ClusterSpec::paper().with_topology(4, 10.0))
-            .pinning(PinningConfig {
-                budget_vgpus: 113,
-                ..PinningConfig::default()
-            })
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "pinning.budget_vgpus",
-                ..
-            }
-        ));
-        // The homogeneous path checks capacity too (16 x 7 = 112).
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .pinning(PinningConfig {
-                budget_vgpus: 112,
-                ..PinningConfig::default()
-            })
-            .build()
-            .is_ok());
-        // Pinning on an empty cluster is rejected before the budget
-        // check ever runs.
-        let err = SimBuilder::new(SloClass::Moderate)
-            .nodes(0)
-            .pinning(PinningConfig::default())
-            .build()
-            .expect_err("rejected");
-        assert_eq!(err, SimError::EmptyCluster);
-        // Scalar planner knobs.
-        let err = SimBuilder::new(SloClass::Moderate)
-            .pinning(PinningConfig {
-                min_share_factor: f64::NAN,
-                ..PinningConfig::default()
-            })
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "pinning.min_share_factor",
-                ..
-            }
-        ));
-        let err = SimBuilder::new(SloClass::Moderate)
-            .pinning(PinningConfig {
-                max_pinned_apps: 0,
-                ..PinningConfig::default()
-            })
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "pinning.max_pinned_apps",
                 ..
             }
         ));

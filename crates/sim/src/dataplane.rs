@@ -43,7 +43,6 @@
 //! a [`TransferSummary`] into `ExperimentResult` at the end of a run.
 
 use crate::cluster::Cluster;
-use crate::pinning::ServerMap;
 use esg_model::{NodeClass, NodeId, ServerTopology, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -163,8 +162,8 @@ pub struct TransferReq {
     /// the first per edge (observability only).
     pub batched_small: u32,
     /// MB arriving from producers in a *different server* than the
-    /// destination (0 on flat clusters) — the cross-ToR traffic the
-    /// locality-first pinning tier tries to eliminate.
+    /// destination (0 on flat clusters) — the traffic that crosses the
+    /// ToR uplinks.
     pub cross_mb: f64,
 }
 
@@ -352,6 +351,44 @@ struct Flow {
     state: FlowState,
 }
 
+/// The live node→server assignment of a [`ServerTopology`] cluster.
+/// Nodes that join after the map was built are *unassigned*: they join
+/// no ToR pool, and a hand-off to or from them counts as cross-server.
+#[derive(Clone, Debug)]
+struct ServerMap {
+    /// `assignment[node] = Some(server)`, `None` for joined nodes.
+    assignment: Vec<Option<usize>>,
+}
+
+impl ServerMap {
+    /// The map of `topology` over `nodes` consecutive nodes.
+    fn from_topology(topology: &ServerTopology, nodes: usize) -> ServerMap {
+        ServerMap {
+            assignment: (0..nodes).map(|n| Some(topology.server_of(n))).collect(),
+        }
+    }
+
+    /// The server hosting `node`, or `None` for unassigned joiners.
+    fn server_of(&self, node: NodeId) -> Option<usize> {
+        self.assignment.get(node.0 as usize).copied().flatten()
+    }
+
+    /// Whether `a` and `b` sit in the same server (false when either is
+    /// unassigned).
+    fn same_server(&self, a: NodeId, b: NodeId) -> bool {
+        match (self.server_of(a), self.server_of(b)) {
+            (Some(x), Some(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    /// Records a churn join: the new node exists but belongs to no
+    /// server.
+    fn note_join(&mut self) {
+        self.assignment.push(None);
+    }
+}
+
 /// The data-plane subsystem: pools, staging, and the active-flow table.
 #[derive(Clone, Debug)]
 pub struct DataPlane {
@@ -382,15 +419,15 @@ impl DataPlane {
         topology: Option<ServerTopology>,
     ) -> DataPlane {
         let servers = topology.map(|t| ServerMap::from_topology(&t, cluster.len()));
-        let tor = match (&servers, &topology) {
-            (Some(map), Some(t)) => vec![
+        let tor = match &topology {
+            Some(t) => vec![
                 BandwidthPool {
                     capacity: t.tor_gbps * cfg.bandwidth_scale,
                     members: 0,
                 };
-                map.num_servers()
+                t.num_servers(cluster.len())
             ],
-            _ => Vec::new(),
+            None => Vec::new(),
         };
         let mut dp = DataPlane {
             cfg,
@@ -415,6 +452,15 @@ impl DataPlane {
     /// The configured knobs.
     pub fn config(&self) -> DataPlaneConfig {
         self.cfg
+    }
+
+    /// Whether a hand-off from `src` to `dst` crosses a server boundary:
+    /// false on flat clusters, true under a topology when the two sit in
+    /// different servers or either is an unassigned joiner.
+    pub(crate) fn crosses_servers(&self, src: NodeId, dst: NodeId) -> bool {
+        self.servers
+            .as_ref()
+            .is_some_and(|map| !map.same_server(src, dst))
     }
 
     /// The pool a membership tuple names: `TOR` entries index the
@@ -777,6 +823,23 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use esg_model::ClusterSpec;
+
+    #[test]
+    fn server_map_tracks_topology_and_joins() {
+        let topology = ClusterSpec::paper()
+            .with_topology(4, 10.0)
+            .topology
+            .unwrap();
+        let mut map = ServerMap::from_topology(&topology, 16);
+        assert_eq!(map.server_of(NodeId(0)), Some(0));
+        assert_eq!(map.server_of(NodeId(7)), Some(1));
+        assert!(map.same_server(NodeId(4), NodeId(7)));
+        assert!(!map.same_server(NodeId(3), NodeId(4)));
+        // A churn join is visible but unassigned: never intra-server.
+        map.note_join();
+        assert_eq!(map.server_of(NodeId(16)), None);
+        assert!(!map.same_server(NodeId(16), NodeId(16)));
+    }
 
     fn plane(cfg: DataPlaneConfig, classes: &[NodeClass]) -> DataPlane {
         let spec = ClusterSpec {

@@ -77,10 +77,6 @@ pub struct HealthSnapshot {
     /// which emit no transfer events; `inflight` is the live count at
     /// the boundary).
     pub transfers: TransferCounters,
-    /// Cumulative static-pinning-tier counters (all zero for purely
-    /// dynamic schedulers; [`Monitored`] refreshes them from the wrapped
-    /// scheduler's [`SchedulerStats`] as events flow).
-    pub pinned: crate::pinning::PinnedStats,
 }
 
 impl HealthSnapshot {
@@ -103,7 +99,6 @@ pub struct QueueHealthMonitor {
     interval_ms: f64,
     next_at_ms: f64,
     log: EventLog,
-    pinned: crate::pinning::PinnedStats,
     snapshots: Vec<HealthSnapshot>,
 }
 
@@ -123,17 +118,8 @@ impl QueueHealthMonitor {
             // Counters are exact at any ring capacity and the monitor
             // only reads counters, so keep the replay ring minimal.
             log: EventLog::with_capacity(1),
-            pinned: crate::pinning::PinnedStats::default(),
             snapshots: Vec::new(),
         }
-    }
-
-    /// Updates the static-pinning-tier counters carried by subsequent
-    /// snapshots. The pinned tier reports through `SchedulerStats`, not
-    /// the event stream, so the scheduler's wrapper (e.g. [`Monitored`])
-    /// pushes the counters in as they change.
-    pub fn note_pinned(&mut self, pinned: crate::pinning::PinnedStats) {
-        self.pinned = pinned;
     }
 
     /// The sampling interval, ms.
@@ -189,7 +175,6 @@ impl QueueHealthMonitor {
             total_backlog: queues.iter().map(|q| q.backlog).sum(),
             queues,
             transfers: self.log.transfer_stats(),
-            pinned: self.pinned,
         }
     }
 }
@@ -240,10 +225,6 @@ impl Scheduler for Monitored {
     }
 
     fn on_event(&mut self, event: &SchedulerEvent<'_>) {
-        // Pinned-tier counters live in the wrapped scheduler's stats,
-        // not the event stream — refresh before the monitor may cut a
-        // snapshot so the boundary sees the latest values.
-        self.monitor.note_pinned(self.inner.stats().pinned);
         self.monitor.observe(event);
         self.inner.on_event(event);
     }
@@ -341,27 +322,6 @@ mod tests {
         assert_eq!(last.transfers.inflight, 0);
         assert!((last.transfers.total_mb - 32.0).abs() < 1e-12);
         assert_eq!(snaps[0].transfers, last.transfers, "cumulative counters");
-    }
-
-    #[test]
-    fn snapshots_carry_pinned_counters() {
-        use crate::pinning::PinnedStats;
-        let mut mon = QueueHealthMonitor::new(100.0);
-        mon.observe(&SchedulerEvent::JobArrived {
-            key: key(0, 0),
-            invocation: InvocationId(0),
-            now_ms: 10.0,
-        });
-        mon.note_pinned(PinnedStats {
-            hits: 7,
-            misses: 2,
-            repins: 1,
-        });
-        let snaps = mon.finish(150.0);
-        let last = snaps.last().expect("closing snapshot");
-        assert_eq!(last.pinned.hits, 7);
-        assert_eq!(last.pinned.misses, 2);
-        assert_eq!(last.pinned.repins, 1);
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod event;
 pub mod eventlog;
 pub mod health;
 pub mod metrics;
-pub mod pinning;
 pub mod platform;
 pub mod policy;
 pub mod sched;
@@ -70,13 +69,12 @@ pub use event::{Event, EventQueue};
 pub use eventlog::{EventKind, EventLog, EventRecord, QueueCounters, TransferCounters};
 pub use health::{HealthSnapshot, Monitored, QueueHealth, QueueHealthMonitor};
 pub use metrics::{AppMetrics, ExperimentResult, NodeSummary};
-pub use pinning::{Pin, PinPlan, PinnedStats, PinningConfig, ServerMap};
 pub use platform::{
     run_simulation, run_streamed, MemoryFootprint, MinScheduler, SimConfig, SimEnv, Simulation,
 };
 pub use policy::{
-    gslo_attainable, AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, PackingConfig,
-    PolicySpec, PolicyStack, PolicyStats, RankedQueues, RoundPolicy, ShedReason, SloAdmission,
+    gslo_attainable, AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, PolicySpec,
+    PolicyStack, PolicyStats, RankedQueues, RoundPolicy, ShedReason, SloAdmission,
     SloAdmissionConfig,
 };
 pub use sched::{

@@ -174,13 +174,6 @@ pub struct SimConfig {
     /// the plane is dispatch-trace bit-identical to the scalar model
     /// (`tests/dataplane_equivalence.rs`).
     pub data_plane: Option<DataPlaneConfig>,
-    /// Static-pinning-tier knobs (`crate::pinning`). The platform never
-    /// consumes them itself — the hybrid scheduler in `esg-core` reads
-    /// them through `Sim::config()` — but `SimBuilder` validates them
-    /// against the cluster (a pin budget larger than the cluster's
-    /// total vGPU capacity, or pinning on an empty cluster, is a typed
-    /// error, not a stranded plan at runtime). `None` disables the tier.
-    pub pinning: Option<crate::pinning::PinningConfig>,
 }
 
 impl Default for SimConfig {
@@ -205,7 +198,6 @@ impl Default for SimConfig {
             validate_cluster_state: false,
             record_trace: None,
             data_plane: None,
-            pinning: None,
         }
     }
 }
@@ -356,9 +348,6 @@ pub struct Simulation<'a> {
     /// The contended data plane (`cfg.data_plane`); `None` keeps the
     /// classic scalar transfer model.
     dataplane: Option<DataPlane>,
-    /// The node→server map (`Some` only when `cfg.cluster` declares a
-    /// `ServerTopology`); joined nodes stay unassigned.
-    servers: Option<crate::pinning::ServerMap>,
 }
 
 impl<'a> Simulation<'a> {
@@ -449,7 +438,6 @@ impl<'a> Simulation<'a> {
         let dataplane = cfg
             .data_plane
             .map(|dp| DataPlane::new(dp, &cluster, topology));
-        let servers = topology.map(|t| crate::pinning::ServerMap::from_topology(&t, cluster.len()));
         Simulation {
             env,
             cfg,
@@ -488,7 +476,6 @@ impl<'a> Simulation<'a> {
             base_ms,
             recorder,
             dataplane,
-            servers,
         }
     }
 
@@ -621,9 +608,6 @@ impl<'a> Simulation<'a> {
             ChurnEvent::Join { class, .. } => {
                 if let Some(dp) = self.dataplane.as_mut() {
                     dp.note_join(&class);
-                }
-                if let Some(map) = self.servers.as_mut() {
-                    map.note_join();
                 }
                 let joined = self.cluster.join(class, self.now);
                 self.waiting_exec.push(std::collections::VecDeque::new());
@@ -829,7 +813,6 @@ impl<'a> Simulation<'a> {
                     transfer: &self.env.transfer,
                     noise: &self.env.noise,
                     dataplane: self.dataplane.as_ref().map(|dp| dp.view()),
-                    servers: self.servers.as_ref(),
                 };
                 let t0 = Instant::now();
                 let decisions = self.sched.schedule_round(&ctx);
@@ -1144,7 +1127,6 @@ impl<'a> Simulation<'a> {
         // Data-plane aggregates (one aggregated flow per dispatched
         // batch): same-node MB, remote/gateway MB, and the distinct
         // remote producers with their same-edge job counts.
-        let with_dataplane = self.dataplane.is_some();
         let mut local_jobs = 0u32;
         let mut remote_jobs = 0u32;
         // Jobs whose producer sits in a different server than `node`
@@ -1169,16 +1151,14 @@ impl<'a> Simulation<'a> {
                 rate_ms += self.env.transfer.remote_ms_per_mb * spec.input_mb * link;
                 base_ms = base_ms.max(self.env.transfer.remote_base_ms * link);
                 remote_jobs += 1;
-                if with_dataplane {
+                if let Some(dp) = &self.dataplane {
                     if let Some(src) = j.pred_node.filter(|s| s.index() < self.cluster.len()) {
                         match src_counts.iter_mut().find(|(s, _)| *s == src.index()) {
                             Some((_, c)) => *c += 1,
                             None => src_counts.push((src.index(), 1)),
                         }
-                        if let Some(map) = &self.servers {
-                            if !map.same_server(src, node) {
-                                cross_jobs += 1;
-                            }
+                        if dp.crosses_servers(src, node) {
+                            cross_jobs += 1;
                         }
                     }
                 }

@@ -542,59 +542,42 @@ impl RoundPolicy for SloAdmission {
     }
 }
 
-/// Knobs of the ESG cross-queue packing stage (`esg-core`'s
-/// `EsgCrossQueuePacking`; defined here so [`PolicySpec`] can carry it
-/// through the sim layer).
+/// Knobs of ESG's cross-queue packing stage (`esg-core`'s
+/// `BandwidthAwarePacking`; defined here so [`PolicySpec`] can carry them
+/// through the sim layer). The contention terms read the live data-plane
+/// view (`RoundCtx::dataplane`); without a data plane, or with
+/// `contention_bias: 0.0` and `defer_queue_depth: 0`, the stage ranks on
+/// GSLO tightness and warm affinity under the round budget alone.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PackingConfig {
+pub struct BandwidthPackingConfig {
     /// Shared search budget per controller instant, in expanded
     /// configurations: once a round's decisions have spent it, the
     /// remaining queues are deferred instead of searched.
     pub round_budget: u64,
-    /// Back-off for budget-deferred queues, ms.
+    /// Back-off for deferred queues, ms.
     pub defer_ms: f64,
     /// Rank bonus (in normalised-tightness units) for queues whose
     /// predecessor node holds a warm container for the queue's function
     /// — dispatching them first co-locates sibling stages while the
     /// warm slot is still free.
     pub warm_bias: f64,
-}
-
-impl Default for PackingConfig {
-    fn default() -> Self {
-        PackingConfig {
-            round_budget: 200_000,
-            defer_ms: 5.0,
-            warm_bias: 0.25,
-        }
-    }
-}
-
-/// Knobs of the bandwidth-aware packing stage (`esg-core`'s
-/// `BandwidthAwarePacking`; defined here so [`PolicySpec`] can carry it
-/// through the sim layer). Extends [`PackingConfig`] with an
-/// estimated-contention term fed by the live data-plane view
-/// (`RoundCtx::dataplane`); without a data plane the stage degrades to
-/// plain cross-queue packing.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BandwidthPackingConfig {
-    /// The underlying packing knobs (budget, defer, warm bias).
-    pub packing: PackingConfig,
     /// Rank penalty (normalised-tightness units) per flow already
     /// contending for the predecessor node's ingress path — warm
     /// affinity onto a saturated link stops looking free.
     pub contention_bias: f64,
-    /// Defer a queue (by the packing `defer_ms`) when its predecessor
-    /// node has at least this many transfers queued for staging: the
-    /// input tensors cannot even start moving, so burning search budget
-    /// now buys nothing.
+    /// Defer a queue (by `defer_ms`) when its predecessor node has at
+    /// least this many transfers queued for staging: the input tensors
+    /// cannot even start moving, so burning search budget now buys
+    /// nothing. 0 disables the check.
     pub defer_queue_depth: u32,
 }
 
 impl Default for BandwidthPackingConfig {
     fn default() -> Self {
         BandwidthPackingConfig {
-            packing: PackingConfig::default(),
+            round_budget: 200_000,
+            defer_ms: 5.0,
+            warm_bias: 0.25,
             contention_bias: 0.1,
             defer_queue_depth: 4,
         }
@@ -620,14 +603,10 @@ pub enum PolicySpec {
     /// [`SloAdmission`] alone (any scheduler that carries a stack).
     SloAdmission(SloAdmissionConfig),
     /// ESG cross-queue packing alone (`EsgScheduler` only).
-    CrossQueuePacking(PackingConfig),
+    Packing(BandwidthPackingConfig),
     /// [`SloAdmission`] below ESG cross-queue packing (`EsgScheduler`
     /// only).
-    PackingWithAdmission(SloAdmissionConfig, PackingConfig),
-    /// Bandwidth-aware cross-queue packing (`EsgScheduler` only):
-    /// packing plus a contention penalty fed by the live data-plane
-    /// view.
-    BandwidthPacking(BandwidthPackingConfig),
+    PackingWithAdmission(SloAdmissionConfig, BandwidthPackingConfig),
 }
 
 impl PolicySpec {
@@ -638,17 +617,15 @@ impl PolicySpec {
 
     /// ESG cross-queue packing at its default knobs.
     pub fn packing() -> PolicySpec {
-        PolicySpec::CrossQueuePacking(PackingConfig::default())
+        PolicySpec::Packing(BandwidthPackingConfig::default())
     }
 
     /// Admission + packing at default knobs.
     pub fn packing_with_admission() -> PolicySpec {
-        PolicySpec::PackingWithAdmission(SloAdmissionConfig::default(), PackingConfig::default())
-    }
-
-    /// Bandwidth-aware packing at its default knobs.
-    pub fn bandwidth_packing() -> PolicySpec {
-        PolicySpec::BandwidthPacking(BandwidthPackingConfig::default())
+        PolicySpec::PackingWithAdmission(
+            SloAdmissionConfig::default(),
+            BandwidthPackingConfig::default(),
+        )
     }
 
     /// Builds the stack for specs expressible with sim-layer stages
@@ -658,21 +635,17 @@ impl PolicySpec {
         match *self {
             PolicySpec::Classic => Some(PolicyStack::classic()),
             PolicySpec::SloAdmission(cfg) => Some(PolicyStack::new().with(SloAdmission::new(cfg))),
-            PolicySpec::CrossQueuePacking(_)
-            | PolicySpec::PackingWithAdmission(..)
-            | PolicySpec::BandwidthPacking(_) => None,
+            PolicySpec::Packing(_) | PolicySpec::PackingWithAdmission(..) => None,
         }
     }
 
-    /// A short display label ("classic", "admit", "pack", "pack+admit",
-    /// "bw-pack").
+    /// A short display label ("classic", "admit", "pack", "pack+admit").
     pub fn label(&self) -> &'static str {
         match self {
             PolicySpec::Classic => "classic",
             PolicySpec::SloAdmission(_) => "admit",
-            PolicySpec::CrossQueuePacking(_) => "pack",
+            PolicySpec::Packing(_) => "pack",
             PolicySpec::PackingWithAdmission(..) => "pack+admit",
-            PolicySpec::BandwidthPacking(_) => "bw-pack",
         }
     }
 }
@@ -711,7 +684,6 @@ mod tests {
             transfer: &env.transfer,
             noise: &env.noise,
             dataplane: None,
-            servers: None,
         }
     }
 

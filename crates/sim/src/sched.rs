@@ -165,11 +165,6 @@ pub struct RoundCtx<'a> {
     /// policies fold its per-node contention estimates into their
     /// ranking; everything else ignores it.
     pub dataplane: Option<&'a crate::dataplane::DataPlaneView>,
-    /// The node→server map (`Some` only when the cluster declares a
-    /// [`ServerTopology`](esg_model::ServerTopology)). The static
-    /// pinning tier and locality-aware policies use it to keep hot
-    /// workflows intra-server; flat clusters leave it `None`.
-    pub servers: Option<&'a crate::pinning::ServerMap>,
 }
 
 impl RoundCtx<'_> {
@@ -427,9 +422,6 @@ pub struct SchedulerStats {
     /// on the way into `ExperimentResult` (the PR-5 fields were copied
     /// one by one, which is exactly how a new field gets forgotten).
     pub policy: PolicyStats,
-    /// Static-pinning-tier counters (hits, misses, re-pins); all zero
-    /// for purely dynamic schedulers.
-    pub pinned: crate::pinning::PinnedStats,
 }
 
 impl SchedulerStats {
@@ -450,17 +442,10 @@ impl SchedulerStats {
         self.policy = p;
         self
     }
-
-    /// Installs the static pinning tier's counters wholesale (hybrid
-    /// schedulers call this from `Scheduler::stats`).
-    pub fn with_pinned(mut self, p: crate::pinning::PinnedStats) -> SchedulerStats {
-        self.pinned = p;
-        self
-    }
 }
 
 /// Hand-rolled `Debug` that matches the pre-policy derive output
-/// byte-for-byte whenever the policy and pinning counters are zero: the
+/// byte-for-byte whenever the policy counters are zero: the
 /// golden control-plane digests hash `ExperimentResult`'s Debug dump
 /// (which embeds this struct), and the classic stack must stay
 /// bit-identical to the pinned pre-redesign baseline.
@@ -476,11 +461,6 @@ impl std::fmt::Debug for SchedulerStats {
             d.field("queues_shed", &self.policy.queues_shed)
                 .field("jobs_shed", &self.policy.jobs_shed)
                 .field("queues_deferred", &self.policy.queues_deferred);
-        }
-        if self.pinned != crate::pinning::PinnedStats::default() {
-            d.field("pinned_hits", &self.pinned.hits)
-                .field("pinned_misses", &self.pinned.misses)
-                .field("repins", &self.pinned.repins);
         }
         d.finish()
     }

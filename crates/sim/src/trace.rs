@@ -78,7 +78,9 @@ pub const TRACE_VERSION: u32 = 1;
 /// removed the `shards`, `force_sharded` and `event_queue` config keys
 /// and the `X` (shard-commit) event tag; the loader still accepts them
 /// in older documents (see `config_from_json` and `decode_event`).
-pub const TRACE_VERSION_MINOR: u32 = 3;
+/// Minor 4 stopped writing the `pinning` config knob, which the platform
+/// never consumed; older documents still load with it.
+pub const TRACE_VERSION_MINOR: u32 = 4;
 
 /// A typed failure while writing or loading a trace. Corrupt or
 /// truncated files surface here — never as a panic.
@@ -856,28 +858,19 @@ fn config_to_json(cfg: &SimConfig) -> Value {
             }
         },
     );
-    m.insert(
-        "pinning",
-        match &cfg.pinning {
-            None => Value::Null,
-            Some(p) => {
-                let mut d = Map::new();
-                d.insert("budget_vgpus", p.budget_vgpus);
-                d.insert("min_share_factor", p.min_share_factor);
-                d.insert("max_pinned_apps", p.max_pinned_apps);
-                Value::Object(d)
-            }
-        },
-    );
     Value::Object(m)
 }
 
-/// Validates the control-plane keys minor 3 removed. Documents up to
-/// minor 2 carry them; they load as long as the single round driver
-/// reproduces the recorded decisions. Both event-queue backends were
-/// dispatch-trace identical and a one-shard run replayed the classic
-/// driver, so `event_queue` and `force_sharded` are ignored, but a
-/// multi-shard recording is [`TraceError::Unsupported`].
+/// Validates the config keys later minors removed. Documents up to
+/// minor 2 carry the control-plane keys minor 3 removed; they load as
+/// long as the single round driver reproduces the recorded decisions.
+/// Both event-queue backends were dispatch-trace identical and a
+/// one-shard run replayed the classic driver, so `event_queue` and
+/// `force_sharded` are ignored, but a multi-shard recording is
+/// [`TraceError::Unsupported`]. Documents up to minor 3 carry the
+/// `pinning` knob minor 4 removed: the platform never consumed it, so a
+/// recording replays its digest without it, and `null` or a well-formed
+/// object is ignored.
 fn check_legacy_control_plane(doc: &Value) -> Result<(), TraceError> {
     if doc.get("shards").is_some() {
         let shards = usize_field(doc, "shards")?;
@@ -891,6 +884,14 @@ fn check_legacy_control_plane(doc: &Value) -> Result<(), TraceError> {
         match str_field(doc, "event_queue")? {
             "heap" | "wheel" => {}
             other => return Err(schema(&format!("unknown event-queue backend {other:?}"))),
+        }
+    }
+    match doc.get("pinning") {
+        None | Some(Value::Null) => {}
+        Some(p) => {
+            u64_field(p, "budget_vgpus")?;
+            f64_field(p, "min_share_factor")?;
+            usize_field(p, "max_pinned_apps")?;
         }
     }
     Ok(())
@@ -957,15 +958,6 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
                 bandwidth_scale: f64_field(dp, "bandwidth_scale")?,
                 staging_scale: f64_field(dp, "staging_scale")?,
                 batch_max_mb: f64_field(dp, "batch_max_mb")?,
-            }),
-        },
-        // Arrived in v1.2; absent documents disable the static tier.
-        pinning: match doc.get("pinning") {
-            None | Some(Value::Null) => None,
-            Some(p) => Some(crate::pinning::PinningConfig {
-                budget_vgpus: u64_field(p, "budget_vgpus")?,
-                min_share_factor: f64_field(p, "min_share_factor")?,
-                max_pinned_apps: usize_field(p, "max_pinned_apps")?,
             }),
         },
         record_trace: None,
@@ -1244,11 +1236,6 @@ mod tests {
                 staging_scale: 2.0,
                 batch_max_mb: 16.0,
             }),
-            pinning: Some(crate::pinning::PinningConfig {
-                budget_vgpus: 12,
-                min_share_factor: 1.25,
-                max_pinned_apps: 3,
-            }),
             ..SimConfig::default()
         };
         let text = serde_json::to_string(&config_to_json(&cfg));
@@ -1337,6 +1324,36 @@ mod tests {
     }
 
     #[test]
+    fn legacy_pinning_knob_loads_when_null_or_well_formed() {
+        let pinning = "\"pinning\": {\"budget_vgpus\": 28, \"min_share_factor\": 1.25, \
+\"max_pinned_apps\": 3}";
+        for knob in ["\"pinning\": null", pinning] {
+            let t = TraceFile::from_json(&legacy_document(knob)).expect("loads");
+            assert_eq!(t.version_minor, 2);
+            assert_eq!(
+                config_to_json(&t.config).get("pinning"),
+                None,
+                "the knob is not carried forward"
+            );
+        }
+        for bad in [
+            "\"pinning\": 3",
+            "\"pinning\": \"on\"",
+            "\"pinning\": {\"budget_vgpus\": 28, \"min_share_factor\": 1.25}",
+            "\"pinning\": {\"budget_vgpus\": -1, \"min_share_factor\": 1.25, \
+\"max_pinned_apps\": 3}",
+        ] {
+            assert!(
+                matches!(
+                    TraceFile::from_json(&legacy_document(bad)),
+                    Err(TraceError::Schema { .. })
+                ),
+                "{bad} must be a schema error"
+            );
+        }
+    }
+
+    #[test]
     fn v1_2_wheel_recording_with_shard_events_replays_its_digest() {
         use crate::{MinScheduler, SimBuilder};
         use esg_model::WorkloadClass;
@@ -1354,15 +1371,17 @@ mod tests {
         let current = std::fs::read_to_string(&path).expect("recorded");
         std::fs::remove_file(&path).ok();
         // Rewrite the recording as a minor-2 document: the removed
-        // control-plane keys in its config and a shard-commit record in
-        // its event stream.
+        // control-plane keys and pinning knob in its config and a
+        // shard-commit record in its event stream.
         let mut legacy = current.clone();
+        let minor = format!("\"version_minor\":{TRACE_VERSION_MINOR}");
         for (from, to) in [
-            ("\"version_minor\":3", "\"version_minor\":2"),
+            (minor.as_str(), "\"version_minor\":2"),
             (
                 "\"validate_cluster_state\":false",
                 "\"validate_cluster_state\":false,\"shards\":1,\"force_sharded\":false,\
-\"event_queue\":\"wheel\"",
+\"event_queue\":\"wheel\",\"pinning\":{\"budget_vgpus\":28,\"min_share_factor\":1.25,\
+\"max_pinned_apps\":3}",
             ),
             ("\"events\":[", "\"events\":[[\"X\",0,0,1,0,0],"),
         ] {

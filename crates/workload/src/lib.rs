@@ -13,9 +13,6 @@
 //! * [`shapes`] — traffic-shape generators (`steady`, `bursty`,
 //!   `diurnal`, `azure` replay) keyed by `esg_model::TrafficShape`, all
 //!   holding the class mean rate so shapes compare apples-to-apples;
-//! * [`popularity`] — application-popularity skew for the shaped
-//!   generators (`Popularity::Zipf`) plus the [`PopularityProfile`]
-//!   analysis pass the static pinning tier ranks hot workflows with;
 //! * [`predictor`] — the EWMA inter-arrival predictor the pre-warming
 //!   proxy threads use (§4);
 //! * [`stream`] — the lazy [`ArrivalStream`] iterator every generator
@@ -27,16 +24,12 @@
 
 pub mod arrivals;
 pub mod azure;
-pub mod popularity;
 pub mod predictor;
 pub mod shapes;
 pub mod stream;
 
 pub use arrivals::{Arrival, Workload, WorkloadGen};
 pub use azure::AzureLikeTrace;
-pub use popularity::{Popularity, PopularityProfile};
 pub use predictor::ArrivalPredictor;
-pub use shapes::{
-    shaped_stream, shaped_stream_with, shaped_workload, shaped_workload_with, RateFn,
-};
+pub use shapes::{shaped_stream, shaped_workload, RateFn};
 pub use stream::ArrivalStream;

@@ -16,7 +16,6 @@
 
 use crate::arrivals::Workload;
 use crate::azure::AzureLikeTrace;
-use crate::popularity::Popularity;
 use crate::stream::ArrivalStream;
 use esg_model::{AppId, TrafficShape, WorkloadClass};
 
@@ -111,20 +110,8 @@ pub fn shaped_stream(
     apps: &[AppId],
     seed: u64,
 ) -> ArrivalStream {
-    shaped_stream_with(class, shape, apps, seed, Popularity::Uniform)
-}
-
-/// [`shaped_stream`] with an explicit application-popularity skew.
-/// `Popularity::Uniform` is bit-identical to [`shaped_stream`].
-pub fn shaped_stream_with(
-    class: WorkloadClass,
-    shape: TrafficShape,
-    apps: &[AppId],
-    seed: u64,
-    popularity: Popularity,
-) -> ArrivalStream {
     assert!(!apps.is_empty(), "need at least one application");
-    let stream = match shape {
+    match shape {
         TrafficShape::Steady => ArrivalStream::of_class(class, apps.to_vec(), seed),
         TrafficShape::Bursty => {
             ArrivalStream::modulated(class, apps.to_vec(), seed, RateFn::bursty())
@@ -135,8 +122,7 @@ pub fn shaped_stream_with(
         TrafficShape::AzureReplay => {
             ArrivalStream::azure(azure_trace_for(class, seed), apps.to_vec(), None)
         }
-    };
-    stream.with_popularity(popularity)
+    }
 }
 
 /// Generates `duration_ms` of arrivals for `class` shaped by `shape`,
@@ -150,31 +136,14 @@ pub fn shaped_workload(
     seed: u64,
     duration_ms: f64,
 ) -> Workload {
-    shaped_workload_with(class, shape, apps, seed, Popularity::Uniform, duration_ms)
-}
-
-/// [`shaped_workload`] with an explicit application-popularity skew.
-/// `Popularity::Uniform` is bit-identical to [`shaped_workload`]; any
-/// skew remains bit-identical to draining
-/// [`shaped_stream_with`] over the same window (the stream==materialised
-/// determinism the replay engine depends on).
-pub fn shaped_workload_with(
-    class: WorkloadClass,
-    shape: TrafficShape,
-    apps: &[AppId],
-    seed: u64,
-    popularity: Popularity,
-    duration_ms: f64,
-) -> Workload {
     assert!(!apps.is_empty(), "need at least one application");
     match shape {
         TrafficShape::AzureReplay => {
             let minutes = ((duration_ms / 60_000.0).ceil() as usize).max(1);
             ArrivalStream::azure(azure_trace_for(class, seed), apps.to_vec(), Some(minutes))
-                .with_popularity(popularity)
                 .until_ms(duration_ms)
         }
-        _ => shaped_stream_with(class, shape, apps, seed, popularity).until_ms(duration_ms),
+        _ => shaped_stream(class, shape, apps, seed).until_ms(duration_ms),
     }
 }
 

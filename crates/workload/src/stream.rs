@@ -18,56 +18,25 @@
 
 use crate::arrivals::{Arrival, Workload};
 use crate::azure::AzureLikeTrace;
-use crate::popularity::Popularity;
 use crate::shapes::RateFn;
 use esg_model::{AppId, Gaussian, TrafficShape, WorkloadClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The per-arrival application draw. `Uniform` keeps the historical
-/// integer draw (`random_range(0..apps.len())`) so pre-knob streams stay
-/// bit-identical; weighted popularity consumes exactly one `f64` draw
-/// through a precomputed CDF.
+/// The per-arrival application draw: uniform over `apps` (paper §4.1),
+/// one integer draw per arrival.
 struct AppPicker {
     apps: Vec<AppId>,
-    /// `None` = uniform; `Some` = cumulative weights over `apps`.
-    cdf: Option<Vec<f64>>,
 }
 
 impl AppPicker {
-    fn new(apps: Vec<AppId>, popularity: Popularity) -> AppPicker {
-        assert!(!apps.is_empty(), "need at least one application");
-        let cdf = match popularity {
-            Popularity::Uniform => None,
-            pop => {
-                let mut acc = 0.0;
-                Some(
-                    pop.weights(apps.len())
-                        .into_iter()
-                        .map(|w| {
-                            acc += w;
-                            acc
-                        })
-                        .collect(),
-                )
-            }
-        };
-        AppPicker { apps, cdf }
-    }
-
     fn uniform(apps: Vec<AppId>) -> AppPicker {
-        AppPicker::new(apps, Popularity::Uniform)
+        assert!(!apps.is_empty(), "need at least one application");
+        AppPicker { apps }
     }
 
     fn pick(&self, rng: &mut StdRng) -> AppId {
-        match &self.cdf {
-            None => self.apps[rng.random_range(0..self.apps.len())],
-            Some(cdf) => {
-                let u: f64 = rng.random::<f64>();
-                let i = cdf.partition_point(|&c| c <= u);
-                self.apps[i.min(self.apps.len() - 1)]
-            }
-        }
+        self.apps[rng.random_range(0..self.apps.len())]
     }
 }
 
@@ -174,22 +143,6 @@ impl ArrivalStream {
         seed: u64,
     ) -> ArrivalStream {
         crate::shapes::shaped_stream(class, shape, apps, seed)
-    }
-
-    /// Replaces the application draw distribution (default:
-    /// [`Popularity::Uniform`], the paper's §4.1 draw). `Uniform` keeps
-    /// the stream bit-identical to a stream built without this call;
-    /// skewed popularity changes only the app picked per arrival — the
-    /// arrival *times* are driven by separate draws and stay identical
-    /// on class and modulated streams.
-    pub fn with_popularity(mut self, popularity: Popularity) -> ArrivalStream {
-        let picker = match &mut self.inner {
-            Inner::Class(s) => &mut s.picker,
-            Inner::Modulated(s) => &mut s.picker,
-            Inner::Azure(s) => &mut s.picker,
-        };
-        *picker = AppPicker::new(std::mem::take(&mut picker.apps), popularity);
-        self
     }
 
     /// Materialises the first `count` arrivals.
@@ -406,71 +359,6 @@ mod tests {
             n += 1;
         }
         assert!(n > 100, "ten minutes at ~30/min should emit >100, got {n}");
-    }
-
-    #[test]
-    fn uniform_popularity_is_bit_identical_to_default() {
-        use crate::popularity::Popularity;
-        use crate::shapes::shaped_stream_with;
-        for shape in TrafficShape::all() {
-            let plain: Vec<Arrival> =
-                ArrivalStream::shaped(WorkloadClass::Normal, shape, &apps4(), 13)
-                    .take(300)
-                    .collect();
-            let uniform: Vec<Arrival> = shaped_stream_with(
-                WorkloadClass::Normal,
-                shape,
-                &apps4(),
-                13,
-                Popularity::Uniform,
-            )
-            .take(300)
-            .collect();
-            assert_eq!(plain, uniform, "{shape}");
-        }
-    }
-
-    #[test]
-    fn zipf_streams_match_materialised_and_skew_the_head() {
-        use crate::popularity::{Popularity, PopularityProfile};
-        use crate::shapes::{shaped_stream_with, shaped_workload_with};
-        let pop = Popularity::Zipf { s: 1.5 };
-        for shape in TrafficShape::all() {
-            // Stream == materialised, bit for bit, under skew (satellite
-            // determinism pin: the replay engine pulls the stream, the
-            // sweep engine materialises).
-            let eager =
-                shaped_workload_with(WorkloadClass::Normal, shape, &apps4(), 42, pop, 20_000.0);
-            let lazy = shaped_stream_with(WorkloadClass::Normal, shape, &apps4(), 42, pop)
-                .until_ms(20_000.0);
-            assert_eq!(eager.arrivals, lazy.arrivals, "{shape}");
-            assert!(!eager.is_empty(), "{shape} produced no arrivals");
-
-            // The first-listed app dominates and order is preserved.
-            let profile = PopularityProfile::of(&eager);
-            assert_eq!(profile.ranked()[0].0, AppId(0), "{shape} head not hot");
-            assert!(
-                profile.share(AppId(0)) > 0.4,
-                "{shape}: zipf-1.5 head share {:.2} too flat",
-                profile.share(AppId(0))
-            );
-        }
-    }
-
-    #[test]
-    fn zipf_keeps_arrival_times_of_the_uniform_stream() {
-        use crate::popularity::Popularity;
-        // Class/modulated streams draw times and apps from the same RNG
-        // but one draw each — swapping the app draw kind leaves the time
-        // sequence pinned only for the *first* arrival; what must hold
-        // exactly is count and ordering.
-        for shape in [TrafficShape::Steady, TrafficShape::Bursty] {
-            let z: Vec<Arrival> = ArrivalStream::shaped(WorkloadClass::Light, shape, &apps4(), 5)
-                .with_popularity(Popularity::Zipf { s: 2.0 })
-                .take(500)
-                .collect();
-            assert!(z.windows(2).all(|p| p[0].at_ms <= p[1].at_ms), "{shape}");
-        }
     }
 
     #[test]
