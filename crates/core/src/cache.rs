@@ -266,10 +266,15 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Default entry bound: comfortably covers the standard environment's
-    /// (app, stage, bucket, class) population while capping memory at a
-    /// few hundred K-path results.
-    pub const DEFAULT_CAPACITY: usize = 512;
+    /// Default entry bound: the smallest power of two with no
+    /// eviction-driven misses on any `perfbench` workload. A 20-minute
+    /// window (seed 42) touches 2 253 distinct keys on `azure_replay`,
+    /// 3 633 on `fabric_contention`, and between 512 and 1 024 per churn
+    /// epoch on `strict_churn` (each churn event flushes the cache). At
+    /// 512, `azure_replay` evicted 70 481 entries for 70 993 insertions.
+    /// The slab grows lazily, so a run pays only for the keys it
+    /// actually produces.
+    pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// An empty cache bounded to `capacity` entries (min 1).
     pub fn with_capacity(capacity: usize) -> PlanCache {

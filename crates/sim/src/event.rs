@@ -39,17 +39,22 @@ pub enum Event {
 }
 
 /// A time-ordered event queue with deterministic tie-breaking: a binary
-/// min-heap, O(log n) push/pop.
+/// min-heap, O(log n) push/pop. Entries sort on one packed key, `time <<
+/// 64 | class << 62 | index`, so a heap comparison is a single integer
+/// compare; pop order is exactly `(time, class, sequence)`.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
     peak_len: usize,
 }
 
-/// A heap entry: `(due time, (class rank, sequence), event)`, wrapped in
-/// [`Reverse`] so the `BinaryHeap` pops the earliest rank first.
-type HeapEntry = Reverse<(SimTime, (u8, u64), Event)>;
+/// A queued event under its packed sort key. Keys are unique, so the
+/// event itself is never compared.
+type Entry = (u128, Event);
+
+/// Bit offset of the class in the packed rank.
+const CLASS_SHIFT: u32 = 62;
 
 impl EventQueue {
     /// Creates an empty queue.
@@ -57,11 +62,11 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// The deterministic tie-break rank of `event` at equal timestamps:
-    /// arrivals by index, churn by plan index, everything else in
-    /// insertion order.
-    fn rank(&mut self, event: &Event) -> (u8, u64) {
-        match *event {
+    /// The deterministic tie-break rank of `event` at equal timestamps,
+    /// packed as `class << 62 | index`: arrivals by index, churn by plan
+    /// index, everything else in insertion order.
+    fn rank(&mut self, event: &Event) -> u64 {
+        let (class, index) = match *event {
             Event::Arrival(i) => (0, i as u64),
             Event::Churn(i) => (1, i as u64),
             _ => {
@@ -69,19 +74,24 @@ impl EventQueue {
                 self.next_seq += 1;
                 (2, s)
             }
-        }
+        };
+        debug_assert!(index < 1 << CLASS_SHIFT, "event index overflows its rank");
+        class << CLASS_SHIFT | index
     }
 
     /// Schedules `event` at `at`.
     pub fn push(&mut self, at: SimTime, event: Event) {
         let rank = self.rank(&event);
-        self.heap.push(Reverse((at, rank, event)));
+        self.heap
+            .push(Reverse(((at.0 as u128) << 64 | rank as u128, event)));
         self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Pops the earliest event, ties broken by `(class, sequence)`.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|Reverse((at, _, ev))| (at, ev))
+        self.heap
+            .pop()
+            .map(|Reverse((key, ev))| (SimTime((key >> 64) as u64), ev))
     }
 
     /// Number of pending events.
@@ -104,7 +114,9 @@ impl EventQueue {
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        self.heap
+            .peek()
+            .map(|Reverse((key, _))| SimTime((key >> 64) as u64))
     }
 }
 
@@ -165,6 +177,73 @@ mod tests {
         let mut q = EventQueue::new();
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
+    }
+
+    /// Random interleaved push/pop against the tuple-keyed heap the
+    /// packed key replaced: the pop sequences must match event for event,
+    /// including same-instant pushes of arrivals, churn and dynamic
+    /// events.
+    #[test]
+    fn matches_a_reference_heap_under_random_interleavings() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        type Model = BinaryHeap<Reverse<(SimTime, (u8, u64), Event)>>;
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut q = EventQueue::new();
+            let mut model = Model::new();
+            let mut model_seq = 0u64;
+            let (mut next_arrival, mut next_churn) = (0usize, 0usize);
+            // A large start time exercises the high half of the packed key.
+            let mut now = SimTime(rng.random_range(0..1u64 << 50));
+            let mut popped = 0usize;
+            for _ in 0..400 {
+                if rng.random_bool(0.55) || model.is_empty() {
+                    // Half at the current instant, the rest in the near
+                    // future (so equal timestamps recur).
+                    let at = if rng.random_bool(0.5) {
+                        now
+                    } else {
+                        SimTime(now.0 + rng.random_range(1..6u64))
+                    };
+                    let event = match rng.random_range(0..6u32) {
+                        0 => {
+                            next_arrival += 1;
+                            Event::Arrival(next_arrival - 1)
+                        }
+                        1 => {
+                            next_churn += 1;
+                            Event::Churn(next_churn - 1)
+                        }
+                        2 => Event::ControllerStep,
+                        3 => Event::TaskComplete(rng.random_range(0..9u64)),
+                        4 => Event::TransferDue(rng.random_range(0..9u64), 1),
+                        _ => Event::Prewarm(1, rng.random_range(0..3u32)),
+                    };
+                    let rank = match event {
+                        Event::Arrival(i) => (0, i as u64),
+                        Event::Churn(i) => (1, i as u64),
+                        _ => {
+                            model_seq += 1;
+                            (2, model_seq - 1)
+                        }
+                    };
+                    q.push(at, event);
+                    model.push(Reverse((at, rank, event)));
+                } else {
+                    let Reverse((at, _, event)) = model.pop().expect("non-empty model");
+                    assert_eq!(q.pop(), Some((at, event)), "seed {seed} pop {popped}");
+                    now = at;
+                    popped += 1;
+                }
+                assert_eq!(q.len(), model.len());
+                assert_eq!(q.peek_time(), model.peek().map(|Reverse((t, _, _))| *t));
+            }
+            while let Some(Reverse((at, _, event))) = model.pop() {
+                assert_eq!(q.pop(), Some((at, event)), "seed {seed} drain");
+            }
+            assert!(q.is_empty() && q.pop().is_none());
+        }
     }
 
     #[test]

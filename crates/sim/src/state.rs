@@ -424,6 +424,78 @@ mod tests {
         assert_eq!(state.len(), 4);
     }
 
+    /// Random platform-shaped mutation sequences — pre-warm installs,
+    /// warm claims, slot returns, commitments, drains and joins, with time
+    /// stepping past readiness and expiry horizons — must leave the
+    /// incremental state equal to a fresh snapshot at every refresh.
+    #[test]
+    fn random_mutations_keep_incremental_state_equal_to_the_snapshot() {
+        use esg_model::NodeClass;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let keep = SimTime::from_ms(40.0);
+        let demand = Resources::new(2, 1);
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cluster = Cluster::new(3, Resources::new(16, 7));
+            let mut now = SimTime::ZERO;
+            let mut state = ClusterState::from_cluster(&cluster, now);
+            // Running tasks: (node, function, warm-claimed, committed).
+            let mut running: Vec<(NodeId, FnId, bool, bool)> = Vec::new();
+            for step in 0..300 {
+                let node = NodeId(rng.random_range(0..cluster.len() as u32));
+                let f = FnId(rng.random_range(0..5u32));
+                match rng.random_range(0..10u32) {
+                    0 | 1 => {
+                        let ready = now + SimTime::from_ms(rng.random_range(0.0..30.0));
+                        cluster.node_mut(node).prewarm(f, ready, keep);
+                        state.touch(node);
+                    }
+                    2 | 3 => {
+                        let n = cluster.node_mut(node);
+                        let warm = n.claim_warm(f, now);
+                        let committed = n.commit(demand);
+                        state.touch(node);
+                        running.push((node, f, warm, committed));
+                    }
+                    4 | 5 if !running.is_empty() => {
+                        let i = rng.random_range(0..running.len());
+                        let (node, f, warm, committed) = running.swap_remove(i);
+                        let n = cluster.node_mut(node);
+                        if committed {
+                            n.uncommit(demand);
+                        }
+                        n.return_slot(f, now, keep, warm);
+                        state.touch(node);
+                    }
+                    6 => {
+                        let committed = cluster.node_mut(node).commit(demand);
+                        state.touch(node);
+                        running.push((node, FnId(99), false, committed));
+                    }
+                    7 if rng.random_bool(0.2) => {
+                        cluster.node_mut(node).drain(now);
+                        state.touch(node);
+                    }
+                    8 if rng.random_bool(0.2) => {
+                        let joined = cluster.join(NodeClass::t4(), now);
+                        state.note_join(cluster.node(joined), now);
+                    }
+                    _ => now += SimTime::from_ms(rng.random_range(0.0..25.0)),
+                }
+                if rng.random_bool(0.5) {
+                    state.refresh(&cluster, now);
+                    assert_eq!(
+                        state.nodes(),
+                        ClusterState::from_cluster(&cluster, now).nodes(),
+                        "seed {seed} step {step} t={} ms",
+                        now.as_ms()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn steady_state_refresh_reuses_warm_buffers() {
         let keep = SimTime::from_secs(600.0);

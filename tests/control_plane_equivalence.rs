@@ -202,6 +202,58 @@ proptest::proptest! {
     }
 }
 
+/// The oracle on the busiest path the platform has: ESG with
+/// bandwidth-aware packing over a contended data plane, the pre-warm
+/// proxy, and a drain/join script. Every refresh asserts the incremental
+/// state against a fresh snapshot; the run must be bit-identical
+/// (result and dispatch trace) to the unvalidated one.
+#[test]
+fn validated_state_esg_run_with_prewarm_churn_and_data_plane_is_bit_identical() {
+    let narrow = NodeClass::a100()
+        .with_bandwidth(0.2, 0.2, 300.0)
+        .with_staging_mb(32.0);
+    let spec = ClusterSpec::new("split-fabric")
+        .with(narrow, 3)
+        .with(NodeClass::a100(), 3);
+    let churn = ChurnPlan::none()
+        .drain(500.0, NodeId(1))
+        .join(900.0, NodeClass::t4())
+        .drain(1_400.0, NodeId(4));
+    let workload = shaped_workload(
+        WorkloadClass::Normal,
+        TrafficShape::Bursty,
+        &esg::model::standard_app_ids(),
+        11,
+        2_500.0,
+    );
+    let env = SimEnv::standard(SloClass::Moderate);
+    let run = |validate: bool| {
+        let esg = EsgScheduler::new().with_policy(PolicyStack::new().with(
+            BandwidthAwarePacking::new(BandwidthPackingConfig {
+                contention_bias: 0.6,
+                defer_queue_depth: 6,
+                ..BandwidthPackingConfig::default()
+            }),
+        ));
+        let mut sched = Traced::new(Box::new(esg));
+        let cfg = SimConfig {
+            cluster: Some(spec.clone()),
+            churn: churn.clone(),
+            prewarm: true,
+            data_plane: Some(DataPlaneConfig::default()),
+            validate_cluster_state: validate,
+            ..SimConfig::default()
+        };
+        let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle");
+        assert!(r.transfers.replans > 0, "the data plane must contend");
+        (canonical(r), sched.trace())
+    };
+    let (validated, trace_v) = run(true);
+    let (plain, trace_p) = run(false);
+    assert_eq!(validated, plain);
+    assert_eq!(trace_v, trace_p);
+}
+
 #[test]
 fn hetero_grid_matches_pre_redesign_golden_digest() {
     let digest = grid_digest();
