@@ -21,7 +21,8 @@
 //! touch-and-refresh path the platform now runs — and asserts the
 //! incremental path performs **zero per-decision allocations** in steady
 //! state (every node's warm buffer must stay pointer- and
-//! capacity-stable across thousands of dispatch-shaped refreshes).
+//! capacity-stable across thousands of full-node and per-function
+//! dispatch-shaped refreshes).
 //!
 //! `ESG_SMOKE=1` cuts the sample count for CI runs; case labels are
 //! unchanged so smoke runs stay comparable to the committed baseline.
@@ -283,10 +284,10 @@ fn main() {
                 slo: "n/a",
             });
 
-            // Zero-alloc assertion: across thousands of dispatch-shaped
-            // refreshes touching every node, no view buffer may move or
-            // grow — i.e. steady-state dispatch performs zero
-            // per-decision cluster-view allocations.
+            // Zero-alloc assertion: across thousands of full-node and
+            // dispatch-shaped per-function refreshes touching every node,
+            // no view buffer may move or grow — i.e. steady-state dispatch
+            // performs zero per-decision cluster-view allocations.
             let fingerprint = |s: &ClusterState| -> Vec<(*const FnId, usize)> {
                 s.nodes()
                     .iter()
@@ -298,6 +299,21 @@ fn main() {
                 state.touch(NodeId((step % n as u64) as u32));
                 state.refresh(&cluster, now);
             }
+            // A dispatch claims a function's warm slot and its completion
+            // returns it, so the function leaves and re-enters the set.
+            let mut churned = cluster.clone();
+            for step in 0..10_000u64 {
+                let node = NodeId((step % n as u64) as u32);
+                let f = FnId((step % 6) as u32);
+                assert!(churned.node_mut(node).claim_warm(f, now));
+                state.touch_fn(node, f);
+                state.refresh(&churned, now);
+                churned
+                    .node_mut(node)
+                    .return_slot(f, now, SimTime::from_secs(600.0), true);
+                state.touch_fn(node, f);
+                state.refresh(&churned, now);
+            }
             assert_eq!(
                 before,
                 fingerprint(&state),
@@ -305,7 +321,7 @@ fn main() {
             );
             println!(
                 "zero-alloc check (n={n}): all {n} warm buffers pointer- and \
-capacity-stable across 10k dispatch-shaped refreshes"
+capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
             );
         }
 

@@ -15,7 +15,6 @@
 //! [`join`](Cluster::join) mid-run.
 
 use esg_model::{ClusterSpec, FnId, NodeClass, NodeId, Resources, SimTime};
-use std::collections::HashMap;
 
 /// A warm (or warming) container slot for one function on one node.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,7 +45,9 @@ pub struct Node {
     /// Whether the node accepts new placements. Draining flips this off;
     /// already-admitted tasks run to completion.
     pub online: bool,
-    warm: HashMap<FnId, Vec<WarmSlot>>,
+    /// Warm slots per function, indexed by [`FnId::index`] (catalog ids
+    /// are dense); grows on the first slot of a higher id.
+    warm: Vec<Vec<WarmSlot>>,
     // Utilisation accounting: time-weighted busy- and capacity-resource
     // integrals. Capacity integrates from the node's join time, so a
     // late-joining node does not dilute utilisation for the span it did
@@ -77,7 +78,7 @@ impl Node {
             free: total,
             committed: Resources::ZERO,
             online: true,
-            warm: HashMap::new(),
+            warm: Vec::new(),
             busy_vcpu_area_us: 0.0,
             busy_vgpu_area_us: 0.0,
             cap_vcpu_area_us: 0.0,
@@ -162,28 +163,31 @@ impl Node {
         );
     }
 
+    /// `f`'s slot list, created empty on first use.
+    fn slots_mut(&mut self, f: FnId) -> &mut Vec<WarmSlot> {
+        if f.index() >= self.warm.len() {
+            self.warm.resize_with(f.index() + 1, Vec::new);
+        }
+        &mut self.warm[f.index()]
+    }
+
+    /// `f`'s slot list (empty when `f` never had a slot here).
+    fn slots(&self, f: FnId) -> &[WarmSlot] {
+        self.warm.get(f.index()).map_or(&[], Vec::as_slice)
+    }
+
     /// True when a usable warm slot for `f` exists at `now` (ready, alive,
     /// not in use).
     pub fn has_warm(&self, f: FnId, now: SimTime) -> bool {
-        self.warm.get(&f).is_some_and(|slots| {
-            slots
-                .iter()
-                .any(|s| !s.in_use && s.ready_at <= now && s.expires_at > now)
-        })
-    }
-
-    /// True when a slot for `f` exists that is warm now or will become warm
-    /// (warming via pre-warm) — used to avoid duplicate pre-warms.
-    pub fn has_warm_or_warming(&self, f: FnId, now: SimTime) -> bool {
-        self.warm
-            .get(&f)
-            .is_some_and(|slots| slots.iter().any(|s| s.in_use || s.expires_at > now))
+        self.slots(f)
+            .iter()
+            .any(|s| !s.in_use && s.ready_at <= now && s.expires_at > now)
     }
 
     /// Claims a warm slot for a task starting at `now`. Returns true on a
     /// warm start; false means the caller pays the cold start.
     pub fn claim_warm(&mut self, f: FnId, now: SimTime) -> bool {
-        if let Some(slots) = self.warm.get_mut(&f) {
+        if let Some(slots) = self.warm.get_mut(f.index()) {
             // Evict dead slots opportunistically.
             slots.retain(|s| s.in_use || s.expires_at > now);
             if let Some(slot) = slots
@@ -200,6 +204,7 @@ impl Node {
     /// Returns a slot after its task completes: the container stays warm
     /// for `keep_alive` from `now`. `was_warm_claimed` distinguishes a
     /// reused slot from a cold-started container that now becomes warm.
+    /// A no-op on a drained node: the drain killed the container.
     pub fn return_slot(
         &mut self,
         f: FnId,
@@ -207,7 +212,10 @@ impl Node {
         keep_alive: SimTime,
         was_warm_claimed: bool,
     ) {
-        let slots = self.warm.entry(f).or_default();
+        if !self.online {
+            return;
+        }
+        let slots = self.slots_mut(f);
         if was_warm_claimed {
             if let Some(slot) = slots.iter_mut().find(|s| s.in_use) {
                 slot.in_use = false;
@@ -224,7 +232,7 @@ impl Node {
 
     /// Installs a pre-warmed slot that becomes ready at `ready_at`.
     pub fn prewarm(&mut self, f: FnId, ready_at: SimTime, keep_alive: SimTime) {
-        self.warm.entry(f).or_default().push(WarmSlot {
+        self.slots_mut(f).push(WarmSlot {
             ready_at,
             expires_at: ready_at + keep_alive,
             in_use: false,
@@ -234,12 +242,31 @@ impl Node {
     /// Number of live slots (warm, warming, or in use) for `f` at `now` —
     /// the pre-warm proxy caps its pool with this.
     pub fn slot_count(&self, f: FnId, now: SimTime) -> usize {
-        self.warm.get(&f).map_or(0, |slots| {
-            slots
-                .iter()
-                .filter(|s| s.in_use || s.expires_at > now)
-                .count()
-        })
+        self.slots(f)
+            .iter()
+            .filter(|s| s.in_use || s.expires_at > now)
+            .count()
+    }
+
+    /// `f`'s contribution to [`warm_functions_into`](Self::warm_functions_into),
+    /// from `f`'s slots alone: whether `f` has a usable warm slot at `now`,
+    /// and the next instant that can change without a platform mutation
+    /// (`SimTime(u64::MAX)` when only a mutation can change it).
+    pub fn warm_state(&self, f: FnId, now: SimTime) -> (bool, SimTime) {
+        let mut usable = false;
+        let mut next_change = SimTime(u64::MAX);
+        for s in self.slots(f) {
+            if s.in_use {
+                continue; // leaves the pool only via return_slot
+            }
+            if s.ready_at > now {
+                next_change = next_change.min(s.ready_at); // warms later
+            } else if s.expires_at > now {
+                usable = true;
+                next_change = next_change.min(s.expires_at); // dies later
+            }
+        }
+        (usable, next_change)
     }
 
     /// Functions with a usable warm slot at `now`.
@@ -250,15 +277,16 @@ impl Node {
     }
 
     /// Writes the functions with a usable warm slot at `now` into `out`
-    /// (sorted, reusing `out`'s capacity — steady-state callers allocate
-    /// nothing) and returns the next instant the set can change *without*
-    /// a platform mutation: the earliest pending expiry of a usable slot
-    /// or ready time of a warming slot (`SimTime(u64::MAX)` when the set
-    /// can only change through an explicit mutation).
+    /// (sorted, since the pool is walked in function order; reusing
+    /// `out`'s capacity — steady-state callers allocate nothing) and
+    /// returns the next instant the set can change *without* a platform
+    /// mutation: the earliest pending expiry of a usable slot or ready
+    /// time of a warming slot (`SimTime(u64::MAX)` when the set can only
+    /// change through an explicit mutation).
     pub fn warm_functions_into(&self, now: SimTime, out: &mut Vec<FnId>) -> SimTime {
         out.clear();
         let mut next_change = SimTime(u64::MAX);
-        for (&f, slots) in &self.warm {
+        for (i, slots) in self.warm.iter().enumerate() {
             let mut usable = false;
             for s in slots {
                 if s.in_use {
@@ -272,10 +300,9 @@ impl Node {
                 }
             }
             if usable {
-                out.push(f);
+                out.push(FnId(i as u32));
             }
         }
-        out.sort_unstable();
         next_change
     }
 
@@ -437,7 +464,7 @@ mod tests {
         let keep = SimTime::from_secs(600.0);
         n.prewarm(f, SimTime::from_ms(50.0), keep);
         assert!(!n.has_warm(f, SimTime::from_ms(10.0)));
-        assert!(n.has_warm_or_warming(f, SimTime::from_ms(10.0)));
+        assert_eq!(n.slot_count(f, SimTime::from_ms(10.0)), 1);
         assert!(n.has_warm(f, SimTime::from_ms(50.0)));
         assert!(n.claim_warm(f, SimTime::from_ms(60.0)));
     }
@@ -517,6 +544,48 @@ mod tests {
         // 200 ms of existence × (16 vCPU, 7 vGPU).
         assert!((cpu_cap - 16.0 * 200_000.0).abs() < 1.0);
         assert!((gpu_cap - 7.0 * 200_000.0).abs() < 1.0);
+    }
+
+    /// Random slot operations: each function's own `warm_state` must agree
+    /// with `has_warm` and with the full-node `warm_functions_into`, whose
+    /// horizon is the minimum of the per-function horizons.
+    #[test]
+    fn warm_state_agrees_with_the_full_node_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let keep = SimTime::from_ms(40.0);
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut n = node();
+            let mut now = SimTime::ZERO;
+            // Claimed slots awaiting return: (function, warm-claimed).
+            let mut running: Vec<(FnId, bool)> = Vec::new();
+            let mut listed = Vec::new();
+            for step in 0..300 {
+                let f = FnId(rng.random_range(0..6u32));
+                match rng.random_range(0..8u32) {
+                    0 | 1 => {
+                        let ready = now + SimTime::from_ms(rng.random_range(0.0..30.0));
+                        n.prewarm(f, ready, keep);
+                    }
+                    2 | 3 => running.push((f, n.claim_warm(f, now))),
+                    4 | 5 if !running.is_empty() => {
+                        let (f, warm) = running.swap_remove(rng.random_range(0..running.len()));
+                        n.return_slot(f, now, keep, warm);
+                    }
+                    _ => now += SimTime::from_ms(rng.random_range(0.0..25.0)),
+                }
+                let horizon = n.warm_functions_into(now, &mut listed);
+                let mut min_h = SimTime(u64::MAX);
+                for f in (0..8u32).map(FnId) {
+                    let (usable, h) = n.warm_state(f, now);
+                    assert_eq!(usable, n.has_warm(f, now), "seed {seed} step {step} {f:?}");
+                    assert_eq!(usable, listed.contains(&f), "seed {seed} step {step} {f:?}");
+                    min_h = min_h.min(h);
+                }
+                assert_eq!(min_h, horizon, "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

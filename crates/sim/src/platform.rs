@@ -713,7 +713,7 @@ impl<'a> Simulation<'a> {
         // warm slot exists (concurrency pressure), bounded by the pool cap.
         if n.online && !n.has_warm(f, now) && n.slot_count(f, now) < cap {
             n.prewarm(f, now + cold, keep);
-            self.state.touch(node);
+            self.state.touch_fn(node, f);
         }
     }
 
@@ -1108,7 +1108,7 @@ impl<'a> Simulation<'a> {
             // claimed when it is actually ready to execute.
             false
         };
-        self.state.touch(node);
+        self.state.touch_fn(node, f);
         let cold_ms = if was_warm { 0.0 } else { spec.cold_start_ms };
         if was_warm {
             self.metrics.warm_starts += 1;
@@ -1332,7 +1332,7 @@ impl<'a> Simulation<'a> {
                 return false;
             }
             self.tasks.get_mut(id as u32).expect("live task").committed = true;
-            self.state.touch(node);
+            self.state.touch_resources(node);
         }
         let ok = self.cluster.node_mut(node).allocate(demand, self.now);
         assert!(
@@ -1376,7 +1376,7 @@ impl<'a> Simulation<'a> {
             n.uncommit(task.config.resources());
             n.return_slot(f, self.now, keep, task.was_warm);
         }
-        self.state.touch(task.node);
+        self.state.touch_fn(task.node, f);
         // Freed capacity may admit init-complete tasks waiting on this node.
         self.drain_waiting(task.node);
         self.notify(&SchedulerEvent::TaskCompleted {

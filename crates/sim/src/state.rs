@@ -8,14 +8,24 @@
 //! replaces the snapshot-rebuild contract:
 //!
 //! * the platform owns one `ClusterState` for the whole run and updates
-//!   it **in place**: [`touch`](ClusterState::touch) marks a node whose
-//!   cluster-side record changed (dispatch commit, completion release,
-//!   pre-warm install, drain), [`note_join`](ClusterState::note_join)
-//!   appends a freshly joined node, and
-//!   [`refresh`](ClusterState::refresh) re-syncs exactly the nodes that
-//!   are dirty — or whose warm set can have changed *passively* (a slot
-//!   expiring, a pre-warmed container becoming ready) since the last
-//!   sync. Warm sets are sorted slices rebuilt into retained buffers, so
+//!   it **in place**. Dirtiness is per function: a dispatch, completion
+//!   or pre-warm changes one function's warm slots on one node and calls
+//!   [`touch_fn`](ClusterState::touch_fn); a cold task winning its
+//!   commitment changes free capacity only and calls
+//!   [`touch_resources`](ClusterState::touch_resources); a drain or the
+//!   start-up pre-warm calls [`touch`](ClusterState::touch), a full
+//!   re-sync of the node; [`note_join`](ClusterState::note_join) appends
+//!   a freshly joined node;
+//! * [`refresh`](ClusterState::refresh) re-syncs exactly what is dirty.
+//!   A partially dirty node gets its free capacity plus, per dirty
+//!   function, one [`Node::warm_state`] scan of that function's slots
+//!   and a binary-search insert or remove in the sorted warm set. A node
+//!   whose warm set can have changed *passively* (a slot expiring, a
+//!   pre-warmed container becoming ready) since its last sync gets a full
+//!   re-sync. Each node keeps one passive horizon, a conservative lower
+//!   bound: a per-function sync only lowers it to `min(old, h)`, and a
+//!   bound that proves early costs one full re-sync, which recomputes it
+//!   exactly. Warm sets are sorted slices kept in retained buffers, so
 //!   steady-state refreshes allocate nothing (asserted by the
 //!   `snapshot-vs-incremental` ablation in `cargo bench --bench
 //!   overhead`);
@@ -90,14 +100,25 @@ impl NodeView {
     }
 }
 
+/// What the platform changed on one node's record since its last sync.
+#[derive(Clone, Debug, Default)]
+struct Dirty {
+    /// Anything may have changed: re-sync the whole view.
+    full: bool,
+    /// Free capacity changed, and so did the warm slots of `fns`.
+    partial: bool,
+    /// Functions whose warm slots changed (distinct).
+    fns: Vec<FnId>,
+}
+
 /// The incrementally maintained cluster state schedulers decide against.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterState {
     nodes: Vec<NodeView>,
-    /// Platform mutated this node's record since its last sync.
-    dirty: Vec<bool>,
-    /// Next instant each node's warm set changes without a mutation
-    /// (pending slot expiry / pre-warm readiness).
+    dirty: Vec<Dirty>,
+    /// Lower bound on the next instant each node's warm set changes
+    /// without a mutation (pending slot expiry / pre-warm readiness);
+    /// exact after a full sync.
     warm_next_change: Vec<SimTime>,
     /// True when any node is dirty. Invariant: `!any_dirty` implies no
     /// entry of `dirty` is set (it may be conservatively true with none
@@ -123,7 +144,7 @@ impl ClusterState {
         let len = nodes.len();
         ClusterState {
             nodes,
-            dirty: vec![false; len],
+            dirty: vec![Dirty::default(); len],
             warm_next_change: vec![SimTime(u64::MAX); len],
             any_dirty: false,
             earliest_passive: SimTime(u64::MAX),
@@ -189,10 +210,32 @@ impl ClusterState {
         self.generation
     }
 
-    /// Marks `node` as mutated on the cluster side; the next
-    /// [`refresh`](Self::refresh) re-syncs it.
+    /// Marks `node` as mutated on the cluster side in any way (drain,
+    /// bulk pre-warm); the next [`refresh`](Self::refresh) re-syncs its
+    /// whole view.
     pub fn touch(&mut self, node: NodeId) {
-        self.dirty[node.index()] = true;
+        self.dirty[node.index()].full = true;
+        self.any_dirty = true;
+        self.generation += 1;
+    }
+
+    /// Marks `node`'s free capacity and `f`'s warm slots on it as mutated
+    /// (a dispatch, completion or pre-warm); the next refresh re-syncs
+    /// only those.
+    pub fn touch_fn(&mut self, node: NodeId, f: FnId) {
+        let d = &mut self.dirty[node.index()];
+        if !d.fns.contains(&f) {
+            d.fns.push(f);
+        }
+        d.partial = true;
+        self.any_dirty = true;
+        self.generation += 1;
+    }
+
+    /// Marks `node`'s free capacity as mutated (a commitment); the next
+    /// refresh re-syncs only that.
+    pub fn touch_resources(&mut self, node: NodeId) {
+        self.dirty[node.index()].partial = true;
         self.any_dirty = true;
         self.generation += 1;
     }
@@ -205,7 +248,7 @@ impl ClusterState {
             "join ids are append-only"
         );
         self.nodes.push(NodeView::idle(node.id, node.total));
-        self.dirty.push(false);
+        self.dirty.push(Dirty::default());
         self.warm_next_change.push(SimTime(u64::MAX));
         let i = self.nodes.len() - 1;
         self.sync_node(i, node, now);
@@ -224,8 +267,10 @@ impl ClusterState {
         }
         let mut earliest = SimTime(u64::MAX);
         for i in 0..self.nodes.len() {
-            if self.dirty[i] || now >= self.warm_next_change[i] {
+            if self.dirty[i].full || now >= self.warm_next_change[i] {
                 self.sync_node(i, &cluster.nodes()[i], now);
+            } else if self.dirty[i].partial {
+                self.sync_fns(i, &cluster.nodes()[i], now);
             }
             if self.warm_next_change[i] < earliest {
                 earliest = self.warm_next_change[i];
@@ -237,13 +282,7 @@ impl ClusterState {
 
     fn sync_node(&mut self, i: usize, n: &Node, now: SimTime) {
         let v = &mut self.nodes[i];
-        // Placement admits against commitments: a task in its init phase
-        // still owns its slot. A draining node advertises nothing.
-        v.free = if n.online {
-            n.uncommitted()
-        } else {
-            Resources::ZERO
-        };
+        v.free = advertised_free(n);
         v.total = n.total;
         v.speed = n.class.speed;
         v.link_scale = n.class.link_scale;
@@ -252,7 +291,38 @@ impl ClusterState {
         if self.warm_next_change[i] < self.earliest_passive {
             self.earliest_passive = self.warm_next_change[i];
         }
-        self.dirty[i] = false;
+        let d = &mut self.dirty[i];
+        d.full = false;
+        d.partial = false;
+        d.fns.clear();
+        self.generation += 1;
+    }
+
+    /// Re-syncs a partially dirty node: free capacity, plus the warm
+    /// membership of each dirty function. The caller has checked that
+    /// the node's passive horizon is still ahead of `now`, so every other
+    /// function's membership is unchanged since the last sync.
+    fn sync_fns(&mut self, i: usize, n: &Node, now: SimTime) {
+        let v = &mut self.nodes[i];
+        let d = &mut self.dirty[i];
+        v.free = advertised_free(n);
+        for &f in &d.fns {
+            let (usable, next_change) = n.warm_state(f, now);
+            match (v.warm.binary_search(&f), usable) {
+                (Err(pos), true) => v.warm.insert(pos, f),
+                (Ok(pos), false) => {
+                    v.warm.remove(pos);
+                }
+                _ => {}
+            }
+            // The other functions' horizons still hold, so the old bound
+            // stays a lower bound once lowered to `f`'s.
+            if next_change < self.warm_next_change[i] {
+                self.warm_next_change[i] = next_change;
+            }
+        }
+        d.partial = false;
+        d.fns.clear();
         self.generation += 1;
     }
 
@@ -297,6 +367,17 @@ impl ClusterState {
                     .then(a.id.0.cmp(&b.id.0))
             })
             .map(|n| n.id)
+    }
+}
+
+/// The free capacity a node advertises. Placement admits against
+/// commitments: a task in its init phase still owns its slot. A draining
+/// node advertises nothing.
+fn advertised_free(n: &Node) -> Resources {
+    if n.online {
+        n.uncommitted()
+    } else {
+        Resources::ZERO
     }
 }
 
@@ -426,8 +507,9 @@ mod tests {
 
     /// Random platform-shaped mutation sequences — pre-warm installs,
     /// warm claims, slot returns, commitments, drains and joins, with time
-    /// stepping past readiness and expiry horizons — must leave the
-    /// incremental state equal to a fresh snapshot at every refresh.
+    /// stepping past readiness and expiry horizons, each followed by the
+    /// touch the platform issues for it — must leave the incremental
+    /// state equal to a fresh snapshot at every refresh.
     #[test]
     fn random_mutations_keep_incremental_state_equal_to_the_snapshot() {
         use esg_model::NodeClass;
@@ -449,13 +531,13 @@ mod tests {
                     0 | 1 => {
                         let ready = now + SimTime::from_ms(rng.random_range(0.0..30.0));
                         cluster.node_mut(node).prewarm(f, ready, keep);
-                        state.touch(node);
+                        state.touch_fn(node, f);
                     }
                     2 | 3 => {
                         let n = cluster.node_mut(node);
                         let warm = n.claim_warm(f, now);
                         let committed = n.commit(demand);
-                        state.touch(node);
+                        state.touch_fn(node, f);
                         running.push((node, f, warm, committed));
                     }
                     4 | 5 if !running.is_empty() => {
@@ -466,11 +548,11 @@ mod tests {
                             n.uncommit(demand);
                         }
                         n.return_slot(f, now, keep, warm);
-                        state.touch(node);
+                        state.touch_fn(node, f);
                     }
                     6 => {
                         let committed = cluster.node_mut(node).commit(demand);
-                        state.touch(node);
+                        state.touch_resources(node);
                         running.push((node, FnId(99), false, committed));
                     }
                     7 if rng.random_bool(0.2) => {
@@ -518,6 +600,73 @@ mod tests {
         assert_eq!(state.node(NodeId(0)).warm.as_ptr(), ptr_before);
         assert_eq!(state.node(NodeId(0)).warm.capacity(), cap_before);
         assert_eq!(state.node(NodeId(0)).warm.len(), 6);
+    }
+
+    #[test]
+    fn steady_state_per_function_refresh_reuses_warm_buffers() {
+        let keep = SimTime::from_secs(600.0);
+        let mut cluster = Cluster::new(2, Resources::new(16, 7));
+        let t0 = SimTime::ZERO;
+        for f in 0..6u32 {
+            cluster
+                .node_mut(NodeId(0))
+                .return_slot(FnId(f), t0, keep, false);
+        }
+        let mut state = ClusterState::from_cluster(&cluster, t0);
+        let ptr_before = state.node(NodeId(0)).warm.as_ptr();
+        let cap_before = state.node(NodeId(0)).warm.capacity();
+        // Dispatch/completion-shaped churn: claim and return one
+        // function's slot, so it leaves and re-enters the warm set.
+        for step in 1..200u64 {
+            let now = SimTime::from_ms(step as f64);
+            let f = FnId((step % 6) as u32);
+            let n = cluster.node_mut(NodeId(0));
+            assert!(n.claim_warm(f, now));
+            state.touch_fn(NodeId(0), f);
+            state.refresh(&cluster, now);
+            assert_eq!(state.node(NodeId(0)).warm.len(), 5);
+            cluster.node_mut(NodeId(0)).return_slot(f, now, keep, true);
+            state.touch_fn(NodeId(0), f);
+            state.refresh(&cluster, now);
+        }
+        assert_eq!(state.node(NodeId(0)).warm.as_ptr(), ptr_before);
+        assert_eq!(state.node(NodeId(0)).warm.capacity(), cap_before);
+        assert_eq!(state.node(NodeId(0)).warm.len(), 6);
+        assert_eq!(
+            state.nodes(),
+            ClusterState::from_cluster(&cluster, SimTime::from_ms(200.0)).nodes()
+        );
+    }
+
+    #[test]
+    fn completion_on_a_drained_node_leaves_no_warm_slot() {
+        let keep = SimTime::from_secs(600.0);
+        let demand = Resources::new(4, 2);
+        let f = FnId(2);
+        let mut cluster = Cluster::new(2, Resources::new(16, 7));
+        let mut state = ClusterState::from_cluster(&cluster, SimTime::ZERO);
+        // A task is admitted cold, then its node drains while it runs.
+        let n = cluster.node_mut(NodeId(1));
+        assert!(!n.claim_warm(f, SimTime::ZERO));
+        assert!(n.commit(demand));
+        state.touch_fn(NodeId(1), f);
+        let t1 = SimTime::from_ms(10.0);
+        cluster.node_mut(NodeId(1)).drain(t1);
+        state.touch(NodeId(1));
+        state.refresh(&cluster, t1);
+        // The task completes on the drained node: its container is gone.
+        let t2 = SimTime::from_ms(20.0);
+        let n = cluster.node_mut(NodeId(1));
+        n.uncommit(demand);
+        n.return_slot(f, t2, keep, false);
+        state.touch_fn(NodeId(1), f);
+        state.refresh(&cluster, t2);
+        assert_eq!(cluster.node(NodeId(1)).slot_count(f, t2), 0);
+        assert!(state.node(NodeId(1)).warm.is_empty());
+        assert_eq!(
+            state.nodes(),
+            ClusterState::from_cluster(&cluster, t2).nodes()
+        );
     }
 
     #[test]
