@@ -44,7 +44,6 @@ use esg_profile::{latency_ms, NoiseModel, ProfileTable, TransferModel};
 use esg_workload::{Arrival, ArrivalPredictor, ArrivalStream, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// The static experiment environment: catalog, applications, profiles,
@@ -221,7 +220,8 @@ struct RunningTask {
 }
 
 struct RecheckEntry {
-    key: QueueKey,
+    /// The parked queue's index.
+    qi: usize,
     candidates: Vec<Config>,
     planned_batch: Option<u32>,
     rounds: u32,
@@ -291,10 +291,13 @@ pub struct Simulation<'a> {
     /// The scheduler-facing cluster state, maintained incrementally (see
     /// `crate::state`).
     state: ClusterState,
+    /// Queues are numbered densely, app by app: app `a`'s stage `s` is
+    /// queue `app_base[a] + s`. One trailing entry holds the queue count,
+    /// so app `a` has `app_base[a + 1] - app_base[a]` stages.
+    app_base: Vec<usize>,
     queue_keys: Vec<QueueKey>,
     queue_fn: Vec<FnId>,
     queues: Vec<AfwQueue>,
-    queue_index: HashMap<QueueKey, usize>,
     /// Live invocations, slot-addressed ([`Job::slot`]). Ids stay
     /// monotone via `next_invocation`; slots recycle.
     invocations: Arena<WorkflowInstance>,
@@ -312,7 +315,12 @@ pub struct Simulation<'a> {
     /// the job count that ends it early, and the earliest instant the
     /// queue may then be re-decided (holding decision + charged overhead).
     queue_hold: Vec<Option<(u32, SimTime)>>,
+    /// Queues that failed placement, retried by `process_recheck`; at
+    /// most one entry per queue.
     recheck: Vec<RecheckEntry>,
+    /// `parked[qi]` is true while queue `qi` has an entry on `recheck`
+    /// (a parked queue is not eligible for new decisions).
+    parked: Vec<bool>,
     /// Tasks whose init finished but whose node lacked capacity, FIFO per
     /// node; drained on every resource release.
     waiting_exec: Vec<std::collections::VecDeque<u64>>,
@@ -385,9 +393,11 @@ impl<'a> Simulation<'a> {
         sched: &'a mut dyn Scheduler,
         source: ArrivalSource<'a>,
     ) -> Simulation<'a> {
+        let mut app_base = Vec::with_capacity(env.apps.len() + 1);
         let mut queue_keys = Vec::new();
         let mut queue_fn = Vec::new();
         for (ai, app) in env.apps.iter().enumerate() {
+            app_base.push(queue_keys.len());
             for stage in 0..app.num_stages() {
                 queue_keys.push(QueueKey {
                     app: AppId(ai as u32),
@@ -396,12 +406,8 @@ impl<'a> Simulation<'a> {
                 queue_fn.push(app.nodes[stage]);
             }
         }
-        let queue_index = queue_keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i))
-            .collect();
         let nq = queue_keys.len();
+        app_base.push(nq);
         let slo_ms: Vec<f64> = (0..env.apps.len())
             .map(|i| env.slo_ms(AppId(i as u32)))
             .collect();
@@ -454,15 +460,16 @@ impl<'a> Simulation<'a> {
             queue_intervals: vec![esg_model::Ewma::new(0.3); nq],
             queue_last_arrival: vec![None; nq],
             last_node: vec![None; nq],
+            app_base,
             queue_keys,
             queue_fn,
-            queue_index,
             invocations: Arena::new(),
             next_invocation: 0,
             tasks: Arena::new(),
             queue_busy_until: vec![SimTime::ZERO; nq],
             queue_hold: vec![None; nq],
             recheck: Vec::new(),
+            parked: vec![false; nq],
             waiting_exec: vec![std::collections::VecDeque::new(); initial_nodes],
             job_views: vec![Vec::new(); nq],
             eligible: Vec::new(),
@@ -662,8 +669,18 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// The index of `key`'s queue; `None` for an unknown app or a stage
+    /// past the app's last (keys from a scheduler are not trusted).
+    fn queue_of(&self, key: QueueKey) -> Option<usize> {
+        let a = key.app.index();
+        let (&base, &end) = (self.app_base.get(a)?, self.app_base.get(a + 1)?);
+        (key.stage < end - base).then_some(base + key.stage)
+    }
+
     fn enqueue_job(&mut self, key: QueueKey, job: Job) {
-        let qi = self.queue_index[&key];
+        let qi = self
+            .queue_of(key)
+            .expect("a live invocation's stage has a queue");
         self.queues[qi].push(job);
         self.notify(&SchedulerEvent::JobArrived {
             key,
@@ -766,7 +783,7 @@ impl<'a> Simulation<'a> {
                 if self.decided_stamp[qi] == self.round_seq
                     || self.queues[qi].is_empty()
                     || self.queue_busy_until[qi] > self.now
-                    || self.recheck.iter().any(|e| e.key == self.queue_keys[qi])
+                    || self.parked[qi]
                 {
                     continue;
                 }
@@ -820,7 +837,7 @@ impl<'a> Simulation<'a> {
             };
             let mut applied = 0usize;
             for (key, outcome) in decisions {
-                let Some(&qi) = self.queue_index.get(&key) else {
+                let Some(qi) = self.queue_of(key) else {
                     continue; // unknown queue: ignore
                 };
                 // Only queues presented this round are decidable, once.
@@ -914,14 +931,14 @@ impl<'a> Simulation<'a> {
         };
 
         if let Some((config, node)) = placed {
-            self.dispatch(key, config, node, outcome.planned_batch, charged);
+            self.dispatch(qi, config, node, outcome.planned_batch, charged);
             self.queue_busy_until[qi] = self.now + charged;
             self.events
                 .push(self.queue_busy_until[qi], Event::ControllerStep);
         } else {
             self.metrics.rechecks += 1;
-            self.recheck.push(RecheckEntry {
-                key,
+            self.park(RecheckEntry {
+                qi,
                 candidates: outcome.candidates,
                 planned_batch: outcome.planned_batch,
                 rounds: 0,
@@ -1015,6 +1032,13 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// Puts `entry` on the recheck list.
+    fn park(&mut self, entry: RecheckEntry) {
+        debug_assert!(!self.parked[entry.qi], "queue parked twice");
+        self.parked[entry.qi] = true;
+        self.recheck.push(entry);
+    }
+
     /// Retries parked queues; forces minimum-configuration dispatch after
     /// `recheck_limit` rounds (§3.1: "dispatched with the minimum
     /// configuration to ensure progress").
@@ -1028,12 +1052,13 @@ impl<'a> Simulation<'a> {
         let min_gap = SimTime::from_ms(self.cfg.idle_backoff_ms);
         let entries = std::mem::take(&mut self.recheck);
         for mut entry in entries {
-            let qi = self.queue_index[&entry.key];
+            let qi = entry.qi;
+            self.parked[qi] = false; // until re-parked below
             if self.queues[qi].is_empty() {
                 continue; // queue drained by a forced dispatch already
             }
             if self.now.saturating_since(entry.last_retry) < min_gap && entry.rounds > 0 {
-                self.recheck.push(entry);
+                self.park(entry);
                 continue;
             }
             entry.last_retry = self.now;
@@ -1045,7 +1070,7 @@ impl<'a> Simulation<'a> {
                     &self.slo_ms,
                     &self.base_ms,
                     self.now,
-                    entry.key,
+                    self.queue_keys[qi],
                     &self.job_views[qi],
                     &self.state,
                     self.queue_intervals[qi].value(),
@@ -1060,7 +1085,7 @@ impl<'a> Simulation<'a> {
                 placed
             };
             if let Some((config, node)) = placed {
-                self.dispatch(entry.key, config, node, entry.planned_batch, SimTime::ZERO);
+                self.dispatch(qi, config, node, entry.planned_batch, SimTime::ZERO);
                 continue;
             }
             entry.rounds += 1;
@@ -1068,25 +1093,25 @@ impl<'a> Simulation<'a> {
                 // Forced minimum configuration on the freest node.
                 if let Some(node) = self.state.most_free(Config::MIN.resources()) {
                     self.metrics.forced_min_dispatches += 1;
-                    self.dispatch(entry.key, Config::MIN, node, None, SimTime::ZERO);
+                    self.dispatch(qi, Config::MIN, node, None, SimTime::ZERO);
                     continue;
                 }
                 // Not even (1,1,1) fits; keep parked at the cap.
                 entry.rounds = self.cfg.recheck_limit;
             }
-            self.recheck.push(entry);
+            self.park(entry);
         }
     }
 
     fn dispatch(
         &mut self,
-        key: QueueKey,
+        qi: usize,
         config: Config,
         node: NodeId,
         planned_batch: Option<u32>,
         delay: SimTime,
     ) {
-        let qi = self.queue_index[&key];
+        let key = self.queue_keys[qi];
         let avail = self.queues[qi].len() as u32;
         debug_assert!(avail > 0, "dispatch on empty queue {key:?}");
         if planned_batch.is_some_and(|b| b > avail) {
@@ -1596,6 +1621,7 @@ mod tests {
     use super::*;
     use esg_model::WorkloadClass;
     use esg_workload::WorkloadGen;
+    use std::collections::HashMap;
 
     fn small_workload(n: usize) -> Workload {
         WorkloadGen::new(WorkloadClass::Light, (0..4u32).map(AppId).collect(), 7).generate(n)
@@ -1971,6 +1997,66 @@ mod tests {
         assert_eq!(r.total_completed(), 40);
         assert_eq!(r.warm_starts + r.cold_starts, r.dispatches);
         assert_eq!(r.overhead_ms.len() as u64, r.dispatches + r.rechecks);
+    }
+
+    /// [`GreedyRoundScheduler`] that, when `bogus`, opens every round by
+    /// shedding keys that name no queue: each app's one-past-last stage
+    /// and an app past the last. Dense queue numbering puts `(a,
+    /// num_stages(a))` right where app `a + 1`'s stage 0 lives, so an
+    /// unchecked lookup would shed that queue's jobs.
+    struct BogusKeys {
+        bogus: bool,
+    }
+
+    impl Scheduler for BogusKeys {
+        fn name(&self) -> &'static str {
+            "bogus-keys"
+        }
+
+        fn capabilities(&self) -> crate::sched::Capabilities {
+            MinScheduler.capabilities()
+        }
+
+        fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
+            GreedyRoundScheduler.schedule(ctx)
+        }
+
+        fn place(&mut self, ctx: &SchedCtx<'_>, config: Config) -> Option<NodeId> {
+            GreedyRoundScheduler.place(ctx, config)
+        }
+
+        fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {
+            let mut decisions = Vec::new();
+            if self.bogus {
+                let shed = || Outcome::shed(ShedReason::Overload);
+                for (a, app) in ctx.apps.iter().enumerate() {
+                    let key = QueueKey {
+                        app: AppId(a as u32),
+                        stage: app.num_stages(),
+                    };
+                    decisions.push((key, shed()));
+                }
+                let app = AppId(ctx.apps.len() as u32);
+                decisions.push((QueueKey { app, stage: 0 }, shed()));
+            }
+            decisions.extend(GreedyRoundScheduler.schedule_round(ctx));
+            decisions
+        }
+    }
+
+    #[test]
+    fn keys_naming_no_queue_are_ignored() {
+        let env = SimEnv::standard(SloClass::Relaxed);
+        let w = small_workload(40);
+        let run = |bogus: bool| {
+            let mut s = BogusKeys { bogus };
+            let mut r = run_simulation(&env, SimConfig::default(), &mut s, &w, "keys");
+            r.wall_overhead_ms.clear();
+            r
+        };
+        let clean = run(false);
+        assert_eq!(clean.total_completed(), 40);
+        assert_eq!(format!("{:?}", run(true)), format!("{clean:?}"));
     }
 
     /// Defers each queue once to an off-grid deadline (1.0004 ms out),

@@ -25,9 +25,13 @@
 //!   re-sync. Each node keeps one passive horizon, a conservative lower
 //!   bound: a per-function sync only lowers it to `min(old, h)`, and a
 //!   bound that proves early costs one full re-sync, which recomputes it
-//!   exactly. Warm sets are sorted slices kept in retained buffers, so
-//!   steady-state refreshes allocate nothing (asserted by the
-//!   `snapshot-vs-incremental` ablation in `cargo bench --bench
+//!   exactly. The `touch*` calls list each node the first time it turns
+//!   dirty, so a refresh before the earliest passive horizon of any node
+//!   visits only the listed nodes; once the clock reaches that horizon it
+//!   scans every node, which recomputes the horizon exactly. Warm sets are
+//!   sorted slices kept in retained buffers and the touched list keeps
+//!   its capacity, so steady-state refreshes allocate nothing (asserted
+//!   by the `snapshot-vs-incremental` ablation in `cargo bench --bench
 //!   overhead`);
 //! * schedulers *borrow* the state (`SchedCtx::cluster`,
 //!   `RoundCtx::cluster`) instead of receiving a fresh copy, and use the
@@ -120,16 +124,16 @@ pub struct ClusterState {
     /// without a mutation (pending slot expiry / pre-warm readiness);
     /// exact after a full sync.
     warm_next_change: Vec<SimTime>,
-    /// True when any node is dirty. Invariant: `!any_dirty` implies no
-    /// entry of `dirty` is set (it may be conservatively true with none
-    /// set; only a full [`refresh`](Self::refresh) clears it).
-    any_dirty: bool,
+    /// The dirty nodes, each recorded once, by the `touch*` call that
+    /// first dirtied it since its last sync. Invariant: a node is dirty
+    /// iff it is listed. A refresh clears the list but keeps its
+    /// capacity, so steady state allocates nothing.
+    touched: Vec<u32>,
     /// Lower bound on `min(warm_next_change)`: the earliest instant any
-    /// node's warm set can change passively. With nothing dirty, a
-    /// refresh strictly before this instant is a provable no-op and
-    /// returns without scanning the node array at all — the scan used to
-    /// be O(nodes) per controller round even in steady state, which the
-    /// scale bench's hot loop surfaces.
+    /// node's warm set can change passively. Before this instant only the
+    /// touched nodes can need a sync, so a refresh visits just those (and
+    /// with none touched returns at once). Exact after a full scan;
+    /// touched-only refreshes only ever lower it.
     earliest_passive: SimTime,
     generation: u64,
 }
@@ -146,7 +150,7 @@ impl ClusterState {
             nodes,
             dirty: vec![Dirty::default(); len],
             warm_next_change: vec![SimTime(u64::MAX); len],
-            any_dirty: false,
+            touched: Vec::new(),
             earliest_passive: SimTime(u64::MAX),
             generation: 0,
         }
@@ -214,8 +218,7 @@ impl ClusterState {
     /// bulk pre-warm); the next [`refresh`](Self::refresh) re-syncs its
     /// whole view.
     pub fn touch(&mut self, node: NodeId) {
-        self.dirty[node.index()].full = true;
-        self.any_dirty = true;
+        self.mark(node).full = true;
         self.generation += 1;
     }
 
@@ -223,21 +226,29 @@ impl ClusterState {
     /// (a dispatch, completion or pre-warm); the next refresh re-syncs
     /// only those.
     pub fn touch_fn(&mut self, node: NodeId, f: FnId) {
-        let d = &mut self.dirty[node.index()];
+        let d = self.mark(node);
         if !d.fns.contains(&f) {
             d.fns.push(f);
         }
         d.partial = true;
-        self.any_dirty = true;
         self.generation += 1;
     }
 
     /// Marks `node`'s free capacity as mutated (a commitment); the next
     /// refresh re-syncs only that.
     pub fn touch_resources(&mut self, node: NodeId) {
-        self.dirty[node.index()].partial = true;
-        self.any_dirty = true;
+        self.mark(node).partial = true;
         self.generation += 1;
+    }
+
+    /// `node`'s dirtiness record, listing the node in `touched` if this
+    /// is the first touch since its last sync.
+    fn mark(&mut self, node: NodeId) -> &mut Dirty {
+        let d = &mut self.dirty[node.index()];
+        if !d.full && !d.partial {
+            self.touched.push(node.0);
+        }
+        d
     }
 
     /// Appends the view of a freshly joined node.
@@ -255,29 +266,43 @@ impl ClusterState {
     }
 
     /// Re-syncs every node that is dirty or whose warm set can have
-    /// changed passively since its last sync. In steady state (nothing
-    /// dirty, no pending expiry) this touches nothing and allocates
-    /// nothing.
+    /// changed passively since its last sync. Before the earliest passive
+    /// horizon only the touched nodes are visited; in steady state
+    /// (nothing dirty, no pending expiry) this touches nothing and
+    /// allocates nothing.
     pub fn refresh(&mut self, cluster: &Cluster, now: SimTime) {
         debug_assert_eq!(self.nodes.len(), cluster.len(), "state tracks every node");
-        if !self.any_dirty && now < self.earliest_passive {
-            // Nothing mutated and no lease can have expired yet: the
-            // whole scan would skip every node.
+        if now < self.earliest_passive {
+            // No lease can have expired yet, so the full scan would sync
+            // exactly the touched nodes. Each sync lowers
+            // `earliest_passive` to the node's new horizon when that is
+            // earlier, so it stays a lower bound; a horizon a sync raises
+            // is picked up by the next full scan.
+            for k in 0..self.touched.len() {
+                let i = self.touched[k] as usize;
+                self.sync_due(i, &cluster.nodes()[i], now);
+            }
+            self.touched.clear();
             return;
         }
         let mut earliest = SimTime(u64::MAX);
         for i in 0..self.nodes.len() {
-            if self.dirty[i].full || now >= self.warm_next_change[i] {
-                self.sync_node(i, &cluster.nodes()[i], now);
-            } else if self.dirty[i].partial {
-                self.sync_fns(i, &cluster.nodes()[i], now);
-            }
+            self.sync_due(i, &cluster.nodes()[i], now);
             if self.warm_next_change[i] < earliest {
                 earliest = self.warm_next_change[i];
             }
         }
-        self.any_dirty = false;
+        self.touched.clear();
         self.earliest_passive = earliest;
+    }
+
+    /// Re-syncs node `i` if it is dirty or its passive horizon is due.
+    fn sync_due(&mut self, i: usize, n: &Node, now: SimTime) {
+        if self.dirty[i].full || now >= self.warm_next_change[i] {
+            self.sync_node(i, n, now);
+        } else if self.dirty[i].partial {
+            self.sync_fns(i, n, now);
+        }
     }
 
     fn sync_node(&mut self, i: usize, n: &Node, now: SimTime) {
@@ -320,6 +345,9 @@ impl ClusterState {
             if next_change < self.warm_next_change[i] {
                 self.warm_next_change[i] = next_change;
             }
+        }
+        if self.warm_next_change[i] < self.earliest_passive {
+            self.earliest_passive = self.warm_next_change[i];
         }
         d.partial = false;
         d.fns.clear();
@@ -617,6 +645,7 @@ mod tests {
         let cap_before = state.node(NodeId(0)).warm.capacity();
         // Dispatch/completion-shaped churn: claim and return one
         // function's slot, so it leaves and re-enters the warm set.
+        let mut touched_buf = None;
         for step in 1..200u64 {
             let now = SimTime::from_ms(step as f64);
             let f = FnId((step % 6) as u32);
@@ -628,6 +657,9 @@ mod tests {
             cluster.node_mut(NodeId(0)).return_slot(f, now, keep, true);
             state.touch_fn(NodeId(0), f);
             state.refresh(&cluster, now);
+            // The touched list is cleared, never freed.
+            let buf = (state.touched.as_ptr(), state.touched.capacity());
+            assert_eq!(*touched_buf.get_or_insert(buf), buf);
         }
         assert_eq!(state.node(NodeId(0)).warm.as_ptr(), ptr_before);
         assert_eq!(state.node(NodeId(0)).warm.capacity(), cap_before);
@@ -678,7 +710,7 @@ mod tests {
             .return_slot(FnId(3), SimTime::ZERO, keep, false);
         let mut state = ClusterState::from_cluster(&cluster, SimTime::ZERO);
         // Nothing dirty, well before the lease expiry: provable no-op.
-        assert!(!state.any_dirty);
+        assert!(state.touched.is_empty());
         assert!(SimTime::from_ms(1.0) < state.earliest_passive);
         state.refresh(&cluster, SimTime::from_ms(1.0));
         // The early-out must never skip a due passive expiry: at the
@@ -697,6 +729,71 @@ mod tests {
         state.touch(NodeId(2));
         state.refresh(&cluster, late);
         assert_eq!(state.node(NodeId(2)).free, Resources::new(12, 5));
+    }
+
+    /// A full sync that raises one node's passive horizon leaves
+    /// `earliest_passive` at the old, now stale, lower bound; refreshes of
+    /// touched nodes only lower it. A refresh landing exactly on an
+    /// untouched node's lease expiry must still scan and sync that node.
+    #[test]
+    fn touched_only_refresh_keeps_a_lower_bound_across_a_raised_horizon() {
+        let keep = SimTime::from_ms(100.0);
+        let long = SimTime::from_secs(60.0);
+        let ms = SimTime::from_ms;
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        let mut cluster = Cluster::new(3, Resources::new(16, 7));
+        cluster
+            .node_mut(a)
+            .return_slot(FnId(1), ms(0.0), keep, false);
+        cluster
+            .node_mut(b)
+            .return_slot(FnId(2), ms(20.0), keep, false);
+        let mut state = ClusterState::from_cluster(&cluster, ms(20.0));
+        assert_eq!(state.earliest_passive, ms(100.0));
+        let check = |state: &ClusterState, cluster: &Cluster, now: SimTime| {
+            assert_eq!(
+                state.nodes(),
+                ClusterState::from_cluster(cluster, now).nodes(),
+                "t={} ms",
+                now.as_ms()
+            );
+        };
+
+        // `a`'s lease is renewed to 150 ms and `a` re-synced in full: its
+        // horizon rises, the global bound stays at 100 ms.
+        let n = cluster.node_mut(a);
+        assert!(n.claim_warm(FnId(1), ms(50.0)));
+        n.return_slot(FnId(1), ms(50.0), keep, true);
+        state.touch(a);
+        state.refresh(&cluster, ms(50.0));
+        check(&state, &cluster, ms(50.0));
+        assert_eq!(state.warm_next_change[a.index()], ms(150.0));
+        assert_eq!(state.earliest_passive, ms(100.0));
+
+        // Touched-only refreshes on `c`; none may raise the bound.
+        for t in [60.0, 80.0, 99.0] {
+            let n = cluster.node_mut(c);
+            assert!(n.commit(Resources::new(1, 0)));
+            n.return_slot(FnId(3), ms(t), long, false);
+            state.touch_fn(c, FnId(3));
+            state.refresh(&cluster, ms(t));
+            check(&state, &cluster, ms(t));
+            assert_eq!(state.earliest_passive, ms(100.0));
+        }
+
+        // At the stale bound the full scan runs and recomputes it exactly:
+        // `b`'s lease expiry.
+        state.refresh(&cluster, ms(100.0));
+        check(&state, &cluster, ms(100.0));
+        assert_eq!(state.earliest_passive, ms(120.0));
+        assert!(state.node(b).has_warm(FnId(2)));
+
+        // Exactly at `b`'s expiry, with `b` never touched: it must sync.
+        state.refresh(&cluster, ms(120.0));
+        check(&state, &cluster, ms(120.0));
+        assert!(!state.node(b).has_warm(FnId(2)));
+        assert!(state.node(a).has_warm(FnId(1)));
+        assert!(state.touched.is_empty());
     }
 
     #[test]
