@@ -59,6 +59,10 @@ const ROUND_QUEUES: [usize; 2] = [4, 16];
 /// timer-noise floor so it is actually gated).
 const ROUNDS_PER_ITER: usize = 128;
 
+/// Full runs assert the classic empty stack's round costs at most this
+/// multiple of the pre-policy driver's; smoke runs assert nothing.
+const EMPTY_STACK_BOUND: f64 = 1.25;
+
 /// A warmed, partially committed cluster — the steady state the platform
 /// refreshes views in.
 fn busy_cluster(n: usize) -> Cluster {
@@ -328,7 +332,8 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
         // Round-driver ablation: the pre-policy driver (no stack) vs the
         // classic empty stack's fast path vs a two-stage pass-through
         // pipeline. Measures what the policy indirection costs one
-        // controller round (budget: empty stack ≤5% over pre-policy).
+        // controller round (full runs assert the empty stack against
+        // EMPTY_STACK_BOUND).
         let env = SimEnv::standard(SloClass::Moderate);
         let round_cluster = ClusterState::from_cluster(&busy_cluster(16), SimTime::from_ms(10.0));
         let jobs: Vec<JobView> = (0..4u64)
@@ -452,9 +457,9 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
     println!("\nminimum warm-cache speedup across cases: {worst:.0}× (target ≥5×)");
 
     // Round-driver indirection headline: the classic empty stack must
-    // cost (within noise) what the pre-policy driver cost — the budget
-    // is ≤5%, asserted loosely here (full runs only; smoke runs on
-    // loaded CI boxes are guarded by the perf gate's per-case medians).
+    // cost (within noise) what the pre-policy driver cost. Full runs
+    // assert EMPTY_STACK_BOUND; smoke runs on loaded CI boxes assert
+    // nothing here and are guarded by the perf gate's per-case medians.
     for &nq in &ROUND_QUEUES {
         let classic = median(&format!("overhead/round-classic/q{nq}"));
         let empty = median(&format!("overhead/round-empty-stack/q{nq}"));
@@ -464,14 +469,20 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
         }
         let per_round = classic / ROUNDS_PER_ITER as f64;
         let overhead_pct = (empty / classic - 1.0) * 100.0;
+        let bound_pct = (EMPTY_STACK_BOUND - 1.0) * 100.0;
+        let bound = if smoke {
+            format!("bound ≤{bound_pct:+.0}% asserted on full runs only")
+        } else {
+            format!("asserted ≤{bound_pct:+.0}%")
+        };
         println!(
             "round driver q{nq}: pre-policy {per_round:.0} ns/round, empty stack \
-{overhead_pct:+.1}% (budget ≤5%), staged stack {:.2}×",
+{overhead_pct:+.1}% ({bound}), staged stack {:.2}×",
             staged / classic
         );
         if !smoke {
             assert!(
-                empty <= classic * 1.25,
+                empty <= classic * EMPTY_STACK_BOUND,
                 "classic-stack fast path drifted {overhead_pct:+.1}% above the \
 pre-policy round driver (q{nq})"
             );

@@ -7,7 +7,9 @@
 //! inside the event loop (or as a silently ignored churn event). The
 //! builder checks every cross-field invariant up front and returns a
 //! typed [`SimError`] instead, then bundles the validated environment
-//! and configuration as a reusable [`Sim`].
+//! and configuration as a reusable [`Sim`]. The configuration checks
+//! live in [`SimConfig::validate`], which the trace loader also runs on
+//! a recorded configuration.
 //!
 //! ```
 //! use esg_sim::{MinScheduler, SimBuilder};
@@ -41,7 +43,8 @@ use esg_model::{
 use esg_profile::TransferModel;
 use esg_workload::{ArrivalStream, Workload};
 
-/// A configuration rejected by [`SimBuilder::build`].
+/// A configuration rejected by [`SimBuilder::build`] or
+/// [`SimConfig::validate`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
     /// The cluster would have no usable node (zero nodes, or a node with
@@ -301,139 +304,10 @@ impl SimBuilder {
         } = self;
 
         validate_policy(&policy)?;
-
-        // Cluster shape.
-        match &cfg.cluster {
-            Some(spec) => {
-                if spec.nodes.is_empty() {
-                    return Err(SimError::EmptyCluster);
-                }
-                if spec.nodes.iter().any(|c| c.resources() == Resources::ZERO) {
-                    return Err(SimError::EmptyCluster);
-                }
-                for class in &spec.nodes {
-                    validate_class_bandwidth(class)?;
-                }
-                if let Some(t) = spec.topology {
-                    if t.gpus_per_server == 0 {
-                        return Err(SimError::InvalidKnob {
-                            knob: "topology.gpus_per_server",
-                            value: 0.0,
-                            requirement: "at least 1 node per server",
-                        });
-                    }
-                    if !(t.tor_gbps > 0.0 && t.tor_gbps.is_finite()) {
-                        return Err(SimError::InvalidKnob {
-                            knob: "topology.tor_gbps",
-                            value: t.tor_gbps,
-                            requirement: "finite and > 0",
-                        });
-                    }
-                }
-            }
-            None => {
-                if cfg.nodes == 0 || cfg.node_resources == Resources::ZERO {
-                    return Err(SimError::EmptyCluster);
-                }
-            }
-        }
-        // Joined classes feed the same bandwidth pools.
-        for ev in &cfg.churn.events {
-            if let ChurnEvent::Join { class, .. } = ev {
-                validate_class_bandwidth(class)?;
-            }
-        }
-
-        // Transfer tariffs (scalar and data-plane modes both read them).
+        cfg.validate()?;
         if let Some(t) = &transfer {
-            let tariffs: [(&'static str, f64); 4] = [
-                ("transfer.local_base_ms", t.local_base_ms),
-                ("transfer.local_ms_per_mb", t.local_ms_per_mb),
-                ("transfer.remote_base_ms", t.remote_base_ms),
-                ("transfer.remote_ms_per_mb", t.remote_ms_per_mb),
-            ];
-            for (knob, value) in tariffs {
-                if !(value >= 0.0 && value.is_finite()) {
-                    return Err(SimError::InvalidKnob {
-                        knob,
-                        value,
-                        requirement: "finite and >= 0",
-                    });
-                }
-            }
+            validate_transfer(t)?;
         }
-
-        // Data-plane knobs.
-        if let Some(dp) = &cfg.data_plane {
-            let scales: [(&'static str, f64); 2] = [
-                ("data_plane.bandwidth_scale", dp.bandwidth_scale),
-                ("data_plane.staging_scale", dp.staging_scale),
-            ];
-            for (knob, value) in scales {
-                if !(value > 0.0 && value.is_finite()) {
-                    return Err(SimError::InvalidKnob {
-                        knob,
-                        value,
-                        requirement: "finite and > 0",
-                    });
-                }
-            }
-            if !(dp.batch_max_mb >= 0.0 && dp.batch_max_mb.is_finite()) {
-                return Err(SimError::InvalidKnob {
-                    knob: "data_plane.batch_max_mb",
-                    value: dp.batch_max_mb,
-                    requirement: "finite and >= 0",
-                });
-            }
-        }
-
-        // Scalar knobs.
-        let positive: [(&str, f64); 3] = [
-            ("keep_alive_ms", cfg.keep_alive_ms),
-            ("prewarm_alpha", cfg.prewarm_alpha),
-            ("idle_backoff_ms", cfg.idle_backoff_ms),
-        ];
-        for (knob, value) in positive {
-            if !(value > 0.0 && value.is_finite()) {
-                return Err(SimError::InvalidKnob {
-                    knob,
-                    value,
-                    requirement: "finite and > 0",
-                });
-            }
-        }
-        if cfg.prewarm_alpha > 1.0 {
-            return Err(SimError::InvalidKnob {
-                knob: "prewarm_alpha",
-                value: cfg.prewarm_alpha,
-                requirement: "within (0, 1]",
-            });
-        }
-        let non_negative: [(&str, f64); 2] = [
-            ("warmup_exclude_ms", cfg.warmup_exclude_ms),
-            ("max_sim_ms", cfg.max_sim_ms),
-        ];
-        for (knob, value) in non_negative {
-            if !(value >= 0.0 && value.is_finite()) {
-                return Err(SimError::InvalidKnob {
-                    knob,
-                    value,
-                    requirement: "finite and >= 0",
-                });
-            }
-        }
-        if cfg.recheck_limit == 0 {
-            return Err(SimError::InvalidKnob {
-                knob: "recheck_limit",
-                value: 0.0,
-                requirement: "at least 1 round before the forced minimum",
-            });
-        }
-
-        // Churn script vs cluster membership: replay the plan in time
-        // order and check that every drain names a node that exists by
-        // then (the platform would otherwise skip it silently).
-        validate_churn(&cfg)?;
 
         let mut env = SimEnv::with_grid(slo, grid);
         if let Some(t) = transfer {
@@ -461,18 +335,121 @@ impl SimBuilder {
     }
 }
 
+impl SimConfig {
+    /// Checks every cross-field invariant of the configuration: cluster
+    /// shape, class bandwidths, topology, data plane, scalar knobs,
+    /// recheck limit and churn script. [`SimBuilder::build`] runs it, and
+    /// so does the trace loader on a recorded config, so a configuration
+    /// that would panic inside the event loop is a typed error in both.
+    pub fn validate(&self) -> Result<(), SimError> {
+        // Cluster shape.
+        match &self.cluster {
+            Some(spec) => {
+                if spec.nodes.is_empty() {
+                    return Err(SimError::EmptyCluster);
+                }
+                if spec.nodes.iter().any(|c| c.resources() == Resources::ZERO) {
+                    return Err(SimError::EmptyCluster);
+                }
+                for class in &spec.nodes {
+                    validate_class_bandwidth(class)?;
+                }
+                if let Some(t) = spec.topology {
+                    if t.gpus_per_server == 0 {
+                        return Err(SimError::InvalidKnob {
+                            knob: "topology.gpus_per_server",
+                            value: 0.0,
+                            requirement: "at least 1 node per server",
+                        });
+                    }
+                    positive("topology.tor_gbps", t.tor_gbps)?;
+                }
+            }
+            None => {
+                if self.nodes == 0 || self.node_resources == Resources::ZERO {
+                    return Err(SimError::EmptyCluster);
+                }
+            }
+        }
+        // Joined classes feed the same bandwidth pools.
+        for ev in &self.churn.events {
+            if let ChurnEvent::Join { class, .. } = ev {
+                validate_class_bandwidth(class)?;
+            }
+        }
+
+        // Data-plane knobs.
+        if let Some(dp) = &self.data_plane {
+            positive("data_plane.bandwidth_scale", dp.bandwidth_scale)?;
+            positive("data_plane.staging_scale", dp.staging_scale)?;
+            non_negative("data_plane.batch_max_mb", dp.batch_max_mb)?;
+        }
+
+        // Scalar knobs.
+        positive("keep_alive_ms", self.keep_alive_ms)?;
+        positive("prewarm_alpha", self.prewarm_alpha)?;
+        positive("idle_backoff_ms", self.idle_backoff_ms)?;
+        if self.prewarm_alpha > 1.0 {
+            return Err(SimError::InvalidKnob {
+                knob: "prewarm_alpha",
+                value: self.prewarm_alpha,
+                requirement: "within (0, 1]",
+            });
+        }
+        non_negative("warmup_exclude_ms", self.warmup_exclude_ms)?;
+        non_negative("max_sim_ms", self.max_sim_ms)?;
+        if self.recheck_limit == 0 {
+            return Err(SimError::InvalidKnob {
+                knob: "recheck_limit",
+                value: 0.0,
+                requirement: "at least 1 round before the forced minimum",
+            });
+        }
+
+        // Churn script vs cluster membership: replay the plan in time
+        // order and check that every drain names a node that exists by
+        // then (the platform would otherwise skip it silently).
+        validate_churn(self)
+    }
+}
+
+/// `knob` must be finite and > 0.
+fn positive(knob: &'static str, value: f64) -> Result<(), SimError> {
+    if value > 0.0 && value.is_finite() {
+        return Ok(());
+    }
+    Err(SimError::InvalidKnob {
+        knob,
+        value,
+        requirement: "finite and > 0",
+    })
+}
+
+/// `knob` must be finite and >= 0.
+fn non_negative(knob: &'static str, value: f64) -> Result<(), SimError> {
+    if value >= 0.0 && value.is_finite() {
+        return Ok(());
+    }
+    Err(SimError::InvalidKnob {
+        knob,
+        value,
+        requirement: "finite and >= 0",
+    })
+}
+
+/// The transfer tariffs (scalar and data-plane modes both read them).
+pub(crate) fn validate_transfer(t: &TransferModel) -> Result<(), SimError> {
+    non_negative("transfer.local_base_ms", t.local_base_ms)?;
+    non_negative("transfer.local_ms_per_mb", t.local_ms_per_mb)?;
+    non_negative("transfer.remote_base_ms", t.remote_base_ms)?;
+    non_negative("transfer.remote_ms_per_mb", t.remote_ms_per_mb)
+}
+
 /// Scalar validation of a policy spec's knobs (the scheduler-combo check
 /// happens at [`Sim::try_run`], where the scheduler exists).
 fn validate_policy(policy: &PolicySpec) -> Result<(), SimError> {
     fn admission(cfg: &SloAdmissionConfig) -> Result<(), SimError> {
-        if !(cfg.defer_ms > 0.0 && cfg.defer_ms.is_finite()) {
-            return Err(SimError::InvalidKnob {
-                knob: "policy.defer_ms",
-                value: cfg.defer_ms,
-                requirement: "finite and > 0",
-            });
-        }
-        Ok(())
+        positive("policy.defer_ms", cfg.defer_ms)
     }
     fn packing(cfg: &BandwidthPackingConfig) -> Result<(), SimError> {
         if cfg.round_budget == 0 {
@@ -482,27 +459,9 @@ fn validate_policy(policy: &PolicySpec) -> Result<(), SimError> {
                 requirement: "at least 1 expanded configuration per round",
             });
         }
-        if !(cfg.defer_ms > 0.0 && cfg.defer_ms.is_finite()) {
-            return Err(SimError::InvalidKnob {
-                knob: "policy.defer_ms",
-                value: cfg.defer_ms,
-                requirement: "finite and > 0",
-            });
-        }
-        let biases = [
-            ("policy.warm_bias", cfg.warm_bias),
-            ("policy.contention_bias", cfg.contention_bias),
-        ];
-        for (knob, value) in biases {
-            if !(value >= 0.0 && value.is_finite()) {
-                return Err(SimError::InvalidKnob {
-                    knob,
-                    value,
-                    requirement: "finite and >= 0",
-                });
-            }
-        }
-        Ok(())
+        positive("policy.defer_ms", cfg.defer_ms)?;
+        non_negative("policy.warm_bias", cfg.warm_bias)?;
+        non_negative("policy.contention_bias", cfg.contention_bias)
     }
     match policy {
         PolicySpec::Classic => Ok(()),
@@ -519,22 +478,10 @@ fn validate_policy(policy: &PolicySpec) -> Result<(), SimError> {
 /// would make a pool's fair share degenerate (division by the member
 /// count of a zero-capacity pool, or a NaN finish time).
 fn validate_class_bandwidth(class: &NodeClass) -> Result<(), SimError> {
-    let fields: [(&'static str, f64); 4] = [
-        ("class.pcie_in_gbps", class.pcie_in_gbps),
-        ("class.pcie_out_gbps", class.pcie_out_gbps),
-        ("class.nvlink_gbps", class.nvlink_gbps),
-        ("class.staging_mb", class.staging_mb),
-    ];
-    for (knob, value) in fields {
-        if !(value > 0.0 && value.is_finite()) {
-            return Err(SimError::InvalidKnob {
-                knob,
-                value,
-                requirement: "finite and > 0",
-            });
-        }
-    }
-    Ok(())
+    positive("class.pcie_in_gbps", class.pcie_in_gbps)?;
+    positive("class.pcie_out_gbps", class.pcie_out_gbps)?;
+    positive("class.nvlink_gbps", class.nvlink_gbps)?;
+    positive("class.staging_mb", class.staging_mb)
 }
 
 fn validate_churn(cfg: &SimConfig) -> Result<(), SimError> {
@@ -772,6 +719,16 @@ mod tests {
             SimBuilder::new(SloClass::Strict).nodes(0).build().err(),
             Some(SimError::EmptyCluster)
         );
+        // The same check on a bare config, as the trace loader runs it.
+        assert_eq!(
+            SimConfig {
+                nodes: 0,
+                ..SimConfig::default()
+            }
+            .validate(),
+            Err(SimError::EmptyCluster)
+        );
+        assert_eq!(SimConfig::default().validate(), Ok(()));
         assert_eq!(
             SimBuilder::new(SloClass::Strict)
                 .cluster(ClusterSpec::new("none"))

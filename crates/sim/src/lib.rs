@@ -85,6 +85,6 @@ pub use sched::{
 pub use state::{ClusterState, NodeView};
 pub use trace::{
     dispatch_trace, fnv64, TraceError, TraceFile, TraceRecorder, TraceReplay, Traced, TRACE_FORMAT,
-    TRACE_VERSION, TRACE_VERSION_MINOR,
+    TRACE_VERSION,
 };
 pub use workflow::{AfwQueue, Job, WorkflowInstance};

@@ -7,18 +7,20 @@
 //! * [`TraceRecorder`] — the recording sink. Selected through
 //!   [`SimBuilder::record_trace`](crate::SimBuilder::record_trace), it
 //!   captures every control-plane event (arrivals, dispatches,
-//!   completions, churn, sheds) plus the run's
-//!   environment header (SLO class, configuration grid, full
-//!   [`SimConfig`]) and writes one compact JSON document at the end of
-//!   the run via the vendored `serde_json`.
+//!   completions, churn, sheds) plus the run's environment header (SLO
+//!   class, configuration grid, transfer tariffs, full [`SimConfig`])
+//!   and writes one compact JSON document at the end of the run via the
+//!   vendored `serde_json`.
 //! * [`TraceFile`] — the loaded, validated form of that document, with
 //!   typed [`TraceError`]s for anything short of a well-formed
-//!   supported-version trace (truncated file, corrupt JSON, unknown
-//!   version, schema drift).
+//!   current-version trace (truncated file, corrupt JSON, any other
+//!   version, schema drift, a recorded configuration
+//!   [`SimConfig::validate`] refuses).
 //! * [`TraceReplay`] — re-drives a scheduler against the recorded
-//!   arrivals and churn under the recorded configuration, producing an
-//!   [`ExperimentResult`] and a dispatch-trace digest comparable with
-//!   the recorded stream's own [`TraceFile::dispatch_digest`].
+//!   arrivals and churn under the recorded configuration and tariffs,
+//!   producing an [`ExperimentResult`] and a dispatch-trace digest
+//!   comparable with the recorded stream's own
+//!   [`TraceFile::dispatch_digest`].
 //!
 //! The module is also the single owner of the canonical dispatch-trace
 //! rendering ([`dispatch_trace`]) and its [`fnv64`] digest that the
@@ -44,6 +46,7 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 
+use crate::builder::validate_transfer;
 use crate::eventlog::{EventKind, EventLog, EventRecord};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
@@ -56,6 +59,7 @@ use esg_model::{
     standard_apps, AppId, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, GpuFlavor,
     InvocationId, NodeClass, NodeId, Resources, SloClass,
 };
+use esg_profile::TransferModel;
 use esg_workload::{Arrival, Workload};
 use serde_json::{Map, Value};
 use std::fmt::Write as _;
@@ -64,23 +68,10 @@ use std::path::{Path, PathBuf};
 /// Format marker written into every trace header.
 pub const TRACE_FORMAT: &str = "esg-trace";
 
-/// Current trace schema version; [`TraceFile::load`] rejects others with
-/// [`TraceError::Version`].
-pub const TRACE_VERSION: u32 = 1;
-
-/// Current minor revision within [`TRACE_VERSION`]. Minor bumps are
-/// strictly additive (optional header fields, new event tags), so a
-/// v1.0 reader's documents still load here and a v1.0 document loads as
-/// minor 0. Minor 1 added the data-plane family: per-class bandwidth
-/// fields, the `data_plane` config knob, and the transfer event tags.
-/// Minor 2 added the server-topology family: the optional
-/// `cluster.topology` object and the `pinning` config knob. Minor 3
-/// removed the `shards`, `force_sharded` and `event_queue` config keys
-/// and the `X` (shard-commit) event tag; the loader still accepts them
-/// in older documents (see `config_from_json` and `decode_event`).
-/// Minor 4 stopped writing the `pinning` config knob, which the platform
-/// never consumed; older documents still load with it.
-pub const TRACE_VERSION_MINOR: u32 = 4;
+/// Current trace schema version. [`TraceFile::load`] rejects every other
+/// version with [`TraceError::Version`]: a format change bumps it and
+/// adds no loader for the old one.
+pub const TRACE_VERSION: u32 = 2;
 
 /// A typed failure while writing or loading a trace. Corrupt or
 /// truncated files surface here — never as a panic.
@@ -280,6 +271,7 @@ pub struct TraceRecorder {
     scheduler: String,
     slo: SloClass,
     grid: ConfigGrid,
+    transfer: TransferModel,
     apps_standard: bool,
     cfg: SimConfig,
     arrivals: Vec<Arrival>,
@@ -295,6 +287,7 @@ impl TraceRecorder {
             scheduler: scheduler.to_string(),
             slo: env.slo,
             grid: env.profiles.grid().clone(),
+            transfer: env.transfer,
             apps_standard: env.apps == standard_apps(),
             cfg: cfg.clone(),
             arrivals: Vec::new(),
@@ -340,11 +333,11 @@ from the standard environment"
         let mut doc = Map::new();
         doc.insert("format", TRACE_FORMAT);
         doc.insert("version", TRACE_VERSION);
-        doc.insert("version_minor", TRACE_VERSION_MINOR);
         doc.insert("scheduler", self.scheduler.clone());
         doc.insert("slo", self.slo.to_string());
         doc.insert("apps", "standard");
         doc.insert("grid", grid_to_json(&self.grid));
+        doc.insert("transfer", transfer_to_json(&self.transfer));
         doc.insert("config", config_to_json(&self.cfg));
         doc.insert(
             "arrivals",
@@ -371,17 +364,14 @@ from the standard environment"
 /// A loaded, validated trace document.
 #[derive(Clone, Debug)]
 pub struct TraceFile {
-    /// Schema version the file was written at.
-    pub version: u32,
-    /// Minor revision within `version` (0 when the document predates
-    /// minor versioning; see [`TRACE_VERSION_MINOR`]).
-    pub version_minor: u32,
     /// Name of the scheduler that drove the recorded run.
     pub scheduler: String,
     /// SLO class of the recorded environment.
     pub slo: SloClass,
     /// Configuration grid of the recorded environment.
     pub grid: ConfigGrid,
+    /// Transfer tariffs of the recorded environment.
+    pub transfer: TransferModel,
     /// The recorded platform configuration (with `record_trace`
     /// cleared, so replaying never re-records by accident).
     pub config: SimConfig,
@@ -421,14 +411,6 @@ impl TraceFile {
                 supported: TRACE_VERSION,
             });
         }
-        // Minor revisions are additive: absent (pre-minor v1 documents)
-        // reads as 0, and any value loads — unknown minor features can
-        // only be optional fields this reader defaults away.
-        let version_minor = match doc.get("version_minor") {
-            None => 0,
-            Some(_) => u32::try_from(int_field(&doc, "version_minor")?)
-                .map_err(|_| schema("version_minor is out of the u32 range"))?,
-        };
         let apps = str_field(&doc, "apps")?;
         if apps != "standard" {
             return Err(TraceError::Unsupported {
@@ -437,7 +419,9 @@ impl TraceFile {
         }
         let slo = slo_from_str(str_field(&doc, "slo")?)?;
         let grid = grid_from_json(field(&doc, "grid")?)?;
+        let transfer = transfer_from_json(field(&doc, "transfer")?)?;
         let config = config_from_json(field(&doc, "config")?)?;
+        let known_apps = standard_apps().len();
         let arrivals = field(&doc, "arrivals")?
             .as_array()
             .ok_or_else(|| schema("arrivals is not an array"))?
@@ -448,9 +432,16 @@ impl TraceFile {
                     .as_array()
                     .filter(|a| a.len() == 2)
                     .ok_or_else(|| schema(&format!("arrival #{i} is not a [t, app] pair")))?;
+                let app = AppId(u32_at(a, 1, "arrival app")?);
+                if app.index() >= known_apps {
+                    return Err(schema(&format!(
+                        "arrival #{i} names app {} outside the standard set",
+                        app.0
+                    )));
+                }
                 Ok(Arrival {
                     at_ms: f64_at(a, 0, "arrival time")?,
-                    app: AppId(u32_at(a, 1, "arrival app")?),
+                    app,
                 })
             })
             .collect::<Result<Vec<_>, TraceError>>()?;
@@ -459,14 +450,13 @@ impl TraceFile {
             .ok_or_else(|| schema("events is not an array"))?
             .iter()
             .enumerate()
-            .filter_map(|(i, v)| decode_event(v, i).transpose())
+            .map(|(i, v)| decode_event(v, i))
             .collect::<Result<Vec<_>, TraceError>>()?;
         Ok(TraceFile {
-            version: found as u32,
-            version_minor,
             scheduler: str_field(&doc, "scheduler")?.to_string(),
             slo,
             grid,
+            transfer,
             config,
             arrivals,
             events,
@@ -522,12 +512,14 @@ impl TraceReplay {
         cfg
     }
 
-    /// Re-drives `sched` against the recorded arrivals, labelling the
+    /// Re-drives `sched` against the recorded arrivals under the
+    /// recorded environment (grid and transfer tariffs), labelling the
     /// result `scenario`. A replay under the same scheduler and seed is
     /// bit-identical to the recorded run (pinned by the round-trip
     /// suite); a different scheduler sees the exact same offered load.
     pub fn run(&self, sched: &mut dyn Scheduler, scenario: &str) -> ExperimentResult {
-        let env = SimEnv::with_grid(self.trace.slo, self.trace.grid.clone());
+        let mut env = SimEnv::with_grid(self.trace.slo, self.trace.grid.clone());
+        env.transfer = self.trace.transfer;
         let workload = self.trace.workload();
         run_simulation(&env, self.config(), sched, &workload, scenario)
     }
@@ -716,36 +708,19 @@ fn class_to_json(c: &NodeClass) -> Value {
     Value::Object(m)
 }
 
-/// Optional f64 field — absent falls back to `default` (how v1.0
-/// documents, which predate the bandwidth fields, keep loading).
-fn f64_field_or(doc: &Value, key: &str, default: f64) -> Result<f64, TraceError> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(_) => f64_field(doc, key),
-    }
-}
-
 fn class_from_json(doc: &Value) -> Result<NodeClass, TraceError> {
-    let gpu = flavor_from_str(str_field(doc, "gpu")?)?;
-    // Bandwidth fields arrived in v1.1; older documents fall back to
-    // the flavor's stock values.
-    let stock = match gpu {
-        GpuFlavor::A100 => NodeClass::a100(),
-        GpuFlavor::V100 => NodeClass::v100(),
-        GpuFlavor::T4 => NodeClass::t4(),
-    };
     Ok(NodeClass {
         name: str_field(doc, "name")?.to_string(),
-        gpu,
+        gpu: flavor_from_str(str_field(doc, "gpu")?)?,
         vgpu_slices: u32_field(doc, "vgpu_slices")?,
         vcpus: u32_field(doc, "vcpus")?,
         speed: f64_field(doc, "speed")?,
         link_scale: f64_field(doc, "link_scale")?,
         price_scale: f64_field(doc, "price_scale")?,
-        pcie_in_gbps: f64_field_or(doc, "pcie_in_gbps", stock.pcie_in_gbps)?,
-        pcie_out_gbps: f64_field_or(doc, "pcie_out_gbps", stock.pcie_out_gbps)?,
-        nvlink_gbps: f64_field_or(doc, "nvlink_gbps", stock.nvlink_gbps)?,
-        staging_mb: f64_field_or(doc, "staging_mb", stock.staging_mb)?,
+        pcie_in_gbps: f64_field(doc, "pcie_in_gbps")?,
+        pcie_out_gbps: f64_field(doc, "pcie_out_gbps")?,
+        nvlink_gbps: f64_field(doc, "nvlink_gbps")?,
+        staging_mb: f64_field(doc, "staging_mb")?,
     })
 }
 
@@ -813,14 +788,18 @@ fn config_to_json(cfg: &SimConfig) -> Value {
                     "nodes",
                     Value::Array(spec.nodes.iter().map(class_to_json).collect()),
                 );
-                // Optional key: absent on pre-topology recordings, which
-                // must keep loading as flat clusters.
-                if let Some(t) = spec.topology {
-                    let mut topo = Map::new();
-                    topo.insert("gpus_per_server", t.gpus_per_server);
-                    topo.insert("tor_gbps", t.tor_gbps);
-                    c.insert("topology", Value::Object(topo));
-                }
+                c.insert(
+                    "topology",
+                    match spec.topology {
+                        None => Value::Null,
+                        Some(t) => {
+                            let mut topo = Map::new();
+                            topo.insert("gpus_per_server", t.gpus_per_server);
+                            topo.insert("tor_gbps", t.tor_gbps);
+                            Value::Object(topo)
+                        }
+                    },
+                );
                 Value::Object(c)
             }
         },
@@ -861,44 +840,10 @@ fn config_to_json(cfg: &SimConfig) -> Value {
     Value::Object(m)
 }
 
-/// Validates the config keys later minors removed. Documents up to
-/// minor 2 carry the control-plane keys minor 3 removed; they load as
-/// long as the single round driver reproduces the recorded decisions.
-/// Both event-queue backends were dispatch-trace identical and a
-/// one-shard run replayed the classic driver, so `event_queue` and
-/// `force_sharded` are ignored, but a multi-shard recording is
-/// [`TraceError::Unsupported`]. Documents up to minor 3 carry the
-/// `pinning` knob minor 4 removed: the platform never consumed it, so a
-/// recording replays its digest without it, and `null` or a well-formed
-/// object is ignored.
-fn check_legacy_control_plane(doc: &Value) -> Result<(), TraceError> {
-    if doc.get("shards").is_some() {
-        let shards = usize_field(doc, "shards")?;
-        if shards > 1 {
-            return Err(TraceError::Unsupported {
-                what: format!("a {shards}-shard control-plane recording (replays run one driver)"),
-            });
-        }
-    }
-    if doc.get("event_queue").is_some() {
-        match str_field(doc, "event_queue")? {
-            "heap" | "wheel" => {}
-            other => return Err(schema(&format!("unknown event-queue backend {other:?}"))),
-        }
-    }
-    match doc.get("pinning") {
-        None | Some(Value::Null) => {}
-        Some(p) => {
-            u64_field(p, "budget_vgpus")?;
-            f64_field(p, "min_share_factor")?;
-            usize_field(p, "max_pinned_apps")?;
-        }
-    }
-    Ok(())
-}
-
+/// Decodes the recorded config and checks it with
+/// [`SimConfig::validate`], the builder's own validation: a config the
+/// builder would refuse is [`TraceError::Schema`], not a replay panic.
 fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
-    check_legacy_control_plane(doc)?;
     let res = field(doc, "node_resources")?
         .as_array()
         .filter(|a| a.len() == 2)
@@ -917,16 +862,16 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
                 .iter()
                 .map(class_from_json)
                 .collect::<Result<Vec<_>, TraceError>>()?,
-            topology: match spec.get("topology") {
-                None | Some(Value::Null) => None,
-                Some(t) => Some(esg_model::ServerTopology::new(
+            topology: match field(spec, "topology")? {
+                Value::Null => None,
+                t => Some(esg_model::ServerTopology::new(
                     usize_field(t, "gpus_per_server")?,
                     f64_field(t, "tor_gbps")?,
                 )),
             },
         }),
     };
-    Ok(SimConfig {
+    let cfg = SimConfig {
         nodes: usize_field(doc, "nodes")?,
         node_resources: Resources::new(
             u32_at(res, 0, "node_resources.vcpus")?,
@@ -950,18 +895,41 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
         idle_backoff_ms: f64_field(doc, "idle_backoff_ms")?,
         max_sim_ms: f64_field(doc, "max_sim_ms")?,
         validate_cluster_state: bool_field(doc, "validate_cluster_state")?,
-        // Arrived in v1.1; absent (v1.0 documents) means the classic
-        // scalar transfer model.
-        data_plane: match doc.get("data_plane") {
-            None | Some(Value::Null) => None,
-            Some(dp) => Some(crate::dataplane::DataPlaneConfig {
+        data_plane: match field(doc, "data_plane")? {
+            Value::Null => None,
+            dp => Some(crate::dataplane::DataPlaneConfig {
                 bandwidth_scale: f64_field(dp, "bandwidth_scale")?,
                 staging_scale: f64_field(dp, "staging_scale")?,
                 batch_max_mb: f64_field(dp, "batch_max_mb")?,
             }),
         },
         record_trace: None,
-    })
+    };
+    cfg.validate()
+        .map_err(|e| schema(&format!("config rejected: {e}")))?;
+    Ok(cfg)
+}
+
+fn transfer_to_json(t: &TransferModel) -> Value {
+    let mut m = Map::new();
+    m.insert("local_base_ms", t.local_base_ms);
+    m.insert("local_ms_per_mb", t.local_ms_per_mb);
+    m.insert("remote_base_ms", t.remote_base_ms);
+    m.insert("remote_ms_per_mb", t.remote_ms_per_mb);
+    Value::Object(m)
+}
+
+/// Decodes the recorded tariffs and checks them with the builder's own
+/// tariff check.
+fn transfer_from_json(doc: &Value) -> Result<TransferModel, TraceError> {
+    let t = TransferModel {
+        local_base_ms: f64_field(doc, "local_base_ms")?,
+        local_ms_per_mb: f64_field(doc, "local_ms_per_mb")?,
+        remote_base_ms: f64_field(doc, "remote_base_ms")?,
+        remote_ms_per_mb: f64_field(doc, "remote_ms_per_mb")?,
+    };
+    validate_transfer(&t).map_err(|e| schema(&format!("transfer rejected: {e}")))?;
+    Ok(t)
 }
 
 fn encode_event(r: &EventRecord) -> Value {
@@ -1022,9 +990,7 @@ fn encode_event(r: &EventRecord) -> Value {
     })
 }
 
-/// Decodes one event; `None` for a legacy `X` (shard-commit) record,
-/// which documents before minor 3 may carry and which is dropped.
-fn decode_event(v: &Value, idx: usize) -> Result<Option<EventRecord>, TraceError> {
+fn decode_event(v: &Value, idx: usize) -> Result<EventRecord, TraceError> {
     let a = v
         .as_array()
         .ok_or_else(|| schema(&format!("event #{idx} is not an array")))?;
@@ -1125,10 +1091,9 @@ fn decode_event(v: &Value, idx: usize) -> Result<Option<EventRecord>, TraceError
                 mb: f64_at(a, 3, &ctx)?,
             }
         }
-        "X" => return Ok(None),
         other => return Err(schema(&format!("{ctx}: unknown event tag {other:?}"))),
     };
-    Ok(Some(EventRecord { now_ms, kind }))
+    Ok(EventRecord { now_ms, kind })
 }
 
 #[cfg(test)]
@@ -1214,11 +1179,7 @@ mod tests {
         for r in sample_records() {
             let text = serde_json::to_string(&encode_event(&r));
             let parsed = serde_json::from_str(&text).expect("own encoding parses");
-            assert_eq!(
-                decode_event(&parsed, 0).expect("decodes"),
-                Some(r),
-                "{text}"
-            );
+            assert_eq!(decode_event(&parsed, 0).expect("decodes"), r, "{text}");
         }
     }
 
@@ -1258,111 +1219,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_0_documents_without_minor_fields_still_load() {
-        // A pre-minor-versioning trace: no version_minor, no per-class
-        // bandwidth fields, no data_plane knob. It must load as minor 0
-        // with flavor-stock bandwidths and a scalar transfer model.
-        let class = "{\"name\": \"t4\", \"gpu\": \"t4\", \"vgpu_slices\": 4, \
-\"vcpus\": 8, \"speed\": 0.5, \"link_scale\": 1.5, \"price_scale\": 0.4}";
-        let text = format!(
-            "{{\"format\": \"esg-trace\", \"version\": 1, \"scheduler\": \"min\", \
-\"slo\": \"moderate\", \"apps\": \"standard\", \
-\"grid\": {{\"batches\": [1], \"vcpus\": [1], \"vgpus\": [1]}}, \
-\"config\": {{\"nodes\": 2, \"node_resources\": [16, 7], \
-\"cluster\": {{\"name\": \"old\", \"nodes\": [{class}]}}, \"churn\": [], \
-\"keep_alive_ms\": 1.0, \"overhead\": [0.0, 0.43], \"charge_overhead\": true, \
-\"prewarm\": false, \"prewarm_alpha\": 0.5, \"initial_warm_per_node\": 0, \
-\"prewarm_pool_cap\": 4, \"warmup_exclude_ms\": 0.0, \"seed\": 42, \
-\"recheck_limit\": 3, \"idle_backoff_ms\": 5.0, \"max_sim_ms\": 100.0, \
-\"validate_cluster_state\": false, \"shards\": 1, \"force_sharded\": false, \
-\"event_queue\": \"heap\"}}, \"arrivals\": [], \"events\": []}}"
-        );
-        let t = TraceFile::from_json(&text).expect("v1.0 document loads");
-        assert_eq!(t.version, TRACE_VERSION);
-        assert_eq!(t.version_minor, 0);
-        assert_eq!(t.config.data_plane, None);
-        let stock = NodeClass::t4();
-        let loaded = &t.config.cluster.as_ref().expect("cluster").nodes[0];
-        assert_eq!(loaded.pcie_in_gbps, stock.pcie_in_gbps);
-        assert_eq!(loaded.nvlink_gbps, stock.nvlink_gbps);
-        assert_eq!(loaded.staging_mb, stock.staging_mb);
-    }
-
-    /// A minimal v1.2 document whose config ends with the legacy
-    /// control-plane keys `control` (`"key": value` pairs).
-    fn legacy_document(control: &str) -> String {
-        format!(
-            "{{\"format\": \"esg-trace\", \"version\": 1, \"version_minor\": 2, \
-\"scheduler\": \"min\", \"slo\": \"moderate\", \"apps\": \"standard\", \
-\"grid\": {{\"batches\": [1], \"vcpus\": [1], \"vgpus\": [1]}}, \
-\"config\": {{\"nodes\": 2, \"node_resources\": [16, 7], \"cluster\": null, \
-\"churn\": [], \"keep_alive_ms\": 1.0, \"overhead\": [0.0, 0.43], \
-\"charge_overhead\": true, \"prewarm\": false, \"prewarm_alpha\": 0.5, \
-\"initial_warm_per_node\": 0, \"prewarm_pool_cap\": 4, \"warmup_exclude_ms\": 0.0, \
-\"seed\": 42, \"recheck_limit\": 3, \"idle_backoff_ms\": 5.0, \"max_sim_ms\": 100.0, \
-\"validate_cluster_state\": false, {control}}}, \"arrivals\": [], \"events\": []}}"
-        )
-    }
-
-    #[test]
-    fn legacy_control_plane_keys_load_with_typed_errors() {
-        let ok = TraceFile::from_json(&legacy_document(
-            "\"shards\": 1, \"force_sharded\": true, \"event_queue\": \"wheel\"",
-        ))
-        .expect("a one-shard wheel recording loads");
-        assert_eq!(ok.version_minor, 2);
-        assert!(matches!(
-            TraceFile::from_json(&legacy_document("\"shards\": 4, \"event_queue\": \"heap\"")),
-            Err(TraceError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            TraceFile::from_json(&legacy_document(
-                "\"shards\": 1, \"event_queue\": \"btree\""
-            )),
-            Err(TraceError::Schema { .. })
-        ));
-    }
-
-    #[test]
-    fn legacy_pinning_knob_loads_when_null_or_well_formed() {
-        let pinning = "\"pinning\": {\"budget_vgpus\": 28, \"min_share_factor\": 1.25, \
-\"max_pinned_apps\": 3}";
-        for knob in ["\"pinning\": null", pinning] {
-            let t = TraceFile::from_json(&legacy_document(knob)).expect("loads");
-            assert_eq!(t.version_minor, 2);
-            assert_eq!(
-                config_to_json(&t.config).get("pinning"),
-                None,
-                "the knob is not carried forward"
-            );
-        }
-        for bad in [
-            "\"pinning\": 3",
-            "\"pinning\": \"on\"",
-            "\"pinning\": {\"budget_vgpus\": 28, \"min_share_factor\": 1.25}",
-            "\"pinning\": {\"budget_vgpus\": -1, \"min_share_factor\": 1.25, \
-\"max_pinned_apps\": 3}",
-        ] {
-            assert!(
-                matches!(
-                    TraceFile::from_json(&legacy_document(bad)),
-                    Err(TraceError::Schema { .. })
-                ),
-                "{bad} must be a schema error"
-            );
-        }
-    }
-
-    #[test]
-    fn v1_2_wheel_recording_with_shard_events_replays_its_digest() {
+    fn v1_documents_get_a_version_error() {
         use crate::{MinScheduler, SimBuilder};
         use esg_model::WorkloadClass;
         use esg_workload::WorkloadGen;
 
-        let path =
-            std::env::temp_dir().join(format!("esg-trace-legacy-{}.json", std::process::id()));
+        let path = std::env::temp_dir().join(format!("esg-trace-v1-{}.json", std::process::id()));
         let w =
-            WorkloadGen::new(WorkloadClass::Normal, esg_model::standard_app_ids(), 5).generate(40);
+            WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 5).generate(10);
         SimBuilder::new(SloClass::Moderate)
             .record_trace(&path)
             .build()
@@ -1370,32 +1234,26 @@ mod tests {
             .run(&mut MinScheduler, &w, "record");
         let current = std::fs::read_to_string(&path).expect("recorded");
         std::fs::remove_file(&path).ok();
-        // Rewrite the recording as a minor-2 document: the removed
-        // control-plane keys and pinning knob in its config and a
-        // shard-commit record in its event stream.
-        let mut legacy = current.clone();
-        let minor = format!("\"version_minor\":{TRACE_VERSION_MINOR}");
-        for (from, to) in [
-            (minor.as_str(), "\"version_minor\":2"),
-            (
-                "\"validate_cluster_state\":false",
-                "\"validate_cluster_state\":false,\"shards\":1,\"force_sharded\":false,\
-\"event_queue\":\"wheel\",\"pinning\":{\"budget_vgpus\":28,\"min_share_factor\":1.25,\
-\"max_pinned_apps\":3}",
-            ),
-            ("\"events\":[", "\"events\":[[\"X\",0,0,1,0,0],"),
-        ] {
-            assert!(legacy.contains(from), "recording lacks {from}");
-            legacy = legacy.replacen(from, to, 1);
+        TraceFile::from_json(&current).expect("own recording loads");
+        // The recorder's own output relabelled as v1, and a minimal v1.0
+        // document (no minor, bandwidth, data-plane or tariff fields).
+        let relabelled =
+            current.replacen(&format!("\"version\":{TRACE_VERSION}"), "\"version\":1", 1);
+        assert_ne!(relabelled, current, "version field located");
+        let v1_0 = "{\"format\": \"esg-trace\", \"version\": 1, \"scheduler\": \"min\", \
+\"slo\": \"moderate\", \"apps\": \"standard\", \
+\"grid\": {\"batches\": [1], \"vcpus\": [1], \"vgpus\": [1]}, \
+\"config\": {\"nodes\": 2, \"node_resources\": [16, 7], \"cluster\": null, \"churn\": []}, \
+\"arrivals\": [], \"events\": []}";
+        for doc in [relabelled.as_str(), v1_0] {
+            assert_eq!(
+                TraceFile::from_json(doc).err(),
+                Some(TraceError::Version {
+                    found: 1,
+                    supported: 2
+                })
+            );
         }
-        let old = TraceFile::from_json(&legacy).expect("a v1.2 document loads");
-        let new = TraceFile::from_json(&current).expect("own recording loads");
-        assert_eq!(old.version_minor, 2);
-        assert_eq!(old.events, new.events, "the shard record is dropped");
-        assert!(old.dispatch_trace().contains("D "), "the run dispatched");
-        let (_, digest) =
-            TraceReplay::new(old.clone()).run_digest(Box::new(MinScheduler), "replay");
-        assert_eq!(digest, old.dispatch_digest());
     }
 
     #[test]

@@ -1,6 +1,12 @@
-//! Azure-like trace replay: a diurnal, bursty arrival trace (the synthetic
-//! stand-in for the Azure Functions traces the paper derives its rates
-//! from) driven through the platform under ESG.
+//! Azure-shaped *arrival* trace replay: a diurnal, bursty arrival stream
+//! (the synthetic stand-in for the Azure Functions traces the paper
+//! derives its rates from) generated by `AzureLikeTrace` and driven
+//! through the platform under ESG.
+//!
+//! This is not an esg-trace record/replay: nothing is recorded or loaded.
+//! To record a run's full event stream and re-drive the same offered load
+//! under any scheduler, use `SimBuilder::record_trace` and `TraceReplay`
+//! (OBSERVABILITY.md, "The trace file format").
 //!
 //! Run with: `cargo run --release --example trace_replay [minutes]`
 //! (`ESG_SMOKE=1` defaults to a 1-minute replay for CI.)

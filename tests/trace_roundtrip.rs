@@ -9,6 +9,7 @@
 //! identity over the full-length evaluation runs.
 
 use esg::prelude::*;
+use esg::sim::TRACE_VERSION;
 use proptest::prelude::*;
 
 /// A scratch path unique to this process and `tag` (tests in one binary
@@ -145,14 +146,24 @@ fn truncated_and_corrupt_traces_error_instead_of_panicking() {
     }
 
     // A future schema version is refused with the version pair.
-    let future = text.replacen("\"version\":1", "\"version\":99", 1);
+    let future = text.replacen(&format!("\"version\":{TRACE_VERSION}"), "\"version\":99", 1);
     assert_ne!(future, text, "version field located");
     assert!(matches!(
         TraceFile::from_json(&future),
         Err(TraceError::Version {
             found: 99,
-            supported: 1
+            supported: TRACE_VERSION
         })
+    ));
+
+    // An arrival naming an app outside the standard set would index
+    // past the application list on replay.
+    let start = text.find("\"arrivals\":[[").expect("arrivals located") + "\"arrivals\":[[".len();
+    let end = start + text[start..].find(']').expect("first arrival closes");
+    let stray = format!("{}0.5,99{}", &text[..start], &text[end..]);
+    assert!(matches!(
+        TraceFile::from_json(&stray),
+        Err(TraceError::Schema { .. })
     ));
 
     // A field of the wrong shape is schema drift, reported as such.
@@ -162,6 +173,89 @@ fn truncated_and_corrupt_traces_error_instead_of_panicking() {
         TraceFile::from_json(&drifted),
         Err(TraceError::Schema { .. })
     ));
+}
+
+/// `text` with the scalar or array value of the one `"key":` field
+/// replaced by `value`.
+fn set_field(text: &str, key: &str, value: &str) -> String {
+    let tag = format!("\"{key}\":");
+    assert_eq!(text.matches(&tag).count(), 1, "{key} occurs once");
+    let start = text.find(&tag).expect("located") + tag.len();
+    let rest = &text[start..];
+    let len = if rest.starts_with('[') {
+        rest.find(']').expect("closed array") + 1
+    } else {
+        rest.find([',', '}']).expect("value ends")
+    };
+    format!("{}{value}{}", &text[..start], &rest[len..])
+}
+
+#[test]
+fn damaged_configs_are_schema_errors_not_replay_panics() {
+    let (_, replay, path) = record(
+        &mut MinScheduler,
+        SloClass::Moderate,
+        WorkloadClass::Light,
+        5,
+        20,
+        ChurnPlan::none(),
+        "damaged",
+    );
+    drop(replay);
+    let text = std::fs::read_to_string(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    assert!(text.contains("\"cluster\":null"), "homogeneous cluster");
+
+    // Each knob would panic or silently misbehave on replay, so the
+    // loader must refuse it through the builder's own validation.
+    for (key, value, mentions) in [
+        ("nodes", "0", "no usable node"),
+        ("prewarm_alpha", "-5", "prewarm_alpha"),
+        ("keep_alive_ms", "-1", "keep_alive_ms"),
+        ("recheck_limit", "0", "recheck_limit"),
+        ("churn", "[[\"drain\",100,99]]", "churn event #0"),
+        ("remote_ms_per_mb", "-1", "transfer.remote_ms_per_mb"),
+    ] {
+        let damaged = set_field(&text, key, value);
+        match TraceFile::from_json(&damaged) {
+            Err(TraceError::Schema { context }) => assert!(
+                context.contains(mentions),
+                "{key} = {value}: {context:?} should mention {mentions:?}"
+            ),
+            Err(e) => panic!("{key} = {value}: expected a schema error, got {e:?}"),
+            Ok(_) => panic!("{key} = {value}: loaded a config the builder refuses"),
+        }
+    }
+}
+
+#[test]
+fn custom_transfer_tariffs_replay_their_digest() {
+    let path = scratch("tariffs");
+    let tariffs = TransferModel {
+        local_base_ms: 0.2,
+        local_ms_per_mb: 4.0,
+        remote_base_ms: 50.0,
+        remote_ms_per_mb: 40.0,
+    };
+    let sim = SimBuilder::new(SloClass::Moderate)
+        .transfer(tariffs)
+        .record_trace(&path)
+        .build()
+        .expect("valid configuration");
+    let w =
+        WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 42).generate(200);
+    let recorded = sim.run(&mut EsgScheduler::new(), &w, "record");
+    let replay = TraceReplay::load(&path).expect("recorded trace loads");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(replay.trace().transfer, tariffs);
+
+    let (replayed, digest) = replay.run_digest(Box::new(EsgScheduler::new()), "replay");
+    assert_eq!(
+        digest,
+        replay.trace().dispatch_digest(),
+        "a replay under the recorded tariffs reproduces the recorded dispatches"
+    );
+    assert_eq!(replayed.avg_hit_rate(), recorded.avg_hit_rate());
 }
 
 proptest! {
