@@ -45,6 +45,7 @@ use esg_sim::{
 use serde_json::json;
 use std::hint::black_box;
 use std::rc::Rc;
+use std::time::Instant;
 
 const WIDTHS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 const TIGHTNESS: [(&str, f64); 3] = [("tight", 1.1), ("medium", 1.5), ("loose", 3.0)];
@@ -62,6 +63,14 @@ const ROUNDS_PER_ITER: usize = 128;
 /// Full runs assert the classic empty stack's round costs at most this
 /// multiple of the pre-policy driver's; smoke runs assert nothing.
 const EMPTY_STACK_BOUND: f64 = 1.25;
+
+/// The round driver's documented budget: the classic empty stack within
+/// ±5 % of the pre-policy driver. Reported against the interleaved A/B
+/// comparison below; nothing asserts it while the comparison's spread
+/// is wider than the budget itself.
+const AB_BUDGET_PCT: f64 = 5.0;
+/// Rounds per timed A or B sample in the interleaved comparison (~1 ms).
+const AB_ROUNDS: usize = 8_192;
 
 /// A warmed, partially committed cluster — the steady state the platform
 /// refreshes views in.
@@ -127,6 +136,48 @@ impl Scheduler for DriverProbe {
     }
 }
 
+/// Wall time of `AB_ROUNDS` rounds of `sched` over `ctx`, ns.
+fn time_rounds(sched: &mut DriverProbe, ctx: &RoundCtx<'_>) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..AB_ROUNDS {
+        black_box(sched.schedule_round(ctx));
+    }
+    t0.elapsed().as_nanos() as f64
+}
+
+/// Interleaved A/B: `pairs` pairs of (pre-policy driver, empty classic
+/// stack) samples, alternating which runs first so drift and cache
+/// warmth fall on both sides alike. Returns the per-pair ratios
+/// `empty / pre-policy`, sorted.
+fn paired_ratios(ctx: &RoundCtx<'_>, pairs: usize) -> Vec<f64> {
+    let mut pre = DriverProbe { policy: None };
+    let mut empty = DriverProbe {
+        policy: Some(PolicyStack::classic()),
+    };
+    // Warm both paths before the first pair.
+    time_rounds(&mut pre, ctx);
+    time_rounds(&mut empty, ctx);
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            let (a, b) = if i % 2 == 0 {
+                let a = time_rounds(&mut pre, ctx);
+                (a, time_rounds(&mut empty, ctx))
+            } else {
+                let b = time_rounds(&mut empty, ctx);
+                (time_rounds(&mut pre, ctx), b)
+            };
+            b / a
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios
+}
+
+/// The `q`-quantile of sorted `xs` (nearest rank).
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    xs[((xs.len() - 1) as f64 * q).round() as usize]
+}
+
 /// A stage that admits everything and keeps scan order through the
 /// default trait methods — the cheapest non-empty pipeline.
 struct PassThrough;
@@ -157,6 +208,8 @@ fn main() {
     let cap = profiles.grid().max_batch();
     let mut c = Criterion::default().sample_size(samples);
     let mut metas: Vec<CaseMeta> = Vec::new();
+    // Interleaved round-driver comparisons: (queues, sorted ratios).
+    let mut ab: Vec<(usize, Vec<f64>)> = Vec::new();
 
     {
         let mut group = c.benchmark_group("overhead");
@@ -379,6 +432,7 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
                     Some(PolicyStack::new().with(PassThrough).with(PassThrough)),
                 ),
             ];
+            ab.push((nq, paired_ratios(&ctx, if smoke { 15 } else { 41 })));
             for (kind, policy) in variants {
                 let mut sched = DriverProbe { policy };
                 let param = format!("q{nq}");
@@ -487,5 +541,27 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
 pre-policy round driver (q{nq})"
             );
         }
+    }
+
+    // The same comparison as interleaved A/B pairs within this run: the
+    // median paired ratio and its interquartile range. Informational —
+    // a budget can only be asserted once the spread sits inside it.
+    for (nq, ratios) in &ab {
+        let pct = |q: f64| (quantile(ratios, q) - 1.0) * 100.0;
+        let (q1, median, q3) = (pct(0.25), pct(0.5), pct(0.75));
+        let verdict = if q3 - q1 < AB_BUDGET_PCT {
+            if median.abs() <= AB_BUDGET_PCT {
+                "spread below the budget; median within it"
+            } else {
+                "spread below the budget; median OUTSIDE it"
+            }
+        } else {
+            "spread wider than the budget: informational"
+        };
+        println!(
+            "round driver q{nq} interleaved A/B ({} pairs): empty stack vs pre-policy \
+median {median:+.1}%, IQR {q1:+.1}%..{q3:+.1}% (budget ±{AB_BUDGET_PCT:.0}%; {verdict})",
+            ratios.len()
+        );
     }
 }

@@ -53,7 +53,7 @@
 
 use esg_sim::{
     AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, DataPlaneView, Outcome, QueueKey,
-    RankedQueues, RoundCtx, RoundPolicy,
+    RoundCtx, RoundPolicy,
 };
 
 /// Cross-queue packing for [`EsgScheduler`](crate::EsgScheduler); see
@@ -67,6 +67,8 @@ pub struct BandwidthAwarePacking {
     round_now: f64,
     /// Expansions spent by decisions at `round_now`.
     spent: u64,
+    /// Scratch: `(score, queue)` pairs of one ranking.
+    scored: Vec<(f64, usize)>,
 }
 
 impl Default for BandwidthAwarePacking {
@@ -82,6 +84,7 @@ impl BandwidthAwarePacking {
             cfg,
             round_now: f64::NEG_INFINITY,
             spent: 0,
+            scored: Vec::new(),
         }
     }
 
@@ -157,7 +160,7 @@ impl RoundPolicy for BandwidthAwarePacking {
         "esg-packing"
     }
 
-    fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
+    fn admit(&mut self, ctx: &RoundCtx<'_>, plan: &mut AdmissionPlan) {
         self.roll_window(ctx.now_ms);
         let until_ms = ctx.now_ms + self.cfg.defer_ms;
         if self.spent >= self.cfg.round_budget {
@@ -165,9 +168,9 @@ impl RoundPolicy for BandwidthAwarePacking {
             // (deferred queues re-enter with a fresh budget window; the
             // owning PolicyStack tallies the FINAL deferred decisions,
             // since a verdict here may be out-severitied by a shed).
-            return AdmissionPlan::defer_all(ctx.queues.len(), until_ms);
+            plan.set_all(AdmissionDecision::Defer { until_ms });
+            return;
         }
-        let mut plan = AdmissionPlan::admit_all(ctx.queues.len());
         // Defer queues whose input is stuck behind a full staging
         // buffer.
         if self.cfg.defer_queue_depth > 0 {
@@ -178,16 +181,19 @@ impl RoundPolicy for BandwidthAwarePacking {
                 }
             }
         }
-        plan
     }
 
-    fn rank(&mut self, ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
-        let mut scored: Vec<(f64, usize)> =
-            admitted.iter().map(|&i| (self.score(ctx, i), i)).collect();
+    fn rank(&mut self, ctx: &RoundCtx<'_>, admitted: &[usize], order: &mut Vec<usize>) {
+        let mut scored = std::mem::take(&mut self.scored);
+        scored.clear();
+        scored.extend(admitted.iter().map(|&i| (self.score(ctx, i), i)));
         // Deterministic: ties broken by queue index (controller scan
-        // order), scores are pure functions of the round context.
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        RankedQueues::from_order(scored.into_iter().map(|(_, i)| i).collect())
+        // order), scores are pure functions of the round context. The
+        // keys are distinct, so the in-place unstable sort gives the
+        // one total order.
+        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        order.extend(scored.iter().map(|&(_, i)| i));
+        self.scored = scored;
     }
 
     fn observe(&mut self, ctx: &RoundCtx<'_>, decisions: &[(QueueKey, Outcome)]) {
@@ -251,6 +257,24 @@ mod tests {
         }
     }
 
+    /// The stage's admission verdicts over the round.
+    fn admit(stage: &mut BandwidthAwarePacking, ctx: &RoundCtx<'_>) -> AdmissionPlan {
+        let mut plan = AdmissionPlan::admit_all(ctx.queues.len());
+        stage.admit(ctx, &mut plan);
+        plan
+    }
+
+    /// The stage's proposed order over `admitted`.
+    fn rank(
+        stage: &mut BandwidthAwarePacking,
+        ctx: &RoundCtx<'_>,
+        admitted: &[usize],
+    ) -> Vec<usize> {
+        let mut order = Vec::new();
+        stage.rank(ctx, admitted, &mut order);
+        order
+    }
+
     fn idle_cluster(n: usize) -> ClusterState {
         ClusterState::from_views(
             (0..n as u32)
@@ -283,7 +307,7 @@ mod tests {
         ];
         let ctx = round_ctx(&env, &cluster, &queues, 100.0);
         let mut pack = BandwidthAwarePacking::default();
-        let order = pack.rank(&ctx, &[0, 1, 2]).into_order();
+        let order = rank(&mut pack, &ctx, &[0, 1, 2]);
         assert_eq!(order[0], 1, "tightest slack first, got {order:?}");
         // Normalisation: relative tightness, not raw slack, decides. The
         // queues share comparable SLOs here so medium before loose.
@@ -305,14 +329,14 @@ mod tests {
         ];
         let ctx = round_ctx(&env, &cluster, &queues, 100.0);
         let mut pack = BandwidthAwarePacking::default();
-        let order = pack.rank(&ctx, &[0, 1]).into_order();
+        let order = rank(&mut pack, &ctx, &[0, 1]);
         assert_eq!(order[0], 1, "warm co-location must win the tie");
         // Without the bias the tie breaks on queue index.
         let mut flat = BandwidthAwarePacking::new(BandwidthPackingConfig {
             warm_bias: 0.0,
             ..BandwidthPackingConfig::default()
         });
-        assert_eq!(flat.rank(&ctx, &[0, 1]).into_order()[0], 0);
+        assert_eq!(rank(&mut flat, &ctx, &[0, 1])[0], 0);
     }
 
     #[test]
@@ -330,7 +354,7 @@ mod tests {
         });
         // Fresh window: admitted.
         assert!(matches!(
-            pack.admit(&ctx).decisions()[0],
+            admit(&mut pack, &ctx).decisions()[0],
             AdmissionDecision::Admit
         ));
         // A decision spends past the budget…
@@ -349,7 +373,7 @@ mod tests {
         );
         assert_eq!(pack.spent(), 50);
         // …so the same instant defers the rest of the round.
-        let plan = pack.admit(&ctx);
+        let plan = admit(&mut pack, &ctx);
         assert_eq!(
             plan.decisions()[0],
             AdmissionDecision::Defer { until_ms: 103.0 }
@@ -357,7 +381,7 @@ mod tests {
         // A later instant opens a fresh window.
         let later = round_ctx(&env, &cluster, &queues, 200.0);
         assert!(matches!(
-            pack.admit(&later).decisions()[0],
+            admit(&mut pack, &later).decisions()[0],
             AdmissionDecision::Admit
         ));
         assert_eq!(pack.spent(), 0);
@@ -389,16 +413,16 @@ mod tests {
             ..round_ctx(&env, &cluster, &queues, 100.0)
         };
         let mut bw = BandwidthAwarePacking::default();
-        assert_eq!(bw.rank(&ctx, &[0, 1]).into_order()[0], 0);
+        assert_eq!(rank(&mut bw, &ctx, &[0, 1])[0], 0);
         let mut blind = BandwidthAwarePacking::new(warm_only());
-        assert_eq!(blind.rank(&ctx, &[0, 1]).into_order()[0], 1);
+        assert_eq!(rank(&mut blind, &ctx, &[0, 1])[0], 1);
         // Idle link: the warm bonus stands and both knob sets agree.
         let idle = DataPlaneView::from_loads(vec![NodeLoad::default(); 4]);
         let idle_ctx = RoundCtx {
             dataplane: Some(&idle),
             ..round_ctx(&env, &cluster, &queues, 100.0)
         };
-        assert_eq!(bw.rank(&idle_ctx, &[0, 1]).into_order()[0], 1);
+        assert_eq!(rank(&mut bw, &idle_ctx, &[0, 1])[0], 1);
     }
 
     #[test]
@@ -419,12 +443,12 @@ mod tests {
         let mut default = BandwidthAwarePacking::default();
         let mut zero = BandwidthAwarePacking::new(warm_only());
         assert_eq!(
-            default.admit(&ctx).decisions(),
-            zero.admit(&ctx).decisions()
+            admit(&mut default, &ctx).decisions(),
+            admit(&mut zero, &ctx).decisions()
         );
         assert_eq!(
-            default.rank(&ctx, &[0, 1, 2]).into_order(),
-            zero.rank(&ctx, &[0, 1, 2]).into_order()
+            rank(&mut default, &ctx, &[0, 1, 2]),
+            rank(&mut zero, &ctx, &[0, 1, 2])
         );
         for i in 0..queues.len() {
             assert_eq!(
@@ -460,19 +484,22 @@ mod tests {
             ..round_ctx(&env, &cluster, &queues, 100.0)
         };
         let mut pack = BandwidthAwarePacking::new(warm_only());
-        let admitted = pack.admit(&contended);
-        assert_eq!(admitted.decisions(), pack.admit(&blind_ctx).decisions());
+        let admitted = admit(&mut pack, &contended);
+        assert_eq!(
+            admitted.decisions(),
+            admit(&mut pack, &blind_ctx).decisions()
+        );
         assert!(admitted
             .decisions()
             .iter()
             .all(|d| matches!(d, AdmissionDecision::Admit)));
         assert_eq!(
-            pack.rank(&contended, &[0, 1, 2]).into_order(),
-            pack.rank(&blind_ctx, &[0, 1, 2]).into_order()
+            rank(&mut pack, &contended, &[0, 1, 2]),
+            rank(&mut pack, &blind_ctx, &[0, 1, 2])
         );
         let mut bw = BandwidthAwarePacking::default();
         assert_ne!(
-            bw.admit(&contended).decisions(),
+            admit(&mut bw, &contended).decisions(),
             admitted.decisions(),
             "the default knobs react to the same view"
         );
@@ -496,7 +523,7 @@ mod tests {
             ..round_ctx(&env, &cluster, &queues, 100.0)
         };
         let mut bw = BandwidthAwarePacking::new(BandwidthPackingConfig::default());
-        let plan = bw.admit(&ctx);
+        let plan = admit(&mut bw, &ctx);
         assert!(matches!(plan.decisions()[0], AdmissionDecision::Admit));
         assert_eq!(
             plan.decisions()[1],

@@ -61,10 +61,10 @@ pub mod prelude {
         DataPlaneView, EventKind, EventLog, EventRecord, ExperimentResult, HealthSnapshot,
         MemoryFootprint, MinScheduler, Monitored, NodeLoad, NodeSummary, NodeTransferStats,
         NodeView, OverheadModel, PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth,
-        QueueHealthMonitor, QueueView, RankedQueues, RoundCtx, RoundPolicy, SchedCtx, Scheduler,
-        SchedulerEvent, SchedulerStats, ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError,
-        Simulation, SloAdmission, SloAdmissionConfig, TraceError, TraceFile, TraceRecorder,
-        TraceReplay, Traced, TransferCounters, TransferSummary,
+        QueueHealthMonitor, QueueView, RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent,
+        SchedulerStats, ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError, Simulation,
+        SloAdmission, SloAdmissionConfig, TraceError, TraceFile, TraceRecorder, TraceReplay,
+        Traced, TransferCounters, TransferSummary,
     };
     pub use esg_workload::{
         shaped_stream, shaped_workload, ArrivalPredictor, ArrivalStream, AzureLikeTrace, RateFn,

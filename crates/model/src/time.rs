@@ -15,6 +15,17 @@ impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The latest instant a run accepts an input at (an arrival or a
+    /// scripted churn event): 2^53 µs, about 285 years. Inputs at or
+    /// before it convert from milliseconds exactly enough, and keep every
+    /// instant the platform derives from them (an input plus durations
+    /// far shorter than `MAX`) inside `u64`; see the [`Add`] impl. The
+    /// trace loader and `SimConfig::validate` reject inputs beyond it.
+    pub const MAX: SimTime = SimTime(1 << 53);
+
+    /// [`MAX`](Self::MAX) in milliseconds, the unit inputs are given in.
+    pub const MAX_MS: f64 = (1u64 << 53) as f64 / 1000.0;
+
     /// Builds a time from fractional milliseconds (rounded to the nearest
     /// microsecond; negative inputs clamp to zero).
     #[inline]
@@ -66,6 +77,11 @@ impl SimTime {
     }
 }
 
+/// Overflow contract: like integer `+`, the sum panics on `u64`
+/// overflow in debug builds and wraps in release builds. The platform
+/// only forms sums of an instant at most [`SimTime::MAX`] and durations
+/// well below it, which stay far inside `u64` (`2 × MAX < u64::MAX`), so
+/// an input time must be checked against `MAX` before it is scheduled.
 impl Add for SimTime {
     type Output = SimTime;
     #[inline]
@@ -123,6 +139,13 @@ mod tests {
             let ms = f64::from(i) * 0.1 + 0.2;
             assert!(SimTime::from_ms_ceil(ms).as_ms() >= ms, "{ms}");
         }
+    }
+
+    #[test]
+    fn max_converts_and_leaves_headroom() {
+        assert_eq!(SimTime::from_ms(SimTime::MAX_MS), SimTime::MAX);
+        assert!(SimTime::MAX.0.checked_mul(2).is_some());
+        assert!(SimTime::MAX + SimTime::MAX > SimTime::MAX);
     }
 
     #[test]

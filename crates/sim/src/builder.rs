@@ -38,7 +38,8 @@ use crate::platform::{run_simulation, run_streamed, SimConfig, SimEnv};
 use crate::policy::{BandwidthPackingConfig, PolicySpec, SloAdmissionConfig};
 use crate::sched::{OverheadModel, Scheduler};
 use esg_model::{
-    AppSpec, ChurnEvent, ChurnPlan, ClusterSpec, ConfigGrid, NodeClass, Resources, SloClass,
+    AppSpec, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, NodeClass, Resources, SimTime,
+    SloClass,
 };
 use esg_profile::TransferModel;
 use esg_workload::{ArrivalStream, Workload};
@@ -371,6 +372,25 @@ impl SimConfig {
                 }
             }
         }
+        // Some node must fit the minimum configuration, or no task can
+        // ever be placed and the run ends with nothing completed.
+        let min = Config::MIN.resources();
+        let hostable = match &self.cluster {
+            Some(spec) => spec.nodes.iter().any(|c| c.resources().contains(min)),
+            None => self.node_resources.contains(min),
+        };
+        if !hostable {
+            return Err(SimError::InvalidKnob {
+                knob: if self.cluster.is_some() {
+                    "cluster.nodes"
+                } else {
+                    "node_resources"
+                },
+                value: 0.0,
+                requirement: "at least one node fits the minimum configuration \
+(1 vCPU and 1 vGPU slice)",
+            });
+        }
         // Joined classes feed the same bandwidth pools.
         for ev in &self.churn.events {
             if let ChurnEvent::Join { class, .. } = ev {
@@ -501,10 +521,13 @@ fn validate_churn(cfg: &SimConfig) -> Result<(), SimError> {
     for index in order {
         let ev = &cfg.churn.events[index];
         let at = ev.at_ms();
-        if !(at >= 0.0 && at.is_finite()) {
+        if !(0.0..=SimTime::MAX_MS).contains(&at) {
             return Err(SimError::InvalidChurn {
                 index,
-                reason: format!("scripted at t = {at} ms (must be finite and >= 0)"),
+                reason: format!(
+                    "scripted at t = {at} ms (must be within [0, {}] ms)",
+                    SimTime::MAX_MS
+                ),
             });
         }
         match ev {
@@ -782,11 +805,67 @@ mod tests {
             )
             .build()
             .is_ok());
-        // Negative timestamps are rejected.
+        // Negative, non-finite and past-the-maximum timestamps are
+        // rejected.
+        for at in [-1.0, f64::NAN, f64::INFINITY, 1e300, SimTime::MAX_MS * 1.01] {
+            assert!(
+                matches!(
+                    SimBuilder::new(SloClass::Moderate)
+                        .churn(ChurnPlan::none().drain(at, NodeId(0)))
+                        .build(),
+                    Err(SimError::InvalidChurn { index: 0, .. })
+                ),
+                "churn at {at} ms"
+            );
+        }
         assert!(SimBuilder::new(SloClass::Moderate)
-            .churn(ChurnPlan::none().drain(-1.0, NodeId(0)))
+            .churn(ChurnPlan::none().drain(SimTime::MAX_MS, NodeId(0)))
             .build()
-            .is_err());
+            .is_ok());
+    }
+
+    #[test]
+    fn clusters_that_fit_no_minimum_task_are_rejected() {
+        let unhostable = |r: Result<Sim, SimError>| {
+            matches!(
+                r,
+                Err(SimError::InvalidKnob {
+                    requirement,
+                    ..
+                }) if requirement.contains("minimum configuration")
+            )
+        };
+        // Homogeneous nodes with vCPUs but no vGPUs, and the reverse.
+        for r in [Resources::new(16, 0), Resources::new(0, 7)] {
+            assert!(unhostable(
+                SimBuilder::new(SloClass::Moderate)
+                    .node_resources(r)
+                    .build()
+            ));
+        }
+        // Every class lacks vGPUs, or every class lacks vCPUs.
+        let cpu_only = NodeClass {
+            vgpu_slices: 0,
+            ..NodeClass::a100()
+        };
+        let gpu_only = NodeClass {
+            vcpus: 0,
+            ..NodeClass::a100()
+        };
+        let spec = ClusterSpec::new("split")
+            .with(cpu_only.clone(), 2)
+            .with(gpu_only, 2);
+        assert!(unhostable(
+            SimBuilder::new(SloClass::Moderate).cluster(spec).build()
+        ));
+        // One hostable class is enough.
+        let spec = ClusterSpec::new("mixed")
+            .with(cpu_only, 2)
+            .with(NodeClass::t4(), 1);
+        assert!(SimBuilder::new(SloClass::Moderate)
+            .cluster(spec)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!   `ρ = min(1, min_pool(capacity/members) / demand)`.
 //! * **Re-planning** — a flow's finish is an [`Event`](crate::Event) in
 //!   the simulation's [`EventQueue`](crate::EventQueue). When membership
-//!   changes on any pool a flow shares, its ρ is recomputed; only a
-//!   *bitwise* ρ change drains elapsed progress and re-plans the finish
-//!   (a fresh event under a bumped generation; the stale event is
-//!   skipped on pop). At effectively infinite bandwidth ρ is 1.0 for
+//!   changes on any pool a flow shares (found through each pool's
+//!   member index), its ρ is recomputed; only a *bitwise* ρ change
+//!   drains elapsed progress and re-plans the finish (a fresh event
+//!   under a new plane-wide generation; the stale event is skipped on
+//!   pop). At effectively infinite bandwidth ρ is 1.0 for
 //!   every flow forever, so no re-plan ever fires and the planned finish
 //!   is the *same f64 expression* as the scalar model — dispatch traces
 //!   stay bit-identical (`tests/dataplane_equivalence.rs`).
@@ -44,7 +45,7 @@
 
 use crate::cluster::Cluster;
 use esg_model::{NodeClass, NodeId, ServerTopology, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Knobs for the contended data plane (`SimConfig::data_plane`;
 /// `None` keeps the classic scalar model).
@@ -105,10 +106,25 @@ impl BandwidthPool {
     }
 }
 
-/// The three pools of one node.
-#[derive(Clone, Copy, Debug)]
-struct NodePools {
-    pools: [BandwidthPool; 3],
+/// One pool plus its member index: the task ids of the active flows
+/// sharing it, in no particular order (between calls,
+/// `flows.len() == pool.members`).
+#[derive(Clone, Debug)]
+struct Link {
+    pool: BandwidthPool,
+    flows: Vec<u64>,
+}
+
+impl Link {
+    fn new(capacity: f64) -> Link {
+        Link {
+            pool: BandwidthPool {
+                capacity,
+                members: 0,
+            },
+            flows: Vec::new(),
+        }
+    }
 }
 
 /// Host-memory staging for one node: a bounded buffer plus the FIFO of
@@ -132,15 +148,15 @@ impl Staging {
 
 /// One aggregated transfer request: the pre-exec data movement of one
 /// dispatched batch, as computed by the platform's dispatch path.
-#[derive(Clone, Debug)]
-pub struct TransferReq {
+#[derive(Clone, Copy, Debug)]
+pub struct TransferReq<'a> {
     /// The running-task id the flow belongs to.
     pub task: u64,
     /// Destination node index.
     pub dst: usize,
     /// Distinct remote producer node indices (each contributes PCIe
     /// egress membership); gateway inputs have no producer entry.
-    pub remote_srcs: Vec<usize>,
+    pub remote_srcs: &'a [usize],
     /// MB arriving over the destination's PCIe ingress (remote
     /// producers + gateway).
     pub remote_mb: f64,
@@ -167,17 +183,11 @@ pub struct TransferReq {
     pub cross_mb: f64,
 }
 
-impl TransferReq {
-    fn total_mb(&self) -> f64 {
-        self.remote_mb + self.local_mb
-    }
-}
-
 /// A re-planned finish to (re-)schedule: `(task, generation, finish)`.
 pub type Replan = (u64, u64, SimTime);
 
 /// A staged flow that just activated (schedule + notify started).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Activation {
     /// Task id of the activated flow.
     pub task: u64,
@@ -191,18 +201,16 @@ pub struct Activation {
     pub mb: f64,
 }
 
-/// The outcome of [`DataPlane::begin`].
-#[derive(Clone, Debug)]
+/// The outcome of [`DataPlane::begin`]. Re-plans of other flows whose
+/// share the new flow changed are in [`DataPlane::replanned`].
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Admission {
-    /// The flow activated immediately; schedule its finish and push any
-    /// re-plans of flows whose share it changed.
+    /// The flow activated immediately; schedule its finish.
     Active {
         /// Event generation of the planned finish.
         gen: u64,
         /// Planned finish time.
         finish: SimTime,
-        /// Finishes of other flows to re-schedule.
-        replans: Vec<Replan>,
     },
     /// The destination staging buffer is full; the flow queued and will
     /// activate (FIFO) as space frees.
@@ -210,8 +218,10 @@ pub enum Admission {
 }
 
 /// The outcome of a completed [`DataPlane::on_due`] (a stale generation
-/// returns `None` instead).
-#[derive(Clone, Debug, Default)]
+/// returns `None` instead). Re-plans of still-running flows are in
+/// [`DataPlane::replanned`], staged flows that activated on the freed
+/// space in [`DataPlane::activated`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DueOutcome {
     /// Pre-exec elapsed for the completed flow (dispatch → now), ms.
     pub elapsed_ms: f64,
@@ -219,10 +229,6 @@ pub struct DueOutcome {
     pub node: usize,
     /// Total MB of the completed flow.
     pub mb: f64,
-    /// Finishes of still-running flows to re-schedule.
-    pub replans: Vec<Replan>,
-    /// Staged flows that activated on the freed space.
-    pub activated: Vec<Activation>,
 }
 
 /// Live per-node occupancy, for round policies (`RoundCtx::dataplane`).
@@ -326,29 +332,48 @@ pub struct TransferSummary {
     pub per_node: Vec<NodeTransferStats>,
 }
 
-/// The flow's drain state while active.
-#[derive(Clone, Debug)]
-struct ActiveFlow {
+/// Where a flow slot is in its life.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum FlowState {
+    /// No flow: the task id is not in transfer.
+    #[default]
+    Free,
+    /// Waiting FIFO for staging space.
+    Queued,
+    /// Joined to its pools and draining.
+    Active,
+}
+
+/// One slot of the flow slab. A freed slot keeps its `pools` buffer for
+/// the next flow of that task id.
+#[derive(Clone, Debug, Default)]
+struct Flow {
+    state: FlowState,
+    /// Generation of the flow's live `TransferDue` event, drawn from the
+    /// plane-wide counter (so never reused by a later flow in the slot).
+    gen: u64,
+    dispatched_at: SimTime,
+    dst: usize,
+    remote_mb: f64,
+    local_mb: f64,
+    base_ms: f64,
+    work_ms: f64,
+    scalar_total_ms: f64,
+    cross_mb: f64,
+    /// The pools the flow joins while active, fixed at `begin`.
+    pools: Vec<(usize, u8)>,
+    // Drain state while active.
     rho: f64,
     demand: f64,
     base_left: f64,
     work_left: f64,
     last_update: SimTime,
-    pools: Vec<(usize, u8)>,
 }
 
-#[derive(Clone, Debug)]
-enum FlowState {
-    Queued,
-    Active(ActiveFlow),
-}
-
-#[derive(Clone, Debug)]
-struct Flow {
-    gen: u64,
-    req: TransferReq,
-    dispatched_at: SimTime,
-    state: FlowState,
+impl Flow {
+    fn total_mb(&self) -> f64 {
+        self.remote_mb + self.local_mb
+    }
 }
 
 /// The live node→server assignment of a [`ServerTopology`] cluster.
@@ -390,23 +415,44 @@ impl ServerMap {
 }
 
 /// The data-plane subsystem: pools, staging, and the active-flow table.
+///
+/// Every pool carries a member index (the task ids of its active
+/// flows), so a membership change re-plans only the flows sharing a
+/// touched pool, in task-id order. Flows live in a slab indexed by task
+/// id. Activation, re-plan and completion write into retained buffers:
+/// once they have grown to the run's working set, a transfer allocates
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct DataPlane {
     cfg: DataPlaneConfig,
-    pools: Vec<NodePools>,
+    /// Per-node pool triples, indexed by pool class.
+    pools: Vec<[Link; 3]>,
     /// Per-server ToR uplink pools (empty on flat clusters).
-    tor: Vec<BandwidthPool>,
+    tor: Vec<Link>,
     /// The node→server assignment (`None` on flat clusters).
     servers: Option<ServerMap>,
     staging: Vec<Staging>,
-    /// Flows by task id — a `BTreeMap` so re-plan sweeps visit flows in
-    /// deterministic (task-id) order regardless of hashing.
-    flows: BTreeMap<u64, Flow>,
+    /// Flow slab indexed by task id (the platform's dense task arena
+    /// slots); grows to the peak task id in transfer.
+    flows: Vec<Flow>,
+    /// The last generation handed out; every activation and re-plan
+    /// draws the next one.
+    gen: u64,
+    /// Re-plans produced by the last `begin`/`on_due`.
+    replanned: Vec<Replan>,
+    /// Activations produced by the last `begin`/`on_due`.
+    activated: Vec<Activation>,
+    /// Scratch: the affected-flow ids of one re-plan sweep.
+    affected: Vec<u64>,
     view: DataPlaneView,
     stats: Vec<NodeTransferStats>,
     batched_small: u64,
     replans: u64,
     cross_mb: f64,
+    /// Test-only reference mode: re-plan sweeps scan every flow instead
+    /// of reading the member index.
+    #[cfg(test)]
+    scan_all: bool,
 }
 
 impl DataPlane {
@@ -420,13 +466,9 @@ impl DataPlane {
     ) -> DataPlane {
         let servers = topology.map(|t| ServerMap::from_topology(&t, cluster.len()));
         let tor = match &topology {
-            Some(t) => vec![
-                BandwidthPool {
-                    capacity: t.tor_gbps * cfg.bandwidth_scale,
-                    members: 0,
-                };
-                t.num_servers(cluster.len())
-            ],
+            Some(t) => {
+                vec![Link::new(t.tor_gbps * cfg.bandwidth_scale); t.num_servers(cluster.len())]
+            }
             None => Vec::new(),
         };
         let mut dp = DataPlane {
@@ -435,12 +477,18 @@ impl DataPlane {
             tor,
             servers,
             staging: Vec::new(),
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
+            gen: 0,
+            replanned: Vec::new(),
+            activated: Vec::new(),
+            affected: Vec::new(),
             view: DataPlaneView::default(),
             stats: Vec::new(),
             batched_small: 0,
             replans: 0,
             cross_mb: 0.0,
+            #[cfg(test)]
+            scan_all: false,
         };
         for node in cluster.nodes() {
             dp.push_node(&node.class);
@@ -465,19 +513,19 @@ impl DataPlane {
 
     /// The pool a membership tuple names: `TOR` entries index the
     /// server table, everything else a node's pool triple.
-    fn pool(&self, idx: usize, kind: u8) -> &BandwidthPool {
+    fn link(&self, idx: usize, kind: u8) -> &Link {
         if kind == TOR {
             &self.tor[idx]
         } else {
-            &self.pools[idx].pools[kind as usize]
+            &self.pools[idx][kind as usize]
         }
     }
 
-    fn pool_mut(&mut self, idx: usize, kind: u8) -> &mut BandwidthPool {
+    fn link_mut(&mut self, idx: usize, kind: u8) -> &mut Link {
         if kind == TOR {
             &mut self.tor[idx]
         } else {
-            &mut self.pools[idx].pools[kind as usize]
+            &mut self.pools[idx][kind as usize]
         }
     }
 
@@ -494,17 +542,11 @@ impl DataPlane {
 
     fn push_node(&mut self, class: &NodeClass) {
         let scale = self.cfg.bandwidth_scale;
-        let pool = |gbps: f64| BandwidthPool {
-            capacity: gbps * scale,
-            members: 0,
-        };
-        self.pools.push(NodePools {
-            pools: [
-                pool(class.pcie_in_gbps),
-                pool(class.pcie_out_gbps),
-                pool(class.nvlink_gbps),
-            ],
-        });
+        self.pools.push([
+            Link::new(class.pcie_in_gbps * scale),
+            Link::new(class.pcie_out_gbps * scale),
+            Link::new(class.nvlink_gbps * scale),
+        ]);
         self.staging.push(Staging {
             capacity_mb: class.staging_mb * self.cfg.staging_scale,
             used_mb: 0.0,
@@ -514,35 +556,45 @@ impl DataPlane {
     }
 
     /// Admits the pre-exec flow of a freshly dispatched batch at `now`
-    /// (the dispatch instant).
-    pub fn begin(&mut self, req: TransferReq, now: SimTime) -> Admission {
+    /// (the dispatch instant). Re-plans of other flows are left in
+    /// [`replanned`](Self::replanned).
+    pub fn begin(&mut self, req: TransferReq<'_>, now: SimTime) -> Admission {
+        self.replanned.clear();
+        self.activated.clear();
         self.batched_small += req.batched_small as u64;
-        let task = req.task;
-        let dst = req.dst;
-        let staged = req.remote_mb;
-        self.flows.insert(
-            task,
-            Flow {
-                gen: 0,
-                req,
-                dispatched_at: now,
-                state: FlowState::Queued,
-            },
-        );
+        let t = req.task as usize;
+        if self.flows.len() <= t {
+            self.flows.resize_with(t + 1, Flow::default);
+        }
+        let mut pools = std::mem::take(&mut self.flows[t].pools);
+        pools.clear();
+        self.plan_pools(&req, &mut pools);
+        let flow = &mut self.flows[t];
+        debug_assert_eq!(flow.state, FlowState::Free, "task {t} already in transfer");
+        *flow = Flow {
+            state: FlowState::Queued,
+            dispatched_at: now,
+            dst: req.dst,
+            remote_mb: req.remote_mb,
+            local_mb: req.local_mb,
+            base_ms: req.base_ms,
+            work_ms: req.work_ms,
+            scalar_total_ms: req.scalar_total_ms,
+            cross_mb: req.cross_mb,
+            pools,
+            ..Flow::default()
+        };
+        let (dst, staged) = (req.dst, req.remote_mb);
         let admitted = staged <= 0.0 || {
             let s = &self.staging[dst];
             s.queue.is_empty() && s.fits(staged)
         };
         let out = if admitted {
             self.reserve_staging(dst, staged);
-            let (gen, finish, replans) = self.activate(task, now);
-            Admission::Active {
-                gen,
-                finish,
-                replans,
-            }
+            let (gen, finish) = self.activate(req.task, now);
+            Admission::Active { gen, finish }
         } else {
-            self.staging[dst].queue.push_back(task);
+            self.staging[dst].queue.push_back(req.task);
             self.stats[dst].queued += 1;
             Admission::Queued
         };
@@ -550,46 +602,90 @@ impl DataPlane {
         out
     }
 
+    /// The pools `req` joins while active, in the order ρ is taken over.
+    fn plan_pools(&self, req: &TransferReq<'_>, pools: &mut Vec<(usize, u8)>) {
+        if req.work_ms <= 0.0 {
+            return;
+        }
+        if req.remote_mb > 0.0 {
+            pools.push((req.dst, PCIE_IN));
+            for &src in req.remote_srcs {
+                pools.push((src, PCIE_OUT));
+            }
+            // Cross-server producers additionally contend for the ToR
+            // uplinks on both ends: the destination's first, then each
+            // distinct producer server. Intra-server and gateway traffic
+            // joins no ToR pool, so a topology cluster with purely local
+            // routing shares exactly the flat pool set.
+            if let Some(map) = &self.servers {
+                let dst_srv = map.server_of(NodeId(req.dst as u32));
+                let first_cross = pools.len();
+                for &src in req.remote_srcs {
+                    if let Some(s) = map.server_of(NodeId(src as u32)) {
+                        if Some(s) != dst_srv && !pools[first_cross..].contains(&(s, TOR)) {
+                            pools.push((s, TOR));
+                        }
+                    }
+                }
+                if let Some(d) = dst_srv.filter(|_| pools.len() > first_cross) {
+                    pools.insert(first_cross, (d, TOR));
+                }
+            }
+        }
+        if req.local_mb > 0.0 {
+            pools.push((req.dst, NVLINK));
+        }
+    }
+
     /// Handles a `TransferDue(task, gen)` event. Returns `None` when the
-    /// generation is stale (the flow was re-planned after this event was
-    /// scheduled); otherwise the flow is complete — release its
-    /// resources, re-plan affected flows, and activate queued ones.
+    /// generation is stale (the flow was re-planned, or completed and its
+    /// slot reused, after this event was scheduled); otherwise the flow
+    /// is complete — release its resources, re-plan affected flows
+    /// ([`replanned`](Self::replanned)), and activate queued ones
+    /// ([`activated`](Self::activated)).
     pub fn on_due(&mut self, task: u64, gen: u64, now: SimTime) -> Option<DueOutcome> {
-        match self.flows.get(&task) {
-            Some(f) if f.gen == gen && matches!(f.state, FlowState::Active(_)) => {}
+        let t = task as usize;
+        match self.flows.get(t) {
+            Some(f) if f.gen == gen && f.state == FlowState::Active => {}
             _ => return None,
         }
-        let flow = self.flows.remove(&task).expect("flow checked present");
-        let FlowState::Active(active) = flow.state else {
-            unreachable!("flow checked active")
-        };
-        let dst = flow.req.dst;
-        let staged = flow.req.remote_mb;
-        for &(idx, kind) in &active.pools {
-            self.pool_mut(idx, kind).members -= 1;
+        self.replanned.clear();
+        self.activated.clear();
+        let pools = std::mem::take(&mut self.flows[t].pools);
+        for &(idx, kind) in &pools {
+            let link = self.link_mut(idx, kind);
+            link.pool.members -= 1;
+            let at = link
+                .flows
+                .iter()
+                .position(|&id| id == task)
+                .expect("an active flow is indexed in each of its pools");
+            link.flows.swap_remove(at);
         }
+        let flow = &mut self.flows[t];
+        flow.state = FlowState::Free;
+        let out = DueOutcome {
+            elapsed_ms: now.saturating_since(flow.dispatched_at).as_ms(),
+            node: flow.dst,
+            mb: flow.total_mb(),
+        };
+        let (dst, staged) = (flow.dst, flow.remote_mb);
         self.release_staging(dst, staged);
         self.stats[dst].completed += 1;
-        let mut out = DueOutcome {
-            elapsed_ms: now.saturating_since(flow.dispatched_at).as_ms(),
-            node: dst,
-            mb: flow.req.total_mb(),
-            replans: self.recompute_members(&active.pools, now, u64::MAX),
-            activated: Vec::new(),
-        };
+        self.recompute_members(&pools, now);
+        self.flows[t].pools = pools;
         // Freed staging space activates waiting flows FIFO; each
         // activation can in turn squeeze shares, so re-plans chain.
         while let Some(&head) = self.staging[dst].queue.front() {
-            let mb = self.flows[&head].req.remote_mb;
+            let mb = self.flows[head as usize].remote_mb;
             if !self.staging[dst].fits(mb) {
                 break;
             }
             self.staging[dst].queue.pop_front();
             self.reserve_staging(dst, mb);
-            let total = self.flows[&head].req.total_mb();
-            let (gen, finish, replans) = self.activate(head, now);
-            out.replans.extend(replans);
-            out.activated.push(Activation {
+            let total = self.flows[head as usize].total_mb();
+            let (gen, finish) = self.activate(head, now);
+            self.activated.push(Activation {
                 task: head,
                 gen,
                 finish,
@@ -599,6 +695,20 @@ impl DataPlane {
         }
         self.sync_view();
         Some(out)
+    }
+
+    /// Finishes of other flows to re-schedule, from the last
+    /// [`begin`](Self::begin) or completed [`on_due`](Self::on_due),
+    /// in the order their events are to be pushed.
+    pub fn replanned(&self) -> &[Replan] {
+        &self.replanned
+    }
+
+    /// Staged flows the last completed [`on_due`](Self::on_due)
+    /// activated on the freed space, FIFO (empty after a
+    /// [`begin`](Self::begin)).
+    pub fn activated(&self) -> &[Activation] {
+        &self.activated
     }
 
     /// Live occupancy (kept in sync after every mutation).
@@ -626,127 +736,89 @@ impl DataPlane {
         s
     }
 
+    fn next_gen(&mut self) -> u64 {
+        self.gen += 1;
+        self.gen
+    }
+
     /// Activates `task` at `now`: joins its pools, plans its finish, and
     /// re-plans every other flow whose share changed.
-    fn activate(&mut self, task: u64, now: SimTime) -> (u64, SimTime, Vec<Replan>) {
-        let flow = self.flows.get_mut(&task).expect("activating a known flow");
-        let req = &flow.req;
-        let mut pools: Vec<(usize, u8)> = Vec::new();
-        if req.work_ms > 0.0 {
-            if req.remote_mb > 0.0 {
-                pools.push((req.dst, PCIE_IN));
-                for &src in &req.remote_srcs {
-                    pools.push((src, PCIE_OUT));
-                }
-                // Cross-server producers additionally contend for the
-                // ToR uplinks on both ends. Intra-server and gateway
-                // traffic joins no ToR pool, so a topology cluster with
-                // purely local routing shares exactly the flat pool set.
-                if let Some(map) = &self.servers {
-                    let dst_srv = map.server_of(NodeId(req.dst as u32));
-                    let mut cross: Vec<usize> = Vec::new();
-                    for &src in &req.remote_srcs {
-                        if let Some(s) = map.server_of(NodeId(src as u32)) {
-                            if Some(s) != dst_srv && !cross.contains(&s) {
-                                cross.push(s);
-                            }
-                        }
-                    }
-                    if !cross.is_empty() {
-                        if let Some(d) = dst_srv {
-                            pools.push((d, TOR));
-                        }
-                        for s in cross {
-                            pools.push((s, TOR));
-                        }
-                    }
-                }
-            }
-            if req.local_mb > 0.0 {
-                pools.push((req.dst, NVLINK));
-            }
+    fn activate(&mut self, task: u64, now: SimTime) -> (u64, SimTime) {
+        let t = task as usize;
+        let pools = std::mem::take(&mut self.flows[t].pools);
+        for &(idx, kind) in &pools {
+            self.link_mut(idx, kind).pool.members += 1;
         }
-        let demand = if req.work_ms > 0.0 {
-            req.total_mb() / req.work_ms
+        let flow = &self.flows[t];
+        let demand = if flow.work_ms > 0.0 {
+            flow.total_mb() / flow.work_ms
         } else {
             0.0
         };
-        let (base_ms, work_ms, scalar_total_ms) = (req.base_ms, req.work_ms, req.scalar_total_ms);
-        let total_mb = req.total_mb();
-        let cross_mb = req.cross_mb;
-        let dst = req.dst;
-        flow.gen += 1;
-        let gen = flow.gen;
-        for &(idx, kind) in &pools {
-            self.pool_mut(idx, kind).members += 1;
-        }
         let rho = self.rho_of(&pools, demand);
         // ρ = 1 reproduces the scalar pre-exec window *bitwise*: the
         // f64 sum is grouped exactly as the classic model groups it.
         let finish = if rho == 1.0 {
-            now + SimTime::from_ms(scalar_total_ms)
+            now + SimTime::from_ms(flow.scalar_total_ms)
         } else {
-            now + SimTime::from_ms(base_ms + work_ms / rho)
+            now + SimTime::from_ms(flow.base_ms + flow.work_ms / rho)
         };
-        let flow = self.flows.get_mut(&task).expect("flow still present");
-        flow.state = FlowState::Active(ActiveFlow {
-            rho,
-            demand,
-            base_left: base_ms,
-            work_left: work_ms,
-            last_update: now,
-            pools: pools.clone(),
-        });
+        let (dst, total_mb, cross_mb) = (flow.dst, flow.total_mb(), flow.cross_mb);
+        let gen = self.next_gen();
+        let flow = &mut self.flows[t];
+        flow.gen = gen;
+        flow.rho = rho;
+        flow.demand = demand;
+        flow.base_left = flow.base_ms;
+        flow.work_left = flow.work_ms;
+        flow.last_update = now;
         self.cross_mb += cross_mb;
         let st = &mut self.stats[dst];
         st.started += 1;
         st.mb += total_mb;
         for &(idx, kind) in &pools {
-            let members = self.pool(idx, kind).members;
+            let members = self.link(idx, kind).pool.members;
             // ToR members peak on the destination node's counter (the
             // server table has no per-node stats row).
             let stat_node = if kind == TOR { dst } else { idx };
             let peak = &mut self.stats[stat_node].peak_active;
             *peak = (*peak).max(members);
         }
-        let replans = self.recompute_members(&pools, now, task);
-        (gen, finish, replans)
+        // Re-plan the flows already sharing these pools, then index this
+        // one, so the sweep never visits the flow that caused it.
+        self.recompute_members(&pools, now);
+        for &(idx, kind) in &pools {
+            self.link_mut(idx, kind).flows.push(task);
+        }
+        let flow = &mut self.flows[t];
+        flow.state = FlowState::Active;
+        flow.pools = pools;
+        (gen, finish)
     }
 
-    /// Re-plans every active flow (except `skip`) sharing any of
-    /// `touched`, in task-id order. Only a bitwise ρ change re-plans —
-    /// an unchanged share leaves the planned finish untouched.
-    fn recompute_members(
-        &mut self,
-        touched: &[(usize, u8)],
-        now: SimTime,
-        skip: u64,
-    ) -> Vec<Replan> {
-        let affected: Vec<u64> = self
-            .flows
-            .iter()
-            .filter(|(&id, f)| {
-                id != skip
-                    && match &f.state {
-                        FlowState::Active(a) => a.pools.iter().any(|p| touched.contains(p)),
-                        FlowState::Queued => false,
-                    }
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        let mut replans = Vec::new();
-        for id in affected {
-            let (pools, demand) = {
-                let FlowState::Active(a) = &self.flows[&id].state else {
-                    unreachable!("affected flows are active")
-                };
-                (a.pools.clone(), a.demand)
-            };
-            let rho = self.rho_of(&pools, demand);
-            let flow = self.flows.get_mut(&id).expect("affected flow present");
-            let FlowState::Active(a) = &mut flow.state else {
-                unreachable!("affected flows are active")
-            };
+    /// Re-plans every indexed flow sharing any of `touched`, in task-id
+    /// order, appending to `replanned`. Only a bitwise ρ change re-plans
+    /// — an unchanged share leaves the planned finish untouched.
+    fn recompute_members(&mut self, touched: &[(usize, u8)], now: SimTime) {
+        let mut affected = std::mem::take(&mut self.affected);
+        affected.clear();
+        for &(idx, kind) in touched {
+            affected.extend_from_slice(&self.link(idx, kind).flows);
+        }
+        #[cfg(test)]
+        if self.scan_all {
+            affected.clear();
+            affected.extend((0..self.flows.len() as u64).filter(|&id| {
+                let f = &self.flows[id as usize];
+                f.state == FlowState::Active && f.pools.iter().any(|p| touched.contains(p))
+            }));
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        for &id in &affected {
+            let f = &self.flows[id as usize];
+            let rho = self.rho_of(&f.pools, f.demand);
+            let a = &mut self.flows[id as usize];
             if rho == a.rho {
                 continue;
             }
@@ -761,12 +833,13 @@ impl DataPlane {
             }
             a.last_update = now;
             a.rho = rho;
-            flow.gen += 1;
             let finish = now + SimTime::from_ms(a.base_left + a.work_left / rho);
+            let gen = self.next_gen();
+            self.flows[id as usize].gen = gen;
             self.replans += 1;
-            replans.push((id, flow.gen, finish));
+            self.replanned.push((id, gen, finish));
         }
-        replans
+        self.affected = affected;
     }
 
     /// The progress rate of a flow with `demand` MB/ms across `pools`:
@@ -777,7 +850,7 @@ impl DataPlane {
         }
         let min_share = pools
             .iter()
-            .map(|&(idx, kind)| self.pool(idx, kind).share())
+            .map(|&(idx, kind)| self.link(idx, kind).pool.share())
             .fold(f64::INFINITY, f64::min);
         (min_share / demand).min(1.0)
     }
@@ -802,17 +875,15 @@ impl DataPlane {
 
     fn sync_view(&mut self) {
         self.view.nodes.clear();
-        for i in 0..self.pools.len() {
-            let p = &self.pools[i].pools;
-            let s = &self.staging[i];
+        for (p, s) in self.pools.iter().zip(&self.staging) {
             self.view.nodes.push(NodeLoad {
-                active_in: p[PCIE_IN as usize].members,
-                active_out: p[PCIE_OUT as usize].members,
-                active_nvlink: p[NVLINK as usize].members,
+                active_in: p[PCIE_IN as usize].pool.members,
+                active_out: p[PCIE_OUT as usize].pool.members,
+                active_nvlink: p[NVLINK as usize].pool.members,
                 queued: s.queue.len() as u32,
                 staging_used_mb: s.used_mb,
                 staging_cap_mb: s.capacity_mb,
-                pcie_in_capacity: p[PCIE_IN as usize].capacity,
+                pcie_in_capacity: p[PCIE_IN as usize].pool.capacity,
             });
         }
     }
@@ -865,13 +936,16 @@ mod tests {
         )
     }
 
+    /// Node indices as `'static` one-element slices for `remote_srcs`.
+    const NODES: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
     /// A remote flow into node 0 whose demand saturates a `capacity`
     /// MB/ms ingress solo: `total_mb / work_ms == capacity`.
-    fn req(task: u64, total_mb: f64, work_ms: f64) -> TransferReq {
+    fn req(task: u64, total_mb: f64, work_ms: f64) -> TransferReq<'static> {
         TransferReq {
             task,
             dst: 0,
-            remote_srcs: vec![1],
+            remote_srcs: &NODES[1..2],
             remote_mb: total_mb,
             local_mb: 0.0,
             base_ms: 0.0,
@@ -889,6 +963,13 @@ mod tests {
         }
     }
 
+    fn gen_of(adm: &Admission) -> u64 {
+        match adm {
+            Admission::Active { gen, .. } => *gen,
+            Admission::Queued => panic!("expected an active admission"),
+        }
+    }
+
     #[test]
     fn solo_flow_matches_scalar_time() {
         // Capacity 10 MB/ms, demand 10 MB/ms: solo ρ = 1, finish is the
@@ -897,7 +978,7 @@ mod tests {
         let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
         let adm = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
         assert_eq!(finish_of(&adm), SimTime::from_ms(10.0));
-        assert!(matches!(adm, Admission::Active { ref replans, .. } if replans.is_empty()));
+        assert!(dp.replanned().is_empty());
     }
 
     #[test]
@@ -906,25 +987,53 @@ mod tests {
         let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
         // Flow 1 saturates ingress solo (ρ = 1, finish at 10 ms).
         let a1 = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
-        assert_eq!(finish_of(&a1), SimTime::from_ms(10.0));
+        assert_eq!((gen_of(&a1), finish_of(&a1)), (1, SimTime::from_ms(10.0)));
         // Flow 2 joins at t = 4: both now get half the pool (ρ = ½).
         let a2 = dp.begin(req(2, 100.0, 10.0), SimTime::from_ms(4.0));
         // Flow 2 runs its whole 10 ms work window at ½ rate → 20 ms.
-        assert_eq!(finish_of(&a2), SimTime::from_ms(24.0));
-        // Flow 1 drained 4 ms at full rate; 6 ms left doubles to 12.
-        let Admission::Active { replans, .. } = a2 else {
-            panic!("flow 2 must activate")
-        };
-        assert_eq!(replans, vec![(1, 2, SimTime::from_ms(16.0))]);
+        assert_eq!((gen_of(&a2), finish_of(&a2)), (2, SimTime::from_ms(24.0)));
+        // Flow 1 drained 4 ms at full rate; 6 ms left doubles to 12. Its
+        // re-plan draws the plane's next generation.
+        assert_eq!(dp.replanned(), &[(1, 3, SimTime::from_ms(16.0))]);
         // Flow 1's original event at 10 ms is now stale.
         assert!(dp.on_due(1, 1, SimTime::from_ms(10.0)).is_none());
         // Its re-planned finish completes and restores flow 2 to full
         // rate: 8 ms of work left at ½ becomes 4 ms.
-        let out = dp.on_due(1, 2, SimTime::from_ms(16.0)).expect("completes");
-        assert_eq!(out.replans, vec![(2, 2, SimTime::from_ms(20.0))]);
-        assert!(dp.on_due(2, 2, SimTime::from_ms(20.0)).is_some());
+        assert!(dp.on_due(1, 3, SimTime::from_ms(16.0)).is_some());
+        assert_eq!(dp.replanned(), &[(2, 4, SimTime::from_ms(20.0))]);
+        assert!(dp.on_due(2, 4, SimTime::from_ms(20.0)).is_some());
         let s = dp.summary();
         assert_eq!((s.started, s.completed, s.replans), (2, 2, 2));
+    }
+
+    #[test]
+    fn a_stale_event_never_completes_a_later_flow_in_the_same_slot() {
+        let class = NodeClass::a100().with_bandwidth(10.0, 10.0, 10.0);
+        let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
+        // Flows 1 and 2 contend; flow 2 is planned to finish at 24 ms
+        // under its first generation.
+        dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
+        let a2 = dp.begin(req(2, 100.0, 10.0), SimTime::from_ms(4.0));
+        let (stale, planned) = (gen_of(&a2), finish_of(&a2));
+        assert_eq!(planned, SimTime::from_ms(24.0));
+        // Flow 1 completes at 16 ms; flow 2 is re-planned to 20 ms and
+        // completes there.
+        assert!(dp.on_due(1, 3, SimTime::from_ms(16.0)).is_some());
+        let &[(2, current, at)] = dp.replanned() else {
+            panic!("flow 2 must be re-planned")
+        };
+        assert_eq!(at, SimTime::from_ms(20.0));
+        assert!(dp.on_due(2, current, at).is_some());
+        // Task slot 2 is reused by a solo flow due at 31 ms.
+        let reused = dp.begin(req(2, 100.0, 10.0), SimTime::from_ms(21.0));
+        assert_eq!(finish_of(&reused), SimTime::from_ms(31.0));
+        // The first flow's stale event pops at 24 ms: it must not
+        // complete the new flow 7 ms early.
+        assert!(dp.on_due(2, stale, planned).is_none());
+        assert!(dp
+            .on_due(2, gen_of(&reused), SimTime::from_ms(31.0))
+            .is_some());
+        assert_eq!(dp.summary().completed, 3);
     }
 
     #[test]
@@ -939,10 +1048,10 @@ mod tests {
         for task in 0..50u64 {
             let adm = dp.begin(req(task, 500.0, 25.0), SimTime::ZERO);
             assert_eq!(finish_of(&adm), SimTime::from_ms(25.0));
-            let Admission::Active { replans, .. } = adm else {
-                panic!("must activate")
-            };
-            assert!(replans.is_empty(), "ρ stays 1.0 at infinite capacity");
+            assert!(
+                dp.replanned().is_empty(),
+                "ρ stays 1.0 at infinite capacity"
+            );
         }
         assert_eq!(dp.summary().replans, 0);
     }
@@ -963,9 +1072,9 @@ mod tests {
         assert_eq!(dp.view().contending_flows(0), 2);
         assert_eq!(dp.view().node(0).queued, 1);
         // Flow 1 completes → flow 2 activates from *now*, full window.
-        let out = dp.on_due(1, 1, SimTime::from_ms(8.0)).expect("completes");
-        assert_eq!(out.activated.len(), 1);
-        let act = &out.activated[0];
+        assert!(dp.on_due(1, 1, SimTime::from_ms(8.0)).is_some());
+        assert_eq!(dp.activated().len(), 1);
+        let act = dp.activated()[0];
         assert_eq!((act.task, act.finish), (2, SimTime::from_ms(16.0)));
         assert!(dp.on_due(2, act.gen, act.finish).is_some());
         let s = dp.summary();
@@ -986,9 +1095,9 @@ mod tests {
             Admission::Queued
         ));
         // …and admitted the moment the buffer is empty.
-        let out = dp.on_due(1, 1, SimTime::from_ms(4.0)).expect("completes");
-        assert_eq!(out.activated.len(), 1);
-        assert_eq!(out.activated[0].task, 2);
+        assert!(dp.on_due(1, 1, SimTime::from_ms(4.0)).is_some());
+        assert_eq!(dp.activated().len(), 1);
+        assert_eq!(dp.activated()[0].task, 2);
     }
 
     #[test]
@@ -1010,9 +1119,9 @@ mod tests {
         total_mb: f64,
         work_ms: f64,
         cross: bool,
-    ) -> TransferReq {
+    ) -> TransferReq<'static> {
         TransferReq {
-            remote_srcs: vec![src],
+            remote_srcs: &NODES[src..=src],
             dst,
             cross_mb: if cross { total_mb } else { 0.0 },
             ..req(task, total_mb, work_ms)
@@ -1027,12 +1136,12 @@ mod tests {
         let mut dp = topo_plane(5.0);
         let adm = dp.begin(req_edge(1, 1, 0, 100.0, 10.0, false), SimTime::ZERO);
         assert_eq!(finish_of(&adm), SimTime::from_ms(10.0));
-        assert!(dp.on_due(1, 1, SimTime::from_ms(10.0)).is_some());
+        assert!(dp.on_due(1, gen_of(&adm), SimTime::from_ms(10.0)).is_some());
         // Cross-server (2 → 0) shares both ToR uplinks: the 5 MB/ms
         // ToR halves a 10 MB/ms demand → ρ = ½, 10 ms of work → 20 ms.
         let adm = dp.begin(req_edge(2, 2, 0, 100.0, 10.0, true), SimTime::ZERO);
         assert_eq!(finish_of(&adm), SimTime::from_ms(20.0));
-        assert!(dp.on_due(2, 1, SimTime::from_ms(20.0)).is_some());
+        assert!(dp.on_due(2, gen_of(&adm), SimTime::from_ms(20.0)).is_some());
         let s = dp.summary();
         assert_eq!(s.completed, 2);
         assert_eq!(s.total_mb, 200.0);
@@ -1050,10 +1159,7 @@ mod tests {
         assert_eq!(finish_of(&a1), SimTime::from_ms(10.0));
         let a2 = dp.begin(req_edge(2, 3, 1, 100.0, 10.0, true), SimTime::from_ms(4.0));
         assert_eq!(finish_of(&a2), SimTime::from_ms(24.0));
-        let Admission::Active { replans, .. } = a2 else {
-            panic!("flow 2 must activate")
-        };
-        assert_eq!(replans, vec![(1, 2, SimTime::from_ms(16.0))]);
+        assert_eq!(dp.replanned(), &[(1, 3, SimTime::from_ms(16.0))]);
     }
 
     #[test]
@@ -1064,5 +1170,144 @@ mod tests {
         // even on a topology cluster (ρ stays endpoint-limited).
         let adm = dp.begin(req_edge(1, 4, 0, 100.0, 10.0, true), SimTime::ZERO);
         assert_eq!(finish_of(&adm), SimTime::from_ms(10.0));
+    }
+
+    impl DataPlane {
+        /// Panics unless every pool's member index matches its counter
+        /// and holds exactly the active flows that name the pool.
+        fn assert_index_consistent(&self) {
+            let links = self.pools.iter().flatten().chain(&self.tor);
+            for link in links {
+                assert_eq!(link.flows.len(), link.pool.members as usize);
+            }
+            for (id, f) in self.flows.iter().enumerate() {
+                for &(idx, kind) in &f.pools {
+                    let indexed = self.link(idx, kind).flows.contains(&(id as u64));
+                    assert_eq!(indexed, f.state == FlowState::Active, "flow {id}");
+                }
+            }
+        }
+    }
+
+    /// One step of a random data-plane history.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// Begin a flow after `dt_ms`: destination, remote producer
+        /// mask, remote MB, local MB, base ms, work ms.
+        Begin(f64, usize, u8, f64, f64, f64, f64),
+        /// Pop the earliest pending due event (stale ones included).
+        Due,
+    }
+
+    fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (
+                (0.0f64..4.0, 0usize..4, 0u8..16),
+                (0.0f64..60.0, 0.0f64..20.0, 0.0f64..2.0, 0.0f64..8.0),
+            )
+                .prop_map(|((dt, dst, srcs), (rmb, lmb, base, work))| {
+                    Step::Begin(dt, dst, srcs, rmb, lmb, base, work)
+                }),
+            Just(Step::Due),
+        ]
+    }
+
+    /// Drives `steps` through the indexed plane and the full-scan
+    /// reference on the same cluster (flat, or two 2-node servers),
+    /// asserting identical admissions, re-plans, activations and
+    /// completions, and a consistent member index after every step.
+    fn check_against_full_scan(steps: &[Step], topology: bool, staging_mb: f64) {
+        let class = NodeClass::a100()
+            .with_bandwidth(6.0, 4.0, 9.0)
+            .with_staging_mb(staging_mb);
+        let spec = ClusterSpec {
+            name: "prop".into(),
+            nodes: vec![class; 4],
+            topology: topology.then(|| ServerTopology::new(2, 5.0)),
+        };
+        let cluster = Cluster::from_spec(&spec);
+        let mut fast = DataPlane::new(DataPlaneConfig::default(), &cluster, spec.topology);
+        let mut slow = fast.clone();
+        slow.scan_all = true;
+        // Pending due events (time, push seq, task, gen); free task ids
+        // are reused LIFO like the platform's task arena.
+        let mut due: Vec<(SimTime, u64, u64, u64)> = Vec::new();
+        let mut seq = 0u64;
+        let mut free: Vec<u64> = Vec::new();
+        let mut next_task = 0u64;
+        let mut now = SimTime::ZERO;
+        let mut push = |due: &mut Vec<_>, dp: &DataPlane, first: Option<(u64, u64, SimTime)>| {
+            for (t, g, at) in first.into_iter().chain(dp.replanned().iter().copied()) {
+                due.push((at, seq, t, g));
+                seq += 1;
+            }
+            for a in dp.activated() {
+                due.push((a.finish, seq, a.task, a.gen));
+                seq += 1;
+            }
+        };
+        for step in steps {
+            match *step {
+                Step::Begin(dt, dst, mask, remote_mb, local_mb, base_ms, work_ms) => {
+                    now += SimTime::from_ms(dt);
+                    let srcs: Vec<usize> =
+                        (0..4).filter(|&n| n != dst && mask >> n & 1 == 1).collect();
+                    let task = free.pop().unwrap_or_else(|| {
+                        next_task += 1;
+                        next_task - 1
+                    });
+                    let req = TransferReq {
+                        task,
+                        dst,
+                        remote_srcs: &srcs,
+                        remote_mb,
+                        local_mb,
+                        base_ms,
+                        work_ms,
+                        scalar_total_ms: base_ms + work_ms,
+                        batched_small: 0,
+                        cross_mb: 0.0,
+                    };
+                    let a = fast.begin(req, now);
+                    assert_eq!(a, slow.begin(req, now));
+                    assert_eq!(fast.replanned(), slow.replanned());
+                    let first = match a {
+                        Admission::Active { gen, finish } => Some((task, gen, finish)),
+                        Admission::Queued => None,
+                    };
+                    push(&mut due, &fast, first);
+                }
+                Step::Due => {
+                    let Some(k) = (0..due.len()).min_by_key(|&k| (due[k].0, due[k].1)) else {
+                        continue;
+                    };
+                    let (at, _, task, gen) = due.swap_remove(k);
+                    now = now.max(at);
+                    let out = fast.on_due(task, gen, now);
+                    assert_eq!(out, slow.on_due(task, gen, now));
+                    if out.is_some() {
+                        assert_eq!(fast.replanned(), slow.replanned());
+                        assert_eq!(fast.activated(), slow.activated());
+                        free.push(task);
+                        push(&mut due, &fast, None);
+                    }
+                }
+            }
+            fast.assert_index_consistent();
+            assert_eq!(fast.summary(), slow.summary());
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn member_index_replans_like_a_full_scan(
+            steps in proptest::collection::vec(arb_step(), 1..80),
+            topology in 0u8..2,
+            staging in 0u8..2,
+        ) {
+            let staging_mb = if staging == 1 { 40.0 } else { 1e9 };
+            check_against_full_scan(&steps, topology == 1, staging_mb);
+        }
     }
 }

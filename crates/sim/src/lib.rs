@@ -74,8 +74,7 @@ pub use platform::{
 };
 pub use policy::{
     gslo_attainable, AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, PolicySpec,
-    PolicyStack, PolicyStats, RankedQueues, RoundPolicy, ShedReason, SloAdmission,
-    SloAdmissionConfig,
+    PolicyStack, PolicyStats, RoundPolicy, ShedReason, SloAdmission, SloAdmissionConfig,
 };
 pub use sched::{
     fill_job_views, home_node, place_locality_first, place_min_fragmentation, BatchHold,

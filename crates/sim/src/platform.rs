@@ -356,6 +356,62 @@ pub struct Simulation<'a> {
     /// The contended data plane (`cfg.data_plane`); `None` keeps the
     /// classic scalar transfer model.
     dataplane: Option<DataPlane>,
+    /// Retained per-event buffers. Each is emptied before use and grows
+    /// lazily to the run's working set, after which the dispatch path
+    /// allocates nothing for them.
+    bufs: Buffers,
+}
+
+/// Spare finished instances and batch vectors kept for reuse, at most:
+/// enough to absorb the turnover between arrivals and completions (64
+/// saves as many allocations as an unbounded pool on every benchmark
+/// workload), while the surplus of a load peak is freed instead of
+/// staying pinned in the pool.
+const SPARE_CAP: usize = 64;
+
+/// The platform loop's retained per-event buffers (see
+/// [`Simulation::bufs`]).
+#[derive(Default)]
+struct Buffers {
+    /// Dispatched batches' job vectors, returned on task completion
+    /// (at most [`SPARE_CAP`]).
+    jobs: Vec<Vec<Job>>,
+    /// Finished invocations, reused for new arrivals (at most
+    /// [`SPARE_CAP`]).
+    instances: Vec<WorkflowInstance>,
+    /// The `Dispatched` event's invocation list.
+    dispatched: Vec<InvocationId>,
+    /// A round's `QueueView` list, kept empty between rounds (its
+    /// elements borrow the per-queue job views).
+    queue_views: Vec<QueueView<'static>>,
+    /// `process_recheck`'s list of the entries it is retrying.
+    recheck: Vec<RecheckEntry>,
+    /// Stages made ready by an arrival or a completed stage.
+    stages: Vec<usize>,
+    /// A dispatch's distinct remote producers with their job counts.
+    src_counts: Vec<(usize, u32)>,
+    /// A dispatch's distinct remote producers.
+    remote_srcs: Vec<usize>,
+}
+
+impl Buffers {
+    /// Keeps a finished invocation for reuse, unless enough are spare.
+    fn spare_instance(&mut self, inst: WorkflowInstance) {
+        if self.instances.len() < SPARE_CAP {
+            self.instances.push(inst);
+        }
+    }
+}
+
+/// Empties `v` and returns its allocation re-typed as a `Vec<U>`. `T`
+/// and `U` must share size and alignment (here: one view type under two
+/// lifetimes), which makes the collect reuse the buffer in place; with no
+/// element left the closure never runs.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 impl<'a> Simulation<'a> {
@@ -483,6 +539,7 @@ impl<'a> Simulation<'a> {
             base_ms,
             recorder,
             dataplane,
+            bufs: Buffers::default(),
         }
     }
 
@@ -642,17 +699,20 @@ impl<'a> Simulation<'a> {
         let app = &self.env.apps[app_idx];
         let id = InvocationId(self.next_invocation);
         self.next_invocation += 1;
-        let inst = WorkflowInstance::new(
-            id,
-            arrival.app,
-            app,
-            self.now,
-            SimTime::from_ms(self.slo_ms[app_idx]),
-        );
-        let entries = inst.entry_stages();
+        let slo = SimTime::from_ms(self.slo_ms[app_idx]);
+        let inst = match self.bufs.instances.pop() {
+            Some(mut inst) => {
+                inst.reset(id, arrival.app, app, self.now, slo);
+                inst
+            }
+            None => WorkflowInstance::new(id, arrival.app, app, self.now, slo),
+        };
+        let mut entries = std::mem::take(&mut self.bufs.stages);
+        entries.clear();
+        entries.extend(inst.entry_stages());
         let slot = self.invocations.insert(inst);
         self.metrics.arrivals += 1;
-        for stage in entries {
+        for &stage in &entries {
             self.enqueue_job(
                 QueueKey {
                     app: arrival.app,
@@ -667,6 +727,7 @@ impl<'a> Simulation<'a> {
                 },
             );
         }
+        self.bufs.stages = entries;
     }
 
     /// The index of `key`'s queue; `None` for an unknown app or a stage
@@ -777,7 +838,6 @@ impl<'a> Simulation<'a> {
         self.round_seq += 1;
         let nq = self.queue_keys.len();
         loop {
-            self.refresh_state();
             self.eligible.clear();
             for qi in 0..nq {
                 if self.decided_stamp[qi] == self.round_seq
@@ -792,6 +852,7 @@ impl<'a> Simulation<'a> {
             if self.eligible.is_empty() {
                 return;
             }
+            self.refresh_state();
             for idx in 0..self.eligible.len() {
                 let qi = self.eligible[idx];
                 if self.views_stamp[qi] != self.round_seq {
@@ -800,14 +861,11 @@ impl<'a> Simulation<'a> {
                 }
             }
             let (decisions, mut wall_ms) = {
-                // The round's queue list is the one remaining per-round
-                // allocation on this path: each `QueueView` borrows that
-                // queue's job-view buffer, so the list cannot outlive the
-                // iteration (the buffers are re-borrowed mutably next
-                // round). It is a handful of fat pointers — the per-node
-                // warm-set clones and job-view vectors the old snapshot
-                // contract rebuilt per decision are gone.
-                let mut queues: Vec<QueueView<'_>> = Vec::with_capacity(self.eligible.len());
+                // Each `QueueView` borrows its queue's job-view buffer,
+                // which is re-borrowed mutably next round, so the list
+                // lives for this round only; its allocation is recycled.
+                let mut queues: Vec<QueueView<'_>> =
+                    recycle(std::mem::take(&mut self.bufs.queue_views));
                 for &qi in &self.eligible {
                     let key = self.queue_keys[qi];
                     queues.push(QueueView {
@@ -833,7 +891,9 @@ impl<'a> Simulation<'a> {
                 };
                 let t0 = Instant::now();
                 let decisions = self.sched.schedule_round(&ctx);
-                (decisions, t0.elapsed().as_secs_f64() * 1000.0)
+                let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
+                self.bufs.queue_views = recycle(queues);
+                (decisions, wall_ms)
             };
             let mut applied = 0usize;
             for (key, outcome) in decisions {
@@ -977,7 +1037,8 @@ impl<'a> Simulation<'a> {
                 .get(j.slot)
                 .is_some_and(|inst| inst.id == j.invocation)
             {
-                self.invocations.remove(j.slot);
+                let inst = self.invocations.remove(j.slot).expect("checked live");
+                self.bufs.spare_instance(inst);
                 shed.push(j.invocation);
             }
         }
@@ -1050,8 +1111,11 @@ impl<'a> Simulation<'a> {
             now_ms: self.now.as_ms(),
         });
         let min_gap = SimTime::from_ms(self.cfg.idle_backoff_ms);
-        let entries = std::mem::take(&mut self.recheck);
-        for mut entry in entries {
+        // Swap the list with the retained spare: re-parked entries go
+        // back onto `self.recheck` while this pass drains the old list.
+        let mut entries = std::mem::take(&mut self.bufs.recheck);
+        std::mem::swap(&mut entries, &mut self.recheck);
+        for mut entry in entries.drain(..) {
             let qi = entry.qi;
             self.parked[qi] = false; // until re-parked below
             if self.queues[qi].is_empty() {
@@ -1101,6 +1165,7 @@ impl<'a> Simulation<'a> {
             }
             self.park(entry);
         }
+        self.bufs.recheck = entries;
     }
 
     fn dispatch(
@@ -1120,7 +1185,8 @@ impl<'a> Simulation<'a> {
         let config = config.clamp_batch(avail);
         let f = self.queue_fn[qi];
         let spec = self.env.catalog.get(f);
-        let jobs = self.queues[qi].take(config.batch as usize);
+        let mut jobs = self.bufs.jobs.pop().unwrap_or_default();
+        self.queues[qi].take_into(config.batch as usize, &mut jobs);
 
         let start = self.now + delay;
         let was_warm = self.cluster.node_mut(node).claim_warm(f, start);
@@ -1157,7 +1223,8 @@ impl<'a> Simulation<'a> {
         // Jobs whose producer sits in a different server than `node`
         // (ToR traffic; 0 on flat clusters and for gateway inputs).
         let mut cross_jobs = 0u32;
-        let mut src_counts: Vec<(usize, u32)> = Vec::new();
+        let mut src_counts = std::mem::take(&mut self.bufs.src_counts);
+        src_counts.clear();
         for j in &jobs {
             let local = j.pred_node == Some(node);
             if local {
@@ -1211,7 +1278,9 @@ impl<'a> Simulation<'a> {
         self.metrics.batch_size.add(config.batch as f64);
         self.last_node[qi] = Some(node);
 
-        let dispatched: Vec<InvocationId> = jobs.iter().map(|j| j.invocation).collect();
+        let mut dispatched = std::mem::take(&mut self.bufs.dispatched);
+        dispatched.clear();
+        dispatched.extend(jobs.iter().map(|j| j.invocation));
         self.notify(&SchedulerEvent::Dispatched {
             key,
             invocations: &dispatched,
@@ -1219,6 +1288,7 @@ impl<'a> Simulation<'a> {
             node,
             now_ms: self.now.as_ms(),
         });
+        self.bufs.dispatched = dispatched;
 
         // The task's arena slot is its event id: a completed task's slot
         // (and id) is recycled, which is safe because each id has exactly
@@ -1253,10 +1323,13 @@ impl<'a> Simulation<'a> {
                 0
             };
             let mb = spec.input_mb;
+            let remote_srcs = &mut self.bufs.remote_srcs;
+            remote_srcs.clear();
+            remote_srcs.extend(src_counts.iter().map(|&(s, _)| s));
             let req = TransferReq {
                 task: id,
                 dst: node.index(),
-                remote_srcs: src_counts.iter().map(|&(s, _)| s).collect(),
+                remote_srcs,
                 remote_mb: remote_jobs as f64 * mb,
                 local_mb: local_jobs as f64 * mb,
                 base_ms: cold_ms + base_ms,
@@ -1267,13 +1340,9 @@ impl<'a> Simulation<'a> {
             };
             let total_mb = req.remote_mb + req.local_mb;
             match dp.begin(req, start) {
-                Admission::Active {
-                    gen,
-                    finish,
-                    replans,
-                } => {
+                Admission::Active { gen, finish } => {
                     self.events.push(finish, Event::TransferDue(id, gen));
-                    for (t, g, at) in replans {
+                    for &(t, g, at) in dp.replanned() {
                         self.events.push(at, Event::TransferDue(t, g));
                     }
                     self.notify(&SchedulerEvent::TransferStarted {
@@ -1295,6 +1364,7 @@ impl<'a> Simulation<'a> {
             let ready = start + SimTime::from_ms(cold_ms + transfer_ms);
             self.events.push(ready, Event::ExecReady(id));
         }
+        self.bufs.src_counts = src_counts;
     }
 
     /// A data-plane transfer's planned finish fired. Stale generations
@@ -1311,18 +1381,24 @@ impl<'a> Simulation<'a> {
         let Some(out) = dp.on_due(id, gen, now) else {
             return; // stale generation
         };
+        // Notifications do not touch the event queue, so pushing every
+        // due event first keeps their order and sequence numbers.
+        for &(t, g, at) in dp.replanned() {
+            self.events.push(at, Event::TransferDue(t, g));
+        }
+        for act in dp.activated() {
+            self.events
+                .push(act.finish, Event::TransferDue(act.task, act.gen));
+        }
+        let started = dp.activated().len();
         self.metrics.phase_init_ms.add(out.elapsed_ms);
         self.notify(&SchedulerEvent::TransferCompleted {
             node: NodeId(out.node as u32),
             mb: out.mb,
             now_ms: now.as_ms(),
         });
-        for (t, g, at) in out.replans {
-            self.events.push(at, Event::TransferDue(t, g));
-        }
-        for act in out.activated {
-            self.events
-                .push(act.finish, Event::TransferDue(act.task, act.gen));
+        for k in 0..started {
+            let act = self.dataplane.as_ref().expect("data plane on").activated()[k];
             self.notify(&SchedulerEvent::TransferStarted {
                 node: NodeId(act.node as u32),
                 mb: act.mb,
@@ -1411,6 +1487,7 @@ impl<'a> Simulation<'a> {
             now_ms: self.now.as_ms(),
         });
         let app_spec = &self.env.apps[task.key.app.index()];
+        let mut ready = std::mem::take(&mut self.bufs.stages);
         for job in &task.jobs {
             // The invocation may have been shed while this task ran; its
             // slot may even hold a newer invocation by now — match on id.
@@ -1421,13 +1498,10 @@ impl<'a> Simulation<'a> {
             else {
                 continue;
             };
-            let ready = inst.complete_stage(job.stage, task.node, app_spec);
-            let complete = inst.is_complete();
-            let pred_nodes: Vec<(usize, Option<NodeId>)> = ready
-                .iter()
-                .map(|&s| (s, inst.pred_node(s, app_spec)))
-                .collect();
-            if complete {
+            ready.clear();
+            inst.complete_stage(job.stage, task.node, app_spec, &mut ready);
+            if inst.is_complete() {
+                // A complete invocation made no stage ready.
                 let inst = self.invocations.remove(job.slot).expect("present");
                 // Invocations inside the warm-up window are excluded from
                 // the reported metrics (§4-style steady-state measurement).
@@ -1440,8 +1514,13 @@ impl<'a> Simulation<'a> {
                     m.latencies_ms
                         .push(self.now.saturating_since(inst.arrived_at).as_ms());
                 }
+                self.bufs.spare_instance(inst);
             }
-            for (stage, pred_node) in pred_nodes {
+            for &stage in &ready {
+                let pred_node = self
+                    .invocations
+                    .get(job.slot)
+                    .and_then(|inst| inst.pred_node(stage, app_spec));
                 self.enqueue_job(
                     QueueKey {
                         app: task.key.app,
@@ -1456,6 +1535,12 @@ impl<'a> Simulation<'a> {
                     },
                 );
             }
+        }
+        self.bufs.stages = ready;
+        if self.bufs.jobs.len() < SPARE_CAP {
+            let mut jobs = task.jobs;
+            jobs.clear();
+            self.bufs.jobs.push(jobs);
         }
     }
 

@@ -9,13 +9,15 @@
 //! separable:
 //!
 //! 1. **Admission** — [`RoundPolicy::admit`] classifies every eligible
-//!    queue as [`Admit`](AdmissionDecision::Admit),
+//!    queue, into an [`AdmissionPlan`] the stack owns, as
+//!    [`Admit`](AdmissionDecision::Admit),
 //!    [`Defer`](AdmissionDecision::Defer) (retry no earlier than a given
 //!    instant), or [`Shed`](AdmissionDecision::Shed) (drop the queue's
 //!    jobs, killing their invocations — surfaced through
 //!    [`SchedulerEvent::QueueShed`](crate::SchedulerEvent::QueueShed));
 //! 2. **Ranking** — [`RoundPolicy::rank`] orders the admitted queues
-//!    across the whole round (which queue deserves the next search);
+//!    across the whole round (which queue deserves the next search),
+//!    into an order buffer the stack owns;
 //! 3. **Dispatch** — the scheduler's existing per-queue
 //!    [`schedule`](crate::Scheduler::schedule)/
 //!    [`place`](crate::Scheduler::place) pair, unchanged.
@@ -24,7 +26,9 @@
 //! severity (a later stage can only tighten an earlier one), rank stages
 //! successively reorder the admitted set, and
 //! [`RoundPolicy::observe`] feeds every stage the round's decisions so
-//! budget-sharing policies can meter themselves. The provided
+//! budget-sharing policies can meter themselves. The stack keeps every
+//! per-round buffer (plans, admitted list, orders) across rounds, so a
+//! round allocates nothing once they have grown. The provided
 //! [`Scheduler::schedule_round`](crate::Scheduler::schedule_round)
 //! drives whatever stack the scheduler exposes through
 //! [`round_policy`](crate::Scheduler::round_policy); the empty
@@ -94,7 +98,7 @@ impl AdmissionDecision {
 
 /// An admission stage's verdict over every queue of a round, parallel to
 /// [`RoundCtx::queues`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdmissionPlan {
     decisions: Vec<AdmissionDecision>,
 }
@@ -114,6 +118,12 @@ impl AdmissionPlan {
         }
     }
 
+    /// Re-initialises the plan to admit all `n` queues, in place.
+    pub fn reset(&mut self, n: usize) {
+        self.decisions.clear();
+        self.decisions.resize(n, AdmissionDecision::Admit);
+    }
+
     /// The per-queue decisions, indexed like `RoundCtx::queues`.
     pub fn decisions(&self) -> &[AdmissionDecision] {
         &self.decisions
@@ -122,6 +132,11 @@ impl AdmissionPlan {
     /// Overrides queue `i`'s decision.
     pub fn set(&mut self, i: usize, decision: AdmissionDecision) {
         self.decisions[i] = decision;
+    }
+
+    /// Overrides every queue's decision.
+    pub fn set_all(&mut self, decision: AdmissionDecision) {
+        self.decisions.fill(decision);
     }
 
     /// Number of queues covered.
@@ -134,14 +149,13 @@ impl AdmissionPlan {
         self.decisions.is_empty()
     }
 
-    /// Indices still admitted.
-    pub fn admitted(&self) -> Vec<usize> {
+    /// Indices still admitted, ascending.
+    pub fn admitted(&self) -> impl Iterator<Item = usize> + '_ {
         self.decisions
             .iter()
             .enumerate()
             .filter(|(_, d)| matches!(d, AdmissionDecision::Admit))
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Merges `other` in, most severe verdict per queue winning
@@ -159,38 +173,6 @@ impl AdmissionPlan {
                 _ => {}
             }
         }
-    }
-}
-
-/// The cross-queue dispatch order over a round's admitted queues
-/// (indices into [`RoundCtx::queues`], most urgent first).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RankedQueues {
-    order: Vec<usize>,
-}
-
-impl RankedQueues {
-    /// The classic order: admitted queues exactly as the controller
-    /// scanned them.
-    pub fn scan_order(admitted: &[usize]) -> RankedQueues {
-        RankedQueues {
-            order: admitted.to_vec(),
-        }
-    }
-
-    /// An explicit order (most urgent first).
-    pub fn from_order(order: Vec<usize>) -> RankedQueues {
-        RankedQueues { order }
-    }
-
-    /// The dispatch order.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// Consumes the ranking.
-    pub fn into_order(self) -> Vec<usize> {
-        self.order
     }
 }
 
@@ -230,17 +212,21 @@ pub trait RoundPolicy {
     /// Stage name (diagnostics, `PolicyStack` Debug output).
     fn name(&self) -> &'static str;
 
-    /// Classifies every eligible queue of the round. The default admits
-    /// everything.
-    fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
-        AdmissionPlan::admit_all(ctx.queues.len())
+    /// Classifies every eligible queue of the round by overriding
+    /// verdicts in `plan`, which arrives admitting all
+    /// `ctx.queues.len()` queues. The default leaves it so.
+    fn admit(&mut self, ctx: &RoundCtx<'_>, plan: &mut AdmissionPlan) {
+        let _ = (ctx, plan);
     }
 
-    /// Orders the admitted queues for dispatch. The default replays the
-    /// classic controller scan order.
-    fn rank(&mut self, ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
+    /// Proposes a dispatch order for the `admitted` queues (indices into
+    /// `ctx.queues`, in the previous stage's order) by pushing them onto
+    /// `order`, which arrives empty; most urgent first. The default
+    /// keeps the order it is given (at the bottom of a stack, the
+    /// classic controller scan order).
+    fn rank(&mut self, ctx: &RoundCtx<'_>, admitted: &[usize], order: &mut Vec<usize>) {
         let _ = ctx;
-        RankedQueues::scan_order(admitted)
+        order.extend_from_slice(admitted);
     }
 
     /// Feedback hook: the decisions the driver produced for this round
@@ -256,7 +242,7 @@ pub trait RoundPolicy {
     }
 }
 
-/// An ordered stack of [`RoundPolicy`] stages, itself a `RoundPolicy`.
+/// An ordered stack of [`RoundPolicy`] stages.
 ///
 /// * **admit** — stages run in order; verdicts merge by severity
 ///   ([`AdmissionPlan::tighten`]), so a later stage can only tighten an
@@ -266,6 +252,9 @@ pub trait RoundPolicy {
 ///   and foreign indices dropped, omitted queues re-appended in their
 ///   previous order), so no stage can starve a queue by accident.
 /// * **observe**/**stats** — fan out to / merge over all stages.
+///
+/// Every per-round buffer lives in the stack and keeps its capacity
+/// across rounds.
 ///
 /// The empty stack ([`PolicyStack::classic`]) is the classic
 /// one-queue-at-a-time contract; the provided
@@ -277,6 +266,18 @@ pub struct PolicyStack {
     /// Final deferred-queue decisions observed across the run (the
     /// authoritative `queues_deferred`; see [`PolicyStats`]).
     deferred: u64,
+    /// The merged admission plan of the current round.
+    plan: AdmissionPlan,
+    /// One stage's admission verdicts, before merging.
+    stage_plan: AdmissionPlan,
+    /// The admitted queues of the current round, ascending.
+    admitted: Vec<usize>,
+    /// The current rank order.
+    order: Vec<usize>,
+    /// One rank stage's proposal, before sanitising.
+    proposed: Vec<usize>,
+    /// The sanitised proposal, swapped into `order`.
+    sanitised: Vec<usize>,
 }
 
 impl PolicyStack {
@@ -323,10 +324,9 @@ impl PolicyStack {
         self.stages.iter().map(|s| s.name()).collect()
     }
 
-    /// Merged counters of every stage (inherent mirror of
-    /// [`RoundPolicy::stats`], usable without importing the trait),
-    /// with `queues_deferred` replaced by the stack's own
-    /// final-decision tally (see [`PolicyStats::queues_deferred`]).
+    /// Merged counters of every stage, with `queues_deferred` replaced
+    /// by the stack's own final-decision tally (see
+    /// [`PolicyStats::queues_deferred`]).
     pub fn policy_stats(&self) -> PolicyStats {
         let mut stats = self
             .stages
@@ -345,12 +345,12 @@ impl fmt::Debug for PolicyStack {
     }
 }
 
-/// Restricts a stage's proposed order to `prev`'s members (deduplicated,
-/// stage order preserved) and re-appends anything the stage omitted, in
-/// `prev` order.
-fn sanitise_order(proposed: Vec<usize>, prev: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(prev.len());
-    for i in proposed {
+/// Restricts a stage's `proposed` order to `prev`'s members
+/// (deduplicated, stage order preserved) and re-appends anything the
+/// stage omitted, in `prev` order, into `out` (cleared first).
+fn sanitise_order(proposed: &[usize], prev: &[usize], out: &mut Vec<usize>) {
+    out.clear();
+    for &i in proposed {
         if prev.contains(&i) && !out.contains(&i) {
             out.push(i);
         }
@@ -360,33 +360,72 @@ fn sanitise_order(proposed: Vec<usize>, prev: &[usize]) -> Vec<usize> {
             out.push(i);
         }
     }
-    out
 }
 
-impl RoundPolicy for PolicyStack {
-    fn name(&self) -> &'static str {
-        "stack"
-    }
-
-    fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
-        let mut merged = AdmissionPlan::admit_all(ctx.queues.len());
+impl PolicyStack {
+    /// Runs every stage's admission over the round and returns the
+    /// merged plan (a buffer the stack owns).
+    pub fn admit(&mut self, ctx: &RoundCtx<'_>) -> &AdmissionPlan {
+        let n = ctx.queues.len();
+        self.plan.reset(n);
         for stage in &mut self.stages {
-            let plan = stage.admit(ctx);
-            merged.tighten(&plan);
+            self.stage_plan.reset(n);
+            stage.admit(ctx, &mut self.stage_plan);
+            self.plan.tighten(&self.stage_plan);
         }
-        merged
+        &self.plan
     }
 
-    fn rank(&mut self, ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
-        let mut order: Vec<usize> = admitted.to_vec();
+    /// Runs every stage's ranking over `admitted` and returns the final
+    /// order (a buffer the stack owns): a permutation of `admitted`.
+    pub fn rank(&mut self, ctx: &RoundCtx<'_>, admitted: &[usize]) -> &[usize] {
+        self.order.clear();
+        self.order.extend_from_slice(admitted);
         for stage in &mut self.stages {
-            let proposed = stage.rank(ctx, &order).into_order();
-            order = sanitise_order(proposed, &order);
+            self.proposed.clear();
+            stage.rank(ctx, &self.order, &mut self.proposed);
+            sanitise_order(&self.proposed, &self.order, &mut self.sanitised);
+            std::mem::swap(&mut self.order, &mut self.sanitised);
         }
-        RankedQueues::from_order(order)
+        &self.order
     }
 
-    fn observe(&mut self, ctx: &RoundCtx<'_>, decisions: &[(QueueKey, Outcome)]) {
+    /// Admission and ranking for one round of the provided
+    /// [`Scheduler::schedule_round`](crate::Scheduler::schedule_round):
+    /// pushes a defer or shed decision onto `decisions` for every queue
+    /// admission did not admit (in queue order) and returns the most
+    /// urgent admitted queue, if any.
+    pub fn admit_and_rank(
+        &mut self,
+        ctx: &RoundCtx<'_>,
+        decisions: &mut Vec<(QueueKey, Outcome)>,
+    ) -> Option<usize> {
+        self.admit(ctx);
+        let mut admitted = std::mem::take(&mut self.admitted);
+        admitted.clear();
+        for (i, d) in self.plan.decisions().iter().enumerate() {
+            match *d {
+                AdmissionDecision::Admit => admitted.push(i),
+                AdmissionDecision::Defer { until_ms } => {
+                    decisions.push((ctx.queues[i].key, Outcome::defer(until_ms)));
+                }
+                AdmissionDecision::Shed { reason } => {
+                    decisions.push((ctx.queues[i].key, Outcome::shed(reason)));
+                }
+            }
+        }
+        let first = if admitted.is_empty() {
+            None
+        } else {
+            self.rank(ctx, &admitted).first().copied()
+        };
+        self.admitted = admitted;
+        first
+    }
+
+    /// Feeds every stage the decisions the round produced, and tallies
+    /// the round's final deferrals.
+    pub fn observe(&mut self, ctx: &RoundCtx<'_>, decisions: &[(QueueKey, Outcome)]) {
         // Tally the round's FINAL deferrals here: only the merged plan
         // knows whether a stage's Defer vote survived severity merging.
         self.deferred += decisions
@@ -398,10 +437,6 @@ impl RoundPolicy for PolicyStack {
         for stage in &mut self.stages {
             stage.observe(ctx, decisions);
         }
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.policy_stats()
     }
 }
 
@@ -488,8 +523,7 @@ impl RoundPolicy for SloAdmission {
         "slo-admission"
     }
 
-    fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
-        let mut plan = AdmissionPlan::admit_all(ctx.queues.len());
+    fn admit(&mut self, ctx: &RoundCtx<'_>, plan: &mut AdmissionPlan) {
         let saturated = ctx
             .cluster
             .feasible(Config::MIN.resources())
@@ -534,7 +568,6 @@ impl RoundPolicy for SloAdmission {
                 );
             }
         }
-        plan
     }
 
     fn stats(&self) -> PolicyStats {
@@ -706,6 +739,13 @@ mod tests {
         }
     }
 
+    /// `stage`'s admission verdicts over the round.
+    fn admit(stage: &mut SloAdmission, ctx: &RoundCtx<'_>) -> AdmissionPlan {
+        let mut plan = AdmissionPlan::admit_all(ctx.queues.len());
+        stage.admit(ctx, &mut plan);
+        plan
+    }
+
     fn idle_cluster(n: usize) -> ClusterState {
         ClusterState::from_views(
             (0..n as u32)
@@ -732,7 +772,7 @@ mod tests {
         );
         assert!(matches!(a.decisions()[1], AdmissionDecision::Shed { .. }));
         assert_eq!(a.decisions()[2], AdmissionDecision::Admit);
-        assert_eq!(a.admitted(), vec![2]);
+        assert_eq!(a.admitted().collect::<Vec<_>>(), vec![2]);
         // Defer + Defer keeps the later instant; Shed survives anything.
         let mut c = AdmissionPlan::defer_all(3, 20.0);
         c.tighten(&AdmissionPlan::defer_all(3, 5.0));
@@ -755,8 +795,11 @@ mod tests {
     fn sanitise_order_preserves_membership() {
         // Foreign indices and duplicates are dropped; omissions come back
         // in previous order.
-        assert_eq!(sanitise_order(vec![2, 9, 2, 0], &[0, 1, 2]), vec![2, 0, 1]);
-        assert_eq!(sanitise_order(vec![], &[3, 4]), vec![3, 4]);
+        let mut out = vec![7];
+        sanitise_order(&[2, 9, 2, 0], &[0, 1, 2], &mut out);
+        assert_eq!(out, vec![2, 0, 1]);
+        sanitise_order(&[], &[3, 4], &mut out);
+        assert_eq!(out, vec![3, 4]);
     }
 
     /// A rank stage reversing the current order, for stack tests.
@@ -765,10 +808,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "reverse"
         }
-        fn rank(&mut self, _ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
-            let mut o = admitted.to_vec();
-            o.reverse();
-            RankedQueues::from_order(o)
+        fn rank(&mut self, _ctx: &RoundCtx<'_>, admitted: &[usize], order: &mut Vec<usize>) {
+            order.extend(admitted.iter().rev());
         }
     }
 
@@ -789,13 +830,13 @@ mod tests {
         assert!(!stack.is_classic());
         assert_eq!(stack.stage_names(), vec!["reverse", "reverse"]);
         // Two reversals cancel out.
-        assert_eq!(stack.rank(&ctx, &[0, 1, 2]).order(), &[0, 1, 2]);
+        assert_eq!(stack.rank(&ctx, &[0, 1, 2]), &[0, 1, 2]);
         let mut single = PolicyStack::new().with(Reverse);
-        assert_eq!(single.rank(&ctx, &[0, 1, 2]).order(), &[2, 1, 0]);
+        assert_eq!(single.rank(&ctx, &[0, 1, 2]), &[2, 1, 0]);
         // The empty stack is classic and ranks in scan order.
         let mut classic = PolicyStack::classic();
         assert!(classic.is_classic());
-        assert_eq!(classic.rank(&ctx, &[1, 2]).order(), &[1, 2]);
+        assert_eq!(classic.rank(&ctx, &[1, 2]), &[1, 2]);
         assert_eq!(
             classic.admit(&ctx).decisions(),
             AdmissionPlan::admit_all(3).decisions()
@@ -818,7 +859,7 @@ mod tests {
         ];
         let ctx = round_ctx(&env, &cluster, &queues);
         let mut adm = SloAdmission::new(SloAdmissionConfig::default());
-        let plan = adm.admit(&ctx);
+        let plan = admit(&mut adm, &ctx);
         assert!(matches!(
             plan.decisions()[0],
             AdmissionDecision::Shed {
@@ -834,7 +875,7 @@ mod tests {
             shed: false,
             ..SloAdmissionConfig::default()
         });
-        let plan = soft.admit(&ctx);
+        let plan = admit(&mut soft, &ctx);
         assert_eq!(plan.decisions()[0], AdmissionDecision::Admit);
         assert_eq!(soft.stats().queues_shed, 0);
     }
@@ -850,7 +891,7 @@ mod tests {
         let queues = [queue_view(&env, &fine, 0, 0)];
         let ctx = round_ctx(&env, &cluster, &queues);
         let mut adm = SloAdmission::new(SloAdmissionConfig::default());
-        let plan = adm.admit(&ctx);
+        let plan = admit(&mut adm, &ctx);
         assert_eq!(
             plan.decisions()[0],
             AdmissionDecision::Defer { until_ms: 105.0 }

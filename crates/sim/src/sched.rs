@@ -29,8 +29,8 @@
 //! simulated controller time (see the crate docs for the calibration to
 //! the paper's §5.3 numbers).
 
-use crate::policy::{AdmissionDecision, AdmissionPlan, PolicySpec, PolicyStack, RankedQueues};
-use crate::policy::{PolicyStats, RoundPolicy, ShedReason};
+use crate::policy::{PolicySpec, PolicyStack};
+use crate::policy::{PolicyStats, ShedReason};
 use crate::state::ClusterState;
 use crate::workflow::Job;
 use esg_model::{
@@ -538,7 +538,7 @@ pub trait Scheduler {
     /// to the pre-policy platform, as pinned by
     /// `tests/control_plane_equivalence.rs`. Schedulers may still
     /// override the whole round, but composing reusable
-    /// [`RoundPolicy`] stages is the supported seam.
+    /// [`RoundPolicy`](crate::RoundPolicy) stages is the supported seam.
     fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {
         if self.round_policy().is_none_or(|p| p.is_classic()) {
             return match ctx.queues.first() {
@@ -549,40 +549,18 @@ pub trait Scheduler {
         if ctx.queues.is_empty() {
             return Vec::new();
         }
-        // Stage 1: admission. Each call below is a short-lived borrow of
-        // the stack, so the dispatch stage can still take `&mut self`.
-        let plan = self
-            .round_policy()
-            .map(|p| p.admit(ctx))
-            .unwrap_or_else(|| AdmissionPlan::admit_all(ctx.queues.len()));
+        // Stages 1 and 2, admission and cross-queue ranking, run in the
+        // stack's retained buffers; defer/shed verdicts become decisions
+        // directly. Each call below is a short-lived borrow of the stack,
+        // so the dispatch stage can still take `&mut self`.
         let mut decisions: Vec<(QueueKey, Outcome)> = Vec::new();
-        let mut admitted: Vec<usize> = Vec::new();
-        for (i, d) in plan.decisions().iter().enumerate() {
-            if i >= ctx.queues.len() {
-                break; // malformed plan: ignore the excess
-            }
-            match *d {
-                AdmissionDecision::Admit => admitted.push(i),
-                AdmissionDecision::Defer { until_ms } => {
-                    decisions.push((ctx.queues[i].key, Outcome::defer(until_ms)));
-                }
-                AdmissionDecision::Shed { reason } => {
-                    decisions.push((ctx.queues[i].key, Outcome::shed(reason)));
-                }
-            }
-        }
-        // A plan shorter than the round admits the uncovered tail.
-        admitted.extend(plan.len()..ctx.queues.len());
-        // Stage 2: cross-queue ranking; stage 3: the classic per-queue
-        // dispatch on the most urgent admitted queue.
-        if !admitted.is_empty() {
-            let ranked = self
-                .round_policy()
-                .map(|p| p.rank(ctx, &admitted))
-                .unwrap_or_else(|| RankedQueues::scan_order(&admitted));
-            if let Some(&i) = ranked.order().iter().find(|i| admitted.contains(i)) {
-                decisions.push((ctx.queues[i].key, self.schedule(&ctx.sched_ctx(i))));
-            }
+        let first = self
+            .round_policy()
+            .and_then(|p| p.admit_and_rank(ctx, &mut decisions));
+        // Stage 3: the classic per-queue dispatch on the most urgent
+        // admitted queue.
+        if let Some(i) = first {
+            decisions.push((ctx.queues[i].key, self.schedule(&ctx.sched_ctx(i))));
         }
         if let Some(p) = self.round_policy() {
             p.observe(ctx, &decisions);

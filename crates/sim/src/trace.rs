@@ -57,7 +57,7 @@ use crate::sched::{
 };
 use esg_model::{
     standard_apps, AppId, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, GpuFlavor,
-    InvocationId, NodeClass, NodeId, Resources, SloClass,
+    InvocationId, NodeClass, NodeId, Resources, SimTime, SloClass,
 };
 use esg_profile::TransferModel;
 use esg_workload::{Arrival, Workload};
@@ -439,10 +439,14 @@ impl TraceFile {
                         app.0
                     )));
                 }
-                Ok(Arrival {
-                    at_ms: f64_at(a, 0, "arrival time")?,
-                    app,
-                })
+                let at_ms = f64_at(a, 0, "arrival time")?;
+                if !(0.0..=SimTime::MAX_MS).contains(&at_ms) {
+                    return Err(schema(&format!(
+                        "arrival #{i} at t = {at_ms} ms is outside [0, {}] ms",
+                        SimTime::MAX_MS
+                    )));
+                }
+                Ok(Arrival { at_ms, app })
             })
             .collect::<Result<Vec<_>, TraceError>>()?;
         let events = field(&doc, "events")?

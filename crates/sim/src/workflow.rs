@@ -44,10 +44,11 @@ impl AfwQueue {
         self.jobs.push_back(job);
     }
 
-    /// Removes and returns the first `n` jobs.
-    pub fn take(&mut self, n: usize) -> Vec<Job> {
+    /// Moves the first `n` jobs (all of them when fewer are queued) onto
+    /// the end of `out`.
+    pub fn take_into(&mut self, n: usize, out: &mut Vec<Job>) {
         let n = n.min(self.jobs.len());
-        self.jobs.drain(..n).collect()
+        out.extend(self.jobs.drain(..n));
     }
 
     /// Removes and returns every queued job (admission shedding).
@@ -95,14 +96,22 @@ pub struct WorkflowInstance {
     pub arrived_at: SimTime,
     /// End-to-end deadline (arrival + SLO).
     pub deadline: SimTime,
-    /// Per-stage count of incomplete predecessors.
-    remaining_preds: Vec<u8>,
-    /// Per-stage completion flag.
-    done: Vec<bool>,
-    /// Node each completed stage ran on (placement memory for locality).
-    stage_node: Vec<Option<NodeId>>,
+    /// Per-stage progress, indexed by stage.
+    stages: Vec<StageProgress>,
     /// Number of completed stages.
     completed: usize,
+}
+
+/// One stage's progress within an invocation.
+#[derive(Clone, Copy, Debug)]
+struct StageProgress {
+    /// Incomplete predecessors.
+    remaining_preds: u8,
+    /// Completion flag.
+    done: bool,
+    /// Node the stage ran on once complete (placement memory for
+    /// locality).
+    node: Option<NodeId>,
 }
 
 impl WorkflowInstance {
@@ -114,91 +123,108 @@ impl WorkflowInstance {
         arrived_at: SimTime,
         slo: SimTime,
     ) -> WorkflowInstance {
-        let n = app.num_stages();
-        let mut remaining_preds = vec![0u8; n];
-        for &(_, b) in &app.edges {
-            remaining_preds[b] += 1;
-        }
-        WorkflowInstance {
+        let mut inst = WorkflowInstance {
             id,
             app: app_id,
             arrived_at,
             deadline: arrived_at + slo,
-            remaining_preds,
-            done: vec![false; n],
-            stage_node: vec![None; n],
+            stages: Vec::new(),
             completed: 0,
+        };
+        inst.reset(id, app_id, app, arrived_at, slo);
+        inst
+    }
+
+    /// Re-initialises this instance as a fresh invocation, exactly as
+    /// [`new`](Self::new) would build it, reusing its per-stage storage
+    /// (the platform recycles finished instances this way).
+    pub fn reset(
+        &mut self,
+        id: InvocationId,
+        app_id: AppId,
+        app: &AppSpec,
+        arrived_at: SimTime,
+        slo: SimTime,
+    ) {
+        self.id = id;
+        self.app = app_id;
+        self.arrived_at = arrived_at;
+        self.deadline = arrived_at + slo;
+        self.completed = 0;
+        self.stages.clear();
+        self.stages.resize(
+            app.num_stages(),
+            StageProgress {
+                remaining_preds: 0,
+                done: false,
+                node: None,
+            },
+        );
+        for &(_, b) in &app.edges {
+            self.stages[b].remaining_preds += 1;
         }
     }
 
-    /// Stage indices ready to enqueue at arrival (no predecessors).
-    pub fn entry_stages(&self) -> Vec<usize> {
-        self.remaining_preds
+    /// Stage indices ready to enqueue at arrival (no predecessors), in
+    /// stage order.
+    pub fn entry_stages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.stages
             .iter()
             .enumerate()
-            .filter(|&(_, &p)| p == 0)
+            .filter(|(_, s)| s.remaining_preds == 0)
             .map(|(i, _)| i)
-            .collect()
     }
 
-    /// Marks `stage` complete on `node`; returns the successor stages that
-    /// became ready.
-    pub fn complete_stage(&mut self, stage: usize, node: NodeId, app: &AppSpec) -> Vec<usize> {
-        assert!(!self.done[stage], "stage {stage} completed twice");
-        self.done[stage] = true;
-        self.stage_node[stage] = Some(node);
+    /// Marks `stage` complete on `node`; appends the successor stages
+    /// that became ready to `ready`, in edge order.
+    pub fn complete_stage(
+        &mut self,
+        stage: usize,
+        node: NodeId,
+        app: &AppSpec,
+        ready: &mut Vec<usize>,
+    ) {
+        let s = &mut self.stages[stage];
+        assert!(!s.done, "stage {stage} completed twice");
+        s.done = true;
+        s.node = Some(node);
         self.completed += 1;
-        let mut ready = Vec::new();
         for &(a, b) in &app.edges {
             if a == stage {
-                self.remaining_preds[b] -= 1;
-                if self.remaining_preds[b] == 0 {
+                let succ = &mut self.stages[b];
+                succ.remaining_preds -= 1;
+                if succ.remaining_preds == 0 {
                     ready.push(b);
                 }
             }
         }
-        ready
     }
 
     /// True once every stage has completed.
     #[inline]
     pub fn is_complete(&self) -> bool {
-        self.completed == self.done.len()
+        self.completed == self.stages.len()
     }
 
     /// Whether `stage` has completed.
     #[inline]
     pub fn stage_done(&self, stage: usize) -> bool {
-        self.done[stage]
+        self.stages[stage].done
     }
 
     /// The node a completed stage ran on.
     #[inline]
     pub fn stage_node(&self, stage: usize) -> Option<NodeId> {
-        self.stage_node[stage]
+        self.stages[stage].node
     }
 
-    /// The input-producing node for `stage`: the node of its last-finishing
-    /// predecessor if all predecessors ran on the same node, otherwise any
-    /// differing node forces a remote transfer (`None` when preds are on
-    /// multiple nodes is *not* used — we return the first pred's node and
-    /// let the caller compare each). For entry stages returns `None`.
+    /// The input-producing node for `stage`: the node its first
+    /// predecessor (in edge order) ran on. When predecessors ran on
+    /// different nodes no single local node exists; a dispatch to the
+    /// reported one still localises one edge. `None` for entry stages.
     pub fn pred_node(&self, stage: usize, app: &AppSpec) -> Option<NodeId> {
-        let preds = app.preds(stage);
-        if preds.is_empty() {
-            return None;
-        }
-        // All predecessors must sit on the same node for a local hand-off;
-        // otherwise report a node that differs from any single co-location
-        // target only if all agree.
-        let first = self.stage_node[preds[0]]?;
-        if preds.iter().all(|&p| self.stage_node[p] == Some(first)) {
-            Some(first)
-        } else {
-            // Mixed placement: no single local node exists. Report the
-            // first pred's node; a dispatch to it still localises one edge.
-            Some(first)
-        }
+        let &(first, _) = app.edges.iter().find(|&&(_, b)| b == stage)?;
+        self.stages[first].node
     }
 }
 
@@ -206,6 +232,13 @@ impl WorkflowInstance {
 mod tests {
     use super::*;
     use esg_model::{AppSpec, FnId};
+
+    /// Completes `stage` and returns the stages it made ready.
+    fn complete(w: &mut WorkflowInstance, stage: usize, node: NodeId, app: &AppSpec) -> Vec<usize> {
+        let mut ready = Vec::new();
+        w.complete_stage(stage, node, app, &mut ready);
+        ready
+    }
 
     fn pipeline3() -> AppSpec {
         AppSpec::pipeline("p", vec![FnId(0), FnId(1), FnId(2)])
@@ -225,13 +258,15 @@ mod tests {
         }
         assert_eq!(q.len(), 5);
         assert_eq!(q.oldest_ready_at(), Some(SimTime::from_ms(0.0)));
-        let taken = q.take(2);
+        let mut taken = Vec::new();
+        q.take_into(2, &mut taken);
         assert_eq!(taken.len(), 2);
         assert_eq!(taken[0].invocation, InvocationId(0));
         assert_eq!(q.len(), 3);
-        // Taking more than available drains the queue.
-        let rest = q.take(10);
-        assert_eq!(rest.len(), 3);
+        // Taking more than available drains the queue, appending.
+        q.take_into(10, &mut taken);
+        assert_eq!(taken.len(), 5);
+        assert_eq!(taken[2].invocation, InvocationId(2));
         assert!(q.is_empty());
         assert_eq!(q.oldest_ready_at(), None);
     }
@@ -246,15 +281,15 @@ mod tests {
             SimTime::from_ms(10.0),
             SimTime::from_ms(500.0),
         );
-        assert_eq!(w.entry_stages(), vec![0]);
+        assert_eq!(w.entry_stages().collect::<Vec<_>>(), vec![0]);
         assert!(!w.is_complete());
-        let ready = w.complete_stage(0, NodeId(3), &app);
+        let ready = complete(&mut w, 0, NodeId(3), &app);
         assert_eq!(ready, vec![1]);
         assert_eq!(w.stage_node(0), Some(NodeId(3)));
         assert_eq!(w.pred_node(1, &app), Some(NodeId(3)));
-        let ready = w.complete_stage(1, NodeId(4), &app);
+        let ready = complete(&mut w, 1, NodeId(4), &app);
         assert_eq!(ready, vec![2]);
-        let ready = w.complete_stage(2, NodeId(4), &app);
+        let ready = complete(&mut w, 2, NodeId(4), &app);
         assert!(ready.is_empty());
         assert!(w.is_complete());
         assert_eq!(w.deadline, SimTime::from_ms(510.0));
@@ -274,16 +309,16 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_ms(100.0),
         );
-        assert_eq!(w.entry_stages(), vec![0]);
-        let r = w.complete_stage(0, NodeId(0), &app);
+        assert_eq!(w.entry_stages().collect::<Vec<_>>(), vec![0]);
+        let r = complete(&mut w, 0, NodeId(0), &app);
         assert_eq!(r, vec![1, 2]);
-        let r = w.complete_stage(1, NodeId(1), &app);
+        let r = complete(&mut w, 1, NodeId(1), &app);
         assert!(r.is_empty(), "join must wait for the second branch");
-        let r = w.complete_stage(2, NodeId(1), &app);
+        let r = complete(&mut w, 2, NodeId(1), &app);
         assert_eq!(r, vec![3]);
         // Both preds on node 1 -> local hand-off.
         assert_eq!(w.pred_node(3, &app), Some(NodeId(1)));
-        let r = w.complete_stage(3, NodeId(1), &app);
+        let r = complete(&mut w, 3, NodeId(1), &app);
         assert!(r.is_empty());
         assert!(w.is_complete());
     }
@@ -312,8 +347,8 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_ms(1.0),
         );
-        w.complete_stage(0, NodeId(0), &app);
-        w.complete_stage(0, NodeId(0), &app);
+        complete(&mut w, 0, NodeId(0), &app);
+        complete(&mut w, 0, NodeId(0), &app);
     }
 
     #[test]
@@ -330,9 +365,9 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_ms(100.0),
         );
-        w.complete_stage(0, NodeId(0), &app);
-        w.complete_stage(1, NodeId(1), &app);
-        w.complete_stage(2, NodeId(2), &app);
+        complete(&mut w, 0, NodeId(0), &app);
+        complete(&mut w, 1, NodeId(1), &app);
+        complete(&mut w, 2, NodeId(2), &app);
         assert_eq!(w.pred_node(3, &app), Some(NodeId(1)));
     }
 }

@@ -194,8 +194,7 @@ impl RoundPolicy for ShedOnce {
         "shed-once"
     }
 
-    fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
-        let mut plan = AdmissionPlan::admit_all(ctx.queues.len());
+    fn admit(&mut self, ctx: &RoundCtx<'_>, plan: &mut AdmissionPlan) {
         if !self.done && ctx.now_ms >= self.at_ms {
             if let Some(i) = ctx.queues.iter().position(|q| q.key == stage(0, 0)) {
                 plan.set(
@@ -207,7 +206,6 @@ impl RoundPolicy for ShedOnce {
                 self.done = true;
             }
         }
-        plan
     }
 }
 

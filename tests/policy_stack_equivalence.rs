@@ -17,11 +17,11 @@
 mod support;
 
 use esg::prelude::*;
-use esg::sim::{AdmissionPlan, RankedQueues};
+use esg::sim::AdmissionPlan;
 use support::Traced;
 
 /// An admission stage that admits everything — through the non-default
-/// code path (explicit plan construction), so the stack pipeline is
+/// code path (an explicit plan rewrite), so the stack pipeline is
 /// genuinely exercised.
 struct AdmitEverything;
 
@@ -29,8 +29,8 @@ impl RoundPolicy for AdmitEverything {
     fn name(&self) -> &'static str {
         "admit-everything"
     }
-    fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
-        AdmissionPlan::admit_all(ctx.queues.len())
+    fn admit(&mut self, ctx: &RoundCtx<'_>, plan: &mut AdmissionPlan) {
+        plan.reset(ctx.queues.len());
     }
 }
 
@@ -41,8 +41,8 @@ impl RoundPolicy for ClassicOrder {
     fn name(&self) -> &'static str {
         "classic-order"
     }
-    fn rank(&mut self, _ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
-        RankedQueues::scan_order(admitted)
+    fn rank(&mut self, _ctx: &RoundCtx<'_>, admitted: &[usize], order: &mut Vec<usize>) {
+        order.extend_from_slice(admitted);
     }
 }
 
@@ -145,8 +145,8 @@ proptest::proptest! {
             fn name(&self) -> &'static str {
                 "oracle-checked-admission"
             }
-            fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
-                let plan = self.inner.admit(ctx);
+            fn admit(&mut self, ctx: &RoundCtx<'_>, plan: &mut AdmissionPlan) {
+                self.inner.admit(ctx, plan);
                 for (i, d) in plan.decisions().iter().enumerate() {
                     if !matches!(d, esg::sim::AdmissionDecision::Shed { .. }) {
                         continue;
@@ -174,7 +174,6 @@ invocation {:?} (slack {slack} ms)",
                         );
                     }
                 }
-                plan
             }
             fn stats(&self) -> esg::sim::PolicyStats {
                 self.inner.stats()

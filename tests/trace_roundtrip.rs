@@ -214,6 +214,9 @@ fn damaged_configs_are_schema_errors_not_replay_panics() {
         ("keep_alive_ms", "-1", "keep_alive_ms"),
         ("recheck_limit", "0", "recheck_limit"),
         ("churn", "[[\"drain\",100,99]]", "churn event #0"),
+        ("churn", "[[\"drain\",1e300,0]]", "churn event #0"),
+        ("node_resources", "[16,0]", "minimum configuration"),
+        ("node_resources", "[0,7]", "minimum configuration"),
         ("remote_ms_per_mb", "-1", "transfer.remote_ms_per_mb"),
     ] {
         let damaged = set_field(&text, key, value);
@@ -226,6 +229,40 @@ fn damaged_configs_are_schema_errors_not_replay_panics() {
             Ok(_) => panic!("{key} = {value}: loaded a config the builder refuses"),
         }
     }
+}
+
+#[test]
+fn out_of_range_arrival_times_are_schema_errors_not_replay_panics() {
+    let (_, replay, path) = record(
+        &mut MinScheduler,
+        SloClass::Moderate,
+        WorkloadClass::Light,
+        6,
+        20,
+        ChurnPlan::none(),
+        "arrival-range",
+    );
+    drop(replay);
+    let text = std::fs::read_to_string(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+
+    // The first arrival's time, replaced: far past the maximum simulated
+    // time (the replay would overflow `SimTime` arithmetic), just past
+    // it, and negative.
+    let start = text.find("\"arrivals\":[[").expect("arrivals located") + "\"arrivals\":[[".len();
+    let end = start + text[start..].find(',').expect("first arrival time ends");
+    for at in ["1e300", "9007199254741", "-1"] {
+        let damaged = format!("{}{at}{}", &text[..start], &text[end..]);
+        match TraceFile::from_json(&damaged) {
+            Err(TraceError::Schema { context }) => {
+                assert!(context.contains("arrival #0"), "{at}: {context:?}")
+            }
+            other => panic!("arrival at {at} ms: expected a schema error, got {other:?}"),
+        }
+    }
+    // The maximum itself still loads.
+    let at_max = format!("{}{}{}", &text[..start], SimTime::MAX_MS, &text[end..]);
+    assert!(TraceFile::from_json(&at_max).is_ok());
 }
 
 #[test]
