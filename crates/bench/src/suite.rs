@@ -560,14 +560,6 @@ impl SweepResult {
             r.makespan_ms,
         )
     }
-
-    /// The underlying result with non-deterministic (wall-clock) fields
-    /// cleared — the canonical form the determinism test compares.
-    pub fn canonical_result(&self) -> ExperimentResult {
-        let mut r = self.result.clone();
-        r.wall_overhead_ms.clear();
-        r
-    }
 }
 
 /// The collected output of one [`ExperimentSuite::run`], in matrix cell
@@ -632,22 +624,22 @@ shed_rate,mean_overhead_ms,vcpu_utilisation,vgpu_utilisation,makespan_ms";
         self.results.iter().filter(move |c| c.scenario == scenario)
     }
 
-    /// A canonical dump of every record with non-deterministic fields
-    /// removed; two sweeps of the same suite are equivalent iff their
-    /// digests are equal (f64 Debug formatting round-trips exactly).
+    /// Every record's coordinates and [`ExperimentResult::canonical`]
+    /// encoding, one line per record; two sweeps of the same suite are
+    /// equivalent iff their digests are equal.
     pub fn canonical_digest(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         for c in &self.results {
             writeln!(
                 out,
-                "{}|{}|{}|{}|{}|{:?}",
+                "{}|{}|{}|{}|{}|{}",
                 c.scheduler,
                 c.scenario,
                 c.cluster,
                 c.traffic,
                 c.seed,
-                c.canonical_result()
+                c.result.canonical()
             )
             .expect("writing to String cannot fail");
         }

@@ -749,9 +749,8 @@ mod tests {
         // Wall-clock samples vary run to run, and the reused scheduler's
         // counters accumulate across both runs.
         fn canonical(mut r: ExperimentResult) -> String {
-            r.wall_overhead_ms.clear();
             r.scheduler_stats = SchedulerStats::default();
-            format!("{r:?}")
+            r.canonical()
         }
         let workload = esg_workload::shaped_workload(
             WorkloadClass::Normal,

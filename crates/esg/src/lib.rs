@@ -58,13 +58,13 @@ pub mod prelude {
     pub use esg_sim::{
         dispatch_trace, fnv64, run_simulation, run_streamed, AdmissionDecision, AdmissionPlan,
         BandwidthPackingConfig, Capabilities, ClusterState, DataPlane, DataPlaneConfig,
-        DataPlaneView, EventKind, EventLog, EventRecord, ExperimentResult, HealthSnapshot,
-        MemoryFootprint, MinScheduler, Monitored, NodeLoad, NodeSummary, NodeTransferStats,
-        NodeView, OverheadModel, PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth,
-        QueueHealthMonitor, QueueView, RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent,
-        SchedulerStats, ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError, Simulation,
-        SloAdmission, SloAdmissionConfig, TraceError, TraceFile, TraceRecorder, TraceReplay,
-        Traced, TransferCounters, TransferSummary,
+        DataPlaneView, EventKind, EventRecord, ExperimentResult, HealthSnapshot, MemoryFootprint,
+        MinScheduler, Monitored, NodeLoad, NodeSummary, NodeTransferStats, NodeView, OverheadModel,
+        PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor,
+        QueueView, RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
+        ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError, Simulation, SloAdmission,
+        SloAdmissionConfig, TraceError, TraceFile, TraceRecorder, TraceReplay, Traced,
+        TransferCounters, TransferSummary,
     };
     pub use esg_workload::{
         shaped_stream, shaped_workload, ArrivalPredictor, ArrivalStream, AzureLikeTrace, RateFn,

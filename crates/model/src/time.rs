@@ -19,12 +19,28 @@ impl SimTime {
     /// scripted churn event): 2^53 µs, about 285 years. Inputs at or
     /// before it convert from milliseconds exactly enough, and keep every
     /// instant the platform derives from them (an input plus durations
-    /// far shorter than `MAX`) inside `u64`; see the [`Add`] impl. The
-    /// trace loader and `SimConfig::validate` reject inputs beyond it.
+    /// far shorter than `MAX`) inside `u64`; see the [`Add`] impl. Every
+    /// input boundary checks its times with
+    /// [`is_input_ms`](Self::is_input_ms).
     pub const MAX: SimTime = SimTime(1 << 53);
 
     /// [`MAX`](Self::MAX) in milliseconds, the unit inputs are given in.
     pub const MAX_MS: f64 = (1u64 << 53) as f64 / 1000.0;
+
+    /// True when `ms` is a time a run accepts as input: finite and within
+    /// `[0, MAX_MS]` (NaN, infinities and negative times are not).
+    ///
+    /// ```
+    /// use esg_model::SimTime;
+    /// assert!(SimTime::is_input_ms(0.0) && SimTime::is_input_ms(SimTime::MAX_MS));
+    /// for bad in [-5.0, f64::NAN, f64::INFINITY, 1e300] {
+    ///     assert!(!SimTime::is_input_ms(bad));
+    /// }
+    /// ```
+    #[inline]
+    pub fn is_input_ms(ms: f64) -> bool {
+        (0.0..=Self::MAX_MS).contains(&ms)
+    }
 
     /// Builds a time from fractional milliseconds (rounded to the nearest
     /// microsecond; negative inputs clamp to zero).

@@ -78,6 +78,14 @@ pub enum SimError {
         /// The out-of-catalog function id.
         function: esg_model::FnId,
     },
+    /// A workload arrival's time is not a valid input instant (see
+    /// [`SimTime::is_input_ms`]).
+    InvalidArrival {
+        /// Index into the workload's arrival list.
+        index: usize,
+        /// The offending time, ms.
+        at_ms: f64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -96,6 +104,11 @@ impl std::fmt::Display for SimError {
             SimError::UnknownFunction { app, function } => {
                 write!(f, "app {app} references {function:?}, not in the catalog")
             }
+            SimError::InvalidArrival { index, at_ms } => write!(
+                f,
+                "arrival #{index} at t = {at_ms} ms is outside [0, {}] ms",
+                SimTime::MAX_MS
+            ),
         }
     }
 }
@@ -521,7 +534,7 @@ fn validate_churn(cfg: &SimConfig) -> Result<(), SimError> {
     for index in order {
         let ev = &cfg.churn.events[index];
         let at = ev.at_ms();
-        if !(0.0..=SimTime::MAX_MS).contains(&at) {
+        if !SimTime::is_input_ms(at) {
             return Err(SimError::InvalidChurn {
                 index,
                 reason: format!(
@@ -575,9 +588,10 @@ impl Sim {
 
     /// Runs `sched` over `workload`, labelling the result `scenario`.
     ///
-    /// Panics when `sched` rejects the configured round policy (only
-    /// possible for non-classic [`SimBuilder::policy`] selections);
-    /// [`try_run`](Self::try_run) returns the typed error instead.
+    /// Panics when an arrival time is out of range or `sched` rejects the
+    /// configured round policy (only possible for non-classic
+    /// [`SimBuilder::policy`] selections); [`try_run`](Self::try_run)
+    /// returns the typed error instead.
     pub fn run(
         &self,
         sched: &mut dyn Scheduler,
@@ -585,12 +599,13 @@ impl Sim {
         scenario: &str,
     ) -> ExperimentResult {
         self.try_run(sched, workload, scenario)
-            .expect("scheduler rejected the configured round policy (use Sim::try_run)")
+            .unwrap_or_else(|e| panic!("{e} (use Sim::try_run)"))
     }
 
-    /// Runs `sched` over `workload`, surfacing an incompatible
-    /// scheduler/policy combo as [`SimError::InvalidKnob`] instead of
-    /// panicking.
+    /// Runs `sched` over `workload`, surfacing an arrival time outside
+    /// [`SimTime::is_input_ms`] as [`SimError::InvalidArrival`] and an
+    /// incompatible scheduler/policy combo as [`SimError::InvalidKnob`]
+    /// instead of panicking.
     ///
     /// The default `PolicySpec::Classic` imposes nothing — a scheduler
     /// already carrying a hand-composed stack (`with_policy`) keeps it;
@@ -601,14 +616,18 @@ impl Sim {
         workload: &Workload,
         scenario: &str,
     ) -> Result<ExperimentResult, SimError> {
-        if !matches!(self.policy, PolicySpec::Classic) && !sched.adopt_policy(&self.policy) {
-            return Err(SimError::InvalidKnob {
-                knob: "policy",
-                value: 0.0,
-                requirement: "a round-policy stack this scheduler supports \
-(ESG packing needs EsgScheduler; MinScheduler is classic-only)",
+        if let Some((index, a)) = workload
+            .arrivals
+            .iter()
+            .enumerate()
+            .find(|(_, a)| !SimTime::is_input_ms(a.at_ms))
+        {
+            return Err(SimError::InvalidArrival {
+                index,
+                at_ms: a.at_ms,
             });
         }
+        self.install_policy(sched)?;
         Ok(run_simulation(
             &self.env,
             self.cfg.clone(),
@@ -645,14 +664,7 @@ impl Sim {
         stream: ArrivalStream,
         scenario: &str,
     ) -> Result<ExperimentResult, SimError> {
-        if !matches!(self.policy, PolicySpec::Classic) && !sched.adopt_policy(&self.policy) {
-            return Err(SimError::InvalidKnob {
-                knob: "policy",
-                value: 0.0,
-                requirement: "a round-policy stack this scheduler supports \
-(ESG packing needs EsgScheduler; MinScheduler is classic-only)",
-            });
-        }
+        self.install_policy(sched)?;
         Ok(run_streamed(
             &self.env,
             self.cfg.clone(),
@@ -660,6 +672,20 @@ impl Sim {
             stream,
             scenario,
         ))
+    }
+
+    /// Installs the configured round policy into `sched` (the classic
+    /// default installs nothing).
+    fn install_policy(&self, sched: &mut dyn Scheduler) -> Result<(), SimError> {
+        if matches!(self.policy, PolicySpec::Classic) || sched.adopt_policy(&self.policy) {
+            return Ok(());
+        }
+        Err(SimError::InvalidKnob {
+            knob: "policy",
+            value: 0.0,
+            requirement: "a round-policy stack this scheduler supports \
+(ESG packing needs EsgScheduler; MinScheduler is classic-only)",
+        })
     }
 }
 
@@ -705,19 +731,11 @@ mod tests {
             &w,
             "x",
         );
-        let canon = |mut r: ExperimentResult| {
-            r.wall_overhead_ms.clear();
-            format!("{r:?}")
-        };
-        assert_eq!(canon(ra), canon(rb));
+        assert_eq!(ra.canonical(), rb.canonical());
     }
 
     #[test]
     fn streamed_run_matches_the_materialised_path() {
-        let canon = |mut r: ExperimentResult| {
-            r.wall_overhead_ms.clear();
-            format!("{r:?}")
-        };
         let apps = esg_model::standard_app_ids();
         let gen = WorkloadGen::new(WorkloadClass::Normal, apps, 21);
         // Streamed vs materialised over a shared horizon: cap both runs at
@@ -733,7 +751,7 @@ mod tests {
             .expect("valid");
         let r_mat = capped.run(&mut MinScheduler, &beyond, "eq");
         let r_str = capped.run_streamed(&mut MinScheduler, gen.stream(), "eq");
-        assert_eq!(canon(r_mat), canon(r_str));
+        assert_eq!(r_mat.canonical(), r_str.canonical());
     }
 
     #[test]
@@ -1131,6 +1149,34 @@ mod tests {
         assert_eq!(classic.policy(), PolicySpec::Classic);
         let r = classic.try_run(&mut s, &w, "combo").expect("classic runs");
         assert_eq!(r.total_completed(), 6);
+    }
+
+    #[test]
+    fn arrivals_outside_the_input_range_are_a_typed_error() {
+        use esg_model::AppId;
+        use esg_workload::Arrival;
+        let sim = SimBuilder::new(SloClass::Relaxed).build().expect("valid");
+        let at = |at_ms| Arrival {
+            at_ms,
+            app: AppId(0),
+        };
+        for bad in [f64::NAN, 1e300, f64::INFINITY, -5.0] {
+            let w = Workload {
+                arrivals: vec![at(1.0), at(bad), at(2.0)],
+            };
+            let err = sim
+                .try_run(&mut MinScheduler, &w, "damaged")
+                .expect_err("rejected");
+            assert!(
+                matches!(err, SimError::InvalidArrival { index: 1, at_ms } if at_ms.to_bits() == bad.to_bits()),
+                "{bad} ms: {err:?}"
+            );
+            assert!(err.to_string().starts_with("arrival #1 at t = "), "{err}");
+        }
+        let edge = Workload {
+            arrivals: vec![at(0.0), at(SimTime::MAX_MS)],
+        };
+        assert!(sim.try_run(&mut MinScheduler, &edge, "edge").is_ok());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Live queue-health dashboard: periodic per-queue
-//! latency/backlog/shed snapshots rolled up from the [`EventLog`] tap
-//! while a run executes.
+//! latency/backlog/shed snapshots rolled up from the event stream while
+//! a run executes.
 //!
 //! [`QueueHealthMonitor`] consumes the same [`SchedulerEvent`] stream as
-//! every other observability sink and cuts a [`HealthSnapshot`] each
-//! time simulated time crosses its sampling interval. Wrap any
-//! scheduler in [`Monitored`] to collect snapshots without touching the
-//! scheduler itself; `esg-bench` renders them as a text dashboard or
-//! CSV (see `examples/queue_dashboard.rs`).
+//! every other observability sink, keeps exact per-queue
+//! ([`QueueCounters`]) and data-plane ([`TransferCounters`]) counters,
+//! and cuts a [`HealthSnapshot`] each time simulated time crosses its
+//! sampling interval. Wrap any scheduler in [`Monitored`] to collect
+//! snapshots without touching the scheduler itself; `esg-bench` renders
+//! them as a text dashboard or CSV (see `examples/queue_dashboard.rs`).
 //!
 //! ```
 //! use esg_model::{AppId, InvocationId};
@@ -29,11 +30,64 @@
 //! assert_eq!(snaps[0].total_backlog, 1);
 //! ```
 
-use crate::eventlog::{EventLog, QueueCounters, TransferCounters};
+use crate::policy::{PolicySpec, PolicyStack};
 use crate::sched::{
     Capabilities, Outcome, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
 };
-use esg_model::{Config, NodeId};
+use esg_model::{Config, InvocationId, NodeId};
+use std::collections::HashMap;
+
+/// Per-queue counters accumulated from the event stream.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct QueueCounters {
+    /// Jobs that entered the queue.
+    pub arrivals: u64,
+    /// Batches dispatched.
+    pub dispatches: u64,
+    /// Jobs covered by dispatched batches.
+    pub dispatched_jobs: u64,
+    /// Tasks completed.
+    pub completions: u64,
+    /// Jobs dropped by admission shedding.
+    pub shed_jobs: u64,
+    /// Jobs currently queued, as seen through the event stream.
+    pub backlog: u64,
+    /// Sum of per-job queue waits (arrival → dispatch), ms.
+    pub wait_sum_ms: f64,
+    /// Largest observed per-job queue wait, ms.
+    pub wait_max_ms: f64,
+}
+
+impl QueueCounters {
+    /// Mean queue wait of dispatched jobs, ms (0 when none dispatched).
+    pub fn mean_wait_ms(&self) -> f64 {
+        if self.dispatched_jobs == 0 {
+            0.0
+        } else {
+            self.wait_sum_ms / self.dispatched_jobs as f64
+        }
+    }
+}
+
+/// Data-plane transfer totals accumulated from the event stream (all
+/// zero when the run used the classic scalar transfer model, which
+/// emits no transfer events).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TransferCounters {
+    /// Transfers that started moving.
+    pub started: u64,
+    /// Transfers held back by a full staging buffer (each later starts,
+    /// so `queued` counts delays, not drops).
+    pub queued: u64,
+    /// Transfers that finished.
+    pub completed: u64,
+    /// Transfers currently in flight (started − completed).
+    pub inflight: u64,
+    /// High-water mark of in-flight transfers.
+    pub peak_inflight: u64,
+    /// Cumulative payload started, MB.
+    pub total_mb: f64,
+}
 
 /// One queue's health at a snapshot instant. Counters are cumulative
 /// since the start of the run (the dashboard diffs consecutive
@@ -98,7 +152,11 @@ impl HealthSnapshot {
 pub struct QueueHealthMonitor {
     interval_ms: f64,
     next_at_ms: f64,
-    log: EventLog,
+    counters: HashMap<QueueKey, QueueCounters>,
+    /// Queue-entry instant of each live job, keyed `(queue, invocation)`
+    /// — bounded by the number of queued jobs, drained at dispatch/shed.
+    pending: HashMap<(QueueKey, InvocationId), f64>,
+    transfers: TransferCounters,
     snapshots: Vec<HealthSnapshot>,
 }
 
@@ -115,9 +173,9 @@ impl QueueHealthMonitor {
         QueueHealthMonitor {
             interval_ms,
             next_at_ms: interval_ms,
-            // Counters are exact at any ring capacity and the monitor
-            // only reads counters, so keep the replay ring minimal.
-            log: EventLog::with_capacity(1),
+            counters: HashMap::new(),
+            pending: HashMap::new(),
+            transfers: TransferCounters::default(),
             snapshots: Vec::new(),
         }
     }
@@ -136,7 +194,71 @@ impl QueueHealthMonitor {
             self.snapshots.push(snap);
             self.next_at_ms += self.interval_ms;
         }
-        self.log.observe(event);
+        self.count(event);
+    }
+
+    /// Folds one event into the per-queue and transfer counters.
+    fn count(&mut self, event: &SchedulerEvent<'_>) {
+        match *event {
+            SchedulerEvent::JobArrived {
+                key,
+                invocation,
+                now_ms,
+            } => {
+                let c = self.counters.entry(key).or_default();
+                c.arrivals += 1;
+                c.backlog += 1;
+                self.pending.insert((key, invocation), now_ms);
+            }
+            SchedulerEvent::Dispatched {
+                key,
+                invocations,
+                now_ms,
+                ..
+            } => {
+                let mut wait_sum = 0.0f64;
+                let mut wait_max = 0.0f64;
+                for &inv in invocations {
+                    if let Some(entered) = self.pending.remove(&(key, inv)) {
+                        let w = (now_ms - entered).max(0.0);
+                        wait_sum += w;
+                        wait_max = wait_max.max(w);
+                    }
+                }
+                let c = self.counters.entry(key).or_default();
+                c.dispatches += 1;
+                c.dispatched_jobs += invocations.len() as u64;
+                c.backlog = c.backlog.saturating_sub(invocations.len() as u64);
+                c.wait_sum_ms += wait_sum;
+                c.wait_max_ms = c.wait_max_ms.max(wait_max);
+            }
+            SchedulerEvent::TaskCompleted { key, .. } => {
+                self.counters.entry(key).or_default().completions += 1;
+            }
+            SchedulerEvent::QueueShed {
+                key, invocations, ..
+            } => {
+                for &inv in invocations {
+                    self.pending.remove(&(key, inv));
+                }
+                let c = self.counters.entry(key).or_default();
+                c.shed_jobs += invocations.len() as u64;
+                c.backlog = c.backlog.saturating_sub(invocations.len() as u64);
+            }
+            SchedulerEvent::TransferStarted { mb, .. } => {
+                let t = &mut self.transfers;
+                t.started += 1;
+                t.inflight += 1;
+                t.total_mb += mb;
+                t.peak_inflight = t.peak_inflight.max(t.inflight);
+            }
+            SchedulerEvent::TransferQueued { .. } => self.transfers.queued += 1,
+            SchedulerEvent::TransferCompleted { .. } => {
+                self.transfers.completed += 1;
+                self.transfers.inflight = self.transfers.inflight.saturating_sub(1);
+            }
+            SchedulerEvent::Churn { .. } | SchedulerEvent::RecheckTick { .. } => {}
+        }
     }
 
     /// The snapshots cut so far, oldest first.
@@ -161,8 +283,8 @@ impl QueueHealthMonitor {
     /// Builds the rollup of everything observed so far, stamped `at_ms`.
     fn snapshot_at(&self, at_ms: f64) -> HealthSnapshot {
         let mut queues: Vec<QueueHealth> = self
-            .log
-            .queues()
+            .counters
+            .iter()
             .map(|(&key, &counters)| QueueHealth {
                 key,
                 backlog: counters.backlog,
@@ -174,7 +296,7 @@ impl QueueHealthMonitor {
             at_ms,
             total_backlog: queues.iter().map(|q| q.backlog).sum(),
             queues,
-            transfers: self.log.transfer_stats(),
+            transfers: self.transfers,
         }
     }
 }
@@ -217,6 +339,14 @@ impl Scheduler for Monitored {
         self.inner.place(ctx, config)
     }
 
+    fn round_policy(&mut self) -> Option<&mut PolicyStack> {
+        self.inner.round_policy()
+    }
+
+    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
+        self.inner.adopt_policy(spec)
+    }
+
     fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {
         // Forwarded so a wrapped scheduler's round-policy stack (if any)
         // is exercised rather than silently replaced by the default
@@ -237,13 +367,131 @@ impl Scheduler for Monitored {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esg_model::{AppId, InvocationId};
+    use crate::policy::ShedReason;
+    use esg_model::AppId;
 
     fn key(app: u32, stage: usize) -> QueueKey {
         QueueKey {
             app: AppId(app),
             stage,
         }
+    }
+
+    /// A monitor whose sampling interval no test reaches, so every
+    /// check reads the live counters through `snapshot_at`.
+    fn monitor() -> QueueHealthMonitor {
+        QueueHealthMonitor::new(1e12)
+    }
+
+    fn counters(mon: &QueueHealthMonitor, k: QueueKey) -> QueueCounters {
+        mon.snapshot_at(0.0).queue(k).expect("tracked").counters
+    }
+
+    #[test]
+    fn counters_track_backlog_and_wait() {
+        let mut mon = monitor();
+        let k = key(0, 1);
+        for (i, t) in [(0u64, 10.0), (1, 14.0)] {
+            mon.observe(&SchedulerEvent::JobArrived {
+                key: k,
+                invocation: InvocationId(i),
+                now_ms: t,
+            });
+        }
+        assert_eq!(counters(&mon, k).backlog, 2);
+        assert_eq!(mon.snapshot_at(0.0).total_backlog, 2);
+        let invs = [InvocationId(0), InvocationId(1)];
+        mon.observe(&SchedulerEvent::Dispatched {
+            key: k,
+            invocations: &invs,
+            config: Config::new(2, 1, 1),
+            node: NodeId(3),
+            now_ms: 20.0,
+        });
+        let c = counters(&mon, k);
+        assert_eq!(c.backlog, 0);
+        assert_eq!(c.dispatches, 1);
+        assert_eq!(c.dispatched_jobs, 2);
+        // Waits: 10 ms and 6 ms → mean 8, max 10.
+        assert!((c.mean_wait_ms() - 8.0).abs() < 1e-12);
+        assert_eq!(c.wait_max_ms, 10.0);
+        mon.observe(&SchedulerEvent::TaskCompleted {
+            key: k,
+            node: NodeId(3),
+            config: Config::new(2, 1, 1),
+            now_ms: 30.0,
+        });
+        assert_eq!(counters(&mon, k).completions, 1);
+    }
+
+    #[test]
+    fn shed_drains_backlog_and_counts() {
+        let mut mon = monitor();
+        let k = key(1, 0);
+        for i in 0..3u64 {
+            mon.observe(&SchedulerEvent::JobArrived {
+                key: k,
+                invocation: InvocationId(i),
+                now_ms: 1.0,
+            });
+        }
+        let invs = [InvocationId(0), InvocationId(1), InvocationId(2)];
+        mon.observe(&SchedulerEvent::QueueShed {
+            key: k,
+            invocations: &invs,
+            reason: ShedReason::GsloUnattainable,
+            now_ms: 2.0,
+        });
+        let c = counters(&mon, k);
+        assert_eq!(c.shed_jobs, 3);
+        assert_eq!(c.backlog, 0);
+        assert_eq!(c.dispatched_jobs, 0);
+        assert!(mon.pending.is_empty(), "shed jobs leave no entry instant");
+    }
+
+    #[test]
+    fn transfer_events_roll_up_without_queue_counters() {
+        let mut mon = monitor();
+        for node in [2u32, 5] {
+            mon.observe(&SchedulerEvent::TransferStarted {
+                node: NodeId(node),
+                mb: 64.0,
+                now_ms: 1.0,
+            });
+        }
+        mon.observe(&SchedulerEvent::TransferQueued {
+            node: NodeId(2),
+            mb: 256.0,
+            now_ms: 2.0,
+        });
+        mon.observe(&SchedulerEvent::TransferCompleted {
+            node: NodeId(2),
+            mb: 64.0,
+            now_ms: 3.0,
+        });
+        let snap = mon.snapshot_at(3.0);
+        let t = snap.transfers;
+        assert_eq!(t.started, 2);
+        assert_eq!(t.queued, 1);
+        assert_eq!(t.completed, 1);
+        assert_eq!(t.inflight, 1);
+        assert_eq!(t.peak_inflight, 2);
+        assert!((t.total_mb - 128.0).abs() < 1e-12);
+        assert!(snap.queues.is_empty(), "no queue counters touched");
+    }
+
+    #[test]
+    fn churn_and_recheck_record_without_queue_counters() {
+        let mut mon = monitor();
+        mon.observe(&SchedulerEvent::Churn {
+            node: NodeId(4),
+            joined: false,
+            now_ms: 9.0,
+        });
+        mon.observe(&SchedulerEvent::RecheckTick { now_ms: 10.0 });
+        let snap = mon.snapshot_at(10.0);
+        assert!(snap.queues.is_empty());
+        assert_eq!(snap.transfers, TransferCounters::default());
     }
 
     #[test]

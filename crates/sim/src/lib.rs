@@ -66,8 +66,10 @@ pub use dataplane::{
     TransferSummary,
 };
 pub use event::{Event, EventQueue};
-pub use eventlog::{EventKind, EventLog, EventRecord, QueueCounters, TransferCounters};
-pub use health::{HealthSnapshot, Monitored, QueueHealth, QueueHealthMonitor};
+pub use eventlog::{EventKind, EventRecord};
+pub use health::{
+    HealthSnapshot, Monitored, QueueCounters, QueueHealth, QueueHealthMonitor, TransferCounters,
+};
 pub use metrics::{AppMetrics, ExperimentResult, NodeSummary};
 pub use platform::{
     run_simulation, run_streamed, MemoryFootprint, MinScheduler, SimConfig, SimEnv, Simulation,

@@ -68,7 +68,7 @@ impl AppMetrics {
 }
 
 /// The result of one simulation run.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ExperimentResult {
     /// Scheduler name.
     pub scheduler: String,
@@ -133,50 +133,24 @@ pub struct ExperimentResult {
     pub transfers: TransferSummary,
 }
 
-/// Hand-rolled `Debug` matching the pre-policy derive output
-/// byte-for-byte whenever no shedding occurred: the golden control-plane
-/// digests hash this dump, and the classic policy stack (which never
-/// sheds) must stay bit-identical to the pinned baseline.
-impl std::fmt::Debug for ExperimentResult {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("ExperimentResult");
-        d.field("scheduler", &self.scheduler)
-            .field("scenario", &self.scenario)
-            .field("apps", &self.apps)
-            .field("overhead_ms", &self.overhead_ms)
-            .field("wall_overhead_ms", &self.wall_overhead_ms)
-            .field("config_misses", &self.config_misses)
-            .field("dispatches", &self.dispatches)
-            .field("warm_starts", &self.warm_starts)
-            .field("cold_starts", &self.cold_starts)
-            .field("local_transfers", &self.local_transfers)
-            .field("remote_transfers", &self.remote_transfers)
-            .field("rechecks", &self.rechecks)
-            .field("forced_min_dispatches", &self.forced_min_dispatches)
-            .field("vcpu_utilisation", &self.vcpu_utilisation)
-            .field("vgpu_utilisation", &self.vgpu_utilisation)
-            .field("batch_wait_ms", &self.batch_wait_ms)
-            .field("batch_size", &self.batch_size)
-            .field("arrivals", &self.arrivals)
-            .field("makespan_ms", &self.makespan_ms)
-            .field("phase_queue_wait_ms", &self.phase_queue_wait_ms)
-            .field("phase_init_ms", &self.phase_init_ms)
-            .field("phase_exec_queue_ms", &self.phase_exec_queue_ms)
-            .field("phase_exec_ms", &self.phase_exec_ms)
-            .field("nodes", &self.nodes)
-            .field("scheduler_stats", &self.scheduler_stats);
-        if self.shed_invocations != 0 || self.shed_jobs != 0 {
-            d.field("shed_invocations", &self.shed_invocations)
-                .field("shed_jobs", &self.shed_jobs);
-        }
-        if self.transfers != TransferSummary::default() {
-            d.field("transfers", &self.transfers);
-        }
-        d.finish()
-    }
-}
-
 impl ExperimentResult {
+    /// The run's canonical encoding: the derived `Debug` dump with the
+    /// wall-clock samples (`wall_overhead_ms`, host-dependent by nature)
+    /// left out. Everything else is a pure function of the run, and f64
+    /// `Debug` formatting round-trips exactly, so two runs are equivalent
+    /// iff their encodings are equal; the golden digests hash this string.
+    ///
+    /// ```
+    /// let mut r = esg_sim::ExperimentResult::default();
+    /// r.wall_overhead_ms.push(0.7);
+    /// assert_eq!(r.canonical(), esg_sim::ExperimentResult::default().canonical());
+    /// ```
+    pub fn canonical(&self) -> String {
+        let mut r = self.clone();
+        r.wall_overhead_ms.clear();
+        format!("{r:?}")
+    }
+
     /// Average of per-app SLO hit rates (Fig. 6's headline metric).
     pub fn avg_hit_rate(&self) -> f64 {
         let active: Vec<&AppMetrics> = self.apps.iter().filter(|a| a.completed > 0).collect();

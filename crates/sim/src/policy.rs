@@ -278,6 +278,9 @@ pub struct PolicyStack {
     proposed: Vec<usize>,
     /// The sanitised proposal, swapped into `order`.
     sanitised: Vec<usize>,
+    /// Per-queue membership stamp for `sanitise_order`, all zero
+    /// between calls.
+    stamp: Vec<u8>,
 }
 
 impl PolicyStack {
@@ -348,17 +351,31 @@ impl fmt::Debug for PolicyStack {
 /// Restricts a stage's `proposed` order to `prev`'s members
 /// (deduplicated, stage order preserved) and re-appends anything the
 /// stage omitted, in `prev` order, into `out` (cleared first).
-fn sanitise_order(proposed: &[usize], prev: &[usize], out: &mut Vec<usize>) {
+///
+/// Linear in `proposed` and `prev`: `stamp[i]` marks queue `i` as a
+/// member not yet placed (`PENDING`) or placed (`PLACED`). `stamp` must
+/// be all zero on entry and is all zero again on return.
+fn sanitise_order(proposed: &[usize], prev: &[usize], stamp: &mut Vec<u8>, out: &mut Vec<usize>) {
+    const PENDING: u8 = 1;
+    const PLACED: u8 = 2;
     out.clear();
+    for &i in prev {
+        if i >= stamp.len() {
+            stamp.resize(i + 1, 0);
+        }
+        stamp[i] = PENDING;
+    }
     for &i in proposed {
-        if prev.contains(&i) && !out.contains(&i) {
+        if stamp.get(i) == Some(&PENDING) {
+            stamp[i] = PLACED;
             out.push(i);
         }
     }
     for &i in prev {
-        if !out.contains(&i) {
+        if stamp[i] == PENDING {
             out.push(i);
         }
+        stamp[i] = 0;
     }
 }
 
@@ -384,7 +401,12 @@ impl PolicyStack {
         for stage in &mut self.stages {
             self.proposed.clear();
             stage.rank(ctx, &self.order, &mut self.proposed);
-            sanitise_order(&self.proposed, &self.order, &mut self.sanitised);
+            sanitise_order(
+                &self.proposed,
+                &self.order,
+                &mut self.stamp,
+                &mut self.sanitised,
+            );
             std::mem::swap(&mut self.order, &mut self.sanitised);
         }
         &self.order
@@ -791,15 +813,56 @@ mod tests {
         assert!(matches!(d.decisions()[0], AdmissionDecision::Shed { .. }));
     }
 
-    #[test]
-    fn sanitise_order_preserves_membership() {
-        // Foreign indices and duplicates are dropped; omissions come back
-        // in previous order.
-        let mut out = vec![7];
-        sanitise_order(&[2, 9, 2, 0], &[0, 1, 2], &mut out);
-        assert_eq!(out, vec![2, 0, 1]);
-        sanitise_order(&[], &[3, 4], &mut out);
-        assert_eq!(out, vec![3, 4]);
+    /// The quadratic definition `sanitise_order` replaced, kept as the
+    /// reference its membership stamp must reproduce.
+    fn sanitise_order_reference(proposed: &[usize], prev: &[usize]) -> Vec<usize> {
+        let mut out = Vec::new();
+        for &i in proposed {
+            if prev.contains(&i) && !out.contains(&i) {
+                out.push(i);
+            }
+        }
+        for &i in prev {
+            if !out.contains(&i) {
+                out.push(i);
+            }
+        }
+        out
+    }
+
+    /// A previous order: a shuffled subset of queues 0..24.
+    fn arb_prev() -> impl proptest::strategy::Strategy<Value = Vec<usize>> {
+        use proptest::prelude::*;
+        (
+            proptest::sample::subsequence((0..24usize).collect::<Vec<_>>(), 0..=24),
+            proptest::collection::vec(any::<u32>(), 24),
+        )
+            .prop_map(|(mut prev, keys)| {
+                prev.sort_by_key(|&i| keys[i]);
+                prev
+            })
+    }
+
+    proptest::proptest! {
+        /// Foreign indices and duplicates are dropped; omissions come
+        /// back in previous order — exactly as the reference orders them.
+        /// Proposals draw from 0..32, so they mix members, duplicates and
+        /// indices outside `prev`.
+        #[test]
+        fn sanitise_order_preserves_membership(
+            prev in arb_prev(),
+            proposed in proptest::collection::vec(0usize..32, 0..40),
+        ) {
+            let mut stamp = Vec::new();
+            let mut out = vec![7];
+            sanitise_order(&[2, 9, 2, 0], &[0, 1, 2], &mut stamp, &mut out);
+            proptest::prop_assert_eq!(&out, &vec![2, 0, 1]);
+            sanitise_order(&[], &[3, 4], &mut stamp, &mut out);
+            proptest::prop_assert_eq!(&out, &vec![3, 4]);
+            sanitise_order(&proposed, &prev, &mut stamp, &mut out);
+            proptest::prop_assert_eq!(&out, &sanitise_order_reference(&proposed, &prev));
+            proptest::prop_assert!(stamp.iter().all(|&s| s == 0), "stamp left dirty");
+        }
     }
 
     /// A rank stage reversing the current order, for stack tests.

@@ -404,7 +404,7 @@ impl Outcome {
 /// uncached runs (results are comparable bit-for-bit); the saving is
 /// real wall-clock planning time, measured by `cargo bench --bench
 /// overhead`.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Full searches actually executed (cache misses + uncached runs).
     pub searches: u64,
@@ -441,28 +441,6 @@ impl SchedulerStats {
     pub fn with_policy(mut self, p: PolicyStats) -> SchedulerStats {
         self.policy = p;
         self
-    }
-}
-
-/// Hand-rolled `Debug` that matches the pre-policy derive output
-/// byte-for-byte whenever the policy counters are zero: the
-/// golden control-plane digests hash `ExperimentResult`'s Debug dump
-/// (which embeds this struct), and the classic stack must stay
-/// bit-identical to the pinned pre-redesign baseline.
-impl std::fmt::Debug for SchedulerStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("SchedulerStats");
-        d.field("searches", &self.searches)
-            .field("plan_cache_hits", &self.plan_cache_hits)
-            .field("plan_cache_misses", &self.plan_cache_misses)
-            .field("plan_cache_evictions", &self.plan_cache_evictions)
-            .field("plan_cache_invalidations", &self.plan_cache_invalidations);
-        if self.policy != PolicyStats::default() {
-            d.field("queues_shed", &self.policy.queues_shed)
-                .field("jobs_shed", &self.policy.jobs_shed)
-                .field("queues_deferred", &self.policy.queues_deferred);
-        }
-        d.finish()
     }
 }
 

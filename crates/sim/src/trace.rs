@@ -23,9 +23,10 @@
 //!   [`TraceFile::dispatch_digest`].
 //!
 //! The module is also the single owner of the canonical dispatch-trace
-//! rendering ([`dispatch_trace`]) and its [`fnv64`] digest that the
-//! golden equivalence suites pin: a run replayed under the same
-//! scheduler and seed must reproduce the recorded digest bit for bit.
+//! rendering ([`render_record`], [`dispatch_trace`]) and its [`fnv64`]
+//! digest that the golden equivalence suites pin: a run replayed under
+//! the same scheduler and seed must reproduce the recorded digest bit
+//! for bit.
 //!
 //! ```
 //! use esg_model::{SloClass, WorkloadClass};
@@ -47,10 +48,10 @@
 //! ```
 
 use crate::builder::validate_transfer;
-use crate::eventlog::{EventKind, EventLog, EventRecord};
+use crate::eventlog::{EventKind, EventRecord};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
-use crate::policy::ShedReason;
+use crate::policy::{PolicySpec, PolicyStack, ShedReason};
 use crate::sched::{
     Capabilities, Outcome, OverheadModel, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent,
     SchedulerStats,
@@ -62,7 +63,7 @@ use esg_model::{
 use esg_profile::TransferModel;
 use esg_workload::{Arrival, Workload};
 use serde_json::{Map, Value};
-use std::fmt::Write as _;
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Format marker written into every trace header.
@@ -147,84 +148,88 @@ pub fn fnv64(s: &str) -> u64 {
     h
 }
 
+/// Appends one record's canonical trace text to `out`: `D {app}.{stage}
+/// {config} n{node} x{jobs};` per dispatch, `C n{node} join|drain;` per
+/// churn event, `S {app}.{stage} x{jobs} {reason};` per shed. Arrivals,
+/// completions, recheck ticks, and transfer events render nothing, so
+/// new telemetry kinds cannot move existing digests.
+///
+/// ```
+/// use esg_sim::{trace::render_record, EventRecord, SchedulerEvent};
+///
+/// let churn = SchedulerEvent::Churn { node: esg_model::NodeId(3), joined: false, now_ms: 5.0 };
+/// let mut out = String::new();
+/// render_record(&mut out, &EventRecord::capture(&churn)).unwrap();
+/// assert_eq!(out, "C n3 drain;");
+/// ```
+pub fn render_record(out: &mut impl fmt::Write, record: &EventRecord) -> fmt::Result {
+    match record.kind {
+        EventKind::Dispatched {
+            key,
+            config,
+            node,
+            jobs,
+        } => write!(
+            out,
+            "D {}.{} {} n{} x{};",
+            key.app.0, key.stage, config, node.0, jobs
+        ),
+        EventKind::Churn { node, joined } => write!(
+            out,
+            "C n{} {};",
+            node.0,
+            if joined { "join" } else { "drain" }
+        ),
+        EventKind::QueueShed { key, jobs, reason } => {
+            write!(out, "S {}.{} x{} {};", key.app.0, key.stage, jobs, reason)
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Renders the canonical dispatch/churn/shed trace the golden digests
-/// hash: `D {app}.{stage} {config} n{node} x{jobs};` per dispatch,
-/// `C n{node} join|drain;` per churn event, `S {app}.{stage} x{jobs}
-/// {reason};` per shed. Arrivals, completions, recheck ticks, and
-/// transfer events are deliberately not rendered, so new telemetry kinds
-/// cannot move existing digests.
+/// hash: [`render_record`] over every record, in order.
 pub fn dispatch_trace<'a, I>(records: I) -> String
 where
     I: IntoIterator<Item = &'a EventRecord>,
 {
     let mut out = String::new();
     for r in records {
-        match r.kind {
-            EventKind::Dispatched {
-                key,
-                config,
-                node,
-                jobs,
-            } => {
-                let _ = write!(
-                    out,
-                    "D {}.{} {} n{} x{};",
-                    key.app.0, key.stage, config, node.0, jobs
-                );
-            }
-            EventKind::Churn { node, joined } => {
-                let _ = write!(
-                    out,
-                    "C n{} {};",
-                    node.0,
-                    if joined { "join" } else { "drain" }
-                );
-            }
-            EventKind::QueueShed { key, jobs, reason } => {
-                let _ = write!(out, "S {}.{} x{} {};", key.app.0, key.stage, jobs, reason);
-            }
-            _ => {}
-        }
+        render_record(&mut out, r).expect("writing to a String cannot fail");
     }
     out
 }
 
-/// Wraps a scheduler and taps every control-plane event into an
-/// unbounded-enough [`EventLog`] ring — the externally observable trace
-/// of a run. [`trace`](Traced::trace) renders the canonical digest
-/// string; the golden equivalence suites and [`TraceReplay::run_digest`]
-/// both go through this wrapper, so there is exactly one fingerprint of
-/// "what did this run dispatch".
+/// Wraps a scheduler and renders every control-plane event into the
+/// canonical dispatch trace as it happens — the externally observable
+/// trace of a run. The golden equivalence suites and
+/// [`TraceReplay::run_digest`] both go through this wrapper, so there is
+/// exactly one fingerprint of "what did this run dispatch".
 pub struct Traced {
     /// The wrapped scheduler.
     pub inner: Box<dyn Scheduler>,
-    /// The tap every event lands in.
-    pub log: EventLog,
+    /// The rendered trace so far (see [`render_record`]).
+    trace: String,
 }
 
 impl Traced {
-    /// Wraps `inner` with a ring large enough to retain every event of
-    /// the runs the harnesses drive ([`trace`](Self::trace) asserts
-    /// nothing was evicted).
+    /// Wraps `inner` with an empty trace.
     pub fn new(inner: Box<dyn Scheduler>) -> Traced {
         Traced {
             inner,
-            // The whole run must stay replayable: counters are exact at
-            // any capacity, but the trace digest needs every record.
-            log: EventLog::with_capacity(1 << 22),
+            trace: String::new(),
         }
     }
 
     /// The canonical dispatch/churn/shed rendering of the tapped run
     /// (see [`dispatch_trace`]).
     pub fn trace(&self) -> String {
-        assert_eq!(self.log.dropped(), 0, "trace ring must hold every event");
-        dispatch_trace(self.log.records())
+        self.trace.clone()
     }
 
     /// FNV digest of [`trace`](Self::trace).
     pub fn trace_digest(&self) -> u64 {
-        fnv64(&self.trace())
+        fnv64(&self.trace)
     }
 }
 
@@ -245,6 +250,14 @@ impl Scheduler for Traced {
         self.inner.place(ctx, config)
     }
 
+    fn round_policy(&mut self) -> Option<&mut PolicyStack> {
+        self.inner.round_policy()
+    }
+
+    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
+        self.inner.adopt_policy(spec)
+    }
+
     fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {
         // Forwarded so a wrapped scheduler's round-policy stack (if any)
         // is exercised rather than silently replaced by the default
@@ -253,7 +266,8 @@ impl Scheduler for Traced {
     }
 
     fn on_event(&mut self, event: &SchedulerEvent<'_>) {
-        self.log.observe(event);
+        render_record(&mut self.trace, &EventRecord::capture(event))
+            .expect("writing to a String cannot fail");
         self.inner.on_event(event);
     }
 
@@ -440,7 +454,7 @@ impl TraceFile {
                     )));
                 }
                 let at_ms = f64_at(a, 0, "arrival time")?;
-                if !(0.0..=SimTime::MAX_MS).contains(&at_ms) {
+                if !SimTime::is_input_ms(at_ms) {
                     return Err(schema(&format!(
                         "arrival #{i} at t = {at_ms} ms is outside [0, {}] ms",
                         SimTime::MAX_MS

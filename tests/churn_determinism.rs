@@ -58,8 +58,8 @@ fn parallel_churn_sweep_is_bit_identical_to_serial() {
         assert_eq!(p.traffic, s.traffic);
         assert_eq!(p.seed, s.seed);
         assert_eq!(
-            format!("{:?}", p.canonical_result()),
-            format!("{:?}", s.canonical_result()),
+            p.result.canonical(),
+            s.result.canonical(),
             "cell ({}, {}, {}, seed {}) diverged between parallel and serial",
             p.scheduler,
             p.cluster,

@@ -7,7 +7,7 @@
 //! hetero grid (cluster specs × traffic shapes × seeds).
 //!
 //! Only the dispatch trace and the completion/SLO counters are
-//! compared, not the full `ExperimentResult` debug dump: the data
+//! compared, not the full `ExperimentResult::canonical` encoding: the data
 //! plane books transfer elapsed through the µs-quantized event clock,
 //! so `phase_init_ms` accounting can differ in the last few ulps while
 //! every scheduling decision (the thing the plane must not perturb at

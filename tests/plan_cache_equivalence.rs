@@ -11,14 +11,13 @@
 use esg::prelude::*;
 use proptest::prelude::*;
 
-/// The comparison form: wall-clock samples are non-deterministic by
-/// nature, and the scheduler's self-reported counters legitimately differ
-/// between a cached and an uncached run (that difference is the point).
+/// The comparison form: [`ExperimentResult::canonical`] without the
+/// scheduler's self-reported counters, which legitimately differ between
+/// a cached and an uncached run (that difference is the point).
 /// Everything else must match bit-for-bit.
 fn canonical(mut r: ExperimentResult) -> String {
-    r.wall_overhead_ms.clear();
     r.scheduler_stats = SchedulerStats::default();
-    format!("{r:?}")
+    r.canonical()
 }
 
 fn churny_config(seed: u64) -> SimConfig {

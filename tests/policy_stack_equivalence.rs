@@ -11,8 +11,8 @@
 //!    (brute enumeration over nodes × entries) must agree that every
 //!    shed queue was hopeless at shed time.
 //! 3. Shedding is observable end to end: metrics, `SchedulerStats`, and
-//!    `QueueShed` events (through the shared `EventLog` tap) stay
-//!    consistent.
+//!    `QueueShed` events (through the `QueueHealthMonitor` counters)
+//!    stay consistent.
 
 mod support;
 
@@ -50,11 +50,6 @@ fn neutral_stack() -> PolicyStack {
     PolicyStack::new().with(AdmitEverything).with(ClassicOrder)
 }
 
-fn canonical(mut r: ExperimentResult) -> String {
-    r.wall_overhead_ms.clear();
-    format!("{r:?}")
-}
-
 const SHAPES: [TrafficShape; 3] = [
     TrafficShape::Steady,
     TrafficShape::Bursty,
@@ -74,7 +69,7 @@ fn run_traced(
     spec: &ClusterSpec,
     shape: TrafficShape,
     seed: u64,
-) -> (String, u64, ExperimentResult) {
+) -> (String, u64) {
     let env = SimEnv::standard(SloClass::Moderate);
     let workload = shaped_workload(
         WorkloadClass::Light,
@@ -90,7 +85,7 @@ fn run_traced(
     };
     let mut traced = Traced::new(sched);
     let r = run_simulation(&env, cfg, &mut traced, &workload, "policy-stack");
-    (canonical(r.clone()), traced.trace_digest(), r)
+    (r.canonical(), traced.trace_digest())
 }
 
 proptest::proptest! {
@@ -119,8 +114,8 @@ proptest::proptest! {
         } else {
             Box::new(EsgScheduler::new().with_policy(neutral_stack()))
         };
-        let (res_a, trace_a, _) = run_traced(default_sched, &spec, shape, seed);
-        let (res_b, trace_b, _) = run_traced(stacked, &spec, shape, seed);
+        let (res_a, trace_a) = run_traced(default_sched, &spec, shape, seed);
+        let (res_b, trace_b) = run_traced(stacked, &spec, shape, seed);
         proptest::prop_assert_eq!(trace_a, trace_b, "dispatch traces diverged");
         proptest::prop_assert_eq!(res_a, res_b);
     }
@@ -228,8 +223,8 @@ fn shedding_is_observable_end_to_end() {
         ..SimConfig::default()
     };
     let sched = EsgScheduler::new().with_policy(PolicyStack::new().with(SloAdmission::default()));
-    let mut traced = Traced::new(Box::new(sched));
-    let r = run_simulation(&env, cfg, &mut traced, &workload, "shed-everything");
+    let mut monitored = Monitored::new(Box::new(sched), 1_000.0);
+    let r = run_simulation(&env, cfg, &mut monitored, &workload, "shed-everything");
     assert_eq!(r.arrivals, 40);
     assert_eq!(r.shed_invocations, 40, "every deadline is unattainable");
     assert_eq!(r.total_completed(), 0);
@@ -238,23 +233,18 @@ fn shedding_is_observable_end_to_end() {
         r.scheduler_stats.policy.queues_shed > 0,
         "policy counters surface"
     );
-    // The EventLog tap saw the QueueShed events and drained backlogs.
-    let shed_events: u64 = traced
-        .log
-        .records()
-        .filter_map(|rec| match rec.kind {
-            EventKind::QueueShed { jobs, .. } => Some(jobs as u64),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(shed_events, r.shed_jobs);
-    assert_eq!(traced.log.total_backlog(), 0);
-    // Shed counters render in Debug (and therefore in canonical dumps).
-    let dump = format!("{r:?}");
+    // The health monitor saw the QueueShed events and drained backlogs.
+    let last = monitored
+        .monitor
+        .finish(r.makespan_ms)
+        .pop()
+        .expect("closing snapshot");
+    let shed_jobs: u64 = last.queues.iter().map(|q| q.counters.shed_jobs).sum();
+    assert_eq!(shed_jobs, r.shed_jobs);
+    assert_eq!(last.total_backlog, 0);
+    // Shed counters are part of the canonical encoding.
+    let dump = r.canonical();
     assert!(dump.contains("shed_invocations: 40"), "{dump}");
-    // A zero-shed run keeps the pre-policy Debug shape.
-    let clean = ExperimentResult::default();
-    assert!(!format!("{clean:?}").contains("shed_invocations"));
 }
 
 #[test]
@@ -279,4 +269,29 @@ fn deferring_admission_variant_makes_progress() {
     let r = run_simulation(&env, cfg, &mut s, &workload, "defer-only");
     assert_eq!(r.shed_invocations, 0);
     assert_eq!(r.total_completed(), 10, "deferred work still completes");
+}
+
+#[test]
+fn wrapped_schedulers_adopt_the_builder_policy() {
+    // `Traced` and `Monitored` forward `adopt_policy`, so a policy
+    // selected through the builder reaches the wrapped scheduler and the
+    // wrapped runs replay the bare one.
+    let sim = SimBuilder::new(SloClass::Strict)
+        .policy(PolicySpec::packing_with_admission())
+        .build()
+        .expect("valid spec");
+    let workload =
+        WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 4).generate(30);
+    let bare = sim
+        .try_run(&mut EsgScheduler::new(), &workload, "wrapped")
+        .expect("ESG adopts every spec");
+    let mut traced = Traced::new(Box::new(EsgScheduler::new()));
+    let mut monitored = Monitored::new(Box::new(EsgScheduler::new()), 1_000.0);
+    for wrapped in [&mut traced as &mut dyn Scheduler, &mut monitored] {
+        let r = sim
+            .try_run(wrapped, &workload, "wrapped")
+            .expect("the wrapper forwards adopt_policy");
+        assert_eq!(r.canonical(), bare.canonical());
+    }
+    assert!(traced.trace().starts_with("D "), "{}", traced.trace());
 }

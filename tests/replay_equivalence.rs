@@ -5,8 +5,8 @@
 //!
 //! 1. **Streamed == materialised** — pulling arrivals lazily from an
 //!    [`ArrivalStream`] as simulated time advances must replay a
-//!    pre-materialised `Workload` bit for bit (FNV digests over the
-//!    shared `EventLog` tap and canonical results), for every
+//!    pre-materialised `Workload` bit for bit (`Traced` dispatch-trace
+//!    digests and canonical results), for every
 //!    `WorkloadClass` and every `TrafficShape` (including the
 //!    Azure-like replay). The trick that makes the comparison exact:
 //!    cap both runs at the same `max_sim_ms` horizon and materialise
@@ -33,11 +33,6 @@ const CLASSES: [WorkloadClass; 3] = [
     WorkloadClass::Normal,
     WorkloadClass::Light,
 ];
-
-fn canonical(mut r: ExperimentResult) -> String {
-    r.wall_overhead_ms.clear();
-    format!("{r:?}")
-}
 
 /// Runs ESG capped at `horizon_ms`, either streaming `class`/`shape`
 /// arrivals lazily or over the same stream materialised past the
@@ -71,7 +66,7 @@ fn run_horizon(
         let workload = shaped_stream(class, shape, &apps, seed).until_ms(horizon_ms + 60_000.0);
         run_simulation(&env, cfg, &mut traced, &workload, "replay")
     };
-    (canonical(r), traced.trace_digest())
+    (r.canonical(), traced.trace_digest())
 }
 
 proptest::proptest! {

@@ -5,9 +5,9 @@
 //! workload materialisation, wall-clock excluded from canonical records).
 //! This test runs the acceptance-grade 24-cell matrix — 2 schedulers × 2
 //! SLO classes × 2 workload classes × 3 seeds — both ways and compares
-//! everything: the canonical digests (full `ExperimentResult` dumps, f64
-//! Debug formatting round-trips exactly, so string equality here is bit
-//! equality), the JSON artifact, and the CSV rows.
+//! everything: the canonical digests (`ExperimentResult::canonical`
+//! encodings; f64 `Debug` formatting round-trips exactly, so string
+//! equality here is bit equality), the JSON artifact, and the CSV rows.
 
 use esg_bench::{ExperimentSuite, ScenarioMatrix, SchedKind, SweepResult};
 use esg_model::{SloClass, WorkloadClass};
@@ -46,8 +46,8 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         assert_eq!(p.seed, s.seed);
         // …and the full simulation output is identical, wall clock aside.
         assert_eq!(
-            format!("{:?}", p.canonical_result()),
-            format!("{:?}", s.canonical_result()),
+            p.result.canonical(),
+            s.result.canonical(),
             "cell ({}, {}, seed {}) diverged between parallel and serial",
             p.scheduler,
             p.scenario,
@@ -84,7 +84,7 @@ fn distinct_seeds_produce_distinct_runs() {
         .results
         .iter()
         .filter(|c| c.scheduler == "ESG")
-        .map(|c| format!("{:?}", c.canonical_result()))
+        .map(|c| c.result.canonical())
         .collect();
     let total = per_seed.len();
     per_seed.sort();
