@@ -19,8 +19,7 @@ use crate::bo::BoOptimizer;
 use esg_model::{AppSpec, Config, NodeId};
 use esg_profile::latency_ms;
 use esg_sim::{
-    place_locality_first, Capabilities, Outcome, PolicySpec, PolicyStack, SchedCtx, Scheduler,
-    SchedulerStats,
+    place_locality_first, Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler, SchedulerStats,
 };
 use rand::Rng;
 
@@ -50,7 +49,7 @@ impl AquatopeScheduler {
             optimizer,
             penalty: 0.05,
             plans: Vec::new(),
-            policy: PolicyStack::classic(),
+            policy: PolicyStack::new(),
         }
     }
 
@@ -152,17 +151,6 @@ impl Scheduler for AquatopeScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
-    }
-
-    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
-        match spec.sim_stack() {
-            Some(stack) => {
-                self.policy = stack;
-                true
-            }
-            // ESG cross-queue packing needs esg-core's search machinery.
-            None => false,
-        }
     }
 
     fn stats(&self) -> SchedulerStats {

@@ -14,9 +14,7 @@
 
 use crate::slo_split::average_service_split;
 use esg_model::{Config, NodeId};
-use esg_sim::{
-    Capabilities, Outcome, PolicySpec, PolicyStack, SchedCtx, Scheduler, SchedulerStats,
-};
+use esg_sim::{Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler, SchedulerStats};
 
 /// The FaST-GShare baseline scheduler.
 #[derive(Debug, Default)]
@@ -193,17 +191,6 @@ impl Scheduler for FastGShareScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
-    }
-
-    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
-        match spec.sim_stack() {
-            Some(stack) => {
-                self.policy = stack;
-                true
-            }
-            // ESG cross-queue packing needs esg-core's search machinery.
-            None => false,
-        }
     }
 
     fn stats(&self) -> SchedulerStats {

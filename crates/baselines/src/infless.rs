@@ -14,7 +14,7 @@ use crate::slo_split::average_service_split;
 use esg_model::{Config, NodeId};
 use esg_profile::ProfileEntry;
 use esg_sim::{
-    place_min_fragmentation, Capabilities, Outcome, PolicySpec, PolicyStack, SchedCtx, Scheduler,
+    place_min_fragmentation, Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler,
     SchedulerStats,
 };
 
@@ -162,17 +162,6 @@ impl Scheduler for InflessScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
-    }
-
-    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
-        match spec.sim_stack() {
-            Some(stack) => {
-                self.policy = stack;
-                true
-            }
-            // ESG cross-queue packing needs esg-core's search machinery.
-            None => false,
-        }
     }
 
     fn stats(&self) -> SchedulerStats {

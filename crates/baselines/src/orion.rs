@@ -15,8 +15,8 @@
 use esg_model::{AppSpec, Config, InvocationId, NodeId};
 use esg_profile::latency_ms;
 use esg_sim::{
-    place_locality_first, Capabilities, Outcome, OverheadModel, PolicySpec, PolicyStack, SchedCtx,
-    Scheduler, SchedulerEvent, SchedulerStats,
+    place_locality_first, Capabilities, Outcome, OverheadModel, PolicyStack, SchedCtx, Scheduler,
+    SchedulerEvent, SchedulerStats,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -63,7 +63,7 @@ impl OrionScheduler {
             plans: HashMap::new(),
             pending: None,
             cache: HashMap::new(),
-            policy: PolicyStack::classic(),
+            policy: PolicyStack::new(),
         }
     }
 
@@ -303,17 +303,6 @@ impl Scheduler for OrionScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
-    }
-
-    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
-        match spec.sim_stack() {
-            Some(stack) => {
-                self.policy = stack;
-                true
-            }
-            // ESG cross-queue packing needs esg-core's search machinery.
-            None => false,
-        }
     }
 
     fn stats(&self) -> SchedulerStats {

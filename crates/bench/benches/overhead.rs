@@ -152,7 +152,7 @@ fn time_rounds(sched: &mut DriverProbe, ctx: &RoundCtx<'_>) -> f64 {
 fn paired_ratios(ctx: &RoundCtx<'_>, pairs: usize) -> Vec<f64> {
     let mut pre = DriverProbe { policy: None };
     let mut empty = DriverProbe {
-        policy: Some(PolicyStack::classic()),
+        policy: Some(PolicyStack::new()),
     };
     // Warm both paths before the first pair.
     time_rounds(&mut pre, ctx);
@@ -426,7 +426,7 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
             };
             let variants: [(&'static str, Option<PolicyStack>); 3] = [
                 ("round-classic", None),
-                ("round-empty-stack", Some(PolicyStack::classic())),
+                ("round-empty-stack", Some(PolicyStack::new())),
                 (
                     "round-stack",
                     Some(PolicyStack::new().with(PassThrough).with(PassThrough)),

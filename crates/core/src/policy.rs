@@ -53,13 +53,14 @@
 
 use esg_sim::{
     AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, DataPlaneView, Outcome, QueueKey,
-    RoundCtx, RoundPolicy,
+    RoundCtx, RoundPolicy, SimError,
 };
 
 /// Cross-queue packing for [`EsgScheduler`](crate::EsgScheduler); see
 /// the module docs. Install it with
-/// `EsgScheduler::new().with_policy(PolicyStack::new().with(BandwidthAwarePacking::default()))`
-/// or declaratively via `SimBuilder::policy(PolicySpec::packing())`.
+/// `EsgScheduler::new().with_policy(PolicyStack::new().with(BandwidthAwarePacking::default()))`;
+/// [`Sim::try_run`](esg_sim::Sim::try_run) checks its knobs before the
+/// run starts.
 #[derive(Clone, Debug)]
 pub struct BandwidthAwarePacking {
     cfg: BandwidthPackingConfig,
@@ -86,11 +87,6 @@ impl BandwidthAwarePacking {
             spent: 0,
             scored: Vec::new(),
         }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> BandwidthPackingConfig {
-        self.cfg
     }
 
     /// Expansions spent in the current budget window.
@@ -199,6 +195,10 @@ impl RoundPolicy for BandwidthAwarePacking {
     fn observe(&mut self, ctx: &RoundCtx<'_>, decisions: &[(QueueKey, Outcome)]) {
         self.roll_window(ctx.now_ms);
         self.spent += decisions.iter().map(|(_, o)| o.expansions).sum::<u64>();
+    }
+
+    fn validate(&self) -> Result<(), SimError> {
+        self.cfg.validate()
     }
 }
 

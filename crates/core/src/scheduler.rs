@@ -17,12 +17,11 @@
 use crate::bounds::StageTableMemo;
 use crate::cache::{quantize_gslo, CachedPlan, PlanCache, PlanKey};
 use crate::plan::AppPlans;
-use crate::policy::BandwidthAwarePacking;
 use crate::search::{astar_search_with, stagewise_search, SearchScratch};
 use esg_model::{Config, ConfigGrid, NodeId, PriceModel};
 use esg_sim::{
-    place_locality_first, BatchHold, Capabilities, Outcome, PolicySpec, PolicyStack, SchedCtx,
-    Scheduler, SchedulerEvent, SchedulerStats, SloAdmission,
+    place_locality_first, BatchHold, Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler,
+    SchedulerEvent, SchedulerStats,
 };
 use std::rc::Rc;
 
@@ -123,7 +122,7 @@ impl EsgScheduler {
             cache: Some(PlanCache::new()),
             scratch: SearchScratch::new(),
             searches: 0,
-            policy: PolicyStack::classic(),
+            policy: PolicyStack::new(),
         }
     }
 
@@ -519,18 +518,6 @@ impl Scheduler for EsgScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
-    }
-
-    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
-        self.policy = match *spec {
-            PolicySpec::Classic => PolicyStack::classic(),
-            PolicySpec::SloAdmission(cfg) => PolicyStack::new().with(SloAdmission::new(cfg)),
-            PolicySpec::Packing(cfg) => PolicyStack::new().with(BandwidthAwarePacking::new(cfg)),
-            PolicySpec::PackingWithAdmission(adm, pack) => PolicyStack::new()
-                .with(SloAdmission::new(adm))
-                .with(BandwidthAwarePacking::new(pack)),
-        };
-        true
     }
 
     fn stats(&self) -> SchedulerStats {

@@ -60,11 +60,11 @@ pub mod prelude {
         BandwidthPackingConfig, Capabilities, ClusterState, DataPlane, DataPlaneConfig,
         DataPlaneView, EventKind, EventRecord, ExperimentResult, HealthSnapshot, MemoryFootprint,
         MinScheduler, Monitored, NodeLoad, NodeSummary, NodeTransferStats, NodeView, OverheadModel,
-        PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor,
-        QueueView, RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
-        ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError, Simulation, SloAdmission,
-        SloAdmissionConfig, TraceError, TraceFile, TraceRecorder, TraceReplay, Traced,
-        TransferCounters, TransferSummary,
+        PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor, QueueView,
+        RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats, ShedReason,
+        Sim, SimBuilder, SimConfig, SimEnv, SimError, Simulation, SloAdmission, SloAdmissionConfig,
+        TraceError, TraceFile, TraceRecorder, TraceReplay, Traced, TransferCounters,
+        TransferSummary,
     };
     pub use esg_workload::{
         shaped_stream, shaped_workload, ArrivalPredictor, ArrivalStream, AzureLikeTrace, RateFn,

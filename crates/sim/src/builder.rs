@@ -35,14 +35,13 @@
 use crate::dataplane::DataPlaneConfig;
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, run_streamed, SimConfig, SimEnv};
-use crate::policy::{BandwidthPackingConfig, PolicySpec, SloAdmissionConfig};
 use crate::sched::{OverheadModel, Scheduler};
 use esg_model::{
-    AppSpec, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, NodeClass, Resources, SimTime,
-    SloClass,
+    AppId, AppSpec, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, NodeClass, Resources,
+    SimTime, SloClass,
 };
 use esg_profile::TransferModel;
-use esg_workload::{ArrivalStream, Workload};
+use esg_workload::{Arrival, ArrivalStream, Workload};
 
 /// A configuration rejected by [`SimBuilder::build`] or
 /// [`SimConfig::validate`].
@@ -86,6 +85,22 @@ pub enum SimError {
         /// The offending time, ms.
         at_ms: f64,
     },
+    /// A workload arrival precedes the one before it (equal times are
+    /// in order).
+    UnsortedArrival {
+        /// Index into the workload's arrival list.
+        index: usize,
+        /// The offending time, ms.
+        at_ms: f64,
+    },
+    /// A workload arrival names an application the environment does not
+    /// have.
+    UnknownApp {
+        /// Index into the workload's arrival list.
+        index: usize,
+        /// The out-of-range application id.
+        app: AppId,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -109,6 +124,14 @@ impl std::fmt::Display for SimError {
                 "arrival #{index} at t = {at_ms} ms is outside [0, {}] ms",
                 SimTime::MAX_MS
             ),
+            SimError::UnsortedArrival { index, at_ms } => write!(
+                f,
+                "arrival #{index} at t = {at_ms} ms precedes arrival #{}",
+                index - 1
+            ),
+            SimError::UnknownApp { index, app } => {
+                write!(f, "arrival #{index} names {app:?}, not in the environment")
+            }
         }
     }
 }
@@ -128,7 +151,6 @@ pub struct SimBuilder {
     apps: Option<Vec<AppSpec>>,
     transfer: Option<TransferModel>,
     cfg: SimConfig,
-    policy: PolicySpec,
 }
 
 impl SimBuilder {
@@ -140,18 +162,7 @@ impl SimBuilder {
             apps: None,
             transfer: None,
             cfg: SimConfig::default(),
-            policy: PolicySpec::Classic,
         }
-    }
-
-    /// Selects the round-policy stack schedulers run under (default:
-    /// the classic one-queue-at-a-time contract). The spec's scalar
-    /// knobs are validated at [`build`](Self::build); a scheduler that
-    /// cannot honour the spec makes [`Sim::try_run`] return
-    /// [`SimError::InvalidKnob`].
-    pub fn policy(mut self, policy: PolicySpec) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Replaces the configuration grid (ablations restrict it, overhead
@@ -195,9 +206,9 @@ impl SimBuilder {
     }
 
     /// Replaces the environment's per-job transfer tariffs (§3.4
-    /// defaults otherwise). Every `*_ms_per_mb`/`*_base_ms` must be
-    /// finite and >= 0; [`build`](Self::build) rejects the rest as
-    /// [`SimError::InvalidKnob`].
+    /// defaults otherwise). Every `*_ms_per_mb`/`*_base_ms` must lie in
+    /// `[0, SimTime::MAX_MS]`; [`build`](Self::build) rejects the rest
+    /// as [`SimError::InvalidKnob`].
     pub fn transfer(mut self, model: TransferModel) -> Self {
         self.transfer = Some(model);
         self
@@ -314,10 +325,8 @@ impl SimBuilder {
             apps,
             transfer,
             cfg,
-            policy,
         } = self;
 
-        validate_policy(&policy)?;
         cfg.validate()?;
         if let Some(t) = &transfer {
             validate_transfer(t)?;
@@ -345,7 +354,7 @@ impl SimBuilder {
             }
             env.apps = apps;
         }
-        Ok(Sim { env, cfg, policy })
+        Ok(Sim { env, cfg })
     }
 }
 
@@ -418,10 +427,18 @@ impl SimConfig {
             non_negative("data_plane.batch_max_mb", dp.batch_max_mb)?;
         }
 
-        // Scalar knobs.
+        // Scalar knobs; durations are bounded like input times.
         positive("keep_alive_ms", self.keep_alive_ms)?;
+        duration("keep_alive_ms", self.keep_alive_ms, 1.0)?;
         positive("prewarm_alpha", self.prewarm_alpha)?;
         positive("idle_backoff_ms", self.idle_backoff_ms)?;
+        duration("idle_backoff_ms", self.idle_backoff_ms, 1.0)?;
+        duration("overhead.base_us", self.overhead.base_us, 1e-3)?;
+        duration(
+            "overhead.us_per_expansion",
+            self.overhead.us_per_expansion,
+            1e-3,
+        )?;
         if self.prewarm_alpha > 1.0 {
             return Err(SimError::InvalidKnob {
                 knob: "prewarm_alpha",
@@ -447,7 +464,7 @@ impl SimConfig {
 }
 
 /// `knob` must be finite and > 0.
-fn positive(knob: &'static str, value: f64) -> Result<(), SimError> {
+pub(crate) fn positive(knob: &'static str, value: f64) -> Result<(), SimError> {
     if value > 0.0 && value.is_finite() {
         return Ok(());
     }
@@ -459,7 +476,7 @@ fn positive(knob: &'static str, value: f64) -> Result<(), SimError> {
 }
 
 /// `knob` must be finite and >= 0.
-fn non_negative(knob: &'static str, value: f64) -> Result<(), SimError> {
+pub(crate) fn non_negative(knob: &'static str, value: f64) -> Result<(), SimError> {
     if value >= 0.0 && value.is_finite() {
         return Ok(());
     }
@@ -470,41 +487,26 @@ fn non_negative(knob: &'static str, value: f64) -> Result<(), SimError> {
     })
 }
 
-/// The transfer tariffs (scalar and data-plane modes both read them).
-pub(crate) fn validate_transfer(t: &TransferModel) -> Result<(), SimError> {
-    non_negative("transfer.local_base_ms", t.local_base_ms)?;
-    non_negative("transfer.local_ms_per_mb", t.local_ms_per_mb)?;
-    non_negative("transfer.remote_base_ms", t.remote_base_ms)?;
-    non_negative("transfer.remote_ms_per_mb", t.remote_ms_per_mb)
+/// `knob`, worth `value × ms_per_unit` ms, is a duration the platform
+/// adds to instants, so it must lie in `[0, SimTime::MAX_MS]` ms like an
+/// input time ([`SimTime::is_input_ms`]).
+fn duration(knob: &'static str, value: f64, ms_per_unit: f64) -> Result<(), SimError> {
+    if SimTime::is_input_ms(value * ms_per_unit) {
+        return Ok(());
+    }
+    Err(SimError::InvalidKnob {
+        knob,
+        value,
+        requirement: "finite and within [0, SimTime::MAX_MS] ms",
+    })
 }
 
-/// Scalar validation of a policy spec's knobs (the scheduler-combo check
-/// happens at [`Sim::try_run`], where the scheduler exists).
-fn validate_policy(policy: &PolicySpec) -> Result<(), SimError> {
-    fn admission(cfg: &SloAdmissionConfig) -> Result<(), SimError> {
-        positive("policy.defer_ms", cfg.defer_ms)
-    }
-    fn packing(cfg: &BandwidthPackingConfig) -> Result<(), SimError> {
-        if cfg.round_budget == 0 {
-            return Err(SimError::InvalidKnob {
-                knob: "policy.round_budget",
-                value: 0.0,
-                requirement: "at least 1 expanded configuration per round",
-            });
-        }
-        positive("policy.defer_ms", cfg.defer_ms)?;
-        non_negative("policy.warm_bias", cfg.warm_bias)?;
-        non_negative("policy.contention_bias", cfg.contention_bias)
-    }
-    match policy {
-        PolicySpec::Classic => Ok(()),
-        PolicySpec::SloAdmission(a) => admission(a),
-        PolicySpec::Packing(p) => packing(p),
-        PolicySpec::PackingWithAdmission(a, p) => {
-            admission(a)?;
-            packing(p)
-        }
-    }
+/// The transfer tariffs (scalar and data-plane modes both read them).
+pub(crate) fn validate_transfer(t: &TransferModel) -> Result<(), SimError> {
+    duration("transfer.local_base_ms", t.local_base_ms, 1.0)?;
+    duration("transfer.local_ms_per_mb", t.local_ms_per_mb, 1.0)?;
+    duration("transfer.remote_base_ms", t.remote_base_ms, 1.0)?;
+    duration("transfer.remote_ms_per_mb", t.remote_ms_per_mb, 1.0)
 }
 
 /// Per-class bandwidth/staging invariants: a zero or non-finite value
@@ -566,7 +568,6 @@ fn validate_churn(cfg: &SimConfig) -> Result<(), SimError> {
 pub struct Sim {
     env: SimEnv,
     cfg: SimConfig,
-    policy: PolicySpec,
 }
 
 impl Sim {
@@ -580,18 +581,9 @@ impl Sim {
         &self.cfg
     }
 
-    /// The round policy every run installs via
-    /// [`Scheduler::adopt_policy`].
-    pub fn policy(&self) -> PolicySpec {
-        self.policy
-    }
-
     /// Runs `sched` over `workload`, labelling the result `scenario`.
     ///
-    /// Panics when an arrival time is out of range or `sched` rejects the
-    /// configured round policy (only possible for non-classic
-    /// [`SimBuilder::policy`] selections); [`try_run`](Self::try_run)
-    /// returns the typed error instead.
+    /// Panics where [`try_run`](Self::try_run) returns an error.
     pub fn run(
         &self,
         sched: &mut dyn Scheduler,
@@ -602,32 +594,19 @@ impl Sim {
             .unwrap_or_else(|e| panic!("{e} (use Sim::try_run)"))
     }
 
-    /// Runs `sched` over `workload`, surfacing an arrival time outside
-    /// [`SimTime::is_input_ms`] as [`SimError::InvalidArrival`] and an
-    /// incompatible scheduler/policy combo as [`SimError::InvalidKnob`]
-    /// instead of panicking.
-    ///
-    /// The default `PolicySpec::Classic` imposes nothing — a scheduler
-    /// already carrying a hand-composed stack (`with_policy`) keeps it;
-    /// any other spec is installed via [`Scheduler::adopt_policy`].
+    /// Runs `sched` over `workload`, returning a damaged arrival
+    /// ([`SimError::InvalidArrival`], [`SimError::UnsortedArrival`],
+    /// [`SimError::UnknownApp`]) or an out-of-range knob of the
+    /// scheduler's [`round_policy`](Scheduler::round_policy) stack
+    /// ([`SimError::InvalidKnob`]) instead of panicking.
     pub fn try_run(
         &self,
         sched: &mut dyn Scheduler,
         workload: &Workload,
         scenario: &str,
     ) -> Result<ExperimentResult, SimError> {
-        if let Some((index, a)) = workload
-            .arrivals
-            .iter()
-            .enumerate()
-            .find(|(_, a)| !SimTime::is_input_ms(a.at_ms))
-        {
-            return Err(SimError::InvalidArrival {
-                index,
-                at_ms: a.at_ms,
-            });
-        }
-        self.install_policy(sched)?;
+        self.check_arrivals(workload)?;
+        check_policy(sched)?;
         Ok(run_simulation(
             &self.env,
             self.cfg.clone(),
@@ -643,9 +622,8 @@ impl Sim {
     /// length; the dispatch trace is bit-identical to materialising the
     /// same stream and calling [`run`](Self::run).
     ///
-    /// Panics when `sched` rejects the configured round policy;
-    /// [`try_run_streamed`](Self::try_run_streamed) returns the typed
-    /// error instead.
+    /// Panics where [`try_run_streamed`](Self::try_run_streamed) returns
+    /// an error.
     pub fn run_streamed(
         &self,
         sched: &mut dyn Scheduler,
@@ -653,18 +631,18 @@ impl Sim {
         scenario: &str,
     ) -> ExperimentResult {
         self.try_run_streamed(sched, stream, scenario)
-            .expect("scheduler rejected the configured round policy (use Sim::try_run_streamed)")
+            .unwrap_or_else(|e| panic!("{e} (use Sim::try_run_streamed)"))
     }
 
-    /// Streamed counterpart of [`try_run`](Self::try_run): surfaces an
-    /// incompatible scheduler/policy combo as [`SimError::InvalidKnob`].
+    /// Streamed counterpart of [`try_run`](Self::try_run); only the
+    /// round-policy knobs are checked up front.
     pub fn try_run_streamed(
         &self,
         sched: &mut dyn Scheduler,
         stream: ArrivalStream,
         scenario: &str,
     ) -> Result<ExperimentResult, SimError> {
-        self.install_policy(sched)?;
+        check_policy(sched)?;
         Ok(run_streamed(
             &self.env,
             self.cfg.clone(),
@@ -674,27 +652,84 @@ impl Sim {
         ))
     }
 
-    /// Installs the configured round policy into `sched` (the classic
-    /// default installs nothing).
-    fn install_policy(&self, sched: &mut dyn Scheduler) -> Result<(), SimError> {
-        if matches!(self.policy, PolicySpec::Classic) || sched.adopt_policy(&self.policy) {
-            return Ok(());
+    /// One scan over the arrivals: each passes [`check_arrival`] and is
+    /// no earlier than its predecessor.
+    fn check_arrivals(&self, workload: &Workload) -> Result<(), SimError> {
+        let mut previous_ms = 0.0;
+        for (index, a) in workload.arrivals.iter().enumerate() {
+            check_arrival(index, a, self.env.apps.len())?;
+            if a.at_ms < previous_ms {
+                let at_ms = a.at_ms;
+                return Err(SimError::UnsortedArrival { index, at_ms });
+            }
+            previous_ms = a.at_ms;
         }
-        Err(SimError::InvalidKnob {
-            knob: "policy",
-            value: 0.0,
-            requirement: "a round-policy stack this scheduler supports \
-(ESG packing needs EsgScheduler; MinScheduler is classic-only)",
-        })
+        Ok(())
     }
+}
+
+/// Arrival `index` of a run over `apps` applications is at an input
+/// instant ([`SimTime::is_input_ms`]) and names one of them; the trace
+/// loader runs the same check on recorded arrivals.
+pub(crate) fn check_arrival(index: usize, a: &Arrival, apps: usize) -> Result<(), SimError> {
+    if !SimTime::is_input_ms(a.at_ms) {
+        let at_ms = a.at_ms;
+        return Err(SimError::InvalidArrival { index, at_ms });
+    }
+    if a.app.index() >= apps {
+        return Err(SimError::UnknownApp { index, app: a.app });
+    }
+    Ok(())
+}
+
+/// Checks the knobs of every stage in `sched`'s round-policy stack.
+fn check_policy(sched: &mut dyn Scheduler) -> Result<(), SimError> {
+    sched.round_policy().map_or(Ok(()), |p| p.validate())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::platform::MinScheduler;
+    use crate::policy::{
+        BandwidthPackingConfig, PolicyStack, RoundPolicy, SloAdmission, SloAdmissionConfig,
+    };
     use esg_model::{NodeClass, NodeId, SloClass, WorkloadClass};
     use esg_workload::WorkloadGen;
+
+    /// `MinScheduler`'s decisions under a hand-composed policy stack.
+    struct Stacked(PolicyStack);
+
+    impl Scheduler for Stacked {
+        fn name(&self) -> &'static str {
+            "stacked"
+        }
+        fn capabilities(&self) -> crate::sched::Capabilities {
+            MinScheduler.capabilities()
+        }
+        fn schedule(&mut self, ctx: &crate::sched::SchedCtx<'_>) -> crate::sched::Outcome {
+            MinScheduler.schedule(ctx)
+        }
+        fn place(&mut self, ctx: &crate::sched::SchedCtx<'_>, config: Config) -> Option<NodeId> {
+            MinScheduler.place(ctx, config)
+        }
+        fn round_policy(&mut self) -> Option<&mut PolicyStack> {
+            Some(&mut self.0)
+        }
+    }
+
+    /// A neutral stage carrying packing knobs, checked as `esg-core`'s
+    /// packing stage checks them.
+    struct Packing(BandwidthPackingConfig);
+
+    impl RoundPolicy for Packing {
+        fn name(&self) -> &'static str {
+            "packing-knobs"
+        }
+        fn validate(&self) -> Result<(), SimError> {
+            self.0.validate()
+        }
+    }
 
     #[test]
     fn default_builder_runs() {
@@ -781,29 +816,31 @@ mod tests {
 
     #[test]
     fn bad_knobs_are_rejected() {
-        let err = SimBuilder::new(SloClass::Moderate)
-            .keep_alive_ms(0.0)
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "keep_alive_ms",
-                ..
-            }
-        ));
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .prewarm_alpha(1.5)
-            .build()
-            .is_err());
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .recheck_limit(0)
-            .build()
-            .is_err());
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .max_sim_ms(f64::NAN)
-            .build()
-            .is_err());
+        let b = || SimBuilder::new(SloClass::Moderate);
+        let overhead = |base_us, us_per_expansion| {
+            b().overhead(OverheadModel {
+                base_us,
+                us_per_expansion,
+            })
+        };
+        for (knob, builder) in [
+            ("keep_alive_ms", b().keep_alive_ms(0.0)),
+            ("prewarm_alpha", b().prewarm_alpha(1.5)),
+            ("recheck_limit", b().recheck_limit(0)),
+            ("max_sim_ms", b().max_sim_ms(f64::NAN)),
+            // Durations added to instants, past `SimTime::MAX_MS`.
+            ("keep_alive_ms", b().keep_alive_ms(1e300)),
+            ("idle_backoff_ms", b().idle_backoff_ms(1e300)),
+            ("overhead.base_us", overhead(1e300, 0.4)),
+            ("overhead.base_us", overhead(f64::NAN, 0.4)),
+            ("overhead.us_per_expansion", overhead(200.0, 1e300)),
+        ] {
+            assert!(
+                matches!(builder.build(), Err(SimError::InvalidKnob { knob: k, .. }) if k == knob),
+                "{knob}"
+            );
+        }
+        assert!(b().keep_alive_ms(SimTime::MAX_MS).build().is_ok());
     }
 
     #[test]
@@ -919,112 +956,84 @@ mod tests {
 
     #[test]
     fn policy_knob_scalars_are_validated() {
-        use crate::policy::SloAdmissionConfig;
-        // Defaults pass.
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .policy(PolicySpec::packing_with_admission())
+        let sim = SimBuilder::new(SloClass::Moderate)
+            .max_sim_ms(2_000.0)
             .build()
-            .is_ok());
-        // Bad admission back-off.
-        let err = SimBuilder::new(SloClass::Moderate)
-            .policy(PolicySpec::SloAdmission(SloAdmissionConfig {
-                defer_ms: 0.0,
-                ..SloAdmissionConfig::default()
-            }))
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "policy.defer_ms",
-                ..
-            }
-        ));
-        // Zero search budget.
-        let err = SimBuilder::new(SloClass::Moderate)
-            .policy(PolicySpec::Packing(BandwidthPackingConfig {
-                round_budget: 0,
-                ..BandwidthPackingConfig::default()
-            }))
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "policy.round_budget",
-                ..
-            }
-        ));
-        // Non-finite warm bias.
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .policy(PolicySpec::Packing(BandwidthPackingConfig {
-                warm_bias: f64::NAN,
-                ..BandwidthPackingConfig::default()
-            }))
-            .build()
-            .is_err());
-        // Negative contention bias, also under admission.
-        let err = SimBuilder::new(SloClass::Moderate)
-            .policy(PolicySpec::PackingWithAdmission(
-                SloAdmissionConfig::default(),
-                BandwidthPackingConfig {
-                    contention_bias: -0.1,
-                    ..BandwidthPackingConfig::default()
-                },
-            ))
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "policy.contention_bias",
-                ..
-            }
-        ));
+            .expect("valid");
+        let gen = WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 5);
+        let w = gen.generate(6);
+        // The knob both run paths reject in admission below packing, as
+        // `adm` and `pack` edit their knobs, or `None` when both run.
+        let rejected = |adm: fn(&mut SloAdmissionConfig), pack: fn(&mut BandwidthPackingConfig)| {
+            let stacked = || {
+                let mut a = SloAdmissionConfig::default();
+                let mut p = BandwidthPackingConfig::default();
+                adm(&mut a);
+                pack(&mut p);
+                let admission = PolicyStack::new().with(SloAdmission::new(a));
+                Stacked(admission.with(Packing(p)))
+            };
+            let knob = |r: Result<ExperimentResult, SimError>| match r {
+                Ok(_) => None,
+                Err(SimError::InvalidKnob { knob, .. }) => Some(knob),
+                Err(e) => panic!("{e}"),
+            };
+            let run = knob(sim.try_run(&mut stacked(), &w, "knobs"));
+            let streamed = sim.try_run_streamed(&mut stacked(), gen.stream(), "knobs");
+            assert_eq!(run, knob(streamed), "the run paths agree");
+            run
+        };
+        assert_eq!(rejected(|_| {}, |_| {}), None);
+        let defer = Some("policy.defer_ms");
+        assert_eq!(rejected(|a| a.defer_ms = 0.0, |_| {}), defer);
+        assert_eq!(rejected(|a| a.defer_ms = f64::NAN, |_| {}), defer);
+        assert_eq!(rejected(|_| {}, |p| p.defer_ms = -1.0), defer);
+        let budget = Some("policy.round_budget");
+        assert_eq!(rejected(|_| {}, |p| p.round_budget = 0), budget);
+        let warm = Some("policy.warm_bias");
+        assert_eq!(rejected(|_| {}, |p| p.warm_bias = f64::NAN), warm);
+        assert_eq!(rejected(|_| {}, |p| p.warm_bias = -1.0), warm);
+        let contention = Some("policy.contention_bias");
+        assert_eq!(rejected(|_| {}, |p| p.contention_bias = -0.1), contention);
         // The warm-only knobs (no contention terms) are valid.
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .policy(PolicySpec::Packing(BandwidthPackingConfig {
-                contention_bias: 0.0,
-                defer_queue_depth: 0,
-                ..BandwidthPackingConfig::default()
-            }))
-            .build()
-            .is_ok());
+        let warm_only = |p: &mut BandwidthPackingConfig| {
+            p.contention_bias = 0.0;
+            p.defer_queue_depth = 0;
+        };
+        assert_eq!(rejected(|_| {}, warm_only), None);
     }
 
     #[test]
     fn transfer_tariffs_are_validated() {
         use esg_profile::TransferModel;
-        // Valid tariffs land in the environment.
-        let sim = SimBuilder::new(SloClass::Moderate)
-            .transfer(TransferModel {
-                remote_ms_per_mb: 40.0,
-                ..TransferModel::default()
-            })
-            .build()
-            .expect("valid");
+        let tariff = |edit: fn(&mut TransferModel)| {
+            let mut t = TransferModel::default();
+            edit(&mut t);
+            SimBuilder::new(SloClass::Moderate).transfer(t).build()
+        };
+        // Valid tariffs land in the environment, up to the bound.
+        let sim = tariff(|t| t.remote_ms_per_mb = 40.0).expect("valid");
         assert_eq!(sim.env().transfer.remote_ms_per_mb, 40.0);
-        // Negative and non-finite tariffs are typed errors.
-        for bad in [
-            TransferModel {
-                remote_ms_per_mb: -1.0,
-                ..TransferModel::default()
-            },
-            TransferModel {
-                local_base_ms: f64::NAN,
-                ..TransferModel::default()
-            },
-            TransferModel {
-                remote_base_ms: f64::INFINITY,
-                ..TransferModel::default()
-            },
+        assert!(tariff(|t| t.remote_ms_per_mb = SimTime::MAX_MS).is_ok());
+        // Negative, non-finite and past-`SimTime::MAX_MS` tariffs are
+        // typed errors.
+        for (knob, result) in [
+            ("remote_ms_per_mb", tariff(|t| t.remote_ms_per_mb = -1.0)),
+            ("local_base_ms", tariff(|t| t.local_base_ms = f64::NAN)),
+            (
+                "remote_base_ms",
+                tariff(|t| t.remote_base_ms = f64::INFINITY),
+            ),
+            ("local_base_ms", tariff(|t| t.local_base_ms = 1e300)),
+            ("local_ms_per_mb", tariff(|t| t.local_ms_per_mb = 1e300)),
+            ("remote_base_ms", tariff(|t| t.remote_base_ms = 1e300)),
+            ("remote_ms_per_mb", tariff(|t| t.remote_ms_per_mb = 1e300)),
         ] {
-            let err = SimBuilder::new(SloClass::Moderate)
-                .transfer(bad)
-                .build()
-                .expect_err("rejected");
-            assert!(matches!(err, SimError::InvalidKnob { knob, .. }
-                if knob.starts_with("transfer.")));
+            assert!(
+                matches!(result, Err(SimError::InvalidKnob { knob: k, .. })
+                    if k.strip_prefix("transfer.") == Some(knob)),
+                "{knob}"
+            );
         }
     }
 
@@ -1132,26 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn incompatible_scheduler_policy_combo_is_a_typed_error() {
-        // MinScheduler carries no policy stack: any non-classic spec must
-        // surface as InvalidKnob through try_run, and the classic default
-        // must keep working.
-        let w =
-            WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 5).generate(6);
-        let sim = SimBuilder::new(SloClass::Relaxed)
-            .policy(PolicySpec::slo_admission())
-            .build()
-            .expect("valid spec");
-        let mut s = MinScheduler;
-        let err = sim.try_run(&mut s, &w, "combo").expect_err("rejected");
-        assert!(matches!(err, SimError::InvalidKnob { knob: "policy", .. }));
-        let classic = SimBuilder::new(SloClass::Relaxed).build().expect("valid");
-        assert_eq!(classic.policy(), PolicySpec::Classic);
-        let r = classic.try_run(&mut s, &w, "combo").expect("classic runs");
-        assert_eq!(r.total_completed(), 6);
-    }
-
-    #[test]
     fn arrivals_outside_the_input_range_are_a_typed_error() {
         use esg_model::AppId;
         use esg_workload::Arrival;
@@ -1177,6 +1166,34 @@ mod tests {
             arrivals: vec![at(0.0), at(SimTime::MAX_MS)],
         };
         assert!(sim.try_run(&mut MinScheduler, &edge, "edge").is_ok());
+    }
+
+    #[test]
+    fn unsorted_arrivals_and_unknown_apps_are_typed_errors() {
+        use esg_model::AppId;
+        use esg_workload::Arrival;
+        let sim = SimBuilder::new(SloClass::Relaxed).build().expect("valid");
+        let run = |arrivals: &[(f64, u32)]| {
+            let arrivals = arrivals
+                .iter()
+                .map(|&(at_ms, app)| Arrival {
+                    at_ms,
+                    app: AppId(app),
+                })
+                .collect();
+            sim.try_run(&mut MinScheduler, &Workload { arrivals }, "damaged")
+        };
+        let err = run(&[(1.0, 0), (3.0, 1), (2.0, 0)]).expect_err("rejected");
+        assert!(matches!(err, SimError::UnsortedArrival { index: 2, .. }));
+        assert!(
+            err.to_string().ends_with("2 ms precedes arrival #1"),
+            "{err}"
+        );
+        let err = run(&[(1.0, 0), (2.0, 99)]).expect_err("rejected");
+        assert!(matches!(err, SimError::UnknownApp { index: 1, app } if app == AppId(99)));
+        // Equal times are in order.
+        let r = run(&[(1.0, 0), (1.0, 1), (1.0, 0)]).expect("valid");
+        assert_eq!(r.arrivals, 3);
     }
 
     #[test]

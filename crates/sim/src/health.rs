@@ -30,7 +30,7 @@
 //! assert_eq!(snaps[0].total_backlog, 1);
 //! ```
 
-use crate::policy::{PolicySpec, PolicyStack};
+use crate::policy::PolicyStack;
 use crate::sched::{
     Capabilities, Outcome, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
 };
@@ -341,10 +341,6 @@ impl Scheduler for Monitored {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         self.inner.round_policy()
-    }
-
-    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
-        self.inner.adopt_policy(spec)
     }
 
     fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {

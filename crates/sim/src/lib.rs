@@ -75,13 +75,13 @@ pub use platform::{
     run_simulation, run_streamed, MemoryFootprint, MinScheduler, SimConfig, SimEnv, Simulation,
 };
 pub use policy::{
-    gslo_attainable, AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, PolicySpec,
-    PolicyStack, PolicyStats, RoundPolicy, ShedReason, SloAdmission, SloAdmissionConfig,
+    gslo_attainable, AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, PolicyStack,
+    PolicyStats, RoundPolicy, ShedReason, SloAdmission, SloAdmissionConfig,
 };
 pub use sched::{
     fill_job_views, home_node, place_locality_first, place_min_fragmentation, BatchHold,
-    Capabilities, JobView, Outcome, OverheadModel, QueueKey, QueueView, RoundCtx, SchedCtx,
-    Scheduler, SchedulerEvent, SchedulerStats,
+    Capabilities, JobView, Outcome, OverheadModel, PolicySpec, QueueKey, QueueView, RoundCtx,
+    SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
 };
 pub use state::{ClusterState, NodeView};
 pub use trace::{

@@ -39,9 +39,10 @@
 //!
 //! The first sim-layer stage, [`SloAdmission`], sheds or defers queues
 //! whose deadline is provably lost; ESG's cross-queue packing stage
-//! lives in `esg-core` (it needs the search machinery) and is selected
-//! declaratively through [`PolicySpec`].
+//! lives in `esg-core` (it needs the search machinery). `Sim::try_run`
+//! checks a scheduler's stack with [`PolicyStack::validate`].
 
+use crate::builder::{non_negative, positive, SimError};
 use crate::sched::{Outcome, QueueKey, RoundCtx};
 use esg_model::Config;
 use std::fmt;
@@ -240,6 +241,12 @@ pub trait RoundPolicy {
     fn stats(&self) -> PolicyStats {
         PolicyStats::default()
     }
+
+    /// Checks the stage's knobs ([`SimError::InvalidKnob`]); the default
+    /// accepts everything.
+    fn validate(&self) -> Result<(), SimError> {
+        Ok(())
+    }
 }
 
 /// An ordered stack of [`RoundPolicy`] stages.
@@ -256,7 +263,7 @@ pub trait RoundPolicy {
 /// Every per-round buffer lives in the stack and keeps its capacity
 /// across rounds.
 ///
-/// The empty stack ([`PolicyStack::classic`]) is the classic
+/// The empty stack ([`PolicyStack::new`]) is the classic
 /// one-queue-at-a-time contract; the provided
 /// [`Scheduler::schedule_round`](crate::Scheduler::schedule_round)
 /// recognises it and takes a zero-overhead fast path.
@@ -285,13 +292,8 @@ pub struct PolicyStack {
 
 impl PolicyStack {
     /// An empty stack: admit everything, classic scan order. Drives the
-    /// fast path in the provided `schedule_round`.
-    pub fn classic() -> PolicyStack {
-        PolicyStack::default()
-    }
-
-    /// An empty stack to push stages onto (alias of
-    /// [`classic`](Self::classic), reads better when stages follow).
+    /// fast path in the provided `schedule_round`; stages follow through
+    /// [`with`](Self::with).
     pub fn new() -> PolicyStack {
         PolicyStack::default()
     }
@@ -302,24 +304,15 @@ impl PolicyStack {
         self
     }
 
-    /// Appends a boxed stage.
-    pub fn push(&mut self, stage: Box<dyn RoundPolicy>) {
-        self.stages.push(stage);
-    }
-
     /// True when the stack has no stages (the classic contract).
-    pub fn is_classic(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// True when the stack has no stages.
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
+    }
+
+    /// Checks every stage's knobs, bottom stage first, and returns the
+    /// first rejection.
+    pub fn validate(&self) -> Result<(), SimError> {
+        self.stages.iter().try_for_each(|s| s.validate())
     }
 
     /// The stage names, bottom (first-run) first.
@@ -482,6 +475,13 @@ impl Default for SloAdmissionConfig {
     }
 }
 
+impl SloAdmissionConfig {
+    /// Rejects a back-off that is not finite and > 0 (`policy.defer_ms`).
+    pub fn validate(&self) -> Result<(), SimError> {
+        positive("policy.defer_ms", self.defer_ms)
+    }
+}
+
 /// SLO-aware admission (INFless/HAS-GPU-style): sheds queues whose
 /// deadline is provably lost and defers queues the cluster cannot host
 /// right now.
@@ -514,11 +514,6 @@ impl SloAdmission {
             cfg,
             stats: PolicyStats::default(),
         }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> SloAdmissionConfig {
-        self.cfg
     }
 }
 
@@ -595,11 +590,15 @@ impl RoundPolicy for SloAdmission {
     fn stats(&self) -> PolicyStats {
         self.stats
     }
+
+    fn validate(&self) -> Result<(), SimError> {
+        self.cfg.validate()
+    }
 }
 
 /// Knobs of ESG's cross-queue packing stage (`esg-core`'s
-/// `BandwidthAwarePacking`; defined here so [`PolicySpec`] can carry them
-/// through the sim layer). The contention terms read the live data-plane
+/// `BandwidthAwarePacking`; defined here beside [`SloAdmissionConfig`]).
+/// The contention terms read the live data-plane
 /// view (`RoundCtx::dataplane`); without a data plane, or with
 /// `contention_bias: 0.0` and `defer_queue_depth: 0`, the stage ranks on
 /// GSLO tightness and warm affinity under the round budget alone.
@@ -639,69 +638,19 @@ impl Default for BandwidthPackingConfig {
     }
 }
 
-/// Declarative round-policy selection for the
-/// [`SimBuilder`](crate::SimBuilder) `policy(...)` knob.
-///
-/// The sim layer cannot construct upper-layer stages (ESG packing needs
-/// `esg-core`'s search machinery), so a spec is interpreted by the
-/// scheduler itself through
-/// [`Scheduler::adopt_policy`](crate::Scheduler::adopt_policy): the
-/// sim-layer stages are built by [`sim_stack`](Self::sim_stack), and a
-/// scheduler that cannot honour a spec rejects it (surfaced by
-/// [`Sim::try_run`](crate::Sim::try_run) as
-/// [`SimError::InvalidKnob`](crate::SimError::InvalidKnob)).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum PolicySpec {
-    /// The classic one-queue-at-a-time contract (every scheduler).
-    #[default]
-    Classic,
-    /// [`SloAdmission`] alone (any scheduler that carries a stack).
-    SloAdmission(SloAdmissionConfig),
-    /// ESG cross-queue packing alone (`EsgScheduler` only).
-    Packing(BandwidthPackingConfig),
-    /// [`SloAdmission`] below ESG cross-queue packing (`EsgScheduler`
-    /// only).
-    PackingWithAdmission(SloAdmissionConfig, BandwidthPackingConfig),
-}
-
-impl PolicySpec {
-    /// [`SloAdmission`] at its default knobs.
-    pub fn slo_admission() -> PolicySpec {
-        PolicySpec::SloAdmission(SloAdmissionConfig::default())
-    }
-
-    /// ESG cross-queue packing at its default knobs.
-    pub fn packing() -> PolicySpec {
-        PolicySpec::Packing(BandwidthPackingConfig::default())
-    }
-
-    /// Admission + packing at default knobs.
-    pub fn packing_with_admission() -> PolicySpec {
-        PolicySpec::PackingWithAdmission(
-            SloAdmissionConfig::default(),
-            BandwidthPackingConfig::default(),
-        )
-    }
-
-    /// Builds the stack for specs expressible with sim-layer stages
-    /// alone; `None` for specs needing upper-layer machinery (baselines
-    /// use this as their whole `adopt_policy`).
-    pub fn sim_stack(&self) -> Option<PolicyStack> {
-        match *self {
-            PolicySpec::Classic => Some(PolicyStack::classic()),
-            PolicySpec::SloAdmission(cfg) => Some(PolicyStack::new().with(SloAdmission::new(cfg))),
-            PolicySpec::Packing(_) | PolicySpec::PackingWithAdmission(..) => None,
+impl BandwidthPackingConfig {
+    /// Rejects each knob out of range as [`SimError::InvalidKnob`].
+    pub fn validate(&self) -> Result<(), SimError> {
+        if self.round_budget == 0 {
+            return Err(SimError::InvalidKnob {
+                knob: "policy.round_budget",
+                value: 0.0,
+                requirement: "at least 1 expanded configuration per round",
+            });
         }
-    }
-
-    /// A short display label ("classic", "admit", "pack", "pack+admit").
-    pub fn label(&self) -> &'static str {
-        match self {
-            PolicySpec::Classic => "classic",
-            PolicySpec::SloAdmission(_) => "admit",
-            PolicySpec::Packing(_) => "pack",
-            PolicySpec::PackingWithAdmission(..) => "pack+admit",
-        }
+        positive("policy.defer_ms", self.defer_ms)?;
+        non_negative("policy.warm_bias", self.warm_bias)?;
+        non_negative("policy.contention_bias", self.contention_bias)
     }
 }
 
@@ -890,15 +839,15 @@ mod tests {
         ];
         let ctx = round_ctx(&env, &cluster, &queues);
         let mut stack = PolicyStack::new().with(Reverse).with(Reverse);
-        assert!(!stack.is_classic());
+        assert!(!stack.is_empty());
         assert_eq!(stack.stage_names(), vec!["reverse", "reverse"]);
         // Two reversals cancel out.
         assert_eq!(stack.rank(&ctx, &[0, 1, 2]), &[0, 1, 2]);
         let mut single = PolicyStack::new().with(Reverse);
         assert_eq!(single.rank(&ctx, &[0, 1, 2]), &[2, 1, 0]);
         // The empty stack is classic and ranks in scan order.
-        let mut classic = PolicyStack::classic();
-        assert!(classic.is_classic());
+        let mut classic = PolicyStack::new();
+        assert!(classic.is_empty());
         assert_eq!(classic.rank(&ctx, &[1, 2]), &[1, 2]);
         assert_eq!(
             classic.admit(&ctx).decisions(),
@@ -998,20 +947,6 @@ mod tests {
         busy.node_mut(NodeId(0)).free = Resources::ZERO;
         let busy_ctx = round_ctx(&env, &busy, &queues);
         assert!(gslo_attainable(&busy_ctx, f, 1e9));
-    }
-
-    #[test]
-    fn policy_spec_builds_sim_stacks() {
-        assert!(PolicySpec::Classic
-            .sim_stack()
-            .expect("classic")
-            .is_classic());
-        let adm = PolicySpec::slo_admission().sim_stack().expect("sim stage");
-        assert_eq!(adm.stage_names(), vec!["slo-admission"]);
-        assert!(PolicySpec::packing().sim_stack().is_none());
-        assert!(PolicySpec::packing_with_admission().sim_stack().is_none());
-        assert_eq!(PolicySpec::packing_with_admission().label(), "pack+admit");
-        assert_eq!(PolicySpec::default(), PolicySpec::Classic);
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! simulated controller time (see the crate docs for the calibration to
 //! the paper's §5.3 numbers).
 
-use crate::policy::{PolicySpec, PolicyStack};
-use crate::policy::{PolicyStats, ShedReason};
+use crate::policy::{PolicyStack, PolicyStats, ShedReason};
 use crate::state::ClusterState;
 use crate::workflow::Job;
 use esg_model::{
@@ -459,6 +458,11 @@ pub struct Capabilities {
     pub pre_warming: bool,
 }
 
+/// Has no values: a scheduler's round policy is the [`PolicyStack`] it
+/// carries. Kept only for [`Scheduler::adopt_policy`]'s signature.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PolicySpec {}
+
 /// A pluggable scheduling algorithm.
 pub trait Scheduler {
     /// Display name (figure legends).
@@ -482,14 +486,10 @@ pub trait Scheduler {
         None
     }
 
-    /// Installs the round policy selected through
-    /// [`SimBuilder::policy`](crate::SimBuilder::policy). Returns
-    /// `false` when the scheduler cannot honour `spec`
-    /// ([`Sim::try_run`](crate::Sim::try_run) surfaces that as
-    /// [`SimError::InvalidKnob`](crate::SimError::InvalidKnob)). The
-    /// default accepts only the classic contract.
+    /// Never called ([`PolicySpec`] has no values); kept so wrappers
+    /// outside this workspace that forward it still compile.
     fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
-        matches!(spec, PolicySpec::Classic)
+        match *spec {}
     }
 
     /// Decides one controller round over *all* eligible queues.
@@ -518,7 +518,7 @@ pub trait Scheduler {
     /// override the whole round, but composing reusable
     /// [`RoundPolicy`](crate::RoundPolicy) stages is the supported seam.
     fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {
-        if self.round_policy().is_none_or(|p| p.is_classic()) {
+        if self.round_policy().is_none_or(|p| p.is_empty()) {
             return match ctx.queues.first() {
                 Some(q) => vec![(q.key, self.schedule(&ctx.sched_ctx(0)))],
                 None => Vec::new(),

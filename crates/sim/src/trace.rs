@@ -47,18 +47,18 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 
-use crate::builder::validate_transfer;
+use crate::builder::{check_arrival, validate_transfer};
 use crate::eventlog::{EventKind, EventRecord};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
-use crate::policy::{PolicySpec, PolicyStack, ShedReason};
+use crate::policy::{PolicyStack, ShedReason};
 use crate::sched::{
     Capabilities, Outcome, OverheadModel, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent,
     SchedulerStats,
 };
 use esg_model::{
     standard_apps, AppId, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, GpuFlavor,
-    InvocationId, NodeClass, NodeId, Resources, SimTime, SloClass,
+    InvocationId, NodeClass, NodeId, Resources, SloClass,
 };
 use esg_profile::TransferModel;
 use esg_workload::{Arrival, Workload};
@@ -254,10 +254,6 @@ impl Scheduler for Traced {
         self.inner.round_policy()
     }
 
-    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
-        self.inner.adopt_policy(spec)
-    }
-
     fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {
         // Forwarded so a wrapped scheduler's round-policy stack (if any)
         // is exercised rather than silently replaced by the default
@@ -446,21 +442,12 @@ impl TraceFile {
                     .as_array()
                     .filter(|a| a.len() == 2)
                     .ok_or_else(|| schema(&format!("arrival #{i} is not a [t, app] pair")))?;
-                let app = AppId(u32_at(a, 1, "arrival app")?);
-                if app.index() >= known_apps {
-                    return Err(schema(&format!(
-                        "arrival #{i} names app {} outside the standard set",
-                        app.0
-                    )));
-                }
-                let at_ms = f64_at(a, 0, "arrival time")?;
-                if !SimTime::is_input_ms(at_ms) {
-                    return Err(schema(&format!(
-                        "arrival #{i} at t = {at_ms} ms is outside [0, {}] ms",
-                        SimTime::MAX_MS
-                    )));
-                }
-                Ok(Arrival { at_ms, app })
+                let arrival = Arrival {
+                    at_ms: f64_at(a, 0, "arrival time")?,
+                    app: AppId(u32_at(a, 1, "arrival app")?),
+                };
+                check_arrival(i, &arrival, known_apps).map_err(|e| schema(&e.to_string()))?;
+                Ok(arrival)
             })
             .collect::<Result<Vec<_>, TraceError>>()?;
         let events = field(&doc, "events")?

@@ -3,10 +3,11 @@
 //!
 //! A scaled-down version of the paper's Fig. 6: every scheduler runs the
 //! same workload on the same platform; only the scheduling algorithm
-//! differs (§4.2). The second table selects round policies through the
-//! `SimBuilder::policy(...)` knob: SLO-aware admission (sheds provably
-//! hopeless queues), ESG cross-queue packing (GSLO-tightness ranking
-//! under one shared search budget), and their stack.
+//! differs (§4.2). The second table hand-composes ESG's round-policy
+//! stack (`EsgScheduler::with_policy`): SLO-aware admission (sheds
+//! provably hopeless queues), ESG cross-queue packing (GSLO-tightness
+//! ranking under one shared search budget), and their stack. A stack
+//! with an out-of-range knob is refused by `Sim::try_run`.
 //!
 //! Run with: `cargo run --release --example compare_schedulers [scenario]`
 //! where scenario is `strict-light` (default), `moderate-normal`, or
@@ -74,30 +75,27 @@ fn main() {
         );
     }
 
-    // Round-policy stacks, selected through the builder knob. Each run
-    // installs the spec via Scheduler::adopt_policy; the classic row is
+    // Round-policy stacks, hand-composed into ESG; the classic row is
     // the same contract as the table above.
     println!(
-        "\nESG round-policy stacks (builder knob):\n{:<12} {:>8} {:>7} {:>10} {:>9}",
+        "\nESG round-policy stacks:\n{:<12} {:>8} {:>7} {:>10} {:>9}",
         "policy", "SLO-hit%", "shed%", "¢/invoc", "deferred"
     );
-    for spec in [
-        PolicySpec::Classic,
-        PolicySpec::slo_admission(),
-        PolicySpec::packing(),
-        PolicySpec::packing_with_admission(),
-    ] {
-        let sim = SimBuilder::new(scenario.slo)
-            .policy(spec)
-            .build()
-            .expect("valid policy spec");
-        let mut esg = EsgScheduler::new();
+    let (admit, pack) = (SloAdmission::default, BandwidthAwarePacking::default);
+    let stacks = [
+        ("classic", PolicyStack::new()),
+        ("admit", PolicyStack::new().with(admit())),
+        ("pack", PolicyStack::new().with(pack())),
+        ("pack+admit", PolicyStack::new().with(admit()).with(pack())),
+    ];
+    for (label, stack) in stacks {
+        let mut esg = EsgScheduler::new().with_policy(stack);
         let r = sim
             .try_run(&mut esg, &workload, &scenario.to_string())
-            .expect("EsgScheduler supports every built-in policy");
+            .expect("the default knobs are valid");
         println!(
             "{:<12} {:>7.1}% {:>6.1}% {:>10.3} {:>9}",
-            spec.label(),
+            label,
             r.avg_hit_rate() * 100.0,
             r.shed_rate() * 100.0,
             r.cost_per_invocation_cents(),
@@ -105,14 +103,15 @@ fn main() {
         );
     }
 
-    // Incompatible combos are typed errors, not panics: MinScheduler has
-    // no policy stack, so a packing spec is rejected up front.
-    let packing_sim = SimBuilder::new(scenario.slo)
-        .policy(PolicySpec::packing())
-        .build()
-        .expect("valid policy spec");
-    let err = packing_sim
-        .try_run(&mut MinScheduler, &workload, "combo-check")
-        .expect_err("MinScheduler cannot run a packing stack");
-    println!("\nincompatible combo check: {err}");
+    // Stage knobs are checked before a run starts: an admission back-off
+    // that is not a number is a typed error, not a stalled run.
+    let nan = SloAdmission::new(SloAdmissionConfig {
+        defer_ms: f64::NAN,
+        ..SloAdmissionConfig::default()
+    });
+    let mut bad = EsgScheduler::new().with_policy(PolicyStack::new().with(nan));
+    let err = sim
+        .try_run(&mut bad, &workload, "knob-check")
+        .expect_err("a NaN back-off is refused");
+    println!("\nbad knob check: {err}");
 }

@@ -41,11 +41,8 @@
 //! decision moved: every `trace=`, `completed=`, `dispatches=` and
 //! `rechecks=` field is byte-identical to the previous blessing.
 
-mod support;
-
 use esg::baselines::bo::BoOptimizer;
 use esg::prelude::*;
-use support::{fnv64, Traced};
 
 /// Simulated arrival window per cell, ms (test-sized stand-in for the
 /// hetero bench's 120 s window; the grid shape is what matters).

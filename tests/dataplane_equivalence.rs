@@ -18,10 +18,7 @@
 //! dropped, and a starved plane genuinely changes the outcome
 //! (proving the equivalence above is not vacuous).
 
-mod support;
-
 use esg::prelude::*;
-use support::{fnv64, Traced};
 
 /// Simulated arrival window per cell, ms (test-sized).
 const RUN_MS: f64 = 2_000.0;

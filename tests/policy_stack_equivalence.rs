@@ -14,11 +14,8 @@
 //!    `QueueShed` events (through the `QueueHealthMonitor` counters)
 //!    stay consistent.
 
-mod support;
-
 use esg::prelude::*;
 use esg::sim::AdmissionPlan;
-use support::Traced;
 
 /// An admission stage that admits everything — through the non-default
 /// code path (an explicit plan rewrite), so the stack pipeline is
@@ -272,26 +269,42 @@ fn deferring_admission_variant_makes_progress() {
 }
 
 #[test]
-fn wrapped_schedulers_adopt_the_builder_policy() {
-    // `Traced` and `Monitored` forward `adopt_policy`, so a policy
-    // selected through the builder reaches the wrapped scheduler and the
-    // wrapped runs replay the bare one.
-    let sim = SimBuilder::new(SloClass::Strict)
-        .policy(PolicySpec::packing_with_admission())
-        .build()
-        .expect("valid spec");
+fn wrapped_schedulers_keep_the_inner_policy_stack() {
+    // `Traced` and `Monitored` forward `round_policy` and
+    // `schedule_round`, so the stack a wrapped scheduler carries drives
+    // the wrapped run, which replays the bare one, and `try_run` checks
+    // its knobs through the wrapper.
+    let sim = SimBuilder::new(SloClass::Strict).build().expect("valid");
     let workload =
         WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 4).generate(30);
-    let bare = sim
-        .try_run(&mut EsgScheduler::new(), &workload, "wrapped")
-        .expect("ESG adopts every spec");
-    let mut traced = Traced::new(Box::new(EsgScheduler::new()));
-    let mut monitored = Monitored::new(Box::new(EsgScheduler::new()), 1_000.0);
+    let esg = |warm_bias| -> Box<dyn Scheduler> {
+        let pack = BandwidthPackingConfig {
+            warm_bias,
+            ..BandwidthPackingConfig::default()
+        };
+        let stack = PolicyStack::new()
+            .with(SloAdmission::default())
+            .with(BandwidthAwarePacking::new(pack));
+        Box::new(EsgScheduler::new().with_policy(stack))
+    };
+    let bare = sim.run(esg(0.25).as_mut(), &workload, "wrapped");
+    let classic = sim.run(&mut EsgScheduler::new(), &workload, "wrapped");
+    assert_ne!(bare.canonical(), classic.canonical(), "the stack decides");
+    let mut traced = Traced::new(esg(0.25));
+    let mut monitored = Monitored::new(esg(0.25), 1_000.0);
     for wrapped in [&mut traced as &mut dyn Scheduler, &mut monitored] {
-        let r = sim
-            .try_run(wrapped, &workload, "wrapped")
-            .expect("the wrapper forwards adopt_policy");
+        let r = sim.run(wrapped, &workload, "wrapped");
         assert_eq!(r.canonical(), bare.canonical());
     }
     assert!(traced.trace().starts_with("D "), "{}", traced.trace());
+    // A bad knob inside a wrapped stack is still refused.
+    let knob = |s: &mut dyn Scheduler| match sim.try_run(s, &workload, "wrapped") {
+        Err(SimError::InvalidKnob { knob, .. }) => knob,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(knob(&mut Traced::new(esg(-1.0))), "policy.warm_bias");
+    assert_eq!(
+        knob(&mut Monitored::new(esg(-1.0), 1.0)),
+        "policy.warm_bias"
+    );
 }

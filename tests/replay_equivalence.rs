@@ -16,10 +16,7 @@
 //!    event-queue high-water marks ([`MemoryFootprint`]) scale with
 //!    *live* work, not with the number of arrivals replayed.
 
-mod support;
-
 use esg::prelude::*;
-use support::Traced;
 
 const SHAPES: [TrafficShape; 4] = [
     TrafficShape::Steady,

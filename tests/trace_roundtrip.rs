@@ -11,6 +11,7 @@
 use esg::prelude::*;
 use esg::sim::TRACE_VERSION;
 use proptest::prelude::*;
+use serde_json::Value;
 
 /// A scratch path unique to this process and `tag` (tests in one binary
 /// run concurrently; traces must not collide).
@@ -218,6 +219,15 @@ fn damaged_configs_are_schema_errors_not_replay_panics() {
         ("node_resources", "[16,0]", "minimum configuration"),
         ("node_resources", "[0,7]", "minimum configuration"),
         ("remote_ms_per_mb", "-1", "transfer.remote_ms_per_mb"),
+        // Durations added to instants, past `SimTime::MAX_MS`.
+        ("local_base_ms", "1e300", "transfer.local_base_ms"),
+        ("local_ms_per_mb", "1e300", "transfer.local_ms_per_mb"),
+        ("remote_base_ms", "1e300", "transfer.remote_base_ms"),
+        ("remote_ms_per_mb", "1e300", "transfer.remote_ms_per_mb"),
+        ("keep_alive_ms", "1e300", "keep_alive_ms"),
+        ("idle_backoff_ms", "1e300", "idle_backoff_ms"),
+        ("overhead", "[1e300,0.4]", "overhead.base_us"),
+        ("overhead", "[200,1e300]", "overhead.us_per_expansion"),
     ] {
         let damaged = set_field(&text, key, value);
         match TraceFile::from_json(&damaged) {
@@ -322,5 +332,112 @@ proptest! {
         prop_assert_eq!(replayed.arrivals, recorded.arrivals);
         prop_assert_eq!(replayed.dispatches, recorded.dispatches);
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A structural mutation of one JSON node: replace a number with 0,
+/// -1, 1e300 or a string (by `n % 4`); remove an object member; keep
+/// only the first `n % len` elements of an array; or insert a copy of
+/// element `n % len` right after it.
+#[derive(Clone, Copy, Debug)]
+enum Mutation {
+    Set(usize),
+    Drop,
+    Truncate(usize),
+    Duplicate(usize),
+}
+
+/// `v` with `m` applied to its `target`-th eligible node in document
+/// order; `seen` counts the eligible nodes walked, so a walk with
+/// `target = usize::MAX` only counts them.
+fn mutate(v: &Value, m: Mutation, target: usize, seen: &mut usize) -> Value {
+    let len = v.as_array().map_or(0, <[Value]>::len);
+    let hit = match (m, v) {
+        (Mutation::Set(_), Value::Number(_) | Value::Int(_)) => true,
+        (Mutation::Truncate(_) | Mutation::Duplicate(_), _) => len > 0,
+        _ => false,
+    } && {
+        *seen += 1;
+        *seen - 1 == target
+    };
+    match (m, v) {
+        (Mutation::Set(n), _) if hit => {
+            serde_json::from_str(["0", "-1", "1e300", "\"x\""][n % 4]).expect("valid JSON")
+        }
+        (Mutation::Truncate(n), Value::Array(items)) if hit => {
+            Value::Array(items[..n % len].to_vec())
+        }
+        (Mutation::Duplicate(n), Value::Array(items)) if hit => {
+            let mut items = items.to_vec();
+            items.insert(n % len + 1, items[n % len].clone());
+            Value::Array(items)
+        }
+        (_, Value::Array(items)) => {
+            Value::Array(items.iter().map(|i| mutate(i, m, target, seen)).collect())
+        }
+        (_, Value::Object(map)) => {
+            let mut out = serde_json::Map::new();
+            for (k, item) in map.iter() {
+                if matches!(m, Mutation::Drop) {
+                    *seen += 1;
+                    if *seen - 1 == target {
+                        continue;
+                    }
+                }
+                out.insert(k, mutate(item, m, target, seen));
+            }
+            Value::Object(out)
+        }
+        _ => v.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A damaged trace either loads to a typed error or replays without
+    /// a panic; a replay with no warm-up window accounts for every
+    /// arrival as completed or shed.
+    #[test]
+    fn damaged_traces_load_to_typed_errors_or_replay_cleanly(
+        picks in proptest::collection::vec((0u32..4, any::<u32>(), any::<u32>()), 1..4),
+    ) {
+        // Six invocations under `MinScheduler` with one mid-run drain.
+        let (_, replay, path) = record(
+            &mut MinScheduler,
+            SloClass::Moderate,
+            WorkloadClass::Light,
+            11,
+            6,
+            ChurnPlan::none().drain(200.0, NodeId(2)),
+            "mutants",
+        );
+        drop(replay);
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        std::fs::remove_file(&path).ok();
+        let mut doc = serde_json::from_str(&text).expect("recorded JSON parses");
+        let mut applied = Vec::new();
+        for (kind, pick, n) in picks {
+            let n = n as usize;
+            let m = [Mutation::Set(n), Mutation::Drop, Mutation::Truncate(n), Mutation::Duplicate(n)]
+                [kind as usize];
+            let mut eligible = 0;
+            mutate(&doc, m, usize::MAX, &mut eligible);
+            if eligible > 0 {
+                let target = pick as usize % eligible;
+                doc = mutate(&doc, m, target, &mut 0);
+                applied.push((m, target));
+            }
+        }
+        let Ok(trace) = TraceFile::from_json(&serde_json::to_string(&doc)) else {
+            return Ok(());
+        };
+        // Printed only when the case fails (the harness captures it).
+        eprintln!("mutations: {applied:?}");
+        let no_warmup = trace.config.warmup_exclude_ms == 0.0;
+        let r = TraceReplay::new(trace).run(&mut MinScheduler, "damaged");
+        if no_warmup {
+            prop_assert_eq!(r.arrivals, r.total_completed() + r.shed_invocations);
+        }
     }
 }
