@@ -39,7 +39,7 @@ fn cluster_cases(run_seconds: f64) -> [ClusterCase; 3] {
 }
 
 fn main() {
-    let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = esg_bench::smoke();
     let run_seconds = if smoke { 3.0 } else { RUN_SECONDS };
     section(if smoke {
         "Heterogeneous clusters × traffic shapes (smoke mode)"
@@ -73,13 +73,7 @@ fn main() {
         .with_run_seconds(run_seconds)
         .run();
     sweep.write_artifacts();
-    if smoke {
-        // Smoke runs exist to exercise the pipeline, not to report: never
-        // overwrite the committed full-run tables with 3 s numbers.
-        eprintln!("[md] smoke mode: skipping EXPERIMENTS.md update");
-    } else {
-        sweep.write_experiments_section();
-    }
+    sweep.write_experiments_section();
 
     for case in cluster_cases(run_seconds) {
         println!("\n--- cluster {} ---", case.name);

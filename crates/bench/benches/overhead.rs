@@ -189,7 +189,7 @@ impl RoundPolicy for PassThrough {
 }
 
 fn main() {
-    let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = esg_bench::smoke();
     // Smoke keeps enough samples for a stable median: the perf-gate
     // compares this run against the committed full-run baseline, and 5
     // samples under CI-runner load produced ±40% medians on µs cases.
@@ -482,13 +482,7 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
         "cases": cases,
     });
     write_json("BENCH_overhead", &doc);
-    if smoke {
-        // Smoke runs exercise the pipeline; never overwrite the committed
-        // full-run tables with 5-sample numbers.
-        eprintln!("[md] smoke mode: skipping EXPERIMENTS.md update");
-    } else {
-        update_experiments_md("overhead", &render_overhead_markdown(&doc));
-    }
+    update_experiments_md("overhead", &render_overhead_markdown(&doc));
 
     // Headline: the warm/cold amortisation factor per case pair.
     let median = |label: &str| {

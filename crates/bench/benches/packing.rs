@@ -70,7 +70,7 @@ fn variants() -> [SchedSpec; 4] {
 }
 
 fn main() {
-    let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = esg_bench::smoke();
     let run_seconds = if smoke { 3.0 } else { RUN_SECONDS };
     section(if smoke {
         "Round-policy stacks: packing × admission (smoke mode)"
@@ -98,11 +98,7 @@ fn main() {
         .with_run_seconds(run_seconds)
         .run();
     sweep.write_artifacts();
-    if smoke {
-        eprintln!("[md] smoke mode: skipping EXPERIMENTS.md update");
-    } else {
-        sweep.write_experiments_section();
-    }
+    sweep.write_experiments_section();
 
     for case in cluster_cases(run_seconds) {
         println!("\n--- cluster {} ---", case.name);

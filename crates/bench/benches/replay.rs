@@ -26,7 +26,7 @@ use esg_bench::{
 use esg_model::Scenario;
 
 fn main() {
-    let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = esg_bench::smoke();
     let run_seconds = if smoke { 40.0 } else { esg_bench::RUN_SECONDS };
     section(if smoke {
         "Trace replay: recorded sweep × schedulers (smoke mode)"
@@ -112,10 +112,6 @@ fn main() {
 cost_per_invocation_cents,dispatches,shed_jobs",
         &csv_rows,
     );
-    if smoke {
-        eprintln!("[md] smoke mode: skipping EXPERIMENTS.md update");
-    } else {
-        update_experiments_md("replay", &render_replay_markdown(&doc));
-    }
+    update_experiments_md("replay", &render_replay_markdown(&doc));
     std::fs::remove_file(&path).ok();
 }

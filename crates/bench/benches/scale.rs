@@ -82,7 +82,7 @@ fn run_replay(minutes: usize) -> ReplaySample {
 }
 
 fn main() {
-    let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = esg_bench::smoke();
     // A sample is tens of seconds, not microseconds, so replays are
     // timed directly rather than through criterion.
     let replay_samples = if smoke { 1 } else { 3 };
@@ -167,9 +167,5 @@ fn main() {
         }],
     });
     write_json("BENCH_scale", &doc);
-    if smoke {
-        eprintln!("[md] smoke mode: skipping EXPERIMENTS.md update");
-    } else {
-        update_experiments_md("scale", &render_scale_markdown(&doc));
-    }
+    update_experiments_md("scale", &render_scale_markdown(&doc));
 }

@@ -110,7 +110,7 @@ fn variants() -> [SchedSpec; 2] {
 }
 
 fn main() {
-    let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = esg_bench::smoke();
     let run_seconds = if smoke { 3.0 } else { RUN_SECONDS };
     section(if smoke {
         "Transfer-bound packing: warm affinity vs bandwidth awareness (smoke mode)"
@@ -136,11 +136,7 @@ fn main() {
         .with_run_seconds(run_seconds)
         .run();
     sweep.write_artifacts();
-    if smoke {
-        eprintln!("[md] smoke mode: skipping EXPERIMENTS.md update");
-    } else {
-        sweep.write_experiments_section();
-    }
+    sweep.write_experiments_section();
 
     for case in cluster_cases() {
         println!("\n--- cluster {} ---", case.name);

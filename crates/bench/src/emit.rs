@@ -13,12 +13,32 @@ use serde_json::Value;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// The artifact directory: `$ESG_RESULTS_DIR` when set, else the
-/// workspace-level `bench_results/` (bench binaries run with CWD = the
-/// package dir, so the default is anchored at the workspace root).
+/// Whether this is a smoke run (`ESG_SMOKE` set to anything but empty
+/// or `0`): bench targets shrink their workloads, artifacts default to a
+/// scratch directory ([`results_dir`]) and `EXPERIMENTS.md` is left
+/// alone ([`update_experiments_md`]), so smoke-sized numbers never
+/// overwrite the committed full-run ones.
+pub fn smoke() -> bool {
+    std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// The artifact directory: `$ESG_RESULTS_DIR` when set; else
+/// `target/bench_results_smoke/` in a [`smoke`] run; else the
+/// workspace-level `bench_results/`.
 pub fn results_dir() -> PathBuf {
-    let default_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench_results");
-    PathBuf::from(std::env::var("ESG_RESULTS_DIR").unwrap_or_else(|_| default_dir.into()))
+    resolve_results_dir(std::env::var_os("ESG_RESULTS_DIR"), smoke())
+}
+
+/// [`results_dir`] from the value of `$ESG_RESULTS_DIR` and [`smoke`].
+/// Both defaults are anchored at the workspace root, since bench binaries
+/// run with CWD = the package dir.
+fn resolve_results_dir(explicit: Option<std::ffi::OsString>, smoke: bool) -> PathBuf {
+    let workspace = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    match explicit {
+        Some(dir) => PathBuf::from(dir),
+        None if smoke => workspace.join("target/bench_results_smoke"),
+        None => workspace.join("bench_results"),
+    }
 }
 
 /// Writes rows as `<name>.csv` under the results directory.
@@ -398,8 +418,13 @@ pub fn experiments_md_path() -> PathBuf {
 /// Splices `markdown` into the experiment report between
 /// `<!-- BENCH:<suite>:begin -->` / `<!-- BENCH:<suite>:end -->` markers,
 /// appending a new marked section when the suite has none yet. Best
-/// effort; returns the path on success.
+/// effort; returns the path on success. A [`smoke`] run reports, not
+/// records: it leaves the report untouched and returns `None`.
 pub fn update_experiments_md(suite: &str, markdown: &str) -> Option<PathBuf> {
+    if smoke() {
+        eprintln!("[md] smoke mode: not updating EXPERIMENTS.md (section {suite})");
+        return None;
+    }
     update_experiments_md_at(&experiments_md_path(), suite, markdown)
 }
 
@@ -454,6 +479,20 @@ mod tests {
         let csv = std::fs::read_to_string(dir.join("emit_test.csv")).expect("csv");
         assert_eq!(csv, "a,b\n1,2\n");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn smoke_runs_default_their_artifacts_under_target() {
+        let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let full = resolve_results_dir(None, false);
+        let smoke = resolve_results_dir(None, true);
+        assert_eq!(full, workspace.join("bench_results"));
+        assert_eq!(smoke, workspace.join("target/bench_results_smoke"));
+        // An explicit directory wins in both modes.
+        for mode in [false, true] {
+            let dir = resolve_results_dir(Some("/tmp/esg-fresh".into()), mode);
+            assert_eq!(dir, Path::new("/tmp/esg-fresh"));
+        }
     }
 
     #[test]

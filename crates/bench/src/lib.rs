@@ -27,7 +27,7 @@ pub use dashboard::{
 };
 pub use emit::{
     experiments_md_path, render_bench_markdown, render_overhead_markdown, render_scale_markdown,
-    results_dir, update_experiments_md, write_csv, write_json,
+    results_dir, smoke, update_experiments_md, write_csv, write_json,
 };
 pub use replay::{record_reference, render_replay_markdown, replay_doc, replay_matrix, ReplayRun};
 pub use suite::{
@@ -36,8 +36,8 @@ pub use suite::{
 
 use esg_baselines::{AquatopeScheduler, FastGShareScheduler, InflessScheduler, OrionScheduler};
 use esg_core::EsgScheduler;
-use esg_model::{standard_app_ids, Scenario, SloClass, TrafficShape};
-use esg_sim::{ExperimentResult, Scheduler, SimConfig};
+use esg_model::{standard_app_ids, Scenario, TrafficShape};
+use esg_sim::{Scheduler, SimConfig};
 use esg_workload::{shaped_workload, Workload, WorkloadGen};
 
 /// Simulated seconds of arrivals per experiment run.
@@ -133,65 +133,6 @@ pub fn standard_config() -> SimConfig {
         warmup_exclude_ms: WARMUP_SECONDS * 1000.0,
         ..SimConfig::default()
     }
-}
-
-/// Runs one `(scheduler, scenario)` cell of the evaluation at the
-/// standard configuration and shared [`SEED`].
-///
-/// One-off convenience for exploratory runs; sweeps should use
-/// [`ExperimentSuite`], which parallelises and records coordinates.
-pub fn run_cell(kind: SchedKind, scenario: Scenario) -> ExperimentResult {
-    run_cell_with(kind, scenario, standard_config())
-}
-
-/// [`run_cell`] with a custom platform configuration. Unlike the sweep
-/// engine (whose seed axis controls both the workload and `cfg.seed`),
-/// this honours the caller's `cfg.seed` verbatim and keeps the workload
-/// at the shared [`SEED`].
-pub fn run_cell_with(kind: SchedKind, scenario: Scenario, cfg: SimConfig) -> ExperimentResult {
-    let env = esg_sim::SimEnv::standard(scenario.slo);
-    let workload = standard_workload(scenario);
-    let mut sched = kind.build();
-    esg_sim::run_simulation(&env, cfg, sched.as_mut(), &workload, &scenario.to_string())
-}
-
-/// Runs every cell of `kinds × scenarios` in parallel via the sweep
-/// engine, returning results in deterministic `(scenario-major,
-/// kind-minor)` order.
-///
-/// The bench targets declare [`ExperimentSuite`]s directly; this wrapper
-/// remains public API for callers that want a paired comparison as a flat
-/// list without touching sweep records.
-pub fn run_matrix(
-    kinds: &[SchedKind],
-    scenarios: &[Scenario],
-) -> Vec<(Scenario, SchedKind, ExperimentResult)> {
-    let sweep = ExperimentSuite::new(
-        "matrix",
-        ScenarioMatrix::new()
-            .schedulers(kinds.iter().copied())
-            .scenarios(scenarios.iter().copied())
-            .seeds([SEED]),
-    )
-    .run();
-    // Cells expand scenario-major, scheduler-minor, seed-innermost; with a
-    // single seed that is exactly the promised order.
-    let mut out = Vec::with_capacity(sweep.results.len());
-    let mut it = sweep.results.into_iter();
-    for &scenario in scenarios {
-        for &kind in kinds {
-            let cell = it.next().expect("matrix fully populated");
-            debug_assert_eq!(cell.scenario, scenario);
-            debug_assert_eq!(cell.scheduler, kind.name());
-            out.push((scenario, kind, cell.result));
-        }
-    }
-    out
-}
-
-/// The SLO class of a scenario sweep cell (helper for custom sweeps).
-pub fn slo_of(scenario: Scenario) -> SloClass {
-    scenario.slo
 }
 
 /// Prints a rule-off section header.

@@ -15,7 +15,7 @@
 
 use crate::{standard_config, workload_for, SchedKind};
 use esg_model::Scenario;
-use esg_sim::{ExperimentResult, SimEnv, TraceError, TraceReplay, Traced};
+use esg_sim::{ExperimentResult, SimEnv, TraceError, TraceReplay};
 use serde_json::{json, Value};
 use std::path::Path;
 
@@ -52,22 +52,24 @@ pub fn record_reference(
         sched.as_mut(),
         &workload,
         &format!("record/{scenario}"),
-    );
+    )
+    .expect("a standard cell passes the run checks");
     let replay = TraceReplay::load(path)?;
     Ok((result, replay))
 }
 
 /// Re-drives the recorded load under each of `kinds`, one
 /// [`ReplayRun`] per scheduler in order. Every replay is tapped through
-/// [`Traced`], so rows carry the dispatch digest of their own run.
+/// [`Traced`](esg_sim::Traced) ([`TraceReplay::run_digest`]), so rows
+/// carry the dispatch digest of their own run.
 pub fn replay_matrix(replay: &TraceReplay, kinds: &[SchedKind]) -> Vec<ReplayRun> {
     let recorded = replay.trace().dispatch_digest();
     kinds
         .iter()
         .map(|&kind| {
-            let mut traced = Traced::new(kind.build());
-            let result = replay.run(&mut traced, &format!("replay/{}", kind.name()));
-            let digest = traced.trace_digest();
+            let (result, digest) = replay
+                .run_digest(kind.build(), &format!("replay/{}", kind.name()))
+                .expect("a loaded trace passes the run checks");
             ReplayRun {
                 scheduler: kind.name(),
                 digest,

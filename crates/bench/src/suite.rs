@@ -365,6 +365,10 @@ impl ExperimentSuite {
     /// distinct scenario × traffic × seed) are materialised once and
     /// shared by all runs — both for speed and so that paired cells
     /// provably consume identical inputs.
+    ///
+    /// Every cell goes through [`run_simulation`]'s checks; a cell they
+    /// refuse panics with the suite name, the cell's coordinates and the
+    /// [`SimError`](esg_sim::SimError) text before its event loop starts.
     pub fn run(&self) -> Sweep {
         let cells = self.matrix.cells();
 
@@ -401,18 +405,22 @@ impl ExperimentSuite {
                 }
             }
             let mut sched = spec.scheduler.build();
-            let result = run_simulation(
-                env,
-                cfg,
-                sched.as_mut(),
-                workload,
-                &spec.scenario.to_string(),
-            );
+            let scheduler = spec.scheduler.name().to_string();
+            let cluster = spec.cluster_label().to_string();
+            let scenario = spec.scenario.to_string();
+            let result = run_simulation(env, cfg, sched.as_mut(), workload, &scenario)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "suite {}: cell {scheduler} / {scenario} / cluster {cluster} / \
+traffic {} / seed {} refused: {e}",
+                        self.name, spec.traffic, spec.seed
+                    )
+                });
             SweepResult {
                 suite: self.name.clone(),
-                scheduler: spec.scheduler.name().to_string(),
+                scheduler,
                 scenario: spec.scenario,
-                cluster: spec.cluster_label().to_string(),
+                cluster,
                 traffic: spec.traffic,
                 seed: spec.seed,
                 result,
@@ -762,5 +770,56 @@ mod tests {
         assert!(cell.cluster.is_none());
         assert_eq!(cell.cluster_label(), "default");
         assert_eq!(cell.traffic, TrafficShape::Steady);
+    }
+
+    /// The panic message of a one-cell ESG strict-light suite named
+    /// `name` under `config`.
+    fn refusal(name: &str, config: SimConfig) -> String {
+        let suite = ExperimentSuite::new(
+            name,
+            ScenarioMatrix::new()
+                .schedulers([SchedKind::Esg])
+                .scenarios([Scenario::STRICT_LIGHT]),
+        )
+        .with_sim_config(config);
+        let run = std::panic::AssertUnwindSafe(|| suite.run());
+        let payload = std::panic::catch_unwind(run).expect_err("the cell is refused");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted panic message")
+    }
+
+    #[test]
+    fn a_cell_without_nodes_is_refused_before_its_run() {
+        let msg = refusal(
+            "empty",
+            SimConfig {
+                nodes: 0,
+                ..standard_config()
+            },
+        );
+        assert!(
+            msg.starts_with(
+                "suite empty: cell ESG / strict-light / cluster default / traffic steady / seed 42"
+            ),
+            "{msg}"
+        );
+        assert!(
+            msg.ends_with("refused: cluster has no usable node"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_cell_with_a_negative_keep_alive_is_refused() {
+        let msg = refusal(
+            "keep",
+            SimConfig {
+                keep_alive_ms: -1.0,
+                ..standard_config()
+            },
+        );
+        assert!(msg.contains("knob keep_alive_ms = -1"), "{msg}");
     }
 }

@@ -59,8 +59,8 @@ use esg_sim::{
 /// Cross-queue packing for [`EsgScheduler`](crate::EsgScheduler); see
 /// the module docs. Install it with
 /// `EsgScheduler::new().with_policy(PolicyStack::new().with(BandwidthAwarePacking::default()))`;
-/// [`Sim::try_run`](esg_sim::Sim::try_run) checks its knobs before the
-/// run starts.
+/// [`run_simulation`](esg_sim::run_simulation) checks its knobs before
+/// the run starts.
 #[derive(Clone, Debug)]
 pub struct BandwidthAwarePacking {
     cfg: BandwidthPackingConfig,

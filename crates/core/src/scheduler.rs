@@ -753,13 +753,10 @@ mod tests {
         let mut reused = EsgScheduler::new();
         for env in &envs {
             let run = |s: &mut EsgScheduler| {
-                canonical(run_simulation(
-                    env,
-                    SimConfig::default(),
-                    s,
-                    &workload,
-                    "env",
-                ))
+                canonical(
+                    run_simulation(env, SimConfig::default(), s, &workload, "env")
+                        .expect("valid run"),
+                )
             };
             assert_eq!(run(&mut reused), run(&mut EsgScheduler::new()));
         }

@@ -25,9 +25,11 @@
 //! .generate(50);
 //!
 //! let mut esg = EsgScheduler::new();
-//! let result = run_simulation(&env, SimConfig::default(), &mut esg, &workload, "demo");
+//! // The one way to start a run: every knob is checked first.
+//! let result = run_simulation(&env, SimConfig::default(), &mut esg, &workload, "demo")?;
 //! assert_eq!(result.arrivals, 50);
 //! println!("SLO hit rate: {:.1}%", result.avg_hit_rate() * 100.0);
+//! # Ok::<(), SimError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -62,9 +64,8 @@ pub mod prelude {
         MinScheduler, Monitored, NodeLoad, NodeSummary, NodeTransferStats, NodeView, OverheadModel,
         PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor, QueueView,
         RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats, ShedReason,
-        Sim, SimBuilder, SimConfig, SimEnv, SimError, Simulation, SloAdmission, SloAdmissionConfig,
-        TraceError, TraceFile, TraceRecorder, TraceReplay, Traced, TransferCounters,
-        TransferSummary,
+        SimConfig, SimEnv, SimError, Simulation, SloAdmission, SloAdmissionConfig, TraceError,
+        TraceFile, TraceRecorder, TraceReplay, Traced, TransferCounters, TransferSummary,
     };
     pub use esg_workload::{
         shaped_stream, shaped_workload, ArrivalPredictor, ArrivalStream, AzureLikeTrace, RateFn,

@@ -220,7 +220,7 @@ impl std::fmt::Display for NodeClass {
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ServerTopology {
     /// GPUs (nodes) per server; consecutive `NodeId`s group together.
-    /// Must be ≥ 1 — `SimBuilder` rejects 0 as an `InvalidKnob`.
+    /// Must be ≥ 1 — a run rejects 0 as an `InvalidKnob`.
     pub gpus_per_server: usize,
     /// Shared top-of-rack uplink bandwidth per server, GB/s
     /// (1 GB/s ≡ 1 MB/ms). Every cross-server flow touching the server —

@@ -1,50 +1,57 @@
-//! The validating front door for simulation runs: [`SimBuilder`] →
-//! [`Sim`] → [`ExperimentResult`].
+//! The checks every run passes before its event loop starts, and the
+//! typed [`SimError`] they return.
 //!
-//! `SimEnv`/`SimConfig` are plain knob records: a struct literal accepts
-//! an empty cluster, a zero keep-alive, or a churn script draining a
-//! node that never exists, and the mistake surfaces as a panic deep
-//! inside the event loop (or as a silently ignored churn event). The
-//! builder checks every cross-field invariant up front and returns a
-//! typed [`SimError`] instead, then bundles the validated environment
-//! and configuration as a reusable [`Sim`]. The configuration checks
-//! live in [`SimConfig::validate`], which the trace loader also runs on
-//! a recorded configuration.
+//! `SimEnv`/`SimConfig` are plain records: a struct literal accepts an
+//! empty cluster, a zero keep-alive, or a churn script draining a node
+//! that never exists. [`run_simulation`](crate::run_simulation) and
+//! [`run_streamed`](crate::run_streamed), the one checked way to start a
+//! run, first check the configuration ([`SimConfig::validate`]), the
+//! environment's applications and transfer tariffs, and the knobs of the
+//! scheduler's round-policy stack, so such a mistake is a typed
+//! [`SimError`] instead of a panic deep inside the event loop (or a
+//! silently ignored churn event); `run_simulation` also scans the
+//! workload's arrivals. The trace loader runs the configuration, tariff
+//! and arrival checks on a recorded run.
 //!
 //! ```
-//! use esg_sim::{MinScheduler, SimBuilder};
 //! use esg_model::{SloClass, WorkloadClass};
+//! use esg_sim::{run_simulation, MinScheduler, SimConfig, SimEnv, SimError};
 //! use esg_workload::WorkloadGen;
 //!
-//! let sim = SimBuilder::new(SloClass::Moderate)
-//!     .warmup_exclude_ms(1_000.0)
-//!     .seed(7)
-//!     .build()
-//!     .expect("valid configuration");
+//! let env = SimEnv::standard(SloClass::Moderate);
 //! let workload = WorkloadGen::new(
 //!     WorkloadClass::Light,
 //!     esg_model::standard_app_ids(),
 //!     7,
 //! )
 //! .generate(10);
-//! let mut sched = MinScheduler;
-//! let result = sim.run(&mut sched, &workload, "doc");
+//! let cfg = SimConfig {
+//!     warmup_exclude_ms: 1_000.0,
+//!     seed: 7,
+//!     ..SimConfig::default()
+//! };
+//! let result = run_simulation(&env, cfg, &mut MinScheduler, &workload, "doc")?;
 //! assert_eq!(result.arrivals, 10);
+//!
+//! // A cluster without nodes is refused before the run starts.
+//! let empty = SimConfig {
+//!     nodes: 0,
+//!     ..SimConfig::default()
+//! };
+//! let refused = run_simulation(&env, empty, &mut MinScheduler, &workload, "doc");
+//! assert_eq!(refused.err(), Some(SimError::EmptyCluster));
+//! # Ok::<(), SimError>(())
 //! ```
 
-use crate::dataplane::DataPlaneConfig;
-use crate::metrics::ExperimentResult;
-use crate::platform::{run_simulation, run_streamed, SimConfig, SimEnv};
-use crate::sched::{OverheadModel, Scheduler};
-use esg_model::{
-    AppId, AppSpec, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, NodeClass, Resources,
-    SimTime, SloClass,
-};
+use crate::platform::{SimConfig, SimEnv};
+use crate::sched::Scheduler;
+use esg_model::{AppId, ChurnEvent, Config, NodeClass, Resources, SimTime};
 use esg_profile::TransferModel;
-use esg_workload::{Arrival, ArrivalStream, Workload};
+use esg_workload::Arrival;
 
-/// A configuration rejected by [`SimBuilder::build`] or
-/// [`SimConfig::validate`].
+/// A setting refused before a run's event loop starts, by
+/// [`run_simulation`](crate::run_simulation),
+/// [`run_streamed`](crate::run_streamed) or [`SimConfig::validate`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
     /// The cluster would have no usable node (zero nodes, or a node with
@@ -138,232 +145,53 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Fluent, validating constructor for simulation runs.
-///
-/// Every setter mirrors a [`SimConfig`]/[`SimEnv`] knob;
-/// [`build`](Self::build) validates the whole bundle and returns a
-/// [`Sim`] or a typed [`SimError`]. Defaults are the paper's Table-2
-/// platform on the standard environment.
-#[derive(Clone, Debug)]
-pub struct SimBuilder {
-    slo: SloClass,
-    grid: ConfigGrid,
-    apps: Option<Vec<AppSpec>>,
-    transfer: Option<TransferModel>,
-    cfg: SimConfig,
-}
-
-impl SimBuilder {
-    /// A builder for the standard environment under `slo`.
-    pub fn new(slo: SloClass) -> SimBuilder {
-        SimBuilder {
-            slo,
-            grid: ConfigGrid::default(),
-            apps: None,
-            transfer: None,
-            cfg: SimConfig::default(),
+/// The checks [`run_simulation`](crate::run_simulation) and
+/// [`run_streamed`](crate::run_streamed) make before the event loop
+/// starts: the configuration, the environment, the `arrivals` (one scan:
+/// each passes [`check_arrival`] and is no earlier than its predecessor)
+/// and the knobs of every stage in `sched`'s round-policy stack, in that
+/// order.
+pub(crate) fn check_run(
+    env: &SimEnv,
+    cfg: &SimConfig,
+    arrivals: &[Arrival],
+    sched: &mut dyn Scheduler,
+) -> Result<(), SimError> {
+    cfg.validate()?;
+    validate_transfer(&env.transfer)?;
+    if env.apps.is_empty() || env.apps.iter().any(|a| a.num_stages() == 0) {
+        return Err(SimError::NoApplications);
+    }
+    // Every stage must name a catalog function: an out-of-range id would
+    // otherwise surface as an index panic at the first dispatch touching
+    // it.
+    let known = env.catalog.iter().count();
+    for a in &env.apps {
+        if let Some(&f) = a.nodes.iter().find(|f| f.index() >= known) {
+            return Err(SimError::UnknownFunction {
+                app: a.name.to_string(),
+                function: f,
+            });
         }
     }
-
-    /// Replaces the configuration grid (ablations restrict it, overhead
-    /// sweeps enlarge it).
-    pub fn grid(mut self, grid: ConfigGrid) -> Self {
-        self.grid = grid;
-        self
-    }
-
-    /// Replaces the §4.1 standard applications with custom specs.
-    pub fn apps(mut self, apps: Vec<AppSpec>) -> Self {
-        self.apps = Some(apps);
-        self
-    }
-
-    /// A homogeneous cluster of `n` nodes (Table-2 resources unless
-    /// [`node_resources`](Self::node_resources) overrides them).
-    pub fn nodes(mut self, n: usize) -> Self {
-        self.cfg.nodes = n;
-        self.cfg.cluster = None;
-        self
-    }
-
-    /// Per-node resources for the homogeneous path.
-    pub fn node_resources(mut self, r: Resources) -> Self {
-        self.cfg.node_resources = r;
-        self
-    }
-
-    /// A declarative heterogeneous cluster (overrides
-    /// [`nodes`](Self::nodes)).
-    pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.cfg.cluster = Some(spec);
-        self
-    }
-
-    /// Scripted node drains/joins applied mid-run.
-    pub fn churn(mut self, plan: ChurnPlan) -> Self {
-        self.cfg.churn = plan;
-        self
-    }
-
-    /// Replaces the environment's per-job transfer tariffs (§3.4
-    /// defaults otherwise). Every `*_ms_per_mb`/`*_base_ms` must lie in
-    /// `[0, SimTime::MAX_MS]`; [`build`](Self::build) rejects the rest
-    /// as [`SimError::InvalidKnob`].
-    pub fn transfer(mut self, model: TransferModel) -> Self {
-        self.transfer = Some(model);
-        self
-    }
-
-    /// Enables the contended-bandwidth data plane: per-node PCIe/NVLink
-    /// pools, bounded staging buffers, and transfer batching replace
-    /// the scalar per-dispatch transfer charge. Off by default — the
-    /// classic scalar model stays bit-identical to the pinned golden
-    /// digests; at `bandwidth_scale` high enough that no pool ever
-    /// saturates, the data plane reproduces the scalar timings exactly
-    /// (pinned by `tests/dataplane_equivalence.rs`).
-    pub fn data_plane(mut self, dp: DataPlaneConfig) -> Self {
-        self.cfg.data_plane = Some(dp);
-        self
-    }
-
-    /// Warm-container keep-alive, ms.
-    pub fn keep_alive_ms(mut self, ms: f64) -> Self {
-        self.cfg.keep_alive_ms = ms;
-        self
-    }
-
-    /// Search-effort → controller-time conversion.
-    pub fn overhead(mut self, model: OverheadModel) -> Self {
-        self.cfg.overhead = model;
-        self
-    }
-
-    /// Whether decision time occupies the controller ("w/o searching
-    /// overhead" variants disable it).
-    pub fn charge_overhead(mut self, on: bool) -> Self {
-        self.cfg.charge_overhead = on;
-        self
-    }
-
-    /// Enables/disables the EWMA pre-warming proxy.
-    pub fn prewarm(mut self, on: bool) -> Self {
-        self.cfg.prewarm = on;
-        self
-    }
-
-    /// EWMA smoothing factor for the pre-warmer, in `(0, 1]`.
-    pub fn prewarm_alpha(mut self, alpha: f64) -> Self {
-        self.cfg.prewarm_alpha = alpha;
-        self
-    }
-
-    /// Warm containers per (node, function) installed at t = 0.
-    pub fn initial_warm_per_node(mut self, n: u32) -> Self {
-        self.cfg.initial_warm_per_node = n;
-        self
-    }
-
-    /// Pool cap the pre-warm proxy grows towards per (node, function).
-    pub fn prewarm_pool_cap(mut self, cap: usize) -> Self {
-        self.cfg.prewarm_pool_cap = cap;
-        self
-    }
-
-    /// Warm-up window excluded from SLO/latency metrics, ms.
-    pub fn warmup_exclude_ms(mut self, ms: f64) -> Self {
-        self.cfg.warmup_exclude_ms = ms;
-        self
-    }
-
-    /// RNG seed (noise and stochastic scheduler choices).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Recheck rounds before a forced minimum-configuration dispatch.
-    pub fn recheck_limit(mut self, rounds: u32) -> Self {
-        self.cfg.recheck_limit = rounds;
-        self
-    }
-
-    /// Controller back-off when a scan found only skips, ms.
-    pub fn idle_backoff_ms(mut self, ms: f64) -> Self {
-        self.cfg.idle_backoff_ms = ms;
-        self
-    }
-
-    /// Records every run's full control-plane event stream (arrivals,
-    /// dispatches, completions, churn, sheds) to `path`,
-    /// replayable via [`TraceReplay`](crate::TraceReplay). The write
-    /// happens at the end of each run and is best-effort (a failure is
-    /// reported on stderr); loading is fully typed through
-    /// [`TraceError`](crate::TraceError).
-    pub fn record_trace(mut self, path: impl AsRef<std::path::Path>) -> Self {
-        self.cfg.record_trace = Some(path.as_ref().to_path_buf());
-        self
-    }
-
-    /// Safety cap on simulated time, ms (0 = none).
-    pub fn max_sim_ms(mut self, ms: f64) -> Self {
-        self.cfg.max_sim_ms = ms;
-        self
-    }
-
-    /// Turns on the incremental-vs-snapshot `ClusterState` equivalence
-    /// oracle (test runs only; costs a rebuild per refresh).
-    pub fn validate_cluster_state(mut self, on: bool) -> Self {
-        self.cfg.validate_cluster_state = on;
-        self
-    }
-
-    /// Validates the bundle and materialises the environment.
-    pub fn build(self) -> Result<Sim, SimError> {
-        let SimBuilder {
-            slo,
-            grid,
-            apps,
-            transfer,
-            cfg,
-        } = self;
-
-        cfg.validate()?;
-        if let Some(t) = &transfer {
-            validate_transfer(t)?;
+    let mut previous_ms = 0.0;
+    for (index, a) in arrivals.iter().enumerate() {
+        check_arrival(index, a, env.apps.len())?;
+        if a.at_ms < previous_ms {
+            let at_ms = a.at_ms;
+            return Err(SimError::UnsortedArrival { index, at_ms });
         }
-
-        let mut env = SimEnv::with_grid(slo, grid);
-        if let Some(t) = transfer {
-            env.transfer = t;
-        }
-        if let Some(apps) = apps {
-            if apps.is_empty() || apps.iter().any(|a| a.num_stages() == 0) {
-                return Err(SimError::NoApplications);
-            }
-            // Every stage must name a catalog function — an out-of-range
-            // id would otherwise surface as an index panic at the first
-            // dispatch touching it.
-            let known = env.catalog.iter().count();
-            for a in &apps {
-                if let Some(&f) = a.nodes.iter().find(|f| f.index() >= known) {
-                    return Err(SimError::UnknownFunction {
-                        app: a.name.to_string(),
-                        function: f,
-                    });
-                }
-            }
-            env.apps = apps;
-        }
-        Ok(Sim { env, cfg })
+        previous_ms = a.at_ms;
     }
+    sched.round_policy().map_or(Ok(()), |p| p.validate())
 }
 
 impl SimConfig {
     /// Checks every cross-field invariant of the configuration: cluster
     /// shape, class bandwidths, topology, data plane, scalar knobs,
-    /// recheck limit and churn script. [`SimBuilder::build`] runs it, and
-    /// so does the trace loader on a recorded config, so a configuration
-    /// that would panic inside the event loop is a typed error in both.
+    /// recheck limit and churn script. Every run checks it, and so does
+    /// the trace loader on a recorded config, so a configuration that
+    /// would panic inside the event loop is a typed error in both.
     pub fn validate(&self) -> Result<(), SimError> {
         // Cluster shape.
         match &self.cluster {
@@ -562,112 +390,6 @@ fn validate_churn(cfg: &SimConfig) -> Result<(), SimError> {
     Ok(())
 }
 
-/// A validated environment + configuration bundle, ready to run any
-/// number of schedulers/workloads over the same setting.
-#[derive(Clone, Debug)]
-pub struct Sim {
-    env: SimEnv,
-    cfg: SimConfig,
-}
-
-impl Sim {
-    /// The validated environment.
-    pub fn env(&self) -> &SimEnv {
-        &self.env
-    }
-
-    /// The validated platform configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Runs `sched` over `workload`, labelling the result `scenario`.
-    ///
-    /// Panics where [`try_run`](Self::try_run) returns an error.
-    pub fn run(
-        &self,
-        sched: &mut dyn Scheduler,
-        workload: &Workload,
-        scenario: &str,
-    ) -> ExperimentResult {
-        self.try_run(sched, workload, scenario)
-            .unwrap_or_else(|e| panic!("{e} (use Sim::try_run)"))
-    }
-
-    /// Runs `sched` over `workload`, returning a damaged arrival
-    /// ([`SimError::InvalidArrival`], [`SimError::UnsortedArrival`],
-    /// [`SimError::UnknownApp`]) or an out-of-range knob of the
-    /// scheduler's [`round_policy`](Scheduler::round_policy) stack
-    /// ([`SimError::InvalidKnob`]) instead of panicking.
-    pub fn try_run(
-        &self,
-        sched: &mut dyn Scheduler,
-        workload: &Workload,
-        scenario: &str,
-    ) -> Result<ExperimentResult, SimError> {
-        self.check_arrivals(workload)?;
-        check_policy(sched)?;
-        Ok(run_simulation(
-            &self.env,
-            self.cfg.clone(),
-            sched,
-            workload,
-            scenario,
-        ))
-    }
-
-    /// Runs `sched` over a lazily generated [`ArrivalStream`], labelling
-    /// the result `scenario`. Arrivals are pulled one at a time as
-    /// simulated time advances, so memory stays constant in the stream
-    /// length; the dispatch trace is bit-identical to materialising the
-    /// same stream and calling [`run`](Self::run).
-    ///
-    /// Panics where [`try_run_streamed`](Self::try_run_streamed) returns
-    /// an error.
-    pub fn run_streamed(
-        &self,
-        sched: &mut dyn Scheduler,
-        stream: ArrivalStream,
-        scenario: &str,
-    ) -> ExperimentResult {
-        self.try_run_streamed(sched, stream, scenario)
-            .unwrap_or_else(|e| panic!("{e} (use Sim::try_run_streamed)"))
-    }
-
-    /// Streamed counterpart of [`try_run`](Self::try_run); only the
-    /// round-policy knobs are checked up front.
-    pub fn try_run_streamed(
-        &self,
-        sched: &mut dyn Scheduler,
-        stream: ArrivalStream,
-        scenario: &str,
-    ) -> Result<ExperimentResult, SimError> {
-        check_policy(sched)?;
-        Ok(run_streamed(
-            &self.env,
-            self.cfg.clone(),
-            sched,
-            stream,
-            scenario,
-        ))
-    }
-
-    /// One scan over the arrivals: each passes [`check_arrival`] and is
-    /// no earlier than its predecessor.
-    fn check_arrivals(&self, workload: &Workload) -> Result<(), SimError> {
-        let mut previous_ms = 0.0;
-        for (index, a) in workload.arrivals.iter().enumerate() {
-            check_arrival(index, a, self.env.apps.len())?;
-            if a.at_ms < previous_ms {
-                let at_ms = a.at_ms;
-                return Err(SimError::UnsortedArrival { index, at_ms });
-            }
-            previous_ms = a.at_ms;
-        }
-        Ok(())
-    }
-}
-
 /// Arrival `index` of a run over `apps` applications is at an input
 /// instant ([`SimTime::is_input_ms`]) and names one of them; the trace
 /// loader runs the same check on recorded arrivals.
@@ -682,20 +404,17 @@ pub(crate) fn check_arrival(index: usize, a: &Arrival, apps: usize) -> Result<()
     Ok(())
 }
 
-/// Checks the knobs of every stage in `sched`'s round-policy stack.
-fn check_policy(sched: &mut dyn Scheduler) -> Result<(), SimError> {
-    sched.round_policy().map_or(Ok(()), |p| p.validate())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::MinScheduler;
+    use crate::dataplane::DataPlaneConfig;
+    use crate::platform::{run_simulation, run_streamed, MinScheduler};
     use crate::policy::{
         BandwidthPackingConfig, PolicyStack, RoundPolicy, SloAdmission, SloAdmissionConfig,
     };
-    use esg_model::{NodeClass, NodeId, SloClass, WorkloadClass};
-    use esg_workload::WorkloadGen;
+    use crate::sched::OverheadModel;
+    use esg_model::{AppSpec, ChurnPlan, ClusterSpec, FnId, NodeId, SloClass, WorkloadClass};
+    use esg_workload::{Workload, WorkloadGen};
 
     /// `MinScheduler`'s decisions under a hand-composed policy stack.
     struct Stacked(PolicyStack);
@@ -731,42 +450,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn default_builder_runs() {
-        let sim = SimBuilder::new(SloClass::Relaxed).build().expect("valid");
-        let w =
-            WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 3).generate(12);
-        let mut s = MinScheduler;
-        let r = sim.run(&mut s, &w, "builder");
-        assert_eq!(r.total_completed(), 12);
-        assert_eq!(r.scenario, "builder");
+    /// The checked entry's verdict on `cfg` in `env`, over no arrivals.
+    fn check_in(env: &SimEnv, cfg: SimConfig) -> Result<(), SimError> {
+        let none = Workload::default();
+        run_simulation(env, cfg, &mut MinScheduler, &none, "check").map(drop)
+    }
+
+    /// [`check_in`] on the standard environment.
+    fn check(cfg: SimConfig) -> Result<(), SimError> {
+        check_in(&SimEnv::standard(SloClass::Moderate), cfg)
+    }
+
+    /// [`check`] on the default configuration over `spec`.
+    fn check_cluster(spec: ClusterSpec) -> Result<(), SimError> {
+        check(SimConfig {
+            cluster: Some(spec),
+            ..SimConfig::default()
+        })
+    }
+
+    /// The knob a refused run names, or `None` when the run passes its
+    /// checks.
+    fn knob<T>(r: Result<T, SimError>) -> Option<&'static str> {
+        match r {
+            Ok(_) => None,
+            Err(SimError::InvalidKnob { knob, .. }) => Some(knob),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     #[test]
-    fn builder_matches_struct_literal_bit_for_bit() {
+    fn default_builder_runs() {
+        let env = SimEnv::standard(SloClass::Relaxed);
         let w =
-            WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 9).generate(15);
-        let sim = SimBuilder::new(SloClass::Moderate)
-            .warmup_exclude_ms(500.0)
-            .seed(11)
-            .build()
+            WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 3).generate(12);
+        let r = run_simulation(&env, SimConfig::default(), &mut MinScheduler, &w, "default")
             .expect("valid");
-        let mut a = MinScheduler;
-        let ra = sim.run(&mut a, &w, "x");
-        let env = SimEnv::standard(SloClass::Moderate);
-        let mut b = MinScheduler;
-        let rb = run_simulation(
-            &env,
-            SimConfig {
-                warmup_exclude_ms: 500.0,
-                seed: 11,
-                ..SimConfig::default()
-            },
-            &mut b,
-            &w,
-            "x",
-        );
-        assert_eq!(ra.canonical(), rb.canonical());
+        assert_eq!(r.total_completed(), 12);
+        assert_eq!(r.scenario, "default");
     }
 
     #[test]
@@ -779,109 +500,145 @@ mod tests {
         // must then be bit-identical.
         let horizon = 30_000.0;
         let beyond = gen.stream().until_ms(horizon + 60_000.0);
-        let capped = SimBuilder::new(SloClass::Moderate)
-            .seed(21)
-            .max_sim_ms(horizon)
-            .build()
-            .expect("valid");
-        let r_mat = capped.run(&mut MinScheduler, &beyond, "eq");
-        let r_str = capped.run_streamed(&mut MinScheduler, gen.stream(), "eq");
+        let env = SimEnv::standard(SloClass::Moderate);
+        let capped = SimConfig {
+            seed: 21,
+            max_sim_ms: horizon,
+            ..SimConfig::default()
+        };
+        let r_mat =
+            run_simulation(&env, capped.clone(), &mut MinScheduler, &beyond, "eq").expect("valid");
+        let r_str =
+            run_streamed(&env, capped, &mut MinScheduler, gen.stream(), "eq").expect("valid");
         assert_eq!(r_mat.canonical(), r_str.canonical());
     }
 
     #[test]
     fn empty_cluster_is_rejected() {
-        assert_eq!(
-            SimBuilder::new(SloClass::Strict).nodes(0).build().err(),
-            Some(SimError::EmptyCluster)
-        );
+        let no_nodes = || SimConfig {
+            nodes: 0,
+            ..SimConfig::default()
+        };
+        assert_eq!(check(no_nodes()), Err(SimError::EmptyCluster));
         // The same check on a bare config, as the trace loader runs it.
-        assert_eq!(
-            SimConfig {
-                nodes: 0,
-                ..SimConfig::default()
-            }
-            .validate(),
-            Err(SimError::EmptyCluster)
-        );
+        assert_eq!(no_nodes().validate(), Err(SimError::EmptyCluster));
         assert_eq!(SimConfig::default().validate(), Ok(()));
         assert_eq!(
-            SimBuilder::new(SloClass::Strict)
-                .cluster(ClusterSpec::new("none"))
-                .build()
-                .err(),
-            Some(SimError::EmptyCluster)
+            check_cluster(ClusterSpec::new("none")),
+            Err(SimError::EmptyCluster)
         );
     }
 
     #[test]
     fn bad_knobs_are_rejected() {
-        let b = || SimBuilder::new(SloClass::Moderate);
-        let overhead = |base_us, us_per_expansion| {
-            b().overhead(OverheadModel {
+        let d = SimConfig::default;
+        let overhead = |base_us, us_per_expansion| SimConfig {
+            overhead: OverheadModel {
                 base_us,
                 us_per_expansion,
-            })
+            },
+            ..d()
         };
-        for (knob, builder) in [
-            ("keep_alive_ms", b().keep_alive_ms(0.0)),
-            ("prewarm_alpha", b().prewarm_alpha(1.5)),
-            ("recheck_limit", b().recheck_limit(0)),
-            ("max_sim_ms", b().max_sim_ms(f64::NAN)),
+        for (name, cfg) in [
+            (
+                "keep_alive_ms",
+                SimConfig {
+                    keep_alive_ms: 0.0,
+                    ..d()
+                },
+            ),
+            (
+                "keep_alive_ms",
+                SimConfig {
+                    keep_alive_ms: -1.0,
+                    ..d()
+                },
+            ),
+            (
+                "prewarm_alpha",
+                SimConfig {
+                    prewarm_alpha: 1.5,
+                    ..d()
+                },
+            ),
+            (
+                "recheck_limit",
+                SimConfig {
+                    recheck_limit: 0,
+                    ..d()
+                },
+            ),
+            (
+                "max_sim_ms",
+                SimConfig {
+                    max_sim_ms: f64::NAN,
+                    ..d()
+                },
+            ),
             // Durations added to instants, past `SimTime::MAX_MS`.
-            ("keep_alive_ms", b().keep_alive_ms(1e300)),
-            ("idle_backoff_ms", b().idle_backoff_ms(1e300)),
+            (
+                "keep_alive_ms",
+                SimConfig {
+                    keep_alive_ms: 1e300,
+                    ..d()
+                },
+            ),
+            (
+                "idle_backoff_ms",
+                SimConfig {
+                    idle_backoff_ms: 1e300,
+                    ..d()
+                },
+            ),
             ("overhead.base_us", overhead(1e300, 0.4)),
             ("overhead.base_us", overhead(f64::NAN, 0.4)),
             ("overhead.us_per_expansion", overhead(200.0, 1e300)),
         ] {
-            assert!(
-                matches!(builder.build(), Err(SimError::InvalidKnob { knob: k, .. }) if k == knob),
-                "{knob}"
-            );
+            assert_eq!(knob(check(cfg)), Some(name), "{name}");
         }
-        assert!(b().keep_alive_ms(SimTime::MAX_MS).build().is_ok());
+        let longest = SimConfig {
+            keep_alive_ms: SimTime::MAX_MS,
+            ..d()
+        };
+        assert_eq!(check(longest), Ok(()));
     }
 
     #[test]
     fn churn_script_membership_is_checked() {
+        let churn = |plan: ChurnPlan| {
+            check(SimConfig {
+                churn: plan,
+                ..SimConfig::default()
+            })
+        };
         // Draining node 16 on a 16-node cluster: out of range…
-        let err = SimBuilder::new(SloClass::Moderate)
-            .churn(ChurnPlan::none().drain(100.0, NodeId(16)))
-            .build()
-            .expect_err("rejected");
+        let err = churn(ChurnPlan::none().drain(100.0, NodeId(16))).expect_err("rejected");
         assert!(matches!(err, SimError::InvalidChurn { index: 0, .. }));
         // …unless a join earlier in time has created it.
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .churn(
-                ChurnPlan::none()
-                    .join(50.0, NodeClass::t4())
-                    .drain(100.0, NodeId(16))
-            )
-            .build()
-            .is_ok());
+        let joined = ChurnPlan::none()
+            .join(50.0, NodeClass::t4())
+            .drain(100.0, NodeId(16));
+        assert_eq!(churn(joined), Ok(()));
         // Negative, non-finite and past-the-maximum timestamps are
         // rejected.
         for at in [-1.0, f64::NAN, f64::INFINITY, 1e300, SimTime::MAX_MS * 1.01] {
             assert!(
                 matches!(
-                    SimBuilder::new(SloClass::Moderate)
-                        .churn(ChurnPlan::none().drain(at, NodeId(0)))
-                        .build(),
+                    churn(ChurnPlan::none().drain(at, NodeId(0))),
                     Err(SimError::InvalidChurn { index: 0, .. })
                 ),
                 "churn at {at} ms"
             );
         }
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .churn(ChurnPlan::none().drain(SimTime::MAX_MS, NodeId(0)))
-            .build()
-            .is_ok());
+        assert_eq!(
+            churn(ChurnPlan::none().drain(SimTime::MAX_MS, NodeId(0))),
+            Ok(())
+        );
     }
 
     #[test]
     fn clusters_that_fit_no_minimum_task_are_rejected() {
-        let unhostable = |r: Result<Sim, SimError>| {
+        let unhostable = |r: Result<(), SimError>| {
             matches!(
                 r,
                 Err(SimError::InvalidKnob {
@@ -892,11 +649,10 @@ mod tests {
         };
         // Homogeneous nodes with vCPUs but no vGPUs, and the reverse.
         for r in [Resources::new(16, 0), Resources::new(0, 7)] {
-            assert!(unhostable(
-                SimBuilder::new(SloClass::Moderate)
-                    .node_resources(r)
-                    .build()
-            ));
+            assert!(unhostable(check(SimConfig {
+                node_resources: r,
+                ..SimConfig::default()
+            })));
         }
         // Every class lacks vGPUs, or every class lacks vCPUs.
         let cpu_only = NodeClass {
@@ -910,45 +666,40 @@ mod tests {
         let spec = ClusterSpec::new("split")
             .with(cpu_only.clone(), 2)
             .with(gpu_only, 2);
-        assert!(unhostable(
-            SimBuilder::new(SloClass::Moderate).cluster(spec).build()
-        ));
+        assert!(unhostable(check_cluster(spec)));
         // One hostable class is enough.
         let spec = ClusterSpec::new("mixed")
             .with(cpu_only, 2)
             .with(NodeClass::t4(), 1);
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .cluster(spec)
-            .build()
-            .is_ok());
+        assert_eq!(check_cluster(spec), Ok(()));
     }
 
     #[test]
     fn custom_apps_are_validated() {
-        assert_eq!(
-            SimBuilder::new(SloClass::Moderate)
-                .apps(Vec::new())
-                .build()
-                .err(),
-            Some(SimError::NoApplications)
-        );
-        let app = AppSpec::pipeline("one", vec![esg_model::FnId(0)]);
-        let sim = SimBuilder::new(SloClass::Moderate)
-            .apps(vec![app])
-            .build()
-            .expect("valid");
-        assert_eq!(sim.env().apps.len(), 1);
+        // Two arrivals for app 0 of an environment whose apps are `apps`.
+        let run = |apps: Vec<AppSpec>| {
+            let mut env = SimEnv::standard(SloClass::Moderate);
+            env.apps = apps;
+            let w = Workload::from_arrivals(
+                [1.0, 2.0]
+                    .map(|at_ms| Arrival {
+                        at_ms,
+                        app: AppId(0),
+                    })
+                    .to_vec(),
+            );
+            run_simulation(&env, SimConfig::default(), &mut MinScheduler, &w, "apps")
+        };
+        assert_eq!(run(Vec::new()).err(), Some(SimError::NoApplications));
+        let one = run(vec![AppSpec::pipeline("one", vec![FnId(0)])]).expect("valid");
+        assert_eq!(one.total_completed(), 2);
         // A stage naming a function outside the Table-3 catalog is a
         // typed error, not a later index panic.
-        let bogus = AppSpec::pipeline("bogus", vec![esg_model::FnId(99)]);
-        let err = SimBuilder::new(SloClass::Moderate)
-            .apps(vec![bogus])
-            .build()
-            .expect_err("rejected");
+        let err = run(vec![AppSpec::pipeline("bogus", vec![FnId(99)])]).expect_err("rejected");
         assert!(matches!(
             err,
             SimError::UnknownFunction {
-                function: esg_model::FnId(99),
+                function: FnId(99),
                 ..
             }
         ));
@@ -956,13 +707,14 @@ mod tests {
 
     #[test]
     fn policy_knob_scalars_are_validated() {
-        let sim = SimBuilder::new(SloClass::Moderate)
-            .max_sim_ms(2_000.0)
-            .build()
-            .expect("valid");
+        let env = SimEnv::standard(SloClass::Moderate);
+        let cfg = SimConfig {
+            max_sim_ms: 2_000.0,
+            ..SimConfig::default()
+        };
         let gen = WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 5);
         let w = gen.generate(6);
-        // The knob both run paths reject in admission below packing, as
+        // The knob both run entries reject in admission below packing, as
         // `adm` and `pack` edit their knobs, or `None` when both run.
         let rejected = |adm: fn(&mut SloAdmissionConfig), pack: fn(&mut BandwidthPackingConfig)| {
             let stacked = || {
@@ -973,14 +725,15 @@ mod tests {
                 let admission = PolicyStack::new().with(SloAdmission::new(a));
                 Stacked(admission.with(Packing(p)))
             };
-            let knob = |r: Result<ExperimentResult, SimError>| match r {
-                Ok(_) => None,
-                Err(SimError::InvalidKnob { knob, .. }) => Some(knob),
-                Err(e) => panic!("{e}"),
-            };
-            let run = knob(sim.try_run(&mut stacked(), &w, "knobs"));
-            let streamed = sim.try_run_streamed(&mut stacked(), gen.stream(), "knobs");
-            assert_eq!(run, knob(streamed), "the run paths agree");
+            let run = knob(run_simulation(
+                &env,
+                cfg.clone(),
+                &mut stacked(),
+                &w,
+                "knobs",
+            ));
+            let streamed = run_streamed(&env, cfg.clone(), &mut stacked(), gen.stream(), "knobs");
+            assert_eq!(run, knob(streamed), "the run entries agree");
             run
         };
         assert_eq!(rejected(|_| {}, |_| {}), None);
@@ -1005,19 +758,17 @@ mod tests {
 
     #[test]
     fn transfer_tariffs_are_validated() {
-        use esg_profile::TransferModel;
         let tariff = |edit: fn(&mut TransferModel)| {
-            let mut t = TransferModel::default();
-            edit(&mut t);
-            SimBuilder::new(SloClass::Moderate).transfer(t).build()
+            let mut env = SimEnv::standard(SloClass::Moderate);
+            edit(&mut env.transfer);
+            check_in(&env, SimConfig::default())
         };
-        // Valid tariffs land in the environment, up to the bound.
-        let sim = tariff(|t| t.remote_ms_per_mb = 40.0).expect("valid");
-        assert_eq!(sim.env().transfer.remote_ms_per_mb, 40.0);
-        assert!(tariff(|t| t.remote_ms_per_mb = SimTime::MAX_MS).is_ok());
+        // Valid tariffs pass, up to the bound.
+        assert_eq!(tariff(|t| t.remote_ms_per_mb = 40.0), Ok(()));
+        assert_eq!(tariff(|t| t.remote_ms_per_mb = SimTime::MAX_MS), Ok(()));
         // Negative, non-finite and past-`SimTime::MAX_MS` tariffs are
         // typed errors.
-        for (knob, result) in [
+        for (name, result) in [
             ("remote_ms_per_mb", tariff(|t| t.remote_ms_per_mb = -1.0)),
             ("local_base_ms", tariff(|t| t.local_base_ms = f64::NAN)),
             (
@@ -1029,150 +780,105 @@ mod tests {
             ("remote_base_ms", tariff(|t| t.remote_base_ms = 1e300)),
             ("remote_ms_per_mb", tariff(|t| t.remote_ms_per_mb = 1e300)),
         ] {
-            assert!(
-                matches!(result, Err(SimError::InvalidKnob { knob: k, .. })
-                    if k.strip_prefix("transfer.") == Some(knob)),
-                "{knob}"
-            );
+            let k = knob(result).expect("rejected");
+            assert_eq!(k.strip_prefix("transfer."), Some(name), "{name}");
         }
     }
 
     #[test]
     fn data_plane_knobs_are_validated() {
-        use crate::dataplane::DataPlaneConfig;
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .data_plane(DataPlaneConfig::default())
-            .build()
-            .is_ok());
-        let err = SimBuilder::new(SloClass::Moderate)
-            .data_plane(DataPlaneConfig {
-                bandwidth_scale: 0.0,
-                ..DataPlaneConfig::default()
+        let plane = |dp: DataPlaneConfig| {
+            check(SimConfig {
+                data_plane: Some(dp),
+                ..SimConfig::default()
             })
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "data_plane.bandwidth_scale",
-                ..
-            }
-        ));
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .data_plane(DataPlaneConfig {
-                staging_scale: f64::NAN,
-                ..DataPlaneConfig::default()
-            })
-            .build()
-            .is_err());
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .data_plane(DataPlaneConfig {
-                batch_max_mb: -4.0,
-                ..DataPlaneConfig::default()
-            })
-            .build()
-            .is_err());
+        };
+        let d = DataPlaneConfig::default;
+        assert_eq!(plane(d()), Ok(()));
+        for (name, dp) in [
+            (
+                "data_plane.bandwidth_scale",
+                DataPlaneConfig {
+                    bandwidth_scale: 0.0,
+                    ..d()
+                },
+            ),
+            (
+                "data_plane.staging_scale",
+                DataPlaneConfig {
+                    staging_scale: f64::NAN,
+                    ..d()
+                },
+            ),
+            (
+                "data_plane.batch_max_mb",
+                DataPlaneConfig {
+                    batch_max_mb: -4.0,
+                    ..d()
+                },
+            ),
+        ] {
+            assert_eq!(knob(plane(dp)), Some(name));
+        }
     }
 
     #[test]
     fn topology_knobs_are_validated() {
         use esg_model::ServerTopology;
-        // A sane topology builds.
-        assert!(SimBuilder::new(SloClass::Moderate)
-            .cluster(ClusterSpec::paper().with_topology(4, 10.0))
-            .build()
-            .is_ok());
+        // A sane topology runs.
+        assert_eq!(
+            check_cluster(ClusterSpec::paper().with_topology(4, 10.0)),
+            Ok(())
+        );
         // Zero-width servers are a typed error, not a division hazard.
         let mut spec = ClusterSpec::paper();
         spec.topology = Some(ServerTopology::new(0, 10.0));
-        let err = SimBuilder::new(SloClass::Moderate)
-            .cluster(spec)
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "topology.gpus_per_server",
-                ..
-            }
-        ));
+        assert_eq!(knob(check_cluster(spec)), Some("topology.gpus_per_server"));
         // The shared uplink must have real bandwidth.
-        let err = SimBuilder::new(SloClass::Moderate)
-            .cluster(ClusterSpec::paper().with_topology(4, 0.0))
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "topology.tor_gbps",
-                ..
-            }
-        ));
+        let no_uplink = ClusterSpec::paper().with_topology(4, 0.0);
+        assert_eq!(knob(check_cluster(no_uplink)), Some("topology.tor_gbps"));
     }
 
     #[test]
     fn cluster_class_bandwidths_are_validated() {
         let mut broken = NodeClass::a100();
         broken.pcie_in_gbps = 0.0;
-        let err = SimBuilder::new(SloClass::Moderate)
-            .cluster(ClusterSpec::new("bw").with(broken.clone(), 1))
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "class.pcie_in_gbps",
-                ..
-            }
-        ));
+        let spec = ClusterSpec::new("bw").with(broken.clone(), 1);
+        assert_eq!(knob(check_cluster(spec)), Some("class.pcie_in_gbps"));
         // Churn joins feed the same pools, so their classes are checked
         // too.
-        let err = SimBuilder::new(SloClass::Moderate)
-            .churn(ChurnPlan::none().join(10.0, broken))
-            .build()
-            .expect_err("rejected");
-        assert!(matches!(
-            err,
-            SimError::InvalidKnob {
-                knob: "class.pcie_in_gbps",
-                ..
-            }
-        ));
+        let joins_broken = SimConfig {
+            churn: ChurnPlan::none().join(10.0, broken),
+            ..SimConfig::default()
+        };
+        assert_eq!(knob(check(joins_broken)), Some("class.pcie_in_gbps"));
     }
 
     #[test]
     fn arrivals_outside_the_input_range_are_a_typed_error() {
-        use esg_model::AppId;
-        use esg_workload::Arrival;
-        let sim = SimBuilder::new(SloClass::Relaxed).build().expect("valid");
+        let env = SimEnv::standard(SloClass::Relaxed);
+        let run = |arrivals: Vec<Arrival>| {
+            let w = Workload { arrivals };
+            run_simulation(&env, SimConfig::default(), &mut MinScheduler, &w, "damaged")
+        };
         let at = |at_ms| Arrival {
             at_ms,
             app: AppId(0),
         };
         for bad in [f64::NAN, 1e300, f64::INFINITY, -5.0] {
-            let w = Workload {
-                arrivals: vec![at(1.0), at(bad), at(2.0)],
-            };
-            let err = sim
-                .try_run(&mut MinScheduler, &w, "damaged")
-                .expect_err("rejected");
+            let err = run(vec![at(1.0), at(bad), at(2.0)]).expect_err("rejected");
             assert!(
                 matches!(err, SimError::InvalidArrival { index: 1, at_ms } if at_ms.to_bits() == bad.to_bits()),
                 "{bad} ms: {err:?}"
             );
             assert!(err.to_string().starts_with("arrival #1 at t = "), "{err}");
         }
-        let edge = Workload {
-            arrivals: vec![at(0.0), at(SimTime::MAX_MS)],
-        };
-        assert!(sim.try_run(&mut MinScheduler, &edge, "edge").is_ok());
+        assert!(run(vec![at(0.0), at(SimTime::MAX_MS)]).is_ok());
     }
 
     #[test]
     fn unsorted_arrivals_and_unknown_apps_are_typed_errors() {
-        use esg_model::AppId;
-        use esg_workload::Arrival;
-        let sim = SimBuilder::new(SloClass::Relaxed).build().expect("valid");
+        let env = SimEnv::standard(SloClass::Relaxed);
         let run = |arrivals: &[(f64, u32)]| {
             let arrivals = arrivals
                 .iter()
@@ -1181,7 +887,8 @@ mod tests {
                     app: AppId(app),
                 })
                 .collect();
-            sim.try_run(&mut MinScheduler, &Workload { arrivals }, "damaged")
+            let w = Workload { arrivals };
+            run_simulation(&env, SimConfig::default(), &mut MinScheduler, &w, "damaged")
         };
         let err = run(&[(1.0, 0), (3.0, 1), (2.0, 0)]).expect_err("rejected");
         assert!(matches!(err, SimError::UnsortedArrival { index: 2, .. }));

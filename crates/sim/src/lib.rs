@@ -59,7 +59,7 @@ pub mod trace;
 pub mod workflow;
 
 pub use arena::Arena;
-pub use builder::{Sim, SimBuilder, SimError};
+pub use builder::SimError;
 pub use cluster::{Cluster, Node};
 pub use dataplane::{
     BandwidthPool, DataPlane, DataPlaneConfig, DataPlaneView, NodeLoad, NodeTransferStats,

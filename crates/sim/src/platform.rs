@@ -24,6 +24,7 @@
 //! snapshot and asserts it equals the incremental state.
 
 use crate::arena::Arena;
+use crate::builder::{check_run, SimError};
 use crate::cluster::Cluster;
 use crate::dataplane::{Admission, DataPlane, DataPlaneConfig, TransferReq};
 use crate::event::{Event, EventQueue};
@@ -104,10 +105,10 @@ impl SimEnv {
 
 /// Platform knobs (Table 2 defaults).
 ///
-/// This is the low-level knob record; prefer constructing runs through
-/// the validating [`SimBuilder`](crate::SimBuilder) facade, which
-/// returns a typed [`SimError`](crate::SimError) instead of panicking
-/// deep inside the event loop on inconsistent settings.
+/// A plain record: set a knob by its field. [`run_simulation`] and
+/// [`run_streamed`] check it ([`SimConfig::validate`]) before the run
+/// starts and return a typed [`SimError`] instead of panicking deep
+/// inside the event loop on inconsistent settings.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Number of invoker nodes (homogeneous path; ignored when `cluster`
@@ -161,8 +162,6 @@ pub struct SimConfig {
     /// When set, the run records its full control-plane event stream
     /// (plus environment header and arrivals) to this path at the end of
     /// the run, replayable via [`TraceReplay`](crate::TraceReplay).
-    /// Prefer selecting it through
-    /// [`SimBuilder::record_trace`](crate::SimBuilder::record_trace).
     /// The write is best-effort: a failure is reported on stderr, never
     /// a panic mid-experiment.
     pub record_trace: Option<std::path::PathBuf>,
@@ -272,6 +271,12 @@ pub struct MemoryFootprint {
 
 /// One simulation run binding an environment, a configuration, a scheduler
 /// and a workload.
+///
+/// This is the unchecked engine that [`run_simulation`] and
+/// [`run_streamed`] drive after their checks: it trusts its inputs, so
+/// an invalid configuration panics inside the event loop or runs
+/// silently. Drive it directly only with settings those entries accept
+/// (benchmarks do, to measure the event loop alone).
 pub struct Simulation<'a> {
     env: &'a SimEnv,
     cfg: SimConfig,
@@ -763,8 +768,10 @@ impl<'a> Simulation<'a> {
             let cold = self.env.catalog.get(f).cold_start_ms;
             if let Some(at) = self.predictors[qi].prewarm_at_ms(cold, self.now.as_ms()) {
                 let node = self.last_node[qi].unwrap_or_else(|| home_node(key, self.cluster.len()));
-                self.events
-                    .push(SimTime::from_ms(at), Event::Prewarm(node.0, f.0));
+                // An instant past `SimTime::MAX` loses precision in the
+                // ms -> µs conversion and may round below `now`.
+                let at = SimTime::from_ms(at).max(self.now);
+                self.events.push(at, Event::Prewarm(node.0, f.0));
             }
         }
     }
@@ -1672,33 +1679,44 @@ impl Scheduler for MinScheduler {
     }
 }
 
-/// Convenience: build and run a simulation in one call.
+/// Runs `sched` over `workload` in `env` under `cfg`, labelling the
+/// result `scenario`: the checked way to start a run.
+///
+/// Before the event loop starts, the configuration
+/// ([`SimConfig::validate`]), the environment's applications and transfer
+/// tariffs, every arrival (time range, order and application) and the
+/// knobs of the scheduler's round-policy stack are checked; a violation
+/// is a typed [`SimError`], not a panic mid-run.
 pub fn run_simulation(
     env: &SimEnv,
     cfg: SimConfig,
     sched: &mut dyn Scheduler,
     workload: &Workload,
     scenario: &str,
-) -> ExperimentResult {
+) -> Result<ExperimentResult, SimError> {
+    check_run(env, &cfg, &workload.arrivals, sched)?;
     let mut result = Simulation::new(env, cfg, sched, workload).run();
     result.scenario = scenario.to_string();
-    result
+    Ok(result)
 }
 
-/// Convenience: run a simulation pulling arrivals lazily from `stream`.
-/// Bit-identical to [`run_simulation`] over the materialised form of the
-/// same stream; memory stays constant in the arrival count. Unbounded
-/// streams need `cfg.max_sim_ms > 0` to terminate.
+/// [`run_simulation`] pulling arrivals lazily from `stream`, with the
+/// same checks except the arrival scan (a stream is not materialised, so
+/// its arrivals are not checked). Bit-identical to `run_simulation` over
+/// the materialised form of the same stream; memory stays constant in
+/// the arrival count. Unbounded streams need `cfg.max_sim_ms > 0` to
+/// terminate.
 pub fn run_streamed(
     env: &SimEnv,
     cfg: SimConfig,
     sched: &mut dyn Scheduler,
     stream: ArrivalStream,
     scenario: &str,
-) -> ExperimentResult {
+) -> Result<ExperimentResult, SimError> {
+    check_run(env, &cfg, &[], sched)?;
     let mut result = Simulation::from_stream(env, cfg, sched, stream).run();
     result.scenario = scenario.to_string();
-    result
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -1717,7 +1735,7 @@ mod tests {
         let env = SimEnv::standard(SloClass::Relaxed);
         let w = small_workload(50);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "test");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "test").expect("valid run");
         assert_eq!(r.arrivals, 50);
         assert_eq!(r.total_completed(), 50);
         assert!(r.dispatches >= 50 * 3, "each stage needs a task");
@@ -1731,7 +1749,7 @@ mod tests {
         let w = small_workload(30);
         let run = || {
             let mut s = MinScheduler;
-            run_simulation(&env, SimConfig::default(), &mut s, &w, "det")
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "det").expect("valid run")
         };
         let a = run();
         let b = run();
@@ -1766,6 +1784,7 @@ mod tests {
                 &w,
                 "oracle",
             )
+            .expect("valid run")
         };
         assert_eq!(run(true).canonical(), run(false).canonical());
     }
@@ -1778,7 +1797,9 @@ mod tests {
         let hit = |slo| {
             let env = SimEnv::standard(slo);
             let mut s = MinScheduler;
-            run_simulation(&env, SimConfig::default(), &mut s, &w, "x").overall_hit_rate()
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "x")
+                .expect("valid run")
+                .overall_hit_rate()
         };
         assert!(hit(SloClass::Relaxed) >= hit(SloClass::Strict));
     }
@@ -1788,7 +1809,7 @@ mod tests {
         let env = SimEnv::standard(SloClass::Relaxed);
         let w = small_workload(60);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "warm");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "warm").expect("valid run");
         assert!(r.cold_starts > 0);
         // MinScheduler scatters tasks over the freest nodes, so warm reuse
         // is limited — but keep-alive must still produce some warm starts.
@@ -1807,7 +1828,7 @@ mod tests {
         let w = small_workload(80);
         let mut on = MinScheduler;
         let mut off = MinScheduler;
-        let r_on = run_simulation(&env, SimConfig::default(), &mut on, &w, "p");
+        let r_on = run_simulation(&env, SimConfig::default(), &mut on, &w, "p").expect("valid run");
         let r_off = run_simulation(
             &env,
             SimConfig {
@@ -1817,7 +1838,8 @@ mod tests {
             &mut off,
             &w,
             "np",
-        );
+        )
+        .expect("valid run");
         assert!(
             r_on.cold_starts <= r_off.cold_starts,
             "prewarm {} vs no-prewarm {}",
@@ -1831,7 +1853,7 @@ mod tests {
         let env = SimEnv::standard(SloClass::Moderate);
         let w = small_workload(20);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "o");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "o").expect("valid run");
         assert_eq!(r.overhead_ms.len() as u64, r.dispatches + r.rechecks);
         assert!(r.overhead_ms.iter().all(|&o| o >= 0.0));
         assert_eq!(r.wall_overhead_ms.len(), r.overhead_ms.len());
@@ -1842,7 +1864,7 @@ mod tests {
         let env = SimEnv::standard(SloClass::Moderate);
         let w = small_workload(40);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "u");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "u").expect("valid run");
         assert!(r.vcpu_utilisation >= 0.0 && r.vcpu_utilisation <= 1.0);
         assert!(r.vgpu_utilisation >= 0.0 && r.vgpu_utilisation <= 1.0);
         assert!(r.vgpu_utilisation > 0.0);
@@ -1865,6 +1887,7 @@ mod tests {
                 &w,
                 "spec",
             )
+            .expect("valid run")
         };
         // 16 "T4-speed" nodes at paper capacity vs the paper baseline:
         // identical placement decisions, scaled latency and price.
@@ -1915,7 +1938,8 @@ mod tests {
             &mut s,
             &w,
             "drain",
-        );
+        )
+        .expect("valid run");
         assert_eq!(r.total_completed(), 40);
         assert_eq!(r.nodes.iter().filter(|n| !n.online).count(), 8);
     }
@@ -1938,7 +1962,8 @@ mod tests {
             &mut s,
             &w,
             "join",
-        );
+        )
+        .expect("valid run");
         assert_eq!(r.total_completed(), 30);
         assert_eq!(r.nodes.len(), 18);
         assert_eq!(r.nodes[16].class, "late-a100");
@@ -1953,7 +1978,7 @@ mod tests {
         let w = small_workload(20);
         let base = {
             let mut s = MinScheduler;
-            run_simulation(&env, SimConfig::default(), &mut s, &w, "b")
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "b").expect("valid run")
         };
         // Churn scripted long after the last completion must not advance
         // the simulation clock.
@@ -1969,7 +1994,8 @@ mod tests {
             &mut s,
             &w,
             "late-churn",
-        );
+        )
+        .expect("valid run");
         assert_eq!(late.total_completed(), 20);
         assert!(
             late.makespan_ms <= base.makespan_ms + 1.0,
@@ -1998,6 +2024,7 @@ mod tests {
                 &w,
                 "churn-det",
             )
+            .expect("valid run")
         };
         let a = run();
         let b = run();
@@ -2022,7 +2049,8 @@ mod tests {
             &mut s,
             &w,
             "cap",
-        );
+        )
+        .expect("valid run");
         assert!(r.total_completed() < 100);
         assert!(r.makespan_ms <= 500.0 + 1.0);
     }
@@ -2074,7 +2102,8 @@ mod tests {
             &mut s,
             &w,
             "round",
-        );
+        )
+        .expect("valid run");
         assert_eq!(r.total_completed(), 40);
         assert_eq!(r.warm_starts + r.cold_starts, r.dispatches);
         assert_eq!(r.overhead_ms.len() as u64, r.dispatches + r.rechecks);
@@ -2131,7 +2160,7 @@ mod tests {
         let w = small_workload(40);
         let run = |bogus: bool| {
             let mut s = BogusKeys { bogus };
-            run_simulation(&env, SimConfig::default(), &mut s, &w, "keys")
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "keys").expect("valid run")
         };
         let clean = run(false);
         assert_eq!(clean.total_completed(), 40);
@@ -2182,7 +2211,7 @@ mod tests {
         let env = SimEnv::standard(SloClass::Relaxed);
         let w = small_workload(20);
         let mut s = OffGridDefer::default();
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "defer");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "defer").expect("valid run");
         assert_eq!(r.total_completed(), 20);
         assert!(s.redecided >= 20, "every entry queue defers at least once");
     }

@@ -39,8 +39,8 @@
 //!
 //! The first sim-layer stage, [`SloAdmission`], sheds or defers queues
 //! whose deadline is provably lost; ESG's cross-queue packing stage
-//! lives in `esg-core` (it needs the search machinery). `Sim::try_run`
-//! checks a scheduler's stack with [`PolicyStack::validate`].
+//! lives in `esg-core` (it needs the search machinery). Every run checks
+//! its scheduler's stack with [`PolicyStack::validate`] before it starts.
 
 use crate::builder::{non_negative, positive, SimError};
 use crate::sched::{Outcome, QueueKey, RoundCtx};

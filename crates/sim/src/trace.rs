@@ -4,12 +4,12 @@
 //!
 //! Three layers:
 //!
-//! * [`TraceRecorder`] — the recording sink. Selected through
-//!   [`SimBuilder::record_trace`](crate::SimBuilder::record_trace), it
-//!   captures every control-plane event (arrivals, dispatches,
-//!   completions, churn, sheds) plus the run's environment header (SLO
-//!   class, configuration grid, transfer tariffs, full [`SimConfig`])
-//!   and writes one compact JSON document at the end of the run via the
+//! * [`TraceRecorder`] — the recording sink. Selected by setting
+//!   [`SimConfig::record_trace`] to a path, it captures every
+//!   control-plane event (arrivals, dispatches, completions, churn,
+//!   sheds) plus the run's environment header (SLO class,
+//!   configuration grid, transfer tariffs, full [`SimConfig`]) and
+//!   writes one compact JSON document at the end of the run via the
 //!   vendored `serde_json`.
 //! * [`TraceFile`] — the loaded, validated form of that document, with
 //!   typed [`TraceError`]s for anything short of a well-formed
@@ -30,24 +30,26 @@
 //!
 //! ```
 //! use esg_model::{SloClass, WorkloadClass};
-//! use esg_sim::{MinScheduler, SimBuilder, TraceReplay};
+//! use esg_sim::{run_simulation, MinScheduler, SimConfig, SimEnv, TraceReplay};
 //! use esg_workload::WorkloadGen;
 //!
 //! let path = std::env::temp_dir().join(format!("esg-trace-doc-{}.json", std::process::id()));
-//! let sim = SimBuilder::new(SloClass::Moderate)
-//!     .record_trace(&path)
-//!     .build()
-//!     .expect("valid configuration");
+//! let env = SimEnv::standard(SloClass::Moderate);
+//! let cfg = SimConfig {
+//!     record_trace: Some(path.clone()),
+//!     ..SimConfig::default()
+//! };
 //! let w = WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 7).generate(8);
-//! let recorded = sim.run(&mut MinScheduler, &w, "record");
+//! let recorded = run_simulation(&env, cfg, &mut MinScheduler, &w, "record")?;
 //!
 //! let replay = TraceReplay::load(&path).expect("well-formed trace");
-//! let replayed = replay.run(&mut MinScheduler, "replay");
+//! let replayed = replay.run(&mut MinScheduler, "replay")?;
 //! assert_eq!(replayed.arrivals, recorded.arrivals);
 //! std::fs::remove_file(&path).ok();
+//! # Ok::<(), esg_sim::SimError>(())
 //! ```
 
-use crate::builder::{check_arrival, validate_transfer};
+use crate::builder::{check_arrival, validate_transfer, SimError};
 use crate::eventlog::{EventKind, EventRecord};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
@@ -272,9 +274,8 @@ impl Scheduler for Traced {
     }
 }
 
-/// The recording sink behind
-/// [`SimBuilder::record_trace`](crate::SimBuilder::record_trace): the
-/// platform feeds it every arrival and control-plane event, and
+/// The recording sink behind [`SimConfig::record_trace`]: the platform
+/// feeds it every arrival and control-plane event, and
 /// [`finish`](Self::finish) writes the versioned document.
 pub struct TraceRecorder {
     path: PathBuf,
@@ -522,7 +523,13 @@ impl TraceReplay {
     /// result `scenario`. A replay under the same scheduler and seed is
     /// bit-identical to the recorded run (pinned by the round-trip
     /// suite); a different scheduler sees the exact same offered load.
-    pub fn run(&self, sched: &mut dyn Scheduler, scenario: &str) -> ExperimentResult {
+    /// The replay goes through [`run_simulation`], so the replaying
+    /// scheduler's round-policy stack is checked like any run's.
+    pub fn run(
+        &self,
+        sched: &mut dyn Scheduler,
+        scenario: &str,
+    ) -> Result<ExperimentResult, SimError> {
         let mut env = SimEnv::with_grid(self.trace.slo, self.trace.grid.clone());
         env.transfer = self.trace.transfer;
         let workload = self.trace.workload();
@@ -532,11 +539,14 @@ impl TraceReplay {
     /// Like [`run`](Self::run), but taps the replay through [`Traced`]
     /// and returns the dispatch-trace digest alongside the result, for
     /// comparison with [`TraceFile::dispatch_digest`].
-    pub fn run_digest(&self, sched: Box<dyn Scheduler>, scenario: &str) -> (ExperimentResult, u64) {
+    pub fn run_digest(
+        &self,
+        sched: Box<dyn Scheduler>,
+        scenario: &str,
+    ) -> Result<(ExperimentResult, u64), SimError> {
         let mut traced = Traced::new(sched);
-        let result = self.run(&mut traced, scenario);
-        let digest = traced.trace_digest();
-        (result, digest)
+        let result = self.run(&mut traced, scenario)?;
+        Ok((result, traced.trace_digest()))
     }
 }
 
@@ -846,8 +856,8 @@ fn config_to_json(cfg: &SimConfig) -> Value {
 }
 
 /// Decodes the recorded config and checks it with
-/// [`SimConfig::validate`], the builder's own validation: a config the
-/// builder would refuse is [`TraceError::Schema`], not a replay panic.
+/// [`SimConfig::validate`], the check every run makes: a config a run
+/// would refuse is [`TraceError::Schema`], not a replay error.
 fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
     let res = field(doc, "node_resources")?
         .as_array()
@@ -924,8 +934,8 @@ fn transfer_to_json(t: &TransferModel) -> Value {
     Value::Object(m)
 }
 
-/// Decodes the recorded tariffs and checks them with the builder's own
-/// tariff check.
+/// Decodes the recorded tariffs and checks them with the tariff check
+/// every run makes.
 fn transfer_from_json(doc: &Value) -> Result<TransferModel, TraceError> {
     let t = TransferModel {
         local_base_ms: f64_field(doc, "local_base_ms")?,
@@ -1225,18 +1235,19 @@ mod tests {
 
     #[test]
     fn v1_documents_get_a_version_error() {
-        use crate::{MinScheduler, SimBuilder};
+        use crate::MinScheduler;
         use esg_model::WorkloadClass;
         use esg_workload::WorkloadGen;
 
         let path = std::env::temp_dir().join(format!("esg-trace-v1-{}.json", std::process::id()));
         let w =
             WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 5).generate(10);
-        SimBuilder::new(SloClass::Moderate)
-            .record_trace(&path)
-            .build()
-            .expect("valid")
-            .run(&mut MinScheduler, &w, "record");
+        let cfg = SimConfig {
+            record_trace: Some(path.clone()),
+            ..SimConfig::default()
+        };
+        let env = SimEnv::standard(SloClass::Moderate);
+        run_simulation(&env, cfg, &mut MinScheduler, &w, "record").expect("valid");
         let current = std::fs::read_to_string(&path).expect("recorded");
         std::fs::remove_file(&path).ok();
         TraceFile::from_json(&current).expect("own recording loads");

@@ -7,7 +7,7 @@
 //! stack (`EsgScheduler::with_policy`): SLO-aware admission (sheds
 //! provably hopeless queues), ESG cross-queue packing (GSLO-tightness
 //! ranking under one shared search budget), and their stack. A stack
-//! with an out-of-range knob is refused by `Sim::try_run`.
+//! with an out-of-range knob is refused by `run_simulation`.
 //!
 //! Run with: `cargo run --release --example compare_schedulers [scenario]`
 //! where scenario is `strict-light` (default), `moderate-normal`, or
@@ -15,7 +15,7 @@
 
 use esg::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let arg = std::env::args()
         .nth(1)
@@ -34,9 +34,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(if smoke { 120 } else { 600 });
 
-    let sim = SimBuilder::new(scenario.slo)
-        .build()
-        .expect("the standard configuration is valid");
+    let env = SimEnv::standard(scenario.slo);
     let workload = WorkloadGen::new(scenario.workload, esg::model::standard_app_ids(), 42)
         .generate(n_arrivals);
     println!(
@@ -59,7 +57,13 @@ fn main() {
     );
     let mut esg_cost = None;
     for s in schedulers.iter_mut() {
-        let r = sim.run(s.as_mut(), &workload, &scenario.to_string());
+        let r = run_simulation(
+            &env,
+            SimConfig::default(),
+            s.as_mut(),
+            &workload,
+            &scenario.to_string(),
+        )?;
         let norm = *esg_cost.get_or_insert(r.total_cost_cents());
         println!(
             "{:<12} {:>7.1}% {:>10.1} {:>10.3} {:>8.1}% {:>8.1}% {:>7.1}% {:>8.2}  (cost vs ESG: {:.2}x)",
@@ -90,9 +94,13 @@ fn main() {
     ];
     for (label, stack) in stacks {
         let mut esg = EsgScheduler::new().with_policy(stack);
-        let r = sim
-            .try_run(&mut esg, &workload, &scenario.to_string())
-            .expect("the default knobs are valid");
+        let r = run_simulation(
+            &env,
+            SimConfig::default(),
+            &mut esg,
+            &workload,
+            &scenario.to_string(),
+        )?;
         println!(
             "{:<12} {:>7.1}% {:>6.1}% {:>10.3} {:>9}",
             label,
@@ -110,8 +118,14 @@ fn main() {
         ..SloAdmissionConfig::default()
     });
     let mut bad = EsgScheduler::new().with_policy(PolicyStack::new().with(nan));
-    let err = sim
-        .try_run(&mut bad, &workload, "knob-check")
-        .expect_err("a NaN back-off is refused");
+    let err = run_simulation(
+        &env,
+        SimConfig::default(),
+        &mut bad,
+        &workload,
+        "knob-check",
+    )
+    .expect_err("a NaN back-off is refused");
     println!("\nbad knob check: {err}");
+    Ok(())
 }

@@ -44,16 +44,19 @@ fn main() -> Result<(), SimError> {
         h.nesting_depth()
     );
 
-    // The builder validates the custom-app environment (an empty or
-    // stage-less app list is a typed SimError, not a later panic); `?`
-    // surfaces any rejection.
-    let sim = SimBuilder::new(SloClass::Moderate)
-        .apps(vec![app.clone()])
-        .warmup_exclude_ms(if smoke { 1_000.0 } else { 15_000.0 })
-        .build()?;
+    // The standard environment with the custom app as its only one.
+    // `run_simulation` checks it before the run (an empty or stage-less
+    // app list, or a stage outside the catalog, is a typed SimError, not
+    // a later panic); `?` surfaces any rejection.
+    let mut env = SimEnv::standard(SloClass::Moderate);
+    env.apps = vec![app.clone()];
+    let cfg = SimConfig {
+        warmup_exclude_ms: if smoke { 1_000.0 } else { 15_000.0 },
+        ..SimConfig::default()
+    };
 
     // ANL labelling from the profile substrate and the SLO plan.
-    let times = sim.env().profiles.stage_times(&app);
+    let times = env.profiles.stage_times(&app);
     let anl = average_normalized_length(&times);
     println!("\nANL labels: {anl:?}");
     let plan = SloPlan::build(&dag, &anl, 3).expect("plan");
@@ -72,7 +75,7 @@ fn main() -> Result<(), SimError> {
     let n = if smoke { 150 } else { 1200 };
     let workload = WorkloadGen::new(WorkloadClass::Light, vec![AppId(0)], 11).generate(n);
     let mut esg = EsgScheduler::new();
-    let r = sim.run(&mut esg, &workload, "diamond");
+    let r = run_simulation(&env, cfg, &mut esg, &workload, "diamond")?;
     println!(
         "\nsimulated {} invocations: SLO hit rate {:.1}%, mean latency {:.0} ms \
          (SLO {:.0} ms), {:.1}% local hand-offs",

@@ -8,7 +8,7 @@
 use esg::prelude::*;
 use esg::workload::ArrivalPredictor;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
 
     // The predictor on its own: periodic arrivals.
@@ -40,13 +40,14 @@ fn main() {
         workload.len(),
         span_ms / 1000.0
     );
+    let env = SimEnv::standard(SloClass::Relaxed);
     for (label, prewarm) in [("with pre-warming", true), ("without", false)] {
-        let sim = SimBuilder::new(SloClass::Relaxed)
-            .prewarm(prewarm)
-            .build()
-            .expect("the standard configuration is valid");
+        let cfg = SimConfig {
+            prewarm,
+            ..SimConfig::default()
+        };
         let mut esg = EsgScheduler::new();
-        let r = sim.run(&mut esg, &workload, label);
+        let r = run_simulation(&env, cfg, &mut esg, &workload, label)?;
         println!(
             "  {label:<18} cold starts {:>4} ({:>4.1}%), hit rate {:>5.1}%, mean latency {:>6.0} ms",
             r.cold_starts,
@@ -55,4 +56,5 @@ fn main() {
             r.apps.iter().map(|a| a.mean_latency_ms()).sum::<f64>() / r.apps.len() as f64
         );
     }
+    Ok(())
 }

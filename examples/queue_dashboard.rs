@@ -1,7 +1,8 @@
 //! Live queue dashboard: periodic per-queue latency/backlog/shed
 //! snapshots collected from a run by wrapping the scheduler in
 //! `Monitored`, rendered as a text dashboard and a CSV under
-//! `bench_results/`.
+//! `bench_results/` (`target/bench_results_smoke/` in smoke mode, unless
+//! `ESG_RESULTS_DIR` names another directory).
 //!
 //! Run with: `cargo run --release --example queue_dashboard [seconds]`
 //! (`ESG_SMOKE=1` defaults to a 20-second run for CI.)
@@ -9,7 +10,7 @@
 use esg::prelude::*;
 use esg_bench::{dashboard_csv_header, dashboard_csv_rows, render_dashboard_text, write_csv};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let seconds: f64 = std::env::args()
         .nth(1)
@@ -32,7 +33,7 @@ fn main() {
         &mut monitored,
         &workload,
         "dashboard",
-    );
+    )?;
     let snapshots = monitored.monitor.finish(result.makespan_ms);
 
     // Terminal view: the full series in smoke mode is noisy, so print
@@ -54,4 +55,5 @@ fn main() {
         dashboard_csv_header(),
         &dashboard_csv_rows(&snapshots),
     );
+    Ok(())
 }

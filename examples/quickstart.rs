@@ -8,17 +8,18 @@
 use esg::core::{astar_search, brute_force, StageTable};
 use esg::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
 
-    // The paper's standard platform behind the validating builder: a
-    // bad knob or churn script comes back as a typed SimError here,
-    // instead of a panic deep inside the event loop.
-    let sim = SimBuilder::new(SloClass::Moderate)
-        .warmup_exclude_ms(if smoke { 1_000.0 } else { 15_000.0 }) // steady-state measurement
-        .build()
-        .expect("the standard configuration is valid");
-    let env = sim.env();
+    // The paper's standard platform. Knobs are plain `SimConfig` fields;
+    // `run_simulation` checks them before the run starts, so a bad knob
+    // or churn script comes back as a typed SimError, not as a panic
+    // deep inside the event loop.
+    let env = SimEnv::standard(SloClass::Moderate);
+    let cfg = SimConfig {
+        warmup_exclude_ms: if smoke { 1_000.0 } else { 15_000.0 }, // steady-state measurement
+        ..SimConfig::default()
+    };
     let app = &env.apps[0]; // super-resolution -> segmentation -> classification
     println!("application: {}", app.name);
 
@@ -59,11 +60,12 @@ fn main() {
     let workload =
         WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 7).generate(n);
     let mut esg = EsgScheduler::new();
-    let r = sim.run(&mut esg, &workload, "quickstart");
+    let r = run_simulation(&env, cfg, &mut esg, &workload, "quickstart")?;
     println!(
         "\nend-to-end: {} invocations, SLO hit rate {:.1}%, cost {:.2} cents",
         r.total_completed(),
         r.avg_hit_rate() * 100.0,
         r.total_cost_cents()
     );
+    Ok(())
 }

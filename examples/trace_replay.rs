@@ -5,15 +5,15 @@
 //!
 //! This is not an esg-trace record/replay: nothing is recorded or loaded.
 //! To record a run's full event stream and re-drive the same offered load
-//! under any scheduler, use `SimBuilder::record_trace` and `TraceReplay`
-//! (OBSERVABILITY.md, "The trace file format").
+//! under any scheduler, set `SimConfig::record_trace` and load the file
+//! with `TraceReplay` (OBSERVABILITY.md, "The trace file format").
 //!
 //! Run with: `cargo run --release --example trace_replay [minutes]`
 //! (`ESG_SMOKE=1` defaults to a 1-minute replay for CI.)
 
 use esg::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let smoke = std::env::var("ESG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let minutes: usize = std::env::args()
         .nth(1)
@@ -36,12 +36,13 @@ fn main() {
     let workload = trace.generate(minutes, &esg::model::standard_app_ids());
     println!("{} invocations over {minutes} min", workload.len());
 
-    let sim = SimBuilder::new(SloClass::Relaxed)
-        .warmup_exclude_ms(if smoke { 5_000.0 } else { 20_000.0 })
-        .build()
-        .expect("the standard configuration is valid");
+    let env = SimEnv::standard(SloClass::Relaxed);
+    let cfg = SimConfig {
+        warmup_exclude_ms: if smoke { 5_000.0 } else { 20_000.0 },
+        ..SimConfig::default()
+    };
     let mut esg = EsgScheduler::new();
-    let r = sim.run(&mut esg, &workload, "trace");
+    let r = run_simulation(&env, cfg, &mut esg, &workload, "trace")?;
     println!(
         "ESG on the trace: hit rate {:.1}%, {:.4} cents/invocation, mean batch {:.2}, \
          {:.0}% local hand-offs, GPU util {:.0}%",
@@ -60,4 +61,5 @@ fn main() {
             a.slo_ms
         );
     }
+    Ok(())
 }

@@ -83,7 +83,7 @@ fn cluster_cases() -> Vec<(&'static str, ClusterSpec, ChurnPlan)> {
     ]
 }
 
-fn run_cell(
+fn golden_line(
     sched_name: &str,
     cluster_name: &str,
     spec: &ClusterSpec,
@@ -106,7 +106,7 @@ fn run_cell(
         ..SimConfig::default()
     };
     let mut sched = Traced::new(build_sched(sched_name));
-    let r = run_simulation(&env, cfg, &mut sched, &workload, "control-plane");
+    let r = run_simulation(&env, cfg, &mut sched, &workload, "control-plane").expect("valid run");
     let trace = sched.trace();
     format!(
         "{sched_name}|{cluster_name}|{shape}|trace={:016x}|result={:016x}|\
@@ -124,7 +124,7 @@ fn grid_digest() -> String {
     for (cluster_name, spec, churn) in &cluster_cases() {
         for &shape in &SHAPES {
             for sched in SCHEDULERS {
-                let line = run_cell(sched, cluster_name, spec, churn, shape);
+                let line = golden_line(sched, cluster_name, spec, churn, shape);
                 out.push_str(&line);
                 out.push('\n');
             }
@@ -186,7 +186,7 @@ proptest::proptest! {
                 validate_cluster_state: validate,
                 ..SimConfig::default()
             };
-            let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle");
+            let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle").expect("valid run");
             (r.canonical(), sched.trace())
         };
         // The validated run's per-refresh assertions are the equivalence
@@ -241,7 +241,7 @@ fn validated_state_esg_run_with_prewarm_churn_and_data_plane_is_bit_identical() 
             validate_cluster_state: validate,
             ..SimConfig::default()
         };
-        let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle");
+        let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle").expect("valid run");
         assert!(r.transfers.replans > 0, "the data plane must contend");
         (r.canonical(), sched.trace())
     };

@@ -35,7 +35,7 @@ fn infinite_plane() -> DataPlaneConfig {
 /// One run: ESG on the given cluster/shape, with or without
 /// the data plane. Returns the dispatch trace plus the counters the
 /// equivalence compares.
-fn run_cell(
+fn traced_run(
     seed: u64,
     spec: &ClusterSpec,
     churn: &ChurnPlan,
@@ -59,7 +59,7 @@ fn run_cell(
         ..SimConfig::default()
     };
     let mut sched = Traced::new(Box::new(EsgScheduler::new()));
-    let r = run_simulation(&env, cfg, &mut sched, &workload, "dataplane-eq");
+    let r = run_simulation(&env, cfg, &mut sched, &workload, "dataplane-eq").expect("valid run");
     let slo_hits: u64 = r.apps.iter().map(|a| a.slo_hits).sum();
     (sched.trace(), r.total_completed(), slo_hits, r.transfers)
 }
@@ -98,9 +98,9 @@ proptest::proptest! {
         };
 
         let (scalar_trace, scalar_done, scalar_hits, _) =
-            run_cell(seed, &spec, &churn, shape, None);
+            traced_run(seed, &spec, &churn, shape, None);
         let (plane_trace, plane_done, plane_hits, transfers) =
-            run_cell(seed, &spec, &churn, shape, Some(infinite_plane()));
+            traced_run(seed, &spec, &churn, shape, Some(infinite_plane()));
 
         proptest::prop_assert_eq!(
             fnv64(&scalar_trace),
@@ -129,7 +129,7 @@ fn slow_cluster() -> ClusterSpec {
 }
 
 fn contended_run(plane: Option<DataPlaneConfig>) -> (String, u64, TransferSummary) {
-    let (trace, done, _, transfers) = run_cell(
+    let (trace, done, _, transfers) = traced_run(
         7,
         &slow_cluster(),
         &ChurnPlan::none(),
@@ -214,7 +214,7 @@ fn whole_run(
         ..SimConfig::default()
     };
     let mut sched = Traced::new(Box::new(EsgScheduler::new()));
-    let r = run_simulation(&env, cfg, &mut sched, &workload, "topology");
+    let r = run_simulation(&env, cfg, &mut sched, &workload, "topology").expect("valid run");
     (sched.trace(), r)
 }
 

@@ -41,8 +41,10 @@ fn run_pair(
     let env = SimEnv::standard(slo);
     let mut cached = EsgScheduler::new();
     let mut uncached = EsgScheduler::new().without_plan_cache();
-    let a = run_simulation(&env, cfg.clone(), &mut cached, workload, "cache-eq");
-    let b = run_simulation(&env, cfg.clone(), &mut uncached, workload, "cache-eq");
+    let a =
+        run_simulation(&env, cfg.clone(), &mut cached, workload, "cache-eq").expect("valid run");
+    let b =
+        run_simulation(&env, cfg.clone(), &mut uncached, workload, "cache-eq").expect("valid run");
     (a, b)
 }
 
@@ -89,8 +91,8 @@ fn tiny_cache_thrashes_but_stays_equivalent() {
     let mut tiny = EsgScheduler::new().with_plan_cache_capacity(2);
     let mut off = EsgScheduler::new().without_plan_cache();
     let cfg = churny_config(7);
-    let a = run_simulation(&env, cfg.clone(), &mut tiny, &workload, "cache-eq");
-    let b = run_simulation(&env, cfg, &mut off, &workload, "cache-eq");
+    let a = run_simulation(&env, cfg.clone(), &mut tiny, &workload, "cache-eq").expect("valid run");
+    let b = run_simulation(&env, cfg, &mut off, &workload, "cache-eq").expect("valid run");
     assert!(
         a.scheduler_stats.plan_cache_evictions > 0,
         "capacity 2 must evict, got {:?}",
@@ -117,7 +119,8 @@ fn default_capacity_holds_the_azure_replay_working_set() {
     .stream(esg::model::standard_app_ids(), Some(2));
     let env = SimEnv::standard(SloClass::Moderate);
     let mut esg = EsgScheduler::new();
-    let r = run_streamed(&env, SimConfig::default(), &mut esg, stream, "capacity");
+    let r =
+        run_streamed(&env, SimConfig::default(), &mut esg, stream, "capacity").expect("valid run");
     let s = r.scheduler_stats;
     assert!(r.arrivals > 4_000, "two trace-minutes at 2 500/min");
     assert_eq!(s.plan_cache_invalidations, 0, "no churn, no flush");

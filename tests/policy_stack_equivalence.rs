@@ -81,7 +81,7 @@ fn run_traced(
         ..SimConfig::default()
     };
     let mut traced = Traced::new(sched);
-    let r = run_simulation(&env, cfg, &mut traced, &workload, "policy-stack");
+    let r = run_simulation(&env, cfg, &mut traced, &workload, "policy-stack").expect("valid run");
     (r.canonical(), traced.trace_digest())
 }
 
@@ -193,7 +193,7 @@ invocation {:?} (slack {slack} ms)",
             ..SimConfig::default()
         };
         let mut traced = Traced::new(Box::new(sched));
-        let r = run_simulation(&env, cfg, &mut traced, &workload, "oracle-admission");
+        let r = run_simulation(&env, cfg, &mut traced, &workload, "oracle-admission").expect("valid run");
         // Accounting consistency: every shed invocation left the system,
         // and policy-side counters can only see the *queue-level* sheds
         // (platform-side purges of sibling jobs are extra).
@@ -221,7 +221,8 @@ fn shedding_is_observable_end_to_end() {
     };
     let sched = EsgScheduler::new().with_policy(PolicyStack::new().with(SloAdmission::default()));
     let mut monitored = Monitored::new(Box::new(sched), 1_000.0);
-    let r = run_simulation(&env, cfg, &mut monitored, &workload, "shed-everything");
+    let r =
+        run_simulation(&env, cfg, &mut monitored, &workload, "shed-everything").expect("valid run");
     assert_eq!(r.arrivals, 40);
     assert_eq!(r.shed_invocations, 40, "every deadline is unattainable");
     assert_eq!(r.total_completed(), 0);
@@ -263,7 +264,7 @@ fn deferring_admission_variant_makes_progress() {
         },
     )));
     let mut s = sched;
-    let r = run_simulation(&env, cfg, &mut s, &workload, "defer-only");
+    let r = run_simulation(&env, cfg, &mut s, &workload, "defer-only").expect("valid run");
     assert_eq!(r.shed_invocations, 0);
     assert_eq!(r.total_completed(), 10, "deferred work still completes");
 }
@@ -272,11 +273,13 @@ fn deferring_admission_variant_makes_progress() {
 fn wrapped_schedulers_keep_the_inner_policy_stack() {
     // `Traced` and `Monitored` forward `round_policy` and
     // `schedule_round`, so the stack a wrapped scheduler carries drives
-    // the wrapped run, which replays the bare one, and `try_run` checks
-    // its knobs through the wrapper.
-    let sim = SimBuilder::new(SloClass::Strict).build().expect("valid");
+    // the wrapped run, which replays the bare one, and `run_simulation`
+    // checks its knobs through the wrapper.
+    let env = SimEnv::standard(SloClass::Strict);
     let workload =
         WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 4).generate(30);
+    let run =
+        |s: &mut dyn Scheduler| run_simulation(&env, SimConfig::default(), s, &workload, "wrapped");
     let esg = |warm_bias| -> Box<dyn Scheduler> {
         let pack = BandwidthPackingConfig {
             warm_bias,
@@ -287,18 +290,18 @@ fn wrapped_schedulers_keep_the_inner_policy_stack() {
             .with(BandwidthAwarePacking::new(pack));
         Box::new(EsgScheduler::new().with_policy(stack))
     };
-    let bare = sim.run(esg(0.25).as_mut(), &workload, "wrapped");
-    let classic = sim.run(&mut EsgScheduler::new(), &workload, "wrapped");
+    let bare = run(esg(0.25).as_mut()).expect("valid run");
+    let classic = run(&mut EsgScheduler::new()).expect("valid run");
     assert_ne!(bare.canonical(), classic.canonical(), "the stack decides");
     let mut traced = Traced::new(esg(0.25));
     let mut monitored = Monitored::new(esg(0.25), 1_000.0);
     for wrapped in [&mut traced as &mut dyn Scheduler, &mut monitored] {
-        let r = sim.run(wrapped, &workload, "wrapped");
+        let r = run(wrapped).expect("valid run");
         assert_eq!(r.canonical(), bare.canonical());
     }
     assert!(traced.trace().starts_with("D "), "{}", traced.trace());
     // A bad knob inside a wrapped stack is still refused.
-    let knob = |s: &mut dyn Scheduler| match sim.try_run(s, &workload, "wrapped") {
+    let knob = |s: &mut dyn Scheduler| match run(s) {
         Err(SimError::InvalidKnob { knob, .. }) => knob,
         other => panic!("{other:?}"),
     };

@@ -57,11 +57,12 @@ fn run_horizon(
             shaped_stream(class, shape, &apps, seed),
             "replay",
         )
+        .expect("valid run")
     } else {
         // Materialise one minute past the horizon so the materialised
         // run, like the streamed one, never drains its arrival source.
         let workload = shaped_stream(class, shape, &apps, seed).until_ms(horizon_ms + 60_000.0);
-        run_simulation(&env, cfg, &mut traced, &workload, "replay")
+        run_simulation(&env, cfg, &mut traced, &workload, "replay").expect("valid run")
     };
     (r.canonical(), traced.trace_digest())
 }

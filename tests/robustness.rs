@@ -17,7 +17,7 @@ fn tiny_cluster_still_makes_progress() {
         nodes: 2,
         ..SimConfig::default()
     };
-    let r = run_simulation(&env, cfg, &mut s, &w, "tiny");
+    let r = run_simulation(&env, cfg, &mut s, &w, "tiny").expect("valid run");
     assert_eq!(
         r.total_completed(),
         60,
@@ -40,7 +40,7 @@ fn heterogeneous_capacity_configs() {
         node_resources: Resources::new(8, 4),
         ..SimConfig::default()
     };
-    let r = run_simulation(&env, cfg, &mut s, &w, "hetero");
+    let r = run_simulation(&env, cfg, &mut s, &w, "hetero").expect("valid run");
     assert_eq!(r.total_completed(), 50);
 }
 
@@ -52,7 +52,7 @@ fn no_batching_grid_still_completes() {
     );
     let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 2).generate(60);
     let mut s = esg::core::EsgScheduler::new();
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "nobatch");
+    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "nobatch").expect("valid run");
     assert_eq!(r.total_completed(), 60);
     // Batch can never exceed 1.
     assert!(r.batch_size.max().unwrap_or(1.0) <= 1.0 + 1e-9);
@@ -66,7 +66,8 @@ fn no_gpu_sharing_grid_still_completes() {
     );
     let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 2).generate(40);
     let mut s = esg::core::EsgScheduler::new();
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "nogpushare");
+    let r =
+        run_simulation(&env, SimConfig::default(), &mut s, &w, "nogpushare").expect("valid run");
     assert_eq!(r.total_completed(), 40);
 }
 
@@ -88,7 +89,7 @@ fn burst_arrival_pattern_drains() {
         ConfigGrid::new(vec![1, 2, 4, 8], vec![1, 2, 4, 8], vec![1, 2]),
     );
     let mut s = esg::core::EsgScheduler::new();
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "burst");
+    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "burst").expect("valid run");
     assert_eq!(r.total_completed(), 80);
     // The burst is admitted immediately (container init does not hold
     // compute resources), so queues stay short; the contention shows up
@@ -105,7 +106,7 @@ fn single_invocation_runs_alone() {
         app: AppId(3),
     }]);
     let mut s = esg::core::EsgScheduler::new();
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "single");
+    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "single").expect("valid run");
     assert_eq!(r.total_completed(), 1);
     let m = &r.apps[3];
     // Alone on a warm cluster, the 5-stage pipeline meets a relaxed SLO.
@@ -134,7 +135,7 @@ fn truly_heterogeneous_cluster_completes_and_respects_capacities() {
         cluster: Some(spec),
         ..SimConfig::default()
     };
-    let r = run_simulation(&env, cfg, &mut s, &w, "hetero-mixed");
+    let r = run_simulation(&env, cfg, &mut s, &w, "hetero-mixed").expect("valid run");
     assert_eq!(r.total_completed(), 60);
     assert!(r.vgpu_utilisation > 0.0 && r.vgpu_utilisation <= 1.0);
     // No node's peak attachment may exceed its own capacity.
@@ -175,7 +176,7 @@ fn mixed_speed_cluster_under_every_traffic_shape() {
             max_sim_ms: 120_000.0,
             ..SimConfig::default()
         };
-        let r = run_simulation(&env, cfg, &mut s, &w, "hetero-shape");
+        let r = run_simulation(&env, cfg, &mut s, &w, "hetero-shape").expect("valid run");
         assert_eq!(
             r.total_completed(),
             w.len() as u64,
@@ -187,4 +188,22 @@ fn mixed_speed_cluster_under_every_traffic_shape() {
             assert!(n.total.contains(n.peak_used), "{shape}: capacity exceeded");
         }
     }
+}
+
+#[test]
+fn the_longest_valid_tariff_never_schedules_into_the_past() {
+    // `SimTime::MAX_MS` per remote MB passes validation, but the instants
+    // it produces lie past `SimTime::MAX`, where a prewarm instant
+    // computed in f64 ms could round below `now` (a debug assert in the
+    // event queue). The run must complete every invocation.
+    let mut env = SimEnv::standard(SloClass::Moderate);
+    env.transfer = TransferModel {
+        remote_ms_per_mb: SimTime::MAX_MS,
+        ..TransferModel::default()
+    };
+    let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 42).generate(10);
+    let mut s = EsgScheduler::new();
+    let r =
+        run_simulation(&env, SimConfig::default(), &mut s, &w, "max-tariff").expect("valid run");
+    assert_eq!(r.total_completed(), 10);
 }

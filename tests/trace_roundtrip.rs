@@ -1,5 +1,5 @@
 //! Round-trip fidelity of the event-sourced trace format: a run
-//! recorded through [`SimBuilder::record_trace`] and replayed through
+//! recorded through [`SimConfig::record_trace`] and replayed through
 //! [`TraceReplay`] under the same scheduler and seed must reproduce the
 //! recorded dispatch-trace digest bit for bit — and a damaged trace
 //! file must surface a typed [`TraceError`], never a panic.
@@ -31,14 +31,15 @@ fn record(
     tag: &str,
 ) -> (ExperimentResult, TraceReplay, std::path::PathBuf) {
     let path = scratch(tag);
-    let sim = SimBuilder::new(slo)
-        .seed(seed)
-        .churn(churn)
-        .record_trace(&path)
-        .build()
-        .expect("valid configuration");
+    let cfg = SimConfig {
+        seed,
+        churn,
+        record_trace: Some(path.clone()),
+        ..SimConfig::default()
+    };
     let w = WorkloadGen::new(class, esg::model::standard_app_ids(), seed).generate(invocations);
-    let recorded = sim.run(sched, &w, "record");
+    let recorded =
+        run_simulation(&SimEnv::standard(slo), cfg, sched, &w, "record").expect("valid run");
     let replay = TraceReplay::load(&path).expect("recorded trace loads");
     (recorded, replay, path)
 }
@@ -58,7 +59,9 @@ fn recorded_and_replayed_esg_runs_share_one_digest() {
     assert_eq!(trace.scheduler, "ESG");
     assert_eq!(trace.arrivals.len() as u64, recorded.arrivals);
 
-    let (replayed, digest) = replay.run_digest(Box::new(EsgScheduler::new()), "replay");
+    let (replayed, digest) = replay
+        .run_digest(Box::new(EsgScheduler::new()), "replay")
+        .expect("valid replay");
     assert_eq!(
         digest,
         trace.dispatch_digest(),
@@ -90,7 +93,9 @@ fn churned_runs_round_trip_with_their_cluster_events() {
         trace.dispatch_trace().contains("C n3 drain;"),
         "the recorded trace must carry the churn record"
     );
-    let (replayed, digest) = replay.run_digest(Box::new(EsgScheduler::new()), "replay");
+    let (replayed, digest) = replay
+        .run_digest(Box::new(EsgScheduler::new()), "replay")
+        .expect("valid replay");
     assert_eq!(digest, trace.dispatch_digest());
     assert_eq!(replayed.arrivals, recorded.arrivals);
     std::fs::remove_file(&path).ok();
@@ -107,7 +112,9 @@ fn a_different_scheduler_replays_the_same_offered_load() {
         ChurnPlan::none(),
         "cross",
     );
-    let (other, digest) = replay.run_digest(Box::new(OrionScheduler::default()), "replay-orion");
+    let (other, digest) = replay
+        .run_digest(Box::new(OrionScheduler::default()), "replay-orion")
+        .expect("valid replay");
     assert_eq!(
         other.arrivals, recorded.arrivals,
         "the recorded arrival stream is scheduler-independent"
@@ -208,7 +215,7 @@ fn damaged_configs_are_schema_errors_not_replay_panics() {
     assert!(text.contains("\"cluster\":null"), "homogeneous cluster");
 
     // Each knob would panic or silently misbehave on replay, so the
-    // loader must refuse it through the builder's own validation.
+    // loader must refuse it through the run's own validation.
     for (key, value, mentions) in [
         ("nodes", "0", "no usable node"),
         ("prewarm_alpha", "-5", "prewarm_alpha"),
@@ -236,7 +243,7 @@ fn damaged_configs_are_schema_errors_not_replay_panics() {
                 "{key} = {value}: {context:?} should mention {mentions:?}"
             ),
             Err(e) => panic!("{key} = {value}: expected a schema error, got {e:?}"),
-            Ok(_) => panic!("{key} = {value}: loaded a config the builder refuses"),
+            Ok(_) => panic!("{key} = {value}: loaded a config a run refuses"),
         }
     }
 }
@@ -284,19 +291,23 @@ fn custom_transfer_tariffs_replay_their_digest() {
         remote_base_ms: 50.0,
         remote_ms_per_mb: 40.0,
     };
-    let sim = SimBuilder::new(SloClass::Moderate)
-        .transfer(tariffs)
-        .record_trace(&path)
-        .build()
-        .expect("valid configuration");
+    let mut env = SimEnv::standard(SloClass::Moderate);
+    env.transfer = tariffs;
+    let cfg = SimConfig {
+        record_trace: Some(path.clone()),
+        ..SimConfig::default()
+    };
     let w =
         WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 42).generate(200);
-    let recorded = sim.run(&mut EsgScheduler::new(), &w, "record");
+    let recorded =
+        run_simulation(&env, cfg, &mut EsgScheduler::new(), &w, "record").expect("valid run");
     let replay = TraceReplay::load(&path).expect("recorded trace loads");
     std::fs::remove_file(&path).ok();
     assert_eq!(replay.trace().transfer, tariffs);
 
-    let (replayed, digest) = replay.run_digest(Box::new(EsgScheduler::new()), "replay");
+    let (replayed, digest) = replay
+        .run_digest(Box::new(EsgScheduler::new()), "replay")
+        .expect("valid replay");
     assert_eq!(
         digest,
         replay.trace().dispatch_digest(),
@@ -327,7 +338,8 @@ proptest! {
             ChurnPlan::none(),
             &format!("prop-{seed}-{slo_pick}-{invocations}"),
         );
-        let (replayed, digest) = replay.run_digest(Box::new(MinScheduler), "replay");
+        let (replayed, digest) = replay.run_digest(Box::new(MinScheduler), "replay")
+        .expect("valid replay");
         prop_assert_eq!(digest, replay.trace().dispatch_digest());
         prop_assert_eq!(replayed.arrivals, recorded.arrivals);
         prop_assert_eq!(replayed.dispatches, recorded.dispatches);
@@ -435,9 +447,51 @@ proptest! {
         // Printed only when the case fails (the harness captures it).
         eprintln!("mutations: {applied:?}");
         let no_warmup = trace.config.warmup_exclude_ms == 0.0;
-        let r = TraceReplay::new(trace).run(&mut MinScheduler, "damaged");
+        let r = TraceReplay::new(trace)
+            .run(&mut MinScheduler, "damaged")
+            .expect("a trace that loads passes the run checks");
         if no_warmup {
             prop_assert_eq!(r.arrivals, r.total_completed() + r.shed_invocations);
         }
     }
+}
+
+#[test]
+fn every_run_entry_checks_the_schedulers_policy_stack() {
+    // An admission back-off that is not a number: each entry refuses the
+    // stack before its event loop starts, a replay included.
+    let nan_defer = || {
+        let admission = SloAdmission::new(SloAdmissionConfig {
+            defer_ms: f64::NAN,
+            ..SloAdmissionConfig::default()
+        });
+        EsgScheduler::new().with_policy(PolicyStack::new().with(admission))
+    };
+    let refused = |r: Result<ExperimentResult, SimError>| match r {
+        Err(SimError::InvalidKnob { knob, .. }) => knob,
+        other => panic!("expected a refused knob, got {other:?}"),
+    };
+    let env = SimEnv::standard(SloClass::Moderate);
+    let gen = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 3);
+    let materialised = gen.generate(20);
+    let cfg = SimConfig {
+        max_sim_ms: 5_000.0,
+        ..SimConfig::default()
+    };
+    let direct = run_simulation(&env, cfg.clone(), &mut nan_defer(), &materialised, "nan");
+    assert_eq!(refused(direct), "policy.defer_ms");
+    let streamed = run_streamed(&env, cfg, &mut nan_defer(), gen.stream(), "nan");
+    assert_eq!(refused(streamed), "policy.defer_ms");
+    let (_, replay, path) = record(
+        &mut MinScheduler,
+        SloClass::Moderate,
+        WorkloadClass::Light,
+        3,
+        20,
+        ChurnPlan::none(),
+        "nan-defer",
+    );
+    std::fs::remove_file(&path).ok();
+    let replayed = replay.run(&mut nan_defer(), "nan");
+    assert_eq!(refused(replayed), "policy.defer_ms");
 }
