@@ -55,5 +55,6 @@ pub fn ctx_for<'a>(
         price: &env.price,
         transfer: &env.transfer,
         noise: &env.noise,
+        env_fingerprint: env.fingerprint(),
     }
 }

@@ -30,7 +30,7 @@
 use criterion::{BenchmarkId, Criterion};
 use esg_bench::{render_overhead_markdown, section, update_experiments_md, write_json};
 use esg_core::{
-    astar_search_bounded, astar_search_with, quantize_gslo, CachedPlan, PlanCache, PlanKey,
+    astar_search_bounded, astar_search_with, astar_summary, quantize_gslo, PlanCache, PlanKey,
     SearchScratch, StageTable, StageTableMemo,
 };
 use esg_model::{
@@ -44,7 +44,6 @@ use esg_sim::{
 };
 use serde_json::json;
 use std::hint::black_box;
-use std::rc::Rc;
 use std::time::Instant;
 
 const WIDTHS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
@@ -240,32 +239,19 @@ fn main() {
                     slo: slo_name,
                 });
 
-                // Warm: the hit path — key fingerprint plus an LRU lookup
-                // sharing the memoised K-path result.
-                let key = PlanKey {
-                    dag_fp: 0x5eed,
-                    window_fp: PlanKey::window_fingerprint(&fns, cap),
-                    gslo_bits: gslo.to_bits(),
-                    speed_bits: 1.0f64.to_bits(),
-                    k: 5,
-                    premium_bits: 0.5f64.to_bits(),
-                    variant: 0,
-                };
+                // Warm: the hit path — the key from the window's table
+                // slot plus an LRU lookup copying out the memoised
+                // candidates.
+                let key = PlanKey::new(memo.slot(0, cap), false, gslo);
                 let mut cache = PlanCache::new();
-                cache.insert(
-                    key,
-                    Rc::new(CachedPlan {
-                        result: astar_search_with(&table, gslo, 5, 0.5, &mut scratch),
-                        min_total_ms: table.min_total_time(),
-                    }),
-                );
-                group.bench_with_input(BenchmarkId::new("warm", &param), &fns, |b, fns| {
+                let summary = astar_summary(&table, gslo, 5, 0.5, &mut scratch);
+                cache.insert(key, summary, scratch.candidates());
+                let mut candidates = Vec::new();
+                group.bench_with_input(BenchmarkId::new("warm", &param), &cap, |b, &cap| {
                     b.iter(|| {
-                        let k = PlanKey {
-                            window_fp: PlanKey::window_fingerprint(fns, cap),
-                            ..key
-                        };
-                        black_box(cache.get(&k)).expect("pre-populated key must hit")
+                        let k = PlanKey::new(memo.slot(0, cap), false, gslo);
+                        black_box(cache.get(&k, &mut candidates))
+                            .expect("pre-populated key must hit")
                     })
                 });
                 metas.push(CaseMeta {
@@ -422,6 +408,7 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
                 price: &env.price,
                 transfer: &env.transfer,
                 noise: &env.noise,
+                env_fingerprint: env.fingerprint(),
                 dataplane: None,
             };
             let variants: [(&'static str, Option<PolicyStack>); 3] = [

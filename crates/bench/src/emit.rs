@@ -226,7 +226,7 @@ pub fn render_overhead_markdown(doc: &Value) -> String {
         "Suite `overhead` — per-dispatch planning latency, {samples} samples per case \
 (regenerate: `cargo bench --bench overhead`). *Cold* runs the miss path \
 as the scheduler runs it (memoised stage table + A\\* search); *warm* \
-shares the plan from the plan cache. Medians, wall clock."
+copies a memoised plan out of the plan cache. Medians, wall clock."
     )
     .expect("writing to String cannot fail");
 

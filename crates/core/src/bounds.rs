@@ -285,6 +285,13 @@ impl StageTableMemo {
             .saturating_sub(1)
     }
 
+    /// The slot of window `window`'s table under `cap`: caps with the
+    /// same effective cap share a slot, and so a table.
+    #[inline]
+    pub fn slot(&self, window: usize, cap: u32) -> usize {
+        window * self.batches.len() + self.cap_index(cap)
+    }
+
     /// The table of window `window` (functions `fns`) with the first
     /// stage capped at `cap`, built on first use.
     pub fn table(
@@ -297,7 +304,7 @@ impl StageTableMemo {
         assert!(!fns.is_empty(), "need at least one stage");
         let caps = self.batches.len();
         let first_cap = self.cap_index(cap);
-        let slot = window * caps + first_cap;
+        let slot = self.slot(window, cap);
         if self.tables[slot].is_none() {
             let stages = fns
                 .iter()
@@ -376,6 +383,24 @@ impl MinRsc {
     /// Clears the list (Algorithm 1 resets `minRSC` per stage).
     pub fn reset(&mut self) {
         self.values.clear();
+    }
+
+    /// Clears the list and sets its capacity to `k >= 1`, keeping the
+    /// allocation.
+    pub fn reset_to(&mut self, k: usize) {
+        assert!(k >= 1, "K must be at least 1");
+        self.k = k;
+        self.values.clear();
+    }
+}
+
+impl Default for MinRsc {
+    /// An empty list of capacity 1 that allocates on first insert.
+    fn default() -> MinRsc {
+        MinRsc {
+            k: 1,
+            values: Vec::new(),
+        }
     }
 }
 

@@ -1,14 +1,17 @@
-//! The plan cache: memoised ESG_1Q searches keyed on what the search
-//! actually depends on.
+//! The plan cache: memoised ESG_1Q searches keyed on exactly what a
+//! search reads.
 //!
 //! §5.3's headline is that pipeline-conscious scheduling stays cheap
 //! enough to run per request; this module makes that cheaper still by
-//! never re-running a search whose inputs were just solved. A search is a
-//! pure function of `(stage table, effective GSLO, K, premium, variant)`,
-//! and the stage table is itself a pure function of `(window functions,
-//! batch cap)` over the immutable profile table — so a [`PlanKey`] built
-//! from those coordinates plus the reduced-DAG fingerprint
-//! (`esg_dag::Hierarchy::fingerprint`) identifies the result exactly.
+//! never re-running a search whose inputs were just solved. A search reads
+//! its stage table, its budget, its solution count K, its premium band and
+//! its variant. One scheduler fixes the variant, and its probe flag fixes
+//! K and the band (probes search K = 1 exactly; dispatch searches use the
+//! scheduler's K with a 50 % band). The table is named by its
+//! `StageTableMemo` slot (search window × effective batch cap), so a
+//! [`PlanKey`] of slot, probe flag and budget identifies the result
+//! exactly. Queue caps that admit the same grid batches (5, 6 and 7 on
+//! the default grid) share a slot, and so an entry.
 //!
 //! The effective GSLO is continuous (it is derived from live slack), so
 //! exact keys would never repeat. [`quantize_gslo`] therefore buckets it:
@@ -19,23 +22,26 @@
 //! bit-identical because both quantize (`tests/plan_cache_equivalence.rs`
 //! pins this across a churn-heavy sweep).
 //!
-//! The cache is LRU-bounded, counts hits/misses/evictions (surfaced as
-//! `esg_sim::SchedulerStats` through `ExperimentResult`), and is
-//! invalidated wholesale on cluster-churn notifications. Because keys
-//! capture every search input (the node-class speed factor included),
-//! invalidation is a memory/robustness bound rather than a correctness
-//! requirement: a regime change re-populates the cache with the keys the
-//! new cluster actually produces instead of letting a dead regime's
-//! entries squat in the LRU.
+//! An entry holds what dispatch reads of a search — a [`SearchSummary`]
+//! and the deduplicated first-stage candidates — with every entry's
+//! candidates in one flat pool, so a miss allocates nothing once the
+//! cache has grown. The cache is LRU-bounded and counts
+//! hits/misses/evictions (surfaced as `esg_sim::SchedulerStats` through
+//! `ExperimentResult`). Cluster churn leaves it intact: churn moves
+//! dispatches between node classes, which changes the budget a search
+//! runs with, never the result a key names. Only a scheduler meeting a
+//! new environment invalidates it, since slots then name other tables.
 
-use crate::search::SearchResult;
-use esg_model::FnId;
-use std::rc::Rc;
+use crate::search::SearchSummary;
+use esg_model::Config;
 
 /// Explicit mantissa bits kept by [`quantize_gslo`]: buckets are ~0.8%
 /// wide (2^-7), tight enough that the tightened budget is within profile
 /// noise, wide enough that per-request GSLOs repeat across requests.
 pub const GSLO_MANTISSA_BITS: u32 = 7;
+
+/// The low bits [`quantize_gslo`] clears.
+const DROPPED: u64 = (1u64 << (52 - GSLO_MANTISSA_BITS as u64)) - 1;
 
 /// Rounds a search budget down onto the plan-cache bucket grid by
 /// clearing all but the top [`GSLO_MANTISSA_BITS`] mantissa bits.
@@ -48,74 +54,27 @@ pub fn quantize_gslo(gslo_ms: f64) -> f64 {
     if !gslo_ms.is_finite() || gslo_ms <= 0.0 {
         return 0.0;
     }
-    const DROP: u64 = (1u64 << (52 - GSLO_MANTISSA_BITS as u64)) - 1;
-    f64::from_bits(gslo_ms.to_bits() & !DROP)
+    f64::from_bits(gslo_ms.to_bits() & !DROPPED)
 }
 
-/// Everything an ESG_1Q invocation depends on, collapsed to a hashable
-/// key. Two dispatches with equal keys would run byte-identical searches.
+/// Everything one scheduler's ESG_1Q invocation reads, in one word: the
+/// quantized budget's bit pattern, whose low bits [`quantize_gslo`]
+/// cleared, carries the stage-table slot and the probe flag there. Two
+/// searches with equal keys are byte-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// Reduced-DAG fingerprint of the application
-    /// (`esg_dag::Hierarchy::fingerprint`, falling back to
-    /// `esg_dag::Dag::fingerprint` for non-reducible DAGs).
-    pub dag_fp: u64,
-    /// FNV over the search window's function ids and the first-stage
-    /// batch cap — identifies the stage table within the app.
-    pub window_fp: u64,
-    /// Bit pattern of the *quantized* effective GSLO (the value the
-    /// search actually runs with).
-    pub gslo_bits: u64,
-    /// Bit pattern of the node-class speed factor the budget was scaled
-    /// by (redundant with `gslo_bits` in the common path, but it keys the
-    /// scheduler's post-search feasibility arithmetic too).
-    pub speed_bits: u64,
-    /// Solution count K of the search.
-    pub k: u32,
-    /// Bit pattern of the premium band (0.0 for probes, 0.5 for
-    /// dispatch-quality searches).
-    pub premium_bits: u64,
-    /// Search-variant tag (0 = A*, 1 = stage-wise).
-    pub variant: u8,
-}
+pub struct PlanKey(u64);
 
 impl PlanKey {
-    /// FNV-1a over a window's function ids plus the batch cap (the
-    /// `window_fp` component) — the same `esg_dag::Fnv` the DAG
-    /// fingerprints use.
-    pub fn window_fingerprint(fns: &[FnId], batch_cap: u32) -> u64 {
-        Self::window_fingerprint_from(Self::window_prefix(fns), batch_cap)
+    /// The key of a search over the table in `StageTableMemo` slot
+    /// `table` with the quantized budget `gslo_q`. Panics when `gslo_q`
+    /// is not a [`quantize_gslo`] output or the slot does not fit.
+    pub fn new(table: usize, probe: bool, gslo_q: f64) -> PlanKey {
+        let bits = gslo_q.to_bits();
+        assert_eq!(bits & DROPPED, 0, "the budget must be quantized");
+        let id = (table as u64) << 1 | probe as u64;
+        assert!(id <= DROPPED, "stage-table slot {table} out of range");
+        PlanKey(bits | id)
     }
-
-    /// The cap-independent part of [`window_fingerprint`](Self::window_fingerprint):
-    /// the hash state after the window's function ids. A caller that
-    /// fingerprints the same window under many caps keeps this and
-    /// finishes it with [`window_fingerprint_from`](Self::window_fingerprint_from).
-    pub fn window_prefix(fns: &[FnId]) -> esg_dag::Fnv {
-        let mut h = esg_dag::Fnv::new();
-        h.write_u64(fns.len() as u64);
-        for f in fns {
-            h.write_u64(f.0 as u64);
-        }
-        h
-    }
-
-    /// Finishes a [`window_prefix`](Self::window_prefix) with the batch cap.
-    pub fn window_fingerprint_from(mut prefix: esg_dag::Fnv, batch_cap: u32) -> u64 {
-        prefix.write_u64(batch_cap as u64);
-        prefix.finish()
-    }
-}
-
-/// A memoised search result plus the table aggregate the scheduler needs
-/// when the result is infeasible (the "winnable race" check), so a cache
-/// hit skips the table build entirely.
-#[derive(Clone, Debug)]
-pub struct CachedPlan {
-    /// The search result, exactly as the search produced it.
-    pub result: SearchResult,
-    /// `StageTable::min_total_time()` of the searched table.
-    pub min_total_ms: f64,
 }
 
 /// Hit/miss accounting of one [`PlanCache`].
@@ -129,8 +88,7 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries dropped by the LRU bound.
     pub evictions: u64,
-    /// Wholesale invalidations (churn notifications, and a scheduler
-    /// meeting a different profile table).
+    /// Wholesale invalidations (a scheduler meeting a new environment).
     pub invalidations: u64,
 }
 
@@ -138,10 +96,13 @@ pub struct CacheStats {
 /// bucket.
 const NIL: u32 = u32::MAX;
 
-/// One slab entry: the memoised plan plus its links in the recency list.
+/// One slab entry: the memoised summary plus its links in the recency
+/// list. Its candidates live in the pool.
 struct Slot {
     key: PlanKey,
-    plan: Rc<CachedPlan>,
+    summary: SearchSummary,
+    /// Candidates held in the pool.
+    candidates: u32,
     /// Next more-recently-used slot (`NIL` at the head).
     newer: u32,
     /// Next less-recently-used slot (`NIL` at the tail).
@@ -149,35 +110,22 @@ struct Slot {
 }
 
 /// Maps keys to slab slots: linear probing over a power-of-two table of
-/// slot numbers, kept at most half full. A bucket is 4 bytes where a
-/// `HashMap<PlanKey, u32>` entry is 56; the keys live in the slots.
+/// slot numbers, kept at most half full. A bucket is 4 bytes; the keys
+/// live in the slots.
 #[derive(Default)]
 struct SlotIndex {
     buckets: Vec<u32>,
 }
 
 impl SlotIndex {
-    /// The home bucket hash of `key`: one multiply-rotate step per field.
-    /// Key fields are already fingerprints and bit patterns, so SipHash's
-    /// flooding resistance buys nothing; nothing iterates the index, so
-    /// the hash cannot influence any decision.
+    /// The home bucket hash of `key`: one multiply. The key is already a
+    /// bit pattern, so SipHash's flooding resistance buys nothing; nothing
+    /// iterates the index, so the hash cannot influence any decision.
     fn hash(key: &PlanKey) -> usize {
-        let fields = [
-            key.dag_fp,
-            key.window_fp,
-            key.gslo_bits,
-            key.speed_bits,
-            key.k as u64,
-            key.premium_bits,
-            key.variant as u64,
-        ];
-        let h = fields.iter().fold(0u64, |h, &v| {
-            (h.rotate_left(5) ^ v).wrapping_mul(0xf135_7aea_2e62_a9c5)
-        });
+        let h = key.0.wrapping_mul(0xf135_7aea_2e62_a9c5);
         // The multiply mixes into the high bits; buckets take the low ones.
         (h ^ (h >> 32)) as usize
     }
-
     /// `Ok(bucket)` holding `key`'s slot, or `Err(bucket)`: the empty
     /// bucket that ends its probe sequence. The table must be non-empty.
     fn find(&self, key: &PlanKey, slots: &[Slot]) -> Result<usize, usize> {
@@ -246,7 +194,8 @@ impl SlotIndex {
     }
 }
 
-/// A bounded LRU memo of [`CachedPlan`]s keyed by [`PlanKey`].
+/// A bounded LRU memo of [`SearchSummary`]s and their candidates, keyed
+/// by [`PlanKey`].
 ///
 /// Entries live in a slab threaded by an intrusive recency list: a hit or
 /// an insert moves its entry to the head, and eviction takes the tail, so
@@ -257,6 +206,10 @@ impl SlotIndex {
 pub struct PlanCache {
     index: SlotIndex,
     slots: Vec<Slot>,
+    /// Slot `i`'s candidates start at `pool[i * stride]`.
+    pool: Vec<Config>,
+    /// Pool entries per slot: the longest candidate list inserted yet.
+    stride: usize,
     /// Most recently used slot.
     head: u32,
     /// Least recently used slot: the next victim.
@@ -268,12 +221,11 @@ pub struct PlanCache {
 impl PlanCache {
     /// Default entry bound: the smallest power of two with no
     /// eviction-driven misses on any `perfbench` workload. A 20-minute
-    /// window (seed 42) touches 2 253 distinct keys on `azure_replay`,
-    /// 3 633 on `fabric_contention`, and between 512 and 1 024 per churn
-    /// epoch on `strict_churn` (each churn event flushes the cache). At
-    /// 512, `azure_replay` evicted 70 481 entries for 70 993 insertions.
-    /// The slab grows lazily, so a run pays only for the keys it
-    /// actually produces.
+    /// window (seed 42) touches 2 189 distinct keys on `azure_replay`,
+    /// 2 513 on `strict_churn` (whose churn no longer flushes the cache)
+    /// and 3 594 on `fabric_contention`. At 512, `azure_replay` evicted
+    /// about one entry per insertion. The slab grows lazily, so a run
+    /// pays only for the keys it actually produces.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// An empty cache bounded to `capacity` entries (min 1).
@@ -281,6 +233,8 @@ impl PlanCache {
         PlanCache {
             index: SlotIndex::default(),
             slots: Vec::new(),
+            pool: Vec::new(),
+            stride: 0,
             head: NIL,
             tail: NIL,
             capacity: capacity.max(1),
@@ -293,54 +247,79 @@ impl PlanCache {
         PlanCache::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Looks up `key`, refreshing its recency on a hit; the hit shares the
-    /// memoised plan instead of copying it. Counts a miss on `None` (the
-    /// caller is expected to search and [`insert`](Self::insert)).
-    pub fn get(&mut self, key: &PlanKey) -> Option<Rc<CachedPlan>> {
-        match self.index.get(key, &self.slots) {
-            Some(i) => {
-                self.stats.hits += 1;
-                self.touch(i);
-                Some(Rc::clone(&self.slots[i as usize].plan))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+    /// Looks up `key`, refreshing its recency on a hit and copying its
+    /// candidates into `candidates`. Counts a miss on `None` (the caller
+    /// is expected to search and [`insert`](Self::insert)).
+    pub fn get(&mut self, key: &PlanKey, candidates: &mut Vec<Config>) -> Option<SearchSummary> {
+        let Some(i) = self.index.get(key, &self.slots) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.touch(i);
+        let slot = &self.slots[i as usize];
+        let at = i as usize * self.stride;
+        candidates.clear();
+        candidates.extend_from_slice(&self.pool[at..at + slot.candidates as usize]);
+        Some(slot.summary)
     }
 
-    /// Memoises `plan` under `key`, evicting the least-recently-used
-    /// entry when the bound is reached.
-    pub fn insert(&mut self, key: PlanKey, plan: Rc<CachedPlan>) {
+    /// Memoises `summary` and `candidates` under `key`, evicting the
+    /// least-recently-used entry when the bound is reached.
+    pub fn insert(&mut self, key: PlanKey, summary: SearchSummary, candidates: &[Config]) {
         self.stats.insertions += 1;
-        if let Some(i) = self.index.get(&key, &self.slots) {
-            self.slots[i as usize].plan = plan;
-            self.touch(i);
-            return;
+        if candidates.len() > self.stride {
+            self.widen(candidates.len());
         }
-        let i = if self.slots.len() >= self.capacity {
-            // Reuse the victim's slot for the new entry.
-            let victim = self.tail;
-            self.unlink(victim);
-            let old = self.slots[victim as usize].key;
-            self.index.remove(&old, &self.slots);
-            let slot = &mut self.slots[victim as usize];
-            slot.key = key;
-            slot.plan = plan;
-            self.stats.evictions += 1;
-            victim
-        } else {
-            self.slots.push(Slot {
-                key,
-                plan,
-                newer: NIL,
-                older: NIL,
-            });
-            (self.slots.len() - 1) as u32
+        let i = match self.index.get(&key, &self.slots) {
+            Some(i) => {
+                self.touch(i);
+                i
+            }
+            None => {
+                let i = if self.slots.len() >= self.capacity {
+                    // Reuse the victim's slot for the new entry.
+                    let victim = self.tail;
+                    self.unlink(victim);
+                    let old = self.slots[victim as usize].key;
+                    self.index.remove(&old, &self.slots);
+                    self.slots[victim as usize].key = key;
+                    self.stats.evictions += 1;
+                    victim
+                } else {
+                    self.slots.push(Slot {
+                        key,
+                        summary,
+                        candidates: 0,
+                        newer: NIL,
+                        older: NIL,
+                    });
+                    self.pool
+                        .resize(self.slots.len() * self.stride, Config::MIN);
+                    (self.slots.len() - 1) as u32
+                };
+                self.index.insert(i, &self.slots);
+                self.push_head(i);
+                i
+            }
         };
-        self.index.insert(i, &self.slots);
-        self.push_head(i);
+        let slot = &mut self.slots[i as usize];
+        slot.summary = summary;
+        slot.candidates = candidates.len() as u32;
+        let at = i as usize * self.stride;
+        self.pool[at..at + candidates.len()].copy_from_slice(candidates);
+    }
+
+    /// Re-lays the pool out at `stride` entries per slot.
+    fn widen(&mut self, stride: usize) {
+        let mut pool = vec![Config::MIN; self.slots.len() * stride];
+        for (i, slot) in self.slots.iter().enumerate() {
+            let n = slot.candidates as usize;
+            let from = i * self.stride;
+            pool[i * stride..i * stride + n].copy_from_slice(&self.pool[from..from + n]);
+        }
+        self.pool = pool;
+        self.stride = stride;
     }
 
     /// Moves slot `i` to the head of the recency list.
@@ -376,11 +355,12 @@ impl PlanCache {
         self.head = i;
     }
 
-    /// Drops every entry (cluster-membership churn: the speed landscape
-    /// that shaped recent keys is gone, so let the new regime repopulate).
+    /// Drops every entry (the scheduler met a new environment, whose
+    /// stage-table slots name other tables).
     pub fn invalidate(&mut self) {
         self.index.clear();
         self.slots.clear();
+        self.pool.clear();
         self.head = NIL;
         self.tail = NIL;
         self.stats.invalidations += 1;
@@ -426,35 +406,25 @@ impl std::fmt::Debug for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::PathCandidate;
-    use esg_model::Config;
     use std::collections::HashMap;
 
     fn key(i: u64) -> PlanKey {
-        PlanKey {
-            dag_fp: i,
-            window_fp: i.wrapping_mul(31),
-            gslo_bits: 0,
-            speed_bits: 1f64.to_bits(),
-            k: 5,
-            premium_bits: 0.5f64.to_bits(),
-            variant: 0,
+        PlanKey::new(i as usize, i % 3 == 0, quantize_gslo(100.0 + i as f64))
+    }
+
+    /// A summary whose best time carries `v`.
+    fn plan(v: f64) -> SearchSummary {
+        SearchSummary {
+            expansions: 10,
+            feasible: true,
+            best_time_ms: v,
+            min_total_ms: 1.0,
         }
     }
 
-    fn plan(cost: f64) -> Rc<CachedPlan> {
-        Rc::new(CachedPlan {
-            result: SearchResult {
-                paths: vec![PathCandidate {
-                    configs: vec![Config::MIN],
-                    time_ms: 1.0,
-                    cost_cents: cost,
-                }],
-                expansions: 10,
-                feasible: true,
-            },
-            min_total_ms: 1.0,
-        })
+    /// The best time of `key`'s entry, if held.
+    fn lookup(c: &mut PlanCache, key: &PlanKey) -> Option<f64> {
+        c.get(key, &mut Vec::new()).map(|p| p.best_time_ms)
     }
 
     #[test]
@@ -492,11 +462,10 @@ mod tests {
     #[test]
     fn hit_miss_accounting() {
         let mut c = PlanCache::with_capacity(4);
-        assert!(c.get(&key(1)).is_none());
-        c.insert(key(1), plan(1.0));
-        let got = c.get(&key(1)).expect("hit");
-        assert_eq!(got.result.paths[0].cost_cents, 1.0);
-        assert!(c.get(&key(2)).is_none());
+        assert_eq!(lookup(&mut c, &key(1)), None);
+        c.insert(key(1), plan(1.0), &[]);
+        assert_eq!(lookup(&mut c, &key(1)), Some(1.0));
+        assert_eq!(lookup(&mut c, &key(2)), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 2, 1));
     }
@@ -504,41 +473,41 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = PlanCache::with_capacity(2);
-        c.insert(key(1), plan(1.0));
-        c.insert(key(2), plan(2.0));
+        c.insert(key(1), plan(1.0), &[]);
+        c.insert(key(2), plan(2.0), &[]);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(c.get(&key(1)).is_some());
-        c.insert(key(3), plan(3.0));
+        assert!(lookup(&mut c, &key(1)).is_some());
+        c.insert(key(3), plan(3.0), &[]);
         assert_eq!(c.len(), 2);
-        assert!(c.get(&key(2)).is_none(), "LRU entry must be gone");
-        assert!(c.get(&key(1)).is_some());
-        assert!(c.get(&key(3)).is_some());
+        assert!(lookup(&mut c, &key(2)).is_none(), "LRU entry must be gone");
+        assert!(lookup(&mut c, &key(1)).is_some());
+        assert!(lookup(&mut c, &key(3)).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn reinserting_existing_key_does_not_evict() {
         let mut c = PlanCache::with_capacity(2);
-        c.insert(key(1), plan(1.0));
-        c.insert(key(2), plan(2.0));
-        c.insert(key(2), plan(20.0)); // overwrite in place
+        c.insert(key(1), plan(1.0), &[]);
+        c.insert(key(2), plan(2.0), &[]);
+        c.insert(key(2), plan(20.0), &[]); // overwrite in place
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 0);
-        assert_eq!(
-            c.get(&key(2)).expect("hit").result.paths[0].cost_cents,
-            20.0
-        );
+        assert_eq!(lookup(&mut c, &key(2)), Some(20.0));
     }
 
     #[test]
     fn invalidation_clears_entries_but_keeps_counters() {
         let mut c = PlanCache::with_capacity(8);
-        c.insert(key(1), plan(1.0));
-        c.insert(key(2), plan(2.0));
-        assert!(c.get(&key(1)).is_some());
+        c.insert(key(1), plan(1.0), &[]);
+        c.insert(key(2), plan(2.0), &[]);
+        assert!(lookup(&mut c, &key(1)).is_some());
         c.invalidate();
         assert!(c.is_empty());
-        assert!(c.get(&key(1)).is_none(), "churn must drop cached plans");
+        assert!(
+            lookup(&mut c, &key(1)).is_none(),
+            "invalidation must drop cached plans"
+        );
         let s = c.stats();
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.hits, 1, "counters survive invalidation");
@@ -546,24 +515,56 @@ mod tests {
     }
 
     #[test]
-    fn window_fingerprint_is_order_and_cap_sensitive() {
-        let a = PlanKey::window_fingerprint(&[FnId(0), FnId(1)], 8);
-        let b = PlanKey::window_fingerprint(&[FnId(1), FnId(0)], 8);
-        let c = PlanKey::window_fingerprint(&[FnId(0), FnId(1)], 4);
-        assert_ne!(a, b, "stage order is part of the table identity");
-        assert_ne!(a, c, "batch cap is part of the table identity");
-        assert_eq!(a, PlanKey::window_fingerprint(&[FnId(0), FnId(1)], 8));
-        let prefix = PlanKey::window_prefix(&[FnId(0), FnId(1)]);
-        assert_eq!(a, PlanKey::window_fingerprint_from(prefix.clone(), 8));
-        assert_eq!(c, PlanKey::window_fingerprint_from(prefix, 4));
+    fn candidates_round_trip_through_a_widening_pool() {
+        let mut c = PlanCache::with_capacity(4);
+        let short = [Config::new(2, 1, 1)];
+        let long = [Config::new(4, 2, 1), Config::MIN, Config::new(8, 8, 7)];
+        c.insert(key(1), plan(1.0), &short);
+        c.insert(key(2), plan(2.0), &long);
+        c.insert(key(3), plan(3.0), &[]);
+        let mut out = vec![Config::MIN; 9];
+        assert_eq!(c.get(&key(1), &mut out).map(|p| p.best_time_ms), Some(1.0));
+        assert_eq!(out, short);
+        c.get(&key(2), &mut out).expect("hit");
+        assert_eq!(out, long);
+        c.get(&key(3), &mut out).expect("hit");
+        assert!(out.is_empty());
+        // Overwriting in place replaces the list.
+        c.insert(key(2), plan(2.0), &short);
+        c.get(&key(2), &mut out).expect("hit");
+        assert_eq!(out, short);
+    }
+
+    #[test]
+    fn keys_separate_slot_probe_and_budget() {
+        let q = quantize_gslo(250.0);
+        let keys = [
+            PlanKey::new(3, false, q),
+            PlanKey::new(4, false, q),
+            PlanKey::new(3, true, q),
+            PlanKey::new(3, false, quantize_gslo(300.0)),
+            PlanKey::new(3, false, 0.0),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        assert_eq!(keys[0], PlanKey::new(3, false, quantize_gslo(250.1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "quantized")]
+    fn an_unquantized_budget_is_rejected() {
+        let _ = PlanKey::new(0, false, 250.123);
     }
 
     #[test]
     fn capacity_floor_is_one() {
         let mut c = PlanCache::with_capacity(0);
         assert_eq!(c.capacity(), 1);
-        c.insert(key(1), plan(1.0));
-        c.insert(key(2), plan(2.0));
+        c.insert(key(1), plan(1.0), &[]);
+        c.insert(key(2), plan(2.0), &[]);
         assert_eq!(c.len(), 1);
     }
 
@@ -628,7 +629,7 @@ mod tests {
         for (i, s) in c.slots.iter().enumerate() {
             assert_eq!(c.index.get(&s.key, &c.slots), Some(i as u32));
         }
-        let mut keys: Vec<u64> = c.slots.iter().map(|s| s.key.dag_fp).collect();
+        let mut keys: Vec<u64> = c.slots.iter().map(|s| s.key.0).collect();
         keys.sort_unstable();
         keys
     }
@@ -646,12 +647,16 @@ mod tests {
             for (step, (op, k)) in ops.into_iter().enumerate() {
                 match op {
                     0..=4 => {
-                        let got = cache.get(&key(k)).map(|p| p.result.paths[0].cost_cents);
+                        let mut out = Vec::new();
+                        let got = cache.get(&key(k), &mut out).map(|p| p.best_time_ms);
                         assert_eq!(got, model.get(&key(k)), "get at step {step}");
+                        if got.is_some() {
+                            assert_eq!(out, [Config::new(k as u32 + 1, 1, 1)], "step {step}");
+                        }
                     }
                     5..=8 => {
                         let cost = step as f64;
-                        cache.insert(key(k), plan(cost));
+                        cache.insert(key(k), plan(cost), &[Config::new(k as u32 + 1, 1, 1)]);
                         model.insert(key(k), cost);
                     }
                     _ => {
@@ -659,7 +664,7 @@ mod tests {
                         model.invalidate();
                     }
                 }
-                let mut expected: Vec<u64> = model.map.keys().map(|k| k.dag_fp).collect();
+                let mut expected: Vec<u64> = model.map.keys().map(|k| k.0).collect();
                 expected.sort_unstable();
                 assert_eq!(held_keys(&cache), expected, "held keys at step {step}");
                 assert_eq!(cache.stats(), model.stats, "counters at step {step}");
@@ -681,14 +686,14 @@ mod tests {
             x ^= x << 17;
             let k = key(x % 700);
             if (x >> 32) % 2 == 0 {
-                cache.insert(k, plan(step as f64));
+                cache.insert(k, plan(step as f64), &[]);
                 model.insert(k, step as f64);
             } else {
-                let got = cache.get(&k).map(|p| p.result.paths[0].cost_cents);
+                let got = lookup(&mut cache, &k);
                 assert_eq!(got, model.get(&k), "get at step {step}");
             }
         }
-        let mut expected: Vec<u64> = model.map.keys().map(|k| k.dag_fp).collect();
+        let mut expected: Vec<u64> = model.map.keys().map(|k| k.0).collect();
         expected.sort_unstable();
         assert_eq!(held_keys(&cache), expected);
         assert_eq!(cache.stats(), model.stats);

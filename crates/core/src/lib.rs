@@ -14,10 +14,10 @@
 //!   inner loop over a reusable [`SearchScratch`] arena), each returning
 //!   the configuration priority queue of the K cheapest SLO-feasible
 //!   paths;
-//! * [`cache`] — the [`PlanCache`]: memoised search results keyed on the
-//!   reduced-DAG fingerprint, the quantized effective GSLO, and the
-//!   node-class speed factor, LRU-bounded (O(1) per operation), shared
-//!   on hits and churn-invalidated;
+//! * [`cache`] — the [`PlanCache`]: memoised search summaries keyed on
+//!   exactly what a search reads (the stage-table slot, the probe flag
+//!   and the quantized effective GSLO), LRU-bounded (O(1) per
+//!   operation), with compact entries; churn leaves it intact;
 //! * [`brute`] — exhaustive search, the §5.3 baseline and the oracle for
 //!   optimality tests;
 //! * [`plan`] — per-application dominator-based SLO distribution
@@ -44,11 +44,11 @@ pub mod search;
 
 pub use bounds::{SearchEntry, StageTable, StageTableMemo};
 pub use brute::brute_force;
-pub use cache::{quantize_gslo, CacheStats, CachedPlan, PlanCache, PlanKey};
+pub use cache::{quantize_gslo, CacheStats, PlanCache, PlanKey};
 pub use plan::AppPlans;
 pub use policy::BandwidthAwarePacking;
 pub use scheduler::{EsgScheduler, SearchVariant};
 pub use search::{
-    astar_search, astar_search_bounded, astar_search_with, stagewise_search, PathCandidate,
-    SearchResult, SearchScratch,
+    astar_search, astar_search_bounded, astar_search_with, astar_summary, stagewise_search,
+    PathCandidate, SearchResult, SearchScratch, SearchSummary,
 };

@@ -6,7 +6,7 @@
 //! to turn an invocation's *current slack* into a group target — the
 //! quantity ESG_1Q receives as `GSLO` (§3.3, Algorithm 1).
 
-use esg_dag::{average_normalized_length, Dag, Hierarchy, SloPlan};
+use esg_dag::{average_normalized_length, Dag, SloPlan};
 use esg_model::{AppSpec, FnId};
 use esg_profile::ProfileTable;
 
@@ -15,10 +15,6 @@ use esg_profile::ProfileTable;
 pub struct AppPlan {
     /// The dominator-based SLO distribution.
     pub plan: SloPlan,
-    /// Reduced-DAG fingerprint (`Hierarchy::fingerprint`, falling back to
-    /// the raw `Dag::fingerprint` when the DAG is not reducible) — the
-    /// application component of the scheduler's plan-cache key.
-    pub fingerprint: u64,
     /// Each stage's individual share of the end-to-end SLO
     /// (`group fraction × ANL(stage)/ANL(group)`).
     pub stage_fraction: Vec<f64>,
@@ -42,9 +38,6 @@ impl AppPlan {
         first_window: usize,
     ) -> AppPlan {
         let dag = Dag::from_app(app).expect("app specs are validated DAGs");
-        let fingerprint = Hierarchy::build(&dag)
-            .map(|h| h.fingerprint())
-            .unwrap_or_else(|_| dag.fingerprint());
         let times = profiles.stage_times(app);
         let anl = average_normalized_length(&times);
         let plan = SloPlan::build(&dag, &anl, group_size).unwrap_or_else(|_| {
@@ -99,7 +92,6 @@ impl AppPlan {
 
         AppPlan {
             plan,
-            fingerprint,
             stage_fraction,
             remaining_fraction,
             window_fns,
@@ -242,22 +234,6 @@ mod tests {
                 assert!((plan.window_share(0) - 1.0).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn fingerprints_are_stable_and_shape_sensitive() {
-        let a = plans(3);
-        let b = plans(3);
-        for (i, app) in standard_apps().iter().enumerate() {
-            assert_eq!(
-                a.plan(i).fingerprint,
-                b.plan(i).fingerprint,
-                "{}: fingerprint must be deterministic",
-                app.name
-            );
-        }
-        // The 3-stage and 5-stage chains must not collide.
-        assert_ne!(a.plan(0).fingerprint, a.plan(3).fingerprint);
     }
 
     #[test]

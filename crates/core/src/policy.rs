@@ -253,6 +253,7 @@ mod tests {
             price: &env.price,
             transfer: &env.transfer,
             noise: &env.noise,
+            env_fingerprint: env.fingerprint(),
             dataplane: None,
         }
     }

@@ -15,15 +15,14 @@
 //!    warm invokers, freest cold invoker.
 
 use crate::bounds::StageTableMemo;
-use crate::cache::{quantize_gslo, CachedPlan, PlanCache, PlanKey};
+use crate::cache::{quantize_gslo, PlanCache, PlanKey};
 use crate::plan::AppPlans;
-use crate::search::{astar_search_with, stagewise_search, SearchScratch};
-use esg_model::{Config, ConfigGrid, NodeId, PriceModel};
+use crate::search::{astar_summary, stagewise_search, SearchScratch, SearchSummary};
+use esg_model::{Config, NodeId};
 use esg_sim::{
     place_locality_first, BatchHold, Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler,
-    SchedulerEvent, SchedulerStats,
+    SchedulerStats,
 };
-use std::rc::Rc;
 
 /// Which published ESG_1Q formulation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -39,45 +38,21 @@ pub enum SearchVariant {
 /// and the memoised stage tables.
 #[derive(Debug)]
 struct EnvState {
-    /// The grid, prices, function count and app count the state was
-    /// built from; a context that differs in any of them gets new state.
-    grid: ConfigGrid,
-    price: PriceModel,
-    functions: usize,
-    apps: usize,
+    /// The `SchedCtx::env_fingerprint` the state was built under; a
+    /// context with another gets new state.
+    fingerprint: u64,
     plans: AppPlans,
     tables: StageTableMemo,
-    /// [`PlanKey::window_prefix`] of every search window, by window id.
-    window_prefix: Vec<esg_dag::Fnv>,
 }
 
 impl EnvState {
     fn build(ctx: &SchedCtx<'_>, group_size: usize) -> EnvState {
         let plans = AppPlans::build(ctx.apps, ctx.profiles, group_size);
-        let mut window_prefix = Vec::with_capacity(plans.num_windows());
-        for (a, app) in ctx.apps.iter().enumerate() {
-            let plan = plans.plan(a);
-            for s in 0..app.num_stages() {
-                debug_assert_eq!(plan.window_id(s), window_prefix.len());
-                window_prefix.push(PlanKey::window_prefix(plan.window_fns(s)));
-            }
-        }
         EnvState {
-            grid: ctx.profiles.grid().clone(),
-            price: *ctx.profiles.price(),
-            functions: ctx.profiles.len(),
-            apps: ctx.apps.len(),
+            fingerprint: ctx.env_fingerprint,
             tables: StageTableMemo::new(ctx.profiles, plans.num_windows()),
             plans,
-            window_prefix,
         }
-    }
-
-    fn matches(&self, ctx: &SchedCtx<'_>) -> bool {
-        self.functions == ctx.profiles.len()
-            && self.apps == ctx.apps.len()
-            && self.grid == *ctx.profiles.grid()
-            && self.price == *ctx.profiles.price()
     }
 }
 
@@ -88,14 +63,15 @@ pub struct EsgScheduler {
     k: usize,
     variant: SearchVariant,
     /// Built from the first context; rebuilt (and the plan cache dropped)
-    /// when a context brings a different profile table, whose searches
+    /// when a context brings another environment, whose stage-table slots
     /// the cache keys would otherwise conflate.
     env: Option<EnvState>,
     /// Memoised searches (None = caching disabled; the search budget is
     /// quantized either way, so disabling the cache cannot change
     /// decisions — see `crate::cache`).
     cache: Option<PlanCache>,
-    /// Reused A* allocations (arena, open list, Pareto fronts).
+    /// Reused search allocations; its candidates are those of the latest
+    /// [`plan_window`](Self::plan_window).
     scratch: SearchScratch,
     /// Full searches actually executed.
     searches: u64,
@@ -140,16 +116,24 @@ impl EsgScheduler {
         self
     }
 
-    /// Overrides the solution count K (§5.4 sensitivity, Fig. 11).
+    /// Overrides the solution count K (§5.4 sensitivity, Fig. 11). The
+    /// plan cache starts afresh: its keys leave K out.
     pub fn with_k(mut self, k: usize) -> Self {
         assert!(k >= 1);
         self.k = k;
-        self
+        self.fresh_cache()
     }
 
-    /// Selects the search variant (ablation).
+    /// Selects the search variant (ablation). The plan cache starts
+    /// afresh: its keys leave the variant out.
     pub fn with_variant(mut self, v: SearchVariant) -> Self {
         self.variant = v;
+        self.fresh_cache()
+    }
+
+    /// An empty plan cache of the same capacity, if caching is on.
+    fn fresh_cache(mut self) -> Self {
+        self.cache = self.cache.map(|c| PlanCache::with_capacity(c.capacity()));
         self
     }
 
@@ -178,17 +162,17 @@ impl EsgScheduler {
     }
 
     /// One memoised ESG_1Q invocation over the search window of `app`'s
-    /// `stage`, with the first stage's batch capped at `cap`.
+    /// `stage`, with the first stage's batch capped at `cap`; its
+    /// candidates are left in `self.scratch`.
     ///
     /// The effective budget is quantized onto the cache's bucket grid
     /// first (cache on or off — quantization is what makes the memo
     /// semantically invisible), then the cache is consulted before a real
-    /// search runs; a hit shares the memoised plan. A miss searches the
-    /// window's memoised stage table. `probe` selects the cheap K=1 exact
-    /// form used for wait-target evaluation; dispatch-quality searches use
-    /// K with a 50% premium band (alternates far above the optimum never
-    /// beat re-running the search).
-    #[allow(clippy::too_many_arguments)] // the key's coordinates
+    /// search runs. A miss searches the window's memoised stage table.
+    /// `probe` selects the cheap K=1 exact form used for wait-target
+    /// evaluation; dispatch-quality searches use K with a 50% premium
+    /// band (alternates far above the optimum never beat re-running the
+    /// search).
     fn plan_window(
         &mut self,
         ctx: &SchedCtx<'_>,
@@ -196,31 +180,18 @@ impl EsgScheduler {
         stage: usize,
         cap: u32,
         gslo_eff: f64,
-        speed: f64,
         probe: bool,
-    ) -> Rc<CachedPlan> {
+    ) -> SearchSummary {
         let gslo_q = quantize_gslo(gslo_eff);
-        let (k, premium): (usize, f64) = if probe { (1, 0.0) } else { (self.k, 0.5) };
         let env = self
             .env
             .as_mut()
             .expect("env state is built before planning");
         let plan = env.plans.plan(app);
         let window = plan.window_id(stage);
-        let key = PlanKey {
-            dag_fp: plan.fingerprint,
-            window_fp: PlanKey::window_fingerprint_from(env.window_prefix[window].clone(), cap),
-            gslo_bits: gslo_q.to_bits(),
-            speed_bits: speed.to_bits(),
-            k: k as u32,
-            premium_bits: premium.to_bits(),
-            variant: match self.variant {
-                SearchVariant::AStar => 0,
-                SearchVariant::StageWise => 1,
-            },
-        };
+        let key = PlanKey::new(env.tables.slot(window, cap), probe, gslo_q);
         if let Some(cache) = &mut self.cache {
-            if let Some(hit) = cache.get(&key) {
+            if let Some(hit) = cache.get(&key, &mut self.scratch.candidates) {
                 return hit;
             }
         }
@@ -228,18 +199,27 @@ impl EsgScheduler {
             .tables
             .table(window, plan.window_fns(stage), cap, ctx.profiles);
         self.searches += 1;
-        let result = match self.variant {
-            SearchVariant::AStar => astar_search_with(table, gslo_q, k, premium, &mut self.scratch),
-            SearchVariant::StageWise => stagewise_search(table, gslo_q, k),
+        let (k, premium) = if probe { (1, 0.0) } else { (self.k, 0.5) };
+        let summary = match self.variant {
+            SearchVariant::AStar => astar_summary(table, gslo_q, k, premium, &mut self.scratch),
+            SearchVariant::StageWise => {
+                let result = stagewise_search(table, gslo_q, k);
+                self.scratch.summarise(table, &result)
+            }
         };
-        let plan = Rc::new(CachedPlan {
-            result,
-            min_total_ms: table.min_total_time(),
-        });
         if let Some(cache) = &mut self.cache {
-            cache.insert(key, Rc::clone(&plan));
+            cache.insert(key, summary, self.scratch.candidates());
         }
-        plan
+        summary
+    }
+
+    /// The latest plan's candidates, each batch clamped to `qlen`.
+    fn clamped_candidates(&self, qlen: u32) -> Vec<Config> {
+        self.scratch
+            .candidates()
+            .iter()
+            .map(|c| c.clamp_batch(qlen))
+            .collect()
     }
 }
 
@@ -262,7 +242,11 @@ impl Scheduler for EsgScheduler {
         if ctx.jobs.is_empty() {
             return Outcome::skip();
         }
-        if !self.env.as_ref().is_some_and(|e| e.matches(ctx)) {
+        if self
+            .env
+            .as_ref()
+            .is_none_or(|e| e.fingerprint != ctx.env_fingerprint)
+        {
             if self.env.is_some() {
                 if let Some(cache) = &mut self.cache {
                     cache.invalidate();
@@ -340,8 +324,8 @@ impl Scheduler for EsgScheduler {
         // the memoised result (same expansions, so the simulated overhead
         // accounting is cache-oblivious).
         let max_batch = ctx.profiles.grid().max_batch();
-        let mut planned = self.plan_window(ctx, app_idx, stage, max_batch, gslo_eff, speed, false);
-        let mut expansions = planned.result.expansions;
+        let mut planned = self.plan_window(ctx, app_idx, stage, max_batch, gslo_eff, false);
+        let mut expansions = planned.expansions;
 
         // Refine the class probe: the MIN-demand probe can land on a fast
         // node that lacks room for the *chosen* config's real demand, in
@@ -350,21 +334,17 @@ impl Scheduler for EsgScheduler {
         // config's demand; if the refined class is slower, re-run the
         // search once under the tighter budget (bounded: one extra pass,
         // only in the SLO-dangerous direction).
-        if planned.result.feasible {
-            let refined = speed_at(planned.result.paths[0].configs[0].resources());
+        if planned.feasible {
+            let refined = speed_at(self.scratch.candidates()[0].resources());
             if refined > speed + 1e-9 {
                 speed = refined;
                 gslo_eff = gslo / (p95 * speed);
-                let p2 = self.plan_window(ctx, app_idx, stage, max_batch, gslo_eff, speed, false);
-                expansions += p2.result.expansions;
-                planned = p2;
+                planned = self.plan_window(ctx, app_idx, stage, max_batch, gslo_eff, false);
+                expansions += planned.expansions;
             }
         }
 
-        let min_total_ms = planned.min_total_ms;
-        let result = &planned.result;
-
-        if !result.feasible {
+        if !planned.feasible {
             // No path fits the conservative (tail- and margin-adjusted)
             // budget. Two very different situations hide here:
             //
@@ -383,36 +363,25 @@ impl Scheduler for EsgScheduler {
                 .fastest_fit(Config::MIN.resources())
                 .map(|n| ctx.cluster.speed_of(n))
                 .unwrap_or(speed);
-            let winnable = min_total_ms * best_speed <= slack.max(0.0) * window_share;
-            let candidates: Vec<Config> = if winnable {
-                result
-                    .first_stage_candidates()
-                    .into_iter()
-                    .map(|c| c.clamp_batch(qlen))
-                    .collect()
+            let winnable = planned.min_total_ms * best_speed <= slack.max(0.0) * window_share;
+            let cheapest = if winnable {
+                None
             } else {
                 let profile = ctx.profiles.profile(ctx.function);
-                profile
-                    .entries_by_cost()
-                    .find(|e| e.config.batch <= qlen)
-                    .map(|e| vec![e.config])
-                    .unwrap_or_else(|| {
-                        result
-                            .first_stage_candidates()
-                            .into_iter()
-                            .map(|c| c.clamp_batch(qlen))
-                            .collect()
-                    })
+                profile.entries_by_cost().find(|e| e.config.batch <= qlen)
             };
             return Outcome {
-                candidates,
+                candidates: match cheapest {
+                    Some(e) => vec![e.config],
+                    None => self.clamped_candidates(qlen),
+                },
                 expansions,
                 planned_batch: None,
                 ..Outcome::default()
             };
         }
 
-        let best_batch = result.paths[0].configs[0].batch;
+        let best_batch = self.scratch.candidates()[0].batch;
         if best_batch > qlen {
             // The cost-optimal batch needs more jobs than are queued. Try
             // batch targets in descending order: hold the queue for the
@@ -421,39 +390,34 @@ impl Scheduler for EsgScheduler {
             // queue (the adaptation Table 4 credits ESG with —
             // pre-planned schedulers clamp and miss instead).
             if let Some(interval) = ctx.queue_interval_ms {
-                let mut batches: Vec<u32> = ctx
-                    .profiles
-                    .grid()
-                    .batches
-                    .iter()
-                    .copied()
-                    .filter(|&b| b > qlen && b <= best_batch)
-                    .collect();
-                batches.sort_unstable_by(|a, b| b.cmp(a));
-                for b in batches {
+                // Grid batches are ascending (`ConfigGrid::max_batch`
+                // relies on it too).
+                let batches = ctx.profiles.grid().batches.iter().rev();
+                for &b in batches.filter(|&&b| b > qlen && b <= best_batch) {
+                    // The first target is `best_batch` itself, whose plan
+                    // (and candidates) are the dispatch search's.
                     let p = if b == best_batch {
-                        Rc::clone(&planned)
+                        planned
                     } else {
-                        let p = self.plan_window(ctx, app_idx, stage, b, gslo_eff, speed, true);
-                        expansions += p.result.expansions;
+                        let p = self.plan_window(ctx, app_idx, stage, b, gslo_eff, true);
+                        expansions += p.expansions;
                         p
                     };
-                    let r = &p.result;
-                    if !r.feasible {
+                    if !p.feasible {
                         continue;
                     }
-                    let actual = r.paths[0].configs[0].batch;
+                    let actual = self.scratch.candidates()[0].batch;
                     if actual <= qlen {
                         // The cap pushed the optimum inside the queue.
                         return Outcome {
-                            candidates: r.first_stage_candidates(),
+                            candidates: self.scratch.candidates().to_vec(),
                             expansions,
                             planned_batch: None,
                             ..Outcome::default()
                         };
                     }
                     let wait = (actual - qlen) as f64 * interval;
-                    if r.paths[0].time_ms * p95 * speed + wait <= gslo {
+                    if p.best_time_ms * p95 * speed + wait <= gslo {
                         // The platform re-decides the queue once the
                         // batch has formed or the wait has run out.
                         return Outcome {
@@ -467,25 +431,18 @@ impl Scheduler for EsgScheduler {
                     }
                 }
             }
-            let capped = self.plan_window(ctx, app_idx, stage, qlen, gslo_eff, speed, false);
-            let capped_result = &capped.result;
-            expansions += capped_result.expansions;
+            let capped = self.plan_window(ctx, app_idx, stage, qlen, gslo_eff, false);
             return Outcome {
-                candidates: capped_result.first_stage_candidates(),
-                expansions,
+                candidates: self.scratch.candidates().to_vec(),
+                expansions: expansions + capped.expansions,
                 planned_batch: None,
                 ..Outcome::default()
             };
         }
 
         // Clamp cheaper K-th alternatives that still over-batch.
-        let candidates: Vec<Config> = result
-            .first_stage_candidates()
-            .into_iter()
-            .map(|c| c.clamp_batch(qlen))
-            .collect();
         Outcome {
-            candidates,
+            candidates: self.clamped_candidates(qlen),
             expansions,
             planned_batch: None,
             ..Outcome::default()
@@ -501,19 +458,6 @@ impl Scheduler for EsgScheduler {
             .take(config.batch as usize)
             .find_map(|j| j.pred_node);
         place_locality_first(ctx, config.resources(), preferred)
-    }
-
-    fn on_event(&mut self, event: &SchedulerEvent<'_>) {
-        // Membership changed: recent keys were shaped by a speed
-        // landscape that no longer exists. Entries are never *wrong*
-        // (keys capture every search input), but letting a dead regime
-        // squat in the LRU wastes the bound, so drop everything and
-        // repopulate.
-        if let SchedulerEvent::Churn { .. } = event {
-            if let Some(cache) = &mut self.cache {
-                cache.invalidate();
-            }
-        }
     }
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
@@ -579,6 +523,7 @@ mod tests {
             price: &env.price,
             transfer: &env.transfer,
             noise: &env.noise,
+            env_fingerprint: env.fingerprint(),
         }
     }
 
@@ -727,6 +672,24 @@ mod tests {
             lat(out_slow.candidates[0]) <= lat(out_fast.candidates[0]),
             "slow cluster chose a slower config"
         );
+    }
+
+    #[test]
+    fn queue_lengths_with_one_effective_cap_share_a_plan() {
+        // The default grid's batches are 1, 2, 4 and 8: queues of 5, 6
+        // and 7 jobs search the same cap-4 table, so only the first one
+        // misses the cache.
+        let env = env();
+        let cluster = idle_cluster(4);
+        let mut s = EsgScheduler::new();
+        for qlen in 5..=7 {
+            let jobs: Vec<_> = (0..qlen).map(|_| job(3000.0, None)).collect();
+            let out = s.schedule(&ctx(&env, &cluster, &jobs, 0, 0));
+            assert!(out.candidates.iter().all(|c| c.batch <= 4), "{out:?}");
+        }
+        let stats = s.stats();
+        // One uncapped search planning batch 8, one capped at 4.
+        assert_eq!((stats.searches, stats.plan_cache_hits), (2, 4), "{stats:?}");
     }
 
     #[test]

@@ -45,19 +45,21 @@ pub struct SearchResult {
     pub feasible: bool,
 }
 
-impl SearchResult {
-    /// First-stage configurations of the K paths, deduplicated, in path
-    /// order — the dispatch candidates (ESG re-plans later stages anyway).
-    pub fn first_stage_candidates(&self) -> Vec<Config> {
-        let mut out: Vec<Config> = Vec::with_capacity(self.paths.len());
-        for p in &self.paths {
-            let c = p.configs[0];
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
-        out
-    }
+/// A search reduced to what dispatch reads of it. The deduplicated
+/// first-stage configurations of its paths (the dispatch candidates) stay
+/// in the [`SearchScratch`] that summarised it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SearchSummary {
+    /// Configuration expansions examined (drives the simulated
+    /// scheduling overhead).
+    pub expansions: u64,
+    /// False when no path met the target and the fastest path was
+    /// substituted.
+    pub feasible: bool,
+    /// Total time of the best path, ms.
+    pub best_time_ms: f64,
+    /// `StageTable::min_total_time()` of the searched table.
+    pub min_total_ms: f64,
 }
 
 /// Safety valve on the stage-wise frontier: with very loose targets the
@@ -234,19 +236,31 @@ struct ArenaStep {
     parent: u32,
 }
 
-/// Reusable allocations for [`astar_search_with`]: the parent-pointer
-/// arena of expanded prefixes, the open list, the per-stage Pareto
-/// fronts and the goal list. A long-lived searcher (the scheduler) keeps
-/// one scratch and passes it to every search; `reset` clears lengths but
-/// keeps capacity, so steady-state dispatch runs the A* inner loop
-/// without heap allocation. The result's paths are the only per-call
-/// allocation, sized exactly: a memoised result holds no spare capacity.
+/// A goal popped by [`astar_drive`]: the last arena step of a full path
+/// plus its totals.
+#[derive(Clone, Copy, Debug)]
+struct Goal {
+    arena: u32,
+    time_ms: f64,
+    cost_cents: f64,
+}
+
+/// Reusable allocations for the A* searches: the parent-pointer arena of
+/// expanded prefixes, the open list, the per-stage Pareto fronts,
+/// `minRSC`, the goal list and the dispatch candidates. A long-lived
+/// searcher (the scheduler) keeps one scratch and passes it to every
+/// search; `reset` clears lengths but keeps capacity, so
+/// [`astar_summary`] runs without heap allocation once the buffers have
+/// grown. [`astar_search_with`] allocates only the paths it returns.
 #[derive(Default)]
 pub struct SearchScratch {
     arena: Vec<ArenaStep>,
     heap: BinaryHeap<Reverse<AstarNode>>,
     fronts: Vec<ParetoFront>,
-    goals: Vec<PathCandidate>,
+    min_rsc: MinRsc,
+    goals: Vec<Goal>,
+    /// First-stage configurations of the last summarised search.
+    pub(crate) candidates: Vec<Config>,
 }
 
 impl SearchScratch {
@@ -261,12 +275,19 @@ impl SearchScratch {
         self.arena.clear();
         self.heap.clear();
         self.goals.clear();
+        self.min_rsc.reset_to(k);
         for f in &mut self.fronts {
             f.reset(k);
         }
         while self.fronts.len() <= n {
             self.fronts.push(ParetoFront::new(k));
         }
+    }
+
+    /// The deduplicated first-stage configurations of the last summarised
+    /// search's paths, in path order: the dispatch candidates.
+    pub fn candidates(&self) -> &[Config] {
+        &self.candidates
     }
 
     /// Materialises the `len`-stage path ending at arena index `last`.
@@ -280,6 +301,91 @@ impl SearchScratch {
         }
         debug_assert_eq!(cur, u32::MAX, "path length must match arena chain");
         configs
+    }
+
+    /// The first-stage configuration of the path ending at arena index
+    /// `last`: the root end of its parent chain.
+    fn first_config(&self, last: u32) -> Config {
+        let mut step = self.arena[last as usize];
+        while step.parent != u32::MAX {
+            step = self.arena[step.parent as usize];
+        }
+        step.config
+    }
+
+    /// The goals of the last [`astar_drive`] as a [`SearchResult`] over
+    /// `table`.
+    fn result(&self, table: &StageTable, expansions: u64) -> SearchResult {
+        if self.goals.is_empty() {
+            return fallback(table, expansions);
+        }
+        SearchResult {
+            paths: self
+                .goals
+                .iter()
+                .map(|g| PathCandidate {
+                    configs: self.path(g.arena, table.num_stages()),
+                    time_ms: g.time_ms,
+                    cost_cents: g.cost_cents,
+                })
+                .collect(),
+            expansions,
+            feasible: true,
+        }
+    }
+
+    /// Summarises the goals of the last [`astar_drive`], leaving their
+    /// first-stage configurations in [`candidates`](Self::candidates).
+    /// Equal to [`summarise`](Self::summarise) of
+    /// [`result`](Self::result), without materialising a path.
+    fn summarise_goals(&mut self, table: &StageTable, expansions: u64) -> SearchSummary {
+        self.candidates.clear();
+        let Some(best) = self.goals.first() else {
+            // `fallback`'s fastest path: each stage's fastest entry.
+            let mut best_time_ms = 0.0;
+            for s in 0..table.num_stages() {
+                best_time_ms += table.entries(s)[0].latency_ms;
+            }
+            self.candidates.push(table.entries(0)[0].config);
+            return SearchSummary {
+                expansions,
+                feasible: false,
+                best_time_ms,
+                min_total_ms: table.min_total_time(),
+            };
+        };
+        let best_time_ms = best.time_ms;
+        for i in 0..self.goals.len() {
+            let c = self.first_config(self.goals[i].arena);
+            if !self.candidates.contains(&c) {
+                self.candidates.push(c);
+            }
+        }
+        SearchSummary {
+            expansions,
+            feasible: true,
+            best_time_ms,
+            min_total_ms: table.min_total_time(),
+        }
+    }
+
+    /// Summarises `result`, a search over `table`, leaving the
+    /// first-stage configurations of its paths, deduplicated and in path
+    /// order, in [`candidates`](Self::candidates) (ESG re-plans later
+    /// stages anyway).
+    pub fn summarise(&mut self, table: &StageTable, result: &SearchResult) -> SearchSummary {
+        self.candidates.clear();
+        for p in &result.paths {
+            if !self.candidates.contains(&p.configs[0]) {
+                self.candidates.push(p.configs[0]);
+            }
+        }
+        SearchSummary {
+            expansions: result.expansions,
+            feasible: result.feasible,
+            best_time_ms: result.paths[0].time_ms,
+            min_total_ms: table.min_total_time(),
+        }
     }
 }
 
@@ -327,24 +433,39 @@ pub fn astar_search_with(
     premium: f64,
     scratch: &mut SearchScratch,
 ) -> SearchResult {
-    astar_drive(table, gslo_ms, k, premium, scratch, expand_blocked)
+    let expansions = astar_drive(table, gslo_ms, k, premium, scratch, expand_blocked);
+    scratch.result(table, expansions)
 }
 
-/// The A* driver, generic over the child scan so tests can run it with
-/// the plain linear scan as a reference.
+/// [`astar_search_with`] reduced to what dispatch reads: equal to
+/// `scratch.summarise(table, &astar_search_with(..))`, but no path is
+/// materialised, so it allocates nothing once the scratch has grown.
+pub fn astar_summary(
+    table: &StageTable,
+    gslo_ms: f64,
+    k: usize,
+    premium: f64,
+    scratch: &mut SearchScratch,
+) -> SearchSummary {
+    let expansions = astar_drive(table, gslo_ms, k, premium, scratch, expand_blocked);
+    scratch.summarise_goals(table, expansions)
+}
+
+/// The A* search loop, generic over the child scan so tests can run it with
+/// the plain linear scan as a reference. Leaves the goals (up to K, in
+/// pop order) in the scratch and returns the expansion count.
 fn astar_drive(
     table: &StageTable,
     gslo_ms: f64,
     k: usize,
     premium: f64,
     scratch: &mut SearchScratch,
-    expand: impl Fn(&StageTable, f64, &AstarNode, &mut MinRsc, &mut SearchScratch) -> u64,
-) -> SearchResult {
+    expand: impl Fn(&StageTable, f64, &AstarNode, &mut SearchScratch) -> u64,
+) -> u64 {
     assert!(k >= 1, "K must be at least 1");
     let n = table.num_stages();
     let mut expansions: u64 = 0;
     scratch.reset(n, k);
-    let mut min_rsc = MinRsc::new(k);
     // Third blade: per-stage Pareto dominance. A prefix that is no faster
     // *and* no cheaper than an existing prefix at the same stage cannot
     // complete into a better path (completions are identical sets). Up to
@@ -370,9 +491,8 @@ fn astar_drive(
             }
         }
         if node.next_stage as usize == n {
-            let configs = scratch.path(node.arena, n);
-            scratch.goals.push(PathCandidate {
-                configs,
+            scratch.goals.push(Goal {
+                arena: node.arena,
                 time_ms: node.time_ms,
                 cost_cents: node.cost_cents,
             });
@@ -381,17 +501,9 @@ fn astar_drive(
             }
             continue;
         }
-        expansions += expand(table, gslo_ms, &node, &mut min_rsc, scratch);
+        expansions += expand(table, gslo_ms, &node, scratch);
     }
-
-    if scratch.goals.is_empty() {
-        return fallback(table, expansions);
-    }
-    SearchResult {
-        paths: scratch.goals.drain(..).collect(),
-        expansions,
-        feasible: true,
-    }
+    expansions
 }
 
 /// Expands `node` by the entries of its next stage, returning the number
@@ -412,7 +524,6 @@ fn expand_blocked(
     table: &StageTable,
     gslo_ms: f64,
     node: &AstarNode,
-    min_rsc: &mut MinRsc,
     scratch: &mut SearchScratch,
 ) -> u64 {
     let s = node.next_stage as usize;
@@ -428,11 +539,11 @@ fn expand_blocked(
         if lo >= cut {
             break;
         }
-        if table.rsc_low(node.cost_cents + block_min, s + 1) > min_rsc.kth() {
+        if table.rsc_low(node.cost_cents + block_min, s + 1) > scratch.min_rsc.kth() {
             continue;
         }
         for e in &entries[lo..cut.min(lo + BLOCK)] {
-            offer_child(table, node, e, min_rsc, scratch);
+            offer_child(table, node, e, scratch);
         }
     }
     (cut + 1).min(entries.len()) as u64
@@ -441,26 +552,22 @@ fn expand_blocked(
 /// The cost blade, the Pareto blade and the push for one child of `node`
 /// that passed the time blade.
 #[inline]
-fn offer_child(
-    table: &StageTable,
-    node: &AstarNode,
-    e: &SearchEntry,
-    min_rsc: &mut MinRsc,
-    scratch: &mut SearchScratch,
-) {
+fn offer_child(table: &StageTable, node: &AstarNode, e: &SearchEntry, scratch: &mut SearchScratch) {
     let s = node.next_stage as usize;
     let time = node.time_ms + e.latency_ms;
     let cost = node.cost_cents + e.per_job_cost_cents;
     let f = table.rsc_low(cost, s + 1);
     // Strict comparison: a child whose lower bound ties the K-th
     // distinct upper bound may still *be* that K-th path.
-    if f > min_rsc.kth() {
+    if f > scratch.min_rsc.kth() {
         return;
     }
     if !scratch.fronts[s + 1].admit(time, cost) {
         return;
     }
-    min_rsc.insert_distinct(table.rsc_fastest(cost, s + 1));
+    scratch
+        .min_rsc
+        .insert_distinct(table.rsc_fastest(cost, s + 1));
     let idx = scratch.arena.len() as u32;
     scratch.arena.push(ArenaStep {
         config: e.config,
@@ -497,7 +604,6 @@ mod tests {
         table: &StageTable,
         gslo_ms: f64,
         node: &AstarNode,
-        min_rsc: &mut MinRsc,
         scratch: &mut SearchScratch,
     ) -> u64 {
         let s = node.next_stage as usize;
@@ -507,9 +613,21 @@ mod tests {
             if table.t_low(node.time_ms + e.latency_ms, s + 1) > gslo_ms {
                 break; // ascending latency
             }
-            offer_child(table, node, e, min_rsc, scratch);
+            offer_child(table, node, e, scratch);
         }
         expansions
+    }
+
+    /// The A* search with the linear child scan.
+    fn astar_linear(
+        table: &StageTable,
+        gslo_ms: f64,
+        k: usize,
+        premium: f64,
+        scratch: &mut SearchScratch,
+    ) -> SearchResult {
+        let expansions = astar_drive(table, gslo_ms, k, premium, scratch, expand_linear);
+        scratch.result(table, expansions)
     }
 
     fn assert_bit_identical(a: &SearchResult, b: &SearchResult) {
@@ -543,9 +661,37 @@ mod tests {
             let k = [1, 5, 8][k_idx];
             let premium = [0.0, 0.5, f64::INFINITY][premium_idx];
             let mut scratch = SearchScratch::new();
-            let linear = astar_drive(&table, gslo, k, premium, &mut scratch, expand_linear);
+            let linear = astar_linear(&table, gslo, k, premium, &mut scratch);
             let blocked = astar_search_with(&table, gslo, k, premium, &mut scratch);
             assert_bit_identical(&linear, &blocked);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn summary_matches_the_materialised_result(
+            fns in proptest::collection::vec(0u32..6, 1..5),
+            cap in 1u32..11,
+            mult in 0.8f64..4.0,
+            k_idx in 0usize..3,
+        ) {
+            let p = profiles(ConfigGrid::default());
+            let stages: Vec<FnId> = fns.into_iter().map(FnId).collect();
+            let table = StageTable::build(&stages, &p, cap);
+            let gslo = table.min_total_time() * mult;
+            let k = [1, 5, 8][k_idx];
+            let mut scratch = SearchScratch::new();
+            let result = astar_search_with(&table, gslo, k, 0.5, &mut scratch);
+            let want = scratch.summarise(&table, &result);
+            let want_candidates = scratch.candidates().to_vec();
+            let got = astar_summary(&table, gslo, k, 0.5, &mut scratch);
+            assert_eq!(got.expansions, want.expansions);
+            assert_eq!(got.feasible, want.feasible);
+            assert_eq!(got.best_time_ms.to_bits(), want.best_time_ms.to_bits());
+            assert_eq!(got.min_total_ms.to_bits(), want.min_total_ms.to_bits());
+            assert_eq!(scratch.candidates(), &want_candidates[..]);
         }
     }
 
@@ -554,7 +700,7 @@ mod tests {
         let p = profiles(small_grid());
         let table = StageTable::build(&[FnId(0), FnId(1)], &p, 4);
         let mut scratch = SearchScratch::new();
-        let linear = astar_drive(&table, f64::NAN, 5, 0.5, &mut scratch, expand_linear);
+        let linear = astar_linear(&table, f64::NAN, 5, 0.5, &mut scratch);
         let blocked = astar_search_with(&table, f64::NAN, 5, 0.5, &mut scratch);
         assert_bit_identical(&linear, &blocked);
     }
@@ -736,6 +882,7 @@ mod tests {
 
     #[test]
     fn first_stage_candidates_dedup() {
+        let table = StageTable::build(&[FnId(0), FnId(1)], &profiles(small_grid()), 4);
         let r = SearchResult {
             paths: vec![
                 PathCandidate {
@@ -757,10 +904,14 @@ mod tests {
             expansions: 0,
             feasible: true,
         };
+        let mut scratch = SearchScratch::new();
+        let summary = scratch.summarise(&table, &r);
         assert_eq!(
-            r.first_stage_candidates(),
-            vec![Config::new(1, 1, 1), Config::new(2, 2, 1)]
+            scratch.candidates(),
+            [Config::new(1, 1, 1), Config::new(2, 2, 1)]
         );
+        assert_eq!(summary.best_time_ms, 1.0);
+        assert_eq!(summary.min_total_ms, table.min_total_time());
     }
 
     #[test]

@@ -247,12 +247,11 @@ impl Dag {
 }
 
 /// A minimal FNV-1a hasher: deterministic across processes and platforms
-/// (unlike `DefaultHasher`, whose keys are randomised per process), which
-/// plan-cache fingerprints require so committed artifacts stay
-/// comparable. Public because every fingerprint in the workspace (DAG
-/// shape, reduced hierarchy, the scheduler's window keys) must mix with
-/// the *same* function — duplicating the constants would let the copies
-/// silently diverge.
+/// (unlike `DefaultHasher`, whose keys are randomised per process), so
+/// fingerprints stay comparable across runs. Public because every DAG
+/// fingerprint (DAG shape, reduced hierarchy) must mix with the *same*
+/// function — duplicating the constants would let the copies silently
+/// diverge.
 #[derive(Clone, Debug)]
 pub struct Fnv(u64);
 

@@ -101,6 +101,51 @@ impl SimEnv {
     pub fn slo_ms(&self, app: AppId) -> f64 {
         self.base_latency_ms(app) * self.slo.factor()
     }
+
+    /// A fingerprint of the apps and the profile table: environments
+    /// whose apps and profiles hold the same content share it, and any
+    /// one changed word moves it. The platform computes it once per run
+    /// and hands it to the scheduler as [`SchedCtx::env_fingerprint`], so
+    /// a scheduler can check state it derived from apps and profiles in
+    /// O(1) per decision.
+    pub fn fingerprint(&self) -> u64 {
+        // FNV-1a over words: each step is a bijection of the state, so a
+        // single changed word always changes the result.
+        let mut h: u64 = 0xcbf29ce484222325;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100000001b3);
+        mix(self.apps.len() as u64);
+        for app in &self.apps {
+            mix(app.nodes.len() as u64);
+            app.nodes.iter().for_each(|f| mix(f.0 as u64));
+            mix(app.edges.len() as u64);
+            for &(a, b) in &app.edges {
+                mix(a as u64);
+                mix(b as u64);
+            }
+        }
+        let p = &self.profiles;
+        for axis in [&p.grid().batches, &p.grid().vcpus, &p.grid().vgpus] {
+            mix(axis.len() as u64);
+            axis.iter().for_each(|&v| mix(v as u64));
+        }
+        mix(p.price().vcpu_cents_per_sec.to_bits());
+        mix(p.price().vgpu_cents_per_sec.to_bits());
+        mix(p.len() as u64);
+        for f in 0..p.len() {
+            let profile = p.profile(esg_model::FnId(f as u32));
+            mix(profile.entries().len() as u64);
+            for e in profile.entries().iter().chain([profile.min_config_entry()]) {
+                mix(e.config.batch as u64);
+                mix(e.config.vcpus as u64);
+                mix(e.config.vgpus as u64);
+                mix(e.latency_ms.to_bits());
+                mix(e.per_job_latency_ms.to_bits());
+                mix(e.task_cost_cents.to_bits());
+                mix(e.per_job_cost_cents.to_bits());
+            }
+        }
+        h
+    }
 }
 
 /// Platform knobs (Table 2 defaults).
@@ -355,6 +400,9 @@ pub struct Simulation<'a> {
     metrics: ExperimentResult,
     slo_ms: Vec<f64>,
     base_ms: Vec<f64>,
+    /// [`SimEnv::fingerprint`] of `env`, computed when the run starts so
+    /// the set-up does not pay for hashing every profile entry.
+    env_fingerprint: u64,
     /// The trace-recording sink (`cfg.record_trace`); fed alongside the
     /// scheduler by [`notify`](Self::notify) and written in `finish`.
     recorder: Option<TraceRecorder>,
@@ -542,6 +590,7 @@ impl<'a> Simulation<'a> {
             metrics,
             slo_ms,
             base_ms,
+            env_fingerprint: 0,
             recorder,
             dataplane,
             bufs: Buffers::default(),
@@ -581,6 +630,7 @@ impl<'a> Simulation<'a> {
     /// Runs to completion, also reporting the run's peak-memory proxy
     /// (arena and event-queue high-water marks).
     pub fn run_with_footprint(mut self) -> (ExperimentResult, MemoryFootprint) {
+        self.env_fingerprint = self.env.fingerprint();
         // Steady-state start: the pre-warm proxy has been serving traffic.
         if self.cfg.initial_warm_per_node > 0 {
             let keep = SimTime::from_ms(self.cfg.keep_alive_ms);
@@ -894,6 +944,7 @@ impl<'a> Simulation<'a> {
                     price: &self.env.price,
                     transfer: &self.env.transfer,
                     noise: &self.env.noise,
+                    env_fingerprint: self.env_fingerprint,
                     dataplane: self.dataplane.as_ref().map(|dp| dp.view()),
                 };
                 let t0 = Instant::now();
@@ -979,6 +1030,7 @@ impl<'a> Simulation<'a> {
         let placed = {
             let ctx = make_ctx(
                 self.env,
+                self.env_fingerprint,
                 &self.slo_ms,
                 &self.base_ms,
                 self.now,
@@ -1138,6 +1190,7 @@ impl<'a> Simulation<'a> {
             let placed = {
                 let ctx = make_ctx(
                     self.env,
+                    self.env_fingerprint,
                     &self.slo_ms,
                     &self.base_ms,
                     self.now,
@@ -1623,6 +1676,7 @@ impl<'a> Simulation<'a> {
 #[allow(clippy::too_many_arguments)]
 fn make_ctx<'b>(
     env: &'b SimEnv,
+    env_fingerprint: u64,
     slo_ms: &'b [f64],
     base_ms: &'b [f64],
     now: SimTime,
@@ -1647,6 +1701,7 @@ fn make_ctx<'b>(
         price: &env.price,
         transfer: &env.transfer,
         noise: &env.noise,
+        env_fingerprint,
     }
 }
 

@@ -93,6 +93,10 @@ pub struct SchedCtx<'a> {
     pub transfer: &'a TransferModel,
     /// Noise model (schedulers may consult `p95_factor`, as Orion does).
     pub noise: &'a NoiseModel,
+    /// [`SimEnv::fingerprint`](crate::SimEnv::fingerprint) of the run's
+    /// environment: state derived from `apps` and `profiles` is current
+    /// exactly when it was derived under this value.
+    pub env_fingerprint: u64,
 }
 
 impl SchedCtx<'_> {
@@ -159,6 +163,9 @@ pub struct RoundCtx<'a> {
     pub transfer: &'a TransferModel,
     /// Noise model.
     pub noise: &'a NoiseModel,
+    /// [`SimEnv::fingerprint`](crate::SimEnv::fingerprint) of the run's
+    /// environment (see [`SchedCtx::env_fingerprint`]).
+    pub env_fingerprint: u64,
     /// Live data-plane occupancy (`Some` only when the contended data
     /// plane is enabled via `SimConfig::data_plane`). Bandwidth-aware
     /// policies fold its per-node contention estimates into their
@@ -186,6 +193,7 @@ impl RoundCtx<'_> {
             price: self.price,
             transfer: self.transfer,
             noise: self.noise,
+            env_fingerprint: self.env_fingerprint,
         }
     }
 }
@@ -197,8 +205,8 @@ impl RoundCtx<'_> {
 /// scheduler that ignores them behaves exactly like one written against
 /// the former `notify_dispatch`/`notify_churn` pair (which
 /// `Dispatched`/`Churn` subsume). Pre-planning schedulers stash
-/// per-invocation plans on `Dispatched`; caching schedulers invalidate
-/// speed-dependent memos on `Churn`.
+/// per-invocation plans on `Dispatched`; monitors and trace recorders
+/// log `Churn`.
 #[derive(Clone, Copy, Debug)]
 pub enum SchedulerEvent<'a> {
     /// A job entered queue `key` (arrival or upstream-stage completion).
@@ -413,7 +421,8 @@ pub struct SchedulerStats {
     pub plan_cache_misses: u64,
     /// Plan-cache entries dropped by the LRU bound.
     pub plan_cache_evictions: u64,
-    /// Wholesale plan-cache invalidations (churn notifications).
+    /// Wholesale plan-cache invalidations: a reused scheduler meeting a
+    /// new environment. Churn does not flush the cache.
     pub plan_cache_invalidations: u64,
     /// Round-policy counters (sheds, defers), embedded as the whole
     /// [`PolicyStats`] struct rather than copied field by field — a

@@ -8,12 +8,15 @@
 //! * **fabric** — a split PCIe fabric with the contended data plane on
 //!   and bandwidth-aware packing: every dispatch starts a flow and
 //!   re-plans others, and every round runs the policy stack;
-//! * **classic** — the paper cluster, no data plane, the classic stack.
+//! * **classic** — the paper cluster, no data plane, the classic stack;
+//! * **uncached** — classic with the plan cache off, so every decision
+//!   runs its searches.
 //!
 //! What still allocates per decision is what the `Scheduler` API forces
-//! (the `Vec` `schedule_round` returns, `Outcome::candidates`), plan-cache
-//! misses, and amortised growth of result series. A budget breach means a
-//! per-event `Vec` crept back onto the dispatch path.
+//! (the `Vec` `schedule_round` returns, `Outcome::candidates`) and
+//! amortised growth of result series; a search allocates nothing once its
+//! scratch has grown, so classic and uncached count the same. A budget
+//! breach means a per-event `Vec` crept back onto the dispatch path.
 //!
 //! The allocator counts only the thread that runs the simulation, so the
 //! test harness's other threads cannot move the figure. Counts are
@@ -116,19 +119,27 @@ fn workload(class: WorkloadClass, seed: u64) -> Workload {
 
 /// Fabric: 22.73 allocation calls per decision on the path before the
 /// data-plane member index, the stack-owned policy buffers and the
-/// recycled platform buffers; 1.326 after. Most of the rest are the
-/// per-round `Vec` and the candidate lists.
+/// recycled platform buffers; 1.243 since searches and batch-hold
+/// evaluation stopped allocating. The rest are the per-round `Vec` and
+/// the candidate lists.
 const FABRIC_BEFORE: f64 = 22.73;
-const FABRIC_BUDGET: f64 = 1.33;
+const FABRIC_BUDGET: f64 = 1.25;
 
-/// Classic: 13.94 before, 3.028 after; the classic run misses the plan
-/// cache more often, and each search allocates its result.
+/// Classic: 13.94 before the platform buffers, 3.028 while each search
+/// allocated its paths and each batch-hold evaluation its batch list,
+/// 1.982 since.
 const CLASSIC_BEFORE: f64 = 13.94;
-const CLASSIC_BUDGET: f64 = 3.03;
+const CLASSIC_BUDGET: f64 = 1.99;
+
+/// Uncached: 10.851 while each search allocated its paths, candidates
+/// and `minRSC`; 1.982 since, the same as with the cache.
+const UNCACHED_BEFORE: f64 = 10.851;
+const UNCACHED_BUDGET: f64 = 1.99;
 
 // Each budget is at most a third of the old path's count.
 const _: () = assert!(FABRIC_BUDGET * 3.0 <= FABRIC_BEFORE);
 const _: () = assert!(CLASSIC_BUDGET * 3.0 <= CLASSIC_BEFORE);
+const _: () = assert!(UNCACHED_BUDGET * 3.0 <= UNCACHED_BEFORE);
 
 #[test]
 fn fabric_decisions_stay_within_the_allocation_budget() {
@@ -178,5 +189,22 @@ fn classic_decisions_stay_within_the_allocation_budget() {
     assert!(
         per <= CLASSIC_BUDGET,
         "classic: {per:.3} > {CLASSIC_BUDGET}"
+    );
+}
+
+#[test]
+fn uncached_decisions_stay_within_the_allocation_budget() {
+    let env = SimEnv::standard(SloClass::Moderate);
+    let cfg = SimConfig {
+        seed: 42,
+        ..SimConfig::default()
+    };
+    let w = workload(WorkloadClass::Heavy, 42);
+    let sched = EsgScheduler::new().without_plan_cache();
+    let per = allocs_per_decision(&env, cfg, sched, &w, WINDOW_MS);
+    println!("uncached: {per:.3} allocation calls per decision");
+    assert!(
+        per <= UNCACHED_BUDGET,
+        "uncached: {per:.3} > {UNCACHED_BUDGET}"
     );
 }

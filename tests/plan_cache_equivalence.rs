@@ -1,13 +1,15 @@
 //! The plan cache must be semantically invisible: dispatch with the memo
 //! enabled produces bit-identical `ExperimentResult`s to dispatch without
-//! it, including across cluster churn (which invalidates the cache
-//! mid-run) and bursty traffic (which exercises the batch-hold probes).
+//! it, including across cluster churn (which the cache outlives) and
+//! bursty traffic (which exercises the batch-hold probes), and a
+//! scheduler reused on another environment decides like a fresh one.
 //!
 //! This holds because the search budget is quantized onto the cache's
 //! bucket grid whether or not the cache is consulted, and a cache hit
 //! replays the memoised search result verbatim — expansions included, so
 //! even the simulated-overhead accounting cannot diverge.
 
+use esg::model::{Catalog, FunctionSpec};
 use esg::prelude::*;
 use proptest::prelude::*;
 
@@ -63,9 +65,9 @@ fn cached_dispatch_is_bit_identical_under_heavy_churn() {
         cached.scheduler_stats.plan_cache_hits > 0,
         "the memo never fired — the equivalence below would be vacuous"
     );
-    assert!(
-        cached.scheduler_stats.plan_cache_invalidations >= 4,
-        "every churn event must invalidate, got {:?}",
+    assert_eq!(
+        cached.scheduler_stats.plan_cache_invalidations, 0,
+        "churn must leave the cache intact, got {:?}",
         cached.scheduler_stats
     );
     assert_eq!(
@@ -130,6 +132,115 @@ fn default_capacity_holds_the_azure_replay_working_set() {
         s.plan_cache_evictions,
         s.plan_cache_misses
     );
+}
+
+/// The same holds under rolling churn on the mixed-MIG cluster, where
+/// every drain and join moves dispatches between node classes and so
+/// between budgets: the cache keeps every key across the churn events,
+/// and the working set still fits the default capacity.
+#[test]
+fn default_capacity_holds_the_strict_churn_working_set() {
+    const MINUTES: usize = 6;
+    let spec = ClusterSpec::mixed_mig();
+    let mut churn = ChurnPlan::none();
+    for minute in 1..MINUTES {
+        // One drain a minute, replaced by the same class 10 s later.
+        let at = minute as f64 * 60_000.0;
+        let victim = minute * 5 % spec.nodes.len();
+        churn = churn
+            .drain(at, NodeId(victim as u32))
+            .join(at + 10_000.0, spec.nodes[victim].clone());
+    }
+    let cfg = SimConfig {
+        seed: 42,
+        cluster: Some(spec),
+        churn,
+        ..SimConfig::default()
+    };
+    let workload = shaped_stream(
+        WorkloadClass::Light,
+        TrafficShape::Steady,
+        &esg::model::standard_app_ids(),
+        42,
+    )
+    .until_ms(MINUTES as f64 * 60_000.0);
+    let env = SimEnv::standard(SloClass::Strict);
+    let mut esg = EsgScheduler::new();
+    let r = run_simulation(&env, cfg, &mut esg, &workload, "capacity").expect("valid run");
+    let s = r.scheduler_stats;
+    assert!(r.arrivals > 5_000, "{} arrivals", r.arrivals);
+    assert_eq!(s.plan_cache_invalidations, 0, "churn must not flush");
+    assert!(
+        s.plan_cache_evictions * 100 <= s.plan_cache_misses,
+        "the plan cache thrashes at its default capacity: {} evictions for {} insertions",
+        s.plan_cache_evictions,
+        s.plan_cache_misses
+    );
+    assert!(
+        s.plan_cache_hits > 10 * s.plan_cache_misses,
+        "churn must not cost the memo its hits: {s:?}"
+    );
+}
+
+/// Runs `sched` on `env` and returns the result without its scheduler
+/// counters.
+fn run_on(env: &SimEnv, sched: &mut EsgScheduler, workload: &Workload) -> String {
+    canonical(
+        run_simulation(env, SimConfig::default(), sched, workload, "reuse").expect("valid run"),
+    )
+}
+
+/// A scheduler reused on an environment with the same apps in another
+/// order must rebuild its per-app plans: stale plans index the wrong
+/// app's stages.
+#[test]
+fn a_reused_scheduler_follows_reordered_apps() {
+    let workload = shaped_workload(
+        WorkloadClass::Light,
+        TrafficShape::Steady,
+        &esg::model::standard_app_ids(),
+        5,
+        2_000.0,
+    );
+    let env = SimEnv::standard(SloClass::Moderate);
+    let mut reordered = env.clone();
+    reordered.apps.reverse();
+    let mut reused = EsgScheduler::new();
+    run_on(&env, &mut reused, &workload);
+    assert_eq!(
+        run_on(&reordered, &mut reused, &workload),
+        run_on(&reordered, &mut EsgScheduler::new(), &workload)
+    );
+}
+
+/// A scheduler reused on a profile table over the same grid and prices
+/// but with other latencies must drop its stage tables and plans.
+#[test]
+fn a_reused_scheduler_follows_new_profile_latencies() {
+    let workload = shaped_workload(
+        WorkloadClass::Light,
+        TrafficShape::Steady,
+        &esg::model::standard_app_ids(),
+        5,
+        2_000.0,
+    );
+    let env = SimEnv::standard(SloClass::Moderate);
+    let mut slower = env.clone();
+    slower.catalog = Catalog::new();
+    for (_, spec) in env.catalog.iter() {
+        slower.catalog.add(FunctionSpec {
+            exec_ms: spec.exec_ms * 1.5,
+            ..spec.clone()
+        });
+    }
+    slower.profiles = ProfileTable::build(&slower.catalog, env.profiles.grid(), &env.price);
+    let mut reused = EsgScheduler::new();
+    run_on(&env, &mut reused, &workload);
+    assert_eq!(
+        run_on(&slower, &mut reused, &workload),
+        run_on(&slower, &mut EsgScheduler::new(), &workload)
+    );
+    assert_eq!(reused.stats().plan_cache_invalidations, 1);
 }
 
 proptest! {
