@@ -2,8 +2,8 @@
 //! then re-drive the recorded arrival stream across schedulers and
 //! compare dispatch-trace digests.
 //!
-//! The reference run is ESG on `strict-light` at the shared seed with
-//! [`SimConfig::record_trace`](esg_sim::SimConfig) pointed at a scratch
+//! The reference run is ESG on `strict-light` at the shared seed,
+//! recorded by a [`TraceRecorder`](esg_sim::TraceRecorder) to a scratch
 //! file; the sweep replays that exact offered load under three
 //! schedulers. Two invariants are asserted every run:
 //!

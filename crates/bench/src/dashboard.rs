@@ -106,7 +106,7 @@ pub fn dashboard_csv_rows(snapshots: &[HealthSnapshot]) -> Vec<String> {
 mod tests {
     use super::*;
     use esg_model::{AppId, Config, InvocationId, NodeId};
-    use esg_sim::{QueueHealthMonitor, QueueKey, SchedulerEvent};
+    use esg_sim::{Observer, QueueHealthMonitor, QueueKey, SchedulerEvent};
 
     fn monitored_snapshots() -> Vec<HealthSnapshot> {
         let mut mon = QueueHealthMonitor::new(100.0);
@@ -115,14 +115,14 @@ mod tests {
             stage: 1,
         };
         for i in 0..2u64 {
-            mon.observe(&SchedulerEvent::JobArrived {
+            mon.on_event(&SchedulerEvent::JobArrived {
                 key: k,
                 invocation: InvocationId(i),
                 now_ms: 10.0,
             });
         }
         let invs = [InvocationId(0)];
-        mon.observe(&SchedulerEvent::Dispatched {
+        mon.on_event(&SchedulerEvent::Dispatched {
             key: k,
             invocations: &invs,
             config: Config::MIN,
@@ -168,22 +168,22 @@ mod tests {
             app: AppId(1),
             stage: 0,
         };
-        mon.observe(&SchedulerEvent::JobArrived {
+        mon.on_event(&SchedulerEvent::JobArrived {
             key: k,
             invocation: InvocationId(0),
             now_ms: 5.0,
         });
-        mon.observe(&SchedulerEvent::TransferStarted {
+        mon.on_event(&SchedulerEvent::TransferStarted {
             node: NodeId(2),
             mb: 48.0,
             now_ms: 20.0,
         });
-        mon.observe(&SchedulerEvent::TransferQueued {
+        mon.on_event(&SchedulerEvent::TransferQueued {
             node: NodeId(2),
             mb: 16.0,
             now_ms: 25.0,
         });
-        mon.observe(&SchedulerEvent::TransferCompleted {
+        mon.on_event(&SchedulerEvent::TransferCompleted {
             node: NodeId(2),
             mb: 48.0,
             now_ms: 60.0,

@@ -3,11 +3,11 @@
 //! and compare dispatch-trace digests.
 //!
 //! Built on `esg-sim`'s trace subsystem: [`record_reference`] runs a
-//! `(scheduler, scenario)` cell with
-//! [`SimConfig::record_trace`](esg_sim::SimConfig) set and loads the
-//! written document back as a [`TraceReplay`]; [`replay_matrix`] fans
-//! the recorded load out over a list of schedulers, tapping each
-//! replay through [`Traced`](esg_sim::Traced) so every row carries the
+//! `(scheduler, scenario)` cell observed by a
+//! [`TraceRecorder`] and loads the written document back as a
+//! [`TraceReplay`]; [`replay_matrix`] fans the recorded load out over a
+//! list of schedulers, observing each replay with a
+//! [`TraceDigest`](esg_sim::TraceDigest) so every row carries the
 //! canonical dispatch-trace digest. A replay under the recorded
 //! scheduler must reproduce the recorded
 //! digest bit for bit (`matches_recording`) — the `replay` bench target
@@ -15,7 +15,7 @@
 
 use crate::{standard_config, workload_for, SchedKind};
 use esg_model::Scenario;
-use esg_sim::{ExperimentResult, SimEnv, TraceError, TraceReplay};
+use esg_sim::{ExperimentResult, SimEnv, TraceError, TraceRecorder, TraceReplay};
 use serde_json::{json, Value};
 use std::path::Path;
 
@@ -41,8 +41,8 @@ pub fn record_reference(
     run_seconds: f64,
     path: &Path,
 ) -> Result<(ExperimentResult, TraceReplay), TraceError> {
-    let mut cfg = standard_config();
-    cfg.record_trace = Some(path.to_path_buf());
+    let cfg = standard_config();
+    let mut recorder = TraceRecorder::new(path.to_path_buf());
     let env = SimEnv::standard(scenario.slo);
     let workload = workload_for(scenario, crate::SEED, run_seconds);
     let mut sched = kind.build();
@@ -52,23 +52,25 @@ pub fn record_reference(
         sched.as_mut(),
         &workload,
         &format!("record/{scenario}"),
+        Some(&mut recorder),
     )
     .expect("a standard cell passes the run checks");
+    recorder.finish()?;
     let replay = TraceReplay::load(path)?;
     Ok((result, replay))
 }
 
 /// Re-drives the recorded load under each of `kinds`, one
-/// [`ReplayRun`] per scheduler in order. Every replay is tapped through
-/// [`Traced`](esg_sim::Traced) ([`TraceReplay::run_digest`]), so rows
-/// carry the dispatch digest of their own run.
+/// [`ReplayRun`] per scheduler in order. Every replay is observed by a
+/// dispatch digest ([`TraceReplay::run_digest`]), so rows carry the
+/// dispatch digest of their own run.
 pub fn replay_matrix(replay: &TraceReplay, kinds: &[SchedKind]) -> Vec<ReplayRun> {
     let recorded = replay.trace().dispatch_digest();
     kinds
         .iter()
         .map(|&kind| {
             let (result, digest) = replay
-                .run_digest(kind.build(), &format!("replay/{}", kind.name()))
+                .run_digest(kind.build().as_mut(), &format!("replay/{}", kind.name()))
                 .expect("a loaded trace passes the run checks");
             ReplayRun {
                 scheduler: kind.name(),

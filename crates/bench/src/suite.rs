@@ -408,7 +408,7 @@ impl ExperimentSuite {
             let scheduler = spec.scheduler.name().to_string();
             let cluster = spec.cluster_label().to_string();
             let scenario = spec.scenario.to_string();
-            let result = run_simulation(env, cfg, sched.as_mut(), workload, &scenario)
+            let result = run_simulation(env, cfg, sched.as_mut(), workload, &scenario, None)
                 .unwrap_or_else(|e| {
                     panic!(
                         "suite {}: cell {scheduler} / {scenario} / cluster {cluster} / \

@@ -717,7 +717,7 @@ mod tests {
         for env in &envs {
             let run = |s: &mut EsgScheduler| {
                 canonical(
-                    run_simulation(env, SimConfig::default(), s, &workload, "env")
+                    run_simulation(env, SimConfig::default(), s, &workload, "env", None)
                         .expect("valid run"),
                 )
             };

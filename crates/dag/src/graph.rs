@@ -1,6 +1,6 @@
 //! Validated directed acyclic graphs.
 
-use esg_model::AppSpec;
+use esg_model::{AppSpec, Fnv};
 use std::fmt;
 
 /// Errors raised while constructing or analysing a DAG.
@@ -243,41 +243,6 @@ impl Dag {
             self.paths_rec(s as usize, to, path, out);
             path.pop();
         }
-    }
-}
-
-/// A minimal FNV-1a hasher: deterministic across processes and platforms
-/// (unlike `DefaultHasher`, whose keys are randomised per process), so
-/// fingerprints stay comparable across runs. Public because every DAG
-/// fingerprint (DAG shape, reduced hierarchy) must mix with the *same*
-/// function — duplicating the constants would let the copies silently
-/// diverge.
-#[derive(Clone, Debug)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-impl Fnv {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    /// Mixes the little-endian bytes of `v` into the state.
-    pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 

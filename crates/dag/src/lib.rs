@@ -28,6 +28,6 @@ pub mod slo;
 
 pub use anl::average_normalized_length;
 pub use dominator::DominatorTree;
-pub use graph::{Dag, DagError, Fnv};
+pub use graph::{Dag, DagError};
 pub use reduce::{Hierarchy, Item};
 pub use slo::{SloGroup, SloPlan};

@@ -99,7 +99,7 @@ impl Hierarchy {
     /// search structure, and a key built on the reduction is stable across
     /// processes (pure FNV, no randomised hasher state).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::graph::Fnv::new();
+        let mut h = esg_model::Fnv::new();
         hash_items(&self.items, &mut h);
         h.finish()
     }
@@ -136,7 +136,7 @@ pub fn item_anl(item: &Item, anl: &[f64]) -> f64 {
 
 /// Post-order structural hash: every item contributes a tag so `[Node(1),
 /// Node(2)]` and `[Parallel([Node(1), Node(2)])]` cannot collide.
-fn hash_items(items: &[Item], h: &mut crate::graph::Fnv) {
+fn hash_items(items: &[Item], h: &mut esg_model::Fnv) {
     h.write_u64(items.len() as u64);
     for it in items {
         match it {

@@ -26,7 +26,7 @@
 //!
 //! let mut esg = EsgScheduler::new();
 //! // The one way to start a run: every knob is checked first.
-//! let result = run_simulation(&env, SimConfig::default(), &mut esg, &workload, "demo")?;
+//! let result = run_simulation(&env, SimConfig::default(), &mut esg, &workload, "demo", None)?;
 //! assert_eq!(result.arrivals, 50);
 //! println!("SLO hit rate: {:.1}%", result.avg_hit_rate() * 100.0);
 //! # Ok::<(), SimError>(())
@@ -58,14 +58,14 @@ pub mod prelude {
     };
     pub use esg_profile::{latency_ms, NoiseModel, ProfileTable, TransferModel};
     pub use esg_sim::{
-        dispatch_trace, fnv64, run_simulation, run_streamed, AdmissionDecision, AdmissionPlan,
+        fnv64, run_simulation, run_streamed, AdmissionDecision, AdmissionPlan,
         BandwidthPackingConfig, Capabilities, ClusterState, DataPlane, DataPlaneConfig,
         DataPlaneView, EventKind, EventRecord, ExperimentResult, HealthSnapshot, MemoryFootprint,
-        MinScheduler, Monitored, NodeLoad, NodeSummary, NodeTransferStats, NodeView, OverheadModel,
+        MinScheduler, NodeLoad, NodeSummary, NodeTransferStats, NodeView, Observer, OverheadModel,
         PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor, QueueView,
         RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats, ShedReason,
-        SimConfig, SimEnv, SimError, Simulation, SloAdmission, SloAdmissionConfig, TraceError,
-        TraceFile, TraceRecorder, TraceReplay, Traced, TransferCounters, TransferSummary,
+        SimConfig, SimEnv, SimError, Simulation, SloAdmission, SloAdmissionConfig, TraceDigest,
+        TraceError, TraceFile, TraceRecorder, TraceReplay, TransferCounters, TransferSummary,
     };
     pub use esg_workload::{
         shaped_stream, shaped_workload, ArrivalPredictor, ArrivalStream, AzureLikeTrace, RateFn,

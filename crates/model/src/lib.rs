@@ -21,6 +21,7 @@ pub mod apps;
 pub mod catalog;
 pub mod cluster;
 pub mod config;
+pub mod fnv;
 pub mod ids;
 pub mod price;
 pub mod resources;
@@ -32,6 +33,7 @@ pub use apps::{standard_app_ids, standard_apps, AppSpec};
 pub use catalog::{standard_catalog, Catalog, FunctionSpec};
 pub use cluster::{ChurnEvent, ChurnPlan, ClusterSpec, GpuFlavor, NodeClass, ServerTopology};
 pub use config::{Config, ConfigGrid};
+pub use fnv::Fnv;
 pub use ids::{AppId, FnId, InvocationId, JobId, NodeId};
 pub use price::PriceModel;
 pub use resources::Resources;

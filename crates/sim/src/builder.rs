@@ -9,9 +9,10 @@
 //! environment's applications and transfer tariffs, and the knobs of the
 //! scheduler's round-policy stack, so such a mistake is a typed
 //! [`SimError`] instead of a panic deep inside the event loop (or a
-//! silently ignored churn event); `run_simulation` also scans the
-//! workload's arrivals. The trace loader runs the configuration, tariff
-//! and arrival checks on a recorded run.
+//! silently ignored churn event). Both also check every arrival:
+//! `run_simulation` scans the workload before the run, `run_streamed`
+//! checks each arrival as it is pulled. The trace loader runs the
+//! configuration, tariff and arrival checks on a recorded run.
 //!
 //! ```
 //! use esg_model::{SloClass, WorkloadClass};
@@ -30,7 +31,7 @@
 //!     seed: 7,
 //!     ..SimConfig::default()
 //! };
-//! let result = run_simulation(&env, cfg, &mut MinScheduler, &workload, "doc")?;
+//! let result = run_simulation(&env, cfg, &mut MinScheduler, &workload, "doc", None)?;
 //! assert_eq!(result.arrivals, 10);
 //!
 //! // A cluster without nodes is refused before the run starts.
@@ -38,7 +39,7 @@
 //!     nodes: 0,
 //!     ..SimConfig::default()
 //! };
-//! let refused = run_simulation(&env, empty, &mut MinScheduler, &workload, "doc");
+//! let refused = run_simulation(&env, empty, &mut MinScheduler, &workload, "doc", None);
 //! assert_eq!(refused.err(), Some(SimError::EmptyCluster));
 //! # Ok::<(), SimError>(())
 //! ```
@@ -147,10 +148,9 @@ impl std::error::Error for SimError {}
 
 /// The checks [`run_simulation`](crate::run_simulation) and
 /// [`run_streamed`](crate::run_streamed) make before the event loop
-/// starts: the configuration, the environment, the `arrivals` (one scan:
-/// each passes [`check_arrival`] and is no earlier than its predecessor)
-/// and the knobs of every stage in `sched`'s round-policy stack, in that
-/// order.
+/// starts: the configuration, the environment, the `arrivals` (one scan
+/// of [`check_arrival`]) and the knobs of every stage in `sched`'s
+/// round-policy stack, in that order.
 pub(crate) fn check_run(
     env: &SimEnv,
     cfg: &SimConfig,
@@ -176,11 +176,7 @@ pub(crate) fn check_run(
     }
     let mut previous_ms = 0.0;
     for (index, a) in arrivals.iter().enumerate() {
-        check_arrival(index, a, env.apps.len())?;
-        if a.at_ms < previous_ms {
-            let at_ms = a.at_ms;
-            return Err(SimError::UnsortedArrival { index, at_ms });
-        }
+        check_arrival(index, a, env.apps.len(), previous_ms)?;
         previous_ms = a.at_ms;
     }
     sched.round_policy().map_or(Ok(()), |p| p.validate())
@@ -391,15 +387,25 @@ fn validate_churn(cfg: &SimConfig) -> Result<(), SimError> {
 }
 
 /// Arrival `index` of a run over `apps` applications is at an input
-/// instant ([`SimTime::is_input_ms`]) and names one of them; the trace
-/// loader runs the same check on recorded arrivals.
-pub(crate) fn check_arrival(index: usize, a: &Arrival, apps: usize) -> Result<(), SimError> {
-    if !SimTime::is_input_ms(a.at_ms) {
-        let at_ms = a.at_ms;
+/// instant ([`SimTime::is_input_ms`]), names one of them, and is no
+/// earlier than `previous_ms`, the time of the arrival before it. A run
+/// checks every arrival so; the trace loader, whose workload sorts its
+/// arrivals, checks recorded ones with `f64::NEG_INFINITY`.
+pub(crate) fn check_arrival(
+    index: usize,
+    a: &Arrival,
+    apps: usize,
+    previous_ms: f64,
+) -> Result<(), SimError> {
+    let at_ms = a.at_ms;
+    if !SimTime::is_input_ms(at_ms) {
         return Err(SimError::InvalidArrival { index, at_ms });
     }
     if a.app.index() >= apps {
         return Err(SimError::UnknownApp { index, app: a.app });
+    }
+    if at_ms < previous_ms {
+        return Err(SimError::UnsortedArrival { index, at_ms });
     }
     Ok(())
 }
@@ -453,7 +459,7 @@ mod tests {
     /// The checked entry's verdict on `cfg` in `env`, over no arrivals.
     fn check_in(env: &SimEnv, cfg: SimConfig) -> Result<(), SimError> {
         let none = Workload::default();
-        run_simulation(env, cfg, &mut MinScheduler, &none, "check").map(drop)
+        run_simulation(env, cfg, &mut MinScheduler, &none, "check", None).map(drop)
     }
 
     /// [`check_in`] on the standard environment.
@@ -484,8 +490,15 @@ mod tests {
         let env = SimEnv::standard(SloClass::Relaxed);
         let w =
             WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 3).generate(12);
-        let r = run_simulation(&env, SimConfig::default(), &mut MinScheduler, &w, "default")
-            .expect("valid");
+        let r = run_simulation(
+            &env,
+            SimConfig::default(),
+            &mut MinScheduler,
+            &w,
+            "default",
+            None,
+        )
+        .expect("valid");
         assert_eq!(r.total_completed(), 12);
         assert_eq!(r.scenario, "default");
     }
@@ -506,11 +519,44 @@ mod tests {
             max_sim_ms: horizon,
             ..SimConfig::default()
         };
-        let r_mat =
-            run_simulation(&env, capped.clone(), &mut MinScheduler, &beyond, "eq").expect("valid");
+        let r_mat = run_simulation(&env, capped.clone(), &mut MinScheduler, &beyond, "eq", None)
+            .expect("valid");
         let r_str =
-            run_streamed(&env, capped, &mut MinScheduler, gen.stream(), "eq").expect("valid");
+            run_streamed(&env, capped, &mut MinScheduler, gen.stream(), "eq", None).expect("valid");
         assert_eq!(r_mat.canonical(), r_str.canonical());
+    }
+
+    #[test]
+    fn streamed_arrivals_are_checked_as_they_are_pulled() {
+        // A stream naming an app the environment lacks ends the run with
+        // the error the materialised form of the same arrivals gets, at
+        // the same index — first arrival or mid-run.
+        let env = SimEnv::standard(SloClass::Moderate);
+        let cfg = SimConfig {
+            max_sim_ms: 60_000.0,
+            ..SimConfig::default()
+        };
+        for apps in [vec![AppId(99)], vec![AppId(0), AppId(1), AppId(99)]] {
+            let stream =
+                || esg_workload::ArrivalStream::of_class(WorkloadClass::Light, apps.clone(), 7);
+            let materialised = stream().take_workload(200);
+            let want = run_simulation(
+                &env,
+                cfg.clone(),
+                &mut MinScheduler,
+                &materialised,
+                "m",
+                None,
+            )
+            .expect_err("an unknown app is refused");
+            assert!(
+                matches!(want, SimError::UnknownApp { app: AppId(99), .. }),
+                "{want:?}"
+            );
+            let got = run_streamed(&env, cfg.clone(), &mut MinScheduler, stream(), "s", None)
+                .expect_err("an unknown app is refused");
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -688,7 +734,14 @@ mod tests {
                     })
                     .to_vec(),
             );
-            run_simulation(&env, SimConfig::default(), &mut MinScheduler, &w, "apps")
+            run_simulation(
+                &env,
+                SimConfig::default(),
+                &mut MinScheduler,
+                &w,
+                "apps",
+                None,
+            )
         };
         assert_eq!(run(Vec::new()).err(), Some(SimError::NoApplications));
         let one = run(vec![AppSpec::pipeline("one", vec![FnId(0)])]).expect("valid");
@@ -731,8 +784,16 @@ mod tests {
                 &mut stacked(),
                 &w,
                 "knobs",
+                None,
             ));
-            let streamed = run_streamed(&env, cfg.clone(), &mut stacked(), gen.stream(), "knobs");
+            let streamed = run_streamed(
+                &env,
+                cfg.clone(),
+                &mut stacked(),
+                gen.stream(),
+                "knobs",
+                None,
+            );
             assert_eq!(run, knob(streamed), "the run entries agree");
             run
         };
@@ -859,7 +920,14 @@ mod tests {
         let env = SimEnv::standard(SloClass::Relaxed);
         let run = |arrivals: Vec<Arrival>| {
             let w = Workload { arrivals };
-            run_simulation(&env, SimConfig::default(), &mut MinScheduler, &w, "damaged")
+            run_simulation(
+                &env,
+                SimConfig::default(),
+                &mut MinScheduler,
+                &w,
+                "damaged",
+                None,
+            )
         };
         let at = |at_ms| Arrival {
             at_ms,
@@ -888,7 +956,14 @@ mod tests {
                 })
                 .collect();
             let w = Workload { arrivals };
-            run_simulation(&env, SimConfig::default(), &mut MinScheduler, &w, "damaged")
+            run_simulation(
+                &env,
+                SimConfig::default(),
+                &mut MinScheduler,
+                &w,
+                "damaged",
+                None,
+            )
         };
         let err = run(&[(1.0, 0), (3.0, 1), (2.0, 0)]).expect_err("rejected");
         assert!(matches!(err, SimError::UnsortedArrival { index: 2, .. }));

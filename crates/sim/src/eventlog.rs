@@ -1,14 +1,13 @@
-//! The owned form of the [`SchedulerEvent`] stream: one
-//! [`EventRecord`] per control-plane event, captured by
-//! [`EventRecord::capture`].
+//! The observer hook on a run's event stream, and the owned form of the
+//! stream: one [`EventRecord`] per event, by [`EventRecord::capture`].
 //!
 //! The event stream is the control plane's narration of everything it
-//! does. Its sinks share this one conversion: [`Traced`](crate::Traced)
-//! renders each record into the canonical dispatch trace, the
-//! [`TraceRecorder`](crate::TraceRecorder) writes records to disk, and
-//! a loaded [`TraceFile`](crate::TraceFile) holds them. Live counters
-//! (backlog, queue waits, sheds, transfers) are the
-//! [`QueueHealthMonitor`](crate::QueueHealthMonitor)'s.
+//! does; a run hands it to its one [`Observer`]. The
+//! [`TraceDigest`](crate::TraceDigest) renders each record into the
+//! canonical dispatch trace, the [`TraceRecorder`](crate::TraceRecorder)
+//! writes records to disk, and a loaded [`TraceFile`](crate::TraceFile)
+//! holds them. Live counters (backlog, queue waits, sheds, transfers)
+//! are the [`QueueHealthMonitor`](crate::QueueHealthMonitor)'s.
 //!
 //! ```
 //! use esg_model::{AppId, Config, InvocationId, NodeId};
@@ -29,9 +28,29 @@
 //! assert!(matches!(record.kind, EventKind::Dispatched { jobs: 2, .. }));
 //! ```
 
+use crate::platform::{SimConfig, SimEnv};
 use crate::policy::ShedReason;
 use crate::sched::{QueueKey, SchedulerEvent};
 use esg_model::{Config, InvocationId, NodeId};
+use esg_workload::Arrival;
+
+/// A read-only tap on one run: the platform calls it once with the run's
+/// header, then with each arrival and each control-plane event as they
+/// happen. It receives only shared references and never sees the
+/// scheduler, so observing a run cannot change one of its decisions.
+pub trait Observer {
+    /// The run is about to start: its environment, configuration and the
+    /// scheduler's name.
+    fn begin(&mut self, _env: &SimEnv, _cfg: &SimConfig, _scheduler: &str) {}
+
+    /// A workload arrival is being delivered (before its entry jobs
+    /// enqueue).
+    fn on_arrival(&mut self, _arrival: &Arrival) {}
+
+    /// The platform emitted `event` (also delivered to the scheduler's
+    /// [`on_event`](crate::Scheduler::on_event)).
+    fn on_event(&mut self, event: &SchedulerEvent<'_>);
+}
 
 /// One captured event (the borrowed invocation lists of the live event
 /// are flattened to counts so records are `'static`).
@@ -46,9 +65,8 @@ pub struct EventRecord {
 impl EventRecord {
     /// Captures a live [`SchedulerEvent`] as an owned record (borrowed
     /// invocation lists flatten to counts). This is the one conversion
-    /// every sink — [`Traced`](crate::Traced), the trace recorder —
-    /// shares, so a new event variant cannot be captured two different
-    /// ways.
+    /// every observer — the trace digest, the trace recorder — shares,
+    /// so a new event variant cannot be captured two different ways.
     ///
     /// ```
     /// use esg_sim::{EventKind, EventRecord, SchedulerEvent};

@@ -6,35 +6,33 @@
 //! every other observability sink, keeps exact per-queue
 //! ([`QueueCounters`]) and data-plane ([`TransferCounters`]) counters,
 //! and cuts a [`HealthSnapshot`] each time simulated time crosses its
-//! sampling interval. Wrap any scheduler in [`Monitored`] to collect
-//! snapshots without touching the scheduler itself; `esg-bench` renders
+//! sampling interval. It is an [`Observer`]: pass it to any run to
+//! collect snapshots without touching the scheduler; `esg-bench` renders
 //! them as a text dashboard or CSV (see `examples/queue_dashboard.rs`).
 //!
 //! ```
 //! use esg_model::{AppId, InvocationId};
-//! use esg_sim::{QueueHealthMonitor, QueueKey, SchedulerEvent};
+//! use esg_sim::{Observer, QueueHealthMonitor, QueueKey, SchedulerEvent};
 //!
 //! let mut mon = QueueHealthMonitor::new(1_000.0);
 //! let key = QueueKey { app: AppId(0), stage: 0 };
-//! mon.observe(&SchedulerEvent::JobArrived {
+//! mon.on_event(&SchedulerEvent::JobArrived {
 //!     key,
 //!     invocation: InvocationId(0),
 //!     now_ms: 10.0,
 //! });
 //! // Crossing the 1-second boundary cuts a snapshot of everything
 //! // observed before it.
-//! mon.observe(&SchedulerEvent::RecheckTick { now_ms: 1_500.0 });
+//! mon.on_event(&SchedulerEvent::RecheckTick { now_ms: 1_500.0 });
 //! let snaps = mon.snapshots();
 //! assert_eq!(snaps.len(), 1);
 //! assert_eq!(snaps[0].at_ms, 1_000.0);
 //! assert_eq!(snaps[0].total_backlog, 1);
 //! ```
 
-use crate::policy::PolicyStack;
-use crate::sched::{
-    Capabilities, Outcome, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
-};
-use esg_model::{Config, InvocationId, NodeId};
+use crate::eventlog::Observer;
+use crate::sched::{QueueKey, SchedulerEvent};
+use esg_model::InvocationId;
 use std::collections::HashMap;
 
 /// Per-queue counters accumulated from the event stream.
@@ -143,8 +141,8 @@ impl HealthSnapshot {
 /// Rolls the control-plane event stream into periodic
 /// [`HealthSnapshot`]s.
 ///
-/// Feed it every event (via [`observe`](Self::observe), or by wrapping
-/// the scheduler in [`Monitored`]); whenever an event's simulated time
+/// Pass it to a run as its [`Observer`] (or feed it events through
+/// [`on_event`](Observer::on_event)); whenever an event's simulated time
 /// reaches the next sampling boundary, the monitor cuts one snapshot
 /// per elapsed interval (idle gaps repeat the last state, so snapshot
 /// spacing is always exactly `interval_ms`).
@@ -178,23 +176,6 @@ impl QueueHealthMonitor {
             transfers: TransferCounters::default(),
             snapshots: Vec::new(),
         }
-    }
-
-    /// The sampling interval, ms.
-    pub fn interval_ms(&self) -> f64 {
-        self.interval_ms
-    }
-
-    /// Ingests one control-plane event, cutting snapshots for every
-    /// sampling boundary the event's timestamp has crossed.
-    pub fn observe(&mut self, event: &SchedulerEvent<'_>) {
-        let now = event.now_ms();
-        while now >= self.next_at_ms {
-            let snap = self.snapshot_at(self.next_at_ms);
-            self.snapshots.push(snap);
-            self.next_at_ms += self.interval_ms;
-        }
-        self.count(event);
     }
 
     /// Folds one event into the per-queue and transfer counters.
@@ -301,62 +282,17 @@ impl QueueHealthMonitor {
     }
 }
 
-/// Wraps a scheduler and feeds every control-plane event through a
-/// [`QueueHealthMonitor`] — the zero-intrusion way to collect dashboard
-/// snapshots from any run (same shape as
-/// [`Traced`](crate::trace::Traced), different sink).
-pub struct Monitored {
-    /// The wrapped scheduler.
-    pub inner: Box<dyn Scheduler>,
-    /// The dashboard sink.
-    pub monitor: QueueHealthMonitor,
-}
-
-impl Monitored {
-    /// Wraps `inner`, sampling every `interval_ms`.
-    pub fn new(inner: Box<dyn Scheduler>, interval_ms: f64) -> Monitored {
-        Monitored {
-            inner,
-            monitor: QueueHealthMonitor::new(interval_ms),
-        }
-    }
-}
-
-impl Scheduler for Monitored {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        self.inner.capabilities()
-    }
-
-    fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        self.inner.schedule(ctx)
-    }
-
-    fn place(&mut self, ctx: &SchedCtx<'_>, config: Config) -> Option<NodeId> {
-        self.inner.place(ctx, config)
-    }
-
-    fn round_policy(&mut self) -> Option<&mut PolicyStack> {
-        self.inner.round_policy()
-    }
-
-    fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {
-        // Forwarded so a wrapped scheduler's round-policy stack (if any)
-        // is exercised rather than silently replaced by the default
-        // one-queue replay.
-        self.inner.schedule_round(ctx)
-    }
-
+impl Observer for QueueHealthMonitor {
+    /// Ingests one control-plane event, cutting snapshots for every
+    /// sampling boundary the event's timestamp has crossed.
     fn on_event(&mut self, event: &SchedulerEvent<'_>) {
-        self.monitor.observe(event);
-        self.inner.on_event(event);
-    }
-
-    fn stats(&self) -> SchedulerStats {
-        self.inner.stats()
+        let now = event.now_ms();
+        while now >= self.next_at_ms {
+            let snap = self.snapshot_at(self.next_at_ms);
+            self.snapshots.push(snap);
+            self.next_at_ms += self.interval_ms;
+        }
+        self.count(event);
     }
 }
 
@@ -364,7 +300,7 @@ impl Scheduler for Monitored {
 mod tests {
     use super::*;
     use crate::policy::ShedReason;
-    use esg_model::AppId;
+    use esg_model::{AppId, Config, NodeId};
 
     fn key(app: u32, stage: usize) -> QueueKey {
         QueueKey {
@@ -388,7 +324,7 @@ mod tests {
         let mut mon = monitor();
         let k = key(0, 1);
         for (i, t) in [(0u64, 10.0), (1, 14.0)] {
-            mon.observe(&SchedulerEvent::JobArrived {
+            mon.on_event(&SchedulerEvent::JobArrived {
                 key: k,
                 invocation: InvocationId(i),
                 now_ms: t,
@@ -397,7 +333,7 @@ mod tests {
         assert_eq!(counters(&mon, k).backlog, 2);
         assert_eq!(mon.snapshot_at(0.0).total_backlog, 2);
         let invs = [InvocationId(0), InvocationId(1)];
-        mon.observe(&SchedulerEvent::Dispatched {
+        mon.on_event(&SchedulerEvent::Dispatched {
             key: k,
             invocations: &invs,
             config: Config::new(2, 1, 1),
@@ -411,7 +347,7 @@ mod tests {
         // Waits: 10 ms and 6 ms → mean 8, max 10.
         assert!((c.mean_wait_ms() - 8.0).abs() < 1e-12);
         assert_eq!(c.wait_max_ms, 10.0);
-        mon.observe(&SchedulerEvent::TaskCompleted {
+        mon.on_event(&SchedulerEvent::TaskCompleted {
             key: k,
             node: NodeId(3),
             config: Config::new(2, 1, 1),
@@ -425,14 +361,14 @@ mod tests {
         let mut mon = monitor();
         let k = key(1, 0);
         for i in 0..3u64 {
-            mon.observe(&SchedulerEvent::JobArrived {
+            mon.on_event(&SchedulerEvent::JobArrived {
                 key: k,
                 invocation: InvocationId(i),
                 now_ms: 1.0,
             });
         }
         let invs = [InvocationId(0), InvocationId(1), InvocationId(2)];
-        mon.observe(&SchedulerEvent::QueueShed {
+        mon.on_event(&SchedulerEvent::QueueShed {
             key: k,
             invocations: &invs,
             reason: ShedReason::GsloUnattainable,
@@ -449,18 +385,18 @@ mod tests {
     fn transfer_events_roll_up_without_queue_counters() {
         let mut mon = monitor();
         for node in [2u32, 5] {
-            mon.observe(&SchedulerEvent::TransferStarted {
+            mon.on_event(&SchedulerEvent::TransferStarted {
                 node: NodeId(node),
                 mb: 64.0,
                 now_ms: 1.0,
             });
         }
-        mon.observe(&SchedulerEvent::TransferQueued {
+        mon.on_event(&SchedulerEvent::TransferQueued {
             node: NodeId(2),
             mb: 256.0,
             now_ms: 2.0,
         });
-        mon.observe(&SchedulerEvent::TransferCompleted {
+        mon.on_event(&SchedulerEvent::TransferCompleted {
             node: NodeId(2),
             mb: 64.0,
             now_ms: 3.0,
@@ -479,12 +415,12 @@ mod tests {
     #[test]
     fn churn_and_recheck_record_without_queue_counters() {
         let mut mon = monitor();
-        mon.observe(&SchedulerEvent::Churn {
+        mon.on_event(&SchedulerEvent::Churn {
             node: NodeId(4),
             joined: false,
             now_ms: 9.0,
         });
-        mon.observe(&SchedulerEvent::RecheckTick { now_ms: 10.0 });
+        mon.on_event(&SchedulerEvent::RecheckTick { now_ms: 10.0 });
         let snap = mon.snapshot_at(10.0);
         assert!(snap.queues.is_empty());
         assert_eq!(snap.transfers, TransferCounters::default());
@@ -493,14 +429,14 @@ mod tests {
     #[test]
     fn boundaries_cut_one_snapshot_per_interval() {
         let mut mon = QueueHealthMonitor::new(100.0);
-        mon.observe(&SchedulerEvent::JobArrived {
+        mon.on_event(&SchedulerEvent::JobArrived {
             key: key(0, 0),
             invocation: InvocationId(0),
             now_ms: 10.0,
         });
         // 350 ms crosses the 100/200/300 boundaries: three snapshots,
         // all reflecting the single arrival.
-        mon.observe(&SchedulerEvent::RecheckTick { now_ms: 350.0 });
+        mon.on_event(&SchedulerEvent::RecheckTick { now_ms: 350.0 });
         let snaps = mon.snapshots();
         assert_eq!(
             snaps.iter().map(|s| s.at_ms).collect::<Vec<_>>(),
@@ -516,14 +452,14 @@ mod tests {
         let mut mon = QueueHealthMonitor::new(50.0);
         let k = key(1, 0);
         for i in 0..3u64 {
-            mon.observe(&SchedulerEvent::JobArrived {
+            mon.on_event(&SchedulerEvent::JobArrived {
                 key: k,
                 invocation: InvocationId(i),
                 now_ms: 5.0,
             });
         }
         let invs = [InvocationId(0), InvocationId(1)];
-        mon.observe(&SchedulerEvent::Dispatched {
+        mon.on_event(&SchedulerEvent::Dispatched {
             key: k,
             invocations: &invs,
             config: Config::MIN,
@@ -543,17 +479,17 @@ mod tests {
     #[test]
     fn snapshots_carry_transfer_counters() {
         let mut mon = QueueHealthMonitor::new(100.0);
-        mon.observe(&SchedulerEvent::TransferStarted {
+        mon.on_event(&SchedulerEvent::TransferStarted {
             node: NodeId(1),
             mb: 32.0,
             now_ms: 10.0,
         });
-        mon.observe(&SchedulerEvent::TransferQueued {
+        mon.on_event(&SchedulerEvent::TransferQueued {
             node: NodeId(1),
             mb: 512.0,
             now_ms: 20.0,
         });
-        mon.observe(&SchedulerEvent::TransferCompleted {
+        mon.on_event(&SchedulerEvent::TransferCompleted {
             node: NodeId(1),
             mb: 32.0,
             now_ms: 90.0,

@@ -66,9 +66,9 @@ pub use dataplane::{
     TransferSummary,
 };
 pub use event::{Event, EventQueue};
-pub use eventlog::{EventKind, EventRecord};
+pub use eventlog::{EventKind, EventRecord, Observer};
 pub use health::{
-    HealthSnapshot, Monitored, QueueCounters, QueueHealth, QueueHealthMonitor, TransferCounters,
+    HealthSnapshot, QueueCounters, QueueHealth, QueueHealthMonitor, TransferCounters,
 };
 pub use metrics::{AppMetrics, ExperimentResult, NodeSummary};
 pub use platform::{
@@ -85,7 +85,7 @@ pub use sched::{
 };
 pub use state::{ClusterState, NodeView};
 pub use trace::{
-    dispatch_trace, fnv64, TraceError, TraceFile, TraceRecorder, TraceReplay, Traced, TRACE_FORMAT,
-    TRACE_VERSION,
+    dispatch_trace, fnv64, TraceDigest, TraceError, TraceFile, TraceRecorder, TraceReplay, Traced,
+    TRACE_FORMAT, TRACE_VERSION,
 };
 pub use workflow::{AfwQueue, Job, WorkflowInstance};

@@ -24,10 +24,11 @@
 //! snapshot and asserts it equals the incremental state.
 
 use crate::arena::Arena;
-use crate::builder::{check_run, SimError};
+use crate::builder::{check_arrival, check_run, SimError};
 use crate::cluster::Cluster;
 use crate::dataplane::{Admission, DataPlane, DataPlaneConfig, TransferReq};
 use crate::event::{Event, EventQueue};
+use crate::eventlog::Observer;
 use crate::metrics::{AppMetrics, ExperimentResult, NodeSummary};
 use crate::policy::ShedReason;
 use crate::sched::{
@@ -35,7 +36,6 @@ use crate::sched::{
     SchedCtx, Scheduler, SchedulerEvent,
 };
 use crate::state::ClusterState;
-use crate::trace::TraceRecorder;
 use crate::workflow::{AfwQueue, Job, WorkflowInstance};
 use esg_model::{
     standard_apps, standard_catalog, AppId, AppSpec, Catalog, ChurnEvent, ChurnPlan, ClusterSpec,
@@ -204,12 +204,6 @@ pub struct SimConfig {
     /// snapshot of the cluster (the pre-redesign per-decision rebuild).
     /// Costs a full rebuild per refresh — test runs only.
     pub validate_cluster_state: bool,
-    /// When set, the run records its full control-plane event stream
-    /// (plus environment header and arrivals) to this path at the end of
-    /// the run, replayable via [`TraceReplay`](crate::TraceReplay).
-    /// The write is best-effort: a failure is reported on stderr, never
-    /// a panic mid-experiment.
-    pub record_trace: Option<std::path::PathBuf>,
     /// Contended GPU data plane (`crate::dataplane`): per-node PCIe/
     /// NVLink bandwidth pools with fair-share transfer progress and
     /// bounded host-memory staging. `None` (the default) keeps the
@@ -239,7 +233,6 @@ impl Default for SimConfig {
             idle_backoff_ms: 1.0,
             max_sim_ms: 0.0,
             validate_cluster_state: false,
-            record_trace: None,
             data_plane: None,
         }
     }
@@ -403,9 +396,9 @@ pub struct Simulation<'a> {
     /// [`SimEnv::fingerprint`] of `env`, computed when the run starts so
     /// the set-up does not pay for hashing every profile entry.
     env_fingerprint: u64,
-    /// The trace-recording sink (`cfg.record_trace`); fed alongside the
-    /// scheduler by [`notify`](Self::notify) and written in `finish`.
-    recorder: Option<TraceRecorder>,
+    /// The run's observer, fed alongside the scheduler by
+    /// [`notify`](Self::notify) and by `handle_arrival`.
+    observer: Option<&'a mut dyn Observer>,
     /// The contended data plane (`cfg.data_plane`); `None` keeps the
     /// classic scalar transfer model.
     dataplane: Option<DataPlane>,
@@ -545,10 +538,6 @@ impl<'a> Simulation<'a> {
         let initial_nodes = cluster.len();
         let prewarm_alpha = cfg.prewarm_alpha;
         let seed = cfg.seed;
-        let recorder = cfg
-            .record_trace
-            .clone()
-            .map(|path| TraceRecorder::begin(path, env, &cfg, sched.name()));
         let topology = cfg.cluster.as_ref().and_then(|s| s.topology);
         let dataplane = cfg
             .data_plane
@@ -591,35 +580,41 @@ impl<'a> Simulation<'a> {
             slo_ms,
             base_ms,
             env_fingerprint: 0,
-            recorder,
+            observer: None,
             dataplane,
             bufs: Buffers::default(),
         }
     }
 
-    /// Publishes one control-plane event to every tap: the trace
-    /// recorder (when recording) and the scheduler's `on_event`. All
-    /// event emission goes through here so a recorded stream can never
-    /// diverge from what the scheduler observed.
+    /// Publishes one control-plane event to the run's observer (if any)
+    /// and the scheduler's `on_event`. All event emission goes through
+    /// here so an observed stream can never diverge from what the
+    /// scheduler saw.
     fn notify(&mut self, event: &SchedulerEvent<'_>) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.observe(event);
+        if let Some(obs) = self.observer.as_mut() {
+            obs.on_event(event);
         }
         self.sched.on_event(event);
     }
 
-    /// Pulls the next arrival from the source and schedules its event.
-    /// The source is time-ordered, so the event is never in the past and
-    /// at most one arrival is outstanding at a time.
-    fn pump_arrival(&mut self) {
+    /// Pulls the arrival after the one at `previous_ms` from the source
+    /// and schedules its event. The source is time-ordered, so the event
+    /// is never in the past and at most one arrival is outstanding at a
+    /// time. A streamed arrival is checked as it is pulled (a workload was
+    /// checked before the run); one that fails ends the run with the error.
+    fn pump_arrival(&mut self, previous_ms: f64) -> Result<(), SimError> {
         debug_assert!(self.pending_arrival.is_none());
         if let Some(a) = self.source.next() {
             let idx = self.next_arrival_idx;
+            if let ArrivalSource::Streamed(_) = self.source {
+                check_arrival(idx, &a, self.env.apps.len(), previous_ms)?;
+            }
             self.next_arrival_idx += 1;
             self.pending_arrival = Some(a);
             self.events
                 .push(SimTime::from_ms(a.at_ms), Event::Arrival(idx));
         }
+        Ok(())
     }
 
     /// Runs to completion and returns the metrics.
@@ -628,8 +623,21 @@ impl<'a> Simulation<'a> {
     }
 
     /// Runs to completion, also reporting the run's peak-memory proxy
-    /// (arena and event-queue high-water marks).
-    pub fn run_with_footprint(mut self) -> (ExperimentResult, MemoryFootprint) {
+    /// (arena and event-queue high-water marks). Panics on a streamed
+    /// arrival that fails its check ([`run_streamed`] returns the error).
+    pub fn run_with_footprint(self) -> (ExperimentResult, MemoryFootprint) {
+        self.execute(None).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The event loop, observed by `observer`.
+    fn execute<'o: 'a>(
+        mut self,
+        observer: Option<&'o mut (dyn Observer + 'o)>,
+    ) -> Result<(ExperimentResult, MemoryFootprint), SimError> {
+        self.observer = observer.map(|o| o as &'a mut dyn Observer);
+        if let Some(obs) = self.observer.as_mut() {
+            obs.begin(self.env, &self.cfg, self.sched.name());
+        }
         self.env_fingerprint = self.env.fingerprint();
         // Steady-state start: the pre-warm proxy has been serving traffic.
         if self.cfg.initial_warm_per_node > 0 {
@@ -652,7 +660,7 @@ impl<'a> Simulation<'a> {
         // heap bit for bit (the queue ranks arrivals by index, not
         // insertion order); with a streamed source it is what makes the
         // run constant-memory.
-        self.pump_arrival();
+        self.pump_arrival(0.0)?;
         for (i, ev) in self.cfg.churn.events.iter().enumerate() {
             self.events
                 .push(SimTime::from_ms(ev.at_ms()), Event::Churn(i));
@@ -681,7 +689,7 @@ impl<'a> Simulation<'a> {
                         .take()
                         .expect("arrival event without a pending payload");
                     self.handle_arrival(arrival);
-                    self.pump_arrival();
+                    self.pump_arrival(arrival.at_ms)?;
                     self.wake_controller();
                 }
                 Event::ControllerStep => self.controller_step(),
@@ -705,7 +713,7 @@ impl<'a> Simulation<'a> {
             task_slots: self.tasks.slots(),
             peak_pending_events: self.events.peak_len(),
         };
-        (self.finish(), footprint)
+        Ok((self.finish(), footprint))
     }
 
     /// Applies the `i`-th scripted membership change: a drain takes the
@@ -747,8 +755,8 @@ impl<'a> Simulation<'a> {
     }
 
     fn handle_arrival(&mut self, arrival: Arrival) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record_arrival(arrival);
+        if let Some(obs) = self.observer.as_mut() {
+            obs.on_arrival(&arrival);
         }
         let app_idx = arrival.app.index();
         let app = &self.env.apps[app_idx];
@@ -1659,14 +1667,6 @@ impl<'a> Simulation<'a> {
             self.metrics.transfers = dp.summary();
         }
         self.metrics.scheduler_stats = self.sched.stats();
-        // Best-effort trace write: a full ExperimentResult is still the
-        // run's product; a broken disk degrades to a stderr report, not
-        // a panic after minutes of simulation.
-        if let Some(rec) = self.recorder.take() {
-            if let Err(e) = rec.finish() {
-                eprintln!("warning: trace not recorded: {e}");
-            }
-        }
         self.metrics
     }
 }
@@ -1735,7 +1735,9 @@ impl Scheduler for MinScheduler {
 }
 
 /// Runs `sched` over `workload` in `env` under `cfg`, labelling the
-/// result `scenario`: the checked way to start a run.
+/// result `scenario`: the checked way to start a run. `observer`, when
+/// given, sees the run's header, each arrival and each control-plane
+/// event (see [`Observer`]); it cannot change a decision.
 ///
 /// Before the event loop starts, the configuration
 /// ([`SimConfig::validate`]), the environment's applications and transfer
@@ -1748,18 +1750,20 @@ pub fn run_simulation(
     sched: &mut dyn Scheduler,
     workload: &Workload,
     scenario: &str,
+    observer: Option<&mut dyn Observer>,
 ) -> Result<ExperimentResult, SimError> {
     check_run(env, &cfg, &workload.arrivals, sched)?;
-    let mut result = Simulation::new(env, cfg, sched, workload).run();
+    let (mut result, _) = Simulation::new(env, cfg, sched, workload).execute(observer)?;
     result.scenario = scenario.to_string();
     Ok(result)
 }
 
 /// [`run_simulation`] pulling arrivals lazily from `stream`, with the
-/// same checks except the arrival scan (a stream is not materialised, so
-/// its arrivals are not checked). Bit-identical to `run_simulation` over
-/// the materialised form of the same stream; memory stays constant in
-/// the arrival count. Unbounded streams need `cfg.max_sim_ms > 0` to
+/// same checks; each arrival is checked as it is pulled, and the first
+/// that fails ends the run with the error the materialised form of the
+/// stream would get. Bit-identical to `run_simulation` over the
+/// materialised form of the same stream; memory stays constant in the
+/// arrival count. Unbounded streams need `cfg.max_sim_ms > 0` to
 /// terminate.
 pub fn run_streamed(
     env: &SimEnv,
@@ -1767,9 +1771,10 @@ pub fn run_streamed(
     sched: &mut dyn Scheduler,
     stream: ArrivalStream,
     scenario: &str,
+    observer: Option<&mut dyn Observer>,
 ) -> Result<ExperimentResult, SimError> {
     check_run(env, &cfg, &[], sched)?;
-    let mut result = Simulation::from_stream(env, cfg, sched, stream).run();
+    let (mut result, _) = Simulation::from_stream(env, cfg, sched, stream).execute(observer)?;
     result.scenario = scenario.to_string();
     Ok(result)
 }
@@ -1790,7 +1795,8 @@ mod tests {
         let env = SimEnv::standard(SloClass::Relaxed);
         let w = small_workload(50);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "test").expect("valid run");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "test", None)
+            .expect("valid run");
         assert_eq!(r.arrivals, 50);
         assert_eq!(r.total_completed(), 50);
         assert!(r.dispatches >= 50 * 3, "each stage needs a task");
@@ -1804,7 +1810,7 @@ mod tests {
         let w = small_workload(30);
         let run = || {
             let mut s = MinScheduler;
-            run_simulation(&env, SimConfig::default(), &mut s, &w, "det").expect("valid run")
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "det", None).expect("valid run")
         };
         let a = run();
         let b = run();
@@ -1838,6 +1844,7 @@ mod tests {
                 &mut s,
                 &w,
                 "oracle",
+                None,
             )
             .expect("valid run")
         };
@@ -1852,7 +1859,7 @@ mod tests {
         let hit = |slo| {
             let env = SimEnv::standard(slo);
             let mut s = MinScheduler;
-            run_simulation(&env, SimConfig::default(), &mut s, &w, "x")
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "x", None)
                 .expect("valid run")
                 .overall_hit_rate()
         };
@@ -1864,7 +1871,8 @@ mod tests {
         let env = SimEnv::standard(SloClass::Relaxed);
         let w = small_workload(60);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "warm").expect("valid run");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "warm", None)
+            .expect("valid run");
         assert!(r.cold_starts > 0);
         // MinScheduler scatters tasks over the freest nodes, so warm reuse
         // is limited — but keep-alive must still produce some warm starts.
@@ -1883,7 +1891,8 @@ mod tests {
         let w = small_workload(80);
         let mut on = MinScheduler;
         let mut off = MinScheduler;
-        let r_on = run_simulation(&env, SimConfig::default(), &mut on, &w, "p").expect("valid run");
+        let r_on =
+            run_simulation(&env, SimConfig::default(), &mut on, &w, "p", None).expect("valid run");
         let r_off = run_simulation(
             &env,
             SimConfig {
@@ -1893,6 +1902,7 @@ mod tests {
             &mut off,
             &w,
             "np",
+            None,
         )
         .expect("valid run");
         assert!(
@@ -1908,7 +1918,8 @@ mod tests {
         let env = SimEnv::standard(SloClass::Moderate);
         let w = small_workload(20);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "o").expect("valid run");
+        let r =
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "o", None).expect("valid run");
         assert_eq!(r.overhead_ms.len() as u64, r.dispatches + r.rechecks);
         assert!(r.overhead_ms.iter().all(|&o| o >= 0.0));
         assert_eq!(r.wall_overhead_ms.len(), r.overhead_ms.len());
@@ -1919,7 +1930,8 @@ mod tests {
         let env = SimEnv::standard(SloClass::Moderate);
         let w = small_workload(40);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "u").expect("valid run");
+        let r =
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "u", None).expect("valid run");
         assert!(r.vcpu_utilisation >= 0.0 && r.vcpu_utilisation <= 1.0);
         assert!(r.vgpu_utilisation >= 0.0 && r.vgpu_utilisation <= 1.0);
         assert!(r.vgpu_utilisation > 0.0);
@@ -1941,6 +1953,7 @@ mod tests {
                 &mut s,
                 &w,
                 "spec",
+                None,
             )
             .expect("valid run")
         };
@@ -1993,6 +2006,7 @@ mod tests {
             &mut s,
             &w,
             "drain",
+            None,
         )
         .expect("valid run");
         assert_eq!(r.total_completed(), 40);
@@ -2017,6 +2031,7 @@ mod tests {
             &mut s,
             &w,
             "join",
+            None,
         )
         .expect("valid run");
         assert_eq!(r.total_completed(), 30);
@@ -2033,7 +2048,7 @@ mod tests {
         let w = small_workload(20);
         let base = {
             let mut s = MinScheduler;
-            run_simulation(&env, SimConfig::default(), &mut s, &w, "b").expect("valid run")
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "b", None).expect("valid run")
         };
         // Churn scripted long after the last completion must not advance
         // the simulation clock.
@@ -2049,6 +2064,7 @@ mod tests {
             &mut s,
             &w,
             "late-churn",
+            None,
         )
         .expect("valid run");
         assert_eq!(late.total_completed(), 20);
@@ -2078,6 +2094,7 @@ mod tests {
                 &mut s,
                 &w,
                 "churn-det",
+                None,
             )
             .expect("valid run")
         };
@@ -2104,6 +2121,7 @@ mod tests {
             &mut s,
             &w,
             "cap",
+            None,
         )
         .expect("valid run");
         assert!(r.total_completed() < 100);
@@ -2157,6 +2175,7 @@ mod tests {
             &mut s,
             &w,
             "round",
+            None,
         )
         .expect("valid run");
         assert_eq!(r.total_completed(), 40);
@@ -2215,7 +2234,7 @@ mod tests {
         let w = small_workload(40);
         let run = |bogus: bool| {
             let mut s = BogusKeys { bogus };
-            run_simulation(&env, SimConfig::default(), &mut s, &w, "keys").expect("valid run")
+            run_simulation(&env, SimConfig::default(), &mut s, &w, "keys", None).expect("valid run")
         };
         let clean = run(false);
         assert_eq!(clean.total_completed(), 40);
@@ -2266,7 +2285,8 @@ mod tests {
         let env = SimEnv::standard(SloClass::Relaxed);
         let w = small_workload(20);
         let mut s = OffGridDefer::default();
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "defer").expect("valid run");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "defer", None)
+            .expect("valid run");
         assert_eq!(r.total_completed(), 20);
         assert!(s.redecided >= 20, "every entry queue defers at least once");
     }

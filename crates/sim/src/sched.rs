@@ -205,8 +205,8 @@ impl RoundCtx<'_> {
 /// scheduler that ignores them behaves exactly like one written against
 /// the former `notify_dispatch`/`notify_churn` pair (which
 /// `Dispatched`/`Churn` subsume). Pre-planning schedulers stash
-/// per-invocation plans on `Dispatched`; monitors and trace recorders
-/// log `Churn`.
+/// per-invocation plans on `Dispatched`. A run's
+/// [`Observer`](crate::Observer) receives the same events.
 #[derive(Clone, Copy, Debug)]
 pub enum SchedulerEvent<'a> {
     /// A job entered queue `key` (arrival or upstream-stage completion).
@@ -610,18 +610,10 @@ impl OverheadModel {
 /// function's identity (namespace ≈ app, action ≈ stage) onto a node.
 pub fn home_node(key: QueueKey, num_nodes: usize) -> NodeId {
     // FNV-1a over the key bytes; any stable hash works.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key
-        .app
-        .0
-        .to_le_bytes()
-        .into_iter()
-        .chain((key.stage as u64).to_le_bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    NodeId((h % num_nodes as u64) as u32)
+    let mut h = esg_model::Fnv::new();
+    h.write_bytes(&key.app.0.to_le_bytes());
+    h.write_u64(key.stage as u64);
+    NodeId((h.finish() % num_nodes as u64) as u32)
 }
 
 /// Shared placement policy: locality first (§3.4). Tries, in order, the

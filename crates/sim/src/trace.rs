@@ -4,13 +4,12 @@
 //!
 //! Three layers:
 //!
-//! * [`TraceRecorder`] — the recording sink. Selected by setting
-//!   [`SimConfig::record_trace`] to a path, it captures every
-//!   control-plane event (arrivals, dispatches, completions, churn,
-//!   sheds) plus the run's environment header (SLO class,
-//!   configuration grid, transfer tariffs, full [`SimConfig`]) and
-//!   writes one compact JSON document at the end of the run via the
-//!   vendored `serde_json`.
+//! * [`TraceRecorder`] — the recording [`Observer`]. Passed to a run, it
+//!   takes the run's environment header (SLO class, configuration grid,
+//!   transfer tariffs, full [`SimConfig`]) from the run itself, captures
+//!   every arrival and control-plane event (dispatches, completions,
+//!   churn, sheds), and [`finish`](TraceRecorder::finish) writes one
+//!   compact JSON document via the vendored `serde_json`.
 //! * [`TraceFile`] — the loaded, validated form of that document, with
 //!   typed [`TraceError`]s for anything short of a well-formed
 //!   current-version trace (truncated file, corrupt JSON, any other
@@ -23,34 +22,34 @@
 //!   [`TraceFile::dispatch_digest`].
 //!
 //! The module is also the single owner of the canonical dispatch-trace
-//! rendering ([`render_record`], [`dispatch_trace`]) and its [`fnv64`]
-//! digest that the golden equivalence suites pin: a run replayed under
-//! the same scheduler and seed must reproduce the recorded digest bit
-//! for bit.
+//! rendering ([`render_record`]) and of [`TraceDigest`], the observer
+//! that streams it into an [`Fnv`] digest (or keeps the text) — the
+//! digest the golden equivalence suites pin: a run replayed under the
+//! same scheduler and seed must reproduce the recorded digest bit for
+//! bit.
 //!
 //! ```
 //! use esg_model::{SloClass, WorkloadClass};
-//! use esg_sim::{run_simulation, MinScheduler, SimConfig, SimEnv, TraceReplay};
+//! use esg_sim::{run_simulation, MinScheduler, SimConfig, SimEnv, TraceRecorder, TraceReplay};
 //! use esg_workload::WorkloadGen;
 //!
 //! let path = std::env::temp_dir().join(format!("esg-trace-doc-{}.json", std::process::id()));
 //! let env = SimEnv::standard(SloClass::Moderate);
-//! let cfg = SimConfig {
-//!     record_trace: Some(path.clone()),
-//!     ..SimConfig::default()
-//! };
 //! let w = WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 7).generate(8);
-//! let recorded = run_simulation(&env, cfg, &mut MinScheduler, &w, "record")?;
+//! let mut recorder = TraceRecorder::new(path.clone());
+//! let cfg = SimConfig::default();
+//! let recorded = run_simulation(&env, cfg, &mut MinScheduler, &w, "record", Some(&mut recorder))?;
+//! recorder.finish().expect("trace written");
 //!
 //! let replay = TraceReplay::load(&path).expect("well-formed trace");
-//! let replayed = replay.run(&mut MinScheduler, "replay")?;
+//! let replayed = replay.run(&mut MinScheduler, "replay", None)?;
 //! assert_eq!(replayed.arrivals, recorded.arrivals);
 //! std::fs::remove_file(&path).ok();
 //! # Ok::<(), esg_sim::SimError>(())
 //! ```
 
 use crate::builder::{check_arrival, validate_transfer, SimError};
-use crate::eventlog::{EventKind, EventRecord};
+use crate::eventlog::{EventKind, EventRecord, Observer};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
 use crate::policy::{PolicyStack, ShedReason};
@@ -59,7 +58,7 @@ use crate::sched::{
     SchedulerStats,
 };
 use esg_model::{
-    standard_apps, AppId, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, GpuFlavor,
+    standard_apps, AppId, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, Fnv, GpuFlavor,
     InvocationId, NodeClass, NodeId, Resources, SloClass,
 };
 use esg_profile::TransferModel;
@@ -135,19 +134,16 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// FNV-1a over `s` — the digest primitive of the golden equivalence
-/// harness and of [`TraceFile::dispatch_digest`].
+/// [`Fnv`] over the bytes of `s`: the digest of a rendered trace, equal
+/// to the [`TraceDigest`] streamed while it was rendered.
 ///
 /// ```
 /// assert_eq!(esg_sim::trace::fnv64(""), 0xcbf29ce484222325);
 /// ```
 pub fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write_bytes(s.as_bytes());
+    h.finish()
 }
 
 /// Appends one record's canonical trace text to `out`: `D {app}.{stage}
@@ -191,27 +187,69 @@ pub fn render_record(out: &mut impl fmt::Write, record: &EventRecord) -> fmt::Re
 
 /// Renders the canonical dispatch/churn/shed trace the golden digests
 /// hash: [`render_record`] over every record, in order.
-pub fn dispatch_trace<'a, I>(records: I) -> String
-where
-    I: IntoIterator<Item = &'a EventRecord>,
-{
-    let mut out = String::new();
-    for r in records {
-        render_record(&mut out, r).expect("writing to a String cannot fail");
-    }
-    out
+pub fn dispatch_trace<'a>(records: impl IntoIterator<Item = &'a EventRecord>) -> String {
+    let mut text = TraceDigest::text();
+    records.into_iter().for_each(|r| text.record(r));
+    text.sink
 }
 
-/// Wraps a scheduler and renders every control-plane event into the
-/// canonical dispatch trace as it happens — the externally observable
-/// trace of a run. The golden equivalence suites and
-/// [`TraceReplay::run_digest`] both go through this wrapper, so there is
-/// exactly one fingerprint of "what did this run dispatch".
+/// The observer behind every dispatch digest: it writes each record's
+/// canonical text ([`render_record`]) into its [`fmt::Write`] sink as
+/// the run goes. Over an [`Fnv`] ([`TraceDigest::new`]) it streams the
+/// digest in constant memory; over a `String` ([`TraceDigest::text`]) it
+/// keeps the text too, for tests that compare two traces; its `fnv64`
+/// is the streamed digest of the same run.
+#[derive(Clone, Debug, Default)]
+pub struct TraceDigest<W = Fnv> {
+    sink: W,
+}
+
+impl TraceDigest {
+    /// A streaming digest: nothing is kept but the [`Fnv`] state.
+    pub fn new() -> TraceDigest {
+        TraceDigest::default()
+    }
+
+    /// FNV digest of everything rendered so far.
+    pub fn digest(&self) -> u64 {
+        self.sink.finish()
+    }
+}
+
+impl TraceDigest<String> {
+    /// A digest that keeps the rendered text.
+    pub fn text() -> TraceDigest<String> {
+        TraceDigest::default()
+    }
+
+    /// The canonical rendering so far.
+    pub fn trace(&self) -> &str {
+        &self.sink
+    }
+}
+
+impl<W: fmt::Write> TraceDigest<W> {
+    /// Renders one record into the sink.
+    pub(crate) fn record(&mut self, record: &EventRecord) {
+        render_record(&mut self.sink, record).expect("an Fnv or a String accepts every write");
+    }
+}
+
+impl<W: fmt::Write> Observer for TraceDigest<W> {
+    fn on_event(&mut self, event: &SchedulerEvent<'_>) {
+        self.record(&EventRecord::capture(event));
+    }
+}
+
+/// A scheduler wrapper rendering its run's dispatch trace through a
+/// [`TraceDigest`]: kept only as the benchmark crate's shim, which checks
+/// its own streaming digest against it. Pass a [`TraceDigest`] observer
+/// instead.
 pub struct Traced {
     /// The wrapped scheduler.
     pub inner: Box<dyn Scheduler>,
-    /// The rendered trace so far (see [`render_record`]).
-    trace: String,
+    /// The rendered trace so far.
+    digest: TraceDigest<String>,
 }
 
 impl Traced {
@@ -219,19 +257,19 @@ impl Traced {
     pub fn new(inner: Box<dyn Scheduler>) -> Traced {
         Traced {
             inner,
-            trace: String::new(),
+            digest: TraceDigest::text(),
         }
     }
 
     /// The canonical dispatch/churn/shed rendering of the tapped run
     /// (see [`dispatch_trace`]).
     pub fn trace(&self) -> String {
-        self.trace.clone()
+        self.digest.trace().to_string()
     }
 
     /// FNV digest of [`trace`](Self::trace).
     pub fn trace_digest(&self) -> u64 {
-        fnv64(&self.trace)
+        fnv64(self.digest.trace())
     }
 }
 
@@ -264,8 +302,7 @@ impl Scheduler for Traced {
     }
 
     fn on_event(&mut self, event: &SchedulerEvent<'_>) {
-        render_record(&mut self.trace, &EventRecord::capture(event))
-            .expect("writing to a String cannot fail");
+        self.digest.on_event(event);
         self.inner.on_event(event);
     }
 
@@ -274,82 +311,44 @@ impl Scheduler for Traced {
     }
 }
 
-/// The recording sink behind [`SimConfig::record_trace`]: the platform
-/// feeds it every arrival and control-plane event, and
-/// [`finish`](Self::finish) writes the versioned document.
+/// The recording [`Observer`]: pass it to a run, then
+/// [`finish`](Self::finish) writes the versioned document. The header
+/// comes from the observed run's own [`begin`](Observer::begin), so it
+/// cannot disagree with the run; arrivals and events accumulate in
+/// memory until `finish`.
 pub struct TraceRecorder {
     path: PathBuf,
-    scheduler: String,
-    slo: SloClass,
-    grid: ConfigGrid,
-    transfer: TransferModel,
-    apps_standard: bool,
-    cfg: SimConfig,
+    /// The document's header fields, taken from the run; `None` until a
+    /// replayable run (one over the standard applications) began.
+    header: Option<Map>,
     arrivals: Vec<Arrival>,
     events: Vec<EventRecord>,
 }
 
 impl TraceRecorder {
-    /// Starts recording a run of `scheduler` under `env`/`cfg`; events
-    /// accumulate in memory until [`finish`](Self::finish).
-    pub fn begin(path: PathBuf, env: &SimEnv, cfg: &SimConfig, scheduler: &str) -> TraceRecorder {
+    /// A recorder that will write the observed run's trace to `path`.
+    pub fn new(path: PathBuf) -> TraceRecorder {
         TraceRecorder {
             path,
-            scheduler: scheduler.to_string(),
-            slo: env.slo,
-            grid: env.profiles.grid().clone(),
-            transfer: env.transfer,
-            apps_standard: env.apps == standard_apps(),
-            cfg: cfg.clone(),
+            header: None,
             arrivals: Vec::new(),
             events: Vec::new(),
         }
     }
 
-    /// Records one workload arrival (the replay's input stream).
-    pub fn record_arrival(&mut self, arrival: Arrival) {
-        self.arrivals.push(arrival);
-    }
-
-    /// Records one control-plane event (via the shared
-    /// [`EventRecord::capture`] conversion).
-    pub fn observe(&mut self, event: &SchedulerEvent<'_>) {
-        self.events.push(EventRecord::capture(event));
-    }
-
-    /// Events captured so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no event has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Serialises and writes the trace, returning the path written.
+    /// Serialises and writes the trace, returning the path written; a
+    /// failed write is [`TraceError::Io`].
     ///
     /// Runs over custom application specs are refused with
     /// [`TraceError::Unsupported`]: `AppSpec`s carry static names and
     /// DAG shapes the standard-environment loader cannot reconstruct,
     /// so such a trace could never replay faithfully.
     pub fn finish(self) -> Result<PathBuf, TraceError> {
-        if !self.apps_standard {
-            return Err(TraceError::Unsupported {
-                what: "runs over custom application specs cannot be replayed \
-from the standard environment"
-                    .to_string(),
-            });
-        }
-        let mut doc = Map::new();
-        doc.insert("format", TRACE_FORMAT);
-        doc.insert("version", TRACE_VERSION);
-        doc.insert("scheduler", self.scheduler.clone());
-        doc.insert("slo", self.slo.to_string());
-        doc.insert("apps", "standard");
-        doc.insert("grid", grid_to_json(&self.grid));
-        doc.insert("transfer", transfer_to_json(&self.transfer));
-        doc.insert("config", config_to_json(&self.cfg));
+        let mut doc = self.header.ok_or_else(|| TraceError::Unsupported {
+            what: "no run over the standard applications was observed (custom \
+application specs cannot be replayed from the standard environment)"
+                .to_string(),
+        })?;
         doc.insert(
             "arrivals",
             Value::Array(
@@ -372,6 +371,34 @@ from the standard environment"
     }
 }
 
+impl Observer for TraceRecorder {
+    /// Starts the trace afresh with `env`'s and `cfg`'s header.
+    fn begin(&mut self, env: &SimEnv, cfg: &SimConfig, scheduler: &str) {
+        self.arrivals.clear();
+        self.events.clear();
+        self.header = (env.apps == standard_apps()).then(|| {
+            let mut doc = Map::new();
+            doc.insert("format", TRACE_FORMAT);
+            doc.insert("version", TRACE_VERSION);
+            doc.insert("scheduler", scheduler);
+            doc.insert("slo", env.slo.to_string());
+            doc.insert("apps", "standard");
+            doc.insert("grid", grid_to_json(env.profiles.grid()));
+            doc.insert("transfer", transfer_to_json(&env.transfer));
+            doc.insert("config", config_to_json(cfg));
+            doc
+        });
+    }
+
+    fn on_arrival(&mut self, arrival: &Arrival) {
+        self.arrivals.push(*arrival);
+    }
+
+    fn on_event(&mut self, event: &SchedulerEvent<'_>) {
+        self.events.push(EventRecord::capture(event));
+    }
+}
+
 /// A loaded, validated trace document.
 #[derive(Clone, Debug)]
 pub struct TraceFile {
@@ -383,8 +410,7 @@ pub struct TraceFile {
     pub grid: ConfigGrid,
     /// Transfer tariffs of the recorded environment.
     pub transfer: TransferModel,
-    /// The recorded platform configuration (with `record_trace`
-    /// cleared, so replaying never re-records by accident).
+    /// The recorded platform configuration.
     pub config: SimConfig,
     /// The recorded arrival stream, in arrival order.
     pub arrivals: Vec<Arrival>,
@@ -447,7 +473,8 @@ impl TraceFile {
                     at_ms: f64_at(a, 0, "arrival time")?,
                     app: AppId(u32_at(a, 1, "arrival app")?),
                 };
-                check_arrival(i, &arrival, known_apps).map_err(|e| schema(&e.to_string()))?;
+                check_arrival(i, &arrival, known_apps, f64::NEG_INFINITY)
+                    .map_err(|e| schema(&e.to_string()))?;
                 Ok(arrival)
             })
             .collect::<Result<Vec<_>, TraceError>>()?;
@@ -474,16 +501,13 @@ impl TraceFile {
         Workload::from_arrivals(self.arrivals.clone())
     }
 
-    /// The canonical dispatch/churn/shed rendering of the *recorded*
-    /// event stream (see [`dispatch_trace`]).
-    pub fn dispatch_trace(&self) -> String {
-        dispatch_trace(&self.events)
-    }
-
-    /// FNV digest of [`dispatch_trace`](Self::dispatch_trace) — compare
-    /// against [`TraceReplay::run_digest`] to check replay fidelity.
+    /// FNV digest of the recorded events' [`dispatch_trace`], streamed
+    /// without rendering it — compare against
+    /// [`TraceReplay::run_digest`] to check replay fidelity.
     pub fn dispatch_digest(&self) -> u64 {
-        fnv64(&self.dispatch_trace())
+        let mut digest = TraceDigest::new();
+        self.events.iter().for_each(|r| digest.record(r));
+        digest.digest()
     }
 }
 
@@ -510,43 +534,38 @@ impl TraceReplay {
         &self.trace
     }
 
-    /// The effective replay configuration: the recorded one with
-    /// `record_trace` cleared.
-    pub fn config(&self) -> SimConfig {
-        let mut cfg = self.trace.config.clone();
-        cfg.record_trace = None;
-        cfg
-    }
-
     /// Re-drives `sched` against the recorded arrivals under the
     /// recorded environment (grid and transfer tariffs), labelling the
-    /// result `scenario`. A replay under the same scheduler and seed is
-    /// bit-identical to the recorded run (pinned by the round-trip
-    /// suite); a different scheduler sees the exact same offered load.
-    /// The replay goes through [`run_simulation`], so the replaying
-    /// scheduler's round-policy stack is checked like any run's.
+    /// result `scenario` and feeding `observer` like any run's. A replay
+    /// under the same scheduler and seed is bit-identical to the recorded
+    /// run (pinned by the round-trip suite); a different scheduler sees
+    /// the exact same offered load. The replay goes through
+    /// [`run_simulation`], so the replaying scheduler's round-policy
+    /// stack is checked like any run's.
     pub fn run(
         &self,
         sched: &mut dyn Scheduler,
         scenario: &str,
+        observer: Option<&mut dyn Observer>,
     ) -> Result<ExperimentResult, SimError> {
         let mut env = SimEnv::with_grid(self.trace.slo, self.trace.grid.clone());
         env.transfer = self.trace.transfer;
         let workload = self.trace.workload();
-        run_simulation(&env, self.config(), sched, &workload, scenario)
+        let cfg = self.trace.config.clone();
+        run_simulation(&env, cfg, sched, &workload, scenario, observer)
     }
 
-    /// Like [`run`](Self::run), but taps the replay through [`Traced`]
-    /// and returns the dispatch-trace digest alongside the result, for
-    /// comparison with [`TraceFile::dispatch_digest`].
+    /// [`run`](Self::run) observed by a [`TraceDigest`]: the result and
+    /// its dispatch digest, for comparison with
+    /// [`TraceFile::dispatch_digest`].
     pub fn run_digest(
         &self,
-        sched: Box<dyn Scheduler>,
+        sched: &mut dyn Scheduler,
         scenario: &str,
     ) -> Result<(ExperimentResult, u64), SimError> {
-        let mut traced = Traced::new(sched);
-        let result = self.run(&mut traced, scenario)?;
-        Ok((result, traced.trace_digest()))
+        let mut digest = TraceDigest::new();
+        let result = self.run(sched, scenario, Some(&mut digest))?;
+        Ok((result, digest.digest()))
     }
 }
 
@@ -918,7 +937,6 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
                 batch_max_mb: f64_field(dp, "batch_max_mb")?,
             }),
         },
-        record_trace: None,
     };
     cfg.validate()
         .map_err(|e| schema(&format!("config rejected: {e}")))?;
@@ -1217,9 +1235,9 @@ mod tests {
         let text = serde_json::to_string(&config_to_json(&cfg));
         let parsed = serde_json::from_str(&text).expect("own encoding parses");
         let back = config_from_json(&parsed).expect("decodes");
-        // `record_trace` is deliberately cleared; everything else must
-        // survive exactly (f64 via the writer's shortest-roundtrip form,
-        // u64 via the parser's exact integer lane).
+        // Every field must survive exactly (f64 via the writer's
+        // shortest-roundtrip form, u64 via the parser's exact integer
+        // lane).
         assert_eq!(format!("{back:?}"), format!("{:?}", cfg.clone()));
     }
 
@@ -1234,6 +1252,24 @@ mod tests {
     }
 
     #[test]
+    fn streamed_and_text_digests_agree_on_a_run() {
+        use crate::MinScheduler;
+        use esg_model::WorkloadClass;
+        use esg_workload::WorkloadGen;
+
+        let env = SimEnv::standard(SloClass::Moderate);
+        let w =
+            WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 7).generate(8);
+        let (mut streamed, mut text) = (TraceDigest::new(), TraceDigest::text());
+        for obs in [&mut streamed as &mut dyn Observer, &mut text] {
+            let cfg = SimConfig::default();
+            run_simulation(&env, cfg, &mut MinScheduler, &w, "digest", Some(obs)).expect("valid");
+        }
+        assert!(text.trace().starts_with("D "), "{}", text.trace());
+        assert_eq!(streamed.digest(), fnv64(text.trace()));
+    }
+
+    #[test]
     fn v1_documents_get_a_version_error() {
         use crate::MinScheduler;
         use esg_model::WorkloadClass;
@@ -1242,12 +1278,11 @@ mod tests {
         let path = std::env::temp_dir().join(format!("esg-trace-v1-{}.json", std::process::id()));
         let w =
             WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 5).generate(10);
-        let cfg = SimConfig {
-            record_trace: Some(path.clone()),
-            ..SimConfig::default()
-        };
         let env = SimEnv::standard(SloClass::Moderate);
-        run_simulation(&env, cfg, &mut MinScheduler, &w, "record").expect("valid");
+        let mut rec = TraceRecorder::new(path.clone());
+        let cfg = SimConfig::default();
+        run_simulation(&env, cfg, &mut MinScheduler, &w, "record", Some(&mut rec)).expect("valid");
+        rec.finish().expect("written");
         let current = std::fs::read_to_string(&path).expect("recorded");
         std::fs::remove_file(&path).ok();
         TraceFile::from_json(&current).expect("own recording loads");
@@ -1319,12 +1354,8 @@ mod tests {
             )];
             env
         };
-        let rec = TraceRecorder::begin(
-            std::env::temp_dir().join("esg-never-written.json"),
-            &env,
-            &SimConfig::default(),
-            "min",
-        );
+        let mut rec = TraceRecorder::new(std::env::temp_dir().join("esg-never-written.json"));
+        rec.begin(&env, &SimConfig::default(), "min");
         assert!(matches!(rec.finish(), Err(TraceError::Unsupported { .. })));
     }
 }

@@ -63,6 +63,7 @@ fn main() -> Result<(), SimError> {
             s.as_mut(),
             &workload,
             &scenario.to_string(),
+            None,
         )?;
         let norm = *esg_cost.get_or_insert(r.total_cost_cents());
         println!(
@@ -100,6 +101,7 @@ fn main() -> Result<(), SimError> {
             &mut esg,
             &workload,
             &scenario.to_string(),
+            None,
         )?;
         println!(
             "{:<12} {:>7.1}% {:>6.1}% {:>10.3} {:>9}",
@@ -124,6 +126,7 @@ fn main() -> Result<(), SimError> {
         &mut bad,
         &workload,
         "knob-check",
+        None,
     )
     .expect_err("a NaN back-off is refused");
     println!("\nbad knob check: {err}");

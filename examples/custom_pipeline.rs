@@ -75,7 +75,7 @@ fn main() -> Result<(), SimError> {
     let n = if smoke { 150 } else { 1200 };
     let workload = WorkloadGen::new(WorkloadClass::Light, vec![AppId(0)], 11).generate(n);
     let mut esg = EsgScheduler::new();
-    let r = run_simulation(&env, cfg, &mut esg, &workload, "diamond")?;
+    let r = run_simulation(&env, cfg, &mut esg, &workload, "diamond", None)?;
     println!(
         "\nsimulated {} invocations: SLO hit rate {:.1}%, mean latency {:.0} ms \
          (SLO {:.0} ms), {:.1}% local hand-offs",

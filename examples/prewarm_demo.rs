@@ -47,7 +47,7 @@ fn main() -> Result<(), SimError> {
             ..SimConfig::default()
         };
         let mut esg = EsgScheduler::new();
-        let r = run_simulation(&env, cfg, &mut esg, &workload, label)?;
+        let r = run_simulation(&env, cfg, &mut esg, &workload, label, None)?;
         println!(
             "  {label:<18} cold starts {:>4} ({:>4.1}%), hit rate {:>5.1}%, mean latency {:>6.0} ms",
             r.cold_starts,

@@ -1,6 +1,6 @@
 //! Live queue dashboard: periodic per-queue latency/backlog/shed
-//! snapshots collected from a run by wrapping the scheduler in
-//! `Monitored`, rendered as a text dashboard and a CSV under
+//! snapshots collected by a `QueueHealthMonitor` passed to the run as its
+//! observer, rendered as a text dashboard and a CSV under
 //! `bench_results/` (`target/bench_results_smoke/` in smoke mode, unless
 //! `ESG_RESULTS_DIR` names another directory).
 //!
@@ -26,15 +26,16 @@ fn main() -> Result<(), SimError> {
 
     let env = SimEnv::standard(scenario.slo);
     // Snapshot every 10 simulated seconds.
-    let mut monitored = Monitored::new(Box::new(EsgScheduler::new()), 10_000.0);
+    let mut monitor = QueueHealthMonitor::new(10_000.0);
     let result = run_simulation(
         &env,
         SimConfig::default(),
-        &mut monitored,
+        &mut EsgScheduler::new(),
         &workload,
         "dashboard",
+        Some(&mut monitor),
     )?;
-    let snapshots = monitored.monitor.finish(result.makespan_ms);
+    let snapshots = monitor.finish(result.makespan_ms);
 
     // Terminal view: the full series in smoke mode is noisy, so print
     // the first and last snapshots — the CSV has every one.

@@ -60,7 +60,7 @@ fn main() -> Result<(), SimError> {
     let workload =
         WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 7).generate(n);
     let mut esg = EsgScheduler::new();
-    let r = run_simulation(&env, cfg, &mut esg, &workload, "quickstart")?;
+    let r = run_simulation(&env, cfg, &mut esg, &workload, "quickstart", None)?;
     println!(
         "\nend-to-end: {} invocations, SLO hit rate {:.1}%, cost {:.2} cents",
         r.total_completed(),

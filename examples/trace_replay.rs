@@ -4,9 +4,11 @@
 //! through the platform under ESG.
 //!
 //! This is not an esg-trace record/replay: nothing is recorded or loaded.
-//! To record a run's full event stream and re-drive the same offered load
-//! under any scheduler, set `SimConfig::record_trace` and load the file
-//! with `TraceReplay` (OBSERVABILITY.md, "The trace file format").
+//! The run is observed by a `TraceDigest`, which streams the dispatch
+//! digest. To record a run's full event stream and re-drive the same
+//! offered load under any scheduler, pass a `TraceRecorder` as the
+//! observer instead and load its file with `TraceReplay`
+//! (OBSERVABILITY.md, "Recording a trace").
 //!
 //! Run with: `cargo run --release --example trace_replay [minutes]`
 //! (`ESG_SMOKE=1` defaults to a 1-minute replay for CI.)
@@ -42,15 +44,17 @@ fn main() -> Result<(), SimError> {
         ..SimConfig::default()
     };
     let mut esg = EsgScheduler::new();
-    let r = run_simulation(&env, cfg, &mut esg, &workload, "trace")?;
+    let mut digest = TraceDigest::new();
+    let r = run_simulation(&env, cfg, &mut esg, &workload, "trace", Some(&mut digest))?;
     println!(
         "ESG on the trace: hit rate {:.1}%, {:.4} cents/invocation, mean batch {:.2}, \
-         {:.0}% local hand-offs, GPU util {:.0}%",
+         {:.0}% local hand-offs, GPU util {:.0}%, dispatch digest {:016x}",
         r.avg_hit_rate() * 100.0,
         r.cost_per_invocation_cents(),
         r.batch_size.mean(),
         r.locality_rate() * 100.0,
-        r.vgpu_utilisation * 100.0
+        r.vgpu_utilisation * 100.0,
+        digest.digest()
     );
     for a in &r.apps {
         println!(

@@ -96,7 +96,8 @@ fn hold(until_ms: f64, min_jobs: u32) -> Outcome {
 /// recorded decision instants of its target queue.
 fn run(mut sched: Scripted, w: &Workload) -> Vec<f64> {
     let env = SimEnv::standard(SloClass::Relaxed);
-    let r = run_simulation(&env, SimConfig::default(), &mut sched, w, "hold").expect("valid run");
+    let r =
+        run_simulation(&env, SimConfig::default(), &mut sched, w, "hold", None).expect("valid run");
     assert_eq!(r.total_completed(), w.len() as u64, "held work must finish");
     sched.calls
 }
@@ -175,7 +176,8 @@ fn plain_skip_is_still_repolled_every_idle_backoff() {
         until_ms: 20.0,
         calls: Vec::new(),
     };
-    let r = run_simulation(&env, cfg, &mut s, &arrivals(0, &[10.0]), "skip").expect("valid run");
+    let r =
+        run_simulation(&env, cfg, &mut s, &arrivals(0, &[10.0]), "skip", None).expect("valid run");
     assert_eq!(r.total_completed(), 1);
     let expected: Vec<f64> = (0..=10).map(|i| 10.0 + f64::from(i) * backoff).collect();
     assert_eq!(s.calls, expected);
@@ -268,7 +270,8 @@ fn a_shed_drops_the_hold_so_the_next_arrival_is_decided_at_once() {
         held_calls: Vec::new(),
     };
     let w = arrivals(0, &[10.0, 40.0]);
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "shed").expect("valid run");
+    let r =
+        run_simulation(&env, SimConfig::default(), &mut s, &w, "shed", None).expect("valid run");
     assert_eq!(r.shed_invocations, 1, "the first invocation is shed");
     assert_eq!(r.total_completed(), 1, "the second one completes");
     // Held at 10 ms; the shed at 30 ms empties the queue; the fresh

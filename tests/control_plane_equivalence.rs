@@ -8,7 +8,7 @@
 //! schedulers, churn on the skewed case — the same grid as `cargo bench
 //! --bench hetero`, at a test-sized arrival window): for every cell, an
 //! FNV fingerprint of the *dispatch trace* (every dispatch and churn
-//! notification the scheduler observed, in order) and of the run's
+//! notification of the run, in order) and of the run's
 //! canonical encoding (`ExperimentResult::canonical`).
 //!
 //! Provenance: `tests/golden/control_plane.digest` was blessed on the
@@ -16,8 +16,8 @@
 //! earlier revision of this harness whose `Traced` wrapper logged
 //! through the then-extant `notify_dispatch`/`notify_churn` hooks (the
 //! pair `SchedulerEvent::Dispatched`/`Churn` subsume) — so the file
-//! really does freeze pre-redesign behaviour, which the migrated
-//! wrapper below must reproduce. Regenerate with `ESG_BLESS=1 cargo
+//! really does freeze pre-redesign behaviour, which the streamed
+//! `TraceDigest` observer below must reproduce. Regenerate with `ESG_BLESS=1 cargo
 //! test --test control_plane_equivalence` — only ever from a commit
 //! whose platform behaviour is the agreed baseline, noting the new
 //! baseline's provenance here.
@@ -105,13 +105,20 @@ fn golden_line(
         seed: 42,
         ..SimConfig::default()
     };
-    let mut sched = Traced::new(build_sched(sched_name));
-    let r = run_simulation(&env, cfg, &mut sched, &workload, "control-plane").expect("valid run");
-    let trace = sched.trace();
+    let mut digest = TraceDigest::new();
+    let r = run_simulation(
+        &env,
+        cfg,
+        build_sched(sched_name).as_mut(),
+        &workload,
+        "control-plane",
+        Some(&mut digest),
+    )
+    .expect("valid run");
     format!(
         "{sched_name}|{cluster_name}|{shape}|trace={:016x}|result={:016x}|\
 completed={}|dispatches={}|rechecks={}",
-        fnv64(&trace),
+        digest.digest(),
         fnv64(&r.canonical()),
         r.total_completed(),
         r.dispatches,
@@ -178,7 +185,7 @@ proptest::proptest! {
         );
         let env = SimEnv::standard(SloClass::Moderate);
         let run = |validate: bool| {
-            let mut sched = Traced::new(Box::new(EsgScheduler::new()));
+            let mut trace = TraceDigest::text();
             let cfg = SimConfig {
                 cluster: Some(spec.clone()),
                 churn: churn.clone(),
@@ -186,8 +193,10 @@ proptest::proptest! {
                 validate_cluster_state: validate,
                 ..SimConfig::default()
             };
-            let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle").expect("valid run");
-            (r.canonical(), sched.trace())
+            let mut sched = EsgScheduler::new();
+            let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle", Some(&mut trace))
+                .expect("valid run");
+            (r.canonical(), trace.trace().to_string())
         };
         // The validated run's per-refresh assertions are the equivalence
         // proof; comparing against the unvalidated run proves the oracle
@@ -225,14 +234,14 @@ fn validated_state_esg_run_with_prewarm_churn_and_data_plane_is_bit_identical() 
     );
     let env = SimEnv::standard(SloClass::Moderate);
     let run = |validate: bool| {
-        let esg = EsgScheduler::new().with_policy(PolicyStack::new().with(
+        let mut sched = EsgScheduler::new().with_policy(PolicyStack::new().with(
             BandwidthAwarePacking::new(BandwidthPackingConfig {
                 contention_bias: 0.6,
                 defer_queue_depth: 6,
                 ..BandwidthPackingConfig::default()
             }),
         ));
-        let mut sched = Traced::new(Box::new(esg));
+        let mut trace = TraceDigest::text();
         let cfg = SimConfig {
             cluster: Some(spec.clone()),
             churn: churn.clone(),
@@ -241,9 +250,10 @@ fn validated_state_esg_run_with_prewarm_churn_and_data_plane_is_bit_identical() 
             validate_cluster_state: validate,
             ..SimConfig::default()
         };
-        let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle").expect("valid run");
+        let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle", Some(&mut trace))
+            .expect("valid run");
         assert!(r.transfers.replans > 0, "the data plane must contend");
-        (r.canonical(), sched.trace())
+        (r.canonical(), trace.trace().to_string())
     };
     let (validated, trace_v) = run(true);
     let (plain, trace_p) = run(false);

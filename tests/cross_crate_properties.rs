@@ -38,7 +38,8 @@ proptest! {
         let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), seed)
             .generate(n);
         let mut s = MinScheduler;
-        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "prop").expect("valid run");
+        let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "prop", None)
+            .expect("valid run");
         prop_assert_eq!(r.arrivals as usize, n);
         prop_assert_eq!(r.total_completed() as usize, n);
         prop_assert_eq!(r.warm_starts + r.cold_starts, r.dispatches);
@@ -79,7 +80,7 @@ proptest! {
             cluster: Some(spec.clone()),
             ..SimConfig::default()
         };
-        let r = run_simulation(&env, cfg, &mut s, &w, "prop-hetero").expect("valid run");
+        let r = run_simulation(&env, cfg, &mut s, &w, "prop-hetero", None).expect("valid run");
         prop_assert_eq!(r.total_completed() as usize, n);
         prop_assert_eq!(r.nodes.len(), spec.len());
         for (node, class) in r.nodes.iter().zip(&spec.nodes) {

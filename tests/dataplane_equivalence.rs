@@ -33,7 +33,7 @@ fn infinite_plane() -> DataPlaneConfig {
 }
 
 /// One run: ESG on the given cluster/shape, with or without
-/// the data plane. Returns the dispatch trace plus the counters the
+/// the data plane. Returns the dispatch digest plus the counters the
 /// equivalence compares.
 fn traced_run(
     seed: u64,
@@ -41,7 +41,7 @@ fn traced_run(
     churn: &ChurnPlan,
     shape: TrafficShape,
     plane: Option<DataPlaneConfig>,
-) -> (String, u64, u64, TransferSummary) {
+) -> (u64, u64, u64, TransferSummary) {
     let env = SimEnv::standard(SloClass::Moderate);
     let workload = shaped_workload(
         WorkloadClass::Light,
@@ -58,10 +58,19 @@ fn traced_run(
         data_plane: plane,
         ..SimConfig::default()
     };
-    let mut sched = Traced::new(Box::new(EsgScheduler::new()));
-    let r = run_simulation(&env, cfg, &mut sched, &workload, "dataplane-eq").expect("valid run");
+    let mut digest = TraceDigest::new();
+    let mut sched = EsgScheduler::new();
+    let r = run_simulation(
+        &env,
+        cfg,
+        &mut sched,
+        &workload,
+        "dataplane-eq",
+        Some(&mut digest),
+    )
+    .expect("valid run");
     let slo_hits: u64 = r.apps.iter().map(|a| a.slo_hits).sum();
-    (sched.trace(), r.total_completed(), slo_hits, r.transfers)
+    (digest.digest(), r.total_completed(), slo_hits, r.transfers)
 }
 
 const SHAPES: [TrafficShape; 3] = [
@@ -97,14 +106,14 @@ proptest::proptest! {
             ChurnPlan::none()
         };
 
-        let (scalar_trace, scalar_done, scalar_hits, _) =
+        let (scalar_digest, scalar_done, scalar_hits, _) =
             traced_run(seed, &spec, &churn, shape, None);
-        let (plane_trace, plane_done, plane_hits, transfers) =
+        let (plane_digest, plane_done, plane_hits, transfers) =
             traced_run(seed, &spec, &churn, shape, Some(infinite_plane()));
 
         proptest::prop_assert_eq!(
-            fnv64(&scalar_trace),
-            fnv64(&plane_trace),
+            scalar_digest,
+            plane_digest,
             "dispatch trace diverged (spec={}, shape={:?}, seed={})",
             spec_idx, shape, seed
         );
@@ -128,7 +137,7 @@ fn slow_cluster() -> ClusterSpec {
     )
 }
 
-fn contended_run(plane: Option<DataPlaneConfig>) -> (String, u64, TransferSummary) {
+fn contended_run(plane: Option<DataPlaneConfig>) -> (u64, u64, TransferSummary) {
     let (trace, done, _, transfers) = traced_run(
         7,
         &slow_cluster(),
@@ -175,15 +184,14 @@ fn starved_bandwidth_changes_the_outcome() {
         bandwidth_scale: 1e-3,
         ..DataPlaneConfig::default()
     };
-    let (scalar_trace, _, _) = contended_run(None);
-    let (plane_trace, _, t) = contended_run(Some(plane));
+    let (scalar_digest, _, _) = contended_run(None);
+    let (plane_digest, _, t) = contended_run(Some(plane));
     assert!(
         t.replans > 0 || t.queued > 0,
         "a starved plane must contend"
     );
     assert_ne!(
-        fnv64(&scalar_trace),
-        fnv64(&plane_trace),
+        scalar_digest, plane_digest,
         "a starved data plane must change dispatch behaviour"
     );
 }
@@ -193,12 +201,12 @@ fn starved_bandwidth_changes_the_outcome() {
 const TOPOLOGY_RUN_MS: f64 = 10_000.0;
 
 /// ESG on `spec` with warm-up exclusion off, so every arrival is
-/// accounted for: the dispatch trace and the full result.
+/// accounted for: the dispatch digest and the full result.
 fn whole_run(
     seed: u64,
     spec: &ClusterSpec,
     plane: Option<DataPlaneConfig>,
-) -> (String, ExperimentResult) {
+) -> (u64, ExperimentResult) {
     let env = SimEnv::standard(SloClass::Moderate);
     let workload = shaped_workload(
         WorkloadClass::Normal,
@@ -213,9 +221,18 @@ fn whole_run(
         data_plane: plane,
         ..SimConfig::default()
     };
-    let mut sched = Traced::new(Box::new(EsgScheduler::new()));
-    let r = run_simulation(&env, cfg, &mut sched, &workload, "topology").expect("valid run");
-    (sched.trace(), r)
+    let mut digest = TraceDigest::new();
+    let mut sched = EsgScheduler::new();
+    let r = run_simulation(
+        &env,
+        cfg,
+        &mut sched,
+        &workload,
+        "topology",
+        Some(&mut digest),
+    )
+    .expect("valid run");
+    (digest.digest(), r)
 }
 
 /// The paper testbed grouped 4 GPUs per server behind a 10 MB/ms
@@ -243,7 +260,7 @@ fn topology_cluster_conserves_work_and_crosses_servers() {
     // Seed-deterministic: the same seed replays the same decisions and
     // the same byte counts.
     let (again, r2) = whole_run(5, &server_cluster(), Some(DataPlaneConfig::default()));
-    assert_eq!(fnv64(&trace), fnv64(&again));
+    assert_eq!(trace, again);
     assert_eq!(&r2.transfers, t);
     assert_eq!(r2.total_completed(), r.total_completed());
 }
@@ -255,8 +272,8 @@ fn topology_without_a_data_plane_matches_the_flat_cluster() {
     for seed in [3, 5] {
         let (flat, flat_r) = whole_run(seed, &ClusterSpec::paper(), None);
         let (grouped, grouped_r) = whole_run(seed, &server_cluster(), None);
-        assert!(flat.contains("D "), "seed {seed} dispatched nothing");
-        assert_eq!(fnv64(&flat), fnv64(&grouped), "seed {seed}");
+        assert!(flat_r.dispatches > 0, "seed {seed} dispatched nothing");
+        assert_eq!(flat, grouped, "seed {seed}");
         assert_eq!(flat_r.total_completed(), grouped_r.total_completed());
         assert_eq!(grouped_r.transfers, TransferSummary::default());
     }

@@ -15,7 +15,7 @@ fn run(seed: u64, sched_seed: u64) -> ExperimentResult {
         seed: sched_seed,
         ..SimConfig::default()
     };
-    run_simulation(&env, cfg, &mut s, &w, "det").expect("valid run")
+    run_simulation(&env, cfg, &mut s, &w, "det", None).expect("valid run")
 }
 
 #[test]

@@ -33,8 +33,8 @@ fn every_scheduler_completes_every_invocation() {
     let env = small_env(SloClass::Relaxed);
     let w = workload(120);
     for mut s in schedulers() {
-        let r =
-            run_simulation(&env, SimConfig::default(), s.as_mut(), &w, "e2e").expect("valid run");
+        let r = run_simulation(&env, SimConfig::default(), s.as_mut(), &w, "e2e", None)
+            .expect("valid run");
         assert_eq!(r.arrivals, 120, "{}", r.scheduler);
         assert_eq!(r.total_completed(), 120, "{} left work behind", r.scheduler);
         assert_eq!(
@@ -67,7 +67,8 @@ fn latency_series_lengths_match_completions() {
     let env = small_env(SloClass::Moderate);
     let w = workload(100);
     let mut s = esg::core::EsgScheduler::new();
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "series").expect("valid run");
+    let r =
+        run_simulation(&env, SimConfig::default(), &mut s, &w, "series", None).expect("valid run");
     for a in &r.apps {
         assert_eq!(a.latencies_ms.len() as u64, a.completed);
         assert!(a.slo_hits <= a.completed);
@@ -80,13 +81,14 @@ fn warmup_window_excludes_early_invocations() {
     let env = small_env(SloClass::Moderate);
     let w = workload(150);
     let mut a = esg::core::EsgScheduler::new();
-    let full = run_simulation(&env, SimConfig::default(), &mut a, &w, "full").expect("valid run");
+    let full =
+        run_simulation(&env, SimConfig::default(), &mut a, &w, "full", None).expect("valid run");
     let mut b = esg::core::EsgScheduler::new();
     let cfg = SimConfig {
         warmup_exclude_ms: w.span_ms() / 2.0,
         ..SimConfig::default()
     };
-    let trimmed = run_simulation(&env, cfg, &mut b, &w, "trim").expect("valid run");
+    let trimmed = run_simulation(&env, cfg, &mut b, &w, "trim", None).expect("valid run");
     assert!(trimmed.total_completed() < full.total_completed());
     assert!(trimmed.total_completed() > 0);
 }
@@ -101,7 +103,7 @@ fn relaxing_the_slo_only_helps_a_fixed_policy() {
     let hit = |slo| {
         let env = small_env(slo);
         let mut s = MinScheduler;
-        run_simulation(&env, SimConfig::default(), &mut s, &w, "ord")
+        run_simulation(&env, SimConfig::default(), &mut s, &w, "ord", None)
             .expect("valid run")
             .avg_hit_rate()
     };

@@ -43,10 +43,10 @@ fn run_pair(
     let env = SimEnv::standard(slo);
     let mut cached = EsgScheduler::new();
     let mut uncached = EsgScheduler::new().without_plan_cache();
-    let a =
-        run_simulation(&env, cfg.clone(), &mut cached, workload, "cache-eq").expect("valid run");
-    let b =
-        run_simulation(&env, cfg.clone(), &mut uncached, workload, "cache-eq").expect("valid run");
+    let a = run_simulation(&env, cfg.clone(), &mut cached, workload, "cache-eq", None)
+        .expect("valid run");
+    let b = run_simulation(&env, cfg.clone(), &mut uncached, workload, "cache-eq", None)
+        .expect("valid run");
     (a, b)
 }
 
@@ -93,8 +93,9 @@ fn tiny_cache_thrashes_but_stays_equivalent() {
     let mut tiny = EsgScheduler::new().with_plan_cache_capacity(2);
     let mut off = EsgScheduler::new().without_plan_cache();
     let cfg = churny_config(7);
-    let a = run_simulation(&env, cfg.clone(), &mut tiny, &workload, "cache-eq").expect("valid run");
-    let b = run_simulation(&env, cfg, &mut off, &workload, "cache-eq").expect("valid run");
+    let a = run_simulation(&env, cfg.clone(), &mut tiny, &workload, "cache-eq", None)
+        .expect("valid run");
+    let b = run_simulation(&env, cfg, &mut off, &workload, "cache-eq", None).expect("valid run");
     assert!(
         a.scheduler_stats.plan_cache_evictions > 0,
         "capacity 2 must evict, got {:?}",
@@ -121,8 +122,15 @@ fn default_capacity_holds_the_azure_replay_working_set() {
     .stream(esg::model::standard_app_ids(), Some(2));
     let env = SimEnv::standard(SloClass::Moderate);
     let mut esg = EsgScheduler::new();
-    let r =
-        run_streamed(&env, SimConfig::default(), &mut esg, stream, "capacity").expect("valid run");
+    let r = run_streamed(
+        &env,
+        SimConfig::default(),
+        &mut esg,
+        stream,
+        "capacity",
+        None,
+    )
+    .expect("valid run");
     let s = r.scheduler_stats;
     assert!(r.arrivals > 4_000, "two trace-minutes at 2 500/min");
     assert_eq!(s.plan_cache_invalidations, 0, "no churn, no flush");
@@ -166,7 +174,7 @@ fn default_capacity_holds_the_strict_churn_working_set() {
     .until_ms(MINUTES as f64 * 60_000.0);
     let env = SimEnv::standard(SloClass::Strict);
     let mut esg = EsgScheduler::new();
-    let r = run_simulation(&env, cfg, &mut esg, &workload, "capacity").expect("valid run");
+    let r = run_simulation(&env, cfg, &mut esg, &workload, "capacity", None).expect("valid run");
     let s = r.scheduler_stats;
     assert!(r.arrivals > 5_000, "{} arrivals", r.arrivals);
     assert_eq!(s.plan_cache_invalidations, 0, "churn must not flush");
@@ -186,7 +194,8 @@ fn default_capacity_holds_the_strict_churn_working_set() {
 /// counters.
 fn run_on(env: &SimEnv, sched: &mut EsgScheduler, workload: &Workload) -> String {
     canonical(
-        run_simulation(env, SimConfig::default(), sched, workload, "reuse").expect("valid run"),
+        run_simulation(env, SimConfig::default(), sched, workload, "reuse", None)
+            .expect("valid run"),
     )
 }
 

@@ -13,6 +13,8 @@
 //! 3. Shedding is observable end to end: metrics, `SchedulerStats`, and
 //!    `QueueShed` events (through the `QueueHealthMonitor` counters)
 //!    stay consistent.
+//! 4. **Observers change no decision** — a run under the digest, the
+//!    recorder or the monitor equals the unobserved run.
 
 use esg::prelude::*;
 use esg::sim::AdmissionPlan;
@@ -62,7 +64,7 @@ fn specs() -> [ClusterSpec; 3] {
 }
 
 fn run_traced(
-    sched: Box<dyn Scheduler>,
+    mut sched: Box<dyn Scheduler>,
     spec: &ClusterSpec,
     shape: TrafficShape,
     seed: u64,
@@ -80,9 +82,17 @@ fn run_traced(
         seed,
         ..SimConfig::default()
     };
-    let mut traced = Traced::new(sched);
-    let r = run_simulation(&env, cfg, &mut traced, &workload, "policy-stack").expect("valid run");
-    (r.canonical(), traced.trace_digest())
+    let mut digest = TraceDigest::new();
+    let r = run_simulation(
+        &env,
+        cfg,
+        sched.as_mut(),
+        &workload,
+        "policy-stack",
+        Some(&mut digest),
+    )
+    .expect("valid run");
+    (r.canonical(), digest.digest())
 }
 
 proptest::proptest! {
@@ -174,7 +184,7 @@ invocation {:?} (slack {slack} ms)",
 
         let spec = specs()[spec_idx].clone();
         let shape = SHAPES[shape_idx];
-        let sched = EsgScheduler::new().with_policy(PolicyStack::new().with(OracleChecked {
+        let mut sched = EsgScheduler::new().with_policy(PolicyStack::new().with(OracleChecked {
             inner: SloAdmission::default(),
         }));
         // Tight SLO + bursty shapes manufacture hopeless queues; the
@@ -192,8 +202,8 @@ invocation {:?} (slack {slack} ms)",
             seed,
             ..SimConfig::default()
         };
-        let mut traced = Traced::new(Box::new(sched));
-        let r = run_simulation(&env, cfg, &mut traced, &workload, "oracle-admission").expect("valid run");
+        let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle-admission", None)
+            .expect("valid run");
         // Accounting consistency: every shed invocation left the system,
         // and policy-side counters can only see the *queue-level* sheds
         // (platform-side purges of sibling jobs are extra).
@@ -219,10 +229,18 @@ fn shedding_is_observable_end_to_end() {
         cluster: Some(ClusterSpec::new("glacial").with(slow, 4)),
         ..SimConfig::default()
     };
-    let sched = EsgScheduler::new().with_policy(PolicyStack::new().with(SloAdmission::default()));
-    let mut monitored = Monitored::new(Box::new(sched), 1_000.0);
-    let r =
-        run_simulation(&env, cfg, &mut monitored, &workload, "shed-everything").expect("valid run");
+    let mut sched =
+        EsgScheduler::new().with_policy(PolicyStack::new().with(SloAdmission::default()));
+    let mut monitor = QueueHealthMonitor::new(1_000.0);
+    let r = run_simulation(
+        &env,
+        cfg,
+        &mut sched,
+        &workload,
+        "shed-everything",
+        Some(&mut monitor),
+    )
+    .expect("valid run");
     assert_eq!(r.arrivals, 40);
     assert_eq!(r.shed_invocations, 40, "every deadline is unattainable");
     assert_eq!(r.total_completed(), 0);
@@ -232,8 +250,7 @@ fn shedding_is_observable_end_to_end() {
         "policy counters surface"
     );
     // The health monitor saw the QueueShed events and drained backlogs.
-    let last = monitored
-        .monitor
+    let last = monitor
         .finish(r.makespan_ms)
         .pop()
         .expect("closing snapshot");
@@ -264,22 +281,29 @@ fn deferring_admission_variant_makes_progress() {
         },
     )));
     let mut s = sched;
-    let r = run_simulation(&env, cfg, &mut s, &workload, "defer-only").expect("valid run");
+    let r = run_simulation(&env, cfg, &mut s, &workload, "defer-only", None).expect("valid run");
     assert_eq!(r.shed_invocations, 0);
     assert_eq!(r.total_completed(), 10, "deferred work still completes");
 }
 
 #[test]
-fn wrapped_schedulers_keep_the_inner_policy_stack() {
-    // `Traced` and `Monitored` forward `round_policy` and
-    // `schedule_round`, so the stack a wrapped scheduler carries drives
-    // the wrapped run, which replays the bare one, and `run_simulation`
-    // checks its knobs through the wrapper.
-    let env = SimEnv::standard(SloClass::Strict);
-    let workload =
-        WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 4).generate(30);
-    let run =
-        |s: &mut dyn Scheduler| run_simulation(&env, SimConfig::default(), s, &workload, "wrapped");
+fn observers_change_no_decision() {
+    // One run with churn, the contended data plane and a policy stack.
+    // An observer sees only `&` data, never the scheduler, so the run
+    // under each observer equals the unobserved one.
+    fn run(sched: &mut dyn Scheduler, observer: Option<&mut dyn Observer>) -> ExperimentResult {
+        let env = SimEnv::standard(SloClass::Strict);
+        let workload =
+            WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 4).generate(60);
+        let cfg = SimConfig {
+            churn: ChurnPlan::none()
+                .drain(1_000.0, NodeId(3))
+                .join(2_000.0, NodeClass::t4()),
+            data_plane: Some(DataPlaneConfig::default()),
+            ..SimConfig::default()
+        };
+        run_simulation(&env, cfg, sched, &workload, "observed", observer).expect("valid run")
+    }
     let esg = |warm_bias| -> Box<dyn Scheduler> {
         let pack = BandwidthPackingConfig {
             warm_bias,
@@ -290,24 +314,46 @@ fn wrapped_schedulers_keep_the_inner_policy_stack() {
             .with(BandwidthAwarePacking::new(pack));
         Box::new(EsgScheduler::new().with_policy(stack))
     };
-    let bare = run(esg(0.25).as_mut()).expect("valid run");
-    let classic = run(&mut EsgScheduler::new()).expect("valid run");
+    let bare = run(esg(0.25).as_mut(), None);
+    let classic = run(&mut EsgScheduler::new(), None);
     assert_ne!(bare.canonical(), classic.canonical(), "the stack decides");
-    let mut traced = Traced::new(esg(0.25));
-    let mut monitored = Monitored::new(esg(0.25), 1_000.0);
-    for wrapped in [&mut traced as &mut dyn Scheduler, &mut monitored] {
-        let r = run(wrapped).expect("valid run");
-        assert_eq!(r.canonical(), bare.canonical());
+    assert!(bare.transfers.started > 0, "the data plane moves bytes");
+
+    let path = std::env::temp_dir().join(format!("esg-observed-{}.json", std::process::id()));
+    let mut digest = TraceDigest::new();
+    let mut recorder = TraceRecorder::new(path.clone());
+    let mut monitor = QueueHealthMonitor::new(1_000.0);
+    for observer in [
+        &mut digest as &mut dyn Observer,
+        &mut recorder,
+        &mut monitor,
+    ] {
+        let observed = run(esg(0.25).as_mut(), Some(observer));
+        assert_eq!(observed.canonical(), bare.canonical());
     }
-    assert!(traced.trace().starts_with("D "), "{}", traced.trace());
-    // A bad knob inside a wrapped stack is still refused.
-    let knob = |s: &mut dyn Scheduler| match run(s) {
-        Err(SimError::InvalidKnob { knob, .. }) => knob,
+    let recorded = TraceFile::load(recorder.finish().expect("trace written")).expect("loads");
+    std::fs::remove_file(&path).ok();
+    assert!(esg::sim::dispatch_trace(&recorded.events).contains("C n3 drain;"));
+    assert_eq!(digest.digest(), recorded.dispatch_digest());
+    let last = monitor
+        .finish(bare.makespan_ms)
+        .pop()
+        .expect("closing snapshot");
+    let dispatches: u64 = last.queues.iter().map(|q| q.counters.dispatches).sum();
+    assert_eq!(dispatches, bare.dispatches);
+
+    // `Traced`, the benchmark crate's wrapper, forwards `round_policy`
+    // and `schedule_round`: the stack it wraps drives the run, and
+    // `run_simulation` checks that stack's knobs through it.
+    let mut traced = esg::sim::Traced::new(esg(0.25));
+    assert_eq!(run(&mut traced, None).canonical(), bare.canonical());
+    assert_eq!(traced.trace_digest(), digest.digest());
+    let env = SimEnv::standard(SloClass::Strict);
+    let workload =
+        WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 4).generate(30);
+    let mut bad = esg::sim::Traced::new(esg(-1.0));
+    match run_simulation(&env, SimConfig::default(), &mut bad, &workload, "bad", None) {
+        Err(SimError::InvalidKnob { knob, .. }) => assert_eq!(knob, "policy.warm_bias"),
         other => panic!("{other:?}"),
-    };
-    assert_eq!(knob(&mut Traced::new(esg(-1.0))), "policy.warm_bias");
-    assert_eq!(
-        knob(&mut Monitored::new(esg(-1.0), 1.0)),
-        "policy.warm_bias"
-    );
+    }
 }

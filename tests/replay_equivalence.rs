@@ -5,7 +5,7 @@
 //!
 //! 1. **Streamed == materialised** — pulling arrivals lazily from an
 //!    [`ArrivalStream`] as simulated time advances must replay a
-//!    pre-materialised `Workload` bit for bit (`Traced` dispatch-trace
+//!    pre-materialised `Workload` bit for bit (`TraceDigest` dispatch-trace
 //!    digests and canonical results), for every
 //!    `WorkloadClass` and every `TrafficShape` (including the
 //!    Azure-like replay). The trick that makes the comparison exact:
@@ -48,23 +48,33 @@ fn run_horizon(
         max_sim_ms: horizon_ms,
         ..SimConfig::default()
     };
-    let mut traced = Traced::new(Box::new(EsgScheduler::new()));
+    let mut sched = EsgScheduler::new();
+    let mut digest = TraceDigest::new();
     let r = if streamed {
         run_streamed(
             &env,
             cfg,
-            &mut traced,
+            &mut sched,
             shaped_stream(class, shape, &apps, seed),
             "replay",
+            Some(&mut digest),
         )
         .expect("valid run")
     } else {
         // Materialise one minute past the horizon so the materialised
         // run, like the streamed one, never drains its arrival source.
         let workload = shaped_stream(class, shape, &apps, seed).until_ms(horizon_ms + 60_000.0);
-        run_simulation(&env, cfg, &mut traced, &workload, "replay").expect("valid run")
+        run_simulation(
+            &env,
+            cfg,
+            &mut sched,
+            &workload,
+            "replay",
+            Some(&mut digest),
+        )
+        .expect("valid run")
     };
-    (r.canonical(), traced.trace_digest())
+    (r.canonical(), digest.digest())
 }
 
 proptest::proptest! {

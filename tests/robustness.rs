@@ -17,7 +17,7 @@ fn tiny_cluster_still_makes_progress() {
         nodes: 2,
         ..SimConfig::default()
     };
-    let r = run_simulation(&env, cfg, &mut s, &w, "tiny").expect("valid run");
+    let r = run_simulation(&env, cfg, &mut s, &w, "tiny", None).expect("valid run");
     assert_eq!(
         r.total_completed(),
         60,
@@ -40,7 +40,7 @@ fn heterogeneous_capacity_configs() {
         node_resources: Resources::new(8, 4),
         ..SimConfig::default()
     };
-    let r = run_simulation(&env, cfg, &mut s, &w, "hetero").expect("valid run");
+    let r = run_simulation(&env, cfg, &mut s, &w, "hetero", None).expect("valid run");
     assert_eq!(r.total_completed(), 50);
 }
 
@@ -52,7 +52,8 @@ fn no_batching_grid_still_completes() {
     );
     let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 2).generate(60);
     let mut s = esg::core::EsgScheduler::new();
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "nobatch").expect("valid run");
+    let r =
+        run_simulation(&env, SimConfig::default(), &mut s, &w, "nobatch", None).expect("valid run");
     assert_eq!(r.total_completed(), 60);
     // Batch can never exceed 1.
     assert!(r.batch_size.max().unwrap_or(1.0) <= 1.0 + 1e-9);
@@ -66,8 +67,8 @@ fn no_gpu_sharing_grid_still_completes() {
     );
     let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 2).generate(40);
     let mut s = esg::core::EsgScheduler::new();
-    let r =
-        run_simulation(&env, SimConfig::default(), &mut s, &w, "nogpushare").expect("valid run");
+    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "nogpushare", None)
+        .expect("valid run");
     assert_eq!(r.total_completed(), 40);
 }
 
@@ -89,7 +90,8 @@ fn burst_arrival_pattern_drains() {
         ConfigGrid::new(vec![1, 2, 4, 8], vec![1, 2, 4, 8], vec![1, 2]),
     );
     let mut s = esg::core::EsgScheduler::new();
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "burst").expect("valid run");
+    let r =
+        run_simulation(&env, SimConfig::default(), &mut s, &w, "burst", None).expect("valid run");
     assert_eq!(r.total_completed(), 80);
     // The burst is admitted immediately (container init does not hold
     // compute resources), so queues stay short; the contention shows up
@@ -106,7 +108,8 @@ fn single_invocation_runs_alone() {
         app: AppId(3),
     }]);
     let mut s = esg::core::EsgScheduler::new();
-    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "single").expect("valid run");
+    let r =
+        run_simulation(&env, SimConfig::default(), &mut s, &w, "single", None).expect("valid run");
     assert_eq!(r.total_completed(), 1);
     let m = &r.apps[3];
     // Alone on a warm cluster, the 5-stage pipeline meets a relaxed SLO.
@@ -135,7 +138,7 @@ fn truly_heterogeneous_cluster_completes_and_respects_capacities() {
         cluster: Some(spec),
         ..SimConfig::default()
     };
-    let r = run_simulation(&env, cfg, &mut s, &w, "hetero-mixed").expect("valid run");
+    let r = run_simulation(&env, cfg, &mut s, &w, "hetero-mixed", None).expect("valid run");
     assert_eq!(r.total_completed(), 60);
     assert!(r.vgpu_utilisation > 0.0 && r.vgpu_utilisation <= 1.0);
     // No node's peak attachment may exceed its own capacity.
@@ -176,7 +179,7 @@ fn mixed_speed_cluster_under_every_traffic_shape() {
             max_sim_ms: 120_000.0,
             ..SimConfig::default()
         };
-        let r = run_simulation(&env, cfg, &mut s, &w, "hetero-shape").expect("valid run");
+        let r = run_simulation(&env, cfg, &mut s, &w, "hetero-shape", None).expect("valid run");
         assert_eq!(
             r.total_completed(),
             w.len() as u64,
@@ -203,7 +206,7 @@ fn the_longest_valid_tariff_never_schedules_into_the_past() {
     };
     let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 42).generate(10);
     let mut s = EsgScheduler::new();
-    let r =
-        run_simulation(&env, SimConfig::default(), &mut s, &w, "max-tariff").expect("valid run");
+    let r = run_simulation(&env, SimConfig::default(), &mut s, &w, "max-tariff", None)
+        .expect("valid run");
     assert_eq!(r.total_completed(), 10);
 }

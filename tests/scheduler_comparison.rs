@@ -29,11 +29,11 @@ fn esg_beats_relation_blind_baselines_on_hit_rate() {
     let env = env();
     let w = workload();
     let mut esg = esg::core::EsgScheduler::new();
-    let r_esg = run_simulation(&env, cfg(), &mut esg, &w, "esg").expect("valid run");
+    let r_esg = run_simulation(&env, cfg(), &mut esg, &w, "esg", None).expect("valid run");
     let mut infless = esg::baselines::InflessScheduler::new();
-    let r_inf = run_simulation(&env, cfg(), &mut infless, &w, "infless").expect("valid run");
+    let r_inf = run_simulation(&env, cfg(), &mut infless, &w, "infless", None).expect("valid run");
     let mut fgs = esg::baselines::FastGShareScheduler::new();
-    let r_fgs = run_simulation(&env, cfg(), &mut fgs, &w, "fgs").expect("valid run");
+    let r_fgs = run_simulation(&env, cfg(), &mut fgs, &w, "fgs", None).expect("valid run");
     assert!(
         r_esg.avg_hit_rate() >= r_inf.avg_hit_rate(),
         "ESG {:.3} vs INFless {:.3}",
@@ -56,11 +56,11 @@ fn only_preplanned_schedulers_miss_configurations() {
     let env = env();
     let w = workload();
     let mut esg = esg::core::EsgScheduler::new();
-    let r_esg = run_simulation(&env, cfg(), &mut esg, &w, "esg").expect("valid run");
+    let r_esg = run_simulation(&env, cfg(), &mut esg, &w, "esg", None).expect("valid run");
     assert_eq!(r_esg.config_misses, 0, "ESG adapts and never misses");
 
     let mut aq = esg::baselines::AquatopeScheduler::new(BoOptimizer::tiny(5));
-    let r_aq = run_simulation(&env, cfg(), &mut aq, &w, "aq").expect("valid run");
+    let r_aq = run_simulation(&env, cfg(), &mut aq, &w, "aq", None).expect("valid run");
     // The BO plan regularly wants a bigger batch than the live queue holds.
     assert!(
         r_aq.config_misses > 0,
@@ -76,7 +76,7 @@ fn orion_overhead_costs_hit_rate() {
     let w = workload();
     let charged = {
         let mut s = esg::baselines::OrionScheduler::new(100.0);
-        run_simulation(&env, cfg(), &mut s, &w, "orion").expect("valid run")
+        run_simulation(&env, cfg(), &mut s, &w, "orion", None).expect("valid run")
     };
     let free = {
         let mut s = esg::baselines::OrionScheduler::new(100.0);
@@ -84,7 +84,7 @@ fn orion_overhead_costs_hit_rate() {
             charge_overhead: false,
             ..cfg()
         };
-        run_simulation(&env, c, &mut s, &w, "orion-free").expect("valid run")
+        run_simulation(&env, c, &mut s, &w, "orion-free", None).expect("valid run")
     };
     assert!(charged.avg_hit_rate() <= free.avg_hit_rate() + 0.02);
 }
@@ -94,9 +94,9 @@ fn esg_locality_beats_fragmentation_placement() {
     let env = env();
     let w = workload();
     let mut esg = esg::core::EsgScheduler::new();
-    let r_esg = run_simulation(&env, cfg(), &mut esg, &w, "esg").expect("valid run");
+    let r_esg = run_simulation(&env, cfg(), &mut esg, &w, "esg", None).expect("valid run");
     let mut infless = esg::baselines::InflessScheduler::new();
-    let r_inf = run_simulation(&env, cfg(), &mut infless, &w, "infless").expect("valid run");
+    let r_inf = run_simulation(&env, cfg(), &mut infless, &w, "infless", None).expect("valid run");
     assert!(
         r_esg.locality_rate() > r_inf.locality_rate(),
         "ESG local {:.2} vs INFless {:.2}",

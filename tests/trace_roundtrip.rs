@@ -1,5 +1,5 @@
 //! Round-trip fidelity of the event-sourced trace format: a run
-//! recorded through [`SimConfig::record_trace`] and replayed through
+//! recorded by a [`TraceRecorder`] and replayed through
 //! [`TraceReplay`] under the same scheduler and seed must reproduce the
 //! recorded dispatch-trace digest bit for bit — and a damaged trace
 //! file must surface a typed [`TraceError`], never a panic.
@@ -34,12 +34,14 @@ fn record(
     let cfg = SimConfig {
         seed,
         churn,
-        record_trace: Some(path.clone()),
         ..SimConfig::default()
     };
     let w = WorkloadGen::new(class, esg::model::standard_app_ids(), seed).generate(invocations);
+    let mut recorder = TraceRecorder::new(path.clone());
+    let env = SimEnv::standard(slo);
     let recorded =
-        run_simulation(&SimEnv::standard(slo), cfg, sched, &w, "record").expect("valid run");
+        run_simulation(&env, cfg, sched, &w, "record", Some(&mut recorder)).expect("valid run");
+    recorder.finish().expect("trace written");
     let replay = TraceReplay::load(&path).expect("recorded trace loads");
     (recorded, replay, path)
 }
@@ -60,7 +62,7 @@ fn recorded_and_replayed_esg_runs_share_one_digest() {
     assert_eq!(trace.arrivals.len() as u64, recorded.arrivals);
 
     let (replayed, digest) = replay
-        .run_digest(Box::new(EsgScheduler::new()), "replay")
+        .run_digest(&mut EsgScheduler::new(), "replay")
         .expect("valid replay");
     assert_eq!(
         digest,
@@ -90,11 +92,11 @@ fn churned_runs_round_trip_with_their_cluster_events() {
     );
     let trace = replay.trace();
     assert!(
-        trace.dispatch_trace().contains("C n3 drain;"),
+        esg::sim::dispatch_trace(&trace.events).contains("C n3 drain;"),
         "the recorded trace must carry the churn record"
     );
     let (replayed, digest) = replay
-        .run_digest(Box::new(EsgScheduler::new()), "replay")
+        .run_digest(&mut EsgScheduler::new(), "replay")
         .expect("valid replay");
     assert_eq!(digest, trace.dispatch_digest());
     assert_eq!(replayed.arrivals, recorded.arrivals);
@@ -113,7 +115,7 @@ fn a_different_scheduler_replays_the_same_offered_load() {
         "cross",
     );
     let (other, digest) = replay
-        .run_digest(Box::new(OrionScheduler::default()), "replay-orion")
+        .run_digest(&mut OrionScheduler::default(), "replay-orion")
         .expect("valid replay");
     assert_eq!(
         other.arrivals, recorded.arrivals,
@@ -293,20 +295,25 @@ fn custom_transfer_tariffs_replay_their_digest() {
     };
     let mut env = SimEnv::standard(SloClass::Moderate);
     env.transfer = tariffs;
-    let cfg = SimConfig {
-        record_trace: Some(path.clone()),
-        ..SimConfig::default()
-    };
     let w =
         WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 42).generate(200);
-    let recorded =
-        run_simulation(&env, cfg, &mut EsgScheduler::new(), &w, "record").expect("valid run");
+    let mut recorder = TraceRecorder::new(path.clone());
+    let recorded = run_simulation(
+        &env,
+        SimConfig::default(),
+        &mut EsgScheduler::new(),
+        &w,
+        "record",
+        Some(&mut recorder),
+    )
+    .expect("valid run");
+    recorder.finish().expect("trace written");
     let replay = TraceReplay::load(&path).expect("recorded trace loads");
     std::fs::remove_file(&path).ok();
     assert_eq!(replay.trace().transfer, tariffs);
 
     let (replayed, digest) = replay
-        .run_digest(Box::new(EsgScheduler::new()), "replay")
+        .run_digest(&mut EsgScheduler::new(), "replay")
         .expect("valid replay");
     assert_eq!(
         digest,
@@ -314,6 +321,33 @@ fn custom_transfer_tariffs_replay_their_digest() {
         "a replay under the recorded tariffs reproduces the recorded dispatches"
     );
     assert_eq!(replayed.avg_hit_rate(), recorded.avg_hit_rate());
+}
+
+#[test]
+fn a_failed_trace_write_is_a_typed_error() {
+    // The run itself succeeds; writing under a regular file cannot.
+    let parent = scratch("not-a-directory");
+    std::fs::write(&parent, "a regular file").expect("scratch file");
+    let path = parent.join("trace.json");
+    let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 4).generate(10);
+    let mut recorder = TraceRecorder::new(path.clone());
+    let env = SimEnv::standard(SloClass::Moderate);
+    let cfg = SimConfig::default();
+    let result = run_simulation(
+        &env,
+        cfg,
+        &mut MinScheduler,
+        &w,
+        "record",
+        Some(&mut recorder),
+    );
+    assert_eq!(result.expect("the run is valid").arrivals, 10);
+    let err = recorder.finish().expect_err("nothing can be written there");
+    std::fs::remove_file(&parent).ok();
+    assert!(
+        matches!(&err, TraceError::Io { path: p, .. } if *p == path),
+        "{err:?}"
+    );
 }
 
 proptest! {
@@ -338,7 +372,7 @@ proptest! {
             ChurnPlan::none(),
             &format!("prop-{seed}-{slo_pick}-{invocations}"),
         );
-        let (replayed, digest) = replay.run_digest(Box::new(MinScheduler), "replay")
+        let (replayed, digest) = replay.run_digest(&mut MinScheduler, "replay")
         .expect("valid replay");
         prop_assert_eq!(digest, replay.trace().dispatch_digest());
         prop_assert_eq!(replayed.arrivals, recorded.arrivals);
@@ -448,7 +482,7 @@ proptest! {
         eprintln!("mutations: {applied:?}");
         let no_warmup = trace.config.warmup_exclude_ms == 0.0;
         let r = TraceReplay::new(trace)
-            .run(&mut MinScheduler, "damaged")
+            .run(&mut MinScheduler, "damaged", None)
             .expect("a trace that loads passes the run checks");
         if no_warmup {
             prop_assert_eq!(r.arrivals, r.total_completed() + r.shed_invocations);
@@ -478,9 +512,16 @@ fn every_run_entry_checks_the_schedulers_policy_stack() {
         max_sim_ms: 5_000.0,
         ..SimConfig::default()
     };
-    let direct = run_simulation(&env, cfg.clone(), &mut nan_defer(), &materialised, "nan");
+    let direct = run_simulation(
+        &env,
+        cfg.clone(),
+        &mut nan_defer(),
+        &materialised,
+        "nan",
+        None,
+    );
     assert_eq!(refused(direct), "policy.defer_ms");
-    let streamed = run_streamed(&env, cfg, &mut nan_defer(), gen.stream(), "nan");
+    let streamed = run_streamed(&env, cfg, &mut nan_defer(), gen.stream(), "nan", None);
     assert_eq!(refused(streamed), "policy.defer_ms");
     let (_, replay, path) = record(
         &mut MinScheduler,
@@ -492,6 +533,6 @@ fn every_run_entry_checks_the_schedulers_policy_stack() {
         "nan-defer",
     );
     std::fs::remove_file(&path).ok();
-    let replayed = replay.run(&mut nan_defer(), "nan");
+    let replayed = replay.run(&mut nan_defer(), "nan", None);
     assert_eq!(refused(replayed), "policy.defer_ms");
 }
