@@ -795,7 +795,7 @@ mod tests {
         let msg = refusal(
             "empty",
             SimConfig {
-                nodes: 0,
+                cluster: Some(ClusterSpec::new("none")),
                 ..standard_config()
             },
         );
@@ -812,14 +812,14 @@ mod tests {
     }
 
     #[test]
-    fn a_cell_with_a_negative_keep_alive_is_refused() {
+    fn a_cell_with_a_negative_warmup_window_is_refused() {
         let msg = refusal(
-            "keep",
+            "warmup",
             SimConfig {
-                keep_alive_ms: -1.0,
+                warmup_exclude_ms: -1.0,
                 ..standard_config()
             },
         );
-        assert!(msg.contains("knob keep_alive_ms = -1"), "{msg}");
+        assert!(msg.contains("knob warmup_exclude_ms = -1"), "{msg}");
     }
 }

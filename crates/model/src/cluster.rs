@@ -136,7 +136,8 @@ impl NodeClass {
     }
 
     /// A custom class over explicit capacities at baseline scale factors
-    /// (the shape `Cluster::heterogeneous` historically accepted).
+    /// (the class of every node of `Cluster::new` and
+    /// [`ClusterSpec::homogeneous`]).
     pub fn custom(resources: Resources) -> NodeClass {
         NodeClass {
             name: format!("custom-{resources}"),

@@ -2,8 +2,8 @@
 //! typed [`SimError`] they return.
 //!
 //! `SimEnv`/`SimConfig` are plain records: a struct literal accepts an
-//! empty cluster, a zero keep-alive, or a churn script draining a node
-//! that never exists. [`run_simulation`](crate::run_simulation) and
+//! empty cluster, a negative warm-up window, or a churn script draining a
+//! node that never exists. [`run_simulation`](crate::run_simulation) and
 //! [`run_streamed`](crate::run_streamed), the one checked way to start a
 //! run, first check the configuration ([`SimConfig::validate`]), the
 //! environment's applications and transfer tariffs, and the knobs of the
@@ -15,7 +15,7 @@
 //! configuration, tariff and arrival checks on a recorded run.
 //!
 //! ```
-//! use esg_model::{SloClass, WorkloadClass};
+//! use esg_model::{ClusterSpec, SloClass, WorkloadClass};
 //! use esg_sim::{run_simulation, MinScheduler, SimConfig, SimEnv, SimError};
 //! use esg_workload::WorkloadGen;
 //!
@@ -36,7 +36,7 @@
 //!
 //! // A cluster without nodes is refused before the run starts.
 //! let empty = SimConfig {
-//!     nodes: 0,
+//!     cluster: Some(ClusterSpec::new("empty")),
 //!     ..SimConfig::default()
 //! };
 //! let refused = run_simulation(&env, empty, &mut MinScheduler, &workload, "doc", None);
@@ -44,7 +44,7 @@
 //! # Ok::<(), SimError>(())
 //! ```
 
-use crate::platform::{SimConfig, SimEnv};
+use crate::platform::{SimConfig, SimEnv, NODES};
 use crate::sched::Scheduler;
 use esg_model::{AppId, ChurnEvent, Config, NodeClass, Resources, SimTime};
 use esg_profile::TransferModel;
@@ -184,58 +184,41 @@ pub(crate) fn check_run(
 
 impl SimConfig {
     /// Checks every cross-field invariant of the configuration: cluster
-    /// shape, class bandwidths, topology, data plane, scalar knobs,
-    /// recheck limit and churn script. Every run checks it, and so does
-    /// the trace loader on a recorded config, so a configuration that
-    /// would panic inside the event loop is a typed error in both.
+    /// shape, class bandwidths, topology, data plane, scalar knobs and
+    /// churn script. Every run checks it, and so does the trace loader on
+    /// a recorded config, so a configuration that would panic inside the
+    /// event loop is a typed error in both.
     pub fn validate(&self) -> Result<(), SimError> {
-        // Cluster shape.
-        match &self.cluster {
-            Some(spec) => {
-                if spec.nodes.is_empty() {
-                    return Err(SimError::EmptyCluster);
-                }
-                if spec.nodes.iter().any(|c| c.resources() == Resources::ZERO) {
-                    return Err(SimError::EmptyCluster);
-                }
-                for class in &spec.nodes {
-                    validate_class_bandwidth(class)?;
-                }
-                if let Some(t) = spec.topology {
-                    if t.gpus_per_server == 0 {
-                        return Err(SimError::InvalidKnob {
-                            knob: "topology.gpus_per_server",
-                            value: 0.0,
-                            requirement: "at least 1 node per server",
-                        });
-                    }
-                    positive("topology.tor_gbps", t.tor_gbps)?;
-                }
+        // Cluster shape (`None` is the paper cluster, valid as it is).
+        if let Some(spec) = &self.cluster {
+            if spec.nodes.is_empty() || spec.nodes.iter().any(|c| c.resources() == Resources::ZERO)
+            {
+                return Err(SimError::EmptyCluster);
             }
-            None => {
-                if self.nodes == 0 || self.node_resources == Resources::ZERO {
-                    return Err(SimError::EmptyCluster);
-                }
+            for class in &spec.nodes {
+                validate_class_bandwidth(class)?;
             }
-        }
-        // Some node must fit the minimum configuration, or no task can
-        // ever be placed and the run ends with nothing completed.
-        let min = Config::MIN.resources();
-        let hostable = match &self.cluster {
-            Some(spec) => spec.nodes.iter().any(|c| c.resources().contains(min)),
-            None => self.node_resources.contains(min),
-        };
-        if !hostable {
-            return Err(SimError::InvalidKnob {
-                knob: if self.cluster.is_some() {
-                    "cluster.nodes"
-                } else {
-                    "node_resources"
-                },
-                value: 0.0,
-                requirement: "at least one node fits the minimum configuration \
+            if let Some(t) = spec.topology {
+                if t.gpus_per_server == 0 {
+                    return Err(SimError::InvalidKnob {
+                        knob: "topology.gpus_per_server",
+                        value: 0.0,
+                        requirement: "at least 1 node per server",
+                    });
+                }
+                positive("topology.tor_gbps", t.tor_gbps)?;
+            }
+            // Some node must fit the minimum configuration, or no task
+            // can ever be placed and the run ends with nothing completed.
+            let min = Config::MIN.resources();
+            if !spec.nodes.iter().any(|c| c.resources().contains(min)) {
+                return Err(SimError::InvalidKnob {
+                    knob: "cluster.nodes",
+                    value: 0.0,
+                    requirement: "at least one node fits the minimum configuration \
 (1 vCPU and 1 vGPU slice)",
-            });
+                });
+            }
         }
         // Joined classes feed the same bandwidth pools.
         for ev in &self.churn.events {
@@ -251,34 +234,8 @@ impl SimConfig {
             non_negative("data_plane.batch_max_mb", dp.batch_max_mb)?;
         }
 
-        // Scalar knobs; durations are bounded like input times.
-        positive("keep_alive_ms", self.keep_alive_ms)?;
-        duration("keep_alive_ms", self.keep_alive_ms, 1.0)?;
-        positive("prewarm_alpha", self.prewarm_alpha)?;
-        positive("idle_backoff_ms", self.idle_backoff_ms)?;
-        duration("idle_backoff_ms", self.idle_backoff_ms, 1.0)?;
-        duration("overhead.base_us", self.overhead.base_us, 1e-3)?;
-        duration(
-            "overhead.us_per_expansion",
-            self.overhead.us_per_expansion,
-            1e-3,
-        )?;
-        if self.prewarm_alpha > 1.0 {
-            return Err(SimError::InvalidKnob {
-                knob: "prewarm_alpha",
-                value: self.prewarm_alpha,
-                requirement: "within (0, 1]",
-            });
-        }
         non_negative("warmup_exclude_ms", self.warmup_exclude_ms)?;
         non_negative("max_sim_ms", self.max_sim_ms)?;
-        if self.recheck_limit == 0 {
-            return Err(SimError::InvalidKnob {
-                knob: "recheck_limit",
-                value: 0.0,
-                requirement: "at least 1 round before the forced minimum",
-            });
-        }
 
         // Churn script vs cluster membership: replay the plan in time
         // order and check that every drain names a node that exists by
@@ -311,11 +268,11 @@ pub(crate) fn non_negative(knob: &'static str, value: f64) -> Result<(), SimErro
     })
 }
 
-/// `knob`, worth `value × ms_per_unit` ms, is a duration the platform
-/// adds to instants, so it must lie in `[0, SimTime::MAX_MS]` ms like an
-/// input time ([`SimTime::is_input_ms`]).
-fn duration(knob: &'static str, value: f64, ms_per_unit: f64) -> Result<(), SimError> {
-    if SimTime::is_input_ms(value * ms_per_unit) {
+/// `knob`, worth `value` ms, is a duration the platform adds to instants,
+/// so it must lie in `[0, SimTime::MAX_MS]` ms like an input time
+/// ([`SimTime::is_input_ms`]).
+fn duration(knob: &'static str, value: f64) -> Result<(), SimError> {
+    if SimTime::is_input_ms(value) {
         return Ok(());
     }
     Err(SimError::InvalidKnob {
@@ -327,10 +284,10 @@ fn duration(knob: &'static str, value: f64, ms_per_unit: f64) -> Result<(), SimE
 
 /// The transfer tariffs (scalar and data-plane modes both read them).
 pub(crate) fn validate_transfer(t: &TransferModel) -> Result<(), SimError> {
-    duration("transfer.local_base_ms", t.local_base_ms, 1.0)?;
-    duration("transfer.local_ms_per_mb", t.local_ms_per_mb, 1.0)?;
-    duration("transfer.remote_base_ms", t.remote_base_ms, 1.0)?;
-    duration("transfer.remote_ms_per_mb", t.remote_ms_per_mb, 1.0)
+    duration("transfer.local_base_ms", t.local_base_ms)?;
+    duration("transfer.local_ms_per_mb", t.local_ms_per_mb)?;
+    duration("transfer.remote_base_ms", t.remote_base_ms)?;
+    duration("transfer.remote_ms_per_mb", t.remote_ms_per_mb)
 }
 
 /// Per-class bandwidth/staging invariants: a zero or non-finite value
@@ -344,10 +301,7 @@ fn validate_class_bandwidth(class: &NodeClass) -> Result<(), SimError> {
 }
 
 fn validate_churn(cfg: &SimConfig) -> Result<(), SimError> {
-    let initial = match &cfg.cluster {
-        Some(spec) => spec.nodes.len(),
-        None => cfg.nodes,
-    };
+    let initial = cfg.cluster.as_ref().map_or(NODES, |spec| spec.nodes.len());
     // Stable sort by time replays the event queue's (time, push-order)
     // delivery.
     let mut order: Vec<usize> = (0..cfg.churn.events.len()).collect();
@@ -418,7 +372,6 @@ mod tests {
     use crate::policy::{
         BandwidthPackingConfig, PolicyStack, RoundPolicy, SloAdmission, SloAdmissionConfig,
     };
-    use crate::sched::OverheadModel;
     use esg_model::{AppSpec, ChurnPlan, ClusterSpec, FnId, NodeId, SloClass, WorkloadClass};
     use esg_workload::{Workload, WorkloadGen};
 
@@ -562,55 +515,32 @@ mod tests {
     #[test]
     fn empty_cluster_is_rejected() {
         let no_nodes = || SimConfig {
-            nodes: 0,
+            cluster: Some(ClusterSpec::new("none")),
             ..SimConfig::default()
         };
         assert_eq!(check(no_nodes()), Err(SimError::EmptyCluster));
         // The same check on a bare config, as the trace loader runs it.
         assert_eq!(no_nodes().validate(), Err(SimError::EmptyCluster));
         assert_eq!(SimConfig::default().validate(), Ok(()));
-        assert_eq!(
-            check_cluster(ClusterSpec::new("none")),
-            Err(SimError::EmptyCluster)
-        );
+        let resourceless = ClusterSpec::homogeneous(2, Resources::ZERO);
+        assert_eq!(check_cluster(resourceless), Err(SimError::EmptyCluster));
     }
 
     #[test]
     fn bad_knobs_are_rejected() {
         let d = SimConfig::default;
-        let overhead = |base_us, us_per_expansion| SimConfig {
-            overhead: OverheadModel {
-                base_us,
-                us_per_expansion,
-            },
-            ..d()
-        };
         for (name, cfg) in [
             (
-                "keep_alive_ms",
+                "warmup_exclude_ms",
                 SimConfig {
-                    keep_alive_ms: 0.0,
+                    warmup_exclude_ms: -1.0,
                     ..d()
                 },
             ),
             (
-                "keep_alive_ms",
+                "warmup_exclude_ms",
                 SimConfig {
-                    keep_alive_ms: -1.0,
-                    ..d()
-                },
-            ),
-            (
-                "prewarm_alpha",
-                SimConfig {
-                    prewarm_alpha: 1.5,
-                    ..d()
-                },
-            ),
-            (
-                "recheck_limit",
-                SimConfig {
-                    recheck_limit: 0,
+                    warmup_exclude_ms: f64::INFINITY,
                     ..d()
                 },
             ),
@@ -621,32 +551,9 @@ mod tests {
                     ..d()
                 },
             ),
-            // Durations added to instants, past `SimTime::MAX_MS`.
-            (
-                "keep_alive_ms",
-                SimConfig {
-                    keep_alive_ms: 1e300,
-                    ..d()
-                },
-            ),
-            (
-                "idle_backoff_ms",
-                SimConfig {
-                    idle_backoff_ms: 1e300,
-                    ..d()
-                },
-            ),
-            ("overhead.base_us", overhead(1e300, 0.4)),
-            ("overhead.base_us", overhead(f64::NAN, 0.4)),
-            ("overhead.us_per_expansion", overhead(200.0, 1e300)),
         ] {
             assert_eq!(knob(check(cfg)), Some(name), "{name}");
         }
-        let longest = SimConfig {
-            keep_alive_ms: SimTime::MAX_MS,
-            ..d()
-        };
-        assert_eq!(check(longest), Ok(()));
     }
 
     #[test]
@@ -695,10 +602,7 @@ mod tests {
         };
         // Homogeneous nodes with vCPUs but no vGPUs, and the reverse.
         for r in [Resources::new(16, 0), Resources::new(0, 7)] {
-            assert!(unhostable(check(SimConfig {
-                node_resources: r,
-                ..SimConfig::default()
-            })));
+            assert!(unhostable(check_cluster(ClusterSpec::homogeneous(16, r))));
         }
         // Every class lacks vGPUs, or every class lacks vCPUs.
         let cpu_only = NodeClass {
@@ -984,9 +888,9 @@ mod tests {
             SimError::EmptyCluster.to_string(),
             SimError::NoApplications.to_string(),
             SimError::InvalidKnob {
-                knob: "keep_alive_ms",
+                knob: "max_sim_ms",
                 value: -1.0,
-                requirement: "finite and > 0",
+                requirement: "finite and >= 0",
             }
             .to_string(),
             SimError::InvalidChurn {

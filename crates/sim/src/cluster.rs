@@ -337,19 +337,6 @@ impl Cluster {
         }
     }
 
-    /// Creates a heterogeneous cluster from explicit node capacities at
-    /// baseline scale factors (Appendix A notes the algorithms tolerate
-    /// heterogeneity). For classed nodes use [`Cluster::from_spec`].
-    pub fn heterogeneous(capacities: &[Resources]) -> Cluster {
-        Cluster {
-            nodes: capacities
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| Node::new(NodeId(i as u32), r))
-                .collect(),
-        }
-    }
-
     /// Materialises a declarative [`ClusterSpec`]: one node per spec
     /// entry, in [`NodeId`] order.
     pub fn from_spec(spec: &ClusterSpec) -> Cluster {
@@ -498,9 +485,6 @@ mod tests {
         let c = Cluster::new(16, Resources::new(16, 7));
         assert_eq!(c.len(), 16);
         assert_eq!(c.node(NodeId(5)).total, Resources::new(16, 7));
-        let h = Cluster::heterogeneous(&[Resources::new(8, 2), Resources::new(32, 7)]);
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.node(NodeId(1)).total, Resources::new(32, 7));
     }
 
     #[test]

@@ -148,7 +148,43 @@ impl SimEnv {
     }
 }
 
-/// Platform knobs (Table 2 defaults).
+/// Invoker nodes of the paper cluster (Table 2), used when
+/// [`SimConfig::cluster`] is `None`.
+pub(crate) const NODES: usize = 16;
+
+/// Resources per paper-cluster node: 16 vCPUs and an A100 in 7 MIG
+/// slices (Table 2).
+const NODE_RESOURCES: Resources = Resources::new(16, 7);
+
+/// Keep-alive for warm containers, ms (OpenWhisk: 10 minutes, §2).
+const KEEP_ALIVE_MS: f64 = 600_000.0;
+
+/// EWMA smoothing factor of the pre-warm proxy's arrival predictors (§4).
+const PREWARM_ALPHA: f64 = 0.3;
+
+/// Warm containers per (node, function) installed at t = 0. The
+/// evaluation measures a cluster in steady state (the paper's proxy
+/// threads have been pre-warming from prior traffic); starting cold would
+/// make the multi-second Table-3 cold starts dominate any run shorter
+/// than minutes.
+const INITIAL_WARM_PER_NODE: u32 = 1;
+
+/// Upper bound on live containers per (node, function) that the pre-warm
+/// proxy grows towards under concurrency pressure.
+const PREWARM_POOL_CAP: usize = 4;
+
+/// `recheck_limit`: recheck rounds before a parked queue is "dispatched
+/// with the minimum configuration to ensure progress" (§3.1).
+const RECHECK_LIMIT: u32 = 3;
+
+/// `idle_backoff_ms`: the controller's back-off when a decision skipped a
+/// queue or its placement failed, ms; also the least gap between two
+/// retries of a parked queue.
+pub const IDLE_BACKOFF_MS: f64 = 1.0;
+
+/// Platform knobs. The paper's fixed platform choices (cluster shape,
+/// keep-alive, pre-warm proxy tuning, recheck limit, idle back-off and
+/// [`OverheadModel::default`]) are constants of the platform, not fields.
 ///
 /// A plain record: set a knob by its field. [`run_simulation`] and
 /// [`run_streamed`] check it ([`SimConfig::validate`]) before the run
@@ -156,47 +192,23 @@ impl SimEnv {
 /// inside the event loop on inconsistent settings.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Number of invoker nodes (homogeneous path; ignored when `cluster`
-    /// is set).
-    pub nodes: usize,
-    /// Resources per node (homogeneous path; ignored when `cluster` is
-    /// set).
-    pub node_resources: Resources,
     /// Declarative cluster: per-node classes with speed/link/price scale
     /// factors (Appendix A: the algorithms tolerate heterogeneous
-    /// hardware). When set this overrides `nodes`/`node_resources`.
+    /// hardware). `None` is the paper cluster: 16 nodes of 16 vCPUs and
+    /// 7 vGPU slices (Table 2).
     pub cluster: Option<ClusterSpec>,
     /// Scripted node drains/joins applied by the event loop mid-run.
     pub churn: ChurnPlan,
-    /// Keep-alive for warm containers, ms (OpenWhisk: 10 minutes).
-    pub keep_alive_ms: f64,
-    /// Search-effort → controller-time conversion.
-    pub overhead: OverheadModel,
     /// Whether decision time occupies the controller and delays dispatch
     /// (disable for "w/o searching overhead" variants, Fig. 9).
     pub charge_overhead: bool,
     /// Enable the EWMA pre-warming proxy (§4).
     pub prewarm: bool,
-    /// EWMA smoothing factor for the pre-warmer.
-    pub prewarm_alpha: f64,
-    /// Warm containers per (node, function) installed at t = 0. The
-    /// evaluation measures a cluster in steady state (the paper's proxy
-    /// threads have been pre-warming from prior traffic); starting cold
-    /// would make the multi-second Table-3 cold starts dominate any run
-    /// shorter than minutes.
-    pub initial_warm_per_node: u32,
-    /// Upper bound on live containers per (node, function) that the
-    /// pre-warm proxy will grow towards under concurrency pressure.
-    pub prewarm_pool_cap: usize,
     /// Invocations arriving before this time are excluded from SLO/latency
     /// metrics (warm-up window); costs always accrue.
     pub warmup_exclude_ms: f64,
     /// RNG seed (noise and any stochastic scheduler choices).
     pub seed: u64,
-    /// Recheck rounds before a forced minimum-configuration dispatch.
-    pub recheck_limit: u32,
-    /// Controller back-off when a full scan found only skips, ms.
-    pub idle_backoff_ms: f64,
     /// Safety cap on simulated time, ms (0 = none).
     pub max_sim_ms: f64,
     /// Equivalence oracle: assert at every refresh point that the
@@ -216,21 +228,12 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            nodes: 16,
-            node_resources: Resources::new(16, 7),
             cluster: None,
             churn: ChurnPlan::none(),
-            keep_alive_ms: 600_000.0,
-            overhead: OverheadModel::default(),
             charge_overhead: true,
             prewarm: true,
-            prewarm_alpha: 0.3,
-            initial_warm_per_node: 1,
-            prewarm_pool_cap: 4,
             warmup_exclude_ms: 0.0,
             seed: 42,
-            recheck_limit: 3,
-            idle_backoff_ms: 1.0,
             max_sim_ms: 0.0,
             validate_cluster_state: false,
             data_plane: None,
@@ -532,11 +535,10 @@ impl<'a> Simulation<'a> {
             .collect();
         let cluster = match &cfg.cluster {
             Some(spec) => Cluster::from_spec(spec),
-            None => Cluster::new(cfg.nodes, cfg.node_resources),
+            None => Cluster::new(NODES, NODE_RESOURCES),
         };
         let state = ClusterState::from_cluster(&cluster, SimTime::ZERO);
         let initial_nodes = cluster.len();
-        let prewarm_alpha = cfg.prewarm_alpha;
         let seed = cfg.seed;
         let topology = cfg.cluster.as_ref().and_then(|s| s.topology);
         let dataplane = cfg
@@ -554,7 +556,7 @@ impl<'a> Simulation<'a> {
             cluster,
             state,
             queues: vec![AfwQueue::new(); nq],
-            predictors: vec![ArrivalPredictor::new(prewarm_alpha); nq],
+            predictors: vec![ArrivalPredictor::new(PREWARM_ALPHA); nq],
             queue_intervals: vec![esg_model::Ewma::new(0.3); nq],
             queue_last_arrival: vec![None; nq],
             last_node: vec![None; nq],
@@ -640,19 +642,17 @@ impl<'a> Simulation<'a> {
         }
         self.env_fingerprint = self.env.fingerprint();
         // Steady-state start: the pre-warm proxy has been serving traffic.
-        if self.cfg.initial_warm_per_node > 0 {
-            let keep = SimTime::from_ms(self.cfg.keep_alive_ms);
-            let fns: Vec<FnId> = self.env.catalog.iter().map(|(id, _)| id).collect();
-            for n in self.cluster.nodes_mut() {
-                for &f in &fns {
-                    for _ in 0..self.cfg.initial_warm_per_node {
-                        n.prewarm(f, SimTime::ZERO, keep);
-                    }
+        let keep = SimTime::from_ms(KEEP_ALIVE_MS);
+        let fns: Vec<FnId> = self.env.catalog.iter().map(|(id, _)| id).collect();
+        for n in self.cluster.nodes_mut() {
+            for &f in &fns {
+                for _ in 0..INITIAL_WARM_PER_NODE {
+                    n.prewarm(f, SimTime::ZERO, keep);
                 }
             }
-            for i in 0..self.cluster.len() {
-                self.state.touch(NodeId(i as u32));
-            }
+        }
+        for i in 0..self.cluster.len() {
+            self.state.touch(NodeId(i as u32));
         }
         // Arrival pull loop: exactly one undelivered arrival is scheduled
         // at a time; delivering it pulls the next from the source. With a
@@ -847,14 +847,13 @@ impl<'a> Simulation<'a> {
     }
 
     fn handle_prewarm(&mut self, node: NodeId, f: FnId) {
-        let keep = SimTime::from_ms(self.cfg.keep_alive_ms);
+        let keep = SimTime::from_ms(KEEP_ALIVE_MS);
         let cold = SimTime::from_ms(self.env.catalog.get(f).cold_start_ms);
-        let cap = self.cfg.prewarm_pool_cap;
         let now = self.now;
         let n = self.cluster.node_mut(node);
         // Drained nodes take no new containers; grow the pool when no idle
         // warm slot exists (concurrency pressure), bounded by the pool cap.
-        if n.online && !n.has_warm(f, now) && n.slot_count(f, now) < cap {
+        if n.online && !n.has_warm(f, now) && n.slot_count(f, now) < PREWARM_POOL_CAP {
             n.prewarm(f, now + cold, keep);
             self.state.touch_fn(node, f);
         }
@@ -1004,7 +1003,7 @@ impl<'a> Simulation<'a> {
         if self.queues[qi].is_empty() {
             return false;
         }
-        let overhead = self.cfg.overhead.decision_time(outcome.expansions);
+        let overhead = OverheadModel::default().decision_time(outcome.expansions);
         self.metrics.overhead_ms.push(overhead.as_ms());
         self.metrics.wall_overhead_ms.push(wall_ms);
         let charged = if self.cfg.charge_overhead {
@@ -1018,7 +1017,7 @@ impl<'a> Simulation<'a> {
             // or an admission defer / batch-formation hold deadline
             // (rounded up, so the queue never wakes just before it),
             // whichever is furthest. A hold may also end early.
-            let mut busy = self.now + charged.max(SimTime::from_ms(self.cfg.idle_backoff_ms));
+            let mut busy = self.now + charged.max(SimTime::from_ms(IDLE_BACKOFF_MS));
             if let Some(until) = outcome.defer_until_ms {
                 busy = busy.max(SimTime::from_ms_ceil(until));
             }
@@ -1035,29 +1034,7 @@ impl<'a> Simulation<'a> {
         // Placement sees the state left by any earlier decision applied
         // this round (cheap no-op refresh otherwise).
         self.refresh_state();
-        let placed = {
-            let ctx = make_ctx(
-                self.env,
-                self.env_fingerprint,
-                &self.slo_ms,
-                &self.base_ms,
-                self.now,
-                key,
-                &self.job_views[qi],
-                &self.state,
-                self.queue_intervals[qi].value(),
-            );
-            let mut placed = None;
-            for &cand in &outcome.candidates {
-                if let Some(node) = self.sched.place(&ctx, cand) {
-                    placed = Some((cand, node));
-                    break;
-                }
-            }
-            placed
-        };
-
-        if let Some((config, node)) = placed {
+        if let Some((config, node)) = self.place_first(qi, &outcome.candidates) {
             self.dispatch(qi, config, node, outcome.planned_batch, charged);
             self.queue_busy_until[qi] = self.now + charged;
             self.events
@@ -1074,7 +1051,7 @@ impl<'a> Simulation<'a> {
             // Retried by process_recheck on future wakes; completions that
             // free capacity wake the controller.
             self.events.push(
-                self.now + SimTime::from_ms(self.cfg.idle_backoff_ms),
+                self.now + SimTime::from_ms(IDLE_BACKOFF_MS),
                 Event::ControllerStep,
             );
         }
@@ -1160,6 +1137,35 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// Asks the scheduler to place each of queue `qi`'s `candidates` in
+    /// rank order against the current state; returns the first that fits
+    /// with its node.
+    /// The context borrows the simulation field by field, which keeps the
+    /// scheduler's `&mut self` disjoint from it.
+    fn place_first(&mut self, qi: usize, candidates: &[Config]) -> Option<(Config, NodeId)> {
+        let (env, key) = (self.env, self.queue_keys[qi]);
+        let ctx = SchedCtx {
+            now_ms: self.now.as_ms(),
+            key,
+            jobs: &self.job_views[qi],
+            function: self.queue_fn[qi],
+            slo_ms: self.slo_ms[key.app.index()],
+            base_latency_ms: self.base_ms[key.app.index()],
+            queue_interval_ms: self.queue_intervals[qi].value(),
+            cluster: &self.state,
+            profiles: &env.profiles,
+            apps: &env.apps,
+            catalog: &env.catalog,
+            price: &env.price,
+            transfer: &env.transfer,
+            noise: &env.noise,
+            env_fingerprint: self.env_fingerprint,
+        };
+        candidates
+            .iter()
+            .find_map(|&cand| self.sched.place(&ctx, cand).map(|node| (cand, node)))
+    }
+
     /// Puts `entry` on the recheck list.
     fn park(&mut self, entry: RecheckEntry) {
         debug_assert!(!self.parked[entry.qi], "queue parked twice");
@@ -1177,7 +1183,7 @@ impl<'a> Simulation<'a> {
         self.notify(&SchedulerEvent::RecheckTick {
             now_ms: self.now.as_ms(),
         });
-        let min_gap = SimTime::from_ms(self.cfg.idle_backoff_ms);
+        let min_gap = SimTime::from_ms(IDLE_BACKOFF_MS);
         // Swap the list with the retained spare: re-parked entries go
         // back onto `self.recheck` while this pass drains the old list.
         let mut entries = std::mem::take(&mut self.bufs.recheck);
@@ -1195,33 +1201,12 @@ impl<'a> Simulation<'a> {
             entry.last_retry = self.now;
             self.refresh_state();
             self.refill_queue_views(qi);
-            let placed = {
-                let ctx = make_ctx(
-                    self.env,
-                    self.env_fingerprint,
-                    &self.slo_ms,
-                    &self.base_ms,
-                    self.now,
-                    self.queue_keys[qi],
-                    &self.job_views[qi],
-                    &self.state,
-                    self.queue_intervals[qi].value(),
-                );
-                let mut placed = None;
-                for &cand in &entry.candidates {
-                    if let Some(node) = self.sched.place(&ctx, cand) {
-                        placed = Some((cand, node));
-                        break;
-                    }
-                }
-                placed
-            };
-            if let Some((config, node)) = placed {
+            if let Some((config, node)) = self.place_first(qi, &entry.candidates) {
                 self.dispatch(qi, config, node, entry.planned_batch, SimTime::ZERO);
                 continue;
             }
             entry.rounds += 1;
-            if entry.rounds >= self.cfg.recheck_limit {
+            if entry.rounds >= RECHECK_LIMIT {
                 // Forced minimum configuration on the freest node.
                 if let Some(node) = self.state.most_free(Config::MIN.resources()) {
                     self.metrics.forced_min_dispatches += 1;
@@ -1229,7 +1214,7 @@ impl<'a> Simulation<'a> {
                     continue;
                 }
                 // Not even (1,1,1) fits; keep parked at the cap.
-                entry.rounds = self.cfg.recheck_limit;
+                entry.rounds = RECHECK_LIMIT;
             }
             self.park(entry);
         }
@@ -1537,7 +1522,7 @@ impl<'a> Simulation<'a> {
 
     fn complete_task(&mut self, id: u64) {
         let task = self.tasks.remove(id as u32).expect("unknown task");
-        let keep = SimTime::from_ms(self.cfg.keep_alive_ms);
+        let keep = SimTime::from_ms(KEEP_ALIVE_MS);
         let f = self.env.apps[task.key.app.index()].nodes[task.key.stage];
         {
             let n = self.cluster.node_mut(task.node);
@@ -1668,40 +1653,6 @@ impl<'a> Simulation<'a> {
         }
         self.metrics.scheduler_stats = self.sched.stats();
         self.metrics
-    }
-}
-
-/// Builds a scheduling context without borrowing the whole simulation
-/// (keeps the scheduler's `&mut self` disjoint from the context data).
-#[allow(clippy::too_many_arguments)]
-fn make_ctx<'b>(
-    env: &'b SimEnv,
-    env_fingerprint: u64,
-    slo_ms: &'b [f64],
-    base_ms: &'b [f64],
-    now: SimTime,
-    key: QueueKey,
-    jobs: &'b [JobView],
-    cluster: &'b ClusterState,
-    queue_interval_ms: Option<f64>,
-) -> SchedCtx<'b> {
-    let app_idx = key.app.index();
-    SchedCtx {
-        now_ms: now.as_ms(),
-        key,
-        jobs,
-        function: env.apps[app_idx].nodes[key.stage],
-        slo_ms: slo_ms[app_idx],
-        base_latency_ms: base_ms[app_idx],
-        queue_interval_ms,
-        cluster,
-        profiles: &env.profiles,
-        apps: &env.apps,
-        catalog: &env.catalog,
-        price: &env.price,
-        transfer: &env.transfer,
-        noise: &env.noise,
-        env_fingerprint,
     }
 }
 

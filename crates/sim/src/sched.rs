@@ -592,14 +592,6 @@ impl Default for OverheadModel {
 }
 
 impl OverheadModel {
-    /// A zero-overhead model (for the "w/o searching overhead" variants).
-    pub fn free() -> Self {
-        OverheadModel {
-            base_us: 0.0,
-            us_per_expansion: 0.0,
-        }
-    }
-
     /// Simulated decision time.
     pub fn decision_time(&self, expansions: u64) -> SimTime {
         SimTime::from_us((self.base_us + self.us_per_expansion * expansions as f64).round() as u64)
@@ -700,14 +692,6 @@ mod tests {
         // A pruned search of ~10k expansions costs a few ms.
         let t = m.decision_time(10_000);
         assert!(t.as_ms() > 3.0 && t.as_ms() < 6.0, "{}", t.as_ms());
-    }
-
-    #[test]
-    fn free_overhead_is_zero() {
-        assert_eq!(
-            OverheadModel::free().decision_time(1_000_000),
-            SimTime::ZERO
-        );
     }
 
     #[test]

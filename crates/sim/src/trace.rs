@@ -54,12 +54,11 @@ use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
 use crate::policy::{PolicyStack, ShedReason};
 use crate::sched::{
-    Capabilities, Outcome, OverheadModel, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent,
-    SchedulerStats,
+    Capabilities, Outcome, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
 };
 use esg_model::{
     standard_apps, AppId, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, Fnv, GpuFlavor,
-    InvocationId, NodeClass, NodeId, Resources, SloClass,
+    InvocationId, NodeClass, NodeId, SloClass,
 };
 use esg_profile::TransferModel;
 use esg_workload::{Arrival, Workload};
@@ -73,7 +72,7 @@ pub const TRACE_FORMAT: &str = "esg-trace";
 /// Current trace schema version. [`TraceFile::load`] rejects every other
 /// version with [`TraceError::Version`]: a format change bumps it and
 /// adds no loader for the old one.
-pub const TRACE_VERSION: u32 = 2;
+pub const TRACE_VERSION: u32 = 3;
 
 /// A typed failure while writing or loading a trace. Corrupt or
 /// truncated files surface here — never as a panic.
@@ -803,14 +802,6 @@ fn churn_from_json(doc: &Value) -> Result<ChurnPlan, TraceError> {
 
 fn config_to_json(cfg: &SimConfig) -> Value {
     let mut m = Map::new();
-    m.insert("nodes", cfg.nodes);
-    m.insert(
-        "node_resources",
-        Value::Array(vec![
-            cfg.node_resources.vcpus.into(),
-            cfg.node_resources.vgpus.into(),
-        ]),
-    );
     m.insert(
         "cluster",
         match &cfg.cluster {
@@ -839,23 +830,10 @@ fn config_to_json(cfg: &SimConfig) -> Value {
         },
     );
     m.insert("churn", churn_to_json(&cfg.churn));
-    m.insert("keep_alive_ms", cfg.keep_alive_ms);
-    m.insert(
-        "overhead",
-        Value::Array(vec![
-            cfg.overhead.base_us.into(),
-            cfg.overhead.us_per_expansion.into(),
-        ]),
-    );
     m.insert("charge_overhead", cfg.charge_overhead);
     m.insert("prewarm", cfg.prewarm);
-    m.insert("prewarm_alpha", cfg.prewarm_alpha);
-    m.insert("initial_warm_per_node", cfg.initial_warm_per_node);
-    m.insert("prewarm_pool_cap", cfg.prewarm_pool_cap);
     m.insert("warmup_exclude_ms", cfg.warmup_exclude_ms);
     m.insert("seed", cfg.seed);
-    m.insert("recheck_limit", cfg.recheck_limit);
-    m.insert("idle_backoff_ms", cfg.idle_backoff_ms);
     m.insert("max_sim_ms", cfg.max_sim_ms);
     m.insert("validate_cluster_state", cfg.validate_cluster_state);
     m.insert(
@@ -878,14 +856,6 @@ fn config_to_json(cfg: &SimConfig) -> Value {
 /// [`SimConfig::validate`], the check every run makes: a config a run
 /// would refuse is [`TraceError::Schema`], not a replay error.
 fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
-    let res = field(doc, "node_resources")?
-        .as_array()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| schema("node_resources is not a [vcpus, vgpus] pair"))?;
-    let overhead = field(doc, "overhead")?
-        .as_array()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| schema("overhead is not a [base_us, us_per_expansion] pair"))?;
     let cluster = match field(doc, "cluster")? {
         Value::Null => None,
         spec => Some(ClusterSpec {
@@ -906,27 +876,12 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
         }),
     };
     let cfg = SimConfig {
-        nodes: usize_field(doc, "nodes")?,
-        node_resources: Resources::new(
-            u32_at(res, 0, "node_resources.vcpus")?,
-            u32_at(res, 1, "node_resources.vgpus")?,
-        ),
         cluster,
         churn: churn_from_json(field(doc, "churn")?)?,
-        keep_alive_ms: f64_field(doc, "keep_alive_ms")?,
-        overhead: OverheadModel {
-            base_us: f64_at(overhead, 0, "overhead.base_us")?,
-            us_per_expansion: f64_at(overhead, 1, "overhead.us_per_expansion")?,
-        },
         charge_overhead: bool_field(doc, "charge_overhead")?,
         prewarm: bool_field(doc, "prewarm")?,
-        prewarm_alpha: f64_field(doc, "prewarm_alpha")?,
-        initial_warm_per_node: u32_field(doc, "initial_warm_per_node")?,
-        prewarm_pool_cap: usize_field(doc, "prewarm_pool_cap")?,
         warmup_exclude_ms: f64_field(doc, "warmup_exclude_ms")?,
         seed: u64_field(doc, "seed")?,
-        recheck_limit: u32_field(doc, "recheck_limit")?,
-        idle_backoff_ms: f64_field(doc, "idle_backoff_ms")?,
         max_sim_ms: f64_field(doc, "max_sim_ms")?,
         validate_cluster_state: bool_field(doc, "validate_cluster_state")?,
         data_plane: match field(doc, "data_plane")? {
@@ -1286,22 +1241,29 @@ mod tests {
         let current = std::fs::read_to_string(&path).expect("recorded");
         std::fs::remove_file(&path).ok();
         TraceFile::from_json(&current).expect("own recording loads");
-        // The recorder's own output relabelled as v1, and a minimal v1.0
-        // document (no minor, bandwidth, data-plane or tariff fields).
-        let relabelled =
-            current.replacen(&format!("\"version\":{TRACE_VERSION}"), "\"version\":1", 1);
-        assert_ne!(relabelled, current, "version field located");
+        // The recorder's own output relabelled as each earlier version,
+        // and a minimal v1.0 document (no minor, bandwidth, data-plane or
+        // tariff fields).
+        let relabelled = |found: i64| {
+            let doc = current.replacen(
+                &format!("\"version\":{TRACE_VERSION}"),
+                &format!("\"version\":{found}"),
+                1,
+            );
+            assert_ne!(doc, current, "version field located");
+            (found, doc)
+        };
         let v1_0 = "{\"format\": \"esg-trace\", \"version\": 1, \"scheduler\": \"min\", \
 \"slo\": \"moderate\", \"apps\": \"standard\", \
 \"grid\": {\"batches\": [1], \"vcpus\": [1], \"vgpus\": [1]}, \
 \"config\": {\"nodes\": 2, \"node_resources\": [16, 7], \"cluster\": null, \"churn\": []}, \
 \"arrivals\": [], \"events\": []}";
-        for doc in [relabelled.as_str(), v1_0] {
+        for (found, doc) in [relabelled(1), relabelled(2), (1, v1_0.to_string())] {
             assert_eq!(
-                TraceFile::from_json(doc).err(),
+                TraceFile::from_json(&doc).err(),
                 Some(TraceError::Version {
-                    found: 1,
-                    supported: 2
+                    found,
+                    supported: 3
                 })
             );
         }

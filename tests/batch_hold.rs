@@ -7,6 +7,7 @@
 //! plain skip is re-decided every `idle_backoff_ms`.
 
 use esg::prelude::*;
+use esg::sim::platform::IDLE_BACKOFF_MS;
 use esg::sim::{AdmissionDecision, BatchHold, Outcome, QueueKey};
 use esg::workload::Arrival;
 
@@ -170,7 +171,7 @@ impl Scheduler for Skipper {
 fn plain_skip_is_still_repolled_every_idle_backoff() {
     let env = SimEnv::standard(SloClass::Relaxed);
     let cfg = SimConfig::default();
-    let backoff = cfg.idle_backoff_ms;
+    let backoff = IDLE_BACKOFF_MS;
     let mut s = Skipper {
         target: stage(0, 0),
         until_ms: 20.0,

@@ -14,7 +14,7 @@ fn tiny_cluster_still_makes_progress() {
     let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 13).generate(60);
     let mut s = esg::core::EsgScheduler::new();
     let cfg = SimConfig {
-        nodes: 2,
+        cluster: Some(ClusterSpec::homogeneous(2, Resources::new(16, 7))),
         ..SimConfig::default()
     };
     let r = run_simulation(&env, cfg, &mut s, &w, "tiny", None).expect("valid run");
@@ -28,7 +28,7 @@ fn tiny_cluster_still_makes_progress() {
 #[test]
 fn heterogeneous_capacity_configs() {
     // Appendix A: the algorithms tolerate heterogeneous hardware. Model a
-    // smaller node class via node_resources and confirm completion.
+    // smaller node class via a homogeneous spec and confirm completion.
     let env = SimEnv::with_grid(
         SloClass::Relaxed,
         ConfigGrid::new(vec![1, 2], vec![1, 2, 4], vec![1, 2]),
@@ -36,8 +36,7 @@ fn heterogeneous_capacity_configs() {
     let w = WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 5).generate(50);
     let mut s = esg::core::EsgScheduler::new();
     let cfg = SimConfig {
-        nodes: 8,
-        node_resources: Resources::new(8, 4),
+        cluster: Some(ClusterSpec::homogeneous(8, Resources::new(8, 4))),
         ..SimConfig::default()
     };
     let r = run_simulation(&env, cfg, &mut s, &w, "hetero", None).expect("valid run");

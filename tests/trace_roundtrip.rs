@@ -214,29 +214,39 @@ fn damaged_configs_are_schema_errors_not_replay_panics() {
     drop(replay);
     let text = std::fs::read_to_string(&path).expect("trace written");
     std::fs::remove_file(&path).ok();
-    assert!(text.contains("\"cluster\":null"), "homogeneous cluster");
+    assert!(text.contains("\"cluster\":null"), "paper cluster");
+
+    // A recorded cluster of `class_json` nodes (empty for "").
+    let cluster = |class_json: &str| {
+        format!("{{\"name\":\"damaged\",\"nodes\":[{class_json}],\"topology\":null}}")
+    };
+    // A paper-shaped class with `vcpus` vCPUs and `slices` vGPU slices.
+    let class = |vcpus: u32, slices: u32| {
+        format!(
+            "{{\"name\":\"c\",\"gpu\":\"a100\",\"vgpu_slices\":{slices},\"vcpus\":{vcpus},\
+\"speed\":1,\"link_scale\":1,\"price_scale\":1,\"pcie_in_gbps\":25,\
+\"pcie_out_gbps\":25,\"nvlink_gbps\":300,\"staging_mb\":32768}}"
+        )
+    };
 
     // Each knob would panic or silently misbehave on replay, so the
     // loader must refuse it through the run's own validation.
+    let no_nodes = cluster("");
+    let cpu_only = cluster(&class(16, 0));
+    let gpu_only = cluster(&class(0, 7));
     for (key, value, mentions) in [
-        ("nodes", "0", "no usable node"),
-        ("prewarm_alpha", "-5", "prewarm_alpha"),
-        ("keep_alive_ms", "-1", "keep_alive_ms"),
-        ("recheck_limit", "0", "recheck_limit"),
+        ("cluster", no_nodes.as_str(), "no usable node"),
+        ("warmup_exclude_ms", "-1", "warmup_exclude_ms"),
         ("churn", "[[\"drain\",100,99]]", "churn event #0"),
         ("churn", "[[\"drain\",1e300,0]]", "churn event #0"),
-        ("node_resources", "[16,0]", "minimum configuration"),
-        ("node_resources", "[0,7]", "minimum configuration"),
+        ("cluster", cpu_only.as_str(), "minimum configuration"),
+        ("cluster", gpu_only.as_str(), "minimum configuration"),
         ("remote_ms_per_mb", "-1", "transfer.remote_ms_per_mb"),
         // Durations added to instants, past `SimTime::MAX_MS`.
         ("local_base_ms", "1e300", "transfer.local_base_ms"),
         ("local_ms_per_mb", "1e300", "transfer.local_ms_per_mb"),
         ("remote_base_ms", "1e300", "transfer.remote_base_ms"),
         ("remote_ms_per_mb", "1e300", "transfer.remote_ms_per_mb"),
-        ("keep_alive_ms", "1e300", "keep_alive_ms"),
-        ("idle_backoff_ms", "1e300", "idle_backoff_ms"),
-        ("overhead", "[1e300,0.4]", "overhead.base_us"),
-        ("overhead", "[200,1e300]", "overhead.us_per_expansion"),
     ] {
         let damaged = set_field(&text, key, value);
         match TraceFile::from_json(&damaged) {
