@@ -33,13 +33,8 @@ fn main() {
         .zip(&sweep.results)
         .map(|(&k, cell)| {
             let r = &cell.result;
-            let searches: Vec<f64> = r
-                .overhead_ms
-                .iter()
-                .copied()
-                .filter(|&o| o > 0.25)
-                .collect();
-            let ovh = searches.iter().sum::<f64>() / searches.len().max(1) as f64;
+            // The decisions above the base cost (see fig10.rs).
+            let ovh = r.overhead_ms.box_above(0.25).map_or(0.0, |b| b.mean);
             let lat = r.apps.iter().map(|a| a.mean_latency_ms()).sum::<f64>() / r.apps.len() as f64;
             (k, ovh, lat, r.avg_hit_rate(), r.cost_per_invocation_cents())
         })

@@ -67,13 +67,8 @@ fn main() {
     let mut csv2 = Vec::new();
     for (&g, cell) in gs.iter().zip(&sweep.results) {
         let r = &cell.result;
-        let searches: Vec<f64> = r
-            .overhead_ms
-            .iter()
-            .copied()
-            .filter(|&o| o > 0.25)
-            .collect();
-        let ovh = searches.iter().sum::<f64>() / searches.len().max(1) as f64;
+        // The decisions above the base cost (see fig10.rs).
+        let ovh = r.overhead_ms.box_above(0.25).map_or(0.0, |b| b.mean);
         println!(
             "{:<4} {:>9.1}% {:>16.4} {:>16.2}",
             g,

@@ -12,6 +12,10 @@
 //! (artifacts without a section, e.g. `BENCH_table4.json`, are listed as
 //! skipped); sections are never appended here, so the tool is idempotent
 //! over a clean tree.
+//!
+//! With `ESG_RESULTS_DIR` set, it reads the artifacts there and renders
+//! into the `EXPERIMENTS.md` beside them (`ESG_EXPERIMENTS_MD` names
+//! another report).
 
 use esg_bench::{
     experiments_md_path, render_bench_markdown, render_overhead_markdown, render_replay_markdown,

@@ -408,18 +408,40 @@ peak live invocations | peak pending events |\n\
     out
 }
 
-/// The generated experiment report: `$ESG_EXPERIMENTS_MD` when set, else
-/// the workspace-level `EXPERIMENTS.md`.
+/// The generated experiment report: `$ESG_EXPERIMENTS_MD` when set;
+/// else `EXPERIMENTS.md` inside `$ESG_RESULTS_DIR` when that is set, so
+/// a run whose artifacts go elsewhere leaves the workspace report in
+/// step with the committed ones; else the workspace-level
+/// `EXPERIMENTS.md`.
 pub fn experiments_md_path() -> PathBuf {
-    let default = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
-    PathBuf::from(std::env::var("ESG_EXPERIMENTS_MD").unwrap_or_else(|_| default.into()))
+    resolve_experiments_md(
+        std::env::var_os("ESG_EXPERIMENTS_MD"),
+        std::env::var_os("ESG_RESULTS_DIR"),
+    )
+}
+
+/// [`experiments_md_path`] from the values of `$ESG_EXPERIMENTS_MD` and
+/// `$ESG_RESULTS_DIR`.
+fn resolve_experiments_md(
+    explicit: Option<std::ffi::OsString>,
+    results_dir: Option<std::ffi::OsString>,
+) -> PathBuf {
+    match (explicit, results_dir) {
+        (Some(path), _) => PathBuf::from(path),
+        (None, Some(dir)) => PathBuf::from(dir).join("EXPERIMENTS.md"),
+        (None, None) => {
+            Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join("EXPERIMENTS.md")
+        }
+    }
 }
 
 /// Splices `markdown` into the experiment report between
 /// `<!-- BENCH:<suite>:begin -->` / `<!-- BENCH:<suite>:end -->` markers,
 /// appending a new marked section when the suite has none yet. Best
 /// effort; returns the path on success. A [`smoke`] run reports, not
-/// records: it leaves the report untouched and returns `None`.
+/// records: it leaves the report untouched and returns `None`. The
+/// report is [`experiments_md_path`], so a run with `$ESG_RESULTS_DIR`
+/// set splices into the report beside its artifacts.
 pub fn update_experiments_md(suite: &str, markdown: &str) -> Option<PathBuf> {
     if smoke() {
         eprintln!("[md] smoke mode: not updating EXPERIMENTS.md (section {suite})");
@@ -492,6 +514,24 @@ mod tests {
         for mode in [false, true] {
             let dir = resolve_results_dir(Some("/tmp/esg-fresh".into()), mode);
             assert_eq!(dir, Path::new("/tmp/esg-fresh"));
+        }
+    }
+
+    #[test]
+    fn the_report_follows_the_artifacts_unless_named() {
+        let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(
+            resolve_experiments_md(None, None),
+            workspace.join("EXPERIMENTS.md")
+        );
+        assert_eq!(
+            resolve_experiments_md(None, Some("/tmp/esg-fresh".into())),
+            Path::new("/tmp/esg-fresh/EXPERIMENTS.md")
+        );
+        // An explicit report wins, with or without a results directory.
+        for dir in [None, Some("/tmp/esg-fresh".into())] {
+            let path = resolve_experiments_md(Some("/tmp/report.md".into()), dir);
+            assert_eq!(path, Path::new("/tmp/report.md"));
         }
     }
 

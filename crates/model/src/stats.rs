@@ -115,14 +115,20 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
 /// [`percentile`] on an already-sorted slice (no allocation).
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
-    if sorted.len() == 1 {
-        return sorted[0];
+    interpolated(sorted.len(), p, |i| sorted[i])
+}
+
+/// The `p`-th percentile of `n ≥ 1` ascending samples whose `i`-th is
+/// `at(i)`, interpolated linearly between closest ranks.
+fn interpolated(n: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
+    if n == 1 {
+        return at(0);
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let rank = p / 100.0 * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    at(lo) + (at(hi) - at(lo)) * frac
 }
 
 /// Five-number summary plus mean, for box plots (Fig. 10/11 harnesses).
@@ -158,6 +164,41 @@ impl BoxStats {
             q3: percentile_sorted(&sorted, 75.0),
             max: *sorted.last().expect("non-empty"),
             mean,
+        })
+    }
+
+    /// [`BoxStats::from`] over a multiset given as `(value, count)` pairs
+    /// in ascending value order, without expanding it. Every field is the
+    /// number `from` gives on the expanded samples, bit for bit: the
+    /// quartiles interpolate between the same ranks, and the mean sums
+    /// the samples in the same ascending order. `None` when the counts
+    /// sum to zero.
+    pub fn from_counts(pairs: &[(f64, u64)]) -> Option<BoxStats> {
+        let n = pairs.iter().map(|&(_, c)| c).sum::<u64>() as usize;
+        if n == 0 {
+            return None;
+        }
+        let at = |i: usize| {
+            let mut seen = 0;
+            for &(v, c) in pairs {
+                seen += c as usize;
+                if i < seen {
+                    return v;
+                }
+            }
+            unreachable!("rank {i} is below the total count {n}")
+        };
+        let sum: f64 = pairs
+            .iter()
+            .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+            .sum();
+        Some(BoxStats {
+            min: at(0),
+            q1: interpolated(n, 25.0, at),
+            median: interpolated(n, 50.0, at),
+            q3: interpolated(n, 75.0, at),
+            max: at(n - 1),
+            mean: sum / n as f64,
         })
     }
 }
@@ -375,6 +416,18 @@ mod tests {
         assert_eq!(b.q3, 76.0);
         assert_eq!(b.mean, 51.0);
         assert_eq!(BoxStats::from(&[]), None);
+    }
+
+    #[test]
+    fn box_stats_from_counts_equals_the_expanded_samples() {
+        let pairs = [(0.2, 3), (0.25, 0), (0.5, 1), (1.75, 4)];
+        let expanded: Vec<f64> = pairs
+            .iter()
+            .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+            .collect();
+        assert_eq!(BoxStats::from_counts(&pairs), BoxStats::from(&expanded));
+        assert_eq!(BoxStats::from_counts(&[(1.0, 0)]), None);
+        assert_eq!(BoxStats::from_counts(&[]), None);
     }
 
     #[test]

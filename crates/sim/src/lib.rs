@@ -70,7 +70,7 @@ pub use eventlog::{EventKind, EventRecord, Observer};
 pub use health::{
     HealthSnapshot, QueueCounters, QueueHealth, QueueHealthMonitor, TransferCounters,
 };
-pub use metrics::{AppMetrics, ExperimentResult, NodeSummary};
+pub use metrics::{AppMetrics, ExperimentResult, NodeSummary, OverheadTable, Tally};
 pub use platform::{
     run_simulation, run_streamed, MemoryFootprint, MinScheduler, SimConfig, SimEnv, Simulation,
 };

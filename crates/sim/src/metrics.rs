@@ -7,7 +7,114 @@
 
 use crate::dataplane::TransferSummary;
 use crate::sched::SchedulerStats;
-use esg_model::{AppId, BoxStats, Resources, Summary};
+use esg_model::{AppId, BoxStats, Resources, SimTime, Summary};
+
+/// The number and the sum of a series of samples, ms, without the
+/// samples. The sum is added in record order, so [`Tally::mean_ms`] is
+/// bit-identical to summing the raw series and dividing by its length.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Tally {
+    len: u64,
+    sum_ms: f64,
+}
+
+impl Tally {
+    /// Adds one sample.
+    pub fn record(&mut self, ms: f64) {
+        self.len += 1;
+        self.sum_ms += ms;
+    }
+
+    /// Samples recorded.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Mean sample, ms; 0 when nothing was recorded.
+    pub fn mean_ms(&self) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            self.sum_ms / self.len as f64
+        }
+    }
+}
+
+/// The simulated scheduling overhead of every decision, kept exactly in
+/// memory that does not grow with the run: one `(µs, decisions)` entry
+/// per distinct value. The overhead is a whole number of µs
+/// ([`crate::OverheadModel::decision_time`] rounds it) and a run takes a
+/// few hundred distinct values over hundreds of thousands of decisions,
+/// so the table answers every reader of the raw series with the same
+/// numbers. Only the sample order is gone.
+///
+/// ```
+/// use esg_model::SimTime;
+///
+/// let mut t = esg_sim::OverheadTable::default();
+/// for us in [200, 450, 200] {
+///     t.record(SimTime::from_us(us));
+/// }
+/// assert_eq!(t.len(), 3);
+/// assert_eq!(t.entries(), &[(200, 2), (450, 1)]);
+/// assert_eq!(t.box_above(0.25).map(|b| b.median), Some(0.45));
+/// ```
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct OverheadTable {
+    tally: Tally,
+    /// `(µs, decisions)`, ascending by µs.
+    entries: Vec<(u64, u64)>,
+}
+
+impl OverheadTable {
+    /// Adds one decision's overhead.
+    pub fn record(&mut self, overhead: SimTime) {
+        let us = overhead.0;
+        match self.entries.binary_search_by_key(&us, |&(v, _)| v) {
+            Ok(i) => self.entries[i].1 += 1,
+            Err(i) => self.entries.insert(i, (us, 1)),
+        }
+        self.tally.record(overhead.as_ms());
+    }
+
+    /// Decisions recorded.
+    pub fn len(&self) -> usize {
+        self.tally.len()
+    }
+
+    /// Whether no decision was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.tally.is_empty()
+    }
+
+    /// Mean overhead per decision, ms; 0 when nothing was recorded.
+    pub fn mean_ms(&self) -> f64 {
+        self.tally.mean_ms()
+    }
+
+    /// The `(µs, decisions)` entries, ascending by µs.
+    pub fn entries(&self) -> &[(u64, u64)] {
+        &self.entries
+    }
+
+    /// Box statistics of the decisions that took more than `ms`
+    /// (`f64::NEG_INFINITY` keeps them all); `None` when there are none.
+    /// Equal to [`BoxStats::from`] over the filtered raw series.
+    pub fn box_above(&self, ms: f64) -> Option<BoxStats> {
+        let pairs: Vec<(f64, u64)> = self
+            .entries
+            .iter()
+            .map(|&(us, n)| (SimTime::from_us(us).as_ms(), n))
+            .filter(|&(v, _)| v > ms)
+            .collect();
+        BoxStats::from_counts(&pairs)
+    }
+}
 
 /// End-of-run summary of one cluster node (heterogeneity/churn audit
 /// trail: the capacity property tests assert `peak_used ≤ total` here).
@@ -76,10 +183,11 @@ pub struct ExperimentResult {
     pub scenario: String,
     /// Per-app metrics, indexed by `AppId`.
     pub apps: Vec<AppMetrics>,
-    /// Simulated scheduling overhead per decision, ms (Fig. 10).
-    pub overhead_ms: Vec<f64>,
-    /// Real wall-clock overhead per decision, ms (honesty track).
-    pub wall_overhead_ms: Vec<f64>,
+    /// Simulated scheduling overhead of every decision (Fig. 10).
+    pub overhead_ms: OverheadTable,
+    /// Host wall-clock time per decision, ms (honesty track): its count
+    /// and mean only.
+    pub wall_overhead_ms: Tally,
     /// Dispatches whose planned batch exceeded the queue length (Table 4).
     pub config_misses: u64,
     /// Total dispatched tasks.
@@ -135,19 +243,19 @@ pub struct ExperimentResult {
 
 impl ExperimentResult {
     /// The run's canonical encoding: the derived `Debug` dump with the
-    /// wall-clock samples (`wall_overhead_ms`, host-dependent by nature)
+    /// wall-clock tally (`wall_overhead_ms`, host-dependent by nature)
     /// left out. Everything else is a pure function of the run, and f64
     /// `Debug` formatting round-trips exactly, so two runs are equivalent
     /// iff their encodings are equal; the golden digests hash this string.
     ///
     /// ```
     /// let mut r = esg_sim::ExperimentResult::default();
-    /// r.wall_overhead_ms.push(0.7);
+    /// r.wall_overhead_ms.record(0.7);
     /// assert_eq!(r.canonical(), esg_sim::ExperimentResult::default().canonical());
     /// ```
     pub fn canonical(&self) -> String {
         let mut r = self.clone();
-        r.wall_overhead_ms.clear();
+        r.wall_overhead_ms = Tally::default();
         format!("{r:?}")
     }
 
@@ -204,16 +312,12 @@ impl ExperimentResult {
 
     /// Box statistics of the simulated scheduling overhead (Fig. 10).
     pub fn overhead_box(&self) -> Option<BoxStats> {
-        BoxStats::from(&self.overhead_ms)
+        self.overhead_ms.box_above(f64::NEG_INFINITY)
     }
 
     /// Mean simulated scheduling overhead, ms.
     pub fn mean_overhead_ms(&self) -> f64 {
-        if self.overhead_ms.is_empty() {
-            0.0
-        } else {
-            self.overhead_ms.iter().sum::<f64>() / self.overhead_ms.len() as f64
-        }
+        self.overhead_ms.mean_ms()
     }
 
     /// Fraction of arrived invocations killed by admission shedding.
@@ -334,12 +438,50 @@ mod tests {
 
     #[test]
     fn overhead_box_built_from_samples() {
-        let r = ExperimentResult {
-            overhead_ms: vec![1.0, 2.0, 3.0, 4.0, 5.0],
-            ..ExperimentResult::default()
-        };
+        let mut r = ExperimentResult::default();
+        for ms in [1, 2, 3, 4, 5] {
+            r.overhead_ms.record(SimTime::from_us(ms * 1000));
+        }
         let b = r.overhead_box().expect("non-empty");
         assert_eq!(b.median, 3.0);
         assert!((r.mean_overhead_ms() - 3.0).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The table answers every reader of the raw series with the
+        /// numbers the series gave: its length, its mean (bit for bit:
+        /// the sum runs in record order) and its box statistics, whole
+        /// and above the figures' 0.25 ms filter.
+        #[test]
+        fn the_table_equals_the_raw_series(
+            us in proptest::collection::vec(overhead_us(), 0..400),
+        ) {
+            let mut table = OverheadTable::default();
+            let raw: Vec<f64> = us.iter().map(|&v| SimTime::from_us(v).as_ms()).collect();
+            for &v in &us {
+                table.record(SimTime::from_us(v));
+            }
+            let r = ExperimentResult { overhead_ms: table, ..ExperimentResult::default() };
+            proptest::prop_assert_eq!(r.overhead_ms.len(), raw.len());
+            let raw_mean = if raw.is_empty() {
+                0.0
+            } else {
+                raw.iter().sum::<f64>() / raw.len() as f64
+            };
+            proptest::prop_assert_eq!(r.mean_overhead_ms().to_bits(), raw_mean.to_bits());
+            proptest::prop_assert_eq!(r.overhead_box(), BoxStats::from(&raw));
+            let above: Vec<f64> = raw.iter().copied().filter(|&o| o > 0.25).collect();
+            proptest::prop_assert_eq!(r.overhead_ms.box_above(0.25), BoxStats::from(&above));
+            let distinct = r.overhead_ms.entries().windows(2).all(|w| w[0].0 < w[1].0);
+            proptest::prop_assert!(distinct, "entries not strictly ascending");
+        }
+    }
+
+    /// Overheads on the µs grid: mostly a few hundred values around the
+    /// 0.25 ms filter (as in a run), sometimes anywhere up to a second.
+    fn overhead_us() -> impl proptest::strategy::Strategy<Value = u64> {
+        proptest::prop_oneof![190u64..320, 0u64..1_000_000]
     }
 }

@@ -291,11 +291,12 @@ impl ArrivalSource<'_> {
     }
 }
 
-/// Peak live-population counters from one run — the RSS proxy the
-/// streaming replay bench asserts its memory ceiling against. All three
-/// are bounded by the in-flight population (arrival rate × residence
-/// time), not by the total invocation count, which is what makes
-/// streamed replays constant-memory.
+/// Peak live-population counters and metric-table size from one run —
+/// the RSS proxy the streaming replay bench asserts its memory ceiling
+/// against. The population counters are bounded by the in-flight
+/// population (arrival rate × residence time) and the overhead table by
+/// the distinct overhead values, not by the total invocation count,
+/// which is what makes streamed replays constant-memory.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemoryFootprint {
     /// High-water mark of live invocations in the arena.
@@ -308,6 +309,10 @@ pub struct MemoryFootprint {
     pub task_slots: usize,
     /// High-water mark of pending events in the queue.
     pub peak_pending_events: usize,
+    /// Entries of the decision-overhead table, one per distinct overhead
+    /// value ([`crate::OverheadTable`]): bounded by the values the
+    /// overhead model yields, not by the number of decisions.
+    pub overhead_entries: usize,
 }
 
 /// One simulation run binding an environment, a configuration, a scheduler
@@ -712,6 +717,7 @@ impl<'a> Simulation<'a> {
             peak_live_tasks: self.tasks.peak_live(),
             task_slots: self.tasks.slots(),
             peak_pending_events: self.events.peak_len(),
+            overhead_entries: self.metrics.overhead_ms.entries().len(),
         };
         Ok((self.finish(), footprint))
     }
@@ -1004,8 +1010,8 @@ impl<'a> Simulation<'a> {
             return false;
         }
         let overhead = OverheadModel::default().decision_time(outcome.expansions);
-        self.metrics.overhead_ms.push(overhead.as_ms());
-        self.metrics.wall_overhead_ms.push(wall_ms);
+        self.metrics.overhead_ms.record(overhead);
+        self.metrics.wall_overhead_ms.record(wall_ms);
         let charged = if self.cfg.charge_overhead {
             overhead
         } else {
@@ -1872,7 +1878,9 @@ mod tests {
         let r =
             run_simulation(&env, SimConfig::default(), &mut s, &w, "o", None).expect("valid run");
         assert_eq!(r.overhead_ms.len() as u64, r.dispatches + r.rechecks);
-        assert!(r.overhead_ms.iter().all(|&o| o >= 0.0));
+        // MinScheduler searches nothing: every decision costs the base.
+        let decisions = r.overhead_ms.len() as u64;
+        assert_eq!(r.overhead_ms.entries(), &[(200, decisions)]);
         assert_eq!(r.wall_overhead_ms.len(), r.overhead_ms.len());
     }
 

@@ -59,12 +59,19 @@ pub enum ShedReason {
     Overload,
 }
 
+impl ShedReason {
+    /// The reason's name, as traces and reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ShedReason::GsloUnattainable => "gslo-unattainable",
+            ShedReason::Overload => "overload",
+        }
+    }
+}
+
 impl fmt::Display for ShedReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShedReason::GsloUnattainable => write!(f, "gslo-unattainable"),
-            ShedReason::Overload => write!(f, "overload"),
-        }
+        f.write_str(self.name())
     }
 }
 

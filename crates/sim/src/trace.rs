@@ -159,28 +159,100 @@ pub fn fnv64(s: &str) -> u64 {
 /// render_record(&mut out, &EventRecord::capture(&churn)).unwrap();
 /// assert_eq!(out, "C n3 drain;");
 /// ```
+///
+/// The record is assembled in a stack buffer without `core::fmt` and
+/// reaches `out` in one `write_str`; the text is the one `Config`'s
+/// `Display` and `ShedReason`'s name give.
 pub fn render_record(out: &mut impl fmt::Write, record: &EventRecord) -> fmt::Result {
+    let mut line = Line::default();
     match record.kind {
         EventKind::Dispatched {
             key,
             config,
             node,
             jobs,
-        } => write!(
-            out,
-            "D {}.{} {} n{} x{};",
-            key.app.0, key.stage, config, node.0, jobs
-        ),
-        EventKind::Churn { node, joined } => write!(
-            out,
-            "C n{} {};",
-            node.0,
-            if joined { "join" } else { "drain" }
-        ),
-        EventKind::QueueShed { key, jobs, reason } => {
-            write!(out, "S {}.{} x{} {};", key.app.0, key.stage, jobs, reason)
+        } => line
+            .text("D ")
+            .key(key)
+            .text(" (b=")
+            .num(config.batch.into())
+            .text(",c=")
+            .num(config.vcpus.into())
+            .text(",g=")
+            .num(config.vgpus.into())
+            .text(") n")
+            .num(node.0.into())
+            .text(" x")
+            .num(jobs as u64)
+            .text(";"),
+        EventKind::Churn { node, joined } => {
+            line.text("C n")
+                .num(node.0.into())
+                .text(if joined { " join;" } else { " drain;" })
         }
-        _ => Ok(()),
+        EventKind::QueueShed { key, jobs, reason } => line
+            .text("S ")
+            .key(key)
+            .text(" x")
+            .num(jobs as u64)
+            .text(" ")
+            .text(reason.name())
+            .text(";"),
+        _ => return Ok(()),
+    };
+    out.write_str(line.as_str())
+}
+
+/// One rendered trace record: ASCII on the stack, longer than the
+/// longest record (109 bytes: a dispatch with every number at its
+/// type's maximum).
+struct Line {
+    buf: [u8; 128],
+    len: usize,
+}
+
+impl Default for Line {
+    fn default() -> Line {
+        Line {
+            buf: [0; 128],
+            len: 0,
+        }
+    }
+}
+
+impl Line {
+    fn bytes(&mut self, b: &[u8]) -> &mut Line {
+        self.buf[self.len..self.len + b.len()].copy_from_slice(b);
+        self.len += b.len();
+        self
+    }
+
+    fn text(&mut self, s: &str) -> &mut Line {
+        self.bytes(s.as_bytes())
+    }
+
+    /// Appends `v` in decimal.
+    fn num(&mut self, mut v: u64) -> &mut Line {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.bytes(&digits[start..])
+    }
+
+    /// Appends `{app}.{stage}`.
+    fn key(&mut self, key: QueueKey) -> &mut Line {
+        self.num(key.app.0.into()).text(".").num(key.stage as u64)
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("digits and ASCII literals")
     }
 }
 
@@ -1204,6 +1276,64 @@ mod tests {
         assert_eq!(s, "D 2.1 (b=2,c=3,g=1) n4 x2;C n1 drain;S 2.1 x3 overload;");
         assert_eq!(fnv64(""), 0xcbf29ce484222325);
         assert_ne!(fnv64(&s), fnv64(""));
+    }
+
+    /// The `write!` rendering `render_record` replaced, kept as the
+    /// reference its bytes must equal.
+    fn formatted(record: &EventRecord) -> String {
+        match record.kind {
+            EventKind::Dispatched {
+                key,
+                config,
+                node,
+                jobs,
+            } => format!(
+                "D {}.{} {} n{} x{};",
+                key.app.0, key.stage, config, node.0, jobs
+            ),
+            EventKind::Churn { node, joined } => {
+                format!("C n{} {};", node.0, if joined { "join" } else { "drain" })
+            }
+            EventKind::QueueShed { key, jobs, reason } => {
+                format!("S {}.{} x{} {};", key.app.0, key.stage, jobs, reason)
+            }
+            _ => String::new(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn render_record_writes_the_formatted_bytes(
+            kind in 0u8..3,
+            app in proptest::prop_oneof![0u32..8, proptest::prelude::Just(u32::MAX)],
+            stage in proptest::prop_oneof![0usize..12, proptest::prelude::Just(usize::MAX)],
+            config in (1u32..9, 1u32..1000, proptest::prop_oneof![1u32..8, proptest::prelude::Just(u32::MAX)]),
+            node in proptest::prop_oneof![0u32..64, proptest::prelude::Just(u32::MAX)],
+            jobs in proptest::prop_oneof![0usize..100_000, proptest::prelude::Just(usize::MAX)],
+            flag in proptest::prelude::any::<bool>(),
+        ) {
+            let key = QueueKey { app: AppId(app), stage };
+            let kind = match kind {
+                0 => EventKind::Dispatched {
+                    key,
+                    config: Config::new(config.0, config.1, config.2),
+                    node: NodeId(node),
+                    jobs,
+                },
+                1 => EventKind::Churn { node: NodeId(node), joined: flag },
+                _ => EventKind::QueueShed {
+                    key,
+                    jobs,
+                    reason: if flag { ShedReason::Overload } else { ShedReason::GsloUnattainable },
+                },
+            };
+            let record = EventRecord { now_ms: 1.0, kind };
+            let mut out = String::new();
+            render_record(&mut out, &record).expect("a String accepts every write");
+            proptest::prop_assert_eq!(out, formatted(&record));
+        }
     }
 
     #[test]

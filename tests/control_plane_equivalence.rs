@@ -40,6 +40,13 @@
 //! `PolicyStats`, which the gates left out while they were zero. No
 //! decision moved: every `trace=`, `completed=`, `dispatches=` and
 //! `rechecks=` field is byte-identical to the previous blessing.
+//!
+//! Re-base: every `result=` field was re-blessed when the per-decision
+//! overhead series became an exact count table (`OverheadTable`), which
+//! the canonical encoding now dumps as sorted `(µs, count)` entries with
+//! the sample count and sum. No decision moved: every `trace=`,
+//! `completed=`, `dispatches=` and `rechecks=` field is byte-identical
+//! to the previous blessing.
 
 use esg::baselines::bo::BoOptimizer;
 use esg::prelude::*;

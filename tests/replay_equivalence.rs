@@ -170,3 +170,43 @@ fn streamed_replay_memory_scales_with_live_work_not_replay_length() {
     assert!(fp_long.peak_live_invocations <= fp_long.invocation_slots);
     assert!(fp_long.peak_live_tasks <= fp_long.task_slots);
 }
+
+/// Invariant 2 covers the decision metrics too: ESG's decisions roughly
+/// double with the replay length, while the overhead table keeps one
+/// entry per distinct overhead value. (`MinScheduler` would not show
+/// it: every one of its decisions costs the same.)
+#[test]
+fn decision_metrics_stay_flat_when_the_replay_doubles() {
+    let footprint = |max_sim_ms: f64| {
+        let env = SimEnv::standard(SloClass::Moderate);
+        let cfg = SimConfig {
+            seed: 7,
+            max_sim_ms,
+            ..SimConfig::default()
+        };
+        let stream =
+            ArrivalStream::of_class(WorkloadClass::Normal, esg::model::standard_app_ids(), 7);
+        let mut sched = EsgScheduler::new();
+        Simulation::from_stream(&env, cfg, &mut sched, stream).run_with_footprint()
+    };
+    let (r_short, fp_short) = footprint(60_000.0);
+    let (r_long, fp_long) = footprint(120_000.0);
+    let (short, long) = (r_short.overhead_ms.len(), r_long.overhead_ms.len());
+    assert!(
+        long > short * 3 / 2,
+        "the long replay must make more decisions: {short} -> {long}"
+    );
+    assert_eq!(r_long.wall_overhead_ms.len(), long);
+    assert!(
+        fp_short.overhead_entries > 20,
+        "ESG's searches should take many overhead values, got {}",
+        fp_short.overhead_entries
+    );
+    assert!(
+        fp_long.overhead_entries <= fp_short.overhead_entries + fp_short.overhead_entries / 4,
+        "overhead table grew with replay length: {} -> {} entries",
+        fp_short.overhead_entries,
+        fp_long.overhead_entries
+    );
+    assert!(fp_long.overhead_entries < long / 10);
+}
