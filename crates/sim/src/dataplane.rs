@@ -26,9 +26,10 @@
 //!   the simulation's [`EventQueue`](crate::EventQueue). When membership
 //!   changes on any pool a flow shares (found through each pool's
 //!   member index), its ρ is recomputed; only a *bitwise* ρ change
-//!   drains elapsed progress and re-plans the finish (a fresh event
-//!   under a new plane-wide generation; the stale event is skipped on
-//!   pop). At effectively infinite bandwidth ρ is 1.0 for
+//!   drains elapsed progress and re-plans the finish: the platform
+//!   pushes the new finish and the queue moves the flow's one pending
+//!   event in place, so no superseded finish is ever queued. At
+//!   effectively infinite bandwidth ρ is 1.0 for
 //!   every flow forever, so no re-plan ever fires and the planned finish
 //!   is the *same f64 expression* as the scalar model — dispatch traces
 //!   stay bit-identical (`tests/dataplane_equivalence.rs`).
@@ -183,18 +184,15 @@ pub struct TransferReq<'a> {
     pub cross_mb: f64,
 }
 
-/// A re-planned finish to (re-)schedule: `(task, generation, finish)`.
-pub type Replan = (u64, u64, SimTime);
+/// A planned finish to schedule: `(task, finish)`.
+pub type Plan = (u64, SimTime);
 
-/// A staged flow that just activated (schedule + notify started).
+/// A staged flow that just activated (notify started; its finish is in
+/// [`DataPlane::plans`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Activation {
     /// Task id of the activated flow.
     pub task: u64,
-    /// Its new event generation.
-    pub gen: u64,
-    /// Its planned finish.
-    pub finish: SimTime,
     /// Destination node index (for notifications).
     pub node: usize,
     /// Total MB of the flow.
@@ -202,13 +200,11 @@ pub struct Activation {
 }
 
 /// The outcome of [`DataPlane::begin`]. Re-plans of other flows whose
-/// share the new flow changed are in [`DataPlane::replanned`].
+/// share the new flow changed are in [`DataPlane::plans`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Admission {
     /// The flow activated immediately; schedule its finish.
     Active {
-        /// Event generation of the planned finish.
-        gen: u64,
         /// Planned finish time.
         finish: SimTime,
     },
@@ -217,10 +213,10 @@ pub enum Admission {
     Queued,
 }
 
-/// The outcome of a completed [`DataPlane::on_due`] (a stale generation
-/// returns `None` instead). Re-plans of still-running flows are in
-/// [`DataPlane::replanned`], staged flows that activated on the freed
-/// space in [`DataPlane::activated`].
+/// The outcome of [`DataPlane::on_due`]. The finishes to schedule —
+/// re-plans of still-running flows and those of staged flows that
+/// activated on the freed space — are in [`DataPlane::plans`], the
+/// activations themselves in [`DataPlane::activated`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DueOutcome {
     /// Pre-exec elapsed for the completed flow (dispatch → now), ms.
@@ -349,9 +345,6 @@ enum FlowState {
 #[derive(Clone, Debug, Default)]
 struct Flow {
     state: FlowState,
-    /// Generation of the flow's live `TransferDue` event, drawn from the
-    /// plane-wide counter (so never reused by a later flow in the slot).
-    gen: u64,
     dispatched_at: SimTime,
     dst: usize,
     remote_mb: f64,
@@ -360,6 +353,8 @@ struct Flow {
     work_ms: f64,
     scalar_total_ms: f64,
     cross_mb: f64,
+    /// The finish last planned for the active flow.
+    finish: SimTime,
     /// The pools the flow joins while active, fixed at `begin`.
     pools: Vec<(usize, u8)>,
     // Drain state while active.
@@ -435,11 +430,8 @@ pub struct DataPlane {
     /// Flow slab indexed by task id (the platform's dense task arena
     /// slots); grows to the peak task id in transfer.
     flows: Vec<Flow>,
-    /// The last generation handed out; every activation and re-plan
-    /// draws the next one.
-    gen: u64,
-    /// Re-plans produced by the last `begin`/`on_due`.
-    replanned: Vec<Replan>,
+    /// Finishes planned by the last `begin`/`on_due`, in push order.
+    plans: Vec<Plan>,
     /// Activations produced by the last `begin`/`on_due`.
     activated: Vec<Activation>,
     /// Scratch: the affected-flow ids of one re-plan sweep.
@@ -478,8 +470,7 @@ impl DataPlane {
             servers,
             staging: Vec::new(),
             flows: Vec::new(),
-            gen: 0,
-            replanned: Vec::new(),
+            plans: Vec::new(),
             activated: Vec::new(),
             affected: Vec::new(),
             view: DataPlaneView::default(),
@@ -557,9 +548,9 @@ impl DataPlane {
 
     /// Admits the pre-exec flow of a freshly dispatched batch at `now`
     /// (the dispatch instant). Re-plans of other flows are left in
-    /// [`replanned`](Self::replanned).
+    /// [`plans`](Self::plans).
     pub fn begin(&mut self, req: TransferReq<'_>, now: SimTime) -> Admission {
-        self.replanned.clear();
+        self.plans.clear();
         self.activated.clear();
         self.batched_small += req.batched_small as u64;
         let t = req.task as usize;
@@ -591,8 +582,8 @@ impl DataPlane {
         };
         let out = if admitted {
             self.reserve_staging(dst, staged);
-            let (gen, finish) = self.activate(req.task, now);
-            Admission::Active { gen, finish }
+            let finish = self.activate(req.task, now);
+            Admission::Active { finish }
         } else {
             self.staging[dst].queue.push_back(req.task);
             self.stats[dst].queued += 1;
@@ -637,19 +628,18 @@ impl DataPlane {
         }
     }
 
-    /// Handles a `TransferDue(task, gen)` event. Returns `None` when the
-    /// generation is stale (the flow was re-planned, or completed and its
-    /// slot reused, after this event was scheduled); otherwise the flow
-    /// is complete — release its resources, re-plan affected flows
-    /// ([`replanned`](Self::replanned)), and activate queued ones
-    /// ([`activated`](Self::activated)).
-    pub fn on_due(&mut self, task: u64, gen: u64, now: SimTime) -> Option<DueOutcome> {
+    /// Handles a `TransferDue(task)` event: the active flow of `task` is
+    /// complete — release its resources, re-plan affected flows and
+    /// activate queued ones ([`plans`](Self::plans),
+    /// [`activated`](Self::activated)).
+    pub fn on_due(&mut self, task: u64, now: SimTime) -> DueOutcome {
         let t = task as usize;
-        match self.flows.get(t) {
-            Some(f) if f.gen == gen && f.state == FlowState::Active => {}
-            _ => return None,
-        }
-        self.replanned.clear();
+        debug_assert_eq!(
+            self.flows[t].state,
+            FlowState::Active,
+            "task {t} not in transfer"
+        );
+        self.plans.clear();
         self.activated.clear();
         let pools = std::mem::take(&mut self.flows[t].pools);
         for &(idx, kind) in &pools {
@@ -684,27 +674,37 @@ impl DataPlane {
             self.staging[dst].queue.pop_front();
             self.reserve_staging(dst, mb);
             let total = self.flows[head as usize].total_mb();
-            let (gen, finish) = self.activate(head, now);
+            self.activate(head, now);
             self.activated.push(Activation {
                 task: head,
-                gen,
-                finish,
                 node: dst,
                 mb: total,
             });
         }
+        // The activated flows' finishes follow the re-plans. One that a
+        // later activation re-planned is already there, at its re-plan's
+        // place.
+        let replans = self.plans.len();
+        for a in &self.activated {
+            if !self.plans[..replans].iter().any(|&(id, _)| id == a.task) {
+                self.plans
+                    .push((a.task, self.flows[a.task as usize].finish));
+            }
+        }
         self.sync_view();
-        Some(out)
+        out
     }
 
-    /// Finishes of other flows to re-schedule, from the last
-    /// [`begin`](Self::begin) or completed [`on_due`](Self::on_due),
-    /// in the order their events are to be pushed.
-    pub fn replanned(&self) -> &[Replan] {
-        &self.replanned
+    /// Finishes to schedule from the last [`begin`](Self::begin) (other
+    /// flows' re-plans) or [`on_due`](Self::on_due) (re-plans, then
+    /// activated flows), in the order their events are to be pushed. A
+    /// flow appears more than once only when re-planned again; its last
+    /// entry is its current finish.
+    pub fn plans(&self) -> &[Plan] {
+        &self.plans
     }
 
-    /// Staged flows the last completed [`on_due`](Self::on_due)
+    /// Staged flows the last [`on_due`](Self::on_due)
     /// activated on the freed space, FIFO (empty after a
     /// [`begin`](Self::begin)).
     pub fn activated(&self) -> &[Activation] {
@@ -736,14 +736,9 @@ impl DataPlane {
         s
     }
 
-    fn next_gen(&mut self) -> u64 {
-        self.gen += 1;
-        self.gen
-    }
-
     /// Activates `task` at `now`: joins its pools, plans its finish, and
     /// re-plans every other flow whose share changed.
-    fn activate(&mut self, task: u64, now: SimTime) -> (u64, SimTime) {
+    fn activate(&mut self, task: u64, now: SimTime) -> SimTime {
         let t = task as usize;
         let pools = std::mem::take(&mut self.flows[t].pools);
         for &(idx, kind) in &pools {
@@ -764,9 +759,8 @@ impl DataPlane {
             now + SimTime::from_ms(flow.base_ms + flow.work_ms / rho)
         };
         let (dst, total_mb, cross_mb) = (flow.dst, flow.total_mb(), flow.cross_mb);
-        let gen = self.next_gen();
         let flow = &mut self.flows[t];
-        flow.gen = gen;
+        flow.finish = finish;
         flow.rho = rho;
         flow.demand = demand;
         flow.base_left = flow.base_ms;
@@ -793,11 +787,11 @@ impl DataPlane {
         let flow = &mut self.flows[t];
         flow.state = FlowState::Active;
         flow.pools = pools;
-        (gen, finish)
+        finish
     }
 
     /// Re-plans every indexed flow sharing any of `touched`, in task-id
-    /// order, appending to `replanned`. Only a bitwise ρ change re-plans
+    /// order, appending to `plans`. Only a bitwise ρ change re-plans
     /// — an unchanged share leaves the planned finish untouched.
     fn recompute_members(&mut self, touched: &[(usize, u8)], now: SimTime) {
         let mut affected = std::mem::take(&mut self.affected);
@@ -833,11 +827,9 @@ impl DataPlane {
             }
             a.last_update = now;
             a.rho = rho;
-            let finish = now + SimTime::from_ms(a.base_left + a.work_left / rho);
-            let gen = self.next_gen();
-            self.flows[id as usize].gen = gen;
+            a.finish = now + SimTime::from_ms(a.base_left + a.work_left / rho);
             self.replans += 1;
-            self.replanned.push((id, gen, finish));
+            self.plans.push((id, a.finish));
         }
         self.affected = affected;
     }
@@ -893,6 +885,7 @@ impl DataPlane {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use crate::event::{Event, EventQueue};
     use esg_model::ClusterSpec;
 
     #[test]
@@ -963,11 +956,19 @@ mod tests {
         }
     }
 
-    fn gen_of(adm: &Admission) -> u64 {
-        match adm {
-            Admission::Active { gen, .. } => *gen,
-            Admission::Queued => panic!("expected an active admission"),
+    /// Pushes the finishes the last `begin`/`on_due` planned in the
+    /// platform's order: the admitted flow's own, then [`DataPlane::plans`].
+    fn schedule(q: &mut EventQueue, dp: &DataPlane, admitted: Option<Plan>) {
+        for (task, at) in admitted.into_iter().chain(dp.plans().iter().copied()) {
+            q.push(at, Event::TransferDue(task));
         }
+    }
+
+    /// The queue's pending transfer finishes, by task id.
+    fn dues(q: &EventQueue) -> Vec<(SimTime, u64)> {
+        let mut dues: Vec<_> = q.pending_dues().collect();
+        dues.sort_unstable_by_key(|&(_, task)| task);
+        dues
     }
 
     #[test]
@@ -978,7 +979,7 @@ mod tests {
         let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
         let adm = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
         assert_eq!(finish_of(&adm), SimTime::from_ms(10.0));
-        assert!(dp.replanned().is_empty());
+        assert!(dp.plans().is_empty());
     }
 
     #[test]
@@ -987,52 +988,57 @@ mod tests {
         let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
         // Flow 1 saturates ingress solo (ρ = 1, finish at 10 ms).
         let a1 = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
-        assert_eq!((gen_of(&a1), finish_of(&a1)), (1, SimTime::from_ms(10.0)));
+        assert_eq!(finish_of(&a1), SimTime::from_ms(10.0));
         // Flow 2 joins at t = 4: both now get half the pool (ρ = ½).
         let a2 = dp.begin(req(2, 100.0, 10.0), SimTime::from_ms(4.0));
         // Flow 2 runs its whole 10 ms work window at ½ rate → 20 ms.
-        assert_eq!((gen_of(&a2), finish_of(&a2)), (2, SimTime::from_ms(24.0)));
-        // Flow 1 drained 4 ms at full rate; 6 ms left doubles to 12. Its
-        // re-plan draws the plane's next generation.
-        assert_eq!(dp.replanned(), &[(1, 3, SimTime::from_ms(16.0))]);
-        // Flow 1's original event at 10 ms is now stale.
-        assert!(dp.on_due(1, 1, SimTime::from_ms(10.0)).is_none());
+        assert_eq!(finish_of(&a2), SimTime::from_ms(24.0));
+        // Flow 1 drained 4 ms at full rate; 6 ms left doubles to 12.
+        assert_eq!(dp.plans(), &[(1, SimTime::from_ms(16.0))]);
         // Its re-planned finish completes and restores flow 2 to full
         // rate: 8 ms of work left at ½ becomes 4 ms.
-        assert!(dp.on_due(1, 3, SimTime::from_ms(16.0)).is_some());
-        assert_eq!(dp.replanned(), &[(2, 4, SimTime::from_ms(20.0))]);
-        assert!(dp.on_due(2, 4, SimTime::from_ms(20.0)).is_some());
+        dp.on_due(1, SimTime::from_ms(16.0));
+        assert_eq!(dp.plans(), &[(2, SimTime::from_ms(20.0))]);
+        dp.on_due(2, SimTime::from_ms(20.0));
         let s = dp.summary();
         assert_eq!((s.started, s.completed, s.replans), (2, 2, 2));
     }
 
     #[test]
-    fn a_stale_event_never_completes_a_later_flow_in_the_same_slot() {
+    fn a_reused_slot_holds_only_the_new_flows_finish() {
         let class = NodeClass::a100().with_bandwidth(10.0, 10.0, 10.0);
         let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
-        // Flows 1 and 2 contend; flow 2 is planned to finish at 24 ms
-        // under its first generation.
-        dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
-        let a2 = dp.begin(req(2, 100.0, 10.0), SimTime::from_ms(4.0));
-        let (stale, planned) = (gen_of(&a2), finish_of(&a2));
-        assert_eq!(planned, SimTime::from_ms(24.0));
-        // Flow 1 completes at 16 ms; flow 2 is re-planned to 20 ms and
-        // completes there.
-        assert!(dp.on_due(1, 3, SimTime::from_ms(16.0)).is_some());
-        let &[(2, current, at)] = dp.replanned() else {
-            panic!("flow 2 must be re-planned")
+        let mut q = EventQueue::new();
+        let complete_next = |dp: &mut DataPlane, q: &mut EventQueue| {
+            let Some((at, Event::TransferDue(task))) = q.pop() else {
+                panic!("a pending transfer finish")
+            };
+            dp.on_due(task, at);
+            schedule(q, dp, None);
+            (at, task)
         };
-        assert_eq!(at, SimTime::from_ms(20.0));
-        assert!(dp.on_due(2, current, at).is_some());
-        // Task slot 2 is reused by a solo flow due at 31 ms.
-        let reused = dp.begin(req(2, 100.0, 10.0), SimTime::from_ms(21.0));
-        assert_eq!(finish_of(&reused), SimTime::from_ms(31.0));
-        // The first flow's stale event pops at 24 ms: it must not
-        // complete the new flow 7 ms early.
-        assert!(dp.on_due(2, stale, planned).is_none());
-        assert!(dp
-            .on_due(2, gen_of(&reused), SimTime::from_ms(31.0))
-            .is_some());
+        // Flows 1 and 2 contend: flow 2 is planned to finish at 24 ms, and
+        // flow 1's finish moves from 10 ms to 16 ms.
+        let a1 = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
+        schedule(&mut q, &dp, Some((1, finish_of(&a1))));
+        let a2 = dp.begin(req(2, 100.0, 10.0), SimTime::from_ms(4.0));
+        schedule(&mut q, &dp, Some((2, finish_of(&a2))));
+        let ms = SimTime::from_ms;
+        assert_eq!(dues(&q), [(ms(16.0), 1), (ms(24.0), 2)]);
+        // Flow 1 completes; flow 2's finish moves to 20 ms and completes
+        // there.
+        assert_eq!(complete_next(&mut dp, &mut q), (ms(16.0), 1));
+        assert_eq!(dues(&q), [(ms(20.0), 2)]);
+        assert_eq!(complete_next(&mut dp, &mut q), (ms(20.0), 2));
+        assert!(q.is_empty());
+        // Task slot 2 is reused by a solo flow due at 31 ms: the slot's
+        // one pending finish is the new flow's, not the first flow's
+        // original 24 ms plan.
+        let reused = dp.begin(req(2, 100.0, 10.0), ms(21.0));
+        schedule(&mut q, &dp, Some((2, finish_of(&reused))));
+        assert_eq!(dues(&q), [(ms(31.0), 2)]);
+        assert_eq!(complete_next(&mut dp, &mut q), (ms(31.0), 2));
+        assert!(q.is_empty());
         assert_eq!(dp.summary().completed, 3);
     }
 
@@ -1048,10 +1054,7 @@ mod tests {
         for task in 0..50u64 {
             let adm = dp.begin(req(task, 500.0, 25.0), SimTime::ZERO);
             assert_eq!(finish_of(&adm), SimTime::from_ms(25.0));
-            assert!(
-                dp.replanned().is_empty(),
-                "ρ stays 1.0 at infinite capacity"
-            );
+            assert!(dp.plans().is_empty(), "ρ stays 1.0 at infinite capacity");
         }
         assert_eq!(dp.summary().replans, 0);
     }
@@ -1072,14 +1075,42 @@ mod tests {
         assert_eq!(dp.view().contending_flows(0), 2);
         assert_eq!(dp.view().node(0).queued, 1);
         // Flow 1 completes → flow 2 activates from *now*, full window.
-        assert!(dp.on_due(1, 1, SimTime::from_ms(8.0)).is_some());
+        dp.on_due(1, SimTime::from_ms(8.0));
         assert_eq!(dp.activated().len(), 1);
-        let act = dp.activated()[0];
-        assert_eq!((act.task, act.finish), (2, SimTime::from_ms(16.0)));
-        assert!(dp.on_due(2, act.gen, act.finish).is_some());
+        assert_eq!(dp.activated()[0].task, 2);
+        assert_eq!(dp.plans(), &[(2, SimTime::from_ms(16.0))]);
+        dp.on_due(2, SimTime::from_ms(16.0));
         let s = dp.summary();
         assert_eq!((s.started, s.completed, s.queued), (2, 2, 1));
         assert_eq!(s.peak_staging_mb, 80.0);
+    }
+
+    #[test]
+    fn an_activation_re_planned_by_a_later_one_is_due_at_its_re_plan() {
+        let class = NodeClass::a100()
+            .with_bandwidth(10.0, 10.0, 10.0)
+            .with_staging_mb(100.0);
+        let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
+        let mut q = EventQueue::new();
+        // Flow 1 fills the staging buffer; flows 2 and 3 queue behind it.
+        let a1 = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
+        schedule(&mut q, &dp, Some((1, finish_of(&a1))));
+        for (task, mb, work) in [(2, 40.0, 4.0), (3, 20.0, 2.0)] {
+            assert_eq!(
+                dp.begin(req(task, mb, work), SimTime::ZERO),
+                Admission::Queued
+            );
+        }
+        // Flow 1 completes at 10 ms and both activate. Flow 2 alone would
+        // finish at 14 ms, but flow 3 halves its share at once: flow 2's
+        // one finish is its re-plan at 18 ms, scheduled before flow 3's.
+        let ms = SimTime::from_ms;
+        assert_eq!(q.pop(), Some((ms(10.0), Event::TransferDue(1))));
+        dp.on_due(1, ms(10.0));
+        assert_eq!(dp.activated().len(), 2);
+        assert_eq!(dp.plans(), &[(2, ms(18.0)), (3, ms(14.0))]);
+        schedule(&mut q, &dp, None);
+        assert_eq!(dues(&q), [(ms(18.0), 2), (ms(14.0), 3)]);
     }
 
     #[test]
@@ -1095,7 +1126,7 @@ mod tests {
             Admission::Queued
         ));
         // …and admitted the moment the buffer is empty.
-        assert!(dp.on_due(1, 1, SimTime::from_ms(4.0)).is_some());
+        dp.on_due(1, SimTime::from_ms(4.0));
         assert_eq!(dp.activated().len(), 1);
         assert_eq!(dp.activated()[0].task, 2);
     }
@@ -1136,12 +1167,12 @@ mod tests {
         let mut dp = topo_plane(5.0);
         let adm = dp.begin(req_edge(1, 1, 0, 100.0, 10.0, false), SimTime::ZERO);
         assert_eq!(finish_of(&adm), SimTime::from_ms(10.0));
-        assert!(dp.on_due(1, gen_of(&adm), SimTime::from_ms(10.0)).is_some());
+        dp.on_due(1, SimTime::from_ms(10.0));
         // Cross-server (2 → 0) shares both ToR uplinks: the 5 MB/ms
         // ToR halves a 10 MB/ms demand → ρ = ½, 10 ms of work → 20 ms.
         let adm = dp.begin(req_edge(2, 2, 0, 100.0, 10.0, true), SimTime::ZERO);
         assert_eq!(finish_of(&adm), SimTime::from_ms(20.0));
-        assert!(dp.on_due(2, gen_of(&adm), SimTime::from_ms(20.0)).is_some());
+        dp.on_due(2, SimTime::from_ms(20.0));
         let s = dp.summary();
         assert_eq!(s.completed, 2);
         assert_eq!(s.total_mb, 200.0);
@@ -1159,7 +1190,7 @@ mod tests {
         assert_eq!(finish_of(&a1), SimTime::from_ms(10.0));
         let a2 = dp.begin(req_edge(2, 3, 1, 100.0, 10.0, true), SimTime::from_ms(4.0));
         assert_eq!(finish_of(&a2), SimTime::from_ms(24.0));
-        assert_eq!(dp.replanned(), &[(1, 3, SimTime::from_ms(16.0))]);
+        assert_eq!(dp.plans(), &[(1, SimTime::from_ms(16.0))]);
     }
 
     #[test]
@@ -1195,7 +1226,7 @@ mod tests {
         /// Begin a flow after `dt_ms`: destination, remote producer
         /// mask, remote MB, local MB, base ms, work ms.
         Begin(f64, usize, u8, f64, f64, f64, f64),
-        /// Pop the earliest pending due event (stale ones included).
+        /// Complete the flow with the earliest pending finish.
         Due,
     }
 
@@ -1216,7 +1247,10 @@ mod tests {
     /// Drives `steps` through the indexed plane and the full-scan
     /// reference on the same cluster (flat, or two 2-node servers),
     /// asserting identical admissions, re-plans, activations and
-    /// completions, and a consistent member index after every step.
+    /// completions, and a consistent member index after every step. The
+    /// finishes go through an [`EventQueue`] as the platform pushes them;
+    /// after every step its pending finishes are exactly the active
+    /// flows, each at its planned finish.
     fn check_against_full_scan(steps: &[Step], topology: bool, staging_mb: f64) {
         let class = NodeClass::a100()
             .with_bandwidth(6.0, 4.0, 9.0)
@@ -1230,23 +1264,11 @@ mod tests {
         let mut fast = DataPlane::new(DataPlaneConfig::default(), &cluster, spec.topology);
         let mut slow = fast.clone();
         slow.scan_all = true;
-        // Pending due events (time, push seq, task, gen); free task ids
-        // are reused LIFO like the platform's task arena.
-        let mut due: Vec<(SimTime, u64, u64, u64)> = Vec::new();
-        let mut seq = 0u64;
+        let mut q = EventQueue::new();
+        // Free task ids are reused LIFO like the platform's task arena.
         let mut free: Vec<u64> = Vec::new();
         let mut next_task = 0u64;
         let mut now = SimTime::ZERO;
-        let mut push = |due: &mut Vec<_>, dp: &DataPlane, first: Option<(u64, u64, SimTime)>| {
-            for (t, g, at) in first.into_iter().chain(dp.replanned().iter().copied()) {
-                due.push((at, seq, t, g));
-                seq += 1;
-            }
-            for a in dp.activated() {
-                due.push((a.finish, seq, a.task, a.gen));
-                seq += 1;
-            }
-        };
         for step in steps {
             match *step {
                 Step::Begin(dt, dst, mask, remote_mb, local_mb, base_ms, work_ms) => {
@@ -1271,31 +1293,36 @@ mod tests {
                     };
                     let a = fast.begin(req, now);
                     assert_eq!(a, slow.begin(req, now));
-                    assert_eq!(fast.replanned(), slow.replanned());
-                    let first = match a {
-                        Admission::Active { gen, finish } => Some((task, gen, finish)),
+                    assert_eq!(fast.plans(), slow.plans());
+                    let admitted = match a {
+                        Admission::Active { finish } => Some((task, finish)),
                         Admission::Queued => None,
                     };
-                    push(&mut due, &fast, first);
+                    schedule(&mut q, &fast, admitted);
                 }
                 Step::Due => {
-                    let Some(k) = (0..due.len()).min_by_key(|&k| (due[k].0, due[k].1)) else {
+                    let Some((at, event)) = q.pop() else {
                         continue;
                     };
-                    let (at, _, task, gen) = due.swap_remove(k);
+                    let Event::TransferDue(task) = event else {
+                        panic!("only transfer finishes are queued")
+                    };
                     now = now.max(at);
-                    let out = fast.on_due(task, gen, now);
-                    assert_eq!(out, slow.on_due(task, gen, now));
-                    if out.is_some() {
-                        assert_eq!(fast.replanned(), slow.replanned());
-                        assert_eq!(fast.activated(), slow.activated());
-                        free.push(task);
-                        push(&mut due, &fast, None);
-                    }
+                    let out = fast.on_due(task, now);
+                    assert_eq!(out, slow.on_due(task, now));
+                    assert_eq!(fast.plans(), slow.plans());
+                    assert_eq!(fast.activated(), slow.activated());
+                    free.push(task);
+                    schedule(&mut q, &fast, None);
                 }
             }
             fast.assert_index_consistent();
             assert_eq!(fast.summary(), slow.summary());
+            let active: Vec<(SimTime, u64)> = (fast.flows.iter().enumerate())
+                .filter(|(_, f)| f.state == FlowState::Active)
+                .map(|(t, f)| (f.finish, t as u64))
+                .collect();
+            assert_eq!(dues(&q), active);
         }
     }
 

@@ -24,11 +24,10 @@ pub enum Event {
     /// A task finished its pre-execution phase (cold start + input
     /// transfer) and wants to attach resources and run (task id).
     ExecReady(u64),
-    /// A data-plane transfer's planned finish fires (task id, plan
-    /// generation). Stale generations — the flow was re-planned after
-    /// this event was scheduled — are skipped on pop; a current one
-    /// completes the transfer and runs the task's exec-ready path.
-    TransferDue(u64, u64),
+    /// A data-plane transfer's planned finish fires (task id): the flow
+    /// completes and the task runs its exec-ready path. A task has at
+    /// most one pending `TransferDue`; a re-plan moves it in place.
+    TransferDue(u64),
     /// A running task completes (task id).
     TaskComplete(u64),
     /// A pre-warm timer fires for `(node, function)`.
@@ -43,7 +42,7 @@ pub enum Event {
 /// comparison is a single integer compare; pop order is exactly `(time,
 /// class, sequence)`.
 ///
-/// Two structures hold the pending events:
+/// Three structures hold the pending events:
 ///
 /// * a binary min-heap, O(log n) push/pop, for everything scheduled
 ///   ahead of the clock and for every arrival and churn event;
@@ -51,16 +50,24 @@ pub enum Event {
 ///   the last pop — controller wake-ups and pre-warm timers that fire
 ///   "now". Such keys carry the current time and a fresh sequence
 ///   number, so each is larger than the one before and the lane stays
-///   sorted without comparisons; push and pop are O(1).
+///   sorted without comparisons; push and pop are O(1);
+/// * an indexed *due-heap* of data-plane transfer finishes, one entry
+///   per task with a [`TransferDue`](Event::TransferDue) pending. A
+///   re-plan pushes the task's new finish and the entry moves in place
+///   (O(log n)), so the queue never holds a superseded finish.
 ///
-/// [`pop`](Self::pop) takes the smaller of the lane front and the heap
-/// top, which is the same order one heap would give. Arrivals and churn
+/// Every push, a move included, draws its sequence number at the same
+/// point, so the keys — and the pop order — are those a single heap
+/// would give if each re-plan pushed a fresh event and superseded ones
+/// were skipped on pop. [`pop`](Self::pop) takes the smallest of the
+/// lane front, the heap top and the due-heap top. Arrivals and churn
 /// always go to the heap: their rank is an index, not a sequence number,
 /// so a same-instant one may sort before lane entries already queued.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<Entry>>,
     lane: VecDeque<Entry>,
+    due: DueHeap,
     /// Time of the last popped event (zero before the first pop).
     now: u64,
     next_seq: u64,
@@ -71,12 +78,23 @@ pub struct EventQueue {
 /// event itself is never compared.
 type Entry = (u128, Event);
 
+// A 16-byte `Event` keeps each queued entry at 32 bytes.
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
+
 /// Bit offset of the class in the packed rank.
 const CLASS_SHIFT: u32 = 62;
 
 /// The rank class of dynamically scheduled events (the lane's only
 /// tenants).
 const DYNAMIC: u64 = 2;
+
+/// The structure holding the earliest pending event.
+#[derive(Clone, Copy)]
+enum Front {
+    Lane,
+    Heap,
+    Due,
+}
 
 impl EventQueue {
     /// Creates an empty queue.
@@ -103,12 +121,15 @@ impl EventQueue {
 
     /// Schedules `event` at `at`, which must not precede the last popped
     /// event (a discrete-event simulation never schedules into the past;
-    /// the lane's ordering relies on it).
+    /// the lane's ordering relies on it). A `TransferDue` for a task that
+    /// already has one pending replaces it: the re-planned finish.
     pub fn push(&mut self, at: SimTime, event: Event) {
         debug_assert!(at.0 >= self.now, "event scheduled before the last pop");
         let rank = self.rank(&event);
         let key = (at.0 as u128) << 64 | rank as u128;
-        if at.0 == self.now && rank >> CLASS_SHIFT == DYNAMIC {
+        if let Event::TransferDue(task) = event {
+            self.due.set(key, task);
+        } else if at.0 == self.now && rank >> CLASS_SHIFT == DYNAMIC {
             self.lane.push_back((key, event));
         } else {
             self.heap.push(Reverse((key, event)));
@@ -116,17 +137,31 @@ impl EventQueue {
         self.peak_len = self.peak_len.max(self.len());
     }
 
+    /// The key of the earliest pending event and the structure holding it.
+    fn front(&self) -> Option<(u128, Front)> {
+        let mut front = match (self.lane.front(), self.heap.peek()) {
+            (Some(&(lane, _)), Some(&Reverse((heap, _)))) if heap < lane => (heap, Front::Heap),
+            (Some(&(lane, _)), _) => (lane, Front::Lane),
+            (None, Some(&Reverse((heap, _)))) => (heap, Front::Heap),
+            (None, None) => return self.due.peek().map(|(key, _)| (key, Front::Due)),
+        };
+        if let Some((key, _)) = self.due.peek() {
+            if key < front.0 {
+                front = (key, Front::Due);
+            }
+        }
+        Some(front)
+    }
+
     /// Pops the earliest event, ties broken by `(class, sequence)`.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let from_heap = match (self.lane.front(), self.heap.peek()) {
-            (Some(&(lane, _)), Some(Reverse((heap, _)))) => *heap < lane,
-            (Some(_), None) => false,
-            (None, _) => true,
-        };
-        let (key, ev) = if from_heap {
-            self.heap.pop()?.0
-        } else {
-            self.lane.pop_front()?
+        let (key, ev) = match self.front()?.1 {
+            Front::Lane => self.lane.pop_front()?,
+            Front::Heap => self.heap.pop()?.0,
+            Front::Due => {
+                let (key, task) = self.due.pop()?;
+                (key, Event::TransferDue(task))
+            }
         };
         self.now = (key >> 64) as u64;
         Some((SimTime(self.now), ev))
@@ -135,7 +170,7 @@ impl EventQueue {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len() + self.lane.len() + self.due.heap.len()
     }
 
     /// High-water mark of pending events over the queue's lifetime.
@@ -147,18 +182,115 @@ impl EventQueue {
     /// True when no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.len() == 0
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let lane = self.lane.front().map(|&(key, _)| key);
-        let heap = self.heap.peek().map(|Reverse((key, _))| *key);
-        let key = match (lane, heap) {
-            (Some(l), Some(h)) => l.min(h),
-            (l, h) => l.or(h)?,
-        };
-        Some(SimTime((key >> 64) as u64))
+        self.front().map(|(key, _)| SimTime((key >> 64) as u64))
+    }
+
+    /// The pending transfer finishes as `(time, task)`, in no particular
+    /// order.
+    #[cfg(test)]
+    pub(crate) fn pending_dues(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
+        self.due
+            .heap
+            .iter()
+            .map(|&(key, task)| (SimTime((key >> 64) as u64), task))
+    }
+}
+
+/// An indexed binary min-heap of `(key, task)`, at most one entry per
+/// task. Both vectors start empty and grow on the first transfer, so a
+/// run without a data plane never allocates them.
+#[derive(Debug, Default)]
+struct DueHeap {
+    heap: Vec<(u128, u64)>,
+    /// `pos[task]` is the task's heap index plus one, or 0 when it has no
+    /// entry.
+    pos: Vec<u32>,
+}
+
+impl DueHeap {
+    fn peek(&self) -> Option<(u128, u64)> {
+        self.heap.first().copied()
+    }
+
+    /// Inserts `task` under `key`, or moves its entry there.
+    fn set(&mut self, key: u128, task: u64) {
+        let t = task as usize;
+        if self.pos.len() <= t {
+            self.pos.resize(t + 1, 0);
+        }
+        match self.pos[t] {
+            0 => {
+                self.heap.push((key, task));
+                self.sift_up(self.heap.len() - 1);
+            }
+            p => {
+                let i = p as usize - 1;
+                let old = std::mem::replace(&mut self.heap[i].0, key);
+                if key < old {
+                    self.sift_up(i);
+                } else {
+                    self.sift_down(i);
+                }
+            }
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u128, u64)> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let top = self.heap.swap_remove(0);
+        self.pos[top.1 as usize] = 0;
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    /// Writes `entry` at heap index `i` and records its position.
+    fn place(&mut self, i: usize, entry: (u128, u64)) {
+        self.heap[i] = entry;
+        self.pos[entry.1 as usize] = i as u32 + 1;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].0 <= entry.0 {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let child = if left + 1 < n && self.heap[left + 1].0 < self.heap[left].0 {
+                left + 1
+            } else {
+                left
+            };
+            if entry.0 <= self.heap[child].0 {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, entry);
     }
 }
 
@@ -221,27 +353,49 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
-    /// Random interleaved push/pop against a single tuple-keyed heap: the
-    /// pop sequences must match event for event, and `len`, `peek_time`
-    /// and `peak_len` must match the model's. Half the pushes land at the
-    /// current instant (the lane's tenants when dynamic), and bursts put
-    /// same-instant arrivals and churn between same-instant dynamic
-    /// events. Even seeds start at time zero, so pushes made before the
-    /// first pop share the lane's instant too.
+    /// Random interleaved push/pop against a model of the queue without a
+    /// due-heap: one tuple-keyed heap where every `TransferDue` push is a
+    /// fresh entry under a per-task generation, and superseded ones are
+    /// skipped on pop. The pop sequences must match event for event, and
+    /// `len`, `peek_time` and `peak_len` must match the model's live
+    /// events. Half the pushes land at the current instant (the lane's
+    /// tenants when dynamic), and bursts put same-instant arrivals, churn
+    /// and transfer finishes between same-instant dynamic events. A
+    /// transfer finish pushed for a task with one pending moves it
+    /// earlier, later or onto the current instant. Even seeds start at
+    /// time zero, so pushes made before the first pop share the lane's
+    /// instant too.
     #[test]
     fn matches_a_reference_heap_under_random_interleavings() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        type Model = BinaryHeap<Reverse<(SimTime, (u8, u64), Event)>>;
+        type Model = BinaryHeap<Reverse<(SimTime, (u8, u64), Event, u64)>>;
+        const TASKS: usize = 9;
+        // Drops superseded transfer finishes from the model's top, so its
+        // top is the earliest live event.
+        fn purge(model: &mut Model, gens: &[Option<u64>; TASKS]) {
+            while let Some(&Reverse((_, _, Event::TransferDue(t), g))) = model.peek() {
+                if gens[t as usize] == Some(g) {
+                    break;
+                }
+                model.pop();
+            }
+        }
         // Same-instant arrivals and churn pushed while the lane holds
-        // entries, and pushes into the lane before any pop.
+        // entries, pushes into the lane before any pop, and due inserts
+        // and moves (earlier, later, and onto the current instant while
+        // the lane holds entries).
         let (mut between, mut before_first_pop) = (0usize, 0usize);
+        let (mut inserts, mut earlier, mut later, mut beside_lane) = (0usize, 0, 0, 0);
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut q = EventQueue::new();
             let mut model = Model::new();
-            let mut model_seq = 0u64;
-            let mut model_peak = 0usize;
+            // The live generation of each task's transfer finish, and the
+            // time it is due.
+            let mut gens: [Option<u64>; TASKS] = [None; TASKS];
+            let mut due_at = [SimTime::ZERO; TASKS];
+            let (mut model_seq, mut model_live, mut model_peak) = (0u64, 0usize, 0usize);
             let (mut next_arrival, mut next_churn) = (0usize, 0usize);
             // Odd seeds start late, which exercises the high half of the
             // packed key.
@@ -253,14 +407,17 @@ mod tests {
             let mut popped = 0usize;
             let mut batch: Vec<(SimTime, Event)> = Vec::new();
             for _ in 0..400 {
-                if rng.random_bool(0.55) || model.is_empty() {
+                if rng.random_bool(0.55) || model_live == 0 {
                     batch.clear();
+                    let task = rng.random_range(0..TASKS as u64);
                     if rng.random_bool(0.1) {
                         // A same-instant burst: dynamic events with an
-                        // arrival and a churn event pushed between them.
+                        // arrival, a churn event and a transfer finish
+                        // pushed between them.
                         batch.extend([
                             (now, Event::ControllerStep),
                             (now, Event::Arrival(usize::MAX)),
+                            (now, Event::TransferDue(task)),
                             (now, Event::Prewarm(0, 1)),
                             (now, Event::Churn(usize::MAX)),
                             (now, Event::TaskComplete(3)),
@@ -273,12 +430,12 @@ mod tests {
                         } else {
                             SimTime(now.0 + rng.random_range(1..6u64))
                         };
-                        let event = match rng.random_range(0..6u32) {
+                        let event = match rng.random_range(0..7u32) {
                             0 => Event::Arrival(usize::MAX),
                             1 => Event::Churn(usize::MAX),
                             2 => Event::ControllerStep,
-                            3 => Event::TaskComplete(rng.random_range(0..9u64)),
-                            4 => Event::TransferDue(rng.random_range(0..9u64), 1),
+                            3 => Event::TaskComplete(task),
+                            4 | 5 => Event::TransferDue(task),
                             _ => Event::Prewarm(1, rng.random_range(0..3u32)),
                         };
                         batch.push((at, event));
@@ -308,26 +465,64 @@ mod tests {
                         if rank.0 < 2 && at == now && !q.lane.is_empty() {
                             between += 1;
                         }
+                        let mut gen = 0;
+                        if let Event::TransferDue(t) = event {
+                            let t = t as usize;
+                            match gens[t] {
+                                None => {
+                                    inserts += 1;
+                                    model_live += 1;
+                                }
+                                Some(_) if at < due_at[t] => earlier += 1,
+                                Some(_) => later += 1,
+                            }
+                            if gens[t].is_some() && at == now && !q.lane.is_empty() {
+                                beside_lane += 1;
+                            }
+                            // The push sequence number doubles as a
+                            // generation no earlier push of the task had.
+                            gen = rank.1;
+                            gens[t] = Some(gen);
+                            due_at[t] = at;
+                        } else {
+                            model_live += 1;
+                        }
                         let lane_len = q.lane.len();
                         q.push(at, event);
                         if popped == 0 && q.lane.len() > lane_len {
                             before_first_pop += 1;
                         }
-                        model.push(Reverse((at, rank, event)));
-                        model_peak = model_peak.max(model.len());
+                        model.push(Reverse((at, rank, event, gen)));
+                        model_peak = model_peak.max(model_live);
                     }
                 } else {
-                    let Reverse((at, _, event)) = model.pop().expect("non-empty model");
+                    let Reverse((at, _, event, _)) = model.pop().expect("a live event");
+                    if let Event::TransferDue(t) = event {
+                        gens[t as usize] = None;
+                    }
+                    model_live -= 1;
                     assert_eq!(q.pop(), Some((at, event)), "seed {seed} pop {popped}");
                     now = at;
                     popped += 1;
                 }
-                assert_eq!(q.len(), model.len());
-                assert_eq!(q.peek_time(), model.peek().map(|Reverse((t, _, _))| *t));
+                purge(&mut model, &gens);
+                assert_eq!(q.len(), model_live);
+                assert_eq!(q.peek_time(), model.peek().map(|Reverse((t, ..))| *t));
                 assert_eq!(q.peak_len(), model_peak, "seed {seed}");
+                let mut dues: Vec<(SimTime, u64)> = q.pending_dues().collect();
+                dues.sort_unstable_by_key(|&(_, t)| t);
+                let live: Vec<(SimTime, u64)> = (0..TASKS)
+                    .filter(|&t| gens[t].is_some())
+                    .map(|t| (due_at[t], t as u64))
+                    .collect();
+                assert_eq!(dues, live, "seed {seed}");
             }
-            while let Some(Reverse((at, _, event))) = model.pop() {
+            while let Some(Reverse((at, _, event, _))) = model.pop() {
+                if let Event::TransferDue(t) = event {
+                    gens[t as usize] = None;
+                }
                 assert_eq!(q.pop(), Some((at, event)), "seed {seed} drain");
+                purge(&mut model, &gens);
             }
             assert!(q.is_empty() && q.pop().is_none());
             assert_eq!(q.peak_len(), model_peak);
@@ -335,6 +530,10 @@ mod tests {
         assert!(
             between > 0 && before_first_pop > 0,
             "{between} {before_first_pop}"
+        );
+        assert!(
+            inserts > 0 && earlier > 0 && later > 0 && beside_lane > 0,
+            "{inserts} {earlier} {later} {beside_lane}"
         );
     }
 

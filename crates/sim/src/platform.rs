@@ -699,7 +699,7 @@ impl<'a> Simulation<'a> {
                 }
                 Event::ControllerStep => self.controller_step(),
                 Event::ExecReady(id) => self.exec_ready(id),
-                Event::TransferDue(id, gen) => self.transfer_due(id, gen),
+                Event::TransferDue(id) => self.transfer_due(id),
                 Event::TaskComplete(id) => {
                     self.complete_task(id);
                     self.wake_controller();
@@ -1399,10 +1399,11 @@ impl<'a> Simulation<'a> {
             };
             let total_mb = req.remote_mb + req.local_mb;
             match dp.begin(req, start) {
-                Admission::Active { gen, finish } => {
-                    self.events.push(finish, Event::TransferDue(id, gen));
-                    for &(t, g, at) in dp.replanned() {
-                        self.events.push(at, Event::TransferDue(t, g));
+                Admission::Active { finish } => {
+                    // A re-planned flow's push moves its pending finish.
+                    self.events.push(finish, Event::TransferDue(id));
+                    for &(t, at) in dp.plans() {
+                        self.events.push(at, Event::TransferDue(t));
                     }
                     self.notify(&SchedulerEvent::TransferStarted {
                         node,
@@ -1426,28 +1427,22 @@ impl<'a> Simulation<'a> {
         self.bufs.src_counts = src_counts;
     }
 
-    /// A data-plane transfer's planned finish fired. Stale generations
-    /// (the flow was re-planned after this event was queued) are
-    /// skipped; a current one completes the flow, re-plans squeezed
-    /// neighbours, activates staged flows on the freed buffer space, and
-    /// runs the task's exec-ready path at this very instant — exactly
+    /// A data-plane transfer's planned finish fired (the queue holds only
+    /// each flow's latest plan): complete the flow, re-plan squeezed
+    /// neighbours, activate staged flows on the freed buffer space, and
+    /// run the task's exec-ready path at this very instant — exactly
     /// where the scalar model's `ExecReady` would have run.
-    fn transfer_due(&mut self, id: u64, gen: u64) {
-        let Some(dp) = self.dataplane.as_mut() else {
-            return;
-        };
+    fn transfer_due(&mut self, id: u64) {
+        let dp = self
+            .dataplane
+            .as_mut()
+            .expect("transfers need the data plane");
         let now = self.now;
-        let Some(out) = dp.on_due(id, gen, now) else {
-            return; // stale generation
-        };
+        let out = dp.on_due(id, now);
         // Notifications do not touch the event queue, so pushing every
         // due event first keeps their order and sequence numbers.
-        for &(t, g, at) in dp.replanned() {
-            self.events.push(at, Event::TransferDue(t, g));
-        }
-        for act in dp.activated() {
-            self.events
-                .push(act.finish, Event::TransferDue(act.task, act.gen));
+        for &(t, at) in dp.plans() {
+            self.events.push(at, Event::TransferDue(t));
         }
         let started = dp.activated().len();
         self.metrics.phase_init_ms.add(out.elapsed_ms);
