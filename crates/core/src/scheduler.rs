@@ -305,9 +305,14 @@ impl Scheduler for EsgScheduler {
         // demand to learn that node's class, then shrink the search budget
         // by its factor — dividing the budget is equivalent to scaling
         // every stage-table latency by the class (Appendix A). The probe
-        // is refined after the search: see below.
+        // is refined after the search: see below. On a cluster of
+        // baseline nodes every probe reads 1.0, so none is run.
         let preferred = ctx.jobs.iter().find_map(|j| j.pred_node);
+        let unit_speed = ctx.cluster.unit_speed();
         let speed_at = |demand: esg_model::Resources| {
+            if unit_speed {
+                return 1.0;
+            }
             place_locality_first(ctx, demand, preferred)
                 .map(|n| ctx.cluster.speed_of(n))
                 .unwrap_or(1.0)
@@ -360,8 +365,7 @@ impl Scheduler for EsgScheduler {
             // racing on a fast node even when the locality pick is slow.
             let best_speed = ctx
                 .cluster
-                .fastest_fit(Config::MIN.resources())
-                .map(|n| ctx.cluster.speed_of(n))
+                .fastest_speed(Config::MIN.resources())
                 .unwrap_or(speed);
             let winnable = planned.min_total_ms * best_speed <= slack.max(0.0) * window_share;
             let cheapest = if winnable {

@@ -42,9 +42,9 @@ pub enum Event {
 /// comparison is a single integer compare; pop order is exactly `(time,
 /// class, sequence)`.
 ///
-/// Three structures hold the pending events:
+/// Four structures hold the pending events:
 ///
-/// * a binary min-heap, O(log n) push/pop, for everything scheduled
+/// * a binary min-heap, O(log n) push/pop, for everything else scheduled
 ///   ahead of the clock and for every arrival and churn event;
 /// * a FIFO *lane* for dynamic (class-2) events pushed at the instant of
 ///   the last pop — controller wake-ups and pre-warm timers that fire
@@ -54,20 +54,26 @@ pub enum Event {
 /// * an indexed *due-heap* of data-plane transfer finishes, one entry
 ///   per task with a [`TransferDue`](Event::TransferDue) pending. A
 ///   re-plan pushes the task's new finish and the entry moves in place
-///   (O(log n)), so the queue never holds a superseded finish.
+///   (O(log n)), so the queue never holds a superseded finish;
+/// * a *wake-heap* of the bare keys of the
+///   [`ControllerStep`](Event::ControllerStep)s scheduled ahead of the
+///   clock (busy, defer and hold expiries, park retries): a handful of
+///   16-byte keys, so the frequent wake-ups, most of which find nothing
+///   to decide, stay off the large main heap.
 ///
 /// Every push, a move included, draws its sequence number at the same
 /// point, so the keys — and the pop order — are those a single heap
 /// would give if each re-plan pushed a fresh event and superseded ones
 /// were skipped on pop. [`pop`](Self::pop) takes the smallest of the
-/// lane front, the heap top and the due-heap top. Arrivals and churn
-/// always go to the heap: their rank is an index, not a sequence number,
-/// so a same-instant one may sort before lane entries already queued.
+/// four fronts. Arrivals and churn always go to the heap: their rank is
+/// an index, not a sequence number, so a same-instant one may sort
+/// before lane entries already queued.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<Entry>>,
     lane: VecDeque<Entry>,
     due: DueHeap,
+    wake: BinaryHeap<Reverse<u128>>,
     /// Time of the last popped event (zero before the first pop).
     now: u64,
     next_seq: u64,
@@ -94,6 +100,7 @@ enum Front {
     Lane,
     Heap,
     Due,
+    Wake,
 }
 
 impl EventQueue {
@@ -131,6 +138,8 @@ impl EventQueue {
             self.due.set(key, task);
         } else if at.0 == self.now && rank >> CLASS_SHIFT == DYNAMIC {
             self.lane.push_back((key, event));
+        } else if event == Event::ControllerStep {
+            self.wake.push(Reverse(key));
         } else {
             self.heap.push(Reverse((key, event)));
         }
@@ -138,19 +147,23 @@ impl EventQueue {
     }
 
     /// The key of the earliest pending event and the structure holding it.
+    /// An empty structure reads as `u128::MAX`, which no key reaches (the
+    /// class field never holds 3).
     fn front(&self) -> Option<(u128, Front)> {
-        let mut front = match (self.lane.front(), self.heap.peek()) {
-            (Some(&(lane, _)), Some(&Reverse((heap, _)))) if heap < lane => (heap, Front::Heap),
-            (Some(&(lane, _)), _) => (lane, Front::Lane),
-            (None, Some(&Reverse((heap, _)))) => (heap, Front::Heap),
-            (None, None) => return self.due.peek().map(|(key, _)| (key, Front::Due)),
-        };
-        if let Some((key, _)) = self.due.peek() {
-            if key < front.0 {
-                front = (key, Front::Due);
+        let mut front = (
+            self.heap.peek().map_or(u128::MAX, |&Reverse((key, _))| key),
+            Front::Heap,
+        );
+        for (key, at) in [
+            (self.lane.front().map(|&(key, _)| key), Front::Lane),
+            (self.due.peek().map(|(key, _)| key), Front::Due),
+            (self.wake.peek().map(|&Reverse(key)| key), Front::Wake),
+        ] {
+            if let Some(key) = key.filter(|&key| key < front.0) {
+                front = (key, at);
             }
         }
-        Some(front)
+        (front.0 != u128::MAX).then_some(front)
     }
 
     /// Pops the earliest event, ties broken by `(class, sequence)`.
@@ -162,6 +175,7 @@ impl EventQueue {
                 let (key, task) = self.due.pop()?;
                 (key, Event::TransferDue(task))
             }
+            Front::Wake => (self.wake.pop()?.0, Event::ControllerStep),
         };
         self.now = (key >> 64) as u64;
         Some((SimTime(self.now), ev))
@@ -170,7 +184,7 @@ impl EventQueue {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len() + self.due.heap.len()
+        self.heap.len() + self.lane.len() + self.due.heap.len() + self.wake.len()
     }
 
     /// High-water mark of pending events over the queue's lifetime.
@@ -362,9 +376,12 @@ mod tests {
     /// tenants when dynamic), and bursts put same-instant arrivals, churn
     /// and transfer finishes between same-instant dynamic events. A
     /// transfer finish pushed for a task with one pending moves it
-    /// earlier, later or onto the current instant. Even seeds start at
-    /// time zero, so pushes made before the first pop share the lane's
-    /// instant too.
+    /// earlier, later or onto the current instant. Controller wake-ups
+    /// land both ahead of the clock (the wake-heap) and at the current
+    /// instant (the lane), and bursts ahead of the clock put them between
+    /// same-instant arrivals, churn, transfer finishes and task
+    /// completions. Even seeds start at time zero, so pushes made before
+    /// the first pop share the lane's instant too.
     #[test]
     fn matches_a_reference_heap_under_random_interleavings() {
         use rand::rngs::StdRng;
@@ -387,6 +404,11 @@ mod tests {
         // the lane holds entries).
         let (mut between, mut before_first_pop) = (0usize, 0usize);
         let (mut inserts, mut earlier, mut later, mut beside_lane) = (0usize, 0, 0, 0);
+        // Wake-ups pushed ahead of the clock and at the current instant,
+        // arrivals, churn and transfer finishes pushed at the instant of a
+        // pending wake-up ahead of the clock, and wake-ups popped at the
+        // instant of the previous pop, of another kind of event.
+        let (mut wake_ahead, mut wake_now, mut beside_wake, mut wake_tied) = (0usize, 0, 0, 0);
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut q = EventQueue::new();
@@ -405,12 +427,14 @@ mod tests {
                 SimTime(rng.random_range(0..1u64 << 50))
             };
             let mut popped = 0usize;
+            let mut last_pop: Option<(SimTime, Event)> = None;
             let mut batch: Vec<(SimTime, Event)> = Vec::new();
             for _ in 0..400 {
                 if rng.random_bool(0.55) || model_live == 0 {
                     batch.clear();
                     let task = rng.random_range(0..TASKS as u64);
-                    if rng.random_bool(0.1) {
+                    let burst = rng.random_range(0..10u32);
+                    if burst == 0 {
                         // A same-instant burst: dynamic events with an
                         // arrival, a churn event and a transfer finish
                         // pushed between them.
@@ -421,6 +445,20 @@ mod tests {
                             (now, Event::Prewarm(0, 1)),
                             (now, Event::Churn(usize::MAX)),
                             (now, Event::TaskComplete(3)),
+                        ]);
+                    } else if burst == 1 {
+                        // The same ahead of the clock: wake-ups between
+                        // an arrival, churn, a transfer finish and a task
+                        // completion due at one future instant.
+                        let at = SimTime(now.0 + rng.random_range(1..4u64));
+                        batch.extend([
+                            (at, Event::ControllerStep),
+                            (at, Event::Arrival(usize::MAX)),
+                            (at, Event::ControllerStep),
+                            (at, Event::TransferDue(task)),
+                            (at, Event::Churn(usize::MAX)),
+                            (at, Event::ControllerStep),
+                            (at, Event::TaskComplete(5)),
                         ]);
                     } else {
                         // Half at the current instant, the rest in the
@@ -465,6 +503,16 @@ mod tests {
                         if rank.0 < 2 && at == now && !q.lane.is_empty() {
                             between += 1;
                         }
+                        match event {
+                            Event::ControllerStep if at > now => wake_ahead += 1,
+                            Event::ControllerStep => wake_now += 1,
+                            Event::Arrival(_) | Event::Churn(_) | Event::TransferDue(_)
+                                if q.wake.iter().any(|&Reverse(k)| (k >> 64) as u64 == at.0) =>
+                            {
+                                beside_wake += 1
+                            }
+                            _ => {}
+                        }
                         let mut gen = 0;
                         if let Event::TransferDue(t) = event {
                             let t = t as usize;
@@ -502,6 +550,12 @@ mod tests {
                     }
                     model_live -= 1;
                     assert_eq!(q.pop(), Some((at, event)), "seed {seed} pop {popped}");
+                    if event == Event::ControllerStep
+                        && last_pop.is_some_and(|(t, e)| t == at && e != event)
+                    {
+                        wake_tied += 1;
+                    }
+                    last_pop = Some((at, event));
                     now = at;
                     popped += 1;
                 }
@@ -534,6 +588,10 @@ mod tests {
         assert!(
             inserts > 0 && earlier > 0 && later > 0 && beside_lane > 0,
             "{inserts} {earlier} {later} {beside_lane}"
+        );
+        assert!(
+            wake_ahead > 0 && wake_now > 0 && beside_wake > 0 && wake_tied > 0,
+            "{wake_ahead} {wake_now} {beside_wake} {wake_tied}"
         );
     }
 

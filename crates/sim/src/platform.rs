@@ -21,7 +21,8 @@
 //! scheduler-facing job views live in per-queue buffers with retained
 //! capacity. `SimConfig::validate_cluster_state` turns on the
 //! equivalence oracle: every refresh point also rebuilds a from-scratch
-//! snapshot and asserts it equals the incremental state.
+//! snapshot and asserts it equals the incremental state, and every
+//! controller round checks its eligible queues against a full scan.
 
 use crate::arena::Arena;
 use crate::builder::{check_arrival, check_run, SimError};
@@ -213,8 +214,10 @@ pub struct SimConfig {
     pub max_sim_ms: f64,
     /// Equivalence oracle: assert at every refresh point that the
     /// incrementally maintained [`ClusterState`] equals a from-scratch
-    /// snapshot of the cluster (the pre-redesign per-decision rebuild).
-    /// Costs a full rebuild per refresh — test runs only.
+    /// snapshot of the cluster (the pre-redesign per-decision rebuild),
+    /// and in every controller round that the eligible queues read off
+    /// the queue bitset are those a full scan finds. Costs a full rebuild
+    /// per refresh and a scan per round — test runs only.
     pub validate_cluster_state: bool,
     /// Contended GPU data plane (`crate::dataplane`): per-node PCIe/
     /// NVLink bandwidth pools with fair-share transfer progress and
@@ -372,6 +375,10 @@ pub struct Simulation<'a> {
     /// `parked[qi]` is true while queue `qi` has an entry on `recheck`
     /// (a parked queue is not eligible for new decisions).
     parked: Vec<bool>,
+    /// Bit `qi` (word `qi / 64`) is set iff queue `qi` is non-empty and
+    /// not parked; kept by [`sync_ready`](Self::sync_ready) wherever
+    /// either changes, so a controller step visits only these queues.
+    ready: Vec<u64>,
     /// Tasks whose init finished but whose node lacked capacity, FIFO per
     /// node; drained on every resource release.
     waiting_exec: Vec<std::collections::VecDeque<u64>>,
@@ -575,6 +582,7 @@ impl<'a> Simulation<'a> {
             queue_hold: vec![None; nq],
             recheck: Vec::new(),
             parked: vec![false; nq],
+            ready: vec![0; nq.div_ceil(64)],
             waiting_exec: vec![std::collections::VecDeque::new(); initial_nodes],
             job_views: vec![Vec::new(); nq],
             eligible: Vec::new(),
@@ -812,6 +820,7 @@ impl<'a> Simulation<'a> {
             .queue_of(key)
             .expect("a live invocation's stage has a queue");
         self.queues[qi].push(job);
+        self.sync_ready(qi);
         self.notify(&SchedulerEvent::JobArrived {
             key,
             invocation: job.invocation,
@@ -837,6 +846,17 @@ impl<'a> Simulation<'a> {
                 let at = SimTime::from_ms(at).max(self.now);
                 self.events.push(at, Event::Prewarm(node.0, f.0));
             }
+        }
+    }
+
+    /// Re-derives queue `qi`'s bit in `ready` from its length and its
+    /// parked flag.
+    fn sync_ready(&mut self, qi: usize) {
+        let bit = 1u64 << (qi % 64);
+        if self.queues[qi].is_empty() || self.parked[qi] {
+            self.ready[qi / 64] &= !bit;
+        } else {
+            self.ready[qi / 64] |= bit;
         }
     }
 
@@ -879,6 +899,7 @@ impl<'a> Simulation<'a> {
                 "incremental ClusterState diverged from the snapshot rebuild at t={} ms",
                 self.now.as_ms()
             );
+            assert_eq!(fresh.unit_speed(), self.state.unit_speed());
         }
     }
 
@@ -906,18 +927,37 @@ impl<'a> Simulation<'a> {
     fn controller_step(&mut self) {
         self.process_recheck();
         self.round_seq += 1;
-        let nq = self.queue_keys.len();
         loop {
+            // Only non-empty, unparked queues have their bit set; of those,
+            // the busy and the already decided sit this round out.
             self.eligible.clear();
-            for qi in 0..nq {
-                if self.decided_stamp[qi] == self.round_seq
-                    || self.queues[qi].is_empty()
-                    || self.queue_busy_until[qi] > self.now
-                    || self.parked[qi]
-                {
-                    continue;
+            for (w, &word) in self.ready.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let qi = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.decided_stamp[qi] != self.round_seq
+                        && self.queue_busy_until[qi] <= self.now
+                    {
+                        self.eligible.push(qi);
+                    }
                 }
-                self.eligible.push(qi);
+            }
+            if self.cfg.validate_cluster_state {
+                let scan: Vec<usize> = (0..self.queue_keys.len())
+                    .filter(|&qi| {
+                        self.decided_stamp[qi] != self.round_seq
+                            && !self.queues[qi].is_empty()
+                            && self.queue_busy_until[qi] <= self.now
+                            && !self.parked[qi]
+                    })
+                    .collect();
+                assert_eq!(
+                    self.eligible,
+                    scan,
+                    "eligible bitset diverged from the full queue scan at t={} ms",
+                    self.now.as_ms()
+                );
             }
             if self.eligible.is_empty() {
                 return;
@@ -1072,6 +1112,7 @@ impl<'a> Simulation<'a> {
     /// purged sibling queue.
     fn shed_queue(&mut self, qi: usize, key: QueueKey, reason: ShedReason) {
         let jobs = self.queues[qi].take_all();
+        self.sync_ready(qi);
         if jobs.is_empty() {
             return;
         }
@@ -1111,6 +1152,7 @@ impl<'a> Simulation<'a> {
                 live
             });
             if !gone.is_empty() {
+                self.sync_ready(oq);
                 self.metrics.shed_jobs += gone.len() as u64;
                 // The hold was computed for killed jobs: fresh arrivals
                 // must not wait out its deadline.
@@ -1176,6 +1218,7 @@ impl<'a> Simulation<'a> {
     fn park(&mut self, entry: RecheckEntry) {
         debug_assert!(!self.parked[entry.qi], "queue parked twice");
         self.parked[entry.qi] = true;
+        self.sync_ready(entry.qi);
         self.recheck.push(entry);
     }
 
@@ -1197,6 +1240,7 @@ impl<'a> Simulation<'a> {
         for mut entry in entries.drain(..) {
             let qi = entry.qi;
             self.parked[qi] = false; // until re-parked below
+            self.sync_ready(qi);
             if self.queues[qi].is_empty() {
                 continue; // queue drained by a forced dispatch already
             }
@@ -1246,6 +1290,7 @@ impl<'a> Simulation<'a> {
         let spec = self.env.catalog.get(f);
         let mut jobs = self.bufs.jobs.pop().unwrap_or_default();
         self.queues[qi].take_into(config.batch as usize, &mut jobs);
+        self.sync_ready(qi);
 
         let start = self.now + delay;
         let was_warm = self.cluster.node_mut(node).claim_warm(f, start);
@@ -1778,7 +1823,8 @@ mod tests {
     fn validated_state_run_is_bit_identical_to_unvalidated() {
         // The oracle is read-only: turning it on must not perturb the run
         // (and the run must survive every per-refresh equivalence
-        // assertion, including across churn).
+        // assertion and every round's check of the eligible list against
+        // a full queue scan, including across churn).
         use esg_model::{ChurnPlan, NodeClass, NodeId};
         let env = SimEnv::standard(SloClass::Moderate);
         let w = small_workload(30);

@@ -38,8 +38,9 @@
 //!   same query helpers that lived on the old snapshot type —
 //!   [`feasible`](ClusterState::feasible),
 //!   [`most_free`](ClusterState::most_free),
-//!   [`fastest_fit`](ClusterState::fastest_fit),
-//!   [`speed_of`](ClusterState::speed_of);
+//!   [`fastest_speed`](ClusterState::fastest_speed),
+//!   [`speed_of`](ClusterState::speed_of),
+//!   [`unit_speed`](ClusterState::unit_speed);
 //! * every observable change bumps a [`generation`](ClusterState::generation)
 //!   stamp, so caching schedulers can cheaply detect "the cluster moved
 //!   under me" between rounds.
@@ -135,6 +136,10 @@ pub struct ClusterState {
     /// with none touched returns at once). Exact after a full scan;
     /// touched-only refreshes only ever lower it.
     earliest_passive: SimTime,
+    /// True only when every node view has speed 1.0 (the Table-2
+    /// baseline); may read false on such a state after a hand mutation
+    /// through [`node_mut`](Self::node_mut).
+    unit_speed: bool,
     generation: u64,
 }
 
@@ -146,7 +151,9 @@ impl ClusterState {
             n.warm.sort_unstable();
         }
         let len = nodes.len();
+        let unit_speed = nodes.iter().all(|n| n.speed == 1.0);
         ClusterState {
+            unit_speed,
             nodes,
             dirty: vec![Dirty::default(); len],
             warm_next_change: vec![SimTime(u64::MAX); len],
@@ -188,10 +195,13 @@ impl ClusterState {
     }
 
     /// Mutable access for hand-built states (tests tweaking free
-    /// resources, speeds, warmth). Bumps the generation; hand mutations
-    /// do not participate in incremental dirtiness tracking.
+    /// resources, speeds, warmth). Bumps the generation and clears
+    /// [`unit_speed`](Self::unit_speed), since the caller may change the
+    /// speed; hand mutations do not participate in incremental dirtiness
+    /// tracking.
     pub fn node_mut(&mut self, id: NodeId) -> &mut NodeView {
         self.generation += 1;
+        self.unit_speed = false;
         &mut self.nodes[id.index()]
     }
 
@@ -212,6 +222,14 @@ impl ClusterState {
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// True when every node runs at speed 1.0, so any placement runs at
+    /// the baseline class. False positives never occur; a false negative
+    /// only after [`node_mut`](Self::node_mut).
+    #[inline]
+    pub fn unit_speed(&self) -> bool {
+        self.unit_speed
     }
 
     /// Marks `node` as mutated on the cluster side in any way (drain,
@@ -310,6 +328,9 @@ impl ClusterState {
         v.free = advertised_free(n);
         v.total = n.total;
         v.speed = n.class.speed;
+        if v.speed != 1.0 {
+            self.unit_speed = false;
+        }
         v.link_scale = n.class.link_scale;
         v.online = n.online;
         self.warm_next_change[i] = n.warm_functions_into(now, &mut v.warm);
@@ -379,22 +400,13 @@ impl ClusterState {
         self.nodes.get(node.index()).map_or(1.0, |n| n.speed)
     }
 
-    /// The fastest (lowest speed factor) feasible node; ties broken by
-    /// most free weighted resources, then node id. Speed-aware schedulers
-    /// use this to bound how fast the cluster can run `demand` right now.
-    pub fn fastest_fit(&self, demand: Resources) -> Option<NodeId> {
+    /// The lowest speed factor of any node able to host `demand`;
+    /// `None` when none can. Speed-aware schedulers use this to bound how
+    /// fast the cluster can run `demand` right now.
+    pub fn fastest_speed(&self, demand: Resources) -> Option<f64> {
         self.feasible(demand)
-            .min_by(|a, b| {
-                a.speed
-                    .total_cmp(&b.speed)
-                    .then(
-                        b.free
-                            .weighted(1.0, 16.0 / 7.0)
-                            .total_cmp(&a.free.weighted(1.0, 16.0 / 7.0)),
-                    )
-                    .then(a.id.0.cmp(&b.id.0))
-            })
-            .map(|n| n.id)
+            .map(|n| n.speed)
+            .min_by(f64::total_cmp)
     }
 }
 
@@ -454,17 +466,58 @@ mod tests {
         assert_eq!(state.most_free(Resources::new(1, 1)), Some(NodeId(1)));
     }
 
-    #[test]
-    fn fastest_fit_prefers_low_speed_factor() {
-        let mut slow = NodeView::idle(NodeId(0), Resources::new(16, 7));
-        slow.speed = 2.2;
-        let fast = NodeView::idle(NodeId(1), Resources::new(8, 2));
-        let state = ClusterState::from_views(vec![slow, fast]);
-        assert_eq!(state.fastest_fit(Resources::new(4, 1)), Some(NodeId(1)));
-        // Demand only the slow node can host falls back to it.
-        assert_eq!(state.fastest_fit(Resources::new(12, 4)), Some(NodeId(0)));
-        assert_eq!(state.speed_of(NodeId(0)), 2.2);
-        assert_eq!(state.speed_of(NodeId(1)), 1.0);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `fastest_speed` reads exactly the speed of the node the
+        /// deleted `fastest_fit` picked: the feasible node of lowest speed,
+        /// ties broken by most free weighted resources, then id. Nodes are
+        /// drawn offline, at equal speeds and too small for the demand.
+        #[test]
+        fn fastest_speed_is_the_speed_of_the_fastest_fit(
+            nodes in proptest::collection::vec(
+                (0u32..3, 0u32..17, 0u32..8, 0u32..5),
+                0..7,
+            ),
+            demand in (0u32..17, 0u32..8),
+        ) {
+            const SPEEDS: [f64; 3] = [1.0, 1.35, 2.2];
+            let views: Vec<NodeView> = nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &(speed, cpus, gpus, online))| (i, speed, cpus, gpus, online != 0))
+                .map(|(i, speed, cpus, gpus, online)| NodeView {
+                    speed: SPEEDS[speed as usize],
+                    online,
+                    free: if online { Resources::new(cpus, gpus) } else { Resources::ZERO },
+                    ..NodeView::idle(NodeId(i as u32), Resources::new(16, 7))
+                })
+                .collect();
+            let state = ClusterState::from_views(views);
+            let demand = Resources::new(demand.0, demand.1);
+            let fastest_fit = state
+                .feasible(demand)
+                .min_by(|a, b| {
+                    a.speed
+                        .total_cmp(&b.speed)
+                        .then(
+                            b.free
+                                .weighted(1.0, 16.0 / 7.0)
+                                .total_cmp(&a.free.weighted(1.0, 16.0 / 7.0)),
+                        )
+                        .then(a.id.0.cmp(&b.id.0))
+                })
+                .map(|n| n.id);
+            let reference = fastest_fit.map(|n| state.speed_of(n));
+            proptest::prop_assert_eq!(
+                state.fastest_speed(demand).map(f64::to_bits),
+                reference.map(f64::to_bits)
+            );
+            proptest::prop_assert_eq!(
+                state.unit_speed(),
+                state.nodes().iter().all(|n| n.speed == 1.0)
+            );
+        }
     }
 
     #[test]
@@ -478,6 +531,7 @@ mod tests {
             state.nodes(),
             ClusterState::from_cluster(&cluster, t0).nodes()
         );
+        assert!(state.unit_speed(), "baseline nodes only");
 
         // A dispatch-shaped mutation: commit + warm claim on node 1.
         cluster
@@ -531,6 +585,13 @@ mod tests {
         assert!(!state.node(NodeId(2)).online);
         assert_eq!(state.node(NodeId(2)).free, Resources::ZERO);
         assert_eq!(state.len(), 4);
+        assert!(!state.unit_speed(), "the T4 runs at 2.2");
+
+        // A hand mutation may change a speed, so it clears the flag.
+        let mut hand = ClusterState::from_cluster(&Cluster::new(1, Resources::new(16, 7)), t0);
+        assert!(hand.unit_speed());
+        hand.node_mut(NodeId(0)).free = Resources::ZERO;
+        assert!(!hand.unit_speed());
     }
 
     /// Random platform-shaped mutation sequences — pre-warm installs,

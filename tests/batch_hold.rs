@@ -271,8 +271,13 @@ fn a_shed_drops_the_hold_so_the_next_arrival_is_decided_at_once() {
         held_calls: Vec::new(),
     };
     let w = arrivals(0, &[10.0, 40.0]);
-    let r =
-        run_simulation(&env, SimConfig::default(), &mut s, &w, "shed", None).expect("valid run");
+    // The oracle also checks that the purge takes the emptied stage-1
+    // queue off the controller's eligible set before its hold releases.
+    let cfg = SimConfig {
+        validate_cluster_state: true,
+        ..SimConfig::default()
+    };
+    let r = run_simulation(&env, cfg, &mut s, &w, "shed", None).expect("valid run");
     assert_eq!(r.shed_invocations, 1, "the first invocation is shed");
     assert_eq!(r.total_completed(), 1, "the second one completes");
     // Held at 10 ms; the shed at 30 ms empties the queue; the fresh

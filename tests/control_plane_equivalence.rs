@@ -268,6 +268,109 @@ fn validated_state_esg_run_with_prewarm_churn_and_data_plane_is_bit_identical() 
     assert_eq!(trace_v, trace_p);
 }
 
+/// The oracle where queues turn eligible and ineligible the most ways:
+/// ESG behind `SloAdmission` on an overloaded cluster with a contended
+/// data plane and a drain/join script, so jobs enqueue and dispatch,
+/// sheds purge sibling-stage jobs from other queues, and queues park
+/// and unpark on the recheck list. Each controller round asserts the
+/// eligible list read off the queue bitset against a full scan, and the
+/// run must be bit-identical (result and dispatch trace) to the
+/// unvalidated one.
+#[test]
+fn validated_state_run_with_churn_shedding_and_data_plane_is_bit_identical() {
+    /// The dispatch trace, plus counts of recheck passes and of sibling
+    /// purges: a `QueueShed` whose invocations were all killed by the
+    /// shed just before it.
+    struct Audit {
+        trace: TraceDigest<String>,
+        killed: Vec<esg::model::InvocationId>,
+        purges: usize,
+        recheck_ticks: usize,
+    }
+    impl Observer for Audit {
+        fn begin(&mut self, env: &SimEnv, cfg: &SimConfig, scheduler: &str) {
+            self.trace.begin(env, cfg, scheduler);
+        }
+        fn on_arrival(&mut self, arrival: &esg::workload::Arrival) {
+            self.trace.on_arrival(arrival);
+        }
+        fn on_event(&mut self, event: &SchedulerEvent<'_>) {
+            self.trace.on_event(event);
+            match *event {
+                SchedulerEvent::QueueShed { invocations, .. } => {
+                    if invocations.iter().all(|i| self.killed.contains(i)) {
+                        self.purges += 1;
+                    } else {
+                        self.killed = invocations.to_vec();
+                    }
+                }
+                SchedulerEvent::RecheckTick { .. } => self.recheck_ticks += 1,
+                _ => {}
+            }
+        }
+    }
+    let narrow = NodeClass::a100()
+        .with_bandwidth(0.2, 0.2, 300.0)
+        .with_staging_mb(32.0);
+    let spec = ClusterSpec::new("split-fabric")
+        .with(narrow, 2)
+        .with(NodeClass::a100(), 2);
+    let churn = ChurnPlan::none()
+        .drain(400.0, NodeId(1))
+        .join(900.0, NodeClass::t4())
+        .drain(1_300.0, NodeId(3));
+    // A diamond app beside the four pipelines: its two middle stages
+    // queue jobs of one invocation at once, which a shed must purge.
+    let mut env = SimEnv::standard(SloClass::Strict);
+    let fns = env.apps[3].nodes.clone();
+    env.apps.push(AppSpec::dag(
+        "diamond",
+        vec![fns[0], fns[1], fns[2], fns[4]],
+        vec![(0, 1), (0, 2), (1, 3), (2, 3)],
+    ));
+    let apps: Vec<AppId> = (0..env.apps.len() as u32).map(AppId).collect();
+    let workload = shaped_workload(
+        WorkloadClass::Heavy,
+        TrafficShape::Bursty,
+        &apps,
+        5,
+        2_000.0,
+    );
+    let run = |validate: bool| {
+        let mut sched =
+            EsgScheduler::new().with_policy(PolicyStack::new().with(SloAdmission::default()));
+        let mut audit = Audit {
+            trace: TraceDigest::text(),
+            killed: Vec::new(),
+            purges: 0,
+            recheck_ticks: 0,
+        };
+        let cfg = SimConfig {
+            cluster: Some(spec.clone()),
+            churn: churn.clone(),
+            data_plane: Some(DataPlaneConfig::default()),
+            validate_cluster_state: validate,
+            ..SimConfig::default()
+        };
+        let r = run_simulation(&env, cfg, &mut sched, &workload, "oracle", Some(&mut audit))
+            .expect("valid run");
+        assert!(
+            r.shed_invocations > 0 && audit.purges > 0,
+            "sheds purge siblings"
+        );
+        assert!(
+            r.rechecks > 0 && audit.recheck_ticks > 0,
+            "queues park and unpark"
+        );
+        assert!(r.transfers.replans > 0, "the data plane must contend");
+        (r.canonical(), audit.trace.trace().to_string())
+    };
+    let (validated, trace_v) = run(true);
+    let (plain, trace_p) = run(false);
+    assert_eq!(validated, plain);
+    assert_eq!(trace_v, trace_p);
+}
+
 #[test]
 fn hetero_grid_matches_pre_redesign_golden_digest() {
     let digest = grid_digest();
