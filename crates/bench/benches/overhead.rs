@@ -30,8 +30,8 @@
 use criterion::{BenchmarkId, Criterion};
 use esg_bench::{render_overhead_markdown, section, update_experiments_md, write_json};
 use esg_core::{
-    astar_search_bounded, astar_search_with, astar_summary, quantize_gslo, PlanCache, PlanKey,
-    SearchScratch, StageTable, StageTableMemo,
+    astar_search_with, astar_summary, quantize_gslo, PlanCache, PlanKey, SearchScratch, StageTable,
+    StageTableMemo,
 };
 use esg_model::{
     standard_catalog, AppId, Config, ConfigGrid, FnId, InvocationId, NodeId, PriceModel, Resources,
@@ -271,7 +271,15 @@ fn main() {
             let gslo = quantize_gslo(table.min_total_time() * 1.5);
             let param = format!("w{w}/medium");
             group.bench_with_input(BenchmarkId::new("astar-alloc", &param), &table, |b, t| {
-                b.iter(|| black_box(astar_search_bounded(t, gslo, 5, 0.5)))
+                b.iter(|| {
+                    black_box(astar_search_with(
+                        t,
+                        gslo,
+                        5,
+                        0.5,
+                        &mut SearchScratch::new(),
+                    ))
+                })
             });
             metas.push(CaseMeta {
                 label: format!("overhead/astar-alloc/{param}"),

@@ -10,7 +10,7 @@
 //! [`dashboard_csv_rows`] flattens the series into one row per
 //! `(snapshot, queue)` for `write_csv`.
 
-use esg_sim::HealthSnapshot;
+use esg_sim::{HealthSnapshot, QueueHealth};
 use std::fmt::Write as _;
 
 /// Renders one snapshot as a fixed-width text block: a headline with
@@ -64,11 +64,35 @@ pub fn render_dashboard_text(snapshots: &[HealthSnapshot]) -> String {
     out
 }
 
+/// A dashboard CSV column: its name and the cell one `(snapshot, queue)`
+/// row writes there, as `Display` renders the value.
+type DashboardColumn = (&'static str, fn(&HealthSnapshot, &QueueHealth) -> String);
+
+/// The one list behind [`dashboard_csv_header`] and [`dashboard_csv_rows`].
+#[rustfmt::skip]
+const DASHBOARD_COLUMNS: [DashboardColumn; 16] = [
+    ("at_ms", |s, _| s.at_ms.to_string()),
+    ("app", |_, q| q.key.app.0.to_string()),
+    ("stage", |_, q| q.key.stage.to_string()),
+    ("backlog", |_, q| q.backlog.to_string()),
+    ("arrivals", |_, q| q.counters.arrivals.to_string()),
+    ("dispatches", |_, q| q.counters.dispatches.to_string()),
+    ("dispatched_jobs", |_, q| q.counters.dispatched_jobs.to_string()),
+    ("completions", |_, q| q.counters.completions.to_string()),
+    ("shed_jobs", |_, q| q.counters.shed_jobs.to_string()),
+    ("mean_wait_ms", |_, q| q.mean_wait_ms().to_string()),
+    ("max_wait_ms", |_, q| q.max_wait_ms().to_string()),
+    ("transfers_started", |s, _| s.transfers.started.to_string()),
+    ("transfers_queued", |s, _| s.transfers.queued.to_string()),
+    ("transfers_completed", |s, _| s.transfers.completed.to_string()),
+    ("transfers_inflight", |s, _| s.transfers.inflight.to_string()),
+    ("transfer_mb", |s, _| s.transfers.total_mb.to_string()),
+];
+
 /// Header line for [`dashboard_csv_rows`], matching `write_csv`'s
 /// `header` parameter.
-pub fn dashboard_csv_header() -> &'static str {
-    "at_ms,app,stage,backlog,arrivals,dispatches,dispatched_jobs,completions,\
-shed_jobs,mean_wait_ms,max_wait_ms,transfers_started,transfers_queued,transfers_completed,transfers_inflight,transfer_mb"
+pub fn dashboard_csv_header() -> String {
+    DASHBOARD_COLUMNS.map(|(name, _)| name).join(",")
 }
 
 /// Flattens a snapshot series into one CSV row per `(snapshot, queue)`.
@@ -78,25 +102,7 @@ pub fn dashboard_csv_rows(snapshots: &[HealthSnapshot]) -> Vec<String> {
     let mut rows = Vec::new();
     for snap in snapshots {
         for q in &snap.queues {
-            rows.push(format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                snap.at_ms,
-                q.key.app.0,
-                q.key.stage,
-                q.backlog,
-                q.counters.arrivals,
-                q.counters.dispatches,
-                q.counters.dispatched_jobs,
-                q.counters.completions,
-                q.counters.shed_jobs,
-                q.mean_wait_ms(),
-                q.max_wait_ms(),
-                snap.transfers.started,
-                snap.transfers.queued,
-                snap.transfers.completed,
-                snap.transfers.inflight,
-                snap.transfers.total_mb,
-            ));
+            rows.push(DASHBOARD_COLUMNS.map(|(_, cell)| cell(snap, q)).join(","));
         }
     }
     rows

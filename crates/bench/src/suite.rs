@@ -469,36 +469,9 @@ impl SweepResult {
     pub fn to_json(&self) -> Value {
         let r = &self.result;
         let mut o = Map::new();
-        o.insert("scheduler", self.scheduler.as_str());
-        o.insert("slo", self.scenario.slo.to_string());
-        o.insert("workload", self.scenario.workload.to_string());
-        o.insert("scenario", self.scenario.to_string());
-        o.insert("cluster", self.cluster.as_str());
-        o.insert("traffic", self.traffic.to_string());
-        o.insert("seed", self.seed);
-        o.insert("arrivals", r.arrivals);
-        o.insert("completed", r.total_completed());
-        o.insert("avg_hit_rate", r.avg_hit_rate());
-        o.insert("overall_hit_rate", r.overall_hit_rate());
-        o.insert("total_cost_cents", r.total_cost_cents());
-        o.insert("cost_per_invocation_cents", r.cost_per_invocation_cents());
-        o.insert("config_miss_rate", r.config_miss_rate());
-        o.insert("cold_start_rate", r.cold_start_rate());
-        o.insert("locality_rate", r.locality_rate());
-        o.insert("shed_rate", r.shed_rate());
-        o.insert("shed_invocations", r.shed_invocations);
-        o.insert("queues_deferred", r.scheduler_stats.policy.queues_deferred);
-        o.insert("mean_overhead_ms", r.mean_overhead_ms());
-        o.insert("searches", r.scheduler_stats.searches);
-        o.insert("plan_cache_hits", r.scheduler_stats.plan_cache_hits);
-        o.insert("plan_cache_misses", r.scheduler_stats.plan_cache_misses);
-        o.insert(
-            "plan_cache_hit_rate",
-            r.scheduler_stats.plan_cache_hit_rate(),
-        );
-        o.insert("vcpu_utilisation", r.vcpu_utilisation);
-        o.insert("vgpu_utilisation", r.vgpu_utilisation);
-        o.insert("makespan_ms", r.makespan_ms);
+        for (name, value, _) in COLUMNS {
+            o.insert(name, value(self));
+        }
         // Data-plane telemetry appears only when the cell ran with a
         // contended GPU data plane: scalar-model documents (and every
         // artifact committed before the plane existed) stay byte-stable.
@@ -539,36 +512,62 @@ impl SweepResult {
         Value::Object(o)
     }
 
-    /// The record's CSV row, matching [`Sweep::CSV_HEADER`].
+    /// The record's CSV row, matching [`Sweep::csv_header`].
     pub fn csv_row(&self) -> String {
-        let r = &self.result;
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.3}",
-            self.suite,
-            self.scheduler,
-            self.scenario.slo,
-            self.scenario.workload,
-            self.scenario,
-            self.cluster,
-            self.traffic,
-            self.seed,
-            r.arrivals,
-            r.total_completed(),
-            r.avg_hit_rate(),
-            r.overall_hit_rate(),
-            r.total_cost_cents(),
-            r.cost_per_invocation_cents(),
-            r.config_miss_rate(),
-            r.cold_start_rate(),
-            r.locality_rate(),
-            r.shed_rate(),
-            r.mean_overhead_ms(),
-            r.vcpu_utilisation,
-            r.vgpu_utilisation,
-            r.makespan_ms,
-        )
+        let mut row = self.suite.clone();
+        for (_, value, csv) in COLUMNS {
+            match (csv, value(self)) {
+                (Csv::Skip, _) => {}
+                (Csv::Plain, Value::String(s)) => row += &format!(",{s}"),
+                (Csv::Plain, v) => row += &format!(",{v}"),
+                (Csv::Fixed(d), v) => row += &format!(",{:.*}", d, v.as_f64().unwrap_or(f64::NAN)),
+            }
+        }
+        row
     }
 }
+
+/// How the CSV row writes a column: skipped, as JSON reads (strings unquoted), or fixed-point.
+enum Csv {
+    Skip,
+    Plain,
+    Fixed(usize),
+}
+
+type Column = (&'static str, fn(&SweepResult) -> Value, Csv);
+
+/// A sweep record's (key, value, CSV format) columns in JSON key order: the one
+/// list behind [`SweepResult::to_json`], [`SweepResult::csv_row`] and [`Sweep::csv_header`].
+#[rustfmt::skip]
+const COLUMNS: [Column; 27] = [
+    ("scheduler", |c| c.scheduler.as_str().into(), Csv::Plain),
+    ("slo", |c| c.scenario.slo.to_string().into(), Csv::Plain),
+    ("workload", |c| c.scenario.workload.to_string().into(), Csv::Plain),
+    ("scenario", |c| c.scenario.to_string().into(), Csv::Plain),
+    ("cluster", |c| c.cluster.as_str().into(), Csv::Plain),
+    ("traffic", |c| c.traffic.to_string().into(), Csv::Plain),
+    ("seed", |c| c.seed.into(), Csv::Plain),
+    ("arrivals", |c| c.result.arrivals.into(), Csv::Plain),
+    ("completed", |c| c.result.total_completed().into(), Csv::Plain),
+    ("avg_hit_rate", |c| c.result.avg_hit_rate().into(), Csv::Fixed(6)),
+    ("overall_hit_rate", |c| c.result.overall_hit_rate().into(), Csv::Fixed(6)),
+    ("total_cost_cents", |c| c.result.total_cost_cents().into(), Csv::Fixed(6)),
+    ("cost_per_invocation_cents", |c| c.result.cost_per_invocation_cents().into(), Csv::Fixed(6)),
+    ("config_miss_rate", |c| c.result.config_miss_rate().into(), Csv::Fixed(6)),
+    ("cold_start_rate", |c| c.result.cold_start_rate().into(), Csv::Fixed(6)),
+    ("locality_rate", |c| c.result.locality_rate().into(), Csv::Fixed(6)),
+    ("shed_rate", |c| c.result.shed_rate().into(), Csv::Fixed(6)),
+    ("shed_invocations", |c| c.result.shed_invocations.into(), Csv::Skip),
+    ("queues_deferred", |c| c.result.scheduler_stats.policy.queues_deferred.into(), Csv::Skip),
+    ("mean_overhead_ms", |c| c.result.mean_overhead_ms().into(), Csv::Fixed(6)),
+    ("searches", |c| c.result.scheduler_stats.searches.into(), Csv::Skip),
+    ("plan_cache_hits", |c| c.result.scheduler_stats.plan_cache_hits.into(), Csv::Skip),
+    ("plan_cache_misses", |c| c.result.scheduler_stats.plan_cache_misses.into(), Csv::Skip),
+    ("plan_cache_hit_rate", |c| c.result.scheduler_stats.plan_cache_hit_rate().into(), Csv::Skip),
+    ("vcpu_utilisation", |c| c.result.vcpu_utilisation.into(), Csv::Fixed(6)),
+    ("vgpu_utilisation", |c| c.result.vgpu_utilisation.into(), Csv::Fixed(6)),
+    ("makespan_ms", |c| c.result.makespan_ms.into(), Csv::Fixed(3)),
+];
 
 /// The collected output of one [`ExperimentSuite::run`], in matrix cell
 /// order.
@@ -584,10 +583,10 @@ pub struct Sweep {
 
 impl Sweep {
     /// Header line for [`SweepResult::csv_row`].
-    pub const CSV_HEADER: &'static str = "suite,scheduler,slo,workload,scenario,cluster,traffic,\
-seed,arrivals,completed,avg_hit_rate,overall_hit_rate,total_cost_cents,\
-cost_per_invocation_cents,config_miss_rate,cold_start_rate,locality_rate,\
-shed_rate,mean_overhead_ms,vcpu_utilisation,vgpu_utilisation,makespan_ms";
+    pub fn csv_header() -> String {
+        let kept = COLUMNS.iter().filter(|c| !matches!(c.2, Csv::Skip));
+        kept.fold("suite".to_string(), |header, c| header + "," + c.0)
+    }
 
     /// The whole sweep as one JSON document.
     pub fn to_json(&self) -> Value {
@@ -605,7 +604,7 @@ shed_rate,mean_overhead_ms,vcpu_utilisation,vgpu_utilisation,makespan_ms";
     pub fn write_artifacts(&self) {
         crate::emit::write_json(&format!("BENCH_{}", self.suite), &self.to_json());
         let rows: Vec<String> = self.results.iter().map(SweepResult::csv_row).collect();
-        crate::emit::write_csv(&format!("BENCH_{}", self.suite), Self::CSV_HEADER, &rows);
+        crate::emit::write_csv(&format!("BENCH_{}", self.suite), &Self::csv_header(), &rows);
     }
 
     /// Paper-style Markdown tables rendered from the same document that
@@ -705,7 +704,7 @@ mod tests {
 
     #[test]
     fn csv_header_matches_row_arity() {
-        let cols = Sweep::CSV_HEADER.split(',').count();
+        let cols = Sweep::csv_header().split(',').count();
         let row = SweepResult {
             suite: "t".into(),
             scheduler: "ESG".into(),

@@ -49,6 +49,6 @@ pub use plan::AppPlans;
 pub use policy::BandwidthAwarePacking;
 pub use scheduler::{EsgScheduler, SearchVariant};
 pub use search::{
-    astar_search, astar_search_bounded, astar_search_with, astar_summary, stagewise_search,
-    PathCandidate, SearchResult, SearchScratch, SearchSummary,
+    astar_search, astar_search_with, astar_summary, stagewise_search, PathCandidate, SearchResult,
+    SearchScratch, SearchSummary,
 };

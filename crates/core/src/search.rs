@@ -403,29 +403,19 @@ impl std::fmt::Debug for SearchScratch {
 /// consistent, so the first K goals are the K cheapest feasible paths),
 /// pruned by the same dual blades.
 pub fn astar_search(table: &StageTable, gslo_ms: f64, k: usize) -> SearchResult {
-    astar_search_bounded(table, gslo_ms, k, f64::INFINITY)
+    astar_search_with(table, gslo_ms, k, f64::INFINITY, &mut SearchScratch::new())
 }
 
-/// [`astar_search`] with a *premium bound*: once the optimal path is
-/// known, alternates costing more than `(1 + premium)` times the optimum
-/// are abandoned. Rank-1 optimality is unaffected; ranks 2..K become
-/// "K best within the premium band". The scheduler uses this because a
-/// dispatch alternate far above the optimum would never be worth its
-/// search time, and cost plateaus otherwise make exact K-best exploration
-/// degenerate on loose targets.
-pub fn astar_search_bounded(
-    table: &StageTable,
-    gslo_ms: f64,
-    k: usize,
-    premium: f64,
-) -> SearchResult {
-    astar_search_with(table, gslo_ms, k, premium, &mut SearchScratch::new())
-}
-
-/// [`astar_search_bounded`] over caller-owned [`SearchScratch`] storage.
-/// Results are bit-identical to the one-shot form — the scratch only
-/// changes where intermediate state lives, not the expansion order (heap
-/// ordering keys are unchanged).
+/// [`astar_search`] over caller-owned [`SearchScratch`] storage, with a
+/// *premium bound*: once the optimal path is known, alternates costing
+/// more than `(1 + premium)` times the optimum are abandoned. Rank-1
+/// optimality is unaffected; ranks 2..K become "K best within the premium
+/// band". The scheduler uses this because a dispatch alternate far above
+/// the optimum would never be worth its search time, and cost plateaus
+/// otherwise make exact K-best exploration degenerate on loose targets.
+/// Results are bit-identical for a fresh and a reused scratch — the
+/// scratch only changes where intermediate state lives, not the expansion
+/// order (heap ordering keys are unchanged).
 pub fn astar_search_with(
     table: &StageTable,
     gslo_ms: f64,
@@ -864,7 +854,8 @@ mod tests {
                 let gslo = table.min_total_time() * mult;
                 for k in [1, 5] {
                     for premium in [0.0, 0.5, f64::INFINITY] {
-                        let fresh = astar_search_bounded(&table, gslo, k, premium);
+                        let fresh =
+                            astar_search_with(&table, gslo, k, premium, &mut SearchScratch::new());
                         let reused = astar_search_with(&table, gslo, k, premium, &mut scratch);
                         assert_eq!(fresh.feasible, reused.feasible);
                         assert_eq!(fresh.expansions, reused.expansions);

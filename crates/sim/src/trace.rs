@@ -49,6 +49,7 @@
 //! ```
 
 use crate::builder::{check_arrival, validate_transfer, SimError};
+use crate::dataplane::DataPlaneConfig;
 use crate::eventlog::{EventKind, EventRecord, Observer};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
@@ -58,7 +59,7 @@ use crate::sched::{
 };
 use esg_model::{
     standard_apps, AppId, ChurnEvent, ChurnPlan, ClusterSpec, Config, ConfigGrid, Fnv, GpuFlavor,
-    InvocationId, NodeClass, NodeId, SloClass,
+    InvocationId, NodeClass, NodeId, ServerTopology, SloClass,
 };
 use esg_profile::TransferModel;
 use esg_workload::{Arrival, Workload};
@@ -389,22 +390,15 @@ impl Scheduler for Traced {
 /// memory until `finish`.
 pub struct TraceRecorder {
     path: PathBuf,
-    /// The document's header fields, taken from the run; `None` until a
+    /// The document, its header taken from the run; `None` until a
     /// replayable run (one over the standard applications) began.
-    header: Option<Map>,
-    arrivals: Vec<Arrival>,
-    events: Vec<EventRecord>,
+    doc: Option<Document>,
 }
 
 impl TraceRecorder {
     /// A recorder that will write the observed run's trace to `path`.
     pub fn new(path: PathBuf) -> TraceRecorder {
-        TraceRecorder {
-            path,
-            header: None,
-            arrivals: Vec::new(),
-            events: Vec::new(),
-        }
+        TraceRecorder { path, doc: None }
     }
 
     /// Serialises and writes the trace, returning the path written; a
@@ -415,25 +409,12 @@ impl TraceRecorder {
     /// DAG shapes the standard-environment loader cannot reconstruct,
     /// so such a trace could never replay faithfully.
     pub fn finish(self) -> Result<PathBuf, TraceError> {
-        let mut doc = self.header.ok_or_else(|| TraceError::Unsupported {
+        let doc = self.doc.ok_or_else(|| TraceError::Unsupported {
             what: "no run over the standard applications was observed (custom \
 application specs cannot be replayed from the standard environment)"
                 .to_string(),
         })?;
-        doc.insert(
-            "arrivals",
-            Value::Array(
-                self.arrivals
-                    .iter()
-                    .map(|a| Value::Array(vec![a.at_ms.into(), a.app.0.into()]))
-                    .collect(),
-            ),
-        );
-        doc.insert(
-            "events",
-            Value::Array(self.events.iter().map(encode_event).collect()),
-        );
-        let text = serde_json::to_string(&Value::Object(doc));
+        let text = serde_json::to_string(&doc.encode());
         std::fs::write(&self.path, text).map_err(|e| TraceError::Io {
             path: self.path.clone(),
             message: e.to_string(),
@@ -445,29 +426,48 @@ application specs cannot be replayed from the standard environment)"
 impl Observer for TraceRecorder {
     /// Starts the trace afresh with `env`'s and `cfg`'s header.
     fn begin(&mut self, env: &SimEnv, cfg: &SimConfig, scheduler: &str) {
-        self.arrivals.clear();
-        self.events.clear();
-        self.header = (env.apps == standard_apps()).then(|| {
-            let mut doc = Map::new();
-            doc.insert("format", TRACE_FORMAT);
-            doc.insert("version", TRACE_VERSION);
-            doc.insert("scheduler", scheduler);
-            doc.insert("slo", env.slo.to_string());
-            doc.insert("apps", "standard");
-            doc.insert("grid", grid_to_json(env.profiles.grid()));
-            doc.insert("transfer", transfer_to_json(&env.transfer));
-            doc.insert("config", config_to_json(cfg));
-            doc
+        self.doc = (env.apps == standard_apps()).then(|| Document {
+            format: TRACE_FORMAT.to_string(),
+            version: TRACE_VERSION.into(),
+            scheduler: scheduler.to_string(),
+            slo: env.slo,
+            apps: STANDARD_APPS.to_string(),
+            grid: env.profiles.grid().clone(),
+            transfer: env.transfer,
+            config: cfg.clone(),
+            arrivals: Vec::new(),
+            events: Vec::new(),
         });
     }
 
     fn on_arrival(&mut self, arrival: &Arrival) {
-        self.arrivals.push(*arrival);
+        if let Some(doc) = &mut self.doc {
+            doc.arrivals.push(*arrival);
+        }
     }
 
     fn on_event(&mut self, event: &SchedulerEvent<'_>) {
-        self.events.push(EventRecord::capture(event));
+        if let Some(doc) = &mut self.doc {
+            doc.events.push(EventRecord::capture(event));
+        }
     }
+}
+
+/// The `apps` value of a replayable trace: the standard application set.
+const STANDARD_APPS: &str = "standard";
+
+/// The document as written, one field per top-level key in order.
+struct Document {
+    format: String,
+    version: i64,
+    scheduler: String,
+    slo: SloClass,
+    apps: String,
+    grid: ConfigGrid,
+    transfer: TransferModel,
+    config: SimConfig,
+    arrivals: Vec<Arrival>,
+    events: Vec<EventRecord>,
 }
 
 /// A loaded, validated trace document.
@@ -506,58 +506,46 @@ impl TraceFile {
             offset: e.offset,
             message: e.message,
         })?;
-        let format = str_field(&doc, "format")?;
+        // The marker, the version and the application set are checked
+        // before the rest decodes, so a document of another format or
+        // version is reported as such whatever else it holds.
+        let root: At = &String::new;
+        let format: String = member(&doc, "format", root)?;
         if format != TRACE_FORMAT {
-            return Err(TraceError::Schema {
-                context: format!("format marker {format:?} is not {TRACE_FORMAT:?}"),
-            });
+            return Err(schema(format!(
+                "format marker {format:?} is not {TRACE_FORMAT:?}"
+            )));
         }
-        let found = int_field(&doc, "version")?;
-        if found != TRACE_VERSION as i64 {
+        let found = member(&doc, "version", root)?;
+        if found != i64::from(TRACE_VERSION) {
             return Err(TraceError::Version {
                 found,
                 supported: TRACE_VERSION,
             });
         }
-        let apps = str_field(&doc, "apps")?;
-        if apps != "standard" {
+        let apps: String = member(&doc, "apps", root)?;
+        if apps != STANDARD_APPS {
             return Err(TraceError::Unsupported {
-                what: format!("application set {apps:?} (only \"standard\" replays)"),
+                what: format!("application set {apps:?} (only {STANDARD_APPS:?} replays)"),
             });
         }
-        let slo = slo_from_str(str_field(&doc, "slo")?)?;
-        let grid = grid_from_json(field(&doc, "grid")?)?;
-        let transfer = transfer_from_json(field(&doc, "transfer")?)?;
-        let config = config_from_json(field(&doc, "config")?)?;
+        let Document {
+            scheduler,
+            slo,
+            grid,
+            transfer,
+            config,
+            arrivals,
+            events,
+            ..
+        } = Document::decode(&doc, root)?;
         let known_apps = standard_apps().len();
-        let arrivals = field(&doc, "arrivals")?
-            .as_array()
-            .ok_or_else(|| schema("arrivals is not an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let a = v
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| schema(&format!("arrival #{i} is not a [t, app] pair")))?;
-                let arrival = Arrival {
-                    at_ms: f64_at(a, 0, "arrival time")?,
-                    app: AppId(u32_at(a, 1, "arrival app")?),
-                };
-                check_arrival(i, &arrival, known_apps, f64::NEG_INFINITY)
-                    .map_err(|e| schema(&e.to_string()))?;
-                Ok(arrival)
-            })
-            .collect::<Result<Vec<_>, TraceError>>()?;
-        let events = field(&doc, "events")?
-            .as_array()
-            .ok_or_else(|| schema("events is not an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| decode_event(v, i))
-            .collect::<Result<Vec<_>, TraceError>>()?;
+        for (i, arrival) in arrivals.iter().enumerate() {
+            check_arrival(i, arrival, known_apps, f64::NEG_INFINITY)
+                .map_err(|e| schema(e.to_string()))?;
+        }
         Ok(TraceFile {
-            scheduler: str_field(&doc, "scheduler")?.to_string(),
+            scheduler,
             slo,
             grid,
             transfer,
@@ -641,519 +629,431 @@ impl TraceReplay {
 }
 
 // ---------------------------------------------------------------------
-// JSON encoding/decoding (compact tagged arrays for the event stream,
-// a plain object for the header).
+// The codec. Each recorded type is declared once below (an object's
+// keys, a tagged array's slots, an enum's variants), and that one
+// declaration drives both the encoder and the decoder.
 
-fn schema(context: &str) -> TraceError {
+fn schema(context: impl Into<String>) -> TraceError {
     TraceError::Schema {
-        context: context.to_string(),
+        context: context.into(),
     }
 }
 
-fn field<'a>(doc: &'a Value, key: &str) -> Result<&'a Value, TraceError> {
-    doc.get(key)
-        .ok_or_else(|| schema(&format!("missing field {key:?}")))
+/// Where a value sits in the document (`config.cluster.nodes[2].speed`),
+/// rendered only when decoding it fails.
+type At<'a> = &'a dyn Fn() -> String;
+
+/// A type the trace stores: how it encodes, and how it decodes with a
+/// typed error naming where it sat.
+trait Codec: Sized {
+    fn encode(&self) -> Value;
+    fn decode(v: &Value, at: At) -> Result<Self, TraceError>;
+
+    /// Appends the value to a tagged array: one slot, unless the type
+    /// spreads its fields over several (see `positional!`).
+    fn put(&self, out: &mut Vec<Value>) {
+        out.push(self.encode());
+    }
+
+    /// The array-slot accessor: reads the value from the next slot(s).
+    fn take(slots: &mut Slots<'_>) -> Result<Self, TraceError> {
+        let (v, i) = slots.next()?;
+        let at = slots.at;
+        Self::decode(v, &|| format!("{}[{i}]", at()))
+    }
 }
 
-fn str_field<'a>(doc: &'a Value, key: &str) -> Result<&'a str, TraceError> {
-    field(doc, key)?
-        .as_str()
-        .ok_or_else(|| schema(&format!("field {key:?} is not a string")))
+/// The object-key accessor: decodes member `name` of `v`.
+fn member<T: Codec>(v: &Value, name: &str, at: At) -> Result<T, TraceError> {
+    let here = || match at() {
+        base if base.is_empty() => name.to_string(),
+        base => format!("{base}.{name}"),
+    };
+    let value = v
+        .get(name)
+        .ok_or_else(|| schema(format!("missing field {}", here())))?;
+    T::decode(value, &here)
 }
 
-fn int_field(doc: &Value, key: &str) -> Result<i64, TraceError> {
-    match field(doc, key)? {
-        Value::Int(n) => {
-            i64::try_from(*n).map_err(|_| schema(&format!("field {key:?} is out of the i64 range")))
+/// An array read slot by slot through [`Codec::take`], whose
+/// [`end`](Self::end) insists that every slot was read.
+struct Slots<'a> {
+    items: &'a [Value],
+    next: usize,
+    at: At<'a>,
+}
+
+impl<'a> Slots<'a> {
+    fn new(v: &'a Value, at: At<'a>) -> Result<Slots<'a>, TraceError> {
+        let items = v
+            .as_array()
+            .ok_or_else(|| schema(format!("{} is not an array", at())))?;
+        Ok(Slots { items, next: 0, at })
+    }
+
+    fn next(&mut self) -> Result<(&'a Value, usize), TraceError> {
+        let i = self.next;
+        let v = self
+            .items
+            .get(i)
+            .ok_or_else(|| self.error("has too few slots"))?;
+        self.next += 1;
+        Ok((v, i))
+    }
+
+    fn end(self) -> Result<(), TraceError> {
+        match self.items.len() {
+            n if n == self.next => Ok(()),
+            n => Err(self.error(&format!("has {n} slots, expected {}", self.next))),
         }
-        _ => Err(schema(&format!("field {key:?} is not an integer"))),
+    }
+
+    fn error(&self, what: &str) -> TraceError {
+        schema(format!("{} {what}", (self.at)()))
     }
 }
 
-fn f64_field(doc: &Value, key: &str) -> Result<f64, TraceError> {
-    field(doc, key)?
-        .as_f64()
-        .ok_or_else(|| schema(&format!("field {key:?} is not a number")))
+/// Scalars: encoded by `serde_json`'s own conversion, decoded by the
+/// given accessor.
+macro_rules! scalar {
+    ($($ty:ty: $what:literal, |$v:ident| $get:expr;)*) => {$(
+        impl Codec for $ty {
+            fn encode(&self) -> Value {
+                Value::from(self.to_owned())
+            }
+
+            fn decode($v: &Value, at: At) -> Result<Self, TraceError> {
+                $get.ok_or_else(|| schema(format!("{} is not {}", at(), $what)))
+            }
+        }
+    )*};
 }
 
-fn bool_field(doc: &Value, key: &str) -> Result<bool, TraceError> {
-    match field(doc, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(schema(&format!("field {key:?} is not a boolean"))),
+scalar! {
+    bool: "a boolean", |v| match v { Value::Bool(b) => Some(*b), _ => None };
+    f64: "a number", |v| v.as_f64();
+    u64: "an unsigned integer", |v| v.as_u64();
+    u32: "a u32", |v| v.as_u64().and_then(|n| u32::try_from(n).ok());
+    usize: "a usize", |v| v.as_u64().and_then(|n| usize::try_from(n).ok());
+    i64: "an integer", |v| match v { Value::Int(n) => i64::try_from(*n).ok(), _ => None };
+    String: "a string", |v| v.as_str().map(str::to_string);
+}
+
+/// Identifiers, stored as their raw number.
+macro_rules! id {
+    ($($ty:ident),*) => {$(
+        impl Codec for $ty {
+            fn encode(&self) -> Value {
+                self.0.encode()
+            }
+
+            fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+                Codec::decode(v, at).map($ty)
+            }
+        }
+    )*};
+}
+
+id!(AppId, NodeId, InvocationId);
+
+/// Enums stored by their `Display` name. Every variant is listed; the
+/// `match` fails to compile when one is missing.
+macro_rules! named {
+    ($($ty:ident [$($variant:ident),*];)*) => {$(
+        impl Codec for $ty {
+            fn encode(&self) -> Value {
+                self.to_string().into()
+            }
+
+            fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+                let _every_variant = |x: $ty| match x { $($ty::$variant => ()),* };
+                let name = String::decode(v, at)?;
+                [$($ty::$variant),*]
+                    .into_iter()
+                    .find(|x| x.to_string() == name)
+                    .ok_or_else(|| {
+                        schema(format!("{} names no {} ({name:?})", at(), stringify!($ty)))
+                    })
+            }
+        }
+    )*};
+}
+
+named! {
+    SloClass [Strict, Moderate, Relaxed];
+    ShedReason [GsloUnattainable, Overload];
+    GpuFlavor [A100, V100, T4];
+}
+
+/// `null` for `None`.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::encode)
+    }
+
+    fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::decode(v, at).map(Some),
+        }
     }
 }
 
-fn u64_field(doc: &Value, key: &str) -> Result<u64, TraceError> {
-    field(doc, key)?
-        .as_u64()
-        .ok_or_else(|| schema(&format!("field {key:?} is not an unsigned integer")))
-}
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self) -> Value {
+        Value::Array(self.iter().map(T::encode).collect())
+    }
 
-fn u32_field(doc: &Value, key: &str) -> Result<u32, TraceError> {
-    u32::try_from(u64_field(doc, key)?)
-        .map_err(|_| schema(&format!("field {key:?} is out of the u32 range")))
-}
-
-fn usize_field(doc: &Value, key: &str) -> Result<usize, TraceError> {
-    usize::try_from(u64_field(doc, key)?)
-        .map_err(|_| schema(&format!("field {key:?} is out of the usize range")))
-}
-
-fn f64_at(a: &[Value], i: usize, what: &str) -> Result<f64, TraceError> {
-    a.get(i)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| schema(&format!("{what} (slot {i}) is not a number")))
-}
-
-fn u64_at(a: &[Value], i: usize, what: &str) -> Result<u64, TraceError> {
-    a.get(i)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| schema(&format!("{what} (slot {i}) is not an unsigned integer")))
-}
-
-fn u32_at(a: &[Value], i: usize, what: &str) -> Result<u32, TraceError> {
-    u32::try_from(u64_at(a, i, what)?)
-        .map_err(|_| schema(&format!("{what} (slot {i}) is out of the u32 range")))
-}
-
-fn usize_at(a: &[Value], i: usize, what: &str) -> Result<usize, TraceError> {
-    usize::try_from(u64_at(a, i, what)?)
-        .map_err(|_| schema(&format!("{what} (slot {i}) is out of the usize range")))
-}
-
-fn str_at<'a>(a: &'a [Value], i: usize, what: &str) -> Result<&'a str, TraceError> {
-    a.get(i)
-        .and_then(Value::as_str)
-        .ok_or_else(|| schema(&format!("{what} (slot {i}) is not a string")))
-}
-
-fn bool_at(a: &[Value], i: usize, what: &str) -> Result<bool, TraceError> {
-    match a.get(i) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(schema(&format!("{what} (slot {i}) is not a boolean"))),
+    fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+        v.as_array()
+            .ok_or_else(|| schema(format!("{} is not an array", at())))?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::decode(item, &|| format!("{}[{i}]", at())))
+            .collect()
     }
 }
 
-fn slo_from_str(s: &str) -> Result<SloClass, TraceError> {
-    match s {
-        "strict" => Ok(SloClass::Strict),
-        "moderate" => Ok(SloClass::Moderate),
-        "relaxed" => Ok(SloClass::Relaxed),
-        other => Err(schema(&format!("unknown SLO class {other:?}"))),
+/// A struct stored as an object with one key per listed field, in the
+/// listed order. The struct literal fails to compile when a field is
+/// missing. `then` checks (and may normalise) the decoded value.
+macro_rules! record {
+    ($ty:ident { $($field:ident),* $(,)? } $(then $check:path)?) => {
+        impl Codec for $ty {
+            fn encode(&self) -> Value {
+                let mut m = Map::new();
+                $(m.insert(stringify!($field), self.$field.encode());)*
+                Value::Object(m)
+            }
+
+            fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+                let value = $ty { $($field: member(v, stringify!($field), at)?),* };
+                $(let value = $check(value).map_err(|e| schema(format!("{}: {e}", at())))?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+record! {
+    Document {
+        format, version, scheduler, slo, apps, grid, transfer, config, arrivals, events,
     }
 }
-
-fn reason_from_str(s: &str) -> Result<ShedReason, TraceError> {
-    match s {
-        "gslo-unattainable" => Ok(ShedReason::GsloUnattainable),
-        "overload" => Ok(ShedReason::Overload),
-        other => Err(schema(&format!("unknown shed reason {other:?}"))),
+record! { ConfigGrid { batches, vcpus, vgpus } then checked_grid }
+record! {
+    TransferModel { local_base_ms, local_ms_per_mb, remote_base_ms, remote_ms_per_mb }
+    then checked_transfer
+}
+record! {
+    NodeClass {
+        name, gpu, vgpu_slices, vcpus, speed, link_scale, price_scale, pcie_in_gbps,
+        pcie_out_gbps, nvlink_gbps, staging_mb,
     }
 }
-
-fn flavor_from_str(s: &str) -> Result<GpuFlavor, TraceError> {
-    match s {
-        "a100" => Ok(GpuFlavor::A100),
-        "v100" => Ok(GpuFlavor::V100),
-        "t4" => Ok(GpuFlavor::T4),
-        other => Err(schema(&format!("unknown GPU flavor {other:?}"))),
+record! { ServerTopology { gpus_per_server, tor_gbps } }
+record! { ClusterSpec { name, nodes, topology } }
+record! { DataPlaneConfig { bandwidth_scale, staging_scale, batch_max_mb } }
+record! {
+    SimConfig {
+        cluster, churn, charge_overhead, prewarm, warmup_exclude_ms, seed, max_sim_ms,
+        validate_cluster_state, data_plane,
     }
+    then checked_config
 }
 
-fn grid_to_json(grid: &ConfigGrid) -> Value {
-    let mut m = Map::new();
-    m.insert("batches", grid.batches.clone());
-    m.insert("vcpus", grid.vcpus.clone());
-    m.insert("vgpus", grid.vgpus.clone());
-    Value::Object(m)
-}
-
-fn u32_list(doc: &Value, key: &str) -> Result<Vec<u32>, TraceError> {
-    field(doc, key)?
-        .as_array()
-        .ok_or_else(|| schema(&format!("field {key:?} is not an array")))?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            v.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| schema(&format!("{key}[{i}] is not a u32")))
-        })
-        .collect()
-}
-
-fn grid_from_json(doc: &Value) -> Result<ConfigGrid, TraceError> {
-    let (batches, vcpus, vgpus) = (
-        u32_list(doc, "batches")?,
-        u32_list(doc, "vcpus")?,
-        u32_list(doc, "vgpus")?,
-    );
-    if [&batches, &vcpus, &vgpus]
+fn checked_grid(g: ConfigGrid) -> Result<ConfigGrid, String> {
+    if [&g.batches, &g.vcpus, &g.vgpus]
         .iter()
         .any(|l| l.is_empty() || l.contains(&0))
     {
-        return Err(schema("grid dimensions must be non-empty lists of >= 1"));
+        return Err("dimensions must be non-empty lists of >= 1".into());
     }
-    Ok(ConfigGrid::new(batches, vcpus, vgpus))
+    Ok(ConfigGrid::new(g.batches, g.vcpus, g.vgpus))
 }
 
-fn class_to_json(c: &NodeClass) -> Value {
-    let mut m = Map::new();
-    m.insert("name", c.name.clone());
-    m.insert("gpu", c.gpu.to_string());
-    m.insert("vgpu_slices", c.vgpu_slices);
-    m.insert("vcpus", c.vcpus);
-    m.insert("speed", c.speed);
-    m.insert("link_scale", c.link_scale);
-    m.insert("price_scale", c.price_scale);
-    m.insert("pcie_in_gbps", c.pcie_in_gbps);
-    m.insert("pcie_out_gbps", c.pcie_out_gbps);
-    m.insert("nvlink_gbps", c.nvlink_gbps);
-    m.insert("staging_mb", c.staging_mb);
-    Value::Object(m)
-}
-
-fn class_from_json(doc: &Value) -> Result<NodeClass, TraceError> {
-    Ok(NodeClass {
-        name: str_field(doc, "name")?.to_string(),
-        gpu: flavor_from_str(str_field(doc, "gpu")?)?,
-        vgpu_slices: u32_field(doc, "vgpu_slices")?,
-        vcpus: u32_field(doc, "vcpus")?,
-        speed: f64_field(doc, "speed")?,
-        link_scale: f64_field(doc, "link_scale")?,
-        price_scale: f64_field(doc, "price_scale")?,
-        pcie_in_gbps: f64_field(doc, "pcie_in_gbps")?,
-        pcie_out_gbps: f64_field(doc, "pcie_out_gbps")?,
-        nvlink_gbps: f64_field(doc, "nvlink_gbps")?,
-        staging_mb: f64_field(doc, "staging_mb")?,
-    })
-}
-
-fn churn_to_json(plan: &ChurnPlan) -> Value {
-    Value::Array(
-        plan.events
-            .iter()
-            .map(|ev| match ev {
-                ChurnEvent::Drain { at_ms, node } => {
-                    Value::Array(vec!["drain".into(), (*at_ms).into(), node.0.into()])
-                }
-                ChurnEvent::Join { at_ms, class } => {
-                    Value::Array(vec!["join".into(), (*at_ms).into(), class_to_json(class)])
-                }
-            })
-            .collect(),
-    )
-}
-
-fn churn_from_json(doc: &Value) -> Result<ChurnPlan, TraceError> {
-    let events = doc
-        .as_array()
-        .ok_or_else(|| schema("churn is not an array"))?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let a = v
-                .as_array()
-                .filter(|a| a.len() == 3)
-                .ok_or_else(|| schema(&format!("churn event #{i} is not a 3-slot array")))?;
-            match str_at(a, 0, "churn tag")? {
-                "drain" => Ok(ChurnEvent::Drain {
-                    at_ms: f64_at(a, 1, "churn time")?,
-                    node: NodeId(u32_at(a, 2, "churn node")?),
-                }),
-                "join" => Ok(ChurnEvent::Join {
-                    at_ms: f64_at(a, 1, "churn time")?,
-                    class: class_from_json(&a[2])?,
-                }),
-                other => Err(schema(&format!("unknown churn tag {other:?}"))),
-            }
-        })
-        .collect::<Result<Vec<_>, TraceError>>()?;
-    Ok(ChurnPlan { events })
-}
-
-fn config_to_json(cfg: &SimConfig) -> Value {
-    let mut m = Map::new();
-    m.insert(
-        "cluster",
-        match &cfg.cluster {
-            None => Value::Null,
-            Some(spec) => {
-                let mut c = Map::new();
-                c.insert("name", spec.name.clone());
-                c.insert(
-                    "nodes",
-                    Value::Array(spec.nodes.iter().map(class_to_json).collect()),
-                );
-                c.insert(
-                    "topology",
-                    match spec.topology {
-                        None => Value::Null,
-                        Some(t) => {
-                            let mut topo = Map::new();
-                            topo.insert("gpus_per_server", t.gpus_per_server);
-                            topo.insert("tor_gbps", t.tor_gbps);
-                            Value::Object(topo)
-                        }
-                    },
-                );
-                Value::Object(c)
-            }
-        },
-    );
-    m.insert("churn", churn_to_json(&cfg.churn));
-    m.insert("charge_overhead", cfg.charge_overhead);
-    m.insert("prewarm", cfg.prewarm);
-    m.insert("warmup_exclude_ms", cfg.warmup_exclude_ms);
-    m.insert("seed", cfg.seed);
-    m.insert("max_sim_ms", cfg.max_sim_ms);
-    m.insert("validate_cluster_state", cfg.validate_cluster_state);
-    m.insert(
-        "data_plane",
-        match &cfg.data_plane {
-            None => Value::Null,
-            Some(dp) => {
-                let mut d = Map::new();
-                d.insert("bandwidth_scale", dp.bandwidth_scale);
-                d.insert("staging_scale", dp.staging_scale);
-                d.insert("batch_max_mb", dp.batch_max_mb);
-                Value::Object(d)
-            }
-        },
-    );
-    Value::Object(m)
-}
-
-/// Decodes the recorded config and checks it with
-/// [`SimConfig::validate`], the check every run makes: a config a run
-/// would refuse is [`TraceError::Schema`], not a replay error.
-fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
-    let cluster = match field(doc, "cluster")? {
-        Value::Null => None,
-        spec => Some(ClusterSpec {
-            name: str_field(spec, "name")?.to_string(),
-            nodes: field(spec, "nodes")?
-                .as_array()
-                .ok_or_else(|| schema("cluster.nodes is not an array"))?
-                .iter()
-                .map(class_from_json)
-                .collect::<Result<Vec<_>, TraceError>>()?,
-            topology: match field(spec, "topology")? {
-                Value::Null => None,
-                t => Some(esg_model::ServerTopology::new(
-                    usize_field(t, "gpus_per_server")?,
-                    f64_field(t, "tor_gbps")?,
-                )),
-            },
-        }),
-    };
-    let cfg = SimConfig {
-        cluster,
-        churn: churn_from_json(field(doc, "churn")?)?,
-        charge_overhead: bool_field(doc, "charge_overhead")?,
-        prewarm: bool_field(doc, "prewarm")?,
-        warmup_exclude_ms: f64_field(doc, "warmup_exclude_ms")?,
-        seed: u64_field(doc, "seed")?,
-        max_sim_ms: f64_field(doc, "max_sim_ms")?,
-        validate_cluster_state: bool_field(doc, "validate_cluster_state")?,
-        data_plane: match field(doc, "data_plane")? {
-            Value::Null => None,
-            dp => Some(crate::dataplane::DataPlaneConfig {
-                bandwidth_scale: f64_field(dp, "bandwidth_scale")?,
-                staging_scale: f64_field(dp, "staging_scale")?,
-                batch_max_mb: f64_field(dp, "batch_max_mb")?,
-            }),
-        },
-    };
-    cfg.validate()
-        .map_err(|e| schema(&format!("config rejected: {e}")))?;
-    Ok(cfg)
-}
-
-fn transfer_to_json(t: &TransferModel) -> Value {
-    let mut m = Map::new();
-    m.insert("local_base_ms", t.local_base_ms);
-    m.insert("local_ms_per_mb", t.local_ms_per_mb);
-    m.insert("remote_base_ms", t.remote_base_ms);
-    m.insert("remote_ms_per_mb", t.remote_ms_per_mb);
-    Value::Object(m)
-}
-
-/// Decodes the recorded tariffs and checks them with the tariff check
-/// every run makes.
-fn transfer_from_json(doc: &Value) -> Result<TransferModel, TraceError> {
-    let t = TransferModel {
-        local_base_ms: f64_field(doc, "local_base_ms")?,
-        local_ms_per_mb: f64_field(doc, "local_ms_per_mb")?,
-        remote_base_ms: f64_field(doc, "remote_base_ms")?,
-        remote_ms_per_mb: f64_field(doc, "remote_ms_per_mb")?,
-    };
-    validate_transfer(&t).map_err(|e| schema(&format!("transfer rejected: {e}")))?;
+/// The tariff check every run makes.
+fn checked_transfer(t: TransferModel) -> Result<TransferModel, String> {
+    validate_transfer(&t).map_err(|e| format!("rejected: {e}"))?;
     Ok(t)
 }
 
-fn encode_event(r: &EventRecord) -> Value {
-    let t: Value = r.now_ms.into();
-    Value::Array(match r.kind {
-        EventKind::JobArrived { key, invocation } => vec![
-            "J".into(),
-            t,
-            key.app.0.into(),
-            key.stage.into(),
-            invocation.0.into(),
-        ],
-        EventKind::Dispatched {
-            key,
-            config,
-            node,
-            jobs,
-        } => vec![
-            "D".into(),
-            t,
-            key.app.0.into(),
-            key.stage.into(),
-            config.batch.into(),
-            config.vcpus.into(),
-            config.vgpus.into(),
-            node.0.into(),
-            jobs.into(),
-        ],
-        EventKind::TaskCompleted { key, node, config } => vec![
-            "T".into(),
-            t,
-            key.app.0.into(),
-            key.stage.into(),
-            config.batch.into(),
-            config.vcpus.into(),
-            config.vgpus.into(),
-            node.0.into(),
-        ],
-        EventKind::Churn { node, joined } => vec!["C".into(), t, node.0.into(), joined.into()],
-        EventKind::QueueShed { key, jobs, reason } => vec![
-            "S".into(),
-            t,
-            key.app.0.into(),
-            key.stage.into(),
-            jobs.into(),
-            reason.to_string().into(),
-        ],
-        EventKind::RecheckTick => vec!["R".into(), t],
-        EventKind::TransferStarted { node, mb } => {
-            vec!["TS".into(), t, node.0.into(), mb.into()]
-        }
-        EventKind::TransferQueued { node, mb } => {
-            vec!["TQ".into(), t, node.0.into(), mb.into()]
-        }
-        EventKind::TransferCompleted { node, mb } => {
-            vec!["TC".into(), t, node.0.into(), mb.into()]
-        }
-    })
+/// [`SimConfig::validate`], the check every run makes: a config a run
+/// would refuse is [`TraceError::Schema`], not a replay error.
+fn checked_config(cfg: SimConfig) -> Result<SimConfig, String> {
+    cfg.validate().map_err(|e| format!("rejected: {e}"))?;
+    Ok(cfg)
 }
 
-fn decode_event(v: &Value, idx: usize) -> Result<EventRecord, TraceError> {
-    let a = v
-        .as_array()
-        .ok_or_else(|| schema(&format!("event #{idx} is not an array")))?;
-    let ctx = format!("event #{idx}");
-    let tag = str_at(a, 0, &ctx)?;
-    let now_ms = f64_at(a, 1, &ctx)?;
-    let expect_len = |n: usize| {
-        if a.len() == n {
-            Ok(())
-        } else {
-            Err(schema(&format!(
-                "{ctx} ({tag:?}) has {} slots, expected {n}",
-                a.len()
-            )))
+/// A struct stored by position: an array of its listed fields where it
+/// stands alone (an arrival), or spread over consecutive slots inside a
+/// tagged array (a queue key takes 2, a configuration 3). `then` checks
+/// the decoded value.
+macro_rules! positional {
+    ($ty:ident [$($field:ident),*] $(then $check:path)?) => {
+        impl Codec for $ty {
+            fn encode(&self) -> Value {
+                let mut out = Vec::new();
+                self.put(&mut out);
+                Value::Array(out)
+            }
+
+            fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+                let mut slots = Slots::new(v, at)?;
+                let value = Self::take(&mut slots)?;
+                slots.end()?;
+                Ok(value)
+            }
+
+            fn put(&self, out: &mut Vec<Value>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn take(slots: &mut Slots<'_>) -> Result<Self, TraceError> {
+                let value = $ty { $($field: Codec::take(slots)?),* };
+                $(let value = $check(value).map_err(|e| slots.error(&e))?;)?
+                Ok(value)
+            }
         }
     };
-    let key = |app_slot: usize| -> Result<QueueKey, TraceError> {
-        Ok(QueueKey {
-            app: AppId(u32_at(a, app_slot, &ctx)?),
-            stage: usize_at(a, app_slot + 1, &ctx)?,
+}
+
+positional!(Arrival [at_ms, app]);
+positional!(QueueKey [app, stage]);
+positional!(Config [batch, vcpus, vgpus] then checked_dimensions);
+
+fn checked_dimensions(c: Config) -> Result<Config, String> {
+    match c.batch.min(c.vcpus).min(c.vgpus) {
+        0 => Err("has configuration dimensions below 1".into()),
+        _ => Ok(c),
+    }
+}
+
+/// An enum stored as a tagged array: a variant's tag, then (after any
+/// slots the enclosing record puts first) its listed fields' slots.
+trait Tagged: Sized {
+    /// Appends the variant's field slots and returns its tag.
+    fn put_fields(&self, out: &mut Vec<Value>) -> &'static str;
+    /// Reads the fields of the variant `tag` names.
+    fn take_fields(tag: &str, slots: &mut Slots<'_>) -> Result<Self, TraceError>;
+}
+
+macro_rules! tagged {
+    ($ty:ident { $($variant:ident $tag:literal { $($field:ident),* }),* $(,)? }) => {
+        impl Tagged for $ty {
+            fn put_fields(&self, out: &mut Vec<Value>) -> &'static str {
+                match self {
+                    $($ty::$variant { $($field),* } => {
+                        $($field.put(out);)*
+                        $tag
+                    })*
+                }
+            }
+
+            fn take_fields(tag: &str, slots: &mut Slots<'_>) -> Result<Self, TraceError> {
+                Ok(match tag {
+                    $($tag => $ty::$variant { $($field: Codec::take(slots)?),* },)*
+                    other => return Err(slots.error(&format!("has an unknown tag {other:?}"))),
+                })
+            }
+        }
+    };
+}
+
+tagged!(EventKind {
+    JobArrived "J" { key, invocation },
+    Dispatched "D" { key, config, node, jobs },
+    TaskCompleted "T" { key, config, node },
+    Churn "C" { node, joined },
+    QueueShed "S" { key, jobs, reason },
+    RecheckTick "R" {},
+    TransferStarted "TS" { node, mb },
+    TransferQueued "TQ" { node, mb },
+    TransferCompleted "TC" { node, mb },
+});
+tagged!(ChurnEvent {
+    Drain "drain" { at_ms, node },
+    Join "join" { at_ms, class },
+});
+
+/// `[tag, head.., fields..]`.
+fn encode_tagged<T: Tagged>(head: Option<Value>, value: &T) -> Value {
+    let mut out = vec![Value::Null];
+    out.extend(head);
+    let tag = value.put_fields(&mut out);
+    out[0] = tag.into();
+    Value::Array(out)
+}
+
+/// Reads a tagged array's tag, then the rest with `read`, which must use
+/// every slot.
+fn decode_tagged<T>(
+    v: &Value,
+    at: At,
+    read: impl FnOnce(&str, &mut Slots<'_>) -> Result<T, TraceError>,
+) -> Result<T, TraceError> {
+    let mut slots = Slots::new(v, at)?;
+    let tag = String::take(&mut slots)?;
+    let value = read(&tag, &mut slots)?;
+    slots.end()?;
+    Ok(value)
+}
+
+impl Codec for ChurnEvent {
+    fn encode(&self) -> Value {
+        encode_tagged(None, self)
+    }
+
+    fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+        decode_tagged(v, at, Self::take_fields)
+    }
+}
+
+/// An event puts its time right after the tag.
+impl Codec for EventRecord {
+    fn encode(&self) -> Value {
+        encode_tagged(Some(self.now_ms.into()), &self.kind)
+    }
+
+    fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+        decode_tagged(v, at, |tag, slots| {
+            Ok(EventRecord {
+                now_ms: Codec::take(slots)?,
+                kind: EventKind::take_fields(tag, slots)?,
+            })
         })
-    };
-    let config = |slot: usize| -> Result<Config, TraceError> {
-        let (b, c, g) = (
-            u32_at(a, slot, &ctx)?,
-            u32_at(a, slot + 1, &ctx)?,
-            u32_at(a, slot + 2, &ctx)?,
-        );
-        if b == 0 || c == 0 || g == 0 {
-            return Err(schema(&format!(
-                "{ctx}: configuration dimensions must be >= 1"
-            )));
-        }
-        Ok(Config::new(b, c, g))
-    };
-    let kind = match tag {
-        "J" => {
-            expect_len(5)?;
-            EventKind::JobArrived {
-                key: key(2)?,
-                invocation: InvocationId(u64_at(a, 4, &ctx)?),
-            }
-        }
-        "D" => {
-            expect_len(9)?;
-            EventKind::Dispatched {
-                key: key(2)?,
-                config: config(4)?,
-                node: NodeId(u32_at(a, 7, &ctx)?),
-                jobs: usize_at(a, 8, &ctx)?,
-            }
-        }
-        "T" => {
-            expect_len(8)?;
-            EventKind::TaskCompleted {
-                key: key(2)?,
-                node: NodeId(u32_at(a, 7, &ctx)?),
-                config: config(4)?,
-            }
-        }
-        "C" => {
-            expect_len(4)?;
-            EventKind::Churn {
-                node: NodeId(u32_at(a, 2, &ctx)?),
-                joined: bool_at(a, 3, &ctx)?,
-            }
-        }
-        "S" => {
-            expect_len(6)?;
-            EventKind::QueueShed {
-                key: key(2)?,
-                jobs: usize_at(a, 4, &ctx)?,
-                reason: reason_from_str(str_at(a, 5, &ctx)?)?,
-            }
-        }
-        "R" => {
-            expect_len(2)?;
-            EventKind::RecheckTick
-        }
-        "TS" => {
-            expect_len(4)?;
-            EventKind::TransferStarted {
-                node: NodeId(u32_at(a, 2, &ctx)?),
-                mb: f64_at(a, 3, &ctx)?,
-            }
-        }
-        "TQ" => {
-            expect_len(4)?;
-            EventKind::TransferQueued {
-                node: NodeId(u32_at(a, 2, &ctx)?),
-                mb: f64_at(a, 3, &ctx)?,
-            }
-        }
-        "TC" => {
-            expect_len(4)?;
-            EventKind::TransferCompleted {
-                node: NodeId(u32_at(a, 2, &ctx)?),
-                mb: f64_at(a, 3, &ctx)?,
-            }
-        }
-        other => return Err(schema(&format!("{ctx}: unknown event tag {other:?}"))),
-    };
-    Ok(EventRecord { now_ms, kind })
+    }
+}
+
+/// A churn plan is its bare event array.
+impl Codec for ChurnPlan {
+    fn encode(&self) -> Value {
+        self.events.encode()
+    }
+
+    fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+        Codec::decode(v, at).map(|events| ChurnPlan { events })
+    }
+}
+
+#[cfg(test)]
+fn encode_event(r: &EventRecord) -> Value {
+    r.encode()
+}
+
+#[cfg(test)]
+fn decode_event(v: &Value, idx: usize) -> Result<EventRecord, TraceError> {
+    EventRecord::decode(v, &|| format!("events[{idx}]"))
+}
+
+#[cfg(test)]
+fn config_to_json(cfg: &SimConfig) -> Value {
+    cfg.encode()
+}
+
+#[cfg(test)]
+fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
+    SimConfig::decode(doc, &|| "config".to_string())
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ fn main() -> Result<(), SimError> {
     );
     write_csv(
         "DASHBOARD_queue_health",
-        dashboard_csv_header(),
+        &dashboard_csv_header(),
         &dashboard_csv_rows(&snapshots),
     );
     Ok(())
