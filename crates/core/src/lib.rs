@@ -47,7 +47,7 @@ pub use brute::brute_force;
 pub use cache::{quantize_gslo, CacheStats, PlanCache, PlanKey};
 pub use plan::AppPlans;
 pub use policy::BandwidthAwarePacking;
-pub use scheduler::{EsgScheduler, SearchVariant};
+pub use scheduler::EsgScheduler;
 pub use search::{
     astar_search, astar_search_with, astar_summary, stagewise_search, PathCandidate, SearchResult,
     SearchScratch, SearchSummary,

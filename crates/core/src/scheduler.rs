@@ -17,22 +17,12 @@
 use crate::bounds::StageTableMemo;
 use crate::cache::{quantize_gslo, PlanCache, PlanKey};
 use crate::plan::AppPlans;
-use crate::search::{astar_summary, stagewise_search, SearchScratch, SearchSummary};
+use crate::search::{astar_summary, SearchScratch, SearchSummary};
 use esg_model::{Config, NodeId};
 use esg_sim::{
     place_locality_first, BatchHold, Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler,
     SchedulerStats,
 };
-
-/// Which published ESG_1Q formulation to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SearchVariant {
-    /// A* best-first with dual-blade pruning (the paper's headline design).
-    #[default]
-    AStar,
-    /// The stage-wise Algorithm-1 form (Appendix B).
-    StageWise,
-}
 
 /// State derived from a context's apps and profile table: the SLO plans
 /// and the memoised stage tables.
@@ -61,7 +51,6 @@ impl EnvState {
 pub struct EsgScheduler {
     group_size: usize,
     k: usize,
-    variant: SearchVariant,
     /// Built from the first context; rebuilt (and the plan cache dropped)
     /// when a context brings another environment, whose stage-table slots
     /// the cache keys would otherwise conflate.
@@ -93,7 +82,6 @@ impl EsgScheduler {
         EsgScheduler {
             group_size: 3,
             k: 5,
-            variant: SearchVariant::AStar,
             env: None,
             cache: Some(PlanCache::new()),
             scratch: SearchScratch::new(),
@@ -109,11 +97,14 @@ impl EsgScheduler {
         self
     }
 
-    /// Overrides the maximum function-group size (§5.4 sensitivity).
+    /// Overrides the maximum function-group size (§5.4 sensitivity). The
+    /// SLO plans and stage tables are rebuilt for the new groups, and the
+    /// plan cache starts afresh: its keys name the old groups' windows.
     pub fn with_group_size(mut self, g: usize) -> Self {
         assert!(g >= 1);
         self.group_size = g;
-        self
+        self.env = None;
+        self.fresh_cache()
     }
 
     /// Overrides the solution count K (§5.4 sensitivity, Fig. 11). The
@@ -121,13 +112,6 @@ impl EsgScheduler {
     pub fn with_k(mut self, k: usize) -> Self {
         assert!(k >= 1);
         self.k = k;
-        self.fresh_cache()
-    }
-
-    /// Selects the search variant (ablation). The plan cache starts
-    /// afresh: its keys leave the variant out.
-    pub fn with_variant(mut self, v: SearchVariant) -> Self {
-        self.variant = v;
         self.fresh_cache()
     }
 
@@ -200,13 +184,7 @@ impl EsgScheduler {
             .table(window, plan.window_fns(stage), cap, ctx.profiles);
         self.searches += 1;
         let (k, premium) = if probe { (1, 0.0) } else { (self.k, 0.5) };
-        let summary = match self.variant {
-            SearchVariant::AStar => astar_summary(table, gslo_q, k, premium, &mut self.scratch),
-            SearchVariant::StageWise => {
-                let result = stagewise_search(table, gslo_q, k);
-                self.scratch.summarise(table, &result)
-            }
-        };
+        let summary = astar_summary(table, gslo_q, k, premium, &mut self.scratch);
         if let Some(cache) = &mut self.cache {
             cache.insert(key, summary, self.scratch.candidates());
         }
@@ -622,16 +600,19 @@ mod tests {
     }
 
     #[test]
-    fn variants_agree_on_best_candidate_cost() {
+    fn a_used_scheduler_plans_for_its_new_group_size() {
         let env = env();
         let cluster = idle_cluster(4);
-        let jobs = vec![job(900.0, None), job(900.0, None), job(850.0, None)];
-        let mut astar = EsgScheduler::new();
-        let mut sw = EsgScheduler::new().with_variant(SearchVariant::StageWise);
-        let c = ctx(&env, &cluster, &jobs, 1, 0);
-        let a = astar.schedule(&c);
-        let s = sw.schedule(&c);
-        assert_eq!(a.candidates[0], s.candidates[0]);
+        let jobs = vec![job(900.0, None)];
+        let c = ctx(&env, &cluster, &jobs, 0, 0);
+        let mut used = EsgScheduler::new();
+        used.schedule(&c);
+        let mut used = used.with_group_size(1);
+        let mut fresh = EsgScheduler::new().with_group_size(1);
+        assert_eq!(
+            format!("{:?}", used.schedule(&c)),
+            format!("{:?}", fresh.schedule(&c))
+        );
     }
 
     #[test]

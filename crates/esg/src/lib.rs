@@ -47,9 +47,7 @@ pub mod prelude {
     pub use esg_baselines::{
         AquatopeScheduler, FastGShareScheduler, InflessScheduler, OrionScheduler,
     };
-    pub use esg_core::{
-        BandwidthAwarePacking, EsgScheduler, PlanCache, SearchScratch, SearchVariant,
-    };
+    pub use esg_core::{BandwidthAwarePacking, EsgScheduler, PlanCache, SearchScratch};
     pub use esg_dag::{Dag, DominatorTree, SloPlan};
     pub use esg_model::{
         standard_apps, standard_catalog, AppId, AppSpec, ChurnPlan, ClusterSpec, Config,
@@ -64,8 +62,8 @@ pub mod prelude {
         MinScheduler, NodeLoad, NodeSummary, NodeTransferStats, NodeView, Observer, OverheadModel,
         PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor, QueueView,
         RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats, ShedReason,
-        SimConfig, SimEnv, SimError, Simulation, SloAdmission, SloAdmissionConfig, TraceDigest,
-        TraceError, TraceFile, TraceRecorder, TraceReplay, TransferCounters, TransferSummary,
+        SimConfig, SimEnv, SimError, Simulation, SloAdmission, TraceDigest, TraceError, TraceFile,
+        TraceRecorder, TraceReplay, TransferCounters, TransferSummary,
     };
     pub use esg_workload::{
         shaped_stream, shaped_workload, ArrivalPredictor, ArrivalStream, AzureLikeTrace, RateFn,

@@ -184,10 +184,10 @@ pub(crate) fn check_run(
 
 impl SimConfig {
     /// Checks every cross-field invariant of the configuration: cluster
-    /// shape, class bandwidths, topology, data plane, scalar knobs and
-    /// churn script. Every run checks it, and so does the trace loader on
-    /// a recorded config, so a configuration that would panic inside the
-    /// event loop is a typed error in both.
+    /// shape, node classes, topology, scalar knobs and churn script.
+    /// Every run checks it, and so does the trace loader on a recorded
+    /// config, so a configuration that would panic inside the event loop
+    /// is a typed error in both.
     pub fn validate(&self) -> Result<(), SimError> {
         // Cluster shape (`None` is the paper cluster, valid as it is).
         if let Some(spec) = &self.cluster {
@@ -196,7 +196,7 @@ impl SimConfig {
                 return Err(SimError::EmptyCluster);
             }
             for class in &spec.nodes {
-                validate_class_bandwidth(class)?;
+                validate_class(class)?;
             }
             if let Some(t) = spec.topology {
                 if t.gpus_per_server == 0 {
@@ -220,18 +220,11 @@ impl SimConfig {
                 });
             }
         }
-        // Joined classes feed the same bandwidth pools.
+        // Joined classes run tasks and feed the same bandwidth pools.
         for ev in &self.churn.events {
             if let ChurnEvent::Join { class, .. } = ev {
-                validate_class_bandwidth(class)?;
+                validate_class(class)?;
             }
-        }
-
-        // Data-plane knobs.
-        if let Some(dp) = &self.data_plane {
-            positive("data_plane.bandwidth_scale", dp.bandwidth_scale)?;
-            positive("data_plane.staging_scale", dp.staging_scale)?;
-            non_negative("data_plane.batch_max_mb", dp.batch_max_mb)?;
         }
 
         non_negative("warmup_exclude_ms", self.warmup_exclude_ms)?;
@@ -290,10 +283,16 @@ pub(crate) fn validate_transfer(t: &TransferModel) -> Result<(), SimError> {
     duration("transfer.remote_ms_per_mb", t.remote_ms_per_mb)
 }
 
-/// Per-class bandwidth/staging invariants: a zero or non-finite value
-/// would make a pool's fair share degenerate (division by the member
-/// count of a zero-capacity pool, or a NaN finish time).
-fn validate_class_bandwidth(class: &NodeClass) -> Result<(), SimError> {
+/// Per-class invariants: every scale factor, bandwidth and staging
+/// buffer must be finite and > 0. A speed or link scale out of that
+/// range makes task or transfer times zero, negative or NaN, and a price
+/// scale makes costs so; a bandwidth or staging value would make a
+/// pool's fair share degenerate (division by the member count of a
+/// zero-capacity pool, or a NaN finish time).
+fn validate_class(class: &NodeClass) -> Result<(), SimError> {
+    positive("class.speed", class.speed)?;
+    positive("class.link_scale", class.link_scale)?;
+    positive("class.price_scale", class.price_scale)?;
     positive("class.pcie_in_gbps", class.pcie_in_gbps)?;
     positive("class.pcie_out_gbps", class.pcie_out_gbps)?;
     positive("class.nvlink_gbps", class.nvlink_gbps)?;
@@ -367,11 +366,8 @@ pub(crate) fn check_arrival(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataplane::DataPlaneConfig;
     use crate::platform::{run_simulation, run_streamed, MinScheduler};
-    use crate::policy::{
-        BandwidthPackingConfig, PolicyStack, RoundPolicy, SloAdmission, SloAdmissionConfig,
-    };
+    use crate::policy::{BandwidthPackingConfig, PolicyStack, RoundPolicy, SloAdmission};
     use esg_model::{AppSpec, ChurnPlan, ClusterSpec, FnId, NodeId, SloClass, WorkloadClass};
     use esg_workload::{Workload, WorkloadGen};
 
@@ -672,14 +668,12 @@ mod tests {
         let gen = WorkloadGen::new(WorkloadClass::Light, esg_model::standard_app_ids(), 5);
         let w = gen.generate(6);
         // The knob both run entries reject in admission below packing, as
-        // `adm` and `pack` edit their knobs, or `None` when both run.
-        let rejected = |adm: fn(&mut SloAdmissionConfig), pack: fn(&mut BandwidthPackingConfig)| {
+        // `pack` edits the packing knobs, or `None` when both run.
+        let rejected = |pack: fn(&mut BandwidthPackingConfig)| {
             let stacked = || {
-                let mut a = SloAdmissionConfig::default();
                 let mut p = BandwidthPackingConfig::default();
-                adm(&mut a);
                 pack(&mut p);
-                let admission = PolicyStack::new().with(SloAdmission::new(a));
+                let admission = PolicyStack::new().with(SloAdmission::default());
                 Stacked(admission.with(Packing(p)))
             };
             let run = knob(run_simulation(
@@ -701,24 +695,24 @@ mod tests {
             assert_eq!(run, knob(streamed), "the run entries agree");
             run
         };
-        assert_eq!(rejected(|_| {}, |_| {}), None);
+        assert_eq!(rejected(|_| {}), None);
         let defer = Some("policy.defer_ms");
-        assert_eq!(rejected(|a| a.defer_ms = 0.0, |_| {}), defer);
-        assert_eq!(rejected(|a| a.defer_ms = f64::NAN, |_| {}), defer);
-        assert_eq!(rejected(|_| {}, |p| p.defer_ms = -1.0), defer);
+        assert_eq!(rejected(|p| p.defer_ms = -1.0), defer);
         let budget = Some("policy.round_budget");
-        assert_eq!(rejected(|_| {}, |p| p.round_budget = 0), budget);
+        assert_eq!(rejected(|p| p.round_budget = 0), budget);
         let warm = Some("policy.warm_bias");
-        assert_eq!(rejected(|_| {}, |p| p.warm_bias = f64::NAN), warm);
-        assert_eq!(rejected(|_| {}, |p| p.warm_bias = -1.0), warm);
+        assert_eq!(rejected(|p| p.warm_bias = f64::NAN), warm);
+        assert_eq!(rejected(|p| p.warm_bias = -1.0), warm);
         let contention = Some("policy.contention_bias");
-        assert_eq!(rejected(|_| {}, |p| p.contention_bias = -0.1), contention);
+        assert_eq!(rejected(|p| p.contention_bias = -0.1), contention);
+        assert_eq!(rejected(|p| p.contention_bias = f64::NAN), contention);
+        assert_eq!(rejected(|p| p.contention_bias = f64::INFINITY), contention);
         // The warm-only knobs (no contention terms) are valid.
         let warm_only = |p: &mut BandwidthPackingConfig| {
             p.contention_bias = 0.0;
             p.defer_queue_depth = 0;
         };
-        assert_eq!(rejected(|_| {}, warm_only), None);
+        assert_eq!(rejected(warm_only), None);
     }
 
     #[test]
@@ -747,43 +741,6 @@ mod tests {
         ] {
             let k = knob(result).expect("rejected");
             assert_eq!(k.strip_prefix("transfer."), Some(name), "{name}");
-        }
-    }
-
-    #[test]
-    fn data_plane_knobs_are_validated() {
-        let plane = |dp: DataPlaneConfig| {
-            check(SimConfig {
-                data_plane: Some(dp),
-                ..SimConfig::default()
-            })
-        };
-        let d = DataPlaneConfig::default;
-        assert_eq!(plane(d()), Ok(()));
-        for (name, dp) in [
-            (
-                "data_plane.bandwidth_scale",
-                DataPlaneConfig {
-                    bandwidth_scale: 0.0,
-                    ..d()
-                },
-            ),
-            (
-                "data_plane.staging_scale",
-                DataPlaneConfig {
-                    staging_scale: f64::NAN,
-                    ..d()
-                },
-            ),
-            (
-                "data_plane.batch_max_mb",
-                DataPlaneConfig {
-                    batch_max_mb: -4.0,
-                    ..d()
-                },
-            ),
-        ] {
-            assert_eq!(knob(plane(dp)), Some(name));
         }
     }
 
@@ -817,6 +774,44 @@ mod tests {
             ..SimConfig::default()
         };
         assert_eq!(knob(check(joins_broken)), Some("class.pcie_in_gbps"));
+    }
+
+    #[test]
+    fn cluster_class_scale_factors_are_validated() {
+        let t4 = NodeClass::t4;
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for (name, broken) in [
+                ("class.speed", NodeClass { speed: bad, ..t4() }),
+                (
+                    "class.link_scale",
+                    NodeClass {
+                        link_scale: bad,
+                        ..t4()
+                    },
+                ),
+                (
+                    "class.price_scale",
+                    NodeClass {
+                        price_scale: bad,
+                        ..t4()
+                    },
+                ),
+            ] {
+                let spec = ClusterSpec::new("scales")
+                    .with(NodeClass::a100(), 1)
+                    .with(broken.clone(), 1);
+                assert_eq!(knob(check_cluster(spec)), Some(name), "{name} = {bad}");
+                let joins_broken = SimConfig {
+                    churn: ChurnPlan::none().join(10.0, broken),
+                    ..SimConfig::default()
+                };
+                assert_eq!(
+                    knob(check(joins_broken)),
+                    Some(name),
+                    "joined {name} = {bad}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -48,31 +48,19 @@ use crate::cluster::Cluster;
 use esg_model::{NodeClass, NodeId, ServerTopology, SimTime};
 use std::collections::VecDeque;
 
-/// Knobs for the contended data plane (`SimConfig::data_plane`;
-/// `None` keeps the classic scalar model).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DataPlaneConfig {
-    /// Multiplier on every `NodeClass` pool bandwidth (a huge value,
-    /// e.g. `1e12`, makes the plane contention-free — the equivalence
-    /// tests' configuration).
-    pub bandwidth_scale: f64,
-    /// Multiplier on every `NodeClass::staging_mb` buffer.
-    pub staging_scale: f64,
-    /// Same-edge tensors at or below this size, MB, count as batched
-    /// into their edge's aggregated flow (accounting for the platform's
-    /// per-dispatch transfer batching).
-    pub batch_max_mb: f64,
-}
+/// Turns the contended data plane on (`SimConfig::data_plane`; `None`
+/// keeps the classic scalar model). The plane has no knobs: its pool
+/// capacities and staging buffers are the `NodeClass` and
+/// `ServerTopology` values as given. Braced rather than a unit struct,
+/// so `DataPlaneConfig::default()`, the form existing callers write,
+/// stays lint-clean.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DataPlaneConfig {}
 
-impl Default for DataPlaneConfig {
-    fn default() -> Self {
-        DataPlaneConfig {
-            bandwidth_scale: 1.0,
-            staging_scale: 1.0,
-            batch_max_mb: 8.0,
-        }
-    }
-}
+/// Same-edge tensors at or below this size, MB, count as batched into
+/// their edge's aggregated flow (the platform's per-dispatch transfer
+/// batching; reported as `TransferSummary::batched_small`).
+pub(crate) const BATCH_MAX_MB: f64 = 8.0;
 
 /// Pool classes per node, in index order.
 const PCIE_IN: u8 = 0;
@@ -89,7 +77,7 @@ const TOR: u8 = 3;
 /// currently sharing it (each member gets `capacity / members`).
 #[derive(Clone, Copy, Debug)]
 pub struct BandwidthPool {
-    /// Capacity, MB/ms (scaled by [`DataPlaneConfig::bandwidth_scale`]).
+    /// Capacity, MB/ms (the class's or the topology's GB/s as given).
     pub capacity: f64,
     /// Flows currently sharing the pool.
     pub members: u32,
@@ -419,7 +407,6 @@ impl ServerMap {
 /// nothing.
 #[derive(Clone, Debug)]
 pub struct DataPlane {
-    cfg: DataPlaneConfig,
     /// Per-node pool triples, indexed by pool class.
     pools: Vec<[Link; 3]>,
     /// Per-server ToR uplink pools (empty on flat clusters).
@@ -451,20 +438,13 @@ impl DataPlane {
     /// Builds pools and staging buffers from the live cluster's node
     /// classes; a declared `topology` additionally maps nodes onto
     /// servers sharing one ToR uplink pool each.
-    pub fn new(
-        cfg: DataPlaneConfig,
-        cluster: &Cluster,
-        topology: Option<ServerTopology>,
-    ) -> DataPlane {
+    pub fn new(cluster: &Cluster, topology: Option<ServerTopology>) -> DataPlane {
         let servers = topology.map(|t| ServerMap::from_topology(&t, cluster.len()));
         let tor = match &topology {
-            Some(t) => {
-                vec![Link::new(t.tor_gbps * cfg.bandwidth_scale); t.num_servers(cluster.len())]
-            }
+            Some(t) => vec![Link::new(t.tor_gbps); t.num_servers(cluster.len())],
             None => Vec::new(),
         };
         let mut dp = DataPlane {
-            cfg,
             pools: Vec::new(),
             tor,
             servers,
@@ -486,11 +466,6 @@ impl DataPlane {
         }
         dp.sync_view();
         dp
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> DataPlaneConfig {
-        self.cfg
     }
 
     /// Whether a hand-off from `src` to `dst` crosses a server boundary:
@@ -532,14 +507,13 @@ impl DataPlane {
     }
 
     fn push_node(&mut self, class: &NodeClass) {
-        let scale = self.cfg.bandwidth_scale;
         self.pools.push([
-            Link::new(class.pcie_in_gbps * scale),
-            Link::new(class.pcie_out_gbps * scale),
-            Link::new(class.nvlink_gbps * scale),
+            Link::new(class.pcie_in_gbps),
+            Link::new(class.pcie_out_gbps),
+            Link::new(class.nvlink_gbps),
         ]);
         self.staging.push(Staging {
-            capacity_mb: class.staging_mb * self.cfg.staging_scale,
+            capacity_mb: class.staging_mb,
             used_mb: 0.0,
             queue: VecDeque::new(),
         });
@@ -905,13 +879,13 @@ mod tests {
         assert!(!map.same_server(NodeId(16), NodeId(16)));
     }
 
-    fn plane(cfg: DataPlaneConfig, classes: &[NodeClass]) -> DataPlane {
+    fn plane(classes: &[NodeClass]) -> DataPlane {
         let spec = ClusterSpec {
             name: "test".into(),
             nodes: classes.to_vec(),
             topology: None,
         };
-        DataPlane::new(cfg, &Cluster::from_spec(&spec), None)
+        DataPlane::new(&Cluster::from_spec(&spec), None)
     }
 
     /// A 4-node plane grouped 2-per-server with a `tor_gbps` ToR uplink.
@@ -922,11 +896,7 @@ mod tests {
             nodes: vec![class.clone(), class.clone(), class.clone(), class],
             topology: Some(ServerTopology::new(2, tor_gbps)),
         };
-        DataPlane::new(
-            DataPlaneConfig::default(),
-            &Cluster::from_spec(&spec),
-            spec.topology,
-        )
+        DataPlane::new(&Cluster::from_spec(&spec), spec.topology)
     }
 
     /// Node indices as `'static` one-element slices for `remote_srcs`.
@@ -976,7 +946,7 @@ mod tests {
         // Capacity 10 MB/ms, demand 10 MB/ms: solo ρ = 1, finish is the
         // scalar expression verbatim.
         let class = NodeClass::a100().with_bandwidth(10.0, 10.0, 10.0);
-        let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
+        let mut dp = plane(&[class.clone(), class]);
         let adm = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
         assert_eq!(finish_of(&adm), SimTime::from_ms(10.0));
         assert!(dp.plans().is_empty());
@@ -985,7 +955,7 @@ mod tests {
     #[test]
     fn two_flows_on_one_pool_halve_each_other() {
         let class = NodeClass::a100().with_bandwidth(10.0, 10.0, 10.0);
-        let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
+        let mut dp = plane(&[class.clone(), class]);
         // Flow 1 saturates ingress solo (ρ = 1, finish at 10 ms).
         let a1 = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
         assert_eq!(finish_of(&a1), SimTime::from_ms(10.0));
@@ -1007,7 +977,7 @@ mod tests {
     #[test]
     fn a_reused_slot_holds_only_the_new_flows_finish() {
         let class = NodeClass::a100().with_bandwidth(10.0, 10.0, 10.0);
-        let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
+        let mut dp = plane(&[class.clone(), class]);
         let mut q = EventQueue::new();
         let complete_next = |dp: &mut DataPlane, q: &mut EventQueue| {
             let Some((at, Event::TransferDue(task))) = q.pop() else {
@@ -1044,13 +1014,16 @@ mod tests {
 
     #[test]
     fn infinite_bandwidth_never_replans() {
-        let cfg = DataPlaneConfig {
-            bandwidth_scale: 1e12,
-            staging_scale: 1e12,
-            ..DataPlaneConfig::default()
-        };
-        let class = NodeClass::t4();
-        let mut dp = plane(cfg, &[class.clone(), class]);
+        let t4 = NodeClass::t4();
+        let class = t4
+            .clone()
+            .with_bandwidth(
+                t4.pcie_in_gbps * 1e12,
+                t4.pcie_out_gbps * 1e12,
+                t4.nvlink_gbps * 1e12,
+            )
+            .with_staging_mb(t4.staging_mb * 1e12);
+        let mut dp = plane(&[class.clone(), class]);
         for task in 0..50u64 {
             let adm = dp.begin(req(task, 500.0, 25.0), SimTime::ZERO);
             assert_eq!(finish_of(&adm), SimTime::from_ms(25.0));
@@ -1064,7 +1037,7 @@ mod tests {
         let class = NodeClass::a100()
             .with_bandwidth(10.0, 10.0, 10.0)
             .with_staging_mb(100.0);
-        let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
+        let mut dp = plane(&[class.clone(), class]);
         // 80 MB fits; the second 80 MB flow must queue.
         let a1 = dp.begin(req(1, 80.0, 8.0), SimTime::ZERO);
         assert_eq!(finish_of(&a1), SimTime::from_ms(8.0));
@@ -1090,7 +1063,7 @@ mod tests {
         let class = NodeClass::a100()
             .with_bandwidth(10.0, 10.0, 10.0)
             .with_staging_mb(100.0);
-        let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
+        let mut dp = plane(&[class.clone(), class]);
         let mut q = EventQueue::new();
         // Flow 1 fills the staging buffer; flows 2 and 3 queue behind it.
         let a1 = dp.begin(req(1, 100.0, 10.0), SimTime::ZERO);
@@ -1118,7 +1091,7 @@ mod tests {
         let class = NodeClass::a100()
             .with_bandwidth(10.0, 10.0, 10.0)
             .with_staging_mb(50.0);
-        let mut dp = plane(DataPlaneConfig::default(), &[class.clone(), class]);
+        let mut dp = plane(&[class.clone(), class]);
         let _ = dp.begin(req(1, 40.0, 4.0), SimTime::ZERO);
         // 120 MB exceeds the whole buffer: queued, not dropped…
         assert!(matches!(
@@ -1134,7 +1107,7 @@ mod tests {
     #[test]
     fn join_grows_the_plane() {
         let class = NodeClass::a100();
-        let mut dp = plane(DataPlaneConfig::default(), &[class]);
+        let mut dp = plane(&[class]);
         assert_eq!(dp.view().len(), 1);
         dp.note_join(&NodeClass::t4());
         assert_eq!(dp.view().len(), 2);
@@ -1261,7 +1234,7 @@ mod tests {
             topology: topology.then(|| ServerTopology::new(2, 5.0)),
         };
         let cluster = Cluster::from_spec(&spec);
-        let mut fast = DataPlane::new(DataPlaneConfig::default(), &cluster, spec.topology);
+        let mut fast = DataPlane::new(&cluster, spec.topology);
         let mut slow = fast.clone();
         slow.scan_all = true;
         let mut q = EventQueue::new();

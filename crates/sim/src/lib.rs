@@ -76,7 +76,7 @@ pub use platform::{
 };
 pub use policy::{
     gslo_attainable, AdmissionDecision, AdmissionPlan, BandwidthPackingConfig, PolicyStack,
-    PolicyStats, RoundPolicy, ShedReason, SloAdmission, SloAdmissionConfig,
+    PolicyStats, RoundPolicy, ShedReason, SloAdmission,
 };
 pub use sched::{
     fill_job_views, home_node, place_locality_first, place_min_fragmentation, BatchHold,

@@ -27,7 +27,7 @@
 use crate::arena::Arena;
 use crate::builder::{check_arrival, check_run, SimError};
 use crate::cluster::Cluster;
-use crate::dataplane::{Admission, DataPlane, DataPlaneConfig, TransferReq};
+use crate::dataplane::{Admission, DataPlane, DataPlaneConfig, TransferReq, BATCH_MAX_MB};
 use crate::event::{Event, EventQueue};
 use crate::eventlog::Observer;
 use crate::metrics::{AppMetrics, ExperimentResult, NodeSummary};
@@ -217,11 +217,16 @@ pub struct SimConfig {
     /// snapshot of the cluster (the pre-redesign per-decision rebuild),
     /// and in every controller round that the eligible queues read off
     /// the queue bitset are those a full scan finds. Costs a full rebuild
-    /// per refresh and a scan per round — test runs only.
+    /// per refresh and a scan per round — test runs only. It stays an
+    /// opt-in reference check rather than being on in every debug
+    /// build: on in every debug run, it took the tier-1 suite from 43 s
+    /// to 98 s on a 2-vCPU box and failed the three allocation budgets
+    /// of `tests/alloc_budget.rs`, whose counts the rebuilds inflate.
     pub validate_cluster_state: bool,
     /// Contended GPU data plane (`crate::dataplane`): per-node PCIe/
     /// NVLink bandwidth pools with fair-share transfer progress and
-    /// bounded host-memory staging. `None` (the default) keeps the
+    /// bounded host-memory staging, sized by the cluster's node classes
+    /// and topology. `None` (the default) keeps the
     /// classic scalar transfer model; at effectively infinite bandwidth
     /// the plane is dispatch-trace bit-identical to the scalar model
     /// (`tests/dataplane_equivalence.rs`).
@@ -553,9 +558,7 @@ impl<'a> Simulation<'a> {
         let initial_nodes = cluster.len();
         let seed = cfg.seed;
         let topology = cfg.cluster.as_ref().and_then(|s| s.topology);
-        let dataplane = cfg
-            .data_plane
-            .map(|dp| DataPlane::new(dp, &cluster, topology));
+        let dataplane = cfg.data_plane.map(|_| DataPlane::new(&cluster, topology));
         Simulation {
             env,
             cfg,
@@ -1417,7 +1420,7 @@ impl<'a> Simulation<'a> {
             // uncontended plan lands at the *same instant* the scalar
             // `ExecReady` would (`scalar_total_ms` is the identical f64
             // expression), under the same class-2 event rank.
-            let batchable = spec.input_mb <= dp.config().batch_max_mb;
+            let batchable = spec.input_mb <= BATCH_MAX_MB;
             let batched_small = if batchable {
                 let edges = src_counts.len() as u32
                     + u32::from(local_jobs > 0)

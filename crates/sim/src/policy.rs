@@ -462,32 +462,10 @@ impl PolicyStack {
     }
 }
 
-/// Knobs of the [`SloAdmission`] stage.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SloAdmissionConfig {
-    /// Shed hopeless queues. `false` admits them for best-effort
-    /// draining instead (a deployment that must never drop accepted
-    /// work keeps only the saturation-deferral behaviour).
-    pub shed: bool,
-    /// Back-off for saturation-deferred queues, ms.
-    pub defer_ms: f64,
-}
-
-impl Default for SloAdmissionConfig {
-    fn default() -> Self {
-        SloAdmissionConfig {
-            shed: true,
-            defer_ms: 5.0,
-        }
-    }
-}
-
-impl SloAdmissionConfig {
-    /// Rejects a back-off that is not finite and > 0 (`policy.defer_ms`).
-    pub fn validate(&self) -> Result<(), SimError> {
-        positive("policy.defer_ms", self.defer_ms)
-    }
-}
+/// The policy stages' back-off, ms: how long [`SloAdmission`] defers a
+/// queue the saturated cluster cannot host, and the default of
+/// [`BandwidthPackingConfig::defer_ms`].
+pub const DEFER_MS: f64 = 5.0;
 
 /// SLO-aware admission (INFless/HAS-GPU-style): sheds queues whose
 /// deadline is provably lost and defers queues the cluster cannot host
@@ -507,21 +485,10 @@ impl SloAdmissionConfig {
 /// The defer test uses *free* capacity: when no online node currently
 /// fits even the minimum configuration, deciding the queue would only
 /// burn a search and park it on the recheck list, so it is deferred for
-/// [`SloAdmissionConfig::defer_ms`] instead.
+/// [`DEFER_MS`] instead.
 #[derive(Clone, Debug, Default)]
 pub struct SloAdmission {
-    cfg: SloAdmissionConfig,
     stats: PolicyStats,
-}
-
-impl SloAdmission {
-    /// An admission stage with explicit knobs.
-    pub fn new(cfg: SloAdmissionConfig) -> SloAdmission {
-        SloAdmission {
-            cfg,
-            stats: PolicyStats::default(),
-        }
-    }
 }
 
 /// Whether *any* (online node class, profiled configuration) pair could
@@ -568,11 +535,7 @@ impl RoundPolicy for SloAdmission {
                 .iter()
                 .map(|j| j.slack_ms)
                 .fold(f64::NEG_INFINITY, f64::max);
-            // When `shed` is off, hopeless queues are admitted for
-            // best-effort draining (the dispatch stage's hopeless path
-            // drains cost-efficiently); deferring them would only
-            // postpone the loss forever.
-            if self.cfg.shed && !gslo_attainable(ctx, q.function, slack) {
+            if !gslo_attainable(ctx, q.function, slack) {
                 self.stats.queues_shed += 1;
                 self.stats.jobs_shed += q.jobs.len() as u64;
                 plan.set(
@@ -587,7 +550,7 @@ impl RoundPolicy for SloAdmission {
                 plan.set(
                     i,
                     AdmissionDecision::Defer {
-                        until_ms: ctx.now_ms + self.cfg.defer_ms,
+                        until_ms: ctx.now_ms + DEFER_MS,
                     },
                 );
             }
@@ -597,16 +560,11 @@ impl RoundPolicy for SloAdmission {
     fn stats(&self) -> PolicyStats {
         self.stats
     }
-
-    fn validate(&self) -> Result<(), SimError> {
-        self.cfg.validate()
-    }
 }
 
 /// Knobs of ESG's cross-queue packing stage (`esg-core`'s
-/// `BandwidthAwarePacking`; defined here beside [`SloAdmissionConfig`]).
-/// The contention terms read the live data-plane
-/// view (`RoundCtx::dataplane`); without a data plane, or with
+/// `BandwidthAwarePacking`). The contention terms read the live
+/// data-plane view (`RoundCtx::dataplane`); without a data plane, or with
 /// `contention_bias: 0.0` and `defer_queue_depth: 0`, the stage ranks on
 /// GSLO tightness and warm affinity under the round budget alone.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -615,7 +573,7 @@ pub struct BandwidthPackingConfig {
     /// configurations: once a round's decisions have spent it, the
     /// remaining queues are deferred instead of searched.
     pub round_budget: u64,
-    /// Back-off for deferred queues, ms.
+    /// Back-off for deferred queues, ms ([`DEFER_MS`] by default).
     pub defer_ms: f64,
     /// Rank bonus (in normalised-tightness units) for queues whose
     /// predecessor node holds a warm container for the queue's function
@@ -637,7 +595,7 @@ impl Default for BandwidthPackingConfig {
     fn default() -> Self {
         BandwidthPackingConfig {
             round_budget: 200_000,
-            defer_ms: 5.0,
+            defer_ms: DEFER_MS,
             warm_bias: 0.25,
             contention_bias: 0.1,
             defer_queue_depth: 4,
@@ -878,7 +836,7 @@ mod tests {
             queue_view(&env, &mixed, 2, 0),
         ];
         let ctx = round_ctx(&env, &cluster, &queues);
-        let mut adm = SloAdmission::new(SloAdmissionConfig::default());
+        let mut adm = SloAdmission::default();
         let plan = admit(&mut adm, &ctx);
         assert!(matches!(
             plan.decisions()[0],
@@ -890,14 +848,6 @@ mod tests {
         assert_eq!(plan.decisions()[2], AdmissionDecision::Admit);
         assert_eq!(adm.stats().queues_shed, 1);
         assert_eq!(adm.stats().jobs_shed, 1);
-        // shed = false admits hopeless queues for best-effort draining.
-        let mut soft = SloAdmission::new(SloAdmissionConfig {
-            shed: false,
-            ..SloAdmissionConfig::default()
-        });
-        let plan = admit(&mut soft, &ctx);
-        assert_eq!(plan.decisions()[0], AdmissionDecision::Admit);
-        assert_eq!(soft.stats().queues_shed, 0);
     }
 
     #[test]
@@ -910,7 +860,7 @@ mod tests {
         let fine = [job(10_000.0)];
         let queues = [queue_view(&env, &fine, 0, 0)];
         let ctx = round_ctx(&env, &cluster, &queues);
-        let mut adm = SloAdmission::new(SloAdmissionConfig::default());
+        let mut adm = SloAdmission::default();
         let plan = admit(&mut adm, &ctx);
         assert_eq!(
             plan.decisions()[0],

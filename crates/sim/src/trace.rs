@@ -73,7 +73,7 @@ pub const TRACE_FORMAT: &str = "esg-trace";
 /// Current trace schema version. [`TraceFile::load`] rejects every other
 /// version with [`TraceError::Version`]: a format change bumps it and
 /// adds no loader for the old one.
-pub const TRACE_VERSION: u32 = 3;
+pub const TRACE_VERSION: u32 = 4;
 
 /// A typed failure while writing or loading a trace. Corrupt or
 /// truncated files surface here — never as a panic.
@@ -853,13 +853,30 @@ record! {
 }
 record! { ServerTopology { gpus_per_server, tor_gbps } }
 record! { ClusterSpec { name, nodes, topology } }
-record! { DataPlaneConfig { bandwidth_scale, staging_scale, batch_max_mb } }
 record! {
     SimConfig {
         cluster, churn, charge_overhead, prewarm, warmup_exclude_ms, seed, max_sim_ms,
         validate_cluster_state, data_plane,
     }
     then checked_config
+}
+
+/// The data plane has no knobs, so an enabled one is `true` (a disabled
+/// one is `null`, like every `None`).
+impl Codec for DataPlaneConfig {
+    fn encode(&self) -> Value {
+        true.into()
+    }
+
+    fn decode(v: &Value, at: At) -> Result<Self, TraceError> {
+        match bool::decode(v, at)? {
+            true => Ok(DataPlaneConfig::default()),
+            false => Err(schema(format!(
+                "{} is false (a disabled plane is null)",
+                at()
+            ))),
+        }
+    }
 }
 
 fn checked_grid(g: ConfigGrid) -> Result<ConfigGrid, String> {
@@ -1152,11 +1169,7 @@ mod tests {
                 .join(2_000.0, NodeClass::t4()),
             seed: u64::MAX,
             warmup_exclude_ms: 123.5,
-            data_plane: Some(crate::dataplane::DataPlaneConfig {
-                bandwidth_scale: 0.5,
-                staging_scale: 2.0,
-                batch_max_mb: 16.0,
-            }),
+            data_plane: Some(DataPlaneConfig::default()),
             ..SimConfig::default()
         };
         let text = serde_json::to_string(&config_to_json(&cfg));
@@ -1288,12 +1301,13 @@ mod tests {
 \"grid\": {\"batches\": [1], \"vcpus\": [1], \"vgpus\": [1]}, \
 \"config\": {\"nodes\": 2, \"node_resources\": [16, 7], \"cluster\": null, \"churn\": []}, \
 \"arrivals\": [], \"events\": []}";
-        for (found, doc) in [relabelled(1), relabelled(2), (1, v1_0.to_string())] {
+        let earlier = [relabelled(1), relabelled(2), relabelled(3)];
+        for (found, doc) in earlier.into_iter().chain([(1, v1_0.to_string())]) {
             assert_eq!(
                 TraceFile::from_json(&doc).err(),
                 Some(TraceError::Version {
                     found,
-                    supported: 3
+                    supported: 4
                 })
             );
         }

@@ -113,11 +113,11 @@ fn main() -> Result<(), SimError> {
         );
     }
 
-    // Stage knobs are checked before a run starts: an admission back-off
-    // that is not a number is a typed error, not a stalled run.
-    let nan = SloAdmission::new(SloAdmissionConfig {
-        defer_ms: f64::NAN,
-        ..SloAdmissionConfig::default()
+    // Stage knobs are checked before a run starts: a contention bias
+    // that is not a number is a typed error, not a misranked run.
+    let nan = BandwidthAwarePacking::new(BandwidthPackingConfig {
+        contention_bias: f64::NAN,
+        ..BandwidthPackingConfig::default()
     });
     let mut bad = EsgScheduler::new().with_policy(PolicyStack::new().with(nan));
     let err = run_simulation(
@@ -128,7 +128,7 @@ fn main() -> Result<(), SimError> {
         "knob-check",
         None,
     )
-    .expect_err("a NaN back-off is refused");
+    .expect_err("a NaN contention bias is refused");
     println!("\nbad knob check: {err}");
     Ok(())
 }

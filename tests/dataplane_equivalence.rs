@@ -1,6 +1,7 @@
 //! Data-plane vs scalar-transfer equivalence: with the contended GPU
-//! data plane enabled at effectively infinite bandwidth
-//! (`bandwidth_scale = 1e12`), every flow's fair share exceeds its
+//! data plane enabled at effectively infinite bandwidth (every class's
+//! bandwidths and staging buffer scaled by 1e12), every flow's fair
+//! share exceeds its
 //! demand, so progress is never throttled, nothing queues for staging,
 //! and no finish is ever re-planned — the run must be dispatch-trace
 //! **bit-identical** to the classic scalar transfer model across the
@@ -23,12 +24,34 @@ use esg::prelude::*;
 /// Simulated arrival window per cell, ms (test-sized).
 const RUN_MS: f64 = 2_000.0;
 
-/// Contention-free data plane: the equivalence configuration.
-fn infinite_plane() -> DataPlaneConfig {
-    DataPlaneConfig {
-        bandwidth_scale: 1e12,
-        staging_scale: 1e12,
-        ..DataPlaneConfig::default()
+/// The factor that makes a class's pools contention-free: the
+/// equivalence configuration.
+const INFINITE: f64 = 1e12;
+
+/// `class` with its bandwidths scaled by `bandwidth` and its staging
+/// buffer by `staging`.
+fn scaled(class: &NodeClass, bandwidth: f64, staging: f64) -> NodeClass {
+    class
+        .clone()
+        .with_bandwidth(
+            class.pcie_in_gbps * bandwidth,
+            class.pcie_out_gbps * bandwidth,
+            class.nvlink_gbps * bandwidth,
+        )
+        .with_staging_mb(class.staging_mb * staging)
+}
+
+/// `spec` with every node class [`scaled`] (the specs here declare no
+/// server topology).
+fn scaled_spec(spec: &ClusterSpec, bandwidth: f64, staging: f64) -> ClusterSpec {
+    assert!(spec.topology.is_none());
+    ClusterSpec {
+        nodes: spec
+            .nodes
+            .iter()
+            .map(|c| scaled(c, bandwidth, staging))
+            .collect(),
+        ..spec.clone()
     }
 }
 
@@ -100,16 +123,21 @@ proptest::proptest! {
         ];
         let spec = specs[spec_idx].clone();
         let shape = SHAPES[shape_idx];
-        let churn = if spec_idx == 2 {
-            ChurnPlan::rolling_replace(RUN_MS / 3.0, 2_000.0, NodeId(0), NodeClass::t4())
+        let churn = |joined: NodeClass| if spec_idx == 2 {
+            ChurnPlan::rolling_replace(RUN_MS / 3.0, 2_000.0, NodeId(0), joined)
         } else {
             ChurnPlan::none()
         };
 
         let (scalar_digest, scalar_done, scalar_hits, _) =
-            traced_run(seed, &spec, &churn, shape, None);
-        let (plane_digest, plane_done, plane_hits, transfers) =
-            traced_run(seed, &spec, &churn, shape, Some(infinite_plane()));
+            traced_run(seed, &spec, &churn(NodeClass::t4()), shape, None);
+        let (plane_digest, plane_done, plane_hits, transfers) = traced_run(
+            seed,
+            &scaled_spec(&spec, INFINITE, INFINITE),
+            &churn(scaled(&NodeClass::t4(), INFINITE, INFINITE)),
+            shape,
+            Some(DataPlaneConfig::default()),
+        );
 
         proptest::prop_assert_eq!(
             scalar_digest,
@@ -137,20 +165,18 @@ fn slow_cluster() -> ClusterSpec {
     )
 }
 
-fn contended_run(plane: Option<DataPlaneConfig>) -> (u64, u64, TransferSummary) {
-    let (trace, done, _, transfers) = traced_run(
-        7,
-        &slow_cluster(),
-        &ChurnPlan::none(),
-        TrafficShape::Bursty,
-        plane,
-    );
+fn contended_run(
+    spec: &ClusterSpec,
+    plane: Option<DataPlaneConfig>,
+) -> (u64, u64, TransferSummary) {
+    let (trace, done, _, transfers) =
+        traced_run(7, spec, &ChurnPlan::none(), TrafficShape::Bursty, plane);
     (trace, done, transfers)
 }
 
 #[test]
 fn contended_plane_moves_bytes_and_never_drops() {
-    let (_, done, t) = contended_run(Some(DataPlaneConfig::default()));
+    let (_, done, t) = contended_run(&slow_cluster(), Some(DataPlaneConfig::default()));
     assert!(done > 0, "workload must complete under contention");
     assert!(t.started > 0, "transfer-bound cluster must start flows");
     assert!(t.total_mb > 0.0);
@@ -163,11 +189,8 @@ fn contended_plane_moves_bytes_and_never_drops() {
 #[test]
 fn queued_transfers_are_delayed_never_dropped() {
     // Starve the staging buffers so admissions queue.
-    let plane = DataPlaneConfig {
-        staging_scale: 1e-3,
-        ..DataPlaneConfig::default()
-    };
-    let (_, done, t) = contended_run(Some(plane));
+    let starved = scaled_spec(&slow_cluster(), 1.0, 1e-3);
+    let (_, done, t) = contended_run(&starved, Some(DataPlaneConfig::default()));
     assert!(done > 0);
     assert!(t.queued > 0, "tiny staging buffers must force queueing");
     assert_eq!(
@@ -180,12 +203,9 @@ fn queued_transfers_are_delayed_never_dropped() {
 fn starved_bandwidth_changes_the_outcome() {
     // The equivalence above must not be vacuous: squeeze the pools and
     // the plane genuinely perturbs scheduling.
-    let plane = DataPlaneConfig {
-        bandwidth_scale: 1e-3,
-        ..DataPlaneConfig::default()
-    };
-    let (scalar_digest, _, _) = contended_run(None);
-    let (plane_digest, _, t) = contended_run(Some(plane));
+    let starved = scaled_spec(&slow_cluster(), 1e-3, 1.0);
+    let (scalar_digest, _, _) = contended_run(&starved, None);
+    let (plane_digest, _, t) = contended_run(&starved, Some(DataPlaneConfig::default()));
     assert!(
         t.replans > 0 || t.queued > 0,
         "a starved plane must contend"

@@ -263,30 +263,6 @@ fn shedding_is_observable_end_to_end() {
 }
 
 #[test]
-fn deferring_admission_variant_makes_progress() {
-    // shed = false defers hopeless queues instead; the run must still
-    // terminate (forced-minimum recheck path keeps draining) and shed
-    // nothing.
-    let env = SimEnv::standard(SloClass::Strict);
-    let workload =
-        WorkloadGen::new(WorkloadClass::Light, esg::model::standard_app_ids(), 9).generate(10);
-    let cfg = SimConfig {
-        max_sim_ms: 600_000.0,
-        ..SimConfig::default()
-    };
-    let sched = EsgScheduler::new().with_policy(PolicyStack::new().with(SloAdmission::new(
-        SloAdmissionConfig {
-            shed: false,
-            ..SloAdmissionConfig::default()
-        },
-    )));
-    let mut s = sched;
-    let r = run_simulation(&env, cfg, &mut s, &workload, "defer-only", None).expect("valid run");
-    assert_eq!(r.shed_invocations, 0);
-    assert_eq!(r.total_completed(), 10, "deferred work still completes");
-}
-
-#[test]
 fn observers_change_no_decision() {
     // One run with churn, the contended data plane and a policy stack.
     // An observer sees only `&` data, never the scheduler, so the run

@@ -6,15 +6,19 @@
 //! names, and load back to exactly the values it names. A codec change
 //! that moves a byte of the format or a decoded value fails here.
 //! Regenerate with `ESG_BLESS=1 cargo test --test trace_golden` from the
-//! agreed baseline commit.
+//! agreed baseline commit; the golden file's `#` lines, which say why it
+//! was last blessed, are kept.
 //!
-//! The same recording also checks the format's documentation: every
-//! top-level key and every `config` key of the document is named in
-//! OBSERVABILITY.md's "The trace file format" table.
+//! The same recording also checks the format's documentation: every key
+//! of every record outside the arrival and event arrays (the top level,
+//! `config`, the cluster, its node classes, the topology, the grid and
+//! the tariffs) and every churn tag is named in OBSERVABILITY.md's "The
+//! trace file format" table.
 
 use esg::prelude::*;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn workspace_file(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -22,9 +26,15 @@ fn workspace_file(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Records the codec-covering run and returns the document's text.
+/// Records the codec-covering run and returns the document's text. Each
+/// call writes its own file: the tests run in parallel threads.
 fn recorded_document() -> String {
-    let path = std::env::temp_dir().join(format!("esg-golden-trace-{}.json", std::process::id()));
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!(
+        "esg-golden-trace-{}-{call}.json",
+        std::process::id()
+    ));
     let mut env = SimEnv::standard(SloClass::Strict);
     env.transfer = TransferModel {
         local_base_ms: 0.25,
@@ -32,27 +42,31 @@ fn recorded_document() -> String {
         remote_base_ms: 12.0,
         remote_ms_per_mb: 20.5,
     };
+    // Staging a thousandth of each class's own buffer, so transfers queue.
+    let small_staging = |class: NodeClass| {
+        let mb = class.staging_mb * 1e-3;
+        class.with_staging_mb(mb)
+    };
     let cfg = SimConfig {
         cluster: Some(
             ClusterSpec::new("golden")
-                .with(NodeClass::a100(), 2)
+                .with(small_staging(NodeClass::a100()), 2)
                 .with(
-                    NodeClass::t4()
-                        .named("slow-t4")
-                        .with_bandwidth(0.05, 0.05, 0.5)
-                        .with_staging_mb(64.0),
+                    small_staging(
+                        NodeClass::t4()
+                            .named("slow-t4")
+                            .with_bandwidth(0.05, 0.05, 0.5)
+                            .with_staging_mb(64.0),
+                    ),
                     2,
                 )
                 .with_topology(2, 25.0),
         ),
         churn: ChurnPlan::none()
             .drain(1_000.0, NodeId(3))
-            .join(2_000.0, NodeClass::t4()),
+            .join(2_000.0, small_staging(NodeClass::t4())),
         seed: 17,
-        data_plane: Some(DataPlaneConfig {
-            staging_scale: 1e-3,
-            ..DataPlaneConfig::default()
-        }),
+        data_plane: Some(DataPlaneConfig::default()),
         ..SimConfig::default()
     };
     let workload =
@@ -97,19 +111,47 @@ fn recorded_document_matches_the_golden_bytes() {
         fnv64(&format!("{loaded:?}")),
     );
     let path = workspace_file("tests/golden/trace.digest");
+    let file = std::fs::read_to_string(&path).unwrap_or_default();
+    let (header, golden): (Vec<&str>, Vec<&str>) = file.lines().partition(|l| l.starts_with('#'));
     if std::env::var("ESG_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
-        std::fs::write(&path, &pinned).expect("write golden digest");
+        let header: String = header.iter().map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, header + &pinned).expect("write golden digest");
         eprintln!("blessed {}", path.display());
         return;
     }
-    let golden = std::fs::read_to_string(&path).expect(
+    assert!(
+        !golden.is_empty(),
         "golden digest missing — run ESG_BLESS=1 cargo test --test trace_golden \
-from the agreed baseline commit",
+from the agreed baseline commit"
     );
+    let golden: String = golden.iter().map(|l| format!("{l}\n")).collect();
     assert_eq!(
         pinned, golden,
         "the esg-trace bytes or their decoding moved"
     );
+}
+
+/// Every key of every object in `v` and the tag of every tagged array
+/// (one whose first item is a string), except inside the arrival and
+/// event arrays.
+fn recorded_names(v: &Value, out: &mut Vec<String>) {
+    match v {
+        Value::Object(m) => {
+            for (key, item) in m.iter() {
+                out.push(key.to_string());
+                if key != "arrivals" && key != "events" {
+                    recorded_names(item, out);
+                }
+            }
+        }
+        Value::Array(items) => {
+            out.extend(items.first().and_then(Value::as_str).map(str::to_string));
+            for item in items {
+                recorded_names(item, out);
+            }
+        }
+        _ => {}
+    }
 }
 
 #[test]
@@ -123,18 +165,18 @@ fn every_recorded_key_is_documented() {
         .and_then(|s| s.split("\n## ").next())
         .expect("OBSERVABILITY.md has a trace-format section");
     let table: String = section.lines().filter(|l| l.starts_with('|')).collect();
-    let keys = |v: &Value| -> Vec<String> {
-        v.as_object()
-            .expect("an object")
-            .iter()
-            .map(|(k, _)| k.to_string())
-            .collect()
-    };
-    let config = doc.get("config").expect("a config object");
-    for key in keys(&doc).into_iter().chain(keys(config)) {
+    let mut names = Vec::new();
+    recorded_names(&doc, &mut names);
+    for nested in ["topology", "gpus_per_server", "staging_mb", "drain", "join"] {
         assert!(
-            table.contains(&format!("`{key}`")),
-            "the trace-format table in OBSERVABILITY.md does not name `{key}`"
+            names.iter().any(|n| n == nested),
+            "the recording has no `{nested}`"
+        );
+    }
+    for name in names {
+        assert!(
+            table.contains(&format!("`{name}`")),
+            "the trace-format table in OBSERVABILITY.md does not name `{name}`"
         );
     }
 }

@@ -234,6 +234,7 @@ fn damaged_configs_are_schema_errors_not_replay_panics() {
     let no_nodes = cluster("");
     let cpu_only = cluster(&class(16, 0));
     let gpu_only = cluster(&class(0, 7));
+    let no_speed = cluster(&class(16, 7).replace("\"speed\":1,", "\"speed\":0,"));
     for (key, value, mentions) in [
         ("cluster", no_nodes.as_str(), "no usable node"),
         ("warmup_exclude_ms", "-1", "warmup_exclude_ms"),
@@ -241,6 +242,9 @@ fn damaged_configs_are_schema_errors_not_replay_panics() {
         ("churn", "[[\"drain\",1e300,0]]", "churn event #0"),
         ("cluster", cpu_only.as_str(), "minimum configuration"),
         ("cluster", gpu_only.as_str(), "minimum configuration"),
+        ("cluster", no_speed.as_str(), "class.speed"),
+        ("data_plane", "false", "data_plane"),
+        ("data_plane", "{}", "data_plane"),
         ("remote_ms_per_mb", "-1", "transfer.remote_ms_per_mb"),
         // Durations added to instants, past `SimTime::MAX_MS`.
         ("local_base_ms", "1e300", "transfer.local_base_ms"),
@@ -502,14 +506,14 @@ proptest! {
 
 #[test]
 fn every_run_entry_checks_the_schedulers_policy_stack() {
-    // An admission back-off that is not a number: each entry refuses the
+    // A contention bias that is not a number: each entry refuses the
     // stack before its event loop starts, a replay included.
-    let nan_defer = || {
-        let admission = SloAdmission::new(SloAdmissionConfig {
-            defer_ms: f64::NAN,
-            ..SloAdmissionConfig::default()
+    let nan_bias = || {
+        let packing = BandwidthAwarePacking::new(BandwidthPackingConfig {
+            contention_bias: f64::NAN,
+            ..BandwidthPackingConfig::default()
         });
-        EsgScheduler::new().with_policy(PolicyStack::new().with(admission))
+        EsgScheduler::new().with_policy(PolicyStack::new().with(packing))
     };
     let refused = |r: Result<ExperimentResult, SimError>| match r {
         Err(SimError::InvalidKnob { knob, .. }) => knob,
@@ -525,14 +529,14 @@ fn every_run_entry_checks_the_schedulers_policy_stack() {
     let direct = run_simulation(
         &env,
         cfg.clone(),
-        &mut nan_defer(),
+        &mut nan_bias(),
         &materialised,
         "nan",
         None,
     );
-    assert_eq!(refused(direct), "policy.defer_ms");
-    let streamed = run_streamed(&env, cfg, &mut nan_defer(), gen.stream(), "nan", None);
-    assert_eq!(refused(streamed), "policy.defer_ms");
+    assert_eq!(refused(direct), "policy.contention_bias");
+    let streamed = run_streamed(&env, cfg, &mut nan_bias(), gen.stream(), "nan", None);
+    assert_eq!(refused(streamed), "policy.contention_bias");
     let (_, replay, path) = record(
         &mut MinScheduler,
         SloClass::Moderate,
@@ -540,9 +544,9 @@ fn every_run_entry_checks_the_schedulers_policy_stack() {
         3,
         20,
         ChurnPlan::none(),
-        "nan-defer",
+        "nan-bias",
     );
     std::fs::remove_file(&path).ok();
-    let replayed = replay.run(&mut nan_defer(), "nan", None);
-    assert_eq!(refused(replayed), "policy.defer_ms");
+    let replayed = replay.run(&mut nan_bias(), "nan", None);
+    assert_eq!(refused(replayed), "policy.contention_bias");
 }
