@@ -16,6 +16,7 @@
 //! configuration-miss rates.
 
 use crate::bo::BoOptimizer;
+use crate::{env_changed, EnvKey};
 use esg_model::{AppSpec, Config, NodeId};
 use esg_profile::latency_ms;
 use esg_sim::{
@@ -31,6 +32,8 @@ pub struct AquatopeScheduler {
     penalty: f64,
     /// Learned per-app, per-stage configurations.
     plans: Vec<Option<Vec<Config>>>,
+    /// The environment `plans` were trained under.
+    env: Option<EnvKey>,
     /// Round-policy stack driving `schedule_round` (classic by default).
     policy: PolicyStack,
 }
@@ -49,6 +52,7 @@ impl AquatopeScheduler {
             optimizer,
             penalty: 0.05,
             plans: Vec::new(),
+            env: None,
             policy: PolicyStack::new(),
         }
     }
@@ -61,14 +65,14 @@ impl AquatopeScheduler {
 
     /// Offline training for one application.
     fn train(&self, ctx: &SchedCtx<'_>, app: &AppSpec) -> Vec<Config> {
-        let grid = ctx.profiles.grid();
+        let grid = ctx.env.profiles.grid();
         let axes = [grid.batches.clone(), grid.vcpus.clone(), grid.vgpus.clone()];
         let stages = app.num_stages();
         // One dimension per (stage, axis): 3·stages total.
         let dims: Vec<usize> = (0..stages * 3).map(|d| axes[d % 3].len()).collect();
-        let p95 = ctx.noise.p95_factor();
-        let slo = ctx.slo_ms;
-        let sigma = ctx.noise.sigma();
+        let p95 = ctx.env.noise.p95_factor();
+        let slo = ctx.queue.slo_ms;
+        let sigma = ctx.env.noise.sigma();
         let penalty = self.penalty;
 
         let decode = |point: &[usize]| -> Vec<Config> {
@@ -88,12 +92,12 @@ impl AquatopeScheduler {
             let mut lat = 0.0;
             let mut cost = 0.0;
             for (s, cfg) in plan.iter().enumerate() {
-                let spec = ctx.catalog.get(app.nodes[s]);
+                let spec = ctx.env.catalog.get(app.nodes[s]);
                 // One noisy offline profiling run per stage sample.
                 let noise = 1.0 + sigma * (rng.random::<f64>() * 2.0 - 1.0) * 3.0;
                 let l = latency_ms(spec, *cfg) * noise.max(0.05);
                 lat += l;
-                cost += ctx.price.per_job_cost_cents(*cfg, l);
+                cost += ctx.env.price.per_job_cost_cents(*cfg, l);
             }
             cost + penalty * (lat * p95 - slo).max(0.0)
         });
@@ -119,18 +123,18 @@ impl Scheduler for AquatopeScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        if ctx.jobs.is_empty() {
+        if ctx.queue.jobs.is_empty() {
             return Outcome::skip();
         }
-        if self.plans.is_empty() {
-            self.plans = vec![None; ctx.apps.len()];
+        if env_changed(&mut self.env, ctx) {
+            self.plans = vec![None; ctx.env.apps.len()];
         }
-        let app_idx = ctx.key.app.index();
+        let app_idx = ctx.queue.key.app.index();
         if self.plans[app_idx].is_none() {
             let plan = self.train(ctx, ctx.app_spec());
             self.plans[app_idx] = Some(plan);
         }
-        let config = self.plans[app_idx].as_ref().expect("trained above")[ctx.key.stage];
+        let config = self.plans[app_idx].as_ref().expect("trained above")[ctx.queue.key.stage];
         Outcome {
             candidates: vec![config],
             // Offline training: negligible runtime overhead (§5.2).
@@ -142,6 +146,7 @@ impl Scheduler for AquatopeScheduler {
 
     fn place(&mut self, ctx: &SchedCtx<'_>, config: Config) -> Option<NodeId> {
         let preferred = ctx
+            .queue
             .jobs
             .iter()
             .take(config.batch as usize)

@@ -12,18 +12,22 @@
 //! its configurations "run too slow" and Fig. 7 shows it at the largest
 //! end-to-end latency.
 
-use crate::slo_split::average_service_split;
+use crate::slo_split::split_all;
+use crate::{env_changed, EnvKey};
 use esg_model::{Config, NodeId};
 use esg_sim::{Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler, SchedulerStats};
 
 /// The FaST-GShare baseline scheduler.
 #[derive(Debug, Default)]
 pub struct FastGShareScheduler {
+    /// Per-app SLO shares (static, relation-blind).
     shares: Vec<Vec<f64>>,
     /// EWMA of per-queue arrival rate (jobs per ms), keyed by (app, stage).
     rates: std::collections::HashMap<(u32, usize), f64>,
     /// Last observed queue state for rate estimation.
     last_seen: std::collections::HashMap<(u32, usize), (f64, usize)>,
+    /// The environment the shares and rates belong to.
+    env: Option<EnvKey>,
     /// Round-policy stack driving `schedule_round` (classic by default).
     policy: PolicyStack,
 }
@@ -40,22 +44,11 @@ impl FastGShareScheduler {
         self
     }
 
-    fn share(&mut self, ctx: &SchedCtx<'_>) -> f64 {
-        if self.shares.is_empty() {
-            self.shares = ctx
-                .apps
-                .iter()
-                .map(|a| average_service_split(a, ctx.catalog))
-                .collect();
-        }
-        self.shares[ctx.key.app.index()][ctx.key.stage]
-    }
-
     /// Required throughput (jobs/ms): EWMA of observed queue inflow.
     fn required_rate(&mut self, ctx: &SchedCtx<'_>) -> f64 {
-        let key = (ctx.key.app.0, ctx.key.stage);
+        let key = (ctx.queue.key.app.0, ctx.queue.key.stage);
         let now = ctx.now_ms;
-        let qlen = ctx.jobs.len();
+        let qlen = ctx.queue.jobs.len();
         let inst = match self.last_seen.insert(key, (now, qlen)) {
             Some((prev_t, _)) if now > prev_t + 1e-9 => qlen as f64 / (now - prev_t),
             _ => {
@@ -89,13 +82,19 @@ impl Scheduler for FastGShareScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        if ctx.jobs.is_empty() {
+        if ctx.queue.jobs.is_empty() {
             return Outcome::skip();
         }
+        if env_changed(&mut self.env, ctx) {
+            self.shares = split_all(ctx.env);
+            self.rates.clear();
+            self.last_seen.clear();
+        }
         let required = self.required_rate(ctx);
-        let target_ms = ctx.slo_ms * self.share(ctx);
-        let qlen = ctx.jobs.len() as u32;
-        let entries = ctx.profiles.profile(ctx.function).entries();
+        let key = ctx.queue.key;
+        let target_ms = ctx.queue.slo_ms * self.shares[key.app.index()][key.stage];
+        let qlen = ctx.queue.jobs.len() as u32;
+        let entries = ctx.env.profiles.profile(ctx.queue.function).entries();
 
         // FaST-GShare also forms batches within a fixed window: holding a
         // sparse queue briefly lets a single GPU share sustain the rate.

@@ -10,7 +10,8 @@
 //! picks low-latency/high-throughput configurations, and consequently has
 //! the highest resource cost, starving long pipelines.
 
-use crate::slo_split::average_service_split;
+use crate::slo_split::split_all;
+use crate::{env_changed, EnvKey};
 use esg_model::{Config, NodeId};
 use esg_profile::ProfileEntry;
 use esg_sim::{
@@ -23,6 +24,8 @@ use esg_sim::{
 pub struct InflessScheduler {
     /// Cached per-app SLO shares (static, relation-blind).
     shares: Vec<Vec<f64>>,
+    /// The environment `shares` were derived under.
+    env: Option<EnvKey>,
     /// Round-policy stack driving `schedule_round` (classic by default).
     policy: PolicyStack,
 }
@@ -40,14 +43,10 @@ impl InflessScheduler {
     }
 
     fn share(&mut self, ctx: &SchedCtx<'_>) -> f64 {
-        if self.shares.is_empty() {
-            self.shares = ctx
-                .apps
-                .iter()
-                .map(|a| average_service_split(a, ctx.catalog))
-                .collect();
+        if env_changed(&mut self.env, ctx) {
+            self.shares = split_all(ctx.env);
         }
-        self.shares[ctx.key.app.index()][ctx.key.stage]
+        self.shares[ctx.queue.key.app.index()][ctx.queue.key.stage]
     }
 }
 
@@ -69,14 +68,14 @@ impl Scheduler for InflessScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        if ctx.jobs.is_empty() {
+        if ctx.queue.jobs.is_empty() {
             return Outcome::skip();
         }
         // Static per-stage deadline: share of the *full* SLO, oblivious to
         // time already consumed upstream (§5.2).
-        let target_ms = ctx.slo_ms * self.share(ctx);
-        let qlen = ctx.jobs.len() as u32;
-        let entries = ctx.profiles.profile(ctx.function).entries();
+        let target_ms = ctx.queue.slo_ms * self.share(ctx);
+        let qlen = ctx.queue.jobs.len() as u32;
+        let entries = ctx.env.profiles.profile(ctx.queue.function).entries();
 
         // INFless batches within an SLO-aware batching window: if the
         // throughput-preferred batch is larger than the queue and the
@@ -202,8 +201,8 @@ mod tests {
         let c = ctx_for(&env, &cluster, &jobs, 0, 1, 150.0);
         let out = s.schedule(&c);
         let chosen = out.candidates[0];
-        let profile = env.profiles.profile(c.function);
-        let target = c.slo_ms * 293.0 / (86.0 + 293.0 + 147.0);
+        let profile = env.profiles.profile(c.queue.function);
+        let target = c.queue.slo_ms * 293.0 / (86.0 + 293.0 + 147.0);
         let cheapest = profile
             .entries_by_cost()
             .find(|e| e.latency_ms <= target && e.config.batch <= 4)

@@ -12,11 +12,12 @@
 //! configuration with the closest latency to the SLO is returned when the
 //! search exceeds a cut-off time (e.g., 100ms) before reaching the goal."
 
+use crate::{env_changed, EnvKey};
 use esg_model::{AppSpec, Config, InvocationId, NodeId};
 use esg_profile::latency_ms;
 use esg_sim::{
-    place_locality_first, Capabilities, Outcome, OverheadModel, PolicyStack, SchedCtx, Scheduler,
-    SchedulerEvent, SchedulerStats,
+    place_locality_first, Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler, SchedulerEvent,
+    SchedulerStats, US_PER_EXPANSION,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -27,7 +28,6 @@ type State = Vec<[u8; 3]>;
 /// The Orion baseline scheduler.
 #[derive(Debug)]
 pub struct OrionScheduler {
-    cutoff_ms: f64,
     /// Expansion budget derived from the cut-off via the shared
     /// effort→time calibration.
     budget: u64,
@@ -42,6 +42,8 @@ pub struct OrionScheduler {
     /// charge the full search to every decision, as the paper measures
     /// (Fig. 9 counts Orion's search time per scheduling decision).
     cache: HashMap<u32, (Vec<Config>, u64)>,
+    /// The environment the plans and the memo were searched under.
+    env: Option<EnvKey>,
     /// Round-policy stack driving `schedule_round` (classic by default).
     policy: PolicyStack,
 }
@@ -56,13 +58,12 @@ impl OrionScheduler {
     /// Creates Orion with a search cut-off in (modelled) milliseconds; the
     /// paper's default is 100 ms, and Fig. 9 sweeps it.
     pub fn new(cutoff_ms: f64) -> OrionScheduler {
-        let per_exp = OverheadModel::default().us_per_expansion;
         OrionScheduler {
-            cutoff_ms,
-            budget: ((cutoff_ms * 1000.0 / per_exp).max(1.0)) as u64,
+            budget: ((cutoff_ms * 1000.0 / US_PER_EXPANSION).max(1.0)) as u64,
             plans: HashMap::new(),
             pending: None,
             cache: HashMap::new(),
+            env: None,
             policy: PolicyStack::new(),
         }
     }
@@ -74,17 +75,12 @@ impl OrionScheduler {
     }
 
     fn plan_cached(&mut self, ctx: &SchedCtx<'_>, app: &AppSpec) -> (Vec<Config>, u64) {
-        if let Some(hit) = self.cache.get(&ctx.key.app.0) {
+        if let Some(hit) = self.cache.get(&ctx.queue.key.app.0) {
             return hit.clone();
         }
         let result = self.plan_app(ctx, app);
-        self.cache.insert(ctx.key.app.0, result.clone());
+        self.cache.insert(ctx.queue.key.app.0, result.clone());
         result
-    }
-
-    /// The configured cut-off.
-    pub fn cutoff_ms(&self) -> f64 {
-        self.cutoff_ms
     }
 
     /// Best-first search over the joint configuration vector.
@@ -93,11 +89,11 @@ impl OrionScheduler {
     /// resource-frugal direction); the goal is an estimated end-to-end P95
     /// within the SLO. Returns `(plan, expansions)`.
     fn plan_app(&self, ctx: &SchedCtx<'_>, app: &AppSpec) -> (Vec<Config>, u64) {
-        let grid = ctx.profiles.grid();
+        let grid = ctx.env.profiles.grid();
         let dims = [grid.batches.len(), grid.vcpus.len(), grid.vgpus.len()];
         let stages = app.num_stages();
-        let p95 = ctx.noise.p95_factor();
-        let slo = ctx.slo_ms;
+        let p95 = ctx.env.noise.p95_factor();
+        let slo = ctx.queue.slo_ms;
 
         let config_of = |s: &[u8; 3]| -> Config {
             Config::new(
@@ -111,10 +107,10 @@ impl OrionScheduler {
             let mut cost = 0.0;
             for (i, s) in state.iter().enumerate() {
                 let cfg = config_of(s);
-                let spec = ctx.catalog.get(app.nodes[i]);
+                let spec = ctx.env.catalog.get(app.nodes[i]);
                 let l = latency_ms(spec, cfg);
                 lat += l;
-                cost += ctx.price.per_job_cost_cents(cfg, l);
+                cost += ctx.env.price.per_job_cost_cents(cfg, l);
             }
             (lat * p95, cost)
         };
@@ -221,11 +217,16 @@ impl Scheduler for OrionScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        if ctx.jobs.is_empty() {
+        if ctx.queue.jobs.is_empty() {
             return Outcome::skip();
         }
+        if env_changed(&mut self.env, ctx) {
+            self.plans.clear();
+            self.pending = None;
+            self.cache.clear();
+        }
         let app = ctx.app_spec();
-        if ctx.key.stage == 0 {
+        if ctx.queue.key.stage == 0 {
             // Plan the whole workflow at the invocation of the first stage.
             let (plan, expansions) = self.plan_cached(ctx, app);
             let config = plan[0];
@@ -240,10 +241,11 @@ impl Scheduler for OrionScheduler {
         // Later stages replay the stage-0 plan of the oldest invocation —
         // no adaptation (§4.2), which is where Table 4's misses come from.
         let planned = ctx
+            .queue
             .jobs
             .first()
             .and_then(|j| self.plans.get(&j.invocation))
-            .map(|plan| plan[ctx.key.stage]);
+            .map(|plan| plan[ctx.queue.key.stage]);
         match planned {
             Some(config) => Outcome {
                 candidates: vec![config],
@@ -255,7 +257,7 @@ impl Scheduler for OrionScheduler {
                 // The invocation predates this scheduler (or the plan was
                 // evicted): re-plan once.
                 let (plan, expansions) = self.plan_cached(ctx, app);
-                let config = plan[ctx.key.stage];
+                let config = plan[ctx.queue.key.stage];
                 self.pending = Some(plan);
                 Outcome {
                     candidates: vec![config],
@@ -269,6 +271,7 @@ impl Scheduler for OrionScheduler {
 
     fn place(&mut self, ctx: &SchedCtx<'_>, config: Config) -> Option<NodeId> {
         let preferred = ctx
+            .queue
             .jobs
             .iter()
             .take(config.batch as usize)
@@ -277,27 +280,34 @@ impl Scheduler for OrionScheduler {
     }
 
     fn on_event(&mut self, event: &SchedulerEvent<'_>) {
-        let SchedulerEvent::Dispatched {
-            key, invocations, ..
-        } = *event
-        else {
-            return;
-        };
-        if key.stage == 0 {
-            if let Some(plan) = self.pending.take() {
-                for &inv in invocations {
-                    self.plans.insert(inv, plan.clone());
-                }
-            }
-        } else {
-            // Drop plans after the final stage to bound memory.
-            for &inv in invocations {
-                if let Some(plan) = self.plans.get(&inv) {
-                    if key.stage + 1 >= plan.len() {
-                        self.plans.remove(&inv);
+        match *event {
+            SchedulerEvent::Dispatched {
+                key, invocations, ..
+            } => {
+                if key.stage == 0 {
+                    if let Some(plan) = self.pending.take() {
+                        for &inv in invocations {
+                            self.plans.insert(inv, plan.clone());
+                        }
+                    }
+                } else {
+                    // Drop plans after the final stage to bound memory.
+                    for &inv in invocations {
+                        if let Some(plan) = self.plans.get(&inv) {
+                            if key.stage + 1 >= plan.len() {
+                                self.plans.remove(&inv);
+                            }
+                        }
                     }
                 }
             }
+            // A shed invocation never dispatches its final stage.
+            SchedulerEvent::QueueShed { invocations, .. } => {
+                for inv in invocations {
+                    self.plans.remove(inv);
+                }
+            }
+            _ => {}
         }
     }
 
@@ -315,7 +325,7 @@ mod tests {
     use super::*;
     use crate::test_support::{ctx_for, idle_cluster, jobs_with_slack};
     use esg_model::SloClass;
-    use esg_sim::SimEnv;
+    use esg_sim::{QueueKey, ShedReason, SimEnv};
 
     #[test]
     fn stage0_plans_whole_workflow() {
@@ -342,7 +352,11 @@ mod tests {
             .zip(&env.apps[0].nodes)
             .map(|(cfg, &f)| latency_ms(env.catalog.get(f), *cfg) * p95)
             .sum();
-        assert!(total <= c.slo_ms + 1e-9, "{total} > {}", c.slo_ms);
+        assert!(
+            total <= c.queue.slo_ms + 1e-9,
+            "{total} > {}",
+            c.queue.slo_ms
+        );
     }
 
     #[test]
@@ -375,7 +389,7 @@ mod tests {
         let out0 = s.schedule(&c0);
         let invs: Vec<InvocationId> = jobs.iter().map(|j| j.invocation).collect();
         s.on_event(&SchedulerEvent::Dispatched {
-            key: c0.key,
+            key: c0.queue.key,
             invocations: &invs,
             config: out0.candidates[0],
             node: NodeId(0),
@@ -395,13 +409,45 @@ mod tests {
         let c2 = ctx_for(&env, &cluster, &jobs, 0, 2, 400.0);
         let out2 = s.schedule(&c2);
         s.on_event(&SchedulerEvent::Dispatched {
-            key: c2.key,
+            key: c2.queue.key,
             invocations: &invs,
             config: out2.candidates[0],
             node: NodeId(0),
             now_ms: 400.0,
         });
         assert!(s.plans.is_empty());
+    }
+
+    #[test]
+    fn shed_invocations_drop_their_plans() {
+        let env = SimEnv::standard(SloClass::Moderate);
+        let cluster = idle_cluster(4);
+        let jobs = jobs_with_slack(&[500.0, 490.0, 480.0]);
+        let mut s = OrionScheduler::new(1.0);
+        let c0 = ctx_for(&env, &cluster, &jobs, 0, 0, 20.0);
+        let out0 = s.schedule(&c0);
+        let invs: Vec<InvocationId> = jobs.iter().map(|j| j.invocation).collect();
+        s.on_event(&SchedulerEvent::Dispatched {
+            key: c0.queue.key,
+            invocations: &invs,
+            config: out0.candidates[0],
+            node: NodeId(0),
+            now_ms: 20.0,
+        });
+        assert_eq!(s.plans.len(), 3);
+        // Admission kills two of them at stage 1: their final stage never
+        // dispatches, so only the shed can drop their plans.
+        let key = QueueKey {
+            stage: 1,
+            ..c0.queue.key
+        };
+        s.on_event(&SchedulerEvent::QueueShed {
+            key,
+            invocations: &invs[..2],
+            reason: ShedReason::GsloUnattainable,
+            now_ms: 30.0,
+        });
+        assert_eq!(s.plans.keys().collect::<Vec<_>>(), [&invs[2]]);
     }
 
     #[test]
@@ -444,9 +490,9 @@ mod tests {
         let lat_large = eval(large.pending.as_ref().expect("plan"));
         // The larger budget gets at least as close to the SLO target.
         assert!(
-            (lat_large - c.slo_ms).abs() <= (lat_small - c.slo_ms).abs() + 1e-9,
+            (lat_large - c.queue.slo_ms).abs() <= (lat_small - c.queue.slo_ms).abs() + 1e-9,
             "large {lat_large}, small {lat_small}, slo {}",
-            c.slo_ms
+            c.queue.slo_ms
         );
     }
 

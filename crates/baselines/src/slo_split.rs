@@ -11,6 +11,7 @@
 //! long pipelines).
 
 use esg_model::{AppSpec, Catalog};
+use esg_sim::SimEnv;
 
 /// Per-stage shares of the end-to-end SLO, proportional to minimum-config
 /// service times. Sums to 1.
@@ -19,6 +20,14 @@ pub fn average_service_split(app: &AppSpec, catalog: &Catalog) -> Vec<f64> {
     let total: f64 = times.iter().sum();
     assert!(total > 0.0, "service times must be positive");
     times.into_iter().map(|t| t / total).collect()
+}
+
+/// [`average_service_split`] of every app of `env`, indexed by `AppId`.
+pub(crate) fn split_all(env: &SimEnv) -> Vec<Vec<f64>> {
+    env.apps
+        .iter()
+        .map(|a| average_service_split(a, &env.catalog))
+        .collect()
 }
 
 #[cfg(test)]

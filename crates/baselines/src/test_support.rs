@@ -1,7 +1,7 @@
 //! Shared fixtures for baseline scheduler tests (test builds only).
 
 use esg_model::{AppId, InvocationId, NodeId, Resources};
-use esg_sim::{ClusterState, JobView, NodeView, QueueKey, SchedCtx, SimEnv};
+use esg_sim::{ClusterState, JobView, NodeView, QueueKey, QueueView, SchedCtx, SimEnv};
 
 /// An idle cluster of `n` standard (Table-2 baseline class) nodes.
 pub fn idle_cluster(n: usize) -> ClusterState {
@@ -36,25 +36,22 @@ pub fn ctx_for<'a>(
     stage: usize,
     now_ms: f64,
 ) -> SchedCtx<'a> {
-    let key = QueueKey {
-        app: AppId(app),
-        stage,
-    };
-    SchedCtx {
-        now_ms,
-        key,
+    let queue = QueueView {
+        key: QueueKey {
+            app: AppId(app),
+            stage,
+        },
         jobs,
         function: env.apps[app as usize].nodes[stage],
         slo_ms: env.slo_ms(AppId(app)),
         base_latency_ms: env.base_latency_ms(AppId(app)),
         queue_interval_ms: None,
+    };
+    SchedCtx {
+        now_ms,
+        queue,
         cluster,
-        profiles: &env.profiles,
-        apps: &env.apps,
-        catalog: &env.catalog,
-        price: &env.price,
-        transfer: &env.transfer,
-        noise: &env.noise,
+        env,
         env_fingerprint: env.fingerprint(),
     }
 }

@@ -410,12 +410,7 @@ capacity-stable across 10k full and 20k per-function dispatch-shaped refreshes"
                 now_ms: 10.0,
                 queues: &queues,
                 cluster: &round_cluster,
-                profiles: &env.profiles,
-                apps: &env.apps,
-                catalog: &env.catalog,
-                price: &env.price,
-                transfer: &env.transfer,
-                noise: &env.noise,
+                env: &env,
                 env_fingerprint: env.fingerprint(),
                 dataplane: None,
             };

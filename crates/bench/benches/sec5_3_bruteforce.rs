@@ -9,7 +9,7 @@ use esg_bench::{section, write_csv};
 use esg_core::{astar_search, brute_force, stagewise_search, StageTable};
 use esg_model::{standard_apps, standard_catalog, ConfigGrid, PriceModel};
 use esg_profile::ProfileTable;
-use esg_sim::OverheadModel;
+use esg_sim::decision_time;
 use std::time::Instant;
 
 fn main() {
@@ -23,7 +23,6 @@ fn main() {
     let stages = app.nodes.clone();
     let table = StageTable::build(&stages, &profiles, 8);
     let gslo = table.min_total_time() * 1.35; // a moderate target
-    let model = OverheadModel::default();
 
     println!(
         "{:<22} {:>14} {:>14} {:>12} {:>14}",
@@ -34,7 +33,7 @@ fn main() {
         let t0 = Instant::now();
         let r = f();
         let wall = t0.elapsed().as_secs_f64() * 1000.0;
-        let modelled = model.decision_time(r.expansions).as_ms();
+        let modelled = decision_time(r.expansions).as_ms();
         println!(
             "{:<22} {:>14} {:>14.1} {:>12.3} {:>14.5}",
             name, r.expansions, modelled, wall, r.paths[0].cost_cents

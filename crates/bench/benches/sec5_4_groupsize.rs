@@ -12,7 +12,7 @@ use esg_bench::{section, write_csv, ExperimentSuite, ScenarioMatrix, SchedSpec};
 use esg_core::{astar_search, EsgScheduler, StageTable};
 use esg_model::{standard_apps, standard_catalog, ConfigGrid, PriceModel, Scenario};
 use esg_profile::ProfileTable;
-use esg_sim::OverheadModel;
+use esg_sim::decision_time;
 use std::time::Instant;
 
 fn main() {
@@ -22,7 +22,6 @@ fn main() {
     let grid = ConfigGrid::with_total_configs(256);
     let profiles = ProfileTable::build(&catalog, &grid, &PriceModel::default());
     let app = &standard_apps()[3]; // 5 stages
-    let model = OverheadModel::default();
     println!(
         "{:<4} {:>14} {:>16} {:>12}",
         "g", "expansions", "modelled (ms)", "wall (ms)"
@@ -35,7 +34,7 @@ fn main() {
         let t0 = Instant::now();
         let r = astar_search(&table, gslo, 5);
         let wall = t0.elapsed().as_secs_f64() * 1000.0;
-        let modelled = model.decision_time(r.expansions).as_ms();
+        let modelled = decision_time(r.expansions).as_ms();
         println!(
             "{:<4} {:>14} {:>16.1} {:>12.3}",
             g, r.expansions, modelled, wall

@@ -247,12 +247,7 @@ mod tests {
             now_ms,
             queues,
             cluster,
-            profiles: &env.profiles,
-            apps: &env.apps,
-            catalog: &env.catalog,
-            price: &env.price,
-            transfer: &env.transfer,
-            noise: &env.noise,
+            env,
             env_fingerprint: env.fingerprint(),
             dataplane: None,
         }

@@ -37,10 +37,10 @@ struct EnvState {
 
 impl EnvState {
     fn build(ctx: &SchedCtx<'_>, group_size: usize) -> EnvState {
-        let plans = AppPlans::build(ctx.apps, ctx.profiles, group_size);
+        let plans = AppPlans::build(&ctx.env.apps, &ctx.env.profiles, group_size);
         EnvState {
             fingerprint: ctx.env_fingerprint,
-            tables: StageTableMemo::new(ctx.profiles, plans.num_windows()),
+            tables: StageTableMemo::new(&ctx.env.profiles, plans.num_windows()),
             plans,
         }
     }
@@ -181,7 +181,7 @@ impl EsgScheduler {
         }
         let table = env
             .tables
-            .table(window, plan.window_fns(stage), cap, ctx.profiles);
+            .table(window, plan.window_fns(stage), cap, &ctx.env.profiles);
         self.searches += 1;
         let (k, premium) = if probe { (1, 0.0) } else { (self.k, 0.5) };
         let summary = astar_summary(table, gslo_q, k, premium, &mut self.scratch);
@@ -217,7 +217,7 @@ impl Scheduler for EsgScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        if ctx.jobs.is_empty() {
+        if ctx.queue.jobs.is_empty() {
             return Outcome::skip();
         }
         if self
@@ -232,8 +232,8 @@ impl Scheduler for EsgScheduler {
             }
             self.env = Some(EnvState::build(ctx, self.group_size));
         }
-        let app_idx = ctx.key.app.index();
-        let stage = ctx.key.stage;
+        let app_idx = ctx.queue.key.app.index();
+        let stage = ctx.queue.key.stage;
         let plan = self.env.as_ref().expect("just built").plans.plan(app_idx);
 
         // Remaining stages of this stage's group.
@@ -248,6 +248,7 @@ impl Scheduler for EsgScheduler {
         // budget with execution time and the hand-off costs push the
         // end-to-end latency just past the SLO.
         let slack = ctx
+            .queue
             .jobs
             .iter()
             .map(|j| j.slack_ms)
@@ -256,14 +257,17 @@ impl Scheduler for EsgScheduler {
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                let input = ctx.catalog.get(app.nodes[v]).input_mb;
+                let input = ctx.env.catalog.get(app.nodes[v]).input_mb;
                 let local = if i == 0 {
                     // First stage: entry inputs come from the gateway.
-                    ctx.jobs.first().is_some_and(|j| j.pred_node.is_some())
+                    ctx.queue
+                        .jobs
+                        .first()
+                        .is_some_and(|j| j.pred_node.is_some())
                 } else {
                     true // later window stages co-locate under ESG_Dispatch
                 };
-                ctx.transfer.ms(input, local)
+                ctx.env.transfer.ms(input, local)
             })
             .sum();
         const DISPATCH_MARGIN_MS: f64 = 5.0;
@@ -275,7 +279,7 @@ impl Scheduler for EsgScheduler {
         // time equals the budget misses half the time. Scaling the target
         // by 1/P95 makes the selected path's 95th percentile fit (the same
         // device Orion uses, §4.2; ESG lands "below but close to the SLO").
-        let p95 = ctx.noise.p95_factor();
+        let p95 = ctx.env.noise.p95_factor();
 
         // Heterogeneity: the stage tables hold baseline-class latencies,
         // but this batch will run `speed ×` slower on the node ESG_Dispatch
@@ -285,7 +289,7 @@ impl Scheduler for EsgScheduler {
         // every stage-table latency by the class (Appendix A). The probe
         // is refined after the search: see below. On a cluster of
         // baseline nodes every probe reads 1.0, so none is run.
-        let preferred = ctx.jobs.iter().find_map(|j| j.pred_node);
+        let preferred = ctx.queue.jobs.iter().find_map(|j| j.pred_node);
         let unit_speed = ctx.cluster.unit_speed();
         let speed_at = |demand: esg_model::Resources| {
             if unit_speed {
@@ -298,7 +302,7 @@ impl Scheduler for EsgScheduler {
         let mut speed = speed_at(Config::MIN.resources());
         let mut gslo_eff = gslo / (p95 * speed);
 
-        let qlen = ctx.jobs.len() as u32;
+        let qlen = ctx.queue.jobs.len() as u32;
 
         // First search without a batch cap: ESG_1Q explores the full
         // (batch, vCPUs, vGPUs) space (§3.1 — "ESG_1Q does not consider
@@ -306,7 +310,7 @@ impl Scheduler for EsgScheduler {
         // consulted before any table is built or search run; a hit replays
         // the memoised result (same expansions, so the simulated overhead
         // accounting is cache-oblivious).
-        let max_batch = ctx.profiles.grid().max_batch();
+        let max_batch = ctx.env.profiles.grid().max_batch();
         let mut planned = self.plan_window(ctx, app_idx, stage, max_batch, gslo_eff, false);
         let mut expansions = planned.expansions;
 
@@ -349,7 +353,7 @@ impl Scheduler for EsgScheduler {
             let cheapest = if winnable {
                 None
             } else {
-                let profile = ctx.profiles.profile(ctx.function);
+                let profile = ctx.env.profiles.profile(ctx.queue.function);
                 profile.entries_by_cost().find(|e| e.config.batch <= qlen)
             };
             return Outcome {
@@ -371,10 +375,10 @@ impl Scheduler for EsgScheduler {
             // time still fits the budget; otherwise adapt to the live
             // queue (the adaptation Table 4 credits ESG with —
             // pre-planned schedulers clamp and miss instead).
-            if let Some(interval) = ctx.queue_interval_ms {
+            if let Some(interval) = ctx.queue.queue_interval_ms {
                 // Grid batches are ascending (`ConfigGrid::max_batch`
                 // relies on it too).
-                let batches = ctx.profiles.grid().batches.iter().rev();
+                let batches = ctx.env.profiles.grid().batches.iter().rev();
                 for &b in batches.filter(|&&b| b > qlen && b <= best_batch) {
                     // The first target is `best_batch` itself, whose plan
                     // (and candidates) are the dispatch search's.
@@ -435,6 +439,7 @@ impl Scheduler for EsgScheduler {
         // Prefer the predecessor invoker of the jobs that will form the
         // batch (§3.4); the oldest job decides on disagreement.
         let preferred = ctx
+            .queue
             .jobs
             .iter()
             .take(config.batch as usize)
@@ -465,7 +470,7 @@ mod tests {
     use super::*;
     use esg_model::{AppId, Resources, SloClass};
 
-    use esg_sim::{ClusterState, NodeView, QueueKey, SimEnv};
+    use esg_sim::{ClusterState, NodeView, QueueKey, QueueView, SimEnv};
 
     fn env() -> SimEnv {
         SimEnv::standard(SloClass::Moderate)
@@ -486,25 +491,22 @@ mod tests {
         app: u32,
         stage: usize,
     ) -> SchedCtx<'a> {
-        let key = QueueKey {
-            app: AppId(app),
-            stage,
-        };
-        SchedCtx {
-            now_ms: 100.0,
-            key,
+        let queue = QueueView {
+            key: QueueKey {
+                app: AppId(app),
+                stage,
+            },
             jobs,
             function: env.apps[app as usize].nodes[stage],
             slo_ms: env.slo_ms(AppId(app)),
             base_latency_ms: env.base_latency_ms(AppId(app)),
             queue_interval_ms: None,
+        };
+        SchedCtx {
+            now_ms: 100.0,
+            queue,
             cluster,
-            profiles: &env.profiles,
-            apps: &env.apps,
-            catalog: &env.catalog,
-            price: &env.price,
-            transfer: &env.transfer,
-            noise: &env.noise,
+            env,
             env_fingerprint: env.fingerprint(),
         }
     }

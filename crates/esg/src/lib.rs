@@ -59,10 +59,10 @@ pub mod prelude {
         fnv64, run_simulation, run_streamed, AdmissionDecision, AdmissionPlan,
         BandwidthPackingConfig, Capabilities, ClusterState, DataPlane, DataPlaneConfig,
         DataPlaneView, EventKind, EventRecord, ExperimentResult, HealthSnapshot, MemoryFootprint,
-        MinScheduler, NodeLoad, NodeSummary, NodeTransferStats, NodeView, Observer, OverheadModel,
-        PolicyStack, PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor, QueueView,
-        RoundCtx, RoundPolicy, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats, ShedReason,
-        SimConfig, SimEnv, SimError, Simulation, SloAdmission, TraceDigest, TraceError, TraceFile,
+        MinScheduler, NodeLoad, NodeSummary, NodeTransferStats, NodeView, Observer, PolicyStack,
+        PolicyStats, QueueCounters, QueueHealth, QueueHealthMonitor, QueueView, RoundCtx,
+        RoundPolicy, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats, ShedReason, SimConfig,
+        SimEnv, SimError, Simulation, SloAdmission, TraceDigest, TraceError, TraceFile,
         TraceRecorder, TraceReplay, TransferCounters, TransferSummary,
     };
     pub use esg_workload::{

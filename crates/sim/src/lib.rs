@@ -33,7 +33,7 @@
 //! (Fig. 9, Fig. 10, §5.3). A Rust reimplementation is orders of magnitude
 //! faster in wall-clock terms, so charging *measured* wall time would erase
 //! the trade-off the paper studies. Instead, schedulers report their search
-//! effort in *expanded configurations*, and [`OverheadModel`] converts the
+//! effort in *expanded configurations*, and [`decision_time`] converts the
 //! effort into simulated controller time, calibrated so a brute-force
 //! search of a 3-stage group at 256 configurations per function costs the
 //! paper's 7258 ms (§5.3: ≈0.43 µs per expansion). Real wall time is also
@@ -79,9 +79,9 @@ pub use policy::{
     PolicyStats, RoundPolicy, ShedReason, SloAdmission,
 };
 pub use sched::{
-    fill_job_views, home_node, place_locality_first, place_min_fragmentation, BatchHold,
-    Capabilities, JobView, Outcome, OverheadModel, PolicySpec, QueueKey, QueueView, RoundCtx,
-    SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
+    decision_time, fill_job_views, home_node, place_locality_first, place_min_fragmentation,
+    BatchHold, Capabilities, JobView, Outcome, PolicySpec, QueueKey, QueueView, RoundCtx, SchedCtx,
+    Scheduler, SchedulerEvent, SchedulerStats, DECISION_BASE_US, US_PER_EXPANSION,
 };
 pub use state::{ClusterState, NodeView};
 pub use trace::{

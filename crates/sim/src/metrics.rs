@@ -7,7 +7,7 @@
 
 use crate::dataplane::TransferSummary;
 use crate::sched::SchedulerStats;
-use esg_model::{AppId, BoxStats, Resources, SimTime, Summary};
+use esg_model::{BoxStats, Resources, SimTime, Summary};
 
 /// The number and the sum of a series of samples, ms, without the
 /// samples. The sum is added in record order, so [`Tally::mean_ms`] is
@@ -48,7 +48,7 @@ impl Tally {
 /// The simulated scheduling overhead of every decision, kept exactly in
 /// memory that does not grow with the run: one `(µs, decisions)` entry
 /// per distinct value. The overhead is a whole number of µs
-/// ([`crate::OverheadModel::decision_time`] rounds it) and a run takes a
+/// ([`crate::decision_time`] rounds it) and a run takes a
 /// few hundred distinct values over hundreds of thousands of decisions,
 /// so the table answers every reader of the raw series with the same
 /// numbers. Only the sample order is gone.
@@ -378,11 +378,6 @@ impl ExperimentResult {
         } else {
             self.local_transfers as f64 / t as f64
         }
-    }
-
-    /// Per-app metrics accessor.
-    pub fn app(&self, id: AppId) -> &AppMetrics {
-        &self.apps[id.index()]
     }
 }
 

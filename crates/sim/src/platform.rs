@@ -10,7 +10,7 @@
 //! list, is retried after every subsequent round, and is forcibly
 //! dispatched at the minimum configuration after `recheck_limit` rounds.
 //! Each decision's search effort occupies the controller for simulated
-//! time given by the [`OverheadModel`], which is how scheduler overhead
+//! time given by [`decision_time`], which is how scheduler overhead
 //! degrades SLO attainment (Fig. 9) and how batches form naturally under
 //! load.
 //!
@@ -33,7 +33,7 @@ use crate::eventlog::Observer;
 use crate::metrics::{AppMetrics, ExperimentResult, NodeSummary};
 use crate::policy::ShedReason;
 use crate::sched::{
-    fill_job_views, home_node, JobView, Outcome, OverheadModel, QueueKey, QueueView, RoundCtx,
+    decision_time, fill_job_views, home_node, JobView, Outcome, QueueKey, QueueView, RoundCtx,
     SchedCtx, Scheduler, SchedulerEvent,
 };
 use crate::state::ClusterState;
@@ -185,7 +185,7 @@ pub const IDLE_BACKOFF_MS: f64 = 1.0;
 
 /// Platform knobs. The paper's fixed platform choices (cluster shape,
 /// keep-alive, pre-warm proxy tuning, recheck limit, idle back-off and
-/// [`OverheadModel::default`]) are constants of the platform, not fields.
+/// [`decision_time`]) are constants of the platform, not fields.
 ///
 /// A plain record: set a knob by its field. [`run_simulation`] and
 /// [`run_streamed`] check it ([`SimConfig::validate`]) before the run
@@ -354,8 +354,8 @@ pub struct Simulation<'a> {
     /// queue `app_base[a] + s`. One trailing entry holds the queue count,
     /// so app `a` has `app_base[a + 1] - app_base[a]` stages.
     app_base: Vec<usize>,
-    queue_keys: Vec<QueueKey>,
-    queue_fn: Vec<FnId>,
+    /// What schedulers see of each queue.
+    facts: QueueFacts,
     queues: Vec<AfwQueue>,
     /// Live invocations, slot-addressed ([`Job::slot`]). Ids stay
     /// monotone via `next_invocation`; slots recycle.
@@ -388,13 +388,8 @@ pub struct Simulation<'a> {
     /// node; drained on every resource release.
     waiting_exec: Vec<std::collections::VecDeque<u64>>,
     predictors: Vec<ArrivalPredictor>,
-    /// Smoothed inter-arrival interval per queue (batching policies).
-    queue_intervals: Vec<esg_model::Ewma>,
     queue_last_arrival: Vec<Option<SimTime>>,
     last_node: Vec<Option<NodeId>>,
-    /// Per-queue scheduler-facing job views, rebuilt in place per round
-    /// (retained capacity — no per-decision allocation).
-    job_views: Vec<Vec<JobView>>,
     /// Reused eligible-queue index buffer for the round driver.
     eligible: Vec<usize>,
     /// `decided_stamp[qi] == round_seq` marks a queue already decided in
@@ -411,8 +406,6 @@ pub struct Simulation<'a> {
     noise: NoiseModel,
     rng: StdRng,
     metrics: ExperimentResult,
-    slo_ms: Vec<f64>,
-    base_ms: Vec<f64>,
     /// [`SimEnv::fingerprint`] of `env`, computed when the run starts so
     /// the set-up does not pay for hashing every profile entry.
     env_fingerprint: u64,
@@ -426,6 +419,38 @@ pub struct Simulation<'a> {
     /// lazily to the run's working set, after which the dispatch path
     /// allocates nothing for them.
     bufs: Buffers,
+}
+
+/// What schedulers see of each queue, indexed by queue.
+/// [`view`](Self::view) builds every [`QueueView`] the platform hands
+/// out, to a round and to placement alike.
+struct QueueFacts {
+    keys: Vec<QueueKey>,
+    functions: Vec<FnId>,
+    /// End-to-end SLO per app, ms, computed once per run.
+    slo_ms: Vec<f64>,
+    /// Base latency `L` per app, ms, computed once per run.
+    base_ms: Vec<f64>,
+    /// Smoothed inter-arrival interval per queue (batching policies).
+    intervals: Vec<esg_model::Ewma>,
+    /// Job views, rebuilt in place per round (retained capacity — no
+    /// per-decision allocation).
+    jobs: Vec<Vec<JobView>>,
+}
+
+impl QueueFacts {
+    /// Queue `qi` as schedulers see it.
+    fn view(&self, qi: usize) -> QueueView<'_> {
+        let key = self.keys[qi];
+        QueueView {
+            key,
+            jobs: &self.jobs[qi],
+            function: self.functions[qi],
+            slo_ms: self.slo_ms[key.app.index()],
+            base_latency_ms: self.base_ms[key.app.index()],
+            queue_interval_ms: self.intervals[qi].value(),
+        }
+    }
 }
 
 /// Spare finished instances and batch vectors kept for reuse, at most:
@@ -572,12 +597,17 @@ impl<'a> Simulation<'a> {
             state,
             queues: vec![AfwQueue::new(); nq],
             predictors: vec![ArrivalPredictor::new(PREWARM_ALPHA); nq],
-            queue_intervals: vec![esg_model::Ewma::new(0.3); nq],
             queue_last_arrival: vec![None; nq],
             last_node: vec![None; nq],
             app_base,
-            queue_keys,
-            queue_fn,
+            facts: QueueFacts {
+                keys: queue_keys,
+                functions: queue_fn,
+                slo_ms,
+                base_ms,
+                intervals: vec![esg_model::Ewma::new(0.3); nq],
+                jobs: vec![Vec::new(); nq],
+            },
             invocations: Arena::new(),
             next_invocation: 0,
             tasks: Arena::new(),
@@ -587,7 +617,6 @@ impl<'a> Simulation<'a> {
             parked: vec![false; nq],
             ready: vec![0; nq.div_ceil(64)],
             waiting_exec: vec![std::collections::VecDeque::new(); initial_nodes],
-            job_views: vec![Vec::new(); nq],
             eligible: Vec::new(),
             decided_stamp: vec![0; nq],
             views_stamp: vec![0; nq],
@@ -595,8 +624,6 @@ impl<'a> Simulation<'a> {
             noise: env.noise.clone(),
             rng: StdRng::seed_from_u64(seed),
             metrics,
-            slo_ms,
-            base_ms,
             env_fingerprint: 0,
             observer: None,
             dataplane,
@@ -779,7 +806,7 @@ impl<'a> Simulation<'a> {
         let app = &self.env.apps[app_idx];
         let id = InvocationId(self.next_invocation);
         self.next_invocation += 1;
-        let slo = SimTime::from_ms(self.slo_ms[app_idx]);
+        let slo = SimTime::from_ms(self.facts.slo_ms[app_idx]);
         let inst = match self.bufs.instances.pop() {
             Some(mut inst) => {
                 inst.reset(id, arrival.app, app, self.now, slo);
@@ -830,7 +857,7 @@ impl<'a> Simulation<'a> {
             now_ms: self.now.as_ms(),
         });
         if let Some(prev) = self.queue_last_arrival[qi] {
-            self.queue_intervals[qi].update(self.now.saturating_since(prev).as_ms());
+            self.facts.intervals[qi].update(self.now.saturating_since(prev).as_ms());
         }
         self.queue_last_arrival[qi] = Some(self.now);
         if self.queue_hold[qi]
@@ -840,7 +867,7 @@ impl<'a> Simulation<'a> {
         }
         if self.cfg.prewarm {
             self.predictors[qi].observe(self.now.as_ms());
-            let f = self.queue_fn[qi];
+            let f = self.facts.functions[qi];
             let cold = self.env.catalog.get(f).cold_start_ms;
             if let Some(at) = self.predictors[qi].prewarm_at_ms(cold, self.now.as_ms()) {
                 let node = self.last_node[qi].unwrap_or_else(|| home_node(key, self.cluster.len()));
@@ -910,7 +937,7 @@ impl<'a> Simulation<'a> {
     fn refill_queue_views(&mut self, qi: usize) {
         let now = self.now;
         let invocations = &self.invocations;
-        fill_job_views(&mut self.job_views[qi], self.queues[qi].jobs(), now, |j| {
+        fill_job_views(&mut self.facts.jobs[qi], self.queues[qi].jobs(), now, |j| {
             let inst = invocations.get(j.slot).expect("queued job's invocation");
             debug_assert_eq!(inst.id, j.invocation, "stale job slot in a live queue");
             (inst.arrived_at, inst.deadline)
@@ -947,7 +974,7 @@ impl<'a> Simulation<'a> {
                 }
             }
             if self.cfg.validate_cluster_state {
-                let scan: Vec<usize> = (0..self.queue_keys.len())
+                let scan: Vec<usize> = (0..self.facts.keys.len())
                     .filter(|&qi| {
                         self.decided_stamp[qi] != self.round_seq
                             && !self.queues[qi].is_empty()
@@ -979,27 +1006,12 @@ impl<'a> Simulation<'a> {
                 // lives for this round only; its allocation is recycled.
                 let mut queues: Vec<QueueView<'_>> =
                     recycle(std::mem::take(&mut self.bufs.queue_views));
-                for &qi in &self.eligible {
-                    let key = self.queue_keys[qi];
-                    queues.push(QueueView {
-                        key,
-                        jobs: &self.job_views[qi],
-                        function: self.queue_fn[qi],
-                        slo_ms: self.slo_ms[key.app.index()],
-                        base_latency_ms: self.base_ms[key.app.index()],
-                        queue_interval_ms: self.queue_intervals[qi].value(),
-                    });
-                }
+                queues.extend(self.eligible.iter().map(|&qi| self.facts.view(qi)));
                 let ctx = RoundCtx {
                     now_ms: self.now.as_ms(),
                     queues: &queues,
                     cluster: &self.state,
-                    profiles: &self.env.profiles,
-                    apps: &self.env.apps,
-                    catalog: &self.env.catalog,
-                    price: &self.env.price,
-                    transfer: &self.env.transfer,
-                    noise: &self.env.noise,
+                    env: self.env,
                     env_fingerprint: self.env_fingerprint,
                     dataplane: self.dataplane.as_ref().map(|dp| dp.view()),
                 };
@@ -1052,7 +1064,7 @@ impl<'a> Simulation<'a> {
         if self.queues[qi].is_empty() {
             return false;
         }
-        let overhead = OverheadModel::default().decision_time(outcome.expansions);
+        let overhead = decision_time(outcome.expansions);
         self.metrics.overhead_ms.record(overhead);
         self.metrics.wall_overhead_ms.record(wall_ms);
         let charged = if self.cfg.charge_overhead {
@@ -1180,7 +1192,7 @@ impl<'a> Simulation<'a> {
         });
         for (oq, gone) in &purged {
             self.notify(&SchedulerEvent::QueueShed {
-                key: self.queue_keys[*oq],
+                key: self.facts.keys[*oq],
                 invocations: gone,
                 reason,
                 now_ms: self.now.as_ms(),
@@ -1190,26 +1202,14 @@ impl<'a> Simulation<'a> {
 
     /// Asks the scheduler to place each of queue `qi`'s `candidates` in
     /// rank order against the current state; returns the first that fits
-    /// with its node.
-    /// The context borrows the simulation field by field, which keeps the
-    /// scheduler's `&mut self` disjoint from it.
+    /// with its node. The context borrows the queue facts and the state,
+    /// fields disjoint from the scheduler's `&mut self`.
     fn place_first(&mut self, qi: usize, candidates: &[Config]) -> Option<(Config, NodeId)> {
-        let (env, key) = (self.env, self.queue_keys[qi]);
         let ctx = SchedCtx {
             now_ms: self.now.as_ms(),
-            key,
-            jobs: &self.job_views[qi],
-            function: self.queue_fn[qi],
-            slo_ms: self.slo_ms[key.app.index()],
-            base_latency_ms: self.base_ms[key.app.index()],
-            queue_interval_ms: self.queue_intervals[qi].value(),
+            queue: self.facts.view(qi),
             cluster: &self.state,
-            profiles: &env.profiles,
-            apps: &env.apps,
-            catalog: &env.catalog,
-            price: &env.price,
-            transfer: &env.transfer,
-            noise: &env.noise,
+            env: self.env,
             env_fingerprint: self.env_fingerprint,
         };
         candidates
@@ -1282,14 +1282,14 @@ impl<'a> Simulation<'a> {
         planned_batch: Option<u32>,
         delay: SimTime,
     ) {
-        let key = self.queue_keys[qi];
+        let key = self.facts.keys[qi];
         let avail = self.queues[qi].len() as u32;
         debug_assert!(avail > 0, "dispatch on empty queue {key:?}");
         if planned_batch.is_some_and(|b| b > avail) {
             self.metrics.config_misses += 1;
         }
         let config = config.clamp_batch(avail);
-        let f = self.queue_fn[qi];
+        let f = self.facts.functions[qi];
         let spec = self.env.catalog.get(f);
         let mut jobs = self.bufs.jobs.pop().unwrap_or_default();
         self.queues[qi].take_into(config.batch as usize, &mut jobs);
@@ -2216,14 +2216,14 @@ mod tests {
             let mut decisions = Vec::new();
             if self.bogus {
                 let shed = || Outcome::shed(ShedReason::Overload);
-                for (a, app) in ctx.apps.iter().enumerate() {
+                for (a, app) in ctx.env.apps.iter().enumerate() {
                     let key = QueueKey {
                         app: AppId(a as u32),
                         stage: app.num_stages(),
                     };
                     decisions.push((key, shed()));
                 }
-                let app = AppId(ctx.apps.len() as u32);
+                let app = AppId(ctx.env.apps.len() as u32);
                 decisions.push((QueueKey { app, stage: 0 }, shed()));
             }
             decisions.extend(GreedyRoundScheduler.schedule_round(ctx));
@@ -2263,18 +2263,18 @@ mod tests {
         }
 
         fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-            if let Some(due) = self.due.remove(&ctx.key) {
+            if let Some(due) = self.due.remove(&ctx.queue.key) {
                 assert!(
                     ctx.now_ms >= due,
                     "{:?} re-decided at {} ms, before its {due} ms deadline",
-                    ctx.key,
+                    ctx.queue.key,
                     ctx.now_ms
                 );
                 self.redecided += 1;
                 return Outcome::single(Config::MIN, 1);
             }
             let due = ctx.now_ms + 1.0004;
-            self.due.insert(ctx.key, due);
+            self.due.insert(ctx.queue.key, due);
             Outcome::defer(due)
         }
 

@@ -1,12 +1,8 @@
 //! The composable round-policy pipeline: admission → cross-queue ranking
 //! → per-queue dispatch, as typed, stackable stages.
 //!
-//! A controller round used to be decidable only by overriding the whole
-//! of [`Scheduler::schedule_round`](crate::Scheduler::schedule_round),
-//! which forced every cross-queue idea (SLO-aware admission, cross-queue
-//! packing) into a monolithic scheduler fork. This module splits the
-//! round into the three decisions HAS-GPU/INFless-style systems treat as
-//! separable:
+//! This module splits a controller round into the three decisions
+//! HAS-GPU/INFless-style systems treat as separable:
 //!
 //! 1. **Admission** — [`RoundPolicy::admit`] classifies every eligible
 //!    queue, into an [`AdmissionPlan`] the stack owns, as
@@ -18,9 +14,9 @@
 //! 2. **Ranking** — [`RoundPolicy::rank`] orders the admitted queues
 //!    across the whole round (which queue deserves the next search),
 //!    into an order buffer the stack owns;
-//! 3. **Dispatch** — the scheduler's existing per-queue
+//! 3. **Dispatch** — the scheduler's per-queue
 //!    [`schedule`](crate::Scheduler::schedule)/
-//!    [`place`](crate::Scheduler::place) pair, unchanged.
+//!    [`place`](crate::Scheduler::place) pair.
 //!
 //! Stages compose through a [`PolicyStack`]: admission verdicts merge by
 //! severity (a later stage can only tighten an earlier one), rank stages
@@ -32,9 +28,8 @@
 //! [`Scheduler::schedule_round`](crate::Scheduler::schedule_round)
 //! drives whatever stack the scheduler exposes through
 //! [`round_policy`](crate::Scheduler::round_policy); the empty
-//! ("classic") stack takes a fast path that is instruction-for-
-//! instruction the pre-policy driver, so every existing scheduler stays
-//! bit-identical (pinned by `tests/golden/control_plane.digest` and the
+//! ("classic") stack takes a fast path that decides only the first
+//! eligible queue (pinned by `tests/golden/control_plane.digest` and the
 //! stack-equivalence property test).
 //!
 //! The first sim-layer stage, [`SloAdmission`], sheds or defers queues
@@ -501,7 +496,7 @@ pub fn gslo_attainable(ctx: &RoundCtx<'_>, function: esg_model::FnId, slack_ms: 
     if slack_ms <= 0.0 {
         return false;
     }
-    let entries = ctx.profiles.profile(function).entries();
+    let entries = ctx.env.profiles.profile(function).entries();
     ctx.cluster.nodes().iter().filter(|n| n.online).any(|n| {
         entries
             .iter()
@@ -646,12 +641,7 @@ mod tests {
             now_ms: 100.0,
             queues,
             cluster,
-            profiles: &env.profiles,
-            apps: &env.apps,
-            catalog: &env.catalog,
-            price: &env.price,
-            transfer: &env.transfer,
-            noise: &env.noise,
+            env,
             env_fingerprint: env.fingerprint(),
             dataplane: None,
         }

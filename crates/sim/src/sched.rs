@@ -17,25 +17,24 @@
 //!   round and see the whole queue set at once.
 //! * **Events** — the platform narrates its progress through one
 //!   [`Scheduler::on_event`] hook carrying typed [`SchedulerEvent`]s
-//!   (arrivals, dispatches, completions, churn, recheck ticks), which
-//!   subsumes the former ad-hoc `notify_dispatch`/`notify_churn` pair.
+//!   (arrivals, dispatches, completions, churn, recheck ticks).
 //!
-//! A scheduling algorithm still answers the §3.1 question per queue: a
-//! ranked list of configuration candidates (ESG's configuration priority
-//! queue) that the platform tries to *place* in rank order
-//! (ESG_Dispatch semantics) until one fits; on total failure the queue
-//! enters the recheck list. Schedulers report their search effort in
-//! *expanded configurations*; [`OverheadModel`] converts effort to
-//! simulated controller time (see the crate docs for the calibration to
-//! the paper's §5.3 numbers).
+//! A scheduling algorithm answers the §3.1 question per queue: a ranked
+//! list of configuration candidates (ESG's configuration priority queue)
+//! that the platform tries to *place* in rank order (ESG_Dispatch
+//! semantics) until one fits; on total failure the queue enters the
+//! recheck list. A decision sees one [`SchedCtx`]: the queue's
+//! [`QueueView`], the live cluster and the run's [`SimEnv`]; a round's
+//! [`RoundCtx`] adds the other eligible queues and the data-plane view.
+//! Schedulers report their search effort in *expanded configurations*;
+//! [`decision_time`] converts effort to simulated controller time (see
+//! the crate docs for the calibration to the paper's §5.3 numbers).
 
+use crate::platform::SimEnv;
 use crate::policy::{PolicyStack, PolicyStats, ShedReason};
 use crate::state::ClusterState;
 use crate::workflow::Job;
-use esg_model::{
-    AppId, AppSpec, Catalog, Config, FnId, InvocationId, NodeId, PriceModel, Resources, SimTime,
-};
-use esg_profile::{NoiseModel, ProfileTable, TransferModel};
+use esg_model::{AppId, AppSpec, Config, FnId, InvocationId, NodeId, Resources, SimTime};
 
 /// Identifies one AFW queue: `(application, DAG stage)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,69 +60,12 @@ pub struct JobView {
     pub pred_node: Option<NodeId>,
 }
 
-/// Everything a scheduler may consult when deciding one queue.
-pub struct SchedCtx<'a> {
-    /// Current simulated time, ms.
-    pub now_ms: f64,
-    /// The queue under consideration.
-    pub key: QueueKey,
-    /// Queued jobs, oldest first.
-    pub jobs: &'a [JobView],
-    /// The function this queue's stage runs.
-    pub function: FnId,
-    /// End-to-end SLO of the application, ms.
-    pub slo_ms: f64,
-    /// Base latency `L` of the application, ms.
-    pub base_latency_ms: f64,
-    /// Smoothed inter-arrival interval of jobs into this queue, ms
-    /// (`None` until two arrivals have been observed). Batching policies
-    /// use it to predict how long forming a larger batch would take.
-    pub queue_interval_ms: Option<f64>,
-    /// The platform's live cluster state (borrowed, never copied).
-    pub cluster: &'a ClusterState,
-    /// Performance profiles.
-    pub profiles: &'a ProfileTable,
-    /// Application specs (index by `AppId`).
-    pub apps: &'a [AppSpec],
-    /// Function catalog.
-    pub catalog: &'a Catalog,
-    /// Pricing.
-    pub price: &'a PriceModel,
-    /// Transfer model (for locality-aware cost estimates).
-    pub transfer: &'a TransferModel,
-    /// Noise model (schedulers may consult `p95_factor`, as Orion does).
-    pub noise: &'a NoiseModel,
-    /// [`SimEnv::fingerprint`](crate::SimEnv::fingerprint) of the run's
-    /// environment: state derived from `apps` and `profiles` is current
-    /// exactly when it was derived under this value.
-    pub env_fingerprint: u64,
-}
-
-impl SchedCtx<'_> {
-    /// The app spec of this queue.
-    pub fn app_spec(&self) -> &AppSpec {
-        &self.apps[self.key.app.index()]
-    }
-
-    /// Longest waiting time among queued jobs (Algorithm 1's `w`), ms.
-    pub fn longest_wait_ms(&self) -> f64 {
-        self.jobs
-            .first()
-            .map(|j| (self.now_ms - j.ready_at_ms).max(0.0))
-            .unwrap_or(0.0)
-    }
-
-    /// Elapsed SLO time of the oldest invocation in the queue, ms.
-    pub fn oldest_elapsed_ms(&self) -> f64 {
-        self.jobs
-            .iter()
-            .map(|j| self.now_ms - j.invocation_arrival_ms)
-            .fold(0.0, f64::max)
-    }
-}
-
-/// One eligible queue as presented to a scheduling round: the per-queue
-/// slice of [`SchedCtx`] (the shared references live on [`RoundCtx`]).
+/// One AFW queue as a scheduler sees it. The platform builds every view
+/// it hands out, to a round and to placement alike, in one place.
+///
+/// `function`, `slo_ms` and `base_latency_ms` follow from the key and the
+/// environment, but stay fields: the platform computes them once per app
+/// ([`SimEnv::slo_ms`] walks the app's profiles on every call).
 #[derive(Clone, Copy, Debug)]
 pub struct QueueView<'a> {
     /// The queue.
@@ -136,13 +78,48 @@ pub struct QueueView<'a> {
     pub slo_ms: f64,
     /// Base latency `L` of the owning application, ms.
     pub base_latency_ms: f64,
-    /// Smoothed inter-arrival interval of jobs into this queue, ms.
+    /// Smoothed inter-arrival interval of jobs into this queue, ms
+    /// (`None` until two arrivals have been observed). Batching policies
+    /// use it to predict how long forming a larger batch would take.
     pub queue_interval_ms: Option<f64>,
 }
 
-/// One controller round: every eligible queue, plus the shared
-/// environment references. Queues appear in the controller's scan order
-/// (the order the classic contract decided them in).
+/// Everything a scheduler may consult when deciding one queue: the queue,
+/// the live cluster and the run's environment.
+pub struct SchedCtx<'a> {
+    /// Current simulated time, ms.
+    pub now_ms: f64,
+    /// The queue under consideration.
+    pub queue: QueueView<'a>,
+    /// The platform's live cluster state (borrowed, never copied).
+    pub cluster: &'a ClusterState,
+    /// The run's environment: profiles, apps (index by `AppId`), catalog,
+    /// prices, transfer and noise models.
+    pub env: &'a SimEnv,
+    /// [`SimEnv::fingerprint`] of `env`: state derived from its apps and
+    /// profiles is current exactly when it was derived under this value.
+    pub env_fingerprint: u64,
+}
+
+impl SchedCtx<'_> {
+    /// The app spec of this queue.
+    pub fn app_spec(&self) -> &AppSpec {
+        &self.env.apps[self.queue.key.app.index()]
+    }
+
+    /// Longest waiting time among queued jobs (Algorithm 1's `w`), ms.
+    pub fn longest_wait_ms(&self) -> f64 {
+        self.queue
+            .jobs
+            .first()
+            .map(|j| (self.now_ms - j.ready_at_ms).max(0.0))
+            .unwrap_or(0.0)
+    }
+}
+
+/// One controller round: every eligible queue, the live cluster and the
+/// run's environment. Queues appear in the controller's scan order (the
+/// order the classic contract decided them in).
 pub struct RoundCtx<'a> {
     /// Current simulated time, ms.
     pub now_ms: f64,
@@ -151,20 +128,9 @@ pub struct RoundCtx<'a> {
     pub queues: &'a [QueueView<'a>],
     /// The platform's live cluster state (borrowed, never copied).
     pub cluster: &'a ClusterState,
-    /// Performance profiles.
-    pub profiles: &'a ProfileTable,
-    /// Application specs (index by `AppId`).
-    pub apps: &'a [AppSpec],
-    /// Function catalog.
-    pub catalog: &'a Catalog,
-    /// Pricing.
-    pub price: &'a PriceModel,
-    /// Transfer model.
-    pub transfer: &'a TransferModel,
-    /// Noise model.
-    pub noise: &'a NoiseModel,
-    /// [`SimEnv::fingerprint`](crate::SimEnv::fingerprint) of the run's
-    /// environment (see [`SchedCtx::env_fingerprint`]).
+    /// The run's environment (see [`SchedCtx::env`]).
+    pub env: &'a SimEnv,
+    /// [`SimEnv::fingerprint`] of `env` (see [`SchedCtx::env_fingerprint`]).
     pub env_fingerprint: u64,
     /// Live data-plane occupancy (`Some` only when the contended data
     /// plane is enabled via `SimConfig::data_plane`). Bandwidth-aware
@@ -177,22 +143,11 @@ impl RoundCtx<'_> {
     /// The single-queue context of `queues[i]` — what
     /// [`Scheduler::schedule`] and [`Scheduler::place`] consume.
     pub fn sched_ctx(&self, i: usize) -> SchedCtx<'_> {
-        let q = &self.queues[i];
         SchedCtx {
             now_ms: self.now_ms,
-            key: q.key,
-            jobs: q.jobs,
-            function: q.function,
-            slo_ms: q.slo_ms,
-            base_latency_ms: q.base_latency_ms,
-            queue_interval_ms: q.queue_interval_ms,
+            queue: self.queues[i],
             cluster: self.cluster,
-            profiles: self.profiles,
-            apps: self.apps,
-            catalog: self.catalog,
-            price: self.price,
-            transfer: self.transfer,
-            noise: self.noise,
+            env: self.env,
             env_fingerprint: self.env_fingerprint,
         }
     }
@@ -201,11 +156,8 @@ impl RoundCtx<'_> {
 /// A typed control-plane notification, delivered through
 /// [`Scheduler::on_event`] as the platform applies state changes.
 ///
-/// Events are *informational*: the default handler ignores them, and a
-/// scheduler that ignores them behaves exactly like one written against
-/// the former `notify_dispatch`/`notify_churn` pair (which
-/// `Dispatched`/`Churn` subsume). Pre-planning schedulers stash
-/// per-invocation plans on `Dispatched`. A run's
+/// Events are *informational*: the default handler ignores them.
+/// Pre-planning schedulers stash per-invocation plans on `Dispatched`. A run's
 /// [`Observer`](crate::Observer) receives the same events.
 #[derive(Clone, Copy, Debug)]
 pub enum SchedulerEvent<'a> {
@@ -568,34 +520,19 @@ pub trait Scheduler {
     }
 }
 
+/// Fixed simulated controller time per decision, µs: queue handling and
+/// dispatch messaging.
+pub const DECISION_BASE_US: f64 = 200.0;
+
+/// Simulated controller time per expanded configuration, µs. Calibration:
+/// §5.3 reports a brute-force search of 256³ ≈ 16.8 M paths at 7258 ms,
+/// ≈ 0.4326 µs per expansion.
+pub const US_PER_EXPANSION: f64 = 7_258_000.0 / (256.0 * 256.0 * 256.0);
+
 /// Converts search effort (expanded configurations) into simulated
 /// controller time.
-///
-/// Calibration: §5.3 reports a brute-force search of 256³ ≈ 16.8 M paths at
-/// 7258 ms → ≈ 0.4326 µs per expansion; a fixed base covers queue handling
-/// and dispatch messaging.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OverheadModel {
-    /// Fixed cost per decision, µs.
-    pub base_us: f64,
-    /// Cost per expanded configuration, µs.
-    pub us_per_expansion: f64,
-}
-
-impl Default for OverheadModel {
-    fn default() -> Self {
-        OverheadModel {
-            base_us: 200.0,
-            us_per_expansion: 7_258_000.0 / (256.0f64 * 256.0 * 256.0),
-        }
-    }
-}
-
-impl OverheadModel {
-    /// Simulated decision time.
-    pub fn decision_time(&self, expansions: u64) -> SimTime {
-        SimTime::from_us((self.base_us + self.us_per_expansion * expansions as f64).round() as u64)
-    }
+pub fn decision_time(expansions: u64) -> SimTime {
+    SimTime::from_us((DECISION_BASE_US + US_PER_EXPANSION * expansions as f64).round() as u64)
 }
 
 /// OpenWhisk's home-invoker hash (§2): a deterministic hash of the
@@ -616,7 +553,7 @@ pub fn place_locality_first(
     demand: Resources,
     preferred: Option<NodeId>,
 ) -> Option<NodeId> {
-    let home = home_node(ctx.key, ctx.cluster.len());
+    let home = home_node(ctx.queue.key, ctx.cluster.len());
     if let Some(p) = preferred {
         if ctx.cluster.node(p).fits(demand) {
             return Some(p);
@@ -627,7 +564,7 @@ pub fn place_locality_first(
     }
     // Warm invokers with capacity (deterministic id order).
     for n in ctx.cluster.nodes() {
-        if n.has_warm(ctx.function) && n.fits(demand) {
+        if n.has_warm(ctx.queue.function) && n.fits(demand) {
             return Some(n.id);
         }
     }
@@ -681,16 +618,15 @@ mod tests {
 
     #[test]
     fn overhead_model_calibration() {
-        let m = OverheadModel::default();
         // Brute force over a 3-stage group with 256 configs each.
-        let t = m.decision_time(256 * 256 * 256);
+        let t = decision_time(256 * 256 * 256);
         assert!(
             (t.as_ms() - 7258.0).abs() < 1.0,
             "brute force should cost ~7258 ms, got {}",
             t.as_ms()
         );
         // A pruned search of ~10k expansions costs a few ms.
-        let t = m.decision_time(10_000);
+        let t = decision_time(10_000);
         assert!(t.as_ms() > 3.0 && t.as_ms() < 6.0, "{}", t.as_ms());
     }
 

@@ -206,12 +206,6 @@ impl WorkflowInstance {
         self.completed == self.stages.len()
     }
 
-    /// Whether `stage` has completed.
-    #[inline]
-    pub fn stage_done(&self, stage: usize) -> bool {
-        self.stages[stage].done
-    }
-
     /// The node a completed stage ran on.
     #[inline]
     pub fn stage_node(&self, stage: usize) -> Option<NodeId> {

@@ -8,7 +8,7 @@
 
 use esg::prelude::*;
 use esg::sim::platform::IDLE_BACKOFF_MS;
-use esg::sim::{AdmissionDecision, BatchHold, Outcome, QueueKey};
+use esg::sim::{decision_time, AdmissionDecision, BatchHold, Outcome, QueueKey};
 use esg::workload::Arrival;
 
 /// Expansions the scripted holds report: a charged overhead well below
@@ -18,9 +18,7 @@ const HOLD_EXPANSIONS: u64 = 1_000;
 /// Simulated overhead the platform charges a decision of
 /// [`HOLD_EXPANSIONS`], ms.
 fn hold_overhead_ms() -> f64 {
-    OverheadModel::default()
-        .decision_time(HOLD_EXPANSIONS)
-        .as_ms()
+    decision_time(HOLD_EXPANSIONS).as_ms()
 }
 
 fn arrivals(app: u32, at_ms: &[f64]) -> Workload {
@@ -64,7 +62,7 @@ impl Scheduler for Scripted {
     }
 
     fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        if ctx.key == self.target {
+        if ctx.queue.key == self.target {
             self.calls.push(ctx.now_ms);
             if let Some(first) = self.first.take() {
                 return first;
@@ -153,7 +151,7 @@ impl Scheduler for Skipper {
     }
 
     fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        if ctx.key == self.target {
+        if ctx.queue.key == self.target {
             self.calls.push(ctx.now_ms);
             if ctx.now_ms < self.until_ms {
                 return Outcome::skip();
@@ -231,7 +229,7 @@ impl Scheduler for ShedScript {
     }
 
     fn schedule(&mut self, ctx: &SchedCtx<'_>) -> Outcome {
-        let s = ctx.key.stage;
+        let s = ctx.queue.key.stage;
         if s == 1 {
             self.held_calls.push(ctx.now_ms);
         }

@@ -163,7 +163,7 @@ proptest::proptest! {
                         let slack = j.slack_ms;
                         let feasible = ctx.cluster.nodes().iter().any(|n| {
                             n.online
-                                && ctx.profiles.profile(q.function).entries().iter().any(|e| {
+                                && ctx.env.profiles.profile(q.function).entries().iter().any(|e| {
                                     n.total.contains(e.config.resources())
                                         && e.latency_ms * n.speed <= slack
                                 })
