@@ -16,7 +16,6 @@
 //! configuration-miss rates.
 
 use crate::bo::BoOptimizer;
-use crate::{env_changed, EnvKey};
 use esg_model::{AppSpec, Config, NodeId};
 use esg_profile::latency_ms;
 use esg_sim::{
@@ -30,10 +29,9 @@ pub struct AquatopeScheduler {
     optimizer: BoOptimizer,
     /// SLO-violation penalty weight (cents per ms of P95 overrun).
     penalty: f64,
-    /// Learned per-app, per-stage configurations.
+    /// Learned per-app, per-stage configurations; one slot per app from
+    /// the run's first decision.
     plans: Vec<Option<Vec<Config>>>,
-    /// The environment `plans` were trained under.
-    env: Option<EnvKey>,
     /// Round-policy stack driving `schedule_round` (classic by default).
     policy: PolicyStack,
 }
@@ -52,7 +50,6 @@ impl AquatopeScheduler {
             optimizer,
             penalty: 0.05,
             plans: Vec::new(),
-            env: None,
             policy: PolicyStack::new(),
         }
     }
@@ -126,7 +123,7 @@ impl Scheduler for AquatopeScheduler {
         if ctx.queue.jobs.is_empty() {
             return Outcome::skip();
         }
-        if env_changed(&mut self.env, ctx) {
+        if self.plans.is_empty() {
             self.plans = vec![None; ctx.env.apps.len()];
         }
         let app_idx = ctx.queue.key.app.index();
@@ -156,6 +153,10 @@ impl Scheduler for AquatopeScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
+    }
+
+    fn on_run_start(&mut self) {
+        self.plans.clear();
     }
 
     fn stats(&self) -> SchedulerStats {

@@ -13,21 +13,19 @@
 //! end-to-end latency.
 
 use crate::slo_split::split_all;
-use crate::{env_changed, EnvKey};
 use esg_model::{Config, NodeId};
 use esg_sim::{Capabilities, Outcome, PolicyStack, SchedCtx, Scheduler, SchedulerStats};
 
 /// The FaST-GShare baseline scheduler.
 #[derive(Debug, Default)]
 pub struct FastGShareScheduler {
-    /// Per-app SLO shares (static, relation-blind).
+    /// Per-app SLO shares (static, relation-blind), derived at the run's
+    /// first decision.
     shares: Vec<Vec<f64>>,
     /// EWMA of per-queue arrival rate (jobs per ms), keyed by (app, stage).
     rates: std::collections::HashMap<(u32, usize), f64>,
     /// Last observed queue state for rate estimation.
     last_seen: std::collections::HashMap<(u32, usize), (f64, usize)>,
-    /// The environment the shares and rates belong to.
-    env: Option<EnvKey>,
     /// Round-policy stack driving `schedule_round` (classic by default).
     policy: PolicyStack,
 }
@@ -85,10 +83,8 @@ impl Scheduler for FastGShareScheduler {
         if ctx.queue.jobs.is_empty() {
             return Outcome::skip();
         }
-        if env_changed(&mut self.env, ctx) {
+        if self.shares.is_empty() {
             self.shares = split_all(ctx.env);
-            self.rates.clear();
-            self.last_seen.clear();
         }
         let required = self.required_rate(ctx);
         let key = ctx.queue.key;
@@ -190,6 +186,12 @@ impl Scheduler for FastGShareScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
+    }
+
+    fn on_run_start(&mut self) {
+        self.shares.clear();
+        self.rates.clear();
+        self.last_seen.clear();
     }
 
     fn stats(&self) -> SchedulerStats {

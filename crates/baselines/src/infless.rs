@@ -11,7 +11,6 @@
 //! the highest resource cost, starving long pipelines.
 
 use crate::slo_split::split_all;
-use crate::{env_changed, EnvKey};
 use esg_model::{Config, NodeId};
 use esg_profile::ProfileEntry;
 use esg_sim::{
@@ -22,10 +21,9 @@ use esg_sim::{
 /// The INFless baseline scheduler.
 #[derive(Debug, Default)]
 pub struct InflessScheduler {
-    /// Cached per-app SLO shares (static, relation-blind).
+    /// Per-app SLO shares (static, relation-blind), derived at the run's
+    /// first decision.
     shares: Vec<Vec<f64>>,
-    /// The environment `shares` were derived under.
-    env: Option<EnvKey>,
     /// Round-policy stack driving `schedule_round` (classic by default).
     policy: PolicyStack,
 }
@@ -43,7 +41,7 @@ impl InflessScheduler {
     }
 
     fn share(&mut self, ctx: &SchedCtx<'_>) -> f64 {
-        if env_changed(&mut self.env, ctx) {
+        if self.shares.is_empty() {
             self.shares = split_all(ctx.env);
         }
         self.shares[ctx.queue.key.app.index()][ctx.queue.key.stage]
@@ -161,6 +159,10 @@ impl Scheduler for InflessScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
+    }
+
+    fn on_run_start(&mut self) {
+        self.shares.clear();
     }
 
     fn stats(&self) -> SchedulerStats {

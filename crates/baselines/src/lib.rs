@@ -34,27 +34,8 @@ pub mod slo_split;
 #[cfg(test)]
 pub(crate) mod test_support;
 
-use esg_model::SloClass;
-use esg_sim::SchedCtx;
-
 pub use aquatope::AquatopeScheduler;
 pub use fastgshare::FastGShareScheduler;
 pub use infless::InflessScheduler;
 pub use orion::OrionScheduler;
 pub use slo_split::average_service_split;
-
-/// The environment a baseline's derived or learned state belongs to: the
-/// run's [`SimEnv::fingerprint`](esg_sim::SimEnv::fingerprint) (apps and
-/// profiles) and its SLO class, which together fix every queue's
-/// `slo_ms`.
-pub(crate) type EnvKey = (u64, SloClass);
-
-/// Records `ctx`'s environment in `seen`. True when it differs from the
-/// one recorded: the baseline must then drop all state derived so far,
-/// as ESG does.
-pub(crate) fn env_changed(seen: &mut Option<EnvKey>, ctx: &SchedCtx<'_>) -> bool {
-    let key = Some((ctx.env_fingerprint, ctx.env.slo));
-    let changed = *seen != key;
-    *seen = key;
-    changed
-}

@@ -12,7 +12,6 @@
 //! configuration with the closest latency to the SLO is returned when the
 //! search exceeds a cut-off time (e.g., 100ms) before reaching the goal."
 
-use crate::{env_changed, EnvKey};
 use esg_model::{AppSpec, Config, InvocationId, NodeId};
 use esg_profile::latency_ms;
 use esg_sim::{
@@ -42,8 +41,6 @@ pub struct OrionScheduler {
     /// charge the full search to every decision, as the paper measures
     /// (Fig. 9 counts Orion's search time per scheduling decision).
     cache: HashMap<u32, (Vec<Config>, u64)>,
-    /// The environment the plans and the memo were searched under.
-    env: Option<EnvKey>,
     /// Round-policy stack driving `schedule_round` (classic by default).
     policy: PolicyStack,
 }
@@ -63,7 +60,6 @@ impl OrionScheduler {
             plans: HashMap::new(),
             pending: None,
             cache: HashMap::new(),
-            env: None,
             policy: PolicyStack::new(),
         }
     }
@@ -220,11 +216,6 @@ impl Scheduler for OrionScheduler {
         if ctx.queue.jobs.is_empty() {
             return Outcome::skip();
         }
-        if env_changed(&mut self.env, ctx) {
-            self.plans.clear();
-            self.pending = None;
-            self.cache.clear();
-        }
         let app = ctx.app_spec();
         if ctx.queue.key.stage == 0 {
             // Plan the whole workflow at the invocation of the first stage.
@@ -313,6 +304,12 @@ impl Scheduler for OrionScheduler {
 
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         Some(&mut self.policy)
+    }
+
+    fn on_run_start(&mut self) {
+        self.plans.clear();
+        self.pending = None;
+        self.cache.clear();
     }
 
     fn stats(&self) -> SchedulerStats {

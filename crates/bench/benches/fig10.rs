@@ -3,11 +3,23 @@
 //! overhead, plus the real Rust wall time for honesty. A thin declaration
 //! over the sweep engine (ESG × the three paper scenarios).
 
-use esg_bench::{section, write_csv, ExperimentSuite, ScenarioMatrix, SchedKind};
+use esg_bench::{section, Col, Csv, ExperimentSuite, ScenarioMatrix, SchedKind, Table};
 use esg_model::{Scenario, SimTime};
 
 /// Decisions charged at most this much are left out of the box.
 const FILTER_MS: f64 = 0.25;
+
+#[rustfmt::skip]
+const COLUMNS: [Col; 8] = [
+    Col::show("setting", 18).left().csv("setting", Csv::Plain),
+    Col::show("min", 8).fixed(2).csv("min_ms", Csv::Fixed(4)),
+    Col::show("q1", 8).fixed(2).csv("q1_ms", Csv::Fixed(4)),
+    Col::show("median", 8).fixed(2).csv("median_ms", Csv::Fixed(4)),
+    Col::show("q3", 8).fixed(2).csv("q3_ms", Csv::Fixed(4)),
+    Col::show("max", 8).fixed(2).csv("max_ms", Csv::Fixed(4)),
+    Col::show("mean", 8).fixed(2).csv("mean_ms", Csv::Fixed(4)),
+    Col::show("wall mean", 11).fixed(3).suffix("ms").csv("wall_mean_ms", Csv::Fixed(5)),
+];
 
 fn main() {
     section("Figure 10: ESG scheduling overhead distribution (group size 3)");
@@ -20,11 +32,7 @@ fn main() {
     .run();
     sweep.write_artifacts();
 
-    println!(
-        "{:<18} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>12}",
-        "setting", "min", "q1", "median", "q3", "max", "mean", "wall mean"
-    );
-    let mut csv = Vec::new();
+    let mut table = Table::new(&COLUMNS);
     let mut left_out = Vec::new();
     for cell in &sweep.results {
         let r = &cell.result;
@@ -53,34 +61,23 @@ fn main() {
             r.overhead_ms.len()
         ));
         let wall_mean = r.wall_overhead_ms.mean_ms();
-        println!(
-            "{:<18} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>9.3}ms",
-            cell.scenario.to_string(),
-            b.min,
-            b.q1,
-            b.median,
-            b.q3,
-            b.max,
-            b.mean,
-            wall_mean
-        );
-        csv.push(format!(
-            "{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.5}",
-            cell.scenario, b.min, b.q1, b.median, b.q3, b.max, b.mean, wall_mean
-        ));
+        table.row([
+            cell.scenario.to_string().into(),
+            b.min.into(),
+            b.q1.into(),
+            b.median.into(),
+            b.q3.into(),
+            b.max.into(),
+            b.mean.into(),
+            wall_mean.into(),
+        ]);
     }
-    println!(
-        "\nleft out at or below {FILTER_MS} ms: {}",
-        left_out.join("; ")
-    );
-    println!(
-        "\npaper shape: overhead below 10 ms in all settings and growing with SLO\n\
+    table.note(format!(
+        "left out at or below {FILTER_MS} ms: {}\n\n\
+         paper shape: overhead below 10 ms in all settings and growing with SLO\n\
          relaxation (looser targets prune less). The 'wall mean' column is this\n\
-         Rust implementation's true per-decision time."
-    );
-    write_csv(
-        "fig10",
-        "setting,min_ms,q1_ms,median_ms,q3_ms,max_ms,mean_ms,wall_mean_ms",
-        &csv,
-    );
+         Rust implementation's true per-decision time.",
+        left_out.join("; ")
+    ));
+    table.emit("fig10");
 }

@@ -3,8 +3,19 @@
 //! (batch fixed at 1). Each variant is a one-cell suite with its own
 //! restricted configuration grid.
 
-use esg_bench::{section, write_csv, ExperimentSuite, ScenarioMatrix, SchedKind};
+use esg_bench::{section, Col, Csv, ExperimentSuite, ScenarioMatrix, SchedKind, Table};
 use esg_model::{ConfigGrid, Scenario};
+
+#[rustfmt::skip]
+const COLUMNS: [Col; 7] = [
+    Col::show("variant", 16).left().csv("variant", Csv::Plain),
+    Col::show("hit %", 8).pct(1).csv("avg_hit_rate", Csv::Fixed(4)),
+    Col::show("cost (¢/inv)", 14).fixed(4).csv("cost_per_invocation_cents", Csv::Fixed(6)),
+    Col::show("GPU util", 10).fixed(2).csv("gpu_util", Csv::Fixed(4)),
+    Col::show("CPU util", 10).fixed(2).csv("cpu_util", Csv::Fixed(4)),
+    Col::show("wait (ms)", 12).fixed(1).csv("queue_wait_ms", Csv::Fixed(2)),
+    Col::show("batch", 12).fixed(2).csv("batch_mean", Csv::Fixed(3)),
+];
 
 fn main() {
     section("Figure 12: GPU-sharing and batching ablation (relaxed-heavy)");
@@ -14,11 +25,7 @@ fn main() {
         ("no GPU sharing", grid.without_gpu_sharing(7)),
         ("no batching", grid.without_batching()),
     ];
-    println!(
-        "{:<16} {:>8} {:>14} {:>10} {:>10} {:>12} {:>12}",
-        "variant", "hit %", "cost (¢/inv)", "GPU util", "CPU util", "wait (ms)", "batch"
-    );
-    let mut csv = Vec::new();
+    let mut table = Table::new(&COLUMNS);
     for (name, g) in variants {
         let sweep = ExperimentSuite::new(
             format!("fig12_{}", name.replace(' ', "_")),
@@ -30,34 +37,20 @@ fn main() {
         .run();
         sweep.write_artifacts();
         let r = &sweep.results[0].result;
-        println!(
-            "{:<16} {:>7.1}% {:>14.4} {:>10.2} {:>10.2} {:>12.1} {:>12.2}",
-            name,
-            r.avg_hit_rate() * 100.0,
-            r.cost_per_invocation_cents(),
-            r.vgpu_utilisation,
-            r.vcpu_utilisation,
-            r.phase_queue_wait_ms.mean(),
-            r.batch_size.mean()
-        );
-        csv.push(format!(
-            "{name},{:.4},{:.6},{:.4},{:.4},{:.2},{:.3}",
-            r.avg_hit_rate(),
-            r.cost_per_invocation_cents(),
-            r.vgpu_utilisation,
-            r.vcpu_utilisation,
-            r.phase_queue_wait_ms.mean(),
-            r.batch_size.mean()
-        ));
+        table.row([
+            name.into(),
+            r.avg_hit_rate().into(),
+            r.cost_per_invocation_cents().into(),
+            r.vgpu_utilisation.into(),
+            r.vcpu_utilisation.into(),
+            r.phase_queue_wait_ms.mean().into(),
+            r.batch_size.mean().into(),
+        ]);
     }
-    println!(
-        "\npaper shape: removing GPU sharing prolongs waiting (jobs queue for whole\n\
+    table.note(
+        "paper shape: removing GPU sharing prolongs waiting (jobs queue for whole\n\
          GPUs) and hurts SLO hits; removing batching keeps hit rates but raises\n\
-         cost (batching conserves resources)."
+         cost (batching conserves resources).",
     );
-    write_csv(
-        "fig12",
-        "variant,avg_hit_rate,cost_per_invocation_cents,gpu_util,cpu_util,queue_wait_ms,batch_mean",
-        &csv,
-    );
+    table.emit("fig12");
 }

@@ -2,52 +2,46 @@
 //! schedulers under the three SLO/workload settings. A thin declaration
 //! over the sweep engine: the paper grid, printed per scenario.
 
-use esg_bench::{section, write_csv, ExperimentSuite, ScenarioMatrix, SchedKind};
+use esg_bench::{section, Col, Csv, ExperimentSuite, ScenarioMatrix, SchedKind, Table};
 use esg_model::Scenario;
+
+#[rustfmt::skip]
+const COLUMNS: [Col; 5] = [
+    Col::csv_only("scenario", Csv::Plain),
+    Col::show("scheduler", 12).left().csv("scheduler", Csv::Plain),
+    Col::show("SLO hit %", 10).pct(1).csv("avg_hit_rate", Csv::Fixed(4)),
+    Col::show("cost (¢/inv)", 14).fixed(4).csv("cost_per_invocation_cents", Csv::Fixed(6)),
+    Col::show("cost vs ESG", 16).fixed(2).suffix("x").csv("cost_vs_esg", Csv::Fixed(4)),
+];
 
 fn main() {
     section("Figure 6: average SLO hit rate and normalized cost (ESG = 1)");
     let sweep = ExperimentSuite::new("fig6", ScenarioMatrix::paper()).run();
     sweep.write_artifacts();
 
-    let mut csv = Vec::new();
+    let mut table = Table::new(&COLUMNS);
     for scenario in Scenario::all() {
-        println!("\n--- {scenario} ---");
-        println!(
-            "{:<12} {:>10} {:>14} {:>16}",
-            "scheduler", "SLO hit %", "cost (¢/inv)", "cost vs ESG"
-        );
+        table.group(scenario);
         let esg_cost = sweep
             .find(SchedKind::Esg.name(), scenario)
             .map(|c| c.result.cost_per_invocation_cents())
             .expect("ESG cell present");
         for cell in sweep.for_scenario(scenario) {
             let r = &cell.result;
-            let norm = r.cost_per_invocation_cents() / esg_cost;
-            println!(
-                "{:<12} {:>9.1}% {:>14.4} {:>15.2}x",
-                cell.scheduler,
-                r.avg_hit_rate() * 100.0,
-                r.cost_per_invocation_cents(),
-                norm
-            );
-            csv.push(format!(
-                "{scenario},{},{:.4},{:.6},{:.4}",
-                cell.scheduler,
-                r.avg_hit_rate(),
-                r.cost_per_invocation_cents(),
-                norm
-            ));
+            let cost = r.cost_per_invocation_cents();
+            table.row([
+                scenario.to_string().into(),
+                cell.scheduler.as_str().into(),
+                r.avg_hit_rate().into(),
+                cost.into(),
+                (cost / esg_cost).into(),
+            ]);
         }
     }
-    println!(
-        "\npaper shape: ESG highest hit rate in every scenario at the lowest cost;\n\
+    table.note(
+        "paper shape: ESG highest hit rate in every scenario at the lowest cost;\n\
          INFless/FaST-GShare trail by 36-61% in strict-light; Orion and Aquatope\n\
-         lose 46-80%; baseline costs run 1.47-2.87x ESG."
+         lose 46-80%; baseline costs run 1.47-2.87x ESG.",
     );
-    write_csv(
-        "fig6",
-        "scenario,scheduler,avg_hit_rate,cost_per_invocation_cents,cost_vs_esg",
-        &csv,
-    );
+    table.emit("fig6");
 }

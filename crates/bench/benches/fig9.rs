@@ -5,11 +5,20 @@
 //! axis, differing only in the platform's `charge_overhead` flag.
 
 use esg_baselines::OrionScheduler;
-use esg_bench::{section, standard_config, write_csv, ExperimentSuite, ScenarioMatrix, SchedSpec};
+use esg_bench::{
+    section, standard_config, Col, Csv, ExperimentSuite, ScenarioMatrix, SchedSpec, Sweep, Table,
+};
 use esg_model::Scenario;
 use esg_sim::SimConfig;
 
 const CUTOFFS_MS: [f64; 7] = [1.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 2000.0];
+
+#[rustfmt::skip]
+const COLUMNS: [Col; 3] = [
+    Col::show("cutoff (ms)", 14).left().csv("cutoff_ms", Csv::Plain),
+    Col::show("Orion hit %", 18).pct(1).csv("hit_rate_charged", Csv::Fixed(4)),
+    Col::show("w/o overhead hit %", 24).pct(1).csv("hit_rate_uncharged", Csv::Fixed(4)),
+];
 
 fn cutoff_matrix() -> ScenarioMatrix {
     ScenarioMatrix::new()
@@ -33,29 +42,14 @@ fn main() {
     charged.write_artifacts();
     free.write_artifacts();
 
-    println!(
-        "{:<14} {:>18} {:>24}",
-        "cutoff (ms)", "Orion hit %", "w/o overhead hit %"
-    );
-    let mut csv = Vec::new();
+    let mut table = Table::new(&COLUMNS);
     for (i, &cutoff) in CUTOFFS_MS.iter().enumerate() {
-        let hit_charged = charged.results[i].result.avg_hit_rate();
-        let hit_free = free.results[i].result.avg_hit_rate();
-        println!(
-            "{:<14} {:>17.1}% {:>23.1}%",
-            cutoff,
-            hit_charged * 100.0,
-            hit_free * 100.0
-        );
-        csv.push(format!("{cutoff},{hit_charged:.4},{hit_free:.4}"));
+        let hit = |sweep: &Sweep| sweep.results[i].result.avg_hit_rate();
+        table.row([cutoff.into(), hit(&charged).into(), hit(&free).into()]);
     }
-    println!(
-        "\npaper shape: without overhead the hit rate rises with the cut-off and\n\
-         plateaus (~16%); with overhead counted it collapses as the cut-off grows."
+    table.note(
+        "paper shape: without overhead the hit rate rises with the cut-off and\n\
+         plateaus (~16%); with overhead counted it collapses as the cut-off grows.",
     );
-    write_csv(
-        "fig9",
-        "cutoff_ms,hit_rate_charged,hit_rate_uncharged",
-        &csv,
-    );
+    table.emit("fig9");
 }

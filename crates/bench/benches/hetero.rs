@@ -15,42 +15,29 @@
 //! `ESG_SMOKE=1` shortens the arrival window for CI smoke runs.
 
 use esg_bench::{
-    section, standard_config, ClusterCase, ExperimentSuite, ScenarioMatrix, SchedKind, RUN_SECONDS,
-    WARMUP_SECONDS,
+    hetero_clusters, scaled_config, smoke_section, Col, ExperimentSuite, ScenarioMatrix, SchedKind,
+    Table, RUN_SECONDS,
 };
-use esg_model::{ChurnPlan, ClusterSpec, NodeClass, NodeId, Scenario, TrafficShape};
-use esg_sim::SimConfig;
+use esg_model::{Scenario, TrafficShape};
 
-/// The three cluster cases of the sweep. The skewed case also churns: its
-/// fastest node drains a third into the run and a T4 replacement joins
-/// shortly after — the hardest placement regime.
-fn cluster_cases(run_seconds: f64) -> [ClusterCase; 3] {
-    let churn_at = run_seconds * 1000.0 / 3.0;
-    [
-        ClusterCase::new(ClusterSpec::paper()),
-        ClusterCase::new(ClusterSpec::mixed_mig()),
-        ClusterCase::new(ClusterSpec::skewed()).with_churn(ChurnPlan::rolling_replace(
-            churn_at,
-            2_000.0,
-            NodeId(0),
-            NodeClass::t4(),
-        )),
-    ]
-}
+#[rustfmt::skip]
+const COLUMNS: [Col; 6] = [
+    Col::show("scheduler", 12).left(),
+    Col::show("traffic", 8),
+    Col::show("SLO hit %", 10).pct(1),
+    Col::show("cost (¢/inv)", 14).fixed(4),
+    Col::show("cold %", 12).pct(1),
+    Col::show("vGPU util %", 12).pct(1),
+];
 
 fn main() {
-    let smoke = esg_bench::smoke();
+    let smoke = smoke_section("Heterogeneous clusters × traffic shapes");
     let run_seconds = if smoke { 3.0 } else { RUN_SECONDS };
-    section(if smoke {
-        "Heterogeneous clusters × traffic shapes (smoke mode)"
-    } else {
-        "Heterogeneous clusters × traffic shapes"
-    });
 
     let matrix = ScenarioMatrix::new()
         .schedulers(SchedKind::all())
         .scenarios([Scenario::MODERATE_NORMAL])
-        .clusters(cluster_cases(run_seconds))
+        .clusters(hetero_clusters(run_seconds))
         .traffic([
             TrafficShape::Steady,
             TrafficShape::Bursty,
@@ -62,42 +49,33 @@ fn main() {
         "5 schedulers × 3 clusters × 3 shapes"
     );
 
-    // Keep the warm-up exclusion proportional so smoke runs still report
-    // non-empty metrics (the standard 30 s window would swallow a 3 s run).
-    let warmup_seconds = WARMUP_SECONDS * run_seconds / RUN_SECONDS;
     let sweep = ExperimentSuite::new("hetero", matrix)
-        .with_sim_config(SimConfig {
-            warmup_exclude_ms: warmup_seconds * 1000.0,
-            ..standard_config()
-        })
+        .with_sim_config(scaled_config(run_seconds))
         .with_run_seconds(run_seconds)
         .run();
     sweep.write_artifacts();
     sweep.write_experiments_section();
 
-    for case in cluster_cases(run_seconds) {
-        println!("\n--- cluster {} ---", case.name);
-        println!(
-            "{:<12} {:>8} {:>10} {:>14} {:>12} {:>12}",
-            "scheduler", "traffic", "SLO hit %", "cost (¢/inv)", "cold %", "vGPU util %"
-        );
+    let mut table = Table::new(&COLUMNS);
+    for case in hetero_clusters(run_seconds) {
+        table.group(format!("cluster {}", case.name));
         for cell in sweep.results.iter().filter(|c| c.cluster == case.name) {
             let r = &cell.result;
-            println!(
-                "{:<12} {:>8} {:>9.1}% {:>14.4} {:>11.1}% {:>11.1}%",
-                cell.scheduler,
-                cell.traffic.to_string(),
-                r.avg_hit_rate() * 100.0,
-                r.cost_per_invocation_cents(),
-                r.cold_start_rate() * 100.0,
-                r.vgpu_utilisation * 100.0,
-            );
+            table.row([
+                cell.scheduler.as_str().into(),
+                cell.traffic.to_string().into(),
+                r.avg_hit_rate().into(),
+                r.cost_per_invocation_cents().into(),
+                r.cold_start_rate().into(),
+                r.vgpu_utilisation.into(),
+            ]);
         }
     }
-    println!(
-        "\nexpected shape: every scheduler loses hit rate moving paper → mixed-MIG\n\
+    table.note(
+        "expected shape: every scheduler loses hit rate moving paper → mixed-MIG\n\
          → skewed+churn and steady → bursty; ESG's speed-scaled stage tables and\n\
          locality-first dispatch should keep it ahead of the pre-planned baselines,\n\
-         which mispredict on slow classes (HAS-GPU/FaaSTube's argument)."
+         which mispredict on slow classes (HAS-GPU/FaaSTube's argument).",
     );
+    table.print();
 }

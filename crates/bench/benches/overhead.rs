@@ -28,7 +28,7 @@
 //! unchanged so smoke runs stay comparable to the committed baseline.
 
 use criterion::{BenchmarkId, Criterion};
-use esg_bench::{render_overhead_markdown, section, update_experiments_md, write_json};
+use esg_bench::{render_overhead_markdown, smoke_section, update_experiments_md, write_json};
 use esg_core::{
     astar_search_with, astar_summary, quantize_gslo, PlanCache, PlanKey, SearchScratch, StageTable,
     StageTableMemo,
@@ -188,16 +188,11 @@ impl RoundPolicy for PassThrough {
 }
 
 fn main() {
-    let smoke = esg_bench::smoke();
+    let smoke = smoke_section("Scheduling overhead: cold search vs warm plan cache");
     // Smoke keeps enough samples for a stable median: the perf-gate
     // compares this run against the committed full-run baseline, and 5
     // samples under CI-runner load produced ±40% medians on µs cases.
     let samples = if smoke { 15 } else { 40 };
-    section(if smoke {
-        "Scheduling overhead: cold search vs warm plan cache (smoke mode)"
-    } else {
-        "Scheduling overhead: cold search vs warm plan cache"
-    });
 
     let profiles = ProfileTable::build(
         &standard_catalog(),
@@ -324,7 +319,7 @@ fn main() {
                     b.iter(|| {
                         state.touch(NodeId(0));
                         state.refresh(c, now);
-                        black_box(state.generation())
+                        black_box(&state);
                     })
                 },
             );

@@ -20,27 +20,22 @@
 //! `ESG_SMOKE=1` shortens the arrival window for CI smoke runs.
 
 use esg_bench::{
-    section, standard_config, ClusterCase, ExperimentSuite, ScenarioMatrix, SchedSpec, RUN_SECONDS,
-    WARMUP_SECONDS,
+    hetero_clusters, scaled_config, smoke_section, Col, ExperimentSuite, ScenarioMatrix, SchedSpec,
+    Table, RUN_SECONDS,
 };
 use esg_core::{BandwidthAwarePacking, EsgScheduler};
-use esg_model::{ChurnPlan, ClusterSpec, NodeClass, NodeId, Scenario, TrafficShape};
-use esg_sim::{PolicyStack, SimConfig, SloAdmission};
+use esg_model::{Scenario, TrafficShape};
+use esg_sim::{PolicyStack, SloAdmission};
 
-/// The hetero grid (same three cases as `cargo bench --bench hetero`).
-fn cluster_cases(run_seconds: f64) -> [ClusterCase; 3] {
-    let churn_at = run_seconds * 1000.0 / 3.0;
-    [
-        ClusterCase::new(ClusterSpec::paper()),
-        ClusterCase::new(ClusterSpec::mixed_mig()),
-        ClusterCase::new(ClusterSpec::skewed()).with_churn(ChurnPlan::rolling_replace(
-            churn_at,
-            2_000.0,
-            NodeId(0),
-            NodeClass::t4(),
-        )),
-    ]
-}
+#[rustfmt::skip]
+const COLUMNS: [Col; 6] = [
+    Col::show("stack", 15).left(),
+    Col::show("traffic", 8),
+    Col::show("SLO hit %", 10).pct(1),
+    Col::show("shed %", 7).pct(1),
+    Col::show("cost (¢/inv)", 14).fixed(4),
+    Col::show("deferred", 10),
+];
 
 /// The ESG policy-stack variants under comparison.
 fn variants() -> [SchedSpec; 4] {
@@ -70,18 +65,13 @@ fn variants() -> [SchedSpec; 4] {
 }
 
 fn main() {
-    let smoke = esg_bench::smoke();
+    let smoke = smoke_section("Round-policy stacks: packing × admission");
     let run_seconds = if smoke { 3.0 } else { RUN_SECONDS };
-    section(if smoke {
-        "Round-policy stacks: packing × admission (smoke mode)"
-    } else {
-        "Round-policy stacks: packing × admission"
-    });
 
     let matrix = ScenarioMatrix::new()
         .schedulers(variants())
         .scenarios([Scenario::MODERATE_NORMAL])
-        .clusters(cluster_cases(run_seconds))
+        .clusters(hetero_clusters(run_seconds))
         .traffic([
             TrafficShape::Steady,
             TrafficShape::Bursty,
@@ -89,36 +79,29 @@ fn main() {
         ]);
     assert_eq!(matrix.len(), 4 * 3 * 3, "4 stacks × 3 clusters × 3 shapes");
 
-    let warmup_seconds = WARMUP_SECONDS * run_seconds / RUN_SECONDS;
     let sweep = ExperimentSuite::new("packing", matrix)
-        .with_sim_config(SimConfig {
-            warmup_exclude_ms: warmup_seconds * 1000.0,
-            ..standard_config()
-        })
+        .with_sim_config(scaled_config(run_seconds))
         .with_run_seconds(run_seconds)
         .run();
     sweep.write_artifacts();
     sweep.write_experiments_section();
 
-    for case in cluster_cases(run_seconds) {
-        println!("\n--- cluster {} ---", case.name);
-        println!(
-            "{:<15} {:>8} {:>10} {:>7} {:>14} {:>10}",
-            "stack", "traffic", "SLO hit %", "shed %", "cost (¢/inv)", "deferred"
-        );
+    let mut table = Table::new(&COLUMNS);
+    for case in hetero_clusters(run_seconds) {
+        table.group(format!("cluster {}", case.name));
         for cell in sweep.results.iter().filter(|c| c.cluster == case.name) {
             let r = &cell.result;
-            println!(
-                "{:<15} {:>8} {:>9.1}% {:>6.1}% {:>14.4} {:>10}",
-                cell.scheduler,
-                cell.traffic.to_string(),
-                r.avg_hit_rate() * 100.0,
-                r.shed_rate() * 100.0,
-                r.cost_per_invocation_cents(),
-                r.scheduler_stats.policy.queues_deferred,
-            );
+            table.row([
+                cell.scheduler.as_str().into(),
+                cell.traffic.to_string().into(),
+                r.avg_hit_rate().into(),
+                r.shed_rate().into(),
+                r.cost_per_invocation_cents().into(),
+                r.scheduler_stats.policy.queues_deferred.into(),
+            ]);
         }
     }
+    table.print();
 
     // Acceptance guard: policy stacks must not lose GSLO hit rate vs
     // classic ESG on the same (cluster, traffic) cell, up to a 2 pp
@@ -130,11 +113,7 @@ fn main() {
             continue;
         }
         let classic = sweep
-            .results
-            .iter()
-            .find(|c| {
-                c.scheduler == "ESG" && c.cluster == cell.cluster && c.traffic == cell.traffic
-            })
+            .paired("ESG", cell)
             .expect("classic row exists for every cell");
         let delta = classic.result.avg_hit_rate() - cell.result.avg_hit_rate();
         worst = worst.max(delta);

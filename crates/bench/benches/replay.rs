@@ -20,19 +20,27 @@
 //! real ones.
 
 use esg_bench::{
-    record_reference, render_replay_markdown, replay_doc, replay_matrix, section,
-    update_experiments_md, write_csv, write_json, SchedKind,
+    record_reference, render_replay_markdown, replay_doc, replay_matrix, smoke_section,
+    update_experiments_md, write_json, Col, Csv, SchedKind, Table,
 };
 use esg_model::Scenario;
 
+#[rustfmt::skip]
+const COLUMNS: [Col; 9] = [
+    Col::show("scheduler", 12).left().csv("scheduler", Csv::Plain),
+    Col::show("digest", 17).csv("digest", Csv::Plain),
+    Col::show("=recorded", 10),
+    Col::csv_only("matches_recording", Csv::Plain),
+    Col::show("hit %", 10).pct(1).csv("avg_hit_rate", Csv::Fixed(4)),
+    Col::show("shed %", 8).pct(1).csv("shed_rate", Csv::Fixed(4)),
+    Col::csv_only("cost_per_invocation_cents", Csv::Fixed(4)),
+    Col::show("dispatches", 11).csv("dispatches", Csv::Plain),
+    Col::csv_only("shed_jobs", Csv::Plain),
+];
+
 fn main() {
-    let smoke = esg_bench::smoke();
+    let smoke = smoke_section("Trace replay: recorded sweep × schedulers");
     let run_seconds = if smoke { 40.0 } else { esg_bench::RUN_SECONDS };
-    section(if smoke {
-        "Trace replay: recorded sweep × schedulers (smoke mode)"
-    } else {
-        "Trace replay: recorded sweep × schedulers"
-    });
 
     let scenario = Scenario::STRICT_LIGHT;
     let path = std::env::temp_dir().join(format!("esg-replay-bench-{}.json", std::process::id()));
@@ -49,22 +57,6 @@ fn main() {
 
     let kinds = [SchedKind::Esg, SchedKind::Orion, SchedKind::FastGShare];
     let rows = replay_matrix(&replay, &kinds);
-
-    println!(
-        "\n{:<12}  {:>16}  {:>9}  {:>9}  {:>7}  {:>10}",
-        "scheduler", "digest", "=recorded", "hit %", "shed %", "dispatches"
-    );
-    for r in &rows {
-        println!(
-            "{:<12}  {:>16}  {:>9}  {:>8.1}%  {:>6.1}%  {:>10}",
-            r.scheduler,
-            format!("{:016x}", r.digest),
-            if r.matches_recording { "yes" } else { "no" },
-            r.result.avg_hit_rate() * 100.0,
-            r.result.shed_rate() * 100.0,
-            r.result.dispatches,
-        );
-    }
 
     // Round-trip fidelity: the recorded scheduler must reproduce the
     // recording exactly.
@@ -90,28 +82,24 @@ fn main() {
 
     let doc = replay_doc(scenario, &replay, &recorded, &rows, smoke);
     write_json("BENCH_replay", &doc);
-    let csv_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{:016x},{},{:.4},{:.4},{:.4},{},{}",
-                r.scheduler,
-                r.digest,
-                r.matches_recording,
-                r.result.avg_hit_rate(),
-                r.result.shed_rate(),
-                r.result.cost_per_invocation_cents(),
-                r.result.dispatches,
-                r.result.shed_jobs,
-            )
-        })
-        .collect();
-    write_csv(
-        "BENCH_replay",
-        "scheduler,digest,matches_recording,avg_hit_rate,shed_rate,\
-cost_per_invocation_cents,dispatches,shed_jobs",
-        &csv_rows,
-    );
+    let mut table = Table::new(&COLUMNS);
+    for r in &rows {
+        let m = &r.result;
+        let matches = r.matches_recording;
+        table.row([
+            r.scheduler.into(),
+            format!("{:016x}", r.digest).into(),
+            (if matches { "yes" } else { "no" }).into(),
+            matches.into(),
+            m.avg_hit_rate().into(),
+            m.shed_rate().into(),
+            m.cost_per_invocation_cents().into(),
+            m.dispatches.into(),
+            m.shed_jobs.into(),
+        ]);
+    }
+    println!();
+    table.emit("BENCH_replay");
     update_experiments_md("replay", &render_replay_markdown(&doc));
     std::fs::remove_file(&path).ok();
 }

@@ -13,7 +13,7 @@
 //! Results land in `BENCH_scale.json` and the "Control-plane scale"
 //! table of `EXPERIMENTS.md` (`<!-- BENCH:scale:begin/end -->`).
 
-use esg_bench::{render_scale_markdown, section, update_experiments_md, write_json};
+use esg_bench::{render_scale_markdown, smoke_section, update_experiments_md, write_json};
 use esg_core::EsgScheduler;
 use esg_model::SloClass;
 use esg_sim::{MemoryFootprint, SimConfig, SimEnv, Simulation};
@@ -82,7 +82,7 @@ fn run_replay(minutes: usize) -> ReplaySample {
 }
 
 fn main() {
-    let smoke = esg_bench::smoke();
+    let smoke = smoke_section("Control-plane scale: end-to-end streaming replay");
     // A sample is tens of seconds, not microseconds, so replays are
     // timed directly rather than through criterion.
     let replay_samples = if smoke { 1 } else { 3 };
@@ -91,11 +91,6 @@ fn main() {
     } else {
         REPLAY_MINUTES_FULL
     };
-    section(if smoke {
-        "Control-plane scale: end-to-end streaming replay (smoke mode)"
-    } else {
-        "Control-plane scale: end-to-end streaming replay"
-    });
     println!("{REPLAY_LABEL}: {replay_minutes} trace minutes per sample");
 
     let mut samples_ns: Vec<f64> = Vec::new();

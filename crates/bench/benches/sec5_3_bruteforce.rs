@@ -5,12 +5,21 @@
 //! modelled time converts expansions at the calibrated §5.3 rate; the wall
 //! column is this Rust implementation's real time.
 
-use esg_bench::{section, write_csv};
+use esg_bench::{section, Col, Csv, Table};
 use esg_core::{astar_search, brute_force, stagewise_search, StageTable};
 use esg_model::{standard_apps, standard_catalog, ConfigGrid, PriceModel};
 use esg_profile::ProfileTable;
 use esg_sim::decision_time;
 use std::time::Instant;
+
+#[rustfmt::skip]
+const COLUMNS: [Col; 5] = [
+    Col::show("search", 22).left().csv("search", Csv::Plain),
+    Col::show("expansions", 14).csv("expansions", Csv::Plain),
+    Col::show("modelled (ms)", 14).fixed(1).csv("modelled_ms", Csv::Fixed(2)),
+    Col::show("wall (ms)", 12).fixed(3).csv("wall_ms", Csv::Fixed(4)),
+    Col::show("best cost (¢)", 14).fixed(5).csv("best_cost_cents", Csv::Fixed(6)),
+];
 
 fn main() {
     section("§5.3: ESG search vs brute force at ~256 configurations/function");
@@ -24,24 +33,19 @@ fn main() {
     let table = StageTable::build(&stages, &profiles, 8);
     let gslo = table.min_total_time() * 1.35; // a moderate target
 
-    println!(
-        "{:<22} {:>14} {:>14} {:>12} {:>14}",
-        "search", "expansions", "modelled (ms)", "wall (ms)", "best cost (¢)"
-    );
-    let mut csv = Vec::new();
+    let mut out = Table::new(&COLUMNS);
     let mut run = |name: &str, f: &dyn Fn() -> esg_core::SearchResult| {
         let t0 = Instant::now();
         let r = f();
         let wall = t0.elapsed().as_secs_f64() * 1000.0;
         let modelled = decision_time(r.expansions).as_ms();
-        println!(
-            "{:<22} {:>14} {:>14.1} {:>12.3} {:>14.5}",
-            name, r.expansions, modelled, wall, r.paths[0].cost_cents
-        );
-        csv.push(format!(
-            "{name},{},{modelled:.2},{wall:.4},{:.6}",
-            r.expansions, r.paths[0].cost_cents
-        ));
+        out.row([
+            name.into(),
+            r.expansions.into(),
+            modelled.into(),
+            wall.into(),
+            r.paths[0].cost_cents.into(),
+        ]);
         r
     };
 
@@ -56,13 +60,9 @@ fn main() {
         (sw.paths[0].cost_cents - brute.paths[0].cost_cents).abs() < 1e-9,
         "pruning must not change the optimum"
     );
-    println!(
-        "\npaper: brute force ≈ 7258 ms at 256 configs/function; ESG < 10 ms.\n\
-         Both pruned searches return the brute-force optimum (asserted)."
+    out.note(
+        "paper: brute force ≈ 7258 ms at 256 configs/function; ESG < 10 ms.\n\
+         Both pruned searches return the brute-force optimum (asserted).",
     );
-    write_csv(
-        "sec5_3_bruteforce",
-        "search,expansions,modelled_ms,wall_ms,best_cost_cents",
-        &csv,
-    );
+    out.emit("sec5_3_bruteforce");
 }

@@ -8,12 +8,28 @@
 //! end-to-end quality of the resulting runs (the latter as a sweep over
 //! `esg-g<g>` scheduler variants).
 
-use esg_bench::{section, write_csv, ExperimentSuite, ScenarioMatrix, SchedSpec};
+use esg_bench::{section, Col, Csv, ExperimentSuite, ScenarioMatrix, SchedSpec, Table};
 use esg_core::{astar_search, EsgScheduler, StageTable};
 use esg_model::{standard_apps, standard_catalog, ConfigGrid, PriceModel, Scenario};
 use esg_profile::ProfileTable;
 use esg_sim::decision_time;
 use std::time::Instant;
+
+#[rustfmt::skip]
+const SEARCH: [Col; 4] = [
+    Col::show("g", 4).left().csv("g", Csv::Plain),
+    Col::show("expansions", 14).csv("expansions", Csv::Plain),
+    Col::show("modelled (ms)", 16).fixed(1).csv("modelled_ms", Csv::Fixed(2)),
+    Col::show("wall (ms)", 12).fixed(3).csv("wall_ms", Csv::Fixed(4)),
+];
+
+#[rustfmt::skip]
+const E2E: [Col; 4] = [
+    Col::show("g", 4).left().csv("g", Csv::Plain),
+    Col::show("hit %", 10).pct(1).csv("avg_hit_rate", Csv::Fixed(4)),
+    Col::show("cost (¢/inv)", 16).fixed(4).csv("cost_per_invocation_cents", Csv::Fixed(6)),
+    Col::show("mean ovh (ms)", 16).fixed(2).csv("mean_overhead_ms", Csv::Fixed(4)),
+];
 
 fn main() {
     section("§5.4: function group size sweep");
@@ -22,11 +38,7 @@ fn main() {
     let grid = ConfigGrid::with_total_configs(256);
     let profiles = ProfileTable::build(&catalog, &grid, &PriceModel::default());
     let app = &standard_apps()[3]; // 5 stages
-    println!(
-        "{:<4} {:>14} {:>16} {:>12}",
-        "g", "expansions", "modelled (ms)", "wall (ms)"
-    );
-    let mut csv = Vec::new();
+    let mut search = Table::new(&SEARCH);
     for g in 1..=5usize {
         let stages: Vec<_> = app.nodes[..g].to_vec();
         let table = StageTable::build(&stages, &profiles, 8);
@@ -35,13 +47,10 @@ fn main() {
         let r = astar_search(&table, gslo, 5);
         let wall = t0.elapsed().as_secs_f64() * 1000.0;
         let modelled = decision_time(r.expansions).as_ms();
-        println!(
-            "{:<4} {:>14} {:>16.1} {:>12.3}",
-            g, r.expansions, modelled, wall
-        );
-        csv.push(format!("{g},{},{modelled:.2},{wall:.4}", r.expansions));
+        search.row([g.into(), r.expansions.into(), modelled.into(), wall.into()]);
     }
-    println!("\npaper: g=3 by default; g=4 jumps to 1201 ms at 256 configs/function.");
+    search.note("paper: g=3 by default; g=4 jumps to 1201 ms at 256 configs/function.");
+    search.emit("sec5_4_groupsize_search");
 
     // End-to-end effect of the group size (moderate-normal).
     let gs: [usize; 4] = [1, 2, 3, 4];
@@ -59,36 +68,17 @@ fn main() {
     sweep.write_artifacts();
 
     println!();
-    println!(
-        "{:<4} {:>10} {:>16} {:>16}",
-        "g", "hit %", "cost (¢/inv)", "mean ovh (ms)"
-    );
-    let mut csv2 = Vec::new();
+    let mut e2e = Table::new(&E2E);
     for (&g, cell) in gs.iter().zip(&sweep.results) {
         let r = &cell.result;
         // The decisions above the base cost (see fig10.rs).
         let ovh = r.overhead_ms.box_above(0.25).map_or(0.0, |b| b.mean);
-        println!(
-            "{:<4} {:>9.1}% {:>16.4} {:>16.2}",
-            g,
-            r.avg_hit_rate() * 100.0,
-            r.cost_per_invocation_cents(),
-            ovh
-        );
-        csv2.push(format!(
-            "{g},{:.4},{:.6},{ovh:.4}",
-            r.avg_hit_rate(),
-            r.cost_per_invocation_cents()
-        ));
+        e2e.row([
+            g.into(),
+            r.avg_hit_rate().into(),
+            r.cost_per_invocation_cents().into(),
+            ovh.into(),
+        ]);
     }
-    write_csv(
-        "sec5_4_groupsize_search",
-        "g,expansions,modelled_ms,wall_ms",
-        &csv,
-    );
-    write_csv(
-        "sec5_4_groupsize_e2e",
-        "g,avg_hit_rate,cost_per_invocation_cents,mean_overhead_ms",
-        &csv2,
-    );
+    e2e.emit("sec5_4_groupsize_e2e");
 }

@@ -3,22 +3,21 @@
 //! The rows come from each scheduler's `capabilities()` (encoding the
 //! published systems, not our §4.2-extended variants).
 
-use esg_bench::{section, write_csv, SchedKind};
+use esg_bench::{section, Col, Csv, SchedKind, Table};
+use std::iter::once;
 
-fn tick(b: bool) -> &'static str {
-    if b {
-        "yes"
-    } else {
-        "no"
-    }
-}
+#[rustfmt::skip]
+const COLUMNS: [Col; 6] = [
+    Col::show("feature", 24).left().csv("feature", Csv::Plain),
+    Col::show("INFless", 12).csv("INFless", Csv::Plain),
+    Col::show("Fast-GShare", 12).csv("FaST-GShare", Csv::Plain),
+    Col::show("Orion", 12).csv("Orion", Csv::Plain),
+    Col::show("Aquatope", 12).csv("Aquatope", Csv::Plain),
+    Col::show("ESG", 12).csv("ESG", Csv::Plain),
+];
 
 fn main() {
     section("Table 1: comparison of serverless systems");
-    println!(
-        "{:<24} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "feature", "INFless", "Fast-GShare", "Orion", "Aquatope", "ESG"
-    );
     let order = [
         SchedKind::Infless,
         SchedKind::FastGShare,
@@ -35,21 +34,12 @@ fn main() {
         ("Data locality", |c| c.data_locality),
         ("Pre-warming", |c| c.pre_warming),
     ];
-    let mut csv = Vec::new();
-    for (name, f) in &rows {
-        let vals: Vec<&str> = caps.iter().map(|c| tick(f(c))).collect();
-        println!(
-            "{:<24} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            name, vals[0], vals[1], vals[2], vals[3], vals[4]
-        );
-        csv.push(format!(
-            "{name},{},{},{},{},{}",
-            vals[0], vals[1], vals[2], vals[3], vals[4]
-        ));
+    let mut table = Table::new(&COLUMNS);
+    for (name, f) in rows {
+        let ticks = caps
+            .iter()
+            .map(|c| (if f(c) { "yes" } else { "no" }).into());
+        table.row(once(name.into()).chain(ticks));
     }
-    write_csv(
-        "table1",
-        "feature,INFless,FaST-GShare,Orion,Aquatope,ESG",
-        &csv,
-    );
+    table.emit("table1");
 }

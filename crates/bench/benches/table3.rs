@@ -2,33 +2,39 @@
 //! profile substrate (minimum-configuration latency must reproduce the
 //! measured execution time exactly).
 
-use esg_bench::{section, write_csv};
+use esg_bench::{section, Col, Csv, Table};
 use esg_model::{standard_catalog, Config, ConfigGrid, PriceModel};
 use esg_profile::ProfileTable;
+
+#[rustfmt::skip]
+const COLUMNS: [Col; 6] = [
+    Col::show("function", 20).left().csv("function", Csv::Plain),
+    Col::show("exec (ms)", 12).fixed(0).csv("exec_ms", Csv::Plain),
+    Col::show("cold start(ms)", 14).fixed(0).csv("cold_start_ms", Csv::Plain),
+    Col::show("input (MB)", 12).fixed(3).csv("input_mb", Csv::Plain),
+    Col::show("model", 22).left().csv("model", Csv::Plain),
+    Col::show("profile@min(ms)", 14).fixed(0).csv("profile_at_min_ms", Csv::Plain),
+];
 
 fn main() {
     section("Table 3: serverless functions");
     let catalog = standard_catalog();
     let profiles = ProfileTable::build(&catalog, &ConfigGrid::default(), &PriceModel::default());
-    println!(
-        "{:<20} {:>12} {:>14} {:>12} {:<22} {:>14}",
-        "function", "exec (ms)", "cold start(ms)", "input (MB)", "model", "profile@min(ms)"
-    );
-    let mut csv = Vec::new();
+    let mut table = Table::new(&COLUMNS);
     for (id, f) in catalog.iter() {
         let at_min = profiles.profile(id).min_config_entry().latency_ms;
         assert!(
             (at_min - f.exec_ms).abs() < 1e-9,
             "profile substrate must reproduce Table 3 at (1,1,1)"
         );
-        println!(
-            "{:<20} {:>12.0} {:>14.0} {:>12.3} {:<22} {:>14.0}",
-            f.name, f.exec_ms, f.cold_start_ms, f.input_mb, f.model, at_min
-        );
-        csv.push(format!(
-            "{},{},{},{},{},{}",
-            f.name, f.exec_ms, f.cold_start_ms, f.input_mb, f.model, at_min
-        ));
+        table.row([
+            f.name.into(),
+            f.exec_ms.into(),
+            f.cold_start_ms.into(),
+            f.input_mb.into(),
+            f.model.into(),
+            at_min.into(),
+        ]);
     }
     // A taste of the extrapolated profile (not in the paper's table, but
     // the quantity its Fig. 3 example is built from).
@@ -37,13 +43,9 @@ fn main() {
         .profile(deblur)
         .find(Config::new(4, 4, 2))
         .expect("grid");
-    println!(
-        "\nexample extrapolation: deblur @ (b=4,c=4,g=2): {:.0} ms task, {:.4}¢/job",
+    table.note(format!(
+        "example extrapolation: deblur @ (b=4,c=4,g=2): {:.0} ms task, {:.4}¢/job",
         e.latency_ms, e.per_job_cost_cents
-    );
-    write_csv(
-        "table3",
-        "function,exec_ms,cold_start_ms,input_mb,model,profile_at_min_ms",
-        &csv,
-    );
+    ));
+    table.emit("table3");
 }

@@ -8,8 +8,16 @@
 //! batch, which the harness verifies. Declared as one sweep over the
 //! three schedulers × three paper scenarios.
 
-use esg_bench::{section, write_csv, ExperimentSuite, ScenarioMatrix, SchedKind};
+use esg_bench::{section, Col, Csv, ExperimentSuite, ScenarioMatrix, SchedKind, Table};
 use esg_model::Scenario;
+
+#[rustfmt::skip]
+const COLUMNS: [Col; 4] = [
+    Col::show("setting", 18).left().csv("setting", Csv::Plain),
+    Col::show("best-first (Orion)", 22).pct(2).csv("orion_miss", Csv::Fixed(4)),
+    Col::show("BO (Aquatope)", 18).pct(2).csv("aquatope_miss", Csv::Fixed(4)),
+    Col::show("ESG", 10).pct(2).csv("esg_miss", Csv::Fixed(4)),
+];
 
 fn main() {
     section("Table 4: pre-planned scheduling miss rate");
@@ -22,11 +30,7 @@ fn main() {
     .run();
     sweep.write_artifacts();
 
-    println!(
-        "{:<18} {:>22} {:>18} {:>10}",
-        "setting", "best-first (Orion)", "BO (Aquatope)", "ESG"
-    );
-    let mut csv = Vec::new();
+    let mut table = Table::new(&COLUMNS);
     for scenario in Scenario::all() {
         let cell = |kind: SchedKind| {
             &sweep
@@ -34,30 +38,19 @@ fn main() {
                 .expect("matrix fully populated")
                 .result
         };
-        let (orion, aquatope, esg) = (
-            cell(SchedKind::Orion),
-            cell(SchedKind::Aquatope),
-            cell(SchedKind::Esg),
-        );
+        let esg = cell(SchedKind::Esg);
         assert_eq!(
             esg.config_misses, 0,
             "ESG adapts its batch to the live queue and must never miss"
         );
-        println!(
-            "{:<18} {:>21.2}% {:>17.2}% {:>9.2}%",
-            scenario.to_string(),
-            orion.config_miss_rate() * 100.0,
-            aquatope.config_miss_rate() * 100.0,
-            esg.config_miss_rate() * 100.0,
-        );
-        csv.push(format!(
-            "{},{:.4},{:.4},{:.4}",
-            scenario,
-            orion.config_miss_rate(),
-            aquatope.config_miss_rate(),
-            esg.config_miss_rate()
-        ));
+        let miss = |kind| cell(kind).config_miss_rate();
+        table.row([
+            scenario.to_string().into(),
+            miss(SchedKind::Orion).into(),
+            miss(SchedKind::Aquatope).into(),
+            esg.config_miss_rate().into(),
+        ]);
     }
-    println!("\npaper: Orion 9.6% / 27.32% / 51.68%; Aquatope 85.5% / 59.85% / 58.72%");
-    write_csv("table4", "setting,orion_miss,aquatope_miss,esg_miss", &csv);
+    table.note("paper: Orion 9.6% / 27.32% / 51.68%; Aquatope 85.5% / 59.85% / 58.72%");
+    table.emit("table4");
 }

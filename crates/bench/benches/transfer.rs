@@ -28,13 +28,25 @@
 //! `ESG_SMOKE=1` shortens the arrival window for CI smoke runs.
 
 use esg_bench::{
-    section, standard_config, ClusterCase, ExperimentSuite, ScenarioMatrix, SchedSpec, RUN_SECONDS,
-    WARMUP_SECONDS,
+    scaled_config, smoke_section, ClusterCase, Col, ExperimentSuite, ScenarioMatrix, SchedSpec,
+    Table, RUN_SECONDS,
 };
 use esg_core::{BandwidthAwarePacking, EsgScheduler};
 use esg_model::{ClusterSpec, NodeClass, Scenario, TrafficShape};
 use esg_profile::TransferModel;
 use esg_sim::{BandwidthPackingConfig, DataPlaneConfig, PolicyStack, SimConfig};
+
+#[rustfmt::skip]
+const COLUMNS: [Col; 8] = [
+    Col::show("stack", 14).left(),
+    Col::show("traffic", 8),
+    Col::show("SLO hit %", 10).pct(1),
+    Col::show("transfers", 10),
+    Col::show("queued", 8),
+    Col::show("replans", 9),
+    Col::show("moved (MB)", 11).fixed(0),
+    Col::show("cross (MB)", 11).fixed(0),
+];
 
 /// Paper-grade remote tariffs with a doubled intra-node rate: the
 /// transfer-bound regime comes from the *pools* below, not from
@@ -110,13 +122,8 @@ fn variants() -> [SchedSpec; 2] {
 }
 
 fn main() {
-    let smoke = esg_bench::smoke();
+    let smoke = smoke_section("Transfer-bound packing: warm affinity vs bandwidth awareness");
     let run_seconds = if smoke { 3.0 } else { RUN_SECONDS };
-    section(if smoke {
-        "Transfer-bound packing: warm affinity vs bandwidth awareness (smoke mode)"
-    } else {
-        "Transfer-bound packing: warm affinity vs bandwidth awareness"
-    });
 
     let matrix = ScenarioMatrix::new()
         .schedulers(variants())
@@ -125,12 +132,10 @@ fn main() {
         .traffic([TrafficShape::Steady, TrafficShape::Bursty]);
     assert_eq!(matrix.len(), 2 * 4 * 2, "2 stacks × 4 clusters × 2 shapes");
 
-    let warmup_seconds = WARMUP_SECONDS * run_seconds / RUN_SECONDS;
     let sweep = ExperimentSuite::new("transfer", matrix)
         .with_sim_config(SimConfig {
-            warmup_exclude_ms: warmup_seconds * 1000.0,
             data_plane: Some(DataPlaneConfig::default()),
-            ..standard_config()
+            ..scaled_config(run_seconds)
         })
         .with_transfer(transfer_bound_tariffs())
         .with_run_seconds(run_seconds)
@@ -138,34 +143,25 @@ fn main() {
     sweep.write_artifacts();
     sweep.write_experiments_section();
 
+    let mut table = Table::new(&COLUMNS);
     for case in cluster_cases() {
-        println!("\n--- cluster {} ---", case.name);
-        println!(
-            "{:<14} {:>8} {:>10} {:>10} {:>8} {:>9} {:>11} {:>11}",
-            "stack",
-            "traffic",
-            "SLO hit %",
-            "transfers",
-            "queued",
-            "replans",
-            "moved (MB)",
-            "cross (MB)"
-        );
+        table.group(format!("cluster {}", case.name));
         for cell in sweep.results.iter().filter(|c| c.cluster == case.name) {
-            let r = &cell.result;
-            println!(
-                "{:<14} {:>8} {:>9.1}% {:>10} {:>8} {:>9} {:>11.0} {:>11.0}",
-                cell.scheduler,
-                cell.traffic.to_string(),
-                r.avg_hit_rate() * 100.0,
-                r.transfers.started,
-                r.transfers.queued,
-                r.transfers.replans,
-                r.transfers.total_mb,
-                r.transfers.cross_server_mb,
-            );
+            let t = &cell.result.transfers;
+            let hit = cell.result.avg_hit_rate();
+            table.row([
+                cell.scheduler.as_str().into(),
+                cell.traffic.to_string().into(),
+                hit.into(),
+                t.started.into(),
+                t.queued.into(),
+                t.replans.into(),
+                t.total_mb.into(),
+                t.cross_server_mb.into(),
+            ]);
         }
     }
+    table.print();
 
     // Every cell must actually exercise the data plane — a transfer
     // bench whose flows never contend would gate nothing — and every
@@ -213,13 +209,7 @@ fn main() {
             continue;
         }
         let plain = sweep
-            .results
-            .iter()
-            .find(|c| {
-                c.scheduler == "ESG+warm-pack"
-                    && c.cluster == cell.cluster
-                    && c.traffic == cell.traffic
-            })
+            .paired("ESG+warm-pack", cell)
             .expect("paired warm-affinity row exists for every cell");
         let gain = cell.result.avg_hit_rate() - plain.result.avg_hit_rate();
         worst = worst.max(-gain);

@@ -10,10 +10,14 @@
 //! `bench_results/`.
 //!
 //! The fig/table bench targets are thin declarations over this engine:
-//! they build a matrix, run it, and format paper-style rows from the
-//! returned records. Every target shares the same standard setup — the
-//! Table-2 cluster, 120 s of class-appropriate arrivals, a 30 s warm-up
-//! window excluded from the metrics, and seed 42.
+//! they build a matrix, run it, and push one typed value per column and
+//! row into a [`Table`]. A target declares each table once, as a list of
+//! [`Col`]s: a column names its console header, width and number format,
+//! and its CSV key and [`Csv`] format, either side optional.
+//! [`Table::emit`] then prints the paper-style rows and writes
+//! `<name>.csv` from the same values. Every target shares the same
+//! standard setup — the Table-2 cluster, 120 s of class-appropriate
+//! arrivals, a 30 s warm-up window excluded from the metrics, and seed 42.
 
 #![warn(missing_docs)]
 
@@ -21,6 +25,7 @@ mod dashboard;
 mod emit;
 mod replay;
 mod suite;
+mod table;
 
 pub use dashboard::{
     dashboard_csv_header, dashboard_csv_rows, render_dashboard_text, render_snapshot_text,
@@ -31,12 +36,15 @@ pub use emit::{
 };
 pub use replay::{record_reference, render_replay_markdown, replay_doc, replay_matrix, ReplayRun};
 pub use suite::{
-    ClusterCase, ExperimentSuite, RunSpec, ScenarioMatrix, SchedSpec, Sweep, SweepResult,
+    ClusterCase, Csv, ExperimentSuite, RunSpec, ScenarioMatrix, SchedSpec, Sweep, SweepResult,
 };
+pub use table::{Col, Table};
 
 use esg_baselines::{AquatopeScheduler, FastGShareScheduler, InflessScheduler, OrionScheduler};
 use esg_core::EsgScheduler;
-use esg_model::{standard_app_ids, Scenario, TrafficShape};
+use esg_model::{
+    standard_app_ids, ChurnPlan, ClusterSpec, NodeClass, NodeId, Scenario, TrafficShape,
+};
 use esg_sim::{Scheduler, SimConfig};
 use esg_workload::{shaped_workload, Workload, WorkloadGen};
 
@@ -129,15 +137,48 @@ pub fn workload_for_shape(
 
 /// The standard platform configuration (Table 2 + steady-state warm-up).
 pub fn standard_config() -> SimConfig {
-    SimConfig {
-        warmup_exclude_ms: WARMUP_SECONDS * 1000.0,
-        ..SimConfig::default()
-    }
+    scaled_config(RUN_SECONDS)
 }
 
 /// Prints a rule-off section header.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
+}
+
+/// Prints the section header of a target that shortens its runs under
+/// [`smoke`] mode, marking a smoke run; returns whether this is one.
+pub fn smoke_section(title: &str) -> bool {
+    let smoke = smoke();
+    section(&format!(
+        "{title}{}",
+        if smoke { " (smoke mode)" } else { "" }
+    ));
+    smoke
+}
+
+/// The standard configuration for runs of `run_seconds` of arrivals: the
+/// warm-up exclusion shrinks in proportion, so that a 3 s smoke run
+/// still reports metrics (the 30 s window would swallow it).
+pub fn scaled_config(run_seconds: f64) -> SimConfig {
+    let warmup_seconds = WARMUP_SECONDS * run_seconds / RUN_SECONDS;
+    SimConfig {
+        warmup_exclude_ms: warmup_seconds * 1000.0,
+        ..SimConfig::default()
+    }
+}
+
+/// The cluster axis of the heterogeneous sweeps (`hetero`, `packing`):
+/// the paper testbed, mixed MIG, and a skewed cluster whose fastest node
+/// drains a third into the run while a T4 replacement joins shortly
+/// after, the hardest placement regime.
+pub fn hetero_clusters(run_seconds: f64) -> [ClusterCase; 3] {
+    let churn_at = run_seconds * 1000.0 / 3.0;
+    let replace = ChurnPlan::rolling_replace(churn_at, 2_000.0, NodeId(0), NodeClass::t4());
+    [
+        ClusterCase::new(ClusterSpec::paper()),
+        ClusterCase::new(ClusterSpec::mixed_mig()),
+        ClusterCase::new(ClusterSpec::skewed()).with_churn(replace),
+    ]
 }
 
 #[cfg(test)]

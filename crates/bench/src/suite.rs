@@ -516,22 +516,37 @@ impl SweepResult {
     pub fn csv_row(&self) -> String {
         let mut row = self.suite.clone();
         for (_, value, csv) in COLUMNS {
-            match (csv, value(self)) {
-                (Csv::Skip, _) => {}
-                (Csv::Plain, Value::String(s)) => row += &format!(",{s}"),
-                (Csv::Plain, v) => row += &format!(",{v}"),
-                (Csv::Fixed(d), v) => row += &format!(",{:.*}", d, v.as_f64().unwrap_or(f64::NAN)),
+            if let Some(cell) = csv.cell(&value(self)) {
+                row += &format!(",{cell}");
             }
         }
         row
     }
 }
 
-/// How the CSV row writes a column: skipped, as JSON reads (strings unquoted), or fixed-point.
-enum Csv {
+/// How a CSV writes a column: the one format type behind the sweep
+/// records' columns and every bench target's [`Col`](crate::Col).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Csv {
+    /// Left out of the CSV.
     Skip,
+    /// As `Display` writes it: strings unquoted, `1.0_f64` as `1`.
     Plain,
+    /// Fixed-point with this many decimals.
     Fixed(usize),
+}
+
+impl Csv {
+    /// `v` as this format writes it; `None` when the column is skipped.
+    pub(crate) fn cell(self, v: &Value) -> Option<String> {
+        match (self, v) {
+            (Csv::Skip, _) => None,
+            (Csv::Plain, Value::String(s)) => Some(s.clone()),
+            (Csv::Plain, Value::Number(n)) => Some(n.to_string()),
+            (Csv::Plain, v) => Some(v.to_string()),
+            (Csv::Fixed(d), v) => Some(format!("{:.*}", d, v.as_f64().unwrap_or(f64::NAN))),
+        }
+    }
 }
 
 type Column = (&'static str, fn(&SweepResult) -> Value, Csv);
@@ -624,6 +639,18 @@ impl Sweep {
         self.results
             .iter()
             .find(|c| c.scheduler == scheduler && c.scenario == scenario)
+    }
+
+    /// The record of `scheduler` in `cell`'s scenario, cluster, traffic
+    /// and seed: the paired cell another scheduler ran on the same inputs.
+    pub fn paired(&self, scheduler: &str, cell: &SweepResult) -> Option<&SweepResult> {
+        self.results.iter().find(|c| {
+            c.scheduler == scheduler
+                && c.scenario == cell.scenario
+                && c.cluster == cell.cluster
+                && c.traffic == cell.traffic
+                && c.seed == cell.seed
+        })
     }
 
     /// All records of one scenario, in cell order.

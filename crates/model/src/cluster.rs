@@ -167,13 +167,6 @@ impl NodeClass {
         self
     }
 
-    /// Overrides the remote-link scale factor.
-    pub fn with_link_scale(mut self, link_scale: f64) -> NodeClass {
-        assert!(link_scale > 0.0, "link scale must be positive");
-        self.link_scale = link_scale;
-        self
-    }
-
     /// Overrides the data-plane bandwidths (PCIe in/out and NVLink-class
     /// intra-server), GB/s.
     pub fn with_bandwidth(mut self, pcie_in: f64, pcie_out: f64, nvlink: f64) -> NodeClass {

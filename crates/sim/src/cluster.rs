@@ -269,13 +269,6 @@ impl Node {
         (usable, next_change)
     }
 
-    /// Functions with a usable warm slot at `now`.
-    pub fn warm_functions(&self, now: SimTime) -> Vec<FnId> {
-        let mut out = Vec::new();
-        self.warm_functions_into(now, &mut out);
-        out
-    }
-
     /// Writes the functions with a usable warm slot at `now` into `out`
     /// (sorted, since the pool is walked in function order; reusing
     /// `out`'s capacity — steady-state callers allocate nothing) and
@@ -462,11 +455,11 @@ mod tests {
         let keep = SimTime::from_secs(600.0);
         n.return_slot(FnId(2), SimTime::from_ms(1.0), keep, false);
         n.return_slot(FnId(0), SimTime::from_ms(1.0), keep, false);
-        assert_eq!(
-            n.warm_functions(SimTime::from_ms(2.0)),
-            vec![FnId(0), FnId(2)]
-        );
-        assert!(n.warm_functions(SimTime::from_secs(700.0)).is_empty());
+        let mut warm = Vec::new();
+        n.warm_functions_into(SimTime::from_ms(2.0), &mut warm);
+        assert_eq!(warm, vec![FnId(0), FnId(2)]);
+        n.warm_functions_into(SimTime::from_secs(700.0), &mut warm);
+        assert!(warm.is_empty());
     }
 
     #[test]

@@ -679,6 +679,7 @@ impl<'a> Simulation<'a> {
         mut self,
         observer: Option<&'o mut (dyn Observer + 'o)>,
     ) -> Result<(ExperimentResult, MemoryFootprint), SimError> {
+        self.sched.on_run_start();
         self.observer = observer.map(|o| o as &'a mut dyn Observer);
         if let Some(obs) = self.observer.as_mut() {
             obs.begin(self.env, &self.cfg, self.sched.name());

@@ -114,13 +114,6 @@ impl AdmissionPlan {
         }
     }
 
-    /// Defers all `n` queues until `until_ms`.
-    pub fn defer_all(n: usize, until_ms: f64) -> AdmissionPlan {
-        AdmissionPlan {
-            decisions: vec![AdmissionDecision::Defer { until_ms }; n],
-        }
-    }
-
     /// Re-initialises the plan to admit all `n` queues, in place.
     pub fn reset(&mut self, n: usize) {
         self.decisions.clear();
@@ -701,8 +694,14 @@ mod tests {
         assert_eq!(a.decisions()[2], AdmissionDecision::Admit);
         assert_eq!(a.admitted().collect::<Vec<_>>(), vec![2]);
         // Defer + Defer keeps the later instant; Shed survives anything.
-        let mut c = AdmissionPlan::defer_all(3, 20.0);
-        c.tighten(&AdmissionPlan::defer_all(3, 5.0));
+        let defer_all = |n: usize, until_ms: f64| {
+            let mut plan = AdmissionPlan::default();
+            plan.reset(n);
+            plan.set_all(AdmissionDecision::Defer { until_ms });
+            plan
+        };
+        let mut c = defer_all(3, 20.0);
+        c.tighten(&defer_all(3, 5.0));
         assert_eq!(
             c.decisions()[0],
             AdmissionDecision::Defer { until_ms: 20.0 }
@@ -714,7 +713,7 @@ mod tests {
                 reason: ShedReason::GsloUnattainable,
             },
         );
-        d.tighten(&AdmissionPlan::defer_all(1, 99.0));
+        d.tighten(&defer_all(1, 99.0));
         assert!(matches!(d.decisions()[0], AdmissionDecision::Shed { .. }));
     }
 

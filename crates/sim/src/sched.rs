@@ -513,6 +513,12 @@ pub trait Scheduler {
         let _ = event;
     }
 
+    /// Called by the platform once before a run's first event. A
+    /// scheduler reused for another run drops here whatever it derived
+    /// or learned in the last one, so that every run starts as a fresh
+    /// scheduler's would. The default does nothing.
+    fn on_run_start(&mut self) {}
+
     /// End-of-run counters, copied into `ExperimentResult::scheduler_stats`
     /// by the platform. The default reports nothing.
     fn stats(&self) -> SchedulerStats {

@@ -40,10 +40,7 @@
 //!   [`most_free`](ClusterState::most_free),
 //!   [`fastest_speed`](ClusterState::fastest_speed),
 //!   [`speed_of`](ClusterState::speed_of),
-//!   [`unit_speed`](ClusterState::unit_speed);
-//! * every observable change bumps a [`generation`](ClusterState::generation)
-//!   stamp, so caching schedulers can cheaply detect "the cluster moved
-//!   under me" between rounds.
+//!   [`unit_speed`](ClusterState::unit_speed).
 //!
 //! Equivalence with the old contract is pinned two ways: the
 //! `validate_cluster_state` oracle (the platform rebuilds a from-scratch
@@ -140,7 +137,6 @@ pub struct ClusterState {
     /// baseline); may read false on such a state after a hand mutation
     /// through [`node_mut`](Self::node_mut).
     unit_speed: bool,
-    generation: u64,
 }
 
 impl ClusterState {
@@ -159,7 +155,6 @@ impl ClusterState {
             warm_next_change: vec![SimTime(u64::MAX); len],
             touched: Vec::new(),
             earliest_passive: SimTime(u64::MAX),
-            generation: 0,
         }
     }
 
@@ -195,12 +190,10 @@ impl ClusterState {
     }
 
     /// Mutable access for hand-built states (tests tweaking free
-    /// resources, speeds, warmth). Bumps the generation and clears
-    /// [`unit_speed`](Self::unit_speed), since the caller may change the
-    /// speed; hand mutations do not participate in incremental dirtiness
-    /// tracking.
+    /// resources, speeds, warmth). Clears [`unit_speed`](Self::unit_speed),
+    /// since the caller may change the speed; hand mutations do not
+    /// participate in incremental dirtiness tracking.
     pub fn node_mut(&mut self, id: NodeId) -> &mut NodeView {
-        self.generation += 1;
         self.unit_speed = false;
         &mut self.nodes[id.index()]
     }
@@ -217,13 +210,6 @@ impl ClusterState {
         self.nodes.is_empty()
     }
 
-    /// Monotone stamp, bumped whenever the observable state may have
-    /// changed (platform mutation, passive warm-set change, join).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// True when every node runs at speed 1.0, so any placement runs at
     /// the baseline class. False positives never occur; a false negative
     /// only after [`node_mut`](Self::node_mut).
@@ -237,7 +223,6 @@ impl ClusterState {
     /// whole view.
     pub fn touch(&mut self, node: NodeId) {
         self.mark(node).full = true;
-        self.generation += 1;
     }
 
     /// Marks `node`'s free capacity and `f`'s warm slots on it as mutated
@@ -249,14 +234,12 @@ impl ClusterState {
             d.fns.push(f);
         }
         d.partial = true;
-        self.generation += 1;
     }
 
     /// Marks `node`'s free capacity as mutated (a commitment); the next
     /// refresh re-syncs only that.
     pub fn touch_resources(&mut self, node: NodeId) {
         self.mark(node).partial = true;
-        self.generation += 1;
     }
 
     /// `node`'s dirtiness record, listing the node in `touched` if this
@@ -341,7 +324,6 @@ impl ClusterState {
         d.full = false;
         d.partial = false;
         d.fns.clear();
-        self.generation += 1;
     }
 
     /// Re-syncs a partially dirty node: free capacity, plus the warm
@@ -372,7 +354,6 @@ impl ClusterState {
         }
         d.partial = false;
         d.fns.clear();
-        self.generation += 1;
     }
 
     /// Nodes able to host `demand`.
@@ -855,20 +836,5 @@ mod tests {
         assert!(!state.node(b).has_warm(FnId(2)));
         assert!(state.node(a).has_warm(FnId(1)));
         assert!(state.touched.is_empty());
-    }
-
-    #[test]
-    fn generation_stamps_observable_changes() {
-        let cluster = Cluster::new(2, Resources::new(16, 7));
-        let mut state = ClusterState::from_cluster(&cluster, SimTime::ZERO);
-        let g0 = state.generation();
-        // A clean refresh is a no-op: no generation movement.
-        state.refresh(&cluster, SimTime::from_ms(1.0));
-        assert_eq!(state.generation(), g0);
-        state.touch(NodeId(0));
-        assert!(state.generation() > g0);
-        let g1 = state.generation();
-        state.refresh(&cluster, SimTime::from_ms(2.0));
-        assert!(state.generation() > g1, "re-sync stamps the state");
     }
 }

@@ -378,6 +378,10 @@ impl Scheduler for Traced {
         self.inner.on_event(event);
     }
 
+    fn on_run_start(&mut self) {
+        self.inner.on_run_start();
+    }
+
     fn stats(&self) -> SchedulerStats {
         self.inner.stats()
     }

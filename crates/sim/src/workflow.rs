@@ -78,11 +78,6 @@ impl AfwQueue {
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
-
-    /// The oldest job's ready time.
-    pub fn oldest_ready_at(&self) -> Option<SimTime> {
-        self.jobs.front().map(|j| j.ready_at)
-    }
 }
 
 /// The runtime state of one application invocation.
@@ -206,12 +201,6 @@ impl WorkflowInstance {
         self.completed == self.stages.len()
     }
 
-    /// The node a completed stage ran on.
-    #[inline]
-    pub fn stage_node(&self, stage: usize) -> Option<NodeId> {
-        self.stages[stage].node
-    }
-
     /// The input-producing node for `stage`: the node its first
     /// predecessor (in edge order) ran on. When predecessors ran on
     /// different nodes no single local node exists; a dispatch to the
@@ -251,7 +240,6 @@ mod tests {
             });
         }
         assert_eq!(q.len(), 5);
-        assert_eq!(q.oldest_ready_at(), Some(SimTime::from_ms(0.0)));
         let mut taken = Vec::new();
         q.take_into(2, &mut taken);
         assert_eq!(taken.len(), 2);
@@ -262,7 +250,6 @@ mod tests {
         assert_eq!(taken.len(), 5);
         assert_eq!(taken[2].invocation, InvocationId(2));
         assert!(q.is_empty());
-        assert_eq!(q.oldest_ready_at(), None);
     }
 
     #[test]
@@ -279,7 +266,6 @@ mod tests {
         assert!(!w.is_complete());
         let ready = complete(&mut w, 0, NodeId(3), &app);
         assert_eq!(ready, vec![1]);
-        assert_eq!(w.stage_node(0), Some(NodeId(3)));
         assert_eq!(w.pred_node(1, &app), Some(NodeId(3)));
         let ready = complete(&mut w, 1, NodeId(4), &app);
         assert_eq!(ready, vec![2]);

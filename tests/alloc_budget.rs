@@ -71,6 +71,9 @@ impl<S: Scheduler> Scheduler for Metered<S> {
     fn on_event(&mut self, event: &SchedulerEvent<'_>) {
         self.inner.on_event(event);
     }
+    fn on_run_start(&mut self) {
+        self.inner.on_run_start();
+    }
     fn stats(&self) -> SchedulerStats {
         self.inner.stats()
     }

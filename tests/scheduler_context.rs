@@ -4,9 +4,10 @@
 //!   placement of a round decision sees the view, instant and environment
 //!   fingerprint the decision saw, and a recheck retry sees the queue as
 //!   it is at the retry's instant.
-//! * A baseline reused on another environment (more apps, another SLO
-//!   class) decides exactly as a fresh one does: it drops every share,
-//!   rate, plan and memo it derived from the first environment.
+//! * A baseline reused for another run, on the same environment or on
+//!   another one (more apps, another SLO class), decides exactly as a
+//!   fresh one does: it drops every share, rate, plan and memo of the
+//!   last run when the next one starts.
 
 use esg::baselines::bo::BoOptimizer;
 use esg::model::{InvocationId, NodeClass};
@@ -195,5 +196,17 @@ fn a_baseline_reused_on_another_environment_decides_as_a_fresh_one() {
         let (fresh_canonical, fresh_digest) = run(&env_b, baseline(name).as_mut());
         assert_eq!(digest, fresh_digest, "{name}: dispatches moved");
         assert_eq!(canonical, fresh_canonical, "{name}: results moved");
+    }
+}
+
+#[test]
+fn a_baseline_reused_on_the_same_environment_decides_as_a_fresh_one() {
+    let env = SimEnv::with_grid(SloClass::Moderate, grid());
+    for name in ["INFless", "FaST-GShare", "Orion", "Aquatope"] {
+        let mut reused = baseline(name);
+        let first = run(&env, reused.as_mut());
+        let second = run(&env, reused.as_mut());
+        assert_eq!(second.1, first.1, "{name}: dispatches moved");
+        assert_eq!(second.0, first.0, "{name}: results moved");
     }
 }
